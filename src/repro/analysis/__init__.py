@@ -1,7 +1,7 @@
 """Analysis and reporting utilities.
 
-* :mod:`repro.analysis.sparsity` — measure per-layer firing rates of a
-  trained model (the bridge between training and the hardware model).
+* :mod:`repro.analysis.sparsity` — the per-layer firing-rate record that
+  bridges training and the hardware model (measured by the runtime).
 * :mod:`repro.analysis.pareto` — accuracy-vs-efficiency Pareto fronts.
 * :mod:`repro.analysis.tables` — aligned ASCII tables for terminal output.
 * :mod:`repro.analysis.plots` — dependency-free ASCII line/heatmap plots for
@@ -9,7 +9,7 @@
 * :mod:`repro.analysis.io` — CSV/JSON result serialisation.
 """
 
-from repro.analysis.sparsity import SparsityProfile, profile_sparsity
+from repro.analysis.sparsity import SparsityProfile
 from repro.analysis.pareto import pareto_front, dominates
 from repro.analysis.tables import format_table
 from repro.analysis.plots import ascii_line_plot, ascii_heatmap
@@ -17,7 +17,6 @@ from repro.analysis.io import save_json, load_json, save_csv, load_csv
 
 __all__ = [
     "SparsityProfile",
-    "profile_sparsity",
     "pareto_front",
     "dominates",
     "format_table",

@@ -1,23 +1,16 @@
-"""Firing-rate / sparsity profiling of trained spiking models.
+"""Firing-rate / sparsity profile of a trained spiking model.
 
 The hardware model consumes *average spike events per timestep per sample*
-for the network input and for every spiking layer.  This module measures
-those quantities by running the trained model over (a sample of) the test
-set with statistics recording enabled.
+for the network input and for every spiking layer.  The compiled runtime
+measures those quantities while it evaluates a model
+(:meth:`repro.runtime.RuntimeActivity.to_sparsity_profile`); this module
+holds the record type they are reported in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
-
-import numpy as np
-
-from repro.autograd.tensor import Tensor, no_grad
-from repro.data.dataloader import DataLoader
-from repro.encoding.base import Encoder
-from repro.neurons.base import SpikingNeuron
-from repro.nn.module import Module
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass
@@ -66,69 +59,3 @@ class SparsityProfile:
         out["average_firing_rate"] = self.average_firing_rate()
         return out
 
-
-def profile_sparsity(
-    model: Module,
-    encoder: Encoder,
-    loader: DataLoader,
-    max_batches: Optional[int] = None,
-) -> SparsityProfile:
-    """Measure per-layer firing rates of ``model`` on data from ``loader``.
-
-    The model must expose named spiking layers (any model whose neuron layers
-    are registered submodules does).  Statistics are averaged per sample and
-    per timestep so they are independent of batch size.
-
-    Parameters
-    ----------
-    model:
-        Trained spiking classifier.
-    encoder:
-        The same encoder used at training/evaluation time.
-    loader:
-        Data to profile over (typically the test loader).
-    max_batches:
-        Optional cap on the number of batches (profiling cost control).
-    """
-    model.eval()
-    spiking_layers = [
-        (name, module) for name, module in model.named_modules() if isinstance(module, SpikingNeuron)
-    ]
-    if not spiking_layers:
-        raise ValueError("model contains no spiking layers to profile")
-
-    layer_events = {name: 0.0 for name, _ in spiking_layers}
-    neuron_counts = {name: 0 for name, _ in spiking_layers}
-    input_events = 0.0
-    total_samples = 0
-    batches = 0
-
-    with no_grad():
-        for images, _labels in loader:
-            model.reset_spiking_state()
-            spikes = encoder(images)
-            input_events += float(spikes.sum())
-            model(Tensor(spikes))
-            batch_size = images.shape[0]
-            total_samples += batch_size
-            for name, module in spiking_layers:
-                layer_events[name] += module.total_spikes()
-                neuron_counts[name] = module.state.element_count // max(batch_size, 1)
-            batches += 1
-            if max_batches is not None and batches >= max_batches:
-                break
-
-    if total_samples == 0:
-        raise ValueError("loader yielded no samples to profile")
-
-    steps = encoder.num_steps
-    per_step = {
-        name: events / (total_samples * steps) for name, events in layer_events.items()
-    }
-    return SparsityProfile(
-        layer_events_per_step=per_step,
-        input_events_per_step=input_events / (total_samples * steps),
-        layer_neuron_counts=neuron_counts,
-        num_steps=steps,
-        samples_profiled=total_samples,
-    )

@@ -18,7 +18,6 @@ from repro.core.config import ExperimentConfig, ReproScale, SCALE_PRESETS, resol
 from repro.core.network import SpikingCNN, SpikingMLP, build_paper_network
 from repro.core.experiment import (
     ExperimentRecord,
-    RuntimeFallbackWarning,
     evaluate_trained_model,
     run_experiment,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "AdaptiveSweepResult",
     "run_adaptive_threshold_sweep",
     "format_adaptive_sweep",
-    "RuntimeFallbackWarning",
     "PriorWorkComparison",
     "run_prior_work_comparison",
     "format_comparison_table",

@@ -122,7 +122,6 @@ def run_adaptive_threshold_sweep(
     scale_preset: Optional[str] = None,
     accelerator: Optional[SparsityAwareAccelerator] = None,
     verbose: bool = False,
-    use_runtime: bool = True,
     workers: Optional[int] = None,
     cache=None,
 ) -> AdaptiveSweepResult:
@@ -161,7 +160,6 @@ def run_adaptive_threshold_sweep(
         workers=workers,
         cache=cache,
         accelerator=accelerator,
-        use_runtime=use_runtime,
         verbose=verbose,
     )
     records: Dict[Tuple[float, float], ExperimentRecord] = dict(zip(cells, flat))

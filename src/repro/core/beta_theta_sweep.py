@@ -10,7 +10,7 @@ best-accuracy configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -132,19 +132,16 @@ def run_beta_theta_sweep(
     scale_preset: Optional[str] = None,
     accelerator: Optional[SparsityAwareAccelerator] = None,
     verbose: bool = False,
-    use_runtime: bool = True,
     workers: Optional[int] = None,
     cache=None,
 ) -> BetaThetaSweepResult:
     """Run the Figure 2 cross-sweep.
 
     Defaults follow the paper: fast sigmoid at slope 0.25, ``beta`` and
-    ``theta`` grids spanning the published ranges.  ``use_runtime`` routes
-    each cell's evaluation through the event-driven runtime (identical
-    spike trains, faster evaluation).  ``workers`` and ``cache`` are
-    forwarded to :func:`repro.exec.run_experiments`, which trains grid
-    cells across a process pool and serves unchanged cells from the
-    experiment cache.
+    ``theta`` grids spanning the published ranges.  ``workers`` and
+    ``cache`` are forwarded to :func:`repro.exec.run_experiments`, which
+    trains grid cells across a process pool and serves unchanged cells
+    from the experiment cache.
     """
     from repro.exec import run_experiments
 
@@ -174,7 +171,6 @@ def run_beta_theta_sweep(
         workers=workers,
         cache=cache,
         accelerator=accelerator,
-        use_runtime=use_runtime,
         verbose=verbose,
     )
     records: Dict[Tuple[float, float], ExperimentRecord] = dict(zip(cells, flat))

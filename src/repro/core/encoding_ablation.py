@@ -57,7 +57,6 @@ def run_encoding_ablation(
     scale_preset: Optional[str] = None,
     accelerator: Optional[SparsityAwareAccelerator] = None,
     verbose: bool = False,
-    use_runtime: bool = True,
     workers: Optional[int] = None,
     cache=None,
 ) -> EncodingAblationResult:
@@ -85,7 +84,6 @@ def run_encoding_ablation(
         workers=workers,
         cache=cache,
         accelerator=accelerator,
-        use_runtime=use_runtime,
         verbose=verbose,
     )
     return EncodingAblationResult(records=dict(zip(encoders, flat)))

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.analysis.sparsity import SparsityProfile, profile_sparsity
+from repro.analysis.sparsity import SparsityProfile
 from repro.core.config import ExperimentConfig
 from repro.core.network import SpikingCNN
 from repro.data.dataloader import DataLoader
@@ -60,17 +57,6 @@ class ExperimentRecord:
         }
         row.update(self.hardware.as_dict())
         return row
-
-
-class RuntimeFallbackWarning(UserWarning):
-    """Emitted when the event-driven runtime cannot compile a model.
-
-    :func:`evaluate_trained_model` then evaluates through the dense forward
-    instead — numerically equivalent but slower, and previously silent.  The
-    warning message carries the compiler's reason (which layer failed to
-    lower), and the ``experiment_runtime_fallback_total`` obs counter ticks
-    once per fallback so sweeps can spot systematic degradation.
-    """
 
 
 def make_encoder(config: ExperimentConfig) -> Encoder:
@@ -162,9 +148,13 @@ def evaluate_trained_model(
     accelerator: Optional[SparsityAwareAccelerator] = None,
     accuracy: Optional[float] = None,
     profile_batches: Optional[int] = 4,
-    use_runtime: bool = True,
 ) -> Tuple[SparsityProfile, HardwareReport]:
     """Profile a trained model and evaluate it on the hardware model.
+
+    The model is compiled once into the event-driven runtime
+    (:mod:`repro.runtime`), whose spike trains are identical to the dense
+    forward; one sweep of that plan yields the accuracy and the measured
+    sparsity profile.
 
     Parameters
     ----------
@@ -176,59 +166,29 @@ def evaluate_trained_model(
         Pre-computed test accuracy; measured here if omitted.
     profile_batches:
         Number of test batches used for sparsity profiling.
-    use_runtime:
-        Evaluate and profile through the event-driven runtime
-        (:mod:`repro.runtime`) instead of the dense forward.  The runtime
-        produces identical spike trains, so accuracy and the sparsity
-        profile are unchanged — only faster.  Models the runtime cannot
-        compile fall back to the dense path automatically, with a
-        :class:`RuntimeFallbackWarning` naming the unsupported layer and a
-        tick on the ``experiment_runtime_fallback_total`` counter.
+
+    Raises
+    ------
+    repro.runtime.RuntimeCompileError
+        If the runtime cannot lower the model (for example a custom
+        :class:`~repro.neurons.base.SpikingNeuron` subclass).
     """
+    from repro.runtime import compile_network, evaluate_with_runtime
+
     accel = accelerator if accelerator is not None else SparsityAwareAccelerator()
-    compiled = None
-    if use_runtime:
-        from repro.obs.metrics import default_registry
-        from repro.runtime import RuntimeCompileError, compile_network
-
-        try:
-            compiled = compile_network(model)
-        except RuntimeCompileError as exc:
-            warnings.warn(
-                f"event-driven runtime cannot compile {type(model).__name__} "
-                f"({exc}); falling back to the dense forward",
-                RuntimeFallbackWarning,
-                stacklevel=2,
-            )
-            default_registry().counter(
-                "experiment_runtime_fallback_total",
-                help="Dense-path fallbacks because the runtime could not compile a model",
-            ).inc()
-            compiled = None
-
-    if compiled is not None:
-        from repro.runtime import evaluate_with_runtime
-
-        model.eval()
-        if accuracy is None:
-            # Single sweep: accuracy over the whole loader, activity over
-            # the first `profile_batches` batches.
-            accuracy, activity = evaluate_with_runtime(
-                model, encoder, test_loader, profile_batches=profile_batches, compiled=compiled
-            )
-        else:
-            _, activity = evaluate_with_runtime(
-                model, encoder, test_loader, max_batches=profile_batches, compiled=compiled
-            )
-        profile = activity.to_sparsity_profile()
+    compiled = compile_network(model)
+    model.eval()
+    if accuracy is None:
+        # Single sweep: accuracy over the whole loader, activity over the
+        # first `profile_batches` batches.
+        accuracy, activity = evaluate_with_runtime(
+            model, encoder, test_loader, profile_batches=profile_batches, compiled=compiled
+        )
     else:
-        if accuracy is None:
-            from repro.training.trainer import Trainer
-            from repro.training.optim import Adam
-
-            probe = Trainer(model, encoder, Adam(model.parameters(), lr=1e-3))
-            accuracy = probe.evaluate(test_loader)["accuracy"]
-        profile = profile_sparsity(model, encoder, test_loader, max_batches=profile_batches)
+        _, activity = evaluate_with_runtime(
+            model, encoder, test_loader, max_batches=profile_batches, compiled=compiled
+        )
+    profile = activity.to_sparsity_profile()
     workload = build_workload(model, profile)
     report = evaluate_on_hardware(workload, accel, accuracy)
     return profile, report
@@ -260,19 +220,18 @@ def run_experiment(
     config: ExperimentConfig,
     accelerator: Optional[SparsityAwareAccelerator] = None,
     verbose: bool = False,
-    use_runtime: bool = True,
 ) -> ExperimentRecord:
     """Train and evaluate one hyperparameter configuration end to end.
 
     This is the unit of work repeated by every sweep: build the dataset,
     encoder and network from ``config``, train with Adam + cosine annealing,
-    measure test accuracy, profile firing rates (through the event-driven
-    runtime by default), and run the hardware model.
+    measure test accuracy, profile firing rates through the event-driven
+    runtime, and run the hardware model.
     """
     model, encoder, test_loader, training = train_model(config, verbose=verbose)
     accuracy = training.final_val_accuracy
     profile, hardware = evaluate_trained_model(
-        model, encoder, test_loader, accelerator=accelerator, accuracy=accuracy, use_runtime=use_runtime
+        model, encoder, test_loader, accelerator=accelerator, accuracy=accuracy
     )
     return ExperimentRecord(
         config=config,

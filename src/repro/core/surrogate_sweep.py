@@ -9,7 +9,7 @@ prior-work accuracy as a horizontal reference line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -100,7 +100,6 @@ def run_surrogate_sweep(
     scale_preset: Optional[str] = None,
     accelerator: Optional[SparsityAwareAccelerator] = None,
     verbose: bool = False,
-    use_runtime: bool = True,
     workers: Optional[int] = None,
     cache=None,
 ) -> SurrogateSweepResult:
@@ -118,9 +117,6 @@ def run_surrogate_sweep(
         defaults (0.25 / 1.0) unless the template overrides them.
     scale_preset:
         Repro scale preset name (defaults to ``REPRO_SCALE`` or ``bench``).
-    use_runtime:
-        Profile each trained model through the event-driven runtime
-        (identical spike trains, faster evaluation).
     workers, cache:
         Forwarded to :func:`repro.exec.run_experiments`: the process-pool
         size (default serial) and the experiment result cache (default
@@ -150,7 +146,6 @@ def run_surrogate_sweep(
         workers=workers,
         cache=cache,
         accelerator=accelerator,
-        use_runtime=use_runtime,
         verbose=verbose,
     )
     records: Dict[str, List[ExperimentRecord]] = {}

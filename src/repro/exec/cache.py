@@ -8,7 +8,6 @@ the code that trains it.  The cache key is therefore a SHA-256 digest over:
 
 * the full config as a nested dict (including the :class:`ReproScale`),
 * a fingerprint of the accelerator (class name + its dataclass config),
-* evaluation routing flags (``use_runtime``),
 * code-relevant versions: the package version, NumPy's version, the cache
   schema version, and :data:`TRAINING_CODE_VERSION` — a marker that must be
   bumped whenever a change alters training numerics (optimizer math, LIF
@@ -51,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.experiment import ExperimentRecord
 
 #: Bump when the on-disk layout or key payload structure changes.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Bump whenever a code change alters training/evaluation numerics, so that
 #: stale records can never be served for results the current code would not
@@ -161,11 +160,7 @@ def _accelerator_fingerprint(accelerator: Any) -> Optional[Dict[str, Any]]:
     return fingerprint
 
 
-def _key_payload(
-    config: "ExperimentConfig",
-    accelerator: Any = None,
-    use_runtime: bool = True,
-) -> Dict[str, Any]:
+def _key_payload(config: "ExperimentConfig", accelerator: Any = None) -> Dict[str, Any]:
     """Everything the cache key covers — hashed by :func:`experiment_cache_key`
     and written verbatim (pretty-printed) as the audit sidecar."""
     import repro
@@ -184,28 +179,19 @@ def _key_payload(
         "numpy_version": np.__version__,
         "config": config_dict,
         "accelerator": _accelerator_fingerprint(accelerator),
-        "use_runtime": bool(use_runtime),
     }
 
 
-def experiment_cache_key(
-    config: "ExperimentConfig",
-    accelerator: Any = None,
-    use_runtime: bool = True,
-) -> str:
+def experiment_cache_key(config: "ExperimentConfig", accelerator: Any = None) -> str:
     """SHA-256 content key for one experiment cell (see module docstring)."""
-    payload = _key_payload(config, accelerator=accelerator, use_runtime=use_runtime)
+    payload = _key_payload(config, accelerator=accelerator)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def key_payload_json(
-    config: "ExperimentConfig",
-    accelerator: Any = None,
-    use_runtime: bool = True,
-) -> str:
+def key_payload_json(config: "ExperimentConfig", accelerator: Any = None) -> str:
     """The pretty-printed key payload, written as the sidecar for auditing."""
-    payload = _key_payload(config, accelerator=accelerator, use_runtime=use_runtime)
+    payload = _key_payload(config, accelerator=accelerator)
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
@@ -249,9 +235,9 @@ class ExperimentCache:
         )
 
     # ------------------------------------------------------------------ #
-    def key(self, config: "ExperimentConfig", accelerator: Any = None, use_runtime: bool = True) -> str:
+    def key(self, config: "ExperimentConfig", accelerator: Any = None) -> str:
         """The content key a record for this configuration is stored under."""
-        return experiment_cache_key(config, accelerator=accelerator, use_runtime=use_runtime)
+        return experiment_cache_key(config, accelerator=accelerator)
 
     def path_for(self, key: str) -> Path:
         """On-disk pickle path for ``key`` (``<root>/<key[:2]>/<key>.pkl``)."""
@@ -288,13 +274,7 @@ class ExperimentCache:
         self._m_hits.inc()
         return record
 
-    def store(
-        self,
-        key: str,
-        record: "ExperimentRecord",
-        accelerator: Any = None,
-        use_runtime: bool = True,
-    ) -> Path:
+    def store(self, key: str, record: "ExperimentRecord", accelerator: Any = None) -> Path:
         """Persist one record under its content key (atomic rename).
 
         Both the pickle and its JSON audit sidecar are published with the
@@ -306,7 +286,7 @@ class ExperimentCache:
         atomic_write(path, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
         atomic_write(
             path.with_suffix(".json"),
-            key_payload_json(record.config, accelerator=accelerator, use_runtime=use_runtime).encode("utf-8"),
+            key_payload_json(record.config, accelerator=accelerator).encode("utf-8"),
         )
         self.stores += 1
         self._m_stores.inc()

@@ -243,7 +243,7 @@ class _CellFailure:
         self.attempts = attempts
 
 
-def _run_cell(payload: Tuple[int, ExperimentConfig, Any, bool, bool, int, float]):
+def _run_cell(payload: Tuple[int, ExperimentConfig, Any, bool, int, float]):
     """Train one cell; shared by the serial path and every pool worker.
 
     Returns ``(index, record_or_failure, seconds)`` — failures are wrapped
@@ -254,7 +254,7 @@ def _run_cell(payload: Tuple[int, ExperimentConfig, Any, bool, bool, int, float]
     would have; the backoff between attempts is exponential with a jitter
     drawn deterministically from ``(config seed, attempt)``.
     """
-    index, config, accelerator, use_runtime, verbose, retries, backoff_s = payload
+    index, config, accelerator, verbose, retries, backoff_s = payload
     seed = _config_seed(config)
     start = time.perf_counter()
     for attempt in range(1 + retries):
@@ -263,9 +263,7 @@ def _run_cell(payload: Tuple[int, ExperimentConfig, Any, bool, bool, int, float]
             time.sleep(backoff_s * (2.0 ** (attempt - 1)) * jitter)
         np.random.seed(seed)
         try:
-            record = run_experiment(
-                config, accelerator=accelerator, verbose=verbose, use_runtime=use_runtime
-            )
+            record = run_experiment(config, accelerator=accelerator, verbose=verbose)
         except Exception:
             if attempt == retries:
                 return index, _CellFailure(traceback.format_exc(), attempts=attempt + 1), time.perf_counter() - start
@@ -280,7 +278,6 @@ def run_experiments(
     start_method: Optional[str] = None,
     cache: CacheSpec = None,
     accelerator: Any = None,
-    use_runtime: bool = True,
     verbose: bool = False,
     progress: Optional[ProgressCallback] = None,
     on_error: str = ON_ERROR_RAISE,
@@ -307,8 +304,6 @@ def run_experiments(
     accelerator:
         Hardware platform model forwarded to ``run_experiment`` (part of the
         cache key).
-    use_runtime:
-        Forwarded to ``run_experiment`` (part of the cache key).
     verbose:
         Print per-cell progress lines and per-epoch training logs.
     progress:
@@ -376,7 +371,7 @@ def run_experiments(
     pending: List[int] = []
     for i, config in enumerate(configs):
         if store is not None:
-            keys[i] = store.key(config, accelerator=accelerator, use_runtime=use_runtime)
+            keys[i] = store.key(config, accelerator=accelerator)
             record = store.load(keys[i])
             if record is not None:
                 # The key deliberately ignores the cosmetic label, so a hit
@@ -409,7 +404,7 @@ def run_experiments(
     def finish(index: int, record: ExperimentRecord, seconds: float) -> None:
         results[index] = record
         if store is not None:
-            store.store(keys[index], record, accelerator=accelerator, use_runtime=use_runtime)
+            store.store(keys[index], record, accelerator=accelerator)
         m_done.inc()
         record_cell_span(index, seconds, "done")
         emit("done", index, seconds=seconds)
@@ -437,7 +432,7 @@ def run_experiments(
     try:
         if pending:
             payloads = [
-                (i, configs[i], accelerator, use_runtime, verbose, int(retries), float(retry_backoff_s))
+                (i, configs[i], accelerator, verbose, int(retries), float(retry_backoff_s))
                 for i in pending
             ]
             nworkers = min(resolve_workers(workers), len(pending))

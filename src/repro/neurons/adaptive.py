@@ -88,7 +88,6 @@ class AdaptiveLIF(SpikingNeuron):
 
         self._adaptation = self._adaptation * self.adaptation_decay + spikes.detach()
         self.state.mem = mem
-        self._record(spikes)
         return spikes
 
     def extra_repr(self) -> str:

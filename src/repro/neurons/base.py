@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module
@@ -23,27 +21,19 @@ class NeuronState:
         Membrane potential tensor (part of the autograd graph during BPTT).
     syn:
         Optional synaptic current for second-order neurons.
-    spike_count:
-        Cumulative number of emitted spikes (plain float, used for sparsity
-        statistics and the hardware workload model).
-    step_count:
-        Number of timesteps processed (for firing-rate normalisation).
     """
 
     mem: Optional[Tensor] = None
     syn: Optional[Tensor] = None
-    spike_count: float = 0.0
-    element_count: int = 0
-    step_count: int = 0
 
 
 class SpikingNeuron(Module):
     """Base class for stateful spiking neuron layers.
 
     Subclasses implement :meth:`step` which consumes the synaptic input for
-    one timestep and returns the emitted spikes.  The layer tracks spike
-    statistics so the hardware model can later derive per-layer firing rates
-    without re-running the network.
+    one timestep and returns the emitted spikes.  The layer keeps no spike
+    statistics: measured activity comes from the compiled runtime
+    (:class:`repro.runtime.RuntimeActivity`).
     """
 
     def __init__(
@@ -52,7 +42,6 @@ class SpikingNeuron(Module):
         threshold: float = 1.0,
         surrogate: Optional[SurrogateFunction] = None,
         reset_mechanism: str = "subtract",
-        learn_beta: bool = False,
     ) -> None:
         super().__init__()
         if not 0.0 <= beta <= 1.0:
@@ -65,13 +54,11 @@ class SpikingNeuron(Module):
         self.threshold = float(threshold)
         self.surrogate = surrogate if surrogate is not None else FastSigmoid()
         self.reset_mechanism = reset_mechanism
-        self.learn_beta = learn_beta
         self.state = NeuronState()
-        self._record_stats = True
 
     # ------------------------------------------------------------------ #
     def reset_state(self) -> None:
-        """Clear membrane state and spike statistics before a new sequence."""
+        """Clear membrane state before a new sequence."""
         self.state = NeuronState()
 
     def detach_state(self) -> None:
@@ -80,29 +67,6 @@ class SpikingNeuron(Module):
             self.state.mem = self.state.mem.detach()
         if self.state.syn is not None:
             self.state.syn = self.state.syn.detach()
-
-    def set_record_statistics(self, flag: bool) -> None:
-        """Enable/disable spike-count bookkeeping (off inside benchmarks)."""
-        self._record_stats = bool(flag)
-
-    # ------------------------------------------------------------------ #
-    def firing_rate(self) -> float:
-        """Average spikes per neuron per timestep since the last reset."""
-        denom = self.state.element_count * max(self.state.step_count, 1)
-        if denom == 0:
-            return 0.0
-        return self.state.spike_count / denom
-
-    def total_spikes(self) -> float:
-        """Total spikes emitted since the last reset (summed over batch)."""
-        return self.state.spike_count
-
-    def _record(self, spikes: Tensor) -> None:
-        if not self._record_stats:
-            return
-        self.state.spike_count += float(spikes.data.sum())
-        self.state.element_count = int(np.prod(spikes.shape))
-        self.state.step_count += 1
 
     # ------------------------------------------------------------------ #
     def step(self, synaptic_input: Tensor) -> Tensor:

@@ -72,7 +72,6 @@ class LIF(SpikingNeuron):
             self.reset_mechanism,
         )
         self.state.mem = new_mem
-        self._record(spikes)
         return spikes
 
     def _step_composed(self, synaptic_input: Tensor) -> Tensor:
@@ -87,7 +86,6 @@ class LIF(SpikingNeuron):
         # "none": leave the membrane as is.
 
         self.state.mem = mem
-        self._record(spikes)
         return spikes
 
     @property

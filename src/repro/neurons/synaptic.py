@@ -58,7 +58,6 @@ class SynapticLIF(SpikingNeuron):
 
         self.state.syn = syn
         self.state.mem = mem
-        self._record(spikes)
         return spikes
 
     def extra_repr(self) -> str:

@@ -94,7 +94,7 @@ class Module:
         return int(sum(p.size for p in self.parameters()))
 
     def reset_spiking_state(self) -> None:
-        """Reset membrane state and spike statistics of every spiking layer."""
+        """Reset the membrane state of every spiking layer."""
         from repro.neurons.base import SpikingNeuron
 
         for module in self.modules():

@@ -4,8 +4,9 @@ A :class:`RuntimeProfiler` plugs into
 :meth:`repro.runtime.engine.CompiledNetwork.run` via its ``profiler=``
 parameter (the engine stays import-free of this package — the hook is
 duck-typed).  While a plan runs, the profiler accumulates wall time per
-fused kernel and captures per-timestep spike density for every spiking
-stage, on both the float and quantized execution paths.
+fused kernel, on both the float and quantized execution paths.  Spike
+counts are not re-collected here: the run's
+:class:`~repro.runtime.activity.RuntimeActivity` holds them.
 
 :meth:`RuntimeProfiler.report` then reconciles the measurement against the
 analytical hardware model: measured activity becomes a
@@ -19,8 +20,8 @@ run-then-reconcile flow in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Tuple
 
 __all__ = ["KernelTiming", "RuntimeProfiler", "ProfileReport", "profile_plan"]
 
@@ -40,18 +41,15 @@ class KernelTiming:
 
 
 class RuntimeProfiler:
-    """Collects per-kernel timing and spike densities from a compiled plan.
+    """Collects per-kernel timing from a compiled plan.
 
     Pass an instance as ``profiler=`` to ``CompiledNetwork.run``; profiling
     is purely opt-in, so an un-passed plan pays nothing.  One profiler can
-    accumulate across several runs (densities keep the per-step resolution
-    of the most recent run).
+    accumulate across several runs.
     """
 
     def __init__(self) -> None:
         self.kernels: Dict[str, KernelTiming] = {}
-        #: layer name -> per-timestep spike density (fraction of neurons firing).
-        self.spike_density: Dict[str, List[float]] = {}
         self.num_steps = 0
         self.batch = 0
         self.precision = ""
@@ -64,7 +62,6 @@ class RuntimeProfiler:
         self.batch = int(batch)
         self.precision = str(precision)
         self.runs += 1
-        self.spike_density = {}
 
     def record_kernel(self, name: str, seconds: float) -> None:
         """Engine hook: one kernel invocation took ``seconds`` of wall time."""
@@ -73,13 +70,6 @@ class RuntimeProfiler:
             timing = self.kernels[name] = KernelTiming(name)
         timing.calls += 1
         timing.total_seconds += seconds
-
-    def record_spikes(self, name: str, step: int, events: float, size: int) -> None:
-        """Engine hook: a spiking stage emitted ``events`` spikes out of ``size`` slots at ``step``."""
-        steps = self.spike_density.setdefault(name, [])
-        while len(steps) <= step:
-            steps.append(0.0)
-        steps[step] = events / size if size else 0.0
 
     # -- results ---------------------------------------------------------- #
     def kernel_seconds(self) -> Dict[str, float]:
@@ -92,9 +82,8 @@ class RuntimeProfiler:
         return sum(t.total_seconds for t in self.kernels.values())
 
     def reset(self) -> None:
-        """Drop all accumulated timings and densities."""
+        """Drop all accumulated timings."""
         self.kernels = {}
-        self.spike_density = {}
         self.num_steps = 0
         self.batch = 0
         self.precision = ""
@@ -145,7 +134,6 @@ class RuntimeProfiler:
             num_steps=self.num_steps,
             batch=self.batch,
             kernel_seconds=self.kernel_seconds(),
-            spike_density={k: list(v) for k, v in self.spike_density.items()},
             layers=rows,
             modeled_latency_s=run.latency.latency_seconds,
             measured_latency_s=self.total_seconds / batch,
@@ -172,7 +160,6 @@ class ProfileReport:
     num_steps: int
     batch: int
     kernel_seconds: Dict[str, float]
-    spike_density: Dict[str, List[float]]
     layers: List[Dict[str, Any]]
     modeled_latency_s: float
     measured_latency_s: float
@@ -186,7 +173,6 @@ class ProfileReport:
             "num_steps": self.num_steps,
             "batch": self.batch,
             "kernel_seconds": dict(self.kernel_seconds),
-            "spike_density": {k: list(v) for k, v in self.spike_density.items()},
             "layers": [dict(row) for row in self.layers],
             "modeled_latency_s": self.modeled_latency_s,
             "measured_latency_s": self.measured_latency_s,

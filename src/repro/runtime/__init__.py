@@ -23,8 +23,8 @@ analogue of the sparsity-aware accelerator:
   sparsity feeds the hardware cost models directly.
 * :func:`evaluate_with_runtime` fuses accuracy evaluation and sparsity
   profiling into a single sweep over a data loader; it backs
-  ``repro.core.experiment.evaluate_trained_model(use_runtime=True)`` and
-  therefore every sweep driver.
+  ``repro.core.experiment.evaluate_trained_model`` and therefore every
+  sweep driver.  It is the only place spikes are counted.
 * :mod:`repro.runtime.bench` measures the dense-vs-event-driven speedup
   (see ``benchmarks/bench_runtime_speedup.py``).
 """

@@ -36,8 +36,10 @@ class RuntimeActivity:
         Number of samples processed so far.
     input_events:
         Total encoder activity entering the network.  Measured as the *sum*
-        of the input sequence (not the non-zero count) so graded encoders
-        (direct encoding) are accounted the same way as the dense profiler.
+        of the input sequence (not the non-zero count), so a graded encoder
+        (direct encoding) counts its intensity.  It is summed before an
+        integer plan quantizes the input, so every precision reports the
+        same figure for the same batch.
     layer_input_events:
         Total spike events entering each weight layer, keyed by layer name.
     layer_output_events:

@@ -5,15 +5,15 @@ and the tier-1 smoke test (one fast configuration), so the benchmark and
 the CI guard exercise the same code path.
 
 The comparison is apples-to-apples: both paths run the identical trained
-network on the identical spike sequence with statistics recording disabled,
-and the measurement asserts that the two paths produce identical output
-spike counts before timing anything.
+network on the identical spike sequence without activity accounting, and
+the measurement asserts that the two paths produce identical output spike
+counts before timing anything.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -130,12 +130,6 @@ def measure_speedup(
 
     was_training = getattr(model, "training", False)
     model.eval()
-    stats_flags = {}
-    for module in model.modules():
-        if hasattr(module, "set_record_statistics"):
-            stats_flags[id(module)] = (module, module._record_stats)
-            module.set_record_statistics(False)
-
     compiled: CompiledNetwork = compile_network(model)
     dense_input = Tensor(spikes)
 
@@ -155,8 +149,6 @@ def measure_speedup(
     dense_seconds = _time_best(dense_forward, repeats)
     runtime_seconds = _time_best(runtime_forward, repeats)
 
-    for module, flag in stats_flags.values():
-        module.set_record_statistics(flag)
     if was_training:
         model.train()
 

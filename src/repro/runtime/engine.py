@@ -199,8 +199,6 @@ def _lower_module(name: str, module: Module, state: _LoweringState) -> Optional[
             state.pending_weight = kernel
         return kernel
     if isinstance(module, SpikingNeuron):
-        if getattr(module, "learn_beta", False):
-            raise RuntimeCompileError(f"layer '{name}': learned beta is not supported by the runtime")
         if isinstance(module, AdaptiveLIF):
             if state.integer:
                 kernel = QuantizedAdaptiveLIFKernel(
@@ -456,19 +454,24 @@ class CompiledNetwork:
         module stays free of observability imports — see
         ``repro.obs.profile.RuntimeProfiler``): when given, it receives
         ``start_run(num_steps, batch, precision)`` once, then per-timestep
-        ``record_kernel(name, seconds)`` for every kernel invocation and
-        ``record_spikes(name, step, events, size)`` for every spiking
-        stage, on the float and quantized paths alike.
+        ``record_kernel(name, seconds)`` for every kernel invocation, on the
+        float and quantized paths alike.  Spike events are counted once, in
+        the result's :class:`RuntimeActivity`.
         """
         if isinstance(spike_sequence, Tensor):
             spike_sequence = spike_sequence.data
         spike_sequence = np.asarray(spike_sequence)
-        if spike_sequence.ndim < 3:
+        if spike_sequence.ndim < 3 or spike_sequence.shape[0] == 0:
             raise ValueError(
-                f"expected a (T, N, ...) spike sequence, got shape {spike_sequence.shape}"
+                f"expected a (T, N, ...) spike sequence with T >= 1, got shape {spike_sequence.shape}"
             )
         num_steps = spike_sequence.shape[0]
         batch = spike_sequence.shape[1]
+        activity = RuntimeActivity(num_steps=num_steps, samples=batch) if record_activity else None
+        if activity is not None:
+            # Summed before quantization, so every precision reports the
+            # encoder's events rather than their integer-grid magnitudes.
+            activity.input_events = float(spike_sequence.sum())
         if self.quantization is not None and self.input_scale != 1.0:
             # Quantize analog inputs onto the integer input grid (values up
             # to 1/input_scale, exactly representable in float32).
@@ -480,9 +483,6 @@ class CompiledNetwork:
         if profiler is not None:
             profiler.start_run(num_steps, batch, self.precision)
 
-        activity = RuntimeActivity(num_steps=num_steps, samples=batch) if record_activity else None
-        if activity is not None:
-            activity.input_events = float(spike_sequence.sum())
         trains: Optional[Dict[str, List[np.ndarray]]] = (
             {name: [] for name in self.spiking_stage_names} if collect_spike_trains else None
         )
@@ -506,15 +506,12 @@ class CompiledNetwork:
                         x = kernel.run(x)
                         profiler.record_kernel(kernel.name, time.perf_counter() - kernel_start)
                     if kernel.is_spiking_stage:
-                        if activity is not None or profiler is not None:
-                            events = float(np.count_nonzero(x))
                         if activity is not None:
                             activity.layer_output_events[kernel.name] = (
-                                activity.layer_output_events.get(kernel.name, 0.0) + events
+                                activity.layer_output_events.get(kernel.name, 0.0)
+                                + float(np.count_nonzero(x))
                             )
                             activity.layer_neuron_counts[kernel.name] = int(x[0].size)
-                        if profiler is not None:
-                            profiler.record_spikes(kernel.name, t, events, int(x.size))
                         if trains is not None:
                             trains[kernel.name].append(x.copy())
                 if counts is None:
@@ -553,10 +550,13 @@ def evaluate_with_runtime(
 ) -> Tuple[float, RuntimeActivity]:
     """Evaluate accuracy and measure spike activity in a single sweep.
 
-    Replaces the dense ``Trainer.evaluate`` + ``profile_sparsity`` pair for
-    supported models: one pass over ``loader`` computes classification
-    accuracy while the runtime's event counters provide the sparsity
-    profile for free.
+    One pass over ``loader`` computes classification accuracy while the
+    runtime's event counters provide the sparsity profile for free; this is
+    the repository's only spike-accounting path.
+
+    Raises :class:`RuntimeCompileError` (a ``ValueError``) when ``model``
+    cannot be compiled, and ``ValueError`` when ``loader`` yields no
+    samples.
 
     Parameters
     ----------
@@ -566,15 +566,15 @@ def evaluate_with_runtime(
         Optional cap on batches used for *accuracy* (default: all).
     profile_batches:
         Optional cap on batches contributing to the *activity report*
-        (default: same batches as accuracy).  Mirrors the dense pipeline's
-        ``profile_batches`` cost control.
+        (default: same batches as accuracy), a cost control for long
+        evaluations.
     compiled:
         Reuse an existing compiled plan instead of compiling ``model``.
     """
     plan = compiled if compiled is not None else compile_network(model)
     if profile_batches is not None:
-        # Mirror the dense profiler's post-increment break: at least one
-        # batch always contributes, so the activity report is never empty.
+        # At least one batch always contributes, so the activity report is
+        # never empty.
         profile_batches = max(int(profile_batches), 1)
     activity = RuntimeActivity(num_steps=encoder.num_steps)
     total, correct, batches = 0, 0, 0

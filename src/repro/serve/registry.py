@@ -461,7 +461,6 @@ def train_and_register(
     name: str,
     config: ExperimentConfig,
     accelerator: Any = None,
-    use_runtime: bool = True,
     verbose: bool = False,
 ) -> "RegisteredModel":
     """Train one configuration and publish the trained model for serving.
@@ -477,7 +476,7 @@ def train_and_register(
     model, encoder, test_loader, training = train_model(config, verbose=verbose)
     accuracy = training.final_val_accuracy
     _, hardware = evaluate_trained_model(
-        model, encoder, test_loader, accelerator=accelerator, accuracy=accuracy, use_runtime=use_runtime
+        model, encoder, test_loader, accelerator=accelerator, accuracy=accuracy
     )
     registry.save(
         name,

@@ -42,6 +42,41 @@ def micro_scale():
     )
 
 
+def dense_forward_with_trains(model, spikes: np.ndarray):
+    """Run the dense forward, capturing each spiking layer's full train.
+
+    Wraps every spiking layer's ``forward`` for the duration of one
+    ``no_grad`` pass and stacks its per-timestep outputs, so the result is
+    ``(counts, {layer name: (T, N, ...) spike train})`` — the dense
+    reference the compiled runtime must reproduce bit for bit.  Import it
+    with ``from conftest import dense_forward_with_trains``.
+    """
+    from repro.autograd.tensor import Tensor, no_grad
+    from repro.neurons.base import SpikingNeuron
+
+    layers = {name: module for name, module in model.named_modules() if isinstance(module, SpikingNeuron)}
+    trains = {name: [] for name in layers}
+
+    def capture(name, forward):
+        def recorded(synaptic_input):
+            spikes_out = forward(synaptic_input)
+            trains[name].append(spikes_out.data.copy())
+            return spikes_out
+
+        return recorded
+
+    for name, layer in layers.items():
+        layer.forward = capture(name, layer.forward)
+    try:
+        model.reset_spiking_state()
+        with no_grad():
+            counts = model(Tensor(spikes)).data
+    finally:
+        for layer in layers.values():
+            del layer.forward
+    return counts, {name: np.stack(steps) for name, steps in trains.items()}
+
+
 def make_tensor(rng: np.random.Generator, *shape, requires_grad: bool = True, dtype=np.float64):
     """Create a float64 tensor with standard-normal data (for gradchecks)."""
     from repro.autograd import Tensor

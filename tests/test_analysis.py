@@ -12,13 +12,13 @@ from repro.analysis import (
     load_csv,
     load_json,
     pareto_front,
-    profile_sparsity,
     save_csv,
     save_json,
 )
 from repro.core.network import SpikingMLP
 from repro.data import ArrayDataset, DataLoader
 from repro.encoding import DirectEncoder
+from repro.runtime import evaluate_with_runtime
 
 
 class TestSparsityProfile:
@@ -51,7 +51,7 @@ class TestSparsityProfile:
         loader = DataLoader(dataset, batch_size=8)
         model = SpikingMLP(in_features=8, hidden_units=16, num_classes=4, beta=0.9,
                            threshold=0.5, seed=0)
-        profile = profile_sparsity(model, DirectEncoder(num_steps=5), loader)
+        profile = evaluate_with_runtime(model, DirectEncoder(num_steps=5), loader)[1].to_sparsity_profile()
         assert profile.samples_profiled == 16
         assert profile.num_steps == 5
         assert set(profile.layer_events_per_step) == {"lif1", "lif_out"}
@@ -63,7 +63,8 @@ class TestSparsityProfile:
         dataset = ArrayDataset(rng.random((32, 8)).astype(np.float32), np.zeros(32, dtype=np.int64))
         loader = DataLoader(dataset, batch_size=8)
         model = SpikingMLP(in_features=8, hidden_units=8, num_classes=2, seed=0)
-        profile = profile_sparsity(model, DirectEncoder(num_steps=3), loader, max_batches=2)
+        _, activity = evaluate_with_runtime(model, DirectEncoder(num_steps=3), loader, max_batches=2)
+        profile = activity.to_sparsity_profile()
         assert profile.samples_profiled == 16
 
     def test_profile_requires_spiking_layers(self):
@@ -72,7 +73,7 @@ class TestSparsityProfile:
         dataset = ArrayDataset(np.zeros((4, 8), dtype=np.float32), np.zeros(4, dtype=np.int64))
         loader = DataLoader(dataset, batch_size=4)
         with pytest.raises(ValueError):
-            profile_sparsity(Sequential(Linear(8, 2)), DirectEncoder(3), loader)
+            evaluate_with_runtime(Sequential(Linear(8, 2)), DirectEncoder(3), loader)
 
 
 class TestPareto:

@@ -6,7 +6,6 @@ import pytest
 from repro.core.config import ExperimentConfig, SCALE_PRESETS
 from repro.core.experiment import (
     ExperimentRecord,
-    RuntimeFallbackWarning,
     build_workload,
     evaluate_trained_model,
     make_dataset,
@@ -115,52 +114,24 @@ class TestEvaluateTrainedModel:
         _, report = evaluate_trained_model(model, encoder, test_loader)
         assert 0.0 <= report.accuracy <= 1.0
 
-    def test_supported_model_emits_no_fallback_warning(self, smoke_config):
-        model = make_model(smoke_config)
-        encoder = make_encoder(smoke_config)
-        _, test_loader = make_dataset(smoke_config)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeFallbackWarning)
-            evaluate_trained_model(model, encoder, test_loader, accuracy=0.5)
-
-    def test_uncompilable_model_warns_once_and_matches_dense_path(self, smoke_config):
-        """A RuntimeCompileError fallback must be loud and numerically harmless."""
+    def test_custom_neuron_raises_compile_error(self, smoke_config):
+        """A neuron class the runtime cannot lower fails loudly, at compile and at evaluation."""
         from repro.neurons.base import SpikingNeuron
-        from repro.obs.metrics import default_registry
+        from repro.runtime import RuntimeCompileError, compile_network
+        from repro.surrogate.base import spike
 
-        def make_uncompilable():
-            # learn_beta is the one spiking feature the runtime refuses.
-            m = make_model(smoke_config)
-            for module in m.modules():
-                if isinstance(module, SpikingNeuron):
-                    module.learn_beta = True
-            m.eval()
-            return m
+        class CustomNeuron(SpikingNeuron):
+            def step(self, synaptic_input):
+                return spike(synaptic_input, self.threshold, self.surrogate)
 
+        model = make_model(smoke_config)
+        model.lif2 = CustomNeuron()
         encoder = make_encoder(smoke_config)
         _, test_loader = make_dataset(smoke_config)
-        counter = default_registry().counter(
-            "experiment_runtime_fallback_total",
-            help="Dense-path fallbacks because the runtime could not compile a model",
-        )
-        before = counter.value
-
-        with pytest.warns(RuntimeFallbackWarning, match="learned beta") as caught:
-            fallback_profile, fallback_report = evaluate_trained_model(
-                make_uncompilable(), encoder, test_loader, use_runtime=True
-            )
-        assert len(caught) == 1  # a single structured warning, not one per layer
-        assert counter.value == before + 1
-
-        dense_profile, dense_report = evaluate_trained_model(
-            make_uncompilable(), encoder, test_loader, use_runtime=False
-        )
-        assert fallback_report.accuracy == pytest.approx(dense_report.accuracy)
-        assert fallback_profile.layer_events_per_step == pytest.approx(
-            dense_profile.layer_events_per_step
-        )
+        with pytest.raises(RuntimeCompileError, match="CustomNeuron"):
+            compile_network(model)
+        with pytest.raises(RuntimeCompileError, match="CustomNeuron"):
+            evaluate_trained_model(model, encoder, test_loader)
 
 
 class TestResultStore:

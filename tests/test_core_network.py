@@ -75,13 +75,13 @@ class TestSpikingCNN:
         assert np.array_equal(a.conv1.weight.data, b.conv1.weight.data)
         assert not np.array_equal(a.conv1.weight.data, c.conv1.weight.data)
 
-    def test_reset_spiking_state_clears_counts(self):
+    def test_reset_spiking_state_clears_membranes(self):
         model = self._small()
         spikes = np.ones((2, 1, 3, 8, 8), dtype=np.float32)
         model(Tensor(spikes))
-        assert model.lif1.total_spikes() > 0
+        assert model.lif1.membrane is not None
         model.reset_spiking_state()
-        assert model.lif1.total_spikes() == 0
+        assert all(layer.membrane is None for layer in (model.lif1, model.lif2, model.lif3, model.lif_out))
 
     def test_gradients_reach_first_conv_layer(self):
         model = self._small(surrogate_scale=0.5)

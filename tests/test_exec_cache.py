@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import ExperimentConfig, SCALE_PRESETS
-from repro.exec.cache import ExperimentCache, experiment_cache_key
+from repro.exec.cache import CACHE_SCHEMA_VERSION, ExperimentCache, experiment_cache_key
 from repro.hardware.accelerator import DenseBaselineAccelerator, SparsityAwareAccelerator
 
 
@@ -50,11 +50,6 @@ class TestCacheKey:
         relabelled = config.with_overrides(label="same cell, different sweep")
         assert experiment_cache_key(config) == experiment_cache_key(relabelled)
 
-    def test_use_runtime_flag_is_part_of_the_key(self, config):
-        assert experiment_cache_key(config, use_runtime=True) != experiment_cache_key(
-            config, use_runtime=False
-        )
-
     def test_accelerator_is_part_of_the_key(self, config):
         default = experiment_cache_key(config)
         sparsity_aware = experiment_cache_key(config, accelerator=SparsityAwareAccelerator())
@@ -97,11 +92,18 @@ class TestCacheKey:
             config, accelerator=b
         )
 
-    def test_code_version_invalidates(self, config, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("TRAINING_CODE_VERSION", "next-training-change"),
+            ("CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1),
+        ],
+    )
+    def test_code_version_invalidates(self, config, monkeypatch, name, value):
         import repro.exec.cache as cache_mod
 
         before = experiment_cache_key(config)
-        monkeypatch.setattr(cache_mod, "TRAINING_CODE_VERSION", "next-training-change")
+        monkeypatch.setattr(cache_mod, name, value)
         assert experiment_cache_key(config) != before
 
 

@@ -4,7 +4,6 @@ and the hardware-side workload, and failure-injection paths."""
 import numpy as np
 import pytest
 
-from repro.analysis import profile_sparsity
 from repro.autograd import Tensor
 from repro.core.config import ExperimentConfig, SCALE_PRESETS
 from repro.core.experiment import build_workload, make_dataset, make_encoder, make_model
@@ -12,6 +11,7 @@ from repro.core.network import SpikingMLP
 from repro.data import ArrayDataset, DataLoader
 from repro.encoding import DirectEncoder
 from repro.hardware import SparsityAwareAccelerator
+from repro.runtime import evaluate_with_runtime
 from repro.training import Adam, Trainer
 
 
@@ -22,7 +22,7 @@ class TestProfileToWorkloadConsistency:
         model = make_model(config)
         encoder = make_encoder(config)
         _, test_loader = make_dataset(config)
-        profile = profile_sparsity(model, encoder, test_loader)
+        profile = evaluate_with_runtime(model, encoder, test_loader)[1].to_sparsity_profile()
         workload = build_workload(model, profile)
         return config, model, profile, workload
 
@@ -68,8 +68,8 @@ class TestProfileToWorkloadConsistency:
         high = make_model(config.with_overrides(threshold=2.0))
         # Same seed => same weights; only the threshold differs.
         high.load_state_dict(low.state_dict())
-        profile_low = profile_sparsity(low, encoder, test_loader, max_batches=1)
-        profile_high = profile_sparsity(high, encoder, test_loader, max_batches=1)
+        profile_low = evaluate_with_runtime(low, encoder, test_loader, max_batches=1)[1].to_sparsity_profile()
+        profile_high = evaluate_with_runtime(high, encoder, test_loader, max_batches=1)[1].to_sparsity_profile()
         assert profile_high.average_firing_rate() <= profile_low.average_firing_rate() + 1e-9
 
 
@@ -82,7 +82,7 @@ class TestFailureInjection:
             drop_last=True,
         )
         with pytest.raises(ValueError):
-            profile_sparsity(model, DirectEncoder(3), empty_loader)
+            evaluate_with_runtime(model, DirectEncoder(3), empty_loader)
 
     def test_trainer_with_empty_loader_reports_zero_epoch_metrics(self):
         model = SpikingMLP(in_features=4, hidden_units=8, num_classes=2)

@@ -328,11 +328,8 @@ class TestProfiling:
         profiler.start_run(num_steps=2, batch=4, precision="float")
         profiler.record_kernel("conv1", 0.25)
         profiler.record_kernel("conv1", 0.75)
-        profiler.record_spikes("lif1", 0, 8.0, 16)
-        profiler.record_spikes("lif1", 1, 4.0, 16)
         assert profiler.kernel_seconds() == {"conv1": 1.0}
         assert profiler.total_seconds == pytest.approx(1.0)
-        assert profiler.spike_density["lif1"] == [0.5, 0.25]
 
     def test_profile_plan_reconciles_against_hardware_model(self, micro_config):
         model = make_model(micro_config)

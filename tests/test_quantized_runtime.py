@@ -126,6 +126,17 @@ class TestQuantizedPlans:
         assert np.all(np.isfinite(out.counts))
         assert not out.counts.any()
 
+    @pytest.mark.parametrize("precision", INT_PRECISIONS)
+    def test_input_events_match_fp32_on_direct_encoding(self, rng, precision):
+        """Rescaling analog input onto the 1/255 grid must not inflate the encoder events."""
+        encoder = DirectEncoder(num_steps=4, seed=11)
+        spikes = encoder(_images("cnn", rng))
+        fp32 = compile_network(_make_model("cnn")).run(spikes).activity
+        quantized = compile_network(
+            _make_model("cnn"), precision=precision, input_scale=default_input_scale(encoder)
+        ).run(spikes).activity
+        assert quantized.input_events == fp32.input_events == float(spikes.sum())
+
     def test_resolve_quantization_validation(self):
         assert resolve_quantization("fp32", None) is None
         assert resolve_quantization("int8", None).weight_bits == 8

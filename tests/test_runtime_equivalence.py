@@ -9,37 +9,11 @@ output counts must match the dense ``model.forward`` exactly.
 import numpy as np
 import pytest
 
+from conftest import dense_forward_with_trains
 from repro.autograd.tensor import Tensor, no_grad
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.neurons.base import SpikingNeuron
 from repro.runtime import compile_network, run_inference
-
-
-def dense_forward_with_trains(model, spikes: np.ndarray):
-    """Run the dense forward, capturing each spiking layer's full train."""
-    trains = {name: [] for name, module in model.named_modules() if isinstance(module, SpikingNeuron)}
-    originals = {}
-
-    def make_recorder(name, original):
-        def recorder(spike_tensor):
-            trains[name].append(spike_tensor.data.copy())
-            original(spike_tensor)
-
-        return recorder
-
-    for name, module in model.named_modules():
-        if isinstance(module, SpikingNeuron):
-            originals[name] = module._record
-            module._record = make_recorder(name, module._record)
-    try:
-        model.reset_spiking_state()
-        with no_grad():
-            counts = model(Tensor(spikes)).data
-    finally:
-        for name, module in model.named_modules():
-            if isinstance(module, SpikingNeuron):
-                module._record = originals[name]
-    return counts, {name: np.stack(steps) for name, steps in trains.items()}
 
 
 def make_spikes(shape, density, num_steps, seed):
@@ -179,22 +153,10 @@ class TestRuntimeBehaviour:
         assert np.array_equal(dense_counts, after)
         assert not np.array_equal(before, after)
 
-    def test_rejects_malformed_input(self):
+    @pytest.mark.parametrize("precision", ["fp32", "int8"])
+    @pytest.mark.parametrize("shape", [(8,), (0, 2, 8)], ids=["no-time-axis", "empty-time-axis"])
+    def test_rejects_malformed_input(self, precision, shape):
         model = SpikingMLP(in_features=8, hidden_units=4, seed=0)
-        compiled = compile_network(model)
+        compiled = compile_network(model, precision=precision)
         with pytest.raises(ValueError):
-            compiled.run(np.zeros((8,), dtype=np.float32))
-
-    def test_unsupported_model_raises_compile_error(self):
-        # SynapticLIF/AdaptiveLIF now lower (tests/test_runtime_neurons.py);
-        # a learned beta remains outside the runtime's contract.
-        from repro.neurons.lif import LIF
-        from repro.nn.linear import Linear
-        from repro.nn.sequential import Sequential
-        from repro.runtime import RuntimeCompileError
-
-        layer = LIF()
-        layer.learn_beta = True
-        model = Sequential(Linear(4, 4), layer)
-        with pytest.raises(RuntimeCompileError, match="learned beta"):
-            compile_network(model)
+            compiled.run(np.zeros(shape, dtype=np.float32))

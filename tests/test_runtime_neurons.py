@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd.tensor import Tensor, no_grad
+from conftest import dense_forward_with_trains
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import make_encoder, make_model
 from repro.core.network import SpikingCNN, SpikingMLP
@@ -88,33 +88,6 @@ def _images(kind: str, rng: np.random.Generator, count: int = 8) -> np.ndarray:
     if kind == "cnn":
         return rng.random((count, 3, 8, 8), dtype=np.float32)
     return rng.random((count, 12), dtype=np.float32)
-
-
-def dense_forward_with_trains(model, spikes: np.ndarray):
-    """Run the dense forward, capturing each spiking layer's full train."""
-    trains = {name: [] for name, module in model.named_modules() if isinstance(module, SpikingNeuron)}
-    originals = {}
-
-    def make_recorder(name, original):
-        def recorder(spike_tensor):
-            trains[name].append(spike_tensor.data.copy())
-            original(spike_tensor)
-
-        return recorder
-
-    for name, module in model.named_modules():
-        if isinstance(module, SpikingNeuron):
-            originals[name] = module._record
-            module._record = make_recorder(name, module._record)
-    try:
-        model.reset_spiking_state()
-        with no_grad():
-            counts = model(Tensor(spikes)).data
-    finally:
-        for name, module in model.named_modules():
-            if isinstance(module, SpikingNeuron):
-                module._record = originals[name]
-    return counts, {name: np.stack(steps) for name, steps in trains.items()}
 
 
 # ---------------------------------------------------------------------- #

@@ -9,13 +9,13 @@ match those counts exactly and round-trip through the
 import numpy as np
 import pytest
 
-from repro.analysis.sparsity import profile_sparsity
+from conftest import dense_forward_with_trains
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.data.dataloader import DataLoader
 from repro.data.dataset import ArrayDataset
 from repro.encoding import DirectEncoder
 from repro.hardware.workload import NetworkWorkload
-from repro.runtime import compile_network
+from repro.runtime import RuntimeActivity, compile_network
 
 
 @pytest.fixture
@@ -141,8 +141,8 @@ class TestWorkloadRoundTrip:
 
 
 class TestProfileAgreement:
-    def test_runtime_profile_equals_dense_profiler(self):
-        """Runtime activity must reproduce profile_sparsity's numbers exactly."""
+    def test_runtime_profile_equals_dense_trains(self):
+        """Runtime activity must equal the events counted from the dense spike trains."""
         model = SpikingCNN(image_size=8, conv_channels=(4, 4), hidden_units=16, seed=1)
         model.eval()
         rng = np.random.default_rng(3)
@@ -151,20 +151,22 @@ class TestProfileAgreement:
         loader = DataLoader(ArrayDataset(images, labels), batch_size=3)
         encoder = DirectEncoder(num_steps=4)
 
-        dense = profile_sparsity(model, encoder, loader)
-
         compiled = compile_network(model)
-        merged = None
+        merged = RuntimeActivity(num_steps=4)
+        input_events = 0.0
+        layer_events = {}
         for batch_images, _ in loader:
-            activity = compiled.run(encoder(batch_images)).activity
-            if merged is None:
-                merged = activity
-            else:
-                merged.merge(activity)
+            spikes = encoder(batch_images)
+            input_events += float(spikes.sum())
+            _, trains = dense_forward_with_trains(model, spikes)
+            for name, train in trains.items():
+                layer_events[name] = layer_events.get(name, 0.0) + float(train.sum())
+            merged.merge(compiled.run(spikes).activity)
         runtime = merged.to_sparsity_profile()
 
-        assert runtime.layer_events_per_step == dense.layer_events_per_step
-        assert runtime.input_events_per_step == pytest.approx(dense.input_events_per_step)
-        assert runtime.layer_neuron_counts == dense.layer_neuron_counts
-        assert runtime.num_steps == dense.num_steps
-        assert runtime.samples_profiled == dense.samples_profiled
+        norm = 6 * 4  # samples * steps
+        assert runtime.layer_events_per_step == {name: events / norm for name, events in layer_events.items()}
+        assert runtime.input_events_per_step == pytest.approx(input_events / norm)
+        assert runtime.layer_neuron_counts == {name: train[0, 0].size for name, train in trains.items()}
+        assert runtime.num_steps == 4
+        assert runtime.samples_profiled == 6
