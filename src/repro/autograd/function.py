@@ -11,7 +11,9 @@ Every differentiable operation is implemented as a subclass of
 ``backward(ctx, grad_output)``
     Receives the gradient of the loss with respect to the op's output and
     returns a tuple of gradients with respect to each *tensor* input (``None``
-    for non-differentiable inputs).
+    for non-differentiable inputs).  ``ctx.needs_input_grad`` says, per
+    positional argument, whether a gradient is wanted at all, so an op can
+    skip the ones the engine would discard.
 
 Applying a Function via :meth:`Function.apply` unwraps tensor inputs to raw
 arrays, runs ``forward``, wraps the result in a new
@@ -29,10 +31,13 @@ import numpy as np
 class Context:
     """Per-call scratch space shared between ``forward`` and ``backward``."""
 
-    __slots__ = ("_saved", "__dict__")
+    __slots__ = ("_saved", "needs_input_grad", "__dict__")
 
     def __init__(self) -> None:
         self._saved: Tuple[Any, ...] = ()
+        #: Per positional argument of ``forward``: is it a tensor that
+        #: requires grad?  Set by :meth:`Function.apply`.
+        self.needs_input_grad: Tuple[bool, ...] = ()
 
     def save_for_backward(self, *values: Any) -> None:
         """Store arbitrary values needed by the backward pass."""
@@ -85,19 +90,17 @@ class Function:
         ctx = Context()
         raw_args = []
         tensor_inputs = []
-        any_requires_grad = False
         for a in args:
             if isinstance(a, Tensor):
                 raw_args.append(a.data)
                 tensor_inputs.append(a)
-                if a.requires_grad:
-                    any_requires_grad = True
             else:
                 raw_args.append(a)
                 tensor_inputs.append(None)
+        ctx.needs_input_grad = tuple(t is not None and t.requires_grad for t in tensor_inputs)
 
         out_data = cls.forward(ctx, *raw_args, **kwargs)
-        requires_grad = any_requires_grad and is_grad_enabled()
+        requires_grad = any(ctx.needs_input_grad) and is_grad_enabled()
         out = Tensor(out_data, requires_grad=requires_grad)
         if requires_grad:
             node = Node(cls, ctx, tensor_inputs)

@@ -168,20 +168,27 @@ class Tensor:
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
 
-        # Topologically order the graph reachable from this tensor.
+        # Topologically order the graph reachable from this tensor: a
+        # depth-first post-order over each node's inputs, in input order
+        # (the order fixes how gradients accumulate, hence their bits).
+        # Iterative, so no self-referencing closure keeps the graph alive
+        # until the cyclic collector runs, and no recursion limit applies.
         topo: List[Tensor] = []
         visited = set()
-
-        def visit(t: "Tensor") -> None:
-            if id(t) in visited or t._node is None:
-                return
-            visited.add(id(t))
-            for parent in t._node.inputs:
-                if isinstance(parent, Tensor):
-                    visit(parent)
-            topo.append(t)
-
-        visit(self)
+        stack = []
+        if self._node is not None:
+            visited.add(id(self))
+            stack.append((self, iter(self._node.inputs)))
+        while stack:
+            t, parents = stack[-1]
+            for parent in parents:
+                if isinstance(parent, Tensor) and parent._node is not None and id(parent) not in visited:
+                    visited.add(id(parent))
+                    stack.append((parent, iter(parent._node.inputs)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
 
         grads = {id(self): grad}
         for t in reversed(topo):

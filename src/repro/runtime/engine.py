@@ -152,6 +152,32 @@ class _LoweringState:
         return self.quantization is not None
 
 
+#: Neuron classes with a runtime kernel; a subclass lowers as the first it matches.
+_SUBSTRATES = (AdaptiveLIF, SynapticLIF, LIF)
+
+
+def _check_substrate_dynamics(name: str, module: SpikingNeuron) -> None:
+    """Reject a neuron subclass that redefines the dynamics of its substrate.
+
+    Lowering matches by ``isinstance`` and compiles the substrate's kernel,
+    so a subclass that overrides ``step`` or ``forward`` would silently run
+    its parent's dynamics in the plan.  Subclasses that only change
+    construction (``IF`` fixes ``beta = 1``) lower as their substrate.
+    """
+    for substrate in _SUBSTRATES:
+        if isinstance(module, substrate):
+            overridden = [
+                method for method in ("step", "forward")
+                if getattr(type(module), method) is not getattr(substrate, method)
+            ]
+            if overridden:
+                raise RuntimeCompileError(
+                    f"layer '{name}': {type(module).__name__} overrides {' and '.join(overridden)} "
+                    f"of {substrate.__name__}; the runtime only has {substrate.__name__}'s dynamics"
+                )
+            return
+
+
 def _lower_module(name: str, module: Module, state: _LoweringState) -> Optional[Kernel]:
     """Map one layer module to its fused kernel (``None`` to skip)."""
     if isinstance(module, (Conv2d, Linear)):
@@ -199,6 +225,7 @@ def _lower_module(name: str, module: Module, state: _LoweringState) -> Optional[
             state.pending_weight = kernel
         return kernel
     if isinstance(module, SpikingNeuron):
+        _check_substrate_dynamics(name, module)
         if isinstance(module, AdaptiveLIF):
             if state.integer:
                 kernel = QuantizedAdaptiveLIFKernel(

@@ -4,19 +4,20 @@ Each kernel is a plain-array analogue of one :mod:`repro.nn` /
 :mod:`repro.neurons` layer, specialised for inference:
 
 * no :class:`~repro.autograd.tensor.Tensor` wrapping and no graph recording,
-* buffers (padded inputs, im2col views, bias maps) cached across timesteps,
-* sparsity-exploiting fast paths that skip work on zero spikes.
+* buffers (padded inputs, im2col matrices) cached across timesteps,
+* fast paths that skip work on silent frames and sparse spikes.
 
 Numerical contract: every kernel produces **the same spike-relevant values**
-as the dense training path.  The dense fallback paths call the exact same
-NumPy routines on the exact same arrays as the autograd ops, so they are
-bitwise identical by construction.  The sparse gather paths skip only terms
-that are exactly zero; their reductions run over the same addends but BLAS
-may group them differently, so identity of the resulting spike trains is
-*enforced by the equivalence test suite* (and the benchmark's correctness
-gate) rather than guaranteed by IEEE arithmetic alone — a platform whose
-BLAS rounds a borderline membrane differently would be caught by those
-gates, not silently accepted.
+as the dense training path.  Convolution runs the autograd op's own forward
+(:func:`repro.autograd.ops_conv.conv2d_forward`), and the dense linear path
+calls the exact same NumPy routine on the exact same arrays as the autograd
+op, so both are bitwise identical by construction.  The linear gather path
+skips only terms that are exactly zero; its reductions run over the same
+addends but BLAS may group them differently, so identity of the resulting
+spike trains is *enforced by the equivalence test suite* (and the
+benchmark's correctness gate) rather than guaranteed by IEEE arithmetic
+alone — a platform whose BLAS rounds a borderline membrane differently
+would be caught by those gates, not silently accepted.
 
 Weight kernels reference the live parameter arrays of the model they were
 compiled from (no copy), so a compiled network tracks in-place weight
@@ -42,8 +43,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
+from repro.autograd.ops_conv import ScratchPool, conv2d_forward
 from repro.hardware.quantization import QuantizationConfig, quantize_array_int
 
 #: Largest integer magnitude exactly representable in a float32 accumulator.
@@ -180,17 +181,15 @@ class LinearKernel(Kernel):
 
 
 class ConvKernel(Kernel):
-    """Sparse-aware 2-D cross-correlation with cached im2col buffers.
+    """2-D cross-correlation through the autograd op's own forward.
 
-    The padded input buffer and its ``as_strided`` column view are allocated
-    once per input shape and reused for every timestep, so the per-step cost
-    is one interior copy plus the contraction itself.  Fast paths:
-
-    1. **silent frame** — output is exactly the broadcast bias map.
-    2. **row gather** — when a large enough fraction of output positions has
-       an entirely silent receptive field, only the active patches are
-       gathered and multiplied; silent patches receive the bias directly.
-    3. **dense** — the same ``tensordot`` contraction as the autograd op.
+    Runs :func:`repro.autograd.ops_conv.conv2d_forward` -- the same im2col
+    lowering and the same GEMM as training -- so its output is the dense
+    output bit for bit.  Its temporaries come from a scratch pool owned by
+    the kernel, reused across timesteps and dropped on :meth:`reset`, never
+    from the autograd op's process-wide pool, because serving runs plans on
+    worker threads.  A silent frame's output is exactly the broadcast bias
+    map and skips the product.
     """
 
     is_weight_stage = True
@@ -202,7 +201,6 @@ class ConvKernel(Kernel):
         bias: Optional[np.ndarray],
         stride: int = 1,
         padding: int = 0,
-        row_sparsity_threshold: float = 0.5,
         compute_dtype=None,
     ) -> None:
         super().__init__(name)
@@ -213,15 +211,7 @@ class ConvKernel(Kernel):
         self.compute_dtype = None if compute_dtype is None else np.dtype(compute_dtype)
         self.stride = int(stride)
         self.padding = int(padding)
-        # Use the gather path only when at least this fraction of output
-        # positions is silent (gathering costs roughly 2x per computed row).
-        self.row_sparsity_threshold = float(row_sparsity_threshold)
-        self._in_key = None
-        self._padded: Optional[np.ndarray] = None
-        self._padded_bool: Optional[np.ndarray] = None
-        self._cols: Optional[np.ndarray] = None
-        self._bool_windows: Optional[np.ndarray] = None
-        self._out_shape: Optional[Tuple[int, ...]] = None
+        self._scratch = ScratchPool()
 
     def prepare(self) -> None:
         if self.compute_dtype is None:
@@ -232,94 +222,22 @@ class ConvKernel(Kernel):
             self.bias = None if self.source_bias is None else self.source_bias.astype(self.compute_dtype)
 
     def reset(self) -> None:
-        self._in_key = None
-        self._padded = None
-        self._padded_bool = None
-        self._cols = None
-        self._bool_windows = None
-        self._out_shape = None
-
-    def _ensure_buffers(self, frame: np.ndarray) -> None:
-        if self._in_key == (frame.shape, frame.dtype) and self._padded is not None:
-            return
-        n, c, h, w = frame.shape
-        p, s = self.padding, self.stride
-        c_out, c_in, kh, kw = self.weight.shape
-        hp, wp = h + 2 * p, w + 2 * p
-        oh = (hp - kh) // s + 1
-        ow = (wp - kw) // s + 1
-        self._padded = np.zeros((n, c, hp, wp), dtype=frame.dtype)
-        sn, sc, sh, sw = self._padded.strides
-        self._cols = as_strided(
-            self._padded,
-            shape=(n, c, kh, kw, oh, ow),
-            strides=(sn, sc, sh, sw, sh * s, sw * s),
-        )
-        self._padded_bool = np.zeros((n, hp, wp), dtype=bool)
-        bn, bh, bw = self._padded_bool.strides
-        self._bool_windows = as_strided(
-            self._padded_bool,
-            shape=(n, oh, ow, kh, kw),
-            strides=(bn, bh * s, bw * s, bh, bw),
-        )
-        self._in_key = (frame.shape, frame.dtype)
-        self._out_shape = (n, c_out, oh, ow)
-
-    def _bias_map(self, out_shape: Tuple[int, ...], dtype) -> np.ndarray:
-        out = np.zeros(out_shape, dtype=dtype)
-        if self.bias is not None:
-            out += self.bias[None, :, None, None]
-        return out
+        self._scratch.clear()
 
     def run(self, frame: np.ndarray) -> np.ndarray:
         if self.compute_dtype is not None and frame.dtype != self.compute_dtype:
             frame = frame.astype(self.compute_dtype)
         if frame.ndim != 4:
             raise ValueError(f"ConvKernel expects NCHW input, got shape {frame.shape}")
-        self._ensure_buffers(frame)
-        n, c, h, w = frame.shape
-        p = self.padding
-        if not frame.any():
-            return self._bias_map(self._out_shape, frame.dtype)
-
-        self._padded[:, :, p : p + h, p : p + w] = frame
-        c_out, c_in, kh, kw = self.weight.shape
-        _, _, oh, ow = self._out_shape
-
-        # Receptive-field activity: an output position can be skipped iff
-        # every input inside its window is zero (its contribution is then
-        # exactly the bias).  Each active pixel touches at most KH*KW
-        # windows, which bounds the active fraction from above; computing
-        # the exact window map is only worth it when that cheap bound says
-        # the gather path could win.
-        row_active = None
-        amap = frame.any(axis=1)  # (N, H, W)
-        active_bound = np.count_nonzero(amap) * kh * kw / (n * oh * ow)
-        if active_bound <= 1.0 - self.row_sparsity_threshold:
-            self._padded_bool[:, p : p + h, p : p + w] = amap
-            row_active = self._bool_windows.any(axis=(3, 4))  # (N, OH, OW)
-            active_fraction = float(np.count_nonzero(row_active)) / row_active.size
-            if active_fraction > 1.0 - self.row_sparsity_threshold:
-                row_active = None
-
-        if row_active is not None:
-            # Gather only active patches: (L', C, KH, KW) -> (L', F).
-            patches = self._cols.transpose(0, 4, 5, 1, 2, 3)[row_active]
-            flat = patches.reshape(patches.shape[0], c_in * kh * kw)
-            w_mat = self.weight.reshape(c_out, c_in * kh * kw)
-            out_nhwc = np.zeros((n, oh, ow, c_out), dtype=frame.dtype)
-            out_nhwc[row_active] = flat @ w_mat.T
-            out = np.ascontiguousarray(out_nhwc.transpose(0, 3, 1, 2))
-            if self.bias is not None:
-                out += self.bias[None, :, None, None]
-            return out
-
-        # Dense path: identical contraction to repro.autograd.ops_conv.Conv2d.
-        out = np.tensordot(self._cols, self.weight, axes=([1, 2, 3], [1, 2, 3]))
-        out = out.transpose(0, 3, 1, 2)
+        if frame.any():
+            return conv2d_forward(frame, self.weight, self.bias, self.stride, self.padding, self._scratch)
+        n, _, h, w = frame.shape
+        c_out, _, kh, kw = self.weight.shape
+        p, s = self.padding, self.stride
+        out = np.zeros((n, c_out, (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1), dtype=frame.dtype)
         if self.bias is not None:
-            out = out + self.bias[None, :, None, None]
-        return np.ascontiguousarray(out)
+            out += self.bias[None, :, None, None]
+        return out
 
 
 class FusedLIFKernel(Kernel):

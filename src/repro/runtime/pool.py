@@ -2,7 +2,7 @@
 
 Compiling a network is cheap but not free (kernel construction plus, on
 first run, per-shape buffer allocation), and a :class:`CompiledNetwork`
-holds *mutable* per-run state — membrane buffers, cached im2col views — so
+holds *mutable* per-run state — membrane buffers, im2col scratch — so
 one plan must never execute two batches concurrently.  The serving layer
 therefore checks plans out of a :class:`CompiledNetworkPool`: each worker
 gets exclusive use of a plan for the duration of one batch, and warmed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, gradcheck
-from repro.autograd.ops_conv import conv_output_shape
+from repro.autograd.ops_conv import conv_output_shape, im2col
 
 
 def t(shape, seed=0, scale=1.0):
@@ -99,29 +99,112 @@ class TestConv2d:
         [(1, 0, False), (1, 0, True), (1, 1, False), (1, 1, True), (2, 1, True), (2, 0, False)],
     )
     def test_forward_bit_identical_to_tensordot_reference(self, stride, padding, with_bias):
-        # The pooled-scratch forward must reproduce the original
-        # pad + tensordot path bit-for-bit, not just approximately.
+        # The kernel-offset lowering must reproduce the original pad +
+        # tensordot forward bit-for-bit, not just approximately (the
+        # backward's contract is in _assert_matches_reference).
         rng = np.random.default_rng(400 + stride * 10 + padding * 2 + with_bias)
         x = rng.standard_normal((2, 3, 7, 7))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4) if with_bias else None
+        self._assert_matches_reference(x, w, b, stride, padding, rng)
 
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    @pytest.mark.parametrize(
+        "shape,c_out",
+        [((32, 3, 16, 16), 8), ((32, 8, 8, 8), 8)],
+        ids=["conv1-3to8-16px", "conv2-8to8-8px"],
+    )
+    def test_bench_shapes_float32_match_tensordot_reference(self, shape, c_out):
+        # The two convolutions of the bench-scale network, in the training
+        # dtype: binary spike input for conv2, analog frames for conv1.
+        rng = np.random.default_rng(shape[1])
+        x = rng.random(shape).astype(np.float32)
+        if shape[1] == 8:
+            x = (x < 0.2).astype(np.float32)
+        w = (rng.standard_normal((c_out, shape[1], 3, 3)) * 0.3).astype(np.float32)
+        b = (rng.standard_normal(c_out) * 0.1).astype(np.float32)
+        self._assert_matches_reference(x, w, b, 1, 1, rng)
+
+    @staticmethod
+    def _assert_matches_reference(x, w, b, stride, padding, rng):
+        """Check the lowering against the original as_strided/tensordot path.
+
+        The forward must equal tensordot bit for bit.  The backward products
+        use transposed GEMM operands, which some BLAS kernels round
+        differently from tensordot's (OpenBLAS's small-matrix kernels for the
+        weight gradient, its Haswell kernels for the input gradient), so each
+        gradient must equal the *same* product taken on an independently
+        built column matrix exactly -- the lowering and the per-offset col2im
+        are pure data movement -- and the original formulation to rounding.
+        """
         from numpy.lib.stride_tricks import as_strided
 
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         n, c, h, wd = xp.shape
-        oh = (h - 3) // stride + 1
-        ow = (wd - 3) // stride + 1
+        c_out, _, kh, kw = w.shape
+        oh = (h - kh) // stride + 1
+        ow = (wd - kw) // stride + 1
         sn, sc, sh, sw = xp.strides
         cols = as_strided(
-            xp, shape=(n, c, 3, 3, oh, ow), strides=(sn, sc, sh, sw, sh * stride, sw * stride)
+            xp, shape=(n, c, kh, kw, oh, ow), strides=(sn, sc, sh, sw, sh * stride, sw * stride)
         )
         ref = np.tensordot(cols, w, axes=([1, 2, 3], [1, 2, 3])).transpose(0, 3, 1, 2)
         if b is not None:
             ref = ref + b[None, :, None, None]
+        go = rng.standard_normal(ref.shape).astype(x.dtype)
+        tol = {"rtol": 1e-5, "atol": 1e-4} if x.dtype == np.float32 else {"rtol": 1e-12, "atol": 1e-12}
 
-        out = Tensor(x).conv2d(Tensor(w), None if b is None else Tensor(b), stride, padding)
+        # (C*KH*KW, N*OH*OW) columns and (C_out, N*OH*OW) output gradient.
+        col_mat = cols.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * oh * ow)
+        go_mat = go.transpose(1, 0, 2, 3).reshape(c_out, n * oh * ow)
+        w_mat = w.reshape(c_out, -1)
+        np.testing.assert_array_equal(im2col(xp, kh, kw, stride, np.empty_like(col_mat)), col_mat)
+
+        def col2im(grad_cols):
+            # The original scatter: (N, OH, OW, C, KH, KW) gradient columns,
+            # one slice-add per kernel offset.
+            grad_xp = np.zeros(xp.shape, dtype=x.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    grad_xp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += (
+                        grad_cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                    )
+            return grad_xp[:, :, padding : h - padding, padding : wd - padding]
+
+        same_product_grad_x = col2im((w_mat.T @ go_mat).T.reshape(n, oh, ow, c, kh, kw))
+        original_grad_x = col2im((go_mat.T @ w_mat).reshape(n, oh, ow, c, kh, kw))
+
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        bt = None if b is None else Tensor(b, requires_grad=True)
+        out = xt.conv2d(wt, bt, stride, padding)
         np.testing.assert_array_equal(out.numpy(), np.ascontiguousarray(ref))
+        out.backward(go)
+        np.testing.assert_array_equal(wt.grad, (go_mat @ col_mat.T).reshape(w.shape))
+        np.testing.assert_allclose(wt.grad, np.tensordot(go, cols, axes=([0, 2, 3], [0, 4, 5])), **tol)
+        np.testing.assert_array_equal(xt.grad, same_product_grad_x)
+        np.testing.assert_allclose(xt.grad, original_grad_x, **tol)
+        if b is not None:
+            np.testing.assert_array_equal(bt.grad, go.sum(axis=(0, 2, 3)))
+
+    def test_input_without_grad_skips_its_gradient(self):
+        # The first layer's input is the encoded frame: its gradient would be
+        # discarded, so the backward does not compute it, and the weight
+        # gradient is the same as when the input gradient is computed.
+        rng = np.random.default_rng(57)
+        x = rng.random((4, 3, 8, 8)).astype(np.float32)
+        w = rng.standard_normal((8, 3, 3, 3)).astype(np.float32)
+        go = rng.standard_normal((4, 8, 8, 8)).astype(np.float32)
+
+        frame, w_frame = Tensor(x), Tensor(w, requires_grad=True)
+        out = frame.conv2d(w_frame, None, 1, 1)
+        node = out._node
+        assert node.ctx.needs_input_grad == (False, True, False, False, False)
+        assert node.fn.backward(node.ctx, go)[0] is None
+
+        hidden, w_hidden = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        hidden.conv2d(w_hidden, None, 1, 1).backward(go)
+        out.backward(go)
+        assert frame.grad is None and hidden.grad is not None
+        np.testing.assert_array_equal(w_frame.grad, w_hidden.grad)
 
     def test_scratch_reuse_keeps_ctx_arrays_alive_across_calls(self):
         # Two forwards back-to-back share the pooled scratch; the first call's
@@ -170,6 +253,49 @@ class TestPooling:
     def test_maxpool_gradcheck(self):
         x = t((2, 3, 4, 4), 50)
         assert gradcheck(lambda a: a.max_pool2d(2), [x])
+
+    @pytest.mark.parametrize("values", ["binary", "few-levels", "normal"])
+    @pytest.mark.parametrize(
+        "shape,kernel", [((4, 3, 8, 8), 2), ((2, 3, 7, 9), 2), ((2, 2, 9, 7), 3), ((3, 2, 5, 5), 2)]
+    )
+    def test_maxpool_matches_argmax_reference(self, shape, kernel, values):
+        # The phase-view scan must reproduce the argmax / take_along_axis /
+        # put_along_axis formulation exactly: values, the saved first-max
+        # index, and backward routing -- also on binary spike maps, where
+        # most windows are ties (all-silent windows included), and on sizes
+        # that leave a trimmed border.
+        rng = np.random.default_rng(sum(shape) * 10 + kernel)
+        if values == "binary":
+            x = (rng.random(shape) < 0.3).astype(np.float32)
+        elif values == "few-levels":
+            x = rng.integers(-1, 2, shape).astype(np.float32)
+        else:
+            x = rng.standard_normal(shape)
+        n, c, h, w = shape
+        k = kernel
+        oh, ow = h // k, w // k
+        windows = (
+            x[:, :, : oh * k, : ow * k]
+            .reshape(n, c, oh, k, ow, k)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(n, c, oh, ow, k * k)
+        )
+        idx = windows.argmax(axis=-1)
+        ref_out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+        go = rng.standard_normal(ref_out.shape).astype(x.dtype)
+        flat = np.zeros(windows.shape, dtype=go.dtype)
+        np.put_along_axis(flat, idx[..., None], go[..., None], axis=-1)
+        ref_grad = np.zeros(shape, dtype=go.dtype)
+        ref_grad[:, :, : oh * k, : ow * k] = (
+            flat.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh * k, ow * k)
+        )
+
+        xt = Tensor(x, requires_grad=True)
+        out = xt.max_pool2d(kernel)
+        np.testing.assert_array_equal(out.numpy(), ref_out)
+        np.testing.assert_array_equal(out._node.ctx.saved[0], idx)
+        out.backward(go)
+        np.testing.assert_array_equal(xt.grad, ref_grad)
 
     def test_avgpool_forward(self):
         x = Tensor(np.ones((1, 1, 4, 4)) * 2.0)

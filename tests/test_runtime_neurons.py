@@ -26,6 +26,7 @@ from repro.runtime import (
     AdaptiveLIFKernel,
     QuantizedAdaptiveLIFKernel,
     QuantizedSynapticLIFKernel,
+    RuntimeCompileError,
     SynapticLIFKernel,
     compile_network,
     default_input_scale,
@@ -188,6 +189,25 @@ class TestIFRegression:
         ref = reference.run(spikes, record_activity=False)
         agreement = float(np.mean(ref.predictions() == out.predictions()))
         assert agreement >= 0.9, f"if/{precision}: agreement {agreement}"
+
+
+class TestSubclassLowering:
+    """Lowering matches a substrate by isinstance, so a subclass must keep its dynamics."""
+
+    @pytest.mark.parametrize("method", ["step", "forward"])
+    @pytest.mark.parametrize("neuron", sorted(SUBSTRATES))
+    def test_overridden_dynamics_raise(self, neuron, method):
+        # Compiled, the plan would silently run the substrate's kernel and
+        # fire different spikes from the dense forward.
+        model = _make_model("cnn", neuron)
+        base = type(model.lif1)
+
+        def doubled(self, synaptic_input):
+            return getattr(base, method)(self, synaptic_input * 2.0)
+
+        model.lif1.__class__ = type(f"Doubling{base.__name__}", (base,), {method: doubled})
+        with pytest.raises(RuntimeCompileError, match=f"layer 'lif1': Doubling{base.__name__} overrides {method}"):
+            compile_network(model)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,10 +1,13 @@
 """Integration tests for the BPTT trainer on small spiking models."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.data import ArrayDataset, DataLoader
-from repro.core.network import SpikingMLP
+from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DirectEncoder
 from repro.training import Adam, CosineAnnealingLR, EarlyStopping, Trainer
 
@@ -93,3 +96,30 @@ class TestTrainer:
         trainer = Trainer(model, encoder, Adam(model.parameters(), lr=1e-2))
         result = trainer.fit(loader, epochs=1)
         assert result.wall_time_seconds > 0
+
+    def test_train_batch_frees_its_graph_without_the_cycle_collector(self):
+        # The BPTT graph of a batch must die by reference counting once the
+        # step returns: a reference cycle would keep every activation of the
+        # batch alive until the cyclic collector happens to run.
+        model = SpikingCNN(image_size=8, conv_channels=(3, 4), hidden_units=16, seed=0)
+        images = np.random.default_rng(0).random((6, 3, 8, 8), dtype=np.float32)
+        labels = np.arange(6) % model.num_classes
+        trainer = Trainer(model, DirectEncoder(num_steps=3), Adam(model.parameters(), lr=1e-2))
+        graph_outputs = []
+        loss_fn = trainer.loss_fn
+
+        def recording_loss(counts, targets):
+            graph_outputs.append(weakref.ref(counts.data))
+            return loss_fn(counts, targets)
+
+        trainer.loss_fn = recording_loss
+        trainer.train_batch(images, labels)  # first-call allocations
+        gc.collect()
+        gc.disable()
+        try:
+            trainer.train_batch(images, labels)
+            trainer.train_batch(images, labels)
+            assert graph_outputs[1]() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
