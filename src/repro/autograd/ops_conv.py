@@ -51,9 +51,29 @@ class ScratchPool:
 #: (the autograd engine is single-threaded; sweep workers are separate
 #: processes).  The forward saves the *unpadded* input (alive in the graph
 #: anyway) and the backward re-pads and re-lowers it, so no pooled buffer
-#: is retained across timesteps.  The inference runtime runs plans on
-#: worker threads, so each ConvKernel has a pool of its own.
+#: is retained across timesteps.  The one exception is a
+#: :class:`SharedLowering`: its im2col matrix is a fresh allocation, kept
+#: for the whole sequence.  The inference runtime runs plans on worker
+#: threads, so each ConvKernel has a pool of its own.
 _scratch = ScratchPool()
+
+
+class SharedLowering:
+    """One convolution of a frame that repeats at every timestep.
+
+    ``SpikingCNN.forward`` hands one to conv1 at every step of a
+    time-invariant sequence.  The first :meth:`Conv2d.forward` keeps the
+    im2col matrix ``cols`` and the read-only output ``out``; every later
+    step's node returns ``out`` and saves ``cols`` for its backward.  Each
+    step keeps its own node, so gradients accumulate per step in the usual
+    order, bit-identically to convolving every frame.
+    """
+
+    __slots__ = ("cols", "out")
+
+    def __init__(self) -> None:
+        self.cols: Optional[np.ndarray] = None
+        self.out: Optional[np.ndarray] = None
 
 
 def _padded_input(x: np.ndarray, padding: int, scratch: ScratchPool) -> np.ndarray:
@@ -111,20 +131,24 @@ def conv2d_forward(
     stride: int,
     padding: int,
     scratch: ScratchPool,
+    cols: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Cross-correlate NCHW ``x`` with ``weight`` as ``cols.T @ W.T``, plus ``bias``.
 
     The forward of every convolution in the repository: the autograd op
     and the inference runtime both call it, so a compiled plan reproduces
     the dense forward bit for bit.  Temporaries come from ``scratch``; the
-    returned ``(N, C_out, OH, OW)`` array is a fresh allocation.
+    returned ``(N, C_out, OH, OW)`` array is a fresh allocation.  The
+    im2col matrix goes into ``cols`` when the caller passes one to keep.
     """
     xp = _padded_input(x, padding, scratch)
     c_out, c_in, kh, kw = weight.shape
     n = x.shape[0]
     oh = (xp.shape[2] - kh) // stride + 1
     ow = (xp.shape[3] - kw) // stride + 1
-    cols = im2col(xp, kh, kw, stride, scratch("conv_cols", (c_in * kh * kw, n * oh * ow), x.dtype))
+    if cols is None:
+        cols = scratch("conv_cols", (c_in * kh * kw, n * oh * ow), x.dtype)
+    im2col(xp, kh, kw, stride, cols)
     prod = scratch("conv_out", (n * oh * ow, c_out), x.dtype)
     np.matmul(cols.T, weight.reshape(c_out, -1).T, out=prod)
     out = np.empty((n, c_out, oh, ow), dtype=prod.dtype)
@@ -145,7 +169,8 @@ class Conv2d(Function):
     gradient, the weight gradient is ``go @ cols.T`` and the input gradient
     is ``W.T @ go`` scattered back one kernel offset at a time.  The input
     gradient is skipped when the input needs none (the first layer's input
-    is the encoded frame).
+    is the encoded frame).  With a :class:`SharedLowering` (``shared``) the
+    op convolves a repeated frame once per sequence.
     """
 
     @staticmethod
@@ -156,29 +181,41 @@ class Conv2d(Function):
         bias: np.ndarray | None,
         stride: int = 1,
         padding: int = 0,
+        shared: Optional[SharedLowering] = None,
     ) -> np.ndarray:
-        ctx.save_for_backward(x, weight, bias is not None, stride, padding)
-        return conv2d_forward(x, weight, bias, stride, padding, _scratch)
+        if shared is None:
+            ctx.save_for_backward(x, None, weight, bias is not None, stride, padding)
+            return conv2d_forward(x, weight, bias, stride, padding, _scratch)
+        if shared.out is None:
+            _, c_in, kh, kw = weight.shape
+            oh, ow = conv_output_shape(x.shape[2], x.shape[3], kh, stride, padding)
+            shared.cols = np.empty((c_in * kh * kw, x.shape[0] * oh * ow), dtype=x.dtype)
+            shared.out = conv2d_forward(x, weight, bias, stride, padding, _scratch, cols=shared.cols)
+            shared.out.flags.writeable = False
+        ctx.save_for_backward(x, shared.cols, weight, bias is not None, stride, padding)
+        return shared.out
 
     @staticmethod
     def backward(ctx: Context, grad_output: np.ndarray):
-        x, weight, has_bias, stride, padding = ctx.saved
-        xp = _padded_input(x, padding, _scratch)
+        x, cols, weight, has_bias, stride, padding = ctx.saved
         c_out, c_in, kh, kw = weight.shape
         go = np.asarray(grad_output)
         n, _, oh, ow = go.shape
+        h, w = x.shape[2], x.shape[3]
         cols_shape = (c_in * kh * kw, n * oh * ow)
 
         go_mat = _scratch("conv_go", (c_out, n * oh * ow), go.dtype)
         np.copyto(go_mat.reshape(c_out, n, oh, ow), go.transpose(1, 0, 2, 3))
-        cols = im2col(xp, kh, kw, stride, _scratch("conv_cols", cols_shape, x.dtype))
+        if cols is None:
+            xp = _padded_input(x, padding, _scratch)
+            cols = im2col(xp, kh, kw, stride, _scratch("conv_cols", cols_shape, x.dtype))
         grad_w = (go_mat @ cols.T).reshape(weight.shape)
 
         grad_x = None
         if ctx.needs_input_grad[0]:
             grad_cols = _scratch("conv_gcols", cols_shape, go.dtype)
             np.matmul(weight.reshape(c_out, -1).T, go_mat, out=grad_cols)
-            grad_xp = _scratch("conv_gxp", xp.shape, go.dtype)
+            grad_xp = _scratch("conv_gxp", (n, c_in, h + 2 * padding, w + 2 * padding), go.dtype)
             grad_xp.fill(0)
             # col2im: one strided slice-add per kernel offset.
             rows = grad_cols.reshape(c_in, kh, kw, n, oh, ow)
@@ -188,10 +225,9 @@ class Conv2d(Function):
                     _offset_view(channels_first, i, j, oh, ow, stride)[...] += rows[:, i, j]
             # Copied out of the pool: the engine holds the returned gradient
             # while later backward calls reuse the buffer.
-            h, w = x.shape[2], x.shape[3]
             grad_x = grad_xp[:, :, padding : padding + h, padding : padding + w].copy()
         grad_b = go.sum(axis=(0, 2, 3)) if has_bias else None
-        return grad_x, grad_w, grad_b, None, None
+        return grad_x, grad_w, grad_b, None, None, None
 
 
 class MaxPool2d(Function):

@@ -13,7 +13,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.autograd.ops_conv import SharedLowering
 from repro.autograd.tensor import Tensor
+from repro.encoding.base import is_time_invariant
 from repro.neurons.factory import build_neuron
 from repro.nn.conv import Conv2d
 from repro.nn.flatten import Flatten
@@ -116,9 +118,12 @@ class SpikingCNN(Module):
         self.lif_out = fire()
 
     # ------------------------------------------------------------------ #
-    def step(self, frame: Tensor) -> Tensor:
-        """Process one timestep frame of shape ``(N, C, H, W)``; returns output spikes."""
-        x = self.conv1(frame)
+    def step(self, frame: Tensor, shared: Optional[SharedLowering] = None) -> Tensor:
+        """Process one timestep frame of shape ``(N, C, H, W)``; returns output spikes.
+
+        ``shared`` is conv1's lowering for a frame repeated at every step.
+        """
+        x = self.conv1(frame, shared)
         x = self.lif1(x)
         x = self.pool1(x)
         x = self.conv2(x)
@@ -131,15 +136,20 @@ class SpikingCNN(Module):
         return self.lif_out(x)
 
     def forward(self, spike_sequence: Tensor) -> Tensor:
-        """Accumulate output spike counts over the whole sequence ``(T, N, ...)``."""
+        """Accumulate output spike counts over the whole sequence ``(T, N, ...)``.
+
+        A frame repeated at every step (direct coding) is convolved once
+        (:class:`SharedLowering`), bit-identically to :meth:`step` per frame.
+        """
         if spike_sequence.ndim != 5:
             raise ValueError(
                 f"SpikingCNN expects input of shape (T, N, C, H, W), got {spike_sequence.shape}"
             )
         num_steps = spike_sequence.shape[0]
+        shared = SharedLowering() if is_time_invariant(spike_sequence.data) else None
         counts: Optional[Tensor] = None
         for t in range(num_steps):
-            out_spikes = self.step(spike_sequence[t])
+            out_spikes = self.step(spike_sequence[t], shared)
             counts = out_spikes if counts is None else counts + out_spikes
         return counts
 

@@ -8,10 +8,10 @@ current) coding, since the paper's introduction identifies input coding as
 the primary driver of sparsity.
 """
 
-from repro.encoding.base import Encoder
+from repro.encoding.base import Encoder, is_time_invariant
 from repro.encoding.rate import RateEncoder
 from repro.encoding.latency import LatencyEncoder
 from repro.encoding.delta import DeltaEncoder
 from repro.encoding.direct import DirectEncoder
 
-__all__ = ["Encoder", "RateEncoder", "LatencyEncoder", "DeltaEncoder", "DirectEncoder"]
+__all__ = ["Encoder", "RateEncoder", "LatencyEncoder", "DeltaEncoder", "DirectEncoder", "is_time_invariant"]

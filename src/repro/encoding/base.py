@@ -7,6 +7,21 @@ from typing import Optional
 import numpy as np
 
 
+def is_time_invariant(sequence: np.ndarray) -> bool:
+    """Whether every frame of a ``(T, ...)`` sequence is bit-equal to frame 0.
+
+    Compares raw bits (``-0.0`` is not ``+0.0``), so a computation on frame
+    0 is exactly the computation on every frame; stops at the first frame
+    that differs.  Direct coding produces such sequences.
+    """
+    if len(sequence) < 2:
+        return True
+    frames = np.ascontiguousarray(sequence).reshape(len(sequence), -1)
+    itemsize = frames.dtype.itemsize
+    frames = frames.view(f"u{itemsize}" if itemsize in (1, 2, 4, 8) else np.uint8)
+    return all(np.array_equal(frame, frames[0]) for frame in frames[1:])
+
+
 class Encoder:
     """Converts a batch of static inputs into a spike (or current) sequence.
 

@@ -16,9 +16,13 @@ class DirectEncoder(Encoder):
     conversion through its own LIF dynamics.  This is the densest encoding
     in terms of synaptic events into the first layer but often the most
     accurate, making it a useful extreme point in the encoding ablation.
+    Its frames are bit-equal, so ``SpikingCNN`` convolves them once per
+    sequence (:func:`~repro.encoding.base.is_time_invariant`).
     """
 
     name = "direct"
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(x[None], (self.num_steps,) + x.shape).astype(np.float32).copy()
+        frames = np.empty((self.num_steps,) + x.shape, dtype=np.float32)
+        frames[...] = x
+        return frames

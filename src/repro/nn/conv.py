@@ -6,6 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.autograd import ops_conv
 from repro.autograd.ops_conv import conv_output_shape
 from repro.autograd.tensor import Tensor
 from repro.nn import init
@@ -63,12 +64,13 @@ class Conv2d(Module):
         """Spatial output size for an input of size ``(h, w)``."""
         return conv_output_shape(h, w, self.kernel_size, self.stride, self.padding)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, shared: Optional[ops_conv.SharedLowering] = None) -> Tensor:
+        """Convolve ``x``; ``shared`` is the sequence's lowering when ``x`` repeats every step."""
         if x.ndim != 4:
             raise ValueError(f"Conv2d expects NCHW input, got shape {x.shape}")
         if x.shape[1] != self.in_channels:
             raise ValueError(f"Conv2d expected {self.in_channels} input channels, got {x.shape[1]}")
-        return x.conv2d(self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return ops_conv.Conv2d.apply(x, self.weight, self.bias, self.stride, self.padding, shared)
 
     def extra_repr(self) -> str:
         return (

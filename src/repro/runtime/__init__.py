@@ -9,10 +9,11 @@ analogue of the sparsity-aware accelerator:
 
 * :func:`compile_network` lowers a trained :class:`SpikingCNN` /
   :class:`SpikingMLP` (or any ``Sequential``-ordered spiking classifier)
-  into a plan of fused kernels (:mod:`repro.runtime.kernels`): gather-based
-  sparse matmul for dense layers, convolution through the training op's
-  own im2col lowering on buffers cached across timesteps, and a fused LIF
-  step (charge + threshold + reset in one pass, no graph recording).
+  into a plan of fused kernels (:mod:`repro.runtime.kernels`): the training
+  op's own matmul for dense layers (the bias row alone for a silent frame),
+  convolution through the training op's own im2col lowering on buffers
+  cached across timesteps, and a fused LIF step (charge + threshold + reset
+  in one pass, no graph recording).
 * :class:`CompiledNetwork.run` executes the timestep loop on raw arrays
   under ``no_grad`` and produces spike trains identical to the dense
   forward.

@@ -5,19 +5,15 @@ Each kernel is a plain-array analogue of one :mod:`repro.nn` /
 
 * no :class:`~repro.autograd.tensor.Tensor` wrapping and no graph recording,
 * buffers (padded inputs, im2col matrices) cached across timesteps,
-* fast paths that skip work on silent frames and sparse spikes.
+* a fast path that skips the weights on silent frames.
 
 Numerical contract: every kernel produces **the same spike-relevant values**
 as the dense training path.  Convolution runs the autograd op's own forward
 (:func:`repro.autograd.ops_conv.conv2d_forward`), and the dense linear path
 calls the exact same NumPy routine on the exact same arrays as the autograd
-op, so both are bitwise identical by construction.  The linear gather path
-skips only terms that are exactly zero; its reductions run over the same
-addends but BLAS may group them differently, so identity of the resulting
-spike trains is *enforced by the equivalence test suite* (and the
-benchmark's correctness gate) rather than guaranteed by IEEE arithmetic
-alone — a platform whose BLAS rounds a borderline membrane differently
-would be caught by those gates, not silently accepted.
+op, so both are bitwise identical by construction; the equivalence test
+suite (and the benchmark's correctness gate) checks the resulting spike
+trains.
 
 Weight kernels reference the live parameter arrays of the model they were
 compiled from (no copy), so a compiled network tracks in-place weight
@@ -82,21 +78,12 @@ class Kernel:
 
 
 class LinearKernel(Kernel):
-    """Sparse-aware affine transform ``y = x W^T + b``.
+    """Affine transform ``y = x W^T + b``.
 
-    Fast paths, in order:
-
-    1. **silent frame** — no input spikes at all: the output is exactly the
-       bias row, served from a cached buffer without touching the weights.
-    2. **gather** — input density at or below ``density_threshold`` *and* a
-       batch of at most ``gather_batch_limit`` samples: for each sample,
-       index the non-zero input columns and reduce only the corresponding
-       rows of ``W^T`` (event-driven synaptic accumulation).  The loop runs
-       per sample in Python, so its fixed cost grows linearly with the
-       batch while one dense BLAS call is effectively flat at these sizes —
-       beyond a few samples the loop overhead swamps the skipped MACs
-       (measured: ~1/3 of micro-batched serving time before the limit).
-    3. **dense** — BLAS matmul on the same arrays the autograd op uses.
+    A silent frame (no input spikes at all) yields the bias row without
+    touching the weights; any other frame takes one BLAS matmul on the same
+    arrays the autograd op uses, so the kernel equals the autograd op bit
+    for bit.
 
     ``compute_dtype`` selects a reference execution precision: when set
     (e.g. ``np.float64``), :meth:`prepare` refreshes a cast copy of the live
@@ -112,8 +99,6 @@ class LinearKernel(Kernel):
         name: str,
         weight: np.ndarray,
         bias: Optional[np.ndarray],
-        density_threshold: float = 0.25,
-        gather_batch_limit: int = 4,
         compute_dtype=None,
     ) -> None:
         super().__init__(name)
@@ -122,9 +107,6 @@ class LinearKernel(Kernel):
         self.weight = weight  # array actually contracted (refreshed in prepare)
         self.bias = bias
         self.compute_dtype = None if compute_dtype is None else np.dtype(compute_dtype)
-        self.density_threshold = float(density_threshold)
-        self.gather_batch_limit = int(gather_batch_limit)
-        self._weight_t: Optional[np.ndarray] = None  # row-gatherable (I, O) copy
 
     @property
     def in_features(self) -> int:
@@ -134,14 +116,7 @@ class LinearKernel(Kernel):
     def out_features(self) -> int:
         return self.weight.shape[0]
 
-    def _gather_weight(self) -> np.ndarray:
-        # C-contiguous (in, out) layout so indexing active inputs gathers rows.
-        if self._weight_t is None:
-            self._weight_t = np.ascontiguousarray(self.weight.T)
-        return self._weight_t
-
     def prepare(self) -> None:
-        self._weight_t = None
         if self.compute_dtype is None:
             self.weight = self.source_weight
             self.bias = self.source_bias
@@ -154,23 +129,8 @@ class LinearKernel(Kernel):
             frame = frame.astype(self.compute_dtype)
         if frame.ndim != 2:
             frame = frame.reshape(frame.shape[0], -1)
-        n = frame.shape[0]
-        nnz = int(np.count_nonzero(frame))
-        if nnz == 0:
-            out = np.zeros((n, self.out_features), dtype=frame.dtype)
-            if self.bias is not None:
-                out += self.bias
-            return out
-        density = nnz / frame.size
-        if density <= self.density_threshold and n <= self.gather_batch_limit:
-            weight_t = self._gather_weight()
-            out = np.empty((n, self.out_features), dtype=frame.dtype)
-            for i in range(n):
-                idx = np.flatnonzero(frame[i])
-                if idx.size == 0:
-                    out[i] = 0.0
-                else:
-                    out[i] = frame[i, idx] @ weight_t[idx]
+        if not frame.any():
+            out = np.zeros((frame.shape[0], self.out_features), dtype=frame.dtype)
             if self.bias is not None:
                 out += self.bias
             return out
@@ -495,8 +455,8 @@ class QuantizedLinearKernel(LinearKernel):
     at most ``input_int_max``.  Outputs are integers worth ``output_scale``
     each.  The integers are carried in a float array sized by the prepare
     -time accumulator bound so the contraction is both BLAS-fast and exact
-    (see the module docstring); all three of the parent's sparse fast paths
-    apply unchanged.
+    (see the module docstring); the parent's silent-frame shortcut applies
+    unchanged.
     """
 
     def __init__(
@@ -522,7 +482,6 @@ class QuantizedLinearKernel(LinearKernel):
         self._quant_bias_snapshot: Optional[np.ndarray] = None
 
     def prepare(self) -> None:
-        self._weight_t = None
         _requantize_weight_kernel(self, reduce_axes=(1,))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, gradcheck
-from repro.autograd.ops_conv import conv_output_shape, im2col
+from repro.autograd.ops_conv import Conv2d, SharedLowering, conv_output_shape, im2col
 
 
 def t(shape, seed=0, scale=1.0):
@@ -237,6 +237,43 @@ class TestConv2d:
         snapshot = out.copy()
         t((1, 1, 5, 5), 55).conv2d(t((2, 1, 3, 3), 56), None, 1, 1)
         np.testing.assert_array_equal(out, snapshot)
+
+    @pytest.mark.parametrize("input_grad", [False, True])
+    def test_shared_lowering_reuses_one_read_only_output(self, input_grad):
+        # Every step's node returns the first step's output, which no
+        # in-place write can change, and routes its own gradients: to the
+        # weight and bias once per node, and to that node's own input.
+        rng = np.random.default_rng(58)
+        x = rng.random((3, 2, 6, 6)).astype(np.float32)
+        w = Tensor(rng.standard_normal((4, 2, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
+        gos = [rng.standard_normal((3, 4, 6, 6)).astype(np.float32) for _ in range(3)]
+
+        def run(shared):
+            w.zero_grad()
+            b.zero_grad()
+            frames = [Tensor(x.copy(), requires_grad=input_grad) for _ in gos]
+            outs = [Conv2d.apply(frame, w, b, 1, 1, shared) for frame in frames]
+            sum((out * Tensor(go)).sum() for out, go in zip(outs, gos)).backward()
+            return outs, [frame.grad for frame in frames], w.grad, b.grad
+
+        shared = SharedLowering()
+        outs, input_grads, grad_w, grad_b = run(shared)
+        ref_outs, ref_input_grads, ref_grad_w, ref_grad_b = run(None)
+        assert all(out.data is shared.out for out in outs)
+        assert not shared.out.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            outs[1].data += 1.0
+        np.testing.assert_array_equal(shared.out, ref_outs[0].data)
+        np.testing.assert_array_equal(grad_w, ref_grad_w)
+        np.testing.assert_array_equal(grad_b, ref_grad_b)
+        for got, ref in zip(input_grads, ref_input_grads):
+            if input_grad:
+                np.testing.assert_array_equal(got, ref)
+            else:
+                assert got is None and ref is None
+        if input_grad:
+            assert not np.array_equal(input_grads[0], input_grads[1])
 
 
 class TestPooling:

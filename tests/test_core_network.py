@@ -1,12 +1,15 @@
 """Unit tests for the paper's network definitions."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad, ops_conv
 from repro.core.network import SpikingCNN, SpikingMLP, build_paper_network
 from repro.neurons import LIF
 from repro.surrogate import ArcTan, FastSigmoid
+from repro.training.loss import CrossEntropySpikeCount
 
 
 class TestSpikingCNN:
@@ -94,6 +97,78 @@ class TestSpikingCNN:
     def test_extra_repr_describes_topology(self):
         text = repr(self._small(conv_channels=(4, 4), hidden_units=16))
         assert "4C3-MP2-4C3-MP2-16-10" in text
+
+
+class TestTimeInvariantInput:
+    """A direct-coded sequence convolves its frame once, with per-step results."""
+
+    STEPS = 5
+
+    def _frames(self, variant):
+        rng = np.random.default_rng(21)
+        frames = np.empty((self.STEPS, 4, 3, 8, 8), dtype=np.float32)
+        frames[...] = rng.random((4, 3, 8, 8), dtype=np.float32)
+        if variant == "one-element":
+            frames[3, 1, 2, 4, 4] = np.nextafter(frames[3, 1, 2, 4, 4], np.float32(1))
+        elif variant == "signed-zero":
+            frames[:, 0, 0, 0, 0] = 0.0
+            frames[2, 0, 0, 0, 0] = -0.0
+        return frames
+
+    @pytest.mark.parametrize("mode", ["backward", "backward-input-grad", "no_grad"])
+    @pytest.mark.parametrize("variant", ["direct", "one-element", "signed-zero"])
+    def test_forward_matches_stepping_frame_by_frame(self, monkeypatch, variant, mode):
+        # Only bit-equal frames share conv1's lowering; -0.0 is not +0.0.
+        # Either way, counts, loss and every gradient equal model.step on
+        # each frame in turn.
+        model = SpikingCNN(
+            image_size=8, conv_channels=(4, 4), hidden_units=16, threshold=0.5, surrogate_scale=0.5, seed=3
+        )
+        frames = self._frames(variant)
+        labels = np.arange(4)
+        lowerings = []
+        lower = ops_conv.conv2d_forward
+        monkeypatch.setattr(ops_conv, "conv2d_forward", lambda *a, **k: lowerings.append(1) or lower(*a, **k))
+
+        def run(forward):
+            model.zero_grad()
+            model.reset_spiking_state()
+            lowerings.clear()
+            sequence = Tensor(frames, requires_grad=mode == "backward-input-grad")
+            with no_grad() if mode == "no_grad" else nullcontext():
+                counts = forward(sequence)
+                loss = CrossEntropySpikeCount()(counts, labels)
+            if mode != "no_grad":
+                loss.backward()
+            grads = {name: p.grad for name, p in model.named_parameters()}
+            return counts.data, loss.data, grads, sequence.grad, len(lowerings)
+
+        def stepped(sequence):
+            counts = None
+            for t in range(self.STEPS):
+                out = model.step(sequence[t])
+                counts = out if counts is None else counts + out
+            return counts
+
+        counts, loss, grads, input_grad, calls = run(model)
+        ref_counts, ref_loss, ref_grads, ref_input_grad, ref_calls = run(stepped)
+        assert ref_calls == 2 * self.STEPS
+        assert calls == (self.STEPS + 1 if variant == "direct" else 2 * self.STEPS)
+        assert counts.sum() > 0
+        np.testing.assert_array_equal(counts, ref_counts)
+        np.testing.assert_array_equal(loss, ref_loss)
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            if mode == "no_grad":
+                assert grad is None and ref_grads[name] is None
+            else:
+                assert np.abs(grad).max() > 0, name
+                np.testing.assert_array_equal(grad, ref_grads[name], err_msg=name)
+        if mode == "backward-input-grad":
+            assert np.abs(input_grad).max() > 0
+            np.testing.assert_array_equal(input_grad, ref_input_grad)
+        else:
+            assert input_grad is None and ref_input_grad is None
 
 
 class TestSpikingMLP:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEncoder
+from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEncoder, is_time_invariant
 
 
 class TestEncoderInterface:
@@ -120,6 +120,48 @@ class TestDirectEncoder:
         x = np.array([[0.37]], dtype=np.float32)
         out = DirectEncoder(3)(x)
         assert out[0, 0, 0] == pytest.approx(0.37)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fills_a_contiguous_writable_float32_sequence(self, dtype):
+        # Same bytes as copying the broadcast view, including -0.0 and the
+        # float64 -> float32 rounding of a direct encode() call.
+        x = np.random.default_rng(9).random((2, 3, 4, 4)).astype(dtype)
+        x[0, 0, 0, :2] = [-0.0, 1.0 / 3.0]
+        out = DirectEncoder(5).encode(x)
+        assert out.dtype == np.float32 and out.shape == (5, 2, 3, 4, 4)
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert out.tobytes() == np.broadcast_to(x[None], out.shape).astype(np.float32).copy().tobytes()
+        assert is_time_invariant(out)
+
+
+class TestIsTimeInvariant:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.bool_, np.complex128])
+    def test_repeated_frames(self, dtype):
+        frame = np.random.default_rng(3).integers(0, 2, (2, 3, 4)).astype(dtype)
+        assert is_time_invariant(np.stack([frame] * 4))
+        assert is_time_invariant(frame[None])
+
+    @pytest.mark.parametrize("change", ["one-element", "signed-zero", "nan-payload", "last-frame"])
+    def test_any_bit_difference_breaks_invariance(self, change):
+        frames = np.zeros((4, 2, 5), dtype=np.float32)
+        if change == "one-element":
+            frames[1, 1, 3] = np.float32(1e-30)
+        elif change == "signed-zero":
+            frames[2, 0, 0] = -0.0
+        elif change == "nan-payload":
+            frames[...] = np.nan
+            frames[3, 1, 1] = np.uint32(0x7FC00001).view(np.float32)
+        else:
+            frames[3, 1, 4] = 1.0
+        assert not is_time_invariant(frames)
+
+    def test_equal_nan_bits_are_invariant(self):
+        assert is_time_invariant(np.full((3, 2, 2), np.nan))
+
+    def test_strided_view(self):
+        frames = np.repeat(np.arange(6.0).reshape(1, 2, 3), 4, axis=0)
+        assert is_time_invariant(frames[:, :, ::2])
+        assert not is_time_invariant(frames[:, :, ::2].transpose(2, 1, 0))
 
 
 images = hnp.arrays(

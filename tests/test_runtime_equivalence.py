@@ -13,7 +13,7 @@ from conftest import dense_forward_with_trains
 from repro.autograd.tensor import Tensor, no_grad
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.neurons.base import SpikingNeuron
-from repro.runtime import compile_network, run_inference
+from repro.runtime import LinearKernel, compile_network, run_inference
 
 
 def make_spikes(shape, density, num_steps, seed):
@@ -152,6 +152,23 @@ class TestRuntimeBehaviour:
         after = compiled.run(spikes).counts
         assert np.array_equal(dense_counts, after)
         assert not np.array_equal(before, after)
+
+    @pytest.mark.parametrize("density", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize(
+        "out_features,in_features,batch", [(64, 128, 4), (256, 2048, 2)], ids=["bench-fc1", "paper-fc1"]
+    )
+    def test_linear_kernel_equals_autograd_op(self, out_features, in_features, batch, density):
+        # One BLAS call on the autograd op's own arrays, at the benchmark
+        # CNN's width and the paper's, sparse or not; a silent frame yields
+        # the same bias row.
+        rng = np.random.default_rng(17)
+        weight = rng.standard_normal((out_features, in_features)).astype(np.float32)
+        bias = rng.standard_normal(out_features).astype(np.float32)
+        kernel = LinearKernel("fc1", weight, bias)
+        kernel.prepare()
+        frame = (rng.random((batch, in_features)) < density).astype(np.float32)
+        dense = Tensor(frame).linear(Tensor(weight), Tensor(bias)).data
+        np.testing.assert_array_equal(kernel.run(frame), dense)
 
     @pytest.mark.parametrize("precision", ["fp32", "int8"])
     @pytest.mark.parametrize("shape", [(8,), (0, 2, 8)], ids=["no-time-axis", "empty-time-axis"])
