@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
+from repro.core.config import SCALE_PRESETS
 from repro.core.network import SpikingCNN
 from repro.data.synth_svhn import SynthSVHNConfig, generate_digit_image
 from repro.encoding import RateEncoder
@@ -21,27 +22,51 @@ from repro.neurons import LIF
 from repro.surrogate import FastSigmoid
 
 
-@pytest.fixture(scope="module")
-def conv_inputs():
+def _conv_cases():
+    """``id -> (N, C_in, H = W, C_out, input needs grad)`` of the 3x3 convolutions timed.
+
+    A fixed 8x3x32x32 -> 32 case, then the paper network's two
+    convolutions at each scale: conv1 on the frame batch, whose input (the
+    encoded frame) needs no gradient, and conv2 at half size, whose input
+    does.
+    """
+    cases = {"8x3x32x32-32": (8, 3, 32, 32, True)}
+    for name in ("bench", "full", "paper"):
+        scale = SCALE_PRESETS[name]
+        c1, c2 = scale.conv_channels
+        n, size = scale.batch_size, scale.image_size
+        cases[f"{name}-conv1"] = (n, 3, size, c1, False)
+        cases[f"{name}-conv2"] = (n, c1, size // 2, c2, True)
+    return cases
+
+
+CONV_CASES = _conv_cases()
+
+
+@pytest.fixture(scope="module", params=list(CONV_CASES))
+def conv_inputs(request):
+    n, c_in, size, c_out, input_grad = CONV_CASES[request.param]
     rng = np.random.default_rng(0)
-    x = Tensor(rng.standard_normal((8, 3, 32, 32)).astype(np.float32), requires_grad=True)
-    w = Tensor(rng.standard_normal((32, 3, 3, 3)).astype(np.float32) * 0.1, requires_grad=True)
-    return x, w
+    x = Tensor(rng.standard_normal((n, c_in, size, size)).astype(np.float32), requires_grad=input_grad)
+    w = Tensor(rng.standard_normal((c_out, c_in, 3, 3)).astype(np.float32) * 0.1, requires_grad=True)
+    b = Tensor(np.zeros(c_out, dtype=np.float32), requires_grad=True)
+    grad_out = rng.standard_normal((n, c_out, size, size)).astype(np.float32)
+    return x, w, b, grad_out
 
 
 def test_conv2d_forward_throughput(benchmark, conv_inputs):
-    x, w = conv_inputs
-    benchmark(lambda: x.conv2d(w, None, stride=1, padding=1))
+    x, w, b, _ = conv_inputs
+    benchmark(lambda: x.conv2d(w, b, stride=1, padding=1))
 
 
 def test_conv2d_forward_backward_throughput(benchmark, conv_inputs):
-    x, w = conv_inputs
+    x, w, b, grad_out = conv_inputs
 
     def step():
-        out = x.conv2d(w, None, stride=1, padding=1)
-        out.sum().backward()
+        x.conv2d(w, b, stride=1, padding=1).backward(grad_out)
         x.zero_grad()
         w.zero_grad()
+        b.zero_grad()
 
     benchmark(step)
 

@@ -5,12 +5,14 @@ These are the computational workhorses of the paper's convolutional SNN
 autograd op here and the inference runtime's
 :class:`~repro.runtime.kernels.ConvKernel` -- goes through one lowering,
 :func:`im2col`, which turns it into a matrix product and keeps
-per-timestep BPTT affordable in pure NumPy.
+per-timestep BPTT affordable in pure NumPy.  It lowers the whole batch
+as one tall, row-padded image (:class:`TallLayout`), so each kernel
+offset is one long copy per channel rather than one per output row.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,9 +24,9 @@ class ScratchPool:
 
     During a T-timestep pass every timestep runs its own convolution (and,
     under BPTT, its backward), and the large temporaries each call needs --
-    the padded input, the im2col matrix, the GEMM output, and on the
-    backward side the output-gradient matrix, the gradient columns and the
-    padded gradient accumulator -- have the same shape at every timestep.
+    the tall image, the im2col matrix, the GEMM output, and on the backward
+    side the output-gradient matrix, the gradient columns and the tall
+    gradient accumulator -- have the same shape at every timestep.
     Allocating them per call dominated conv overhead, so they come from a
     pool.  Every call fills a buffer before reading it, and any array that
     outlives a call -- the forward output, the returned gradients, anything
@@ -50,53 +52,95 @@ class ScratchPool:
 #: The autograd ops' pool.  Conv calls run sequentially within a process
 #: (the autograd engine is single-threaded; sweep workers are separate
 #: processes).  The forward saves the *unpadded* input (alive in the graph
-#: anyway) and the backward re-pads and re-lowers it, so no pooled buffer
-#: is retained across timesteps.  The one exception is a
-#: :class:`SharedLowering`: its im2col matrix is a fresh allocation, kept
-#: for the whole sequence.  The inference runtime runs plans on worker
-#: threads, so each ConvKernel has a pool of its own.
+#: anyway) and the backward lays it out and lowers it again, so no pooled
+#: buffer is retained across calls.  The inference runtime runs plans on
+#: worker threads, so each ConvKernel has a pool of its own.
 _scratch = ScratchPool()
 
 
-class SharedLowering:
-    """One convolution of a frame that repeats at every timestep.
+def conv_output_shape(
+    h: int, w: int, kernel: Union[int, Sequence[int]], stride: int, padding: int
+) -> Tuple[int, int]:
+    """Spatial output size of a convolution; ``kernel`` is a side or a ``(KH, KW)`` pair."""
+    kh, kw = (kernel, kernel) if np.isscalar(kernel) else kernel
+    return (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
 
-    ``SpikingCNN.forward`` hands one to conv1 at every step of a
-    time-invariant sequence.  The first :meth:`Conv2d.forward` keeps the
-    im2col matrix ``cols`` and the read-only output ``out``; every later
-    step's node returns ``out`` and saves ``cols`` for its backward.  Each
-    step keeps its own node, so gradients accumulate per step in the usual
-    order, bit-identically to convolving every frame.
+
+class TallLayout(NamedTuple):
+    """The tall image of one convolution: its zero-padded batch as one grid per channel.
+
+    Grid rows are ``width = W + 2p`` wide and image ``n`` starts at row
+    ``n * pitch``, ``pitch = max(H + p, OH * s)``, both rounded up to the
+    stride ``s``, so neighbouring images share their padding rows.  The
+    lowered matrix has one column per position of ``output_grid(N)``; the
+    ones past ``OH`` or ``OW`` are *junk* (padding between rows and
+    images): the forward drops them and the backward zeroes their gradient.
     """
 
-    __slots__ = ("cols", "out")
+    oh: int
+    ow: int
+    kh: int
+    kw: int
+    pitch: int
+    width: int
+    stride: int
+    padding: int
 
-    def __init__(self) -> None:
-        self.cols: Optional[np.ndarray] = None
-        self.out: Optional[np.ndarray] = None
+    @classmethod
+    def of(
+        cls, x_shape: Tuple[int, ...], weight_shape: Tuple[int, ...], stride: int, padding: int
+    ) -> "TallLayout":
+        """The layout of convolving ``x_shape`` with ``weight_shape``; the one shape check.
+
+        Raises ``ValueError`` naming both shapes unless the input is NCHW
+        with the weight's input channels and holds a kernel window.
+        """
+        if len(x_shape) == 4 and len(weight_shape) == 4 and x_shape[1] == weight_shape[1]:
+            kh, kw = weight_shape[2:]
+            oh, ow = conv_output_shape(x_shape[2], x_shape[3], (kh, kw), stride, padding)
+            if oh > 0 and ow > 0:
+                width = -(-(x_shape[3] + 2 * padding) // stride) * stride
+                pitch = -(-max(x_shape[2] + padding, oh * stride) // stride) * stride
+                return cls(oh, ow, kh, kw, pitch, width, stride, padding)
+        raise ValueError(
+            f"cannot convolve an input of shape {tuple(x_shape)} with a weight of shape "
+            f"{tuple(weight_shape)} (stride {stride}, padding {padding})"
+        )
+
+    def output_grid(self, n: int) -> Tuple[int, int, int]:
+        """``(N, rows, columns)`` of the lowered matrix's positions, in C order."""
+        return n, self.pitch // self.stride, self.width // self.stride
+
+    def grid(self, x_shape: Tuple[int, ...], tag: str, dtype, scratch: ScratchPool) -> np.ndarray:
+        """A zeroed ``(C, N * pitch + KH, width)`` tall image; the last junk positions read its ``KH`` slack rows."""
+        grid = scratch(tag, (x_shape[1], x_shape[0] * self.pitch + self.kh, self.width), dtype)
+        grid.fill(0)
+        return grid
+
+    def interior(self, grid: np.ndarray, x_shape: Tuple[int, ...]) -> np.ndarray:
+        """The ``(N, C, H, W)`` view of the images inside the tall image ``grid``."""
+        n, c, h, w = x_shape
+        p = self.padding
+        images = grid[:, : n * self.pitch].reshape(c, n, self.pitch, self.width)
+        return images[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
 
 
-def _padded_input(x: np.ndarray, padding: int, scratch: ScratchPool) -> np.ndarray:
-    """``x`` zero-padded into ``scratch`` (``x`` itself when unpadded).
+def _offsets(layout: TallLayout, grid: np.ndarray, mat: np.ndarray) -> Iterator[tuple]:
+    """``(grid positions, rows of mat)`` per kernel offset ``(i, j)``.
 
-    Value-identical to ``np.pad(x, ...)`` -- a C-contiguous array with a
-    zero border and the input copied into the interior -- without the per
-    call allocation.
+    Both are ``(C, rows, width // s)``: every ``s``-th grid position from
+    row ``i``, column ``j`` on, and the lowered matrix's rows ``(c, i, j)``.
     """
-    if padding == 0:
-        return x
-    n, c, h, w = x.shape
-    xp = scratch("conv_xp", (n, c, h + 2 * padding, w + 2 * padding), x.dtype)
-    xp.fill(0)
-    xp[:, :, padding : padding + h, padding : padding + w] = x
-    return xp
-
-
-def conv_output_shape(h: int, w: int, kernel: int, stride: int, padding: int) -> Tuple[int, int]:
-    """Spatial output size of a square-kernel convolution."""
-    oh = (h + 2 * padding - kernel) // stride + 1
-    ow = (w + 2 * padding - kernel) // stride + 1
-    return oh, ow
+    c, _, width = grid.shape
+    s = layout.stride
+    flat = grid.reshape(c, -1)
+    rows = mat.reshape(c, layout.kh, layout.kw, -1, width // s)
+    run = rows.shape[3] * s * width
+    for i in range(layout.kh):
+        for j in range(layout.kw):
+            start = i * width + j
+            strided = flat[:, start : start + run].reshape(c, -1, s * width)
+            yield strided[:, :, :width:s], rows[:, i, j]
 
 
 def _offset_view(a: np.ndarray, i: int, j: int, oh: int, ow: int, stride: int) -> np.ndarray:
@@ -104,24 +148,21 @@ def _offset_view(a: np.ndarray, i: int, j: int, oh: int, ow: int, stride: int) -
     return a[..., i : i + oh * stride : stride, j : j + ow * stride : stride]
 
 
-def im2col(xp: np.ndarray, kh: int, kw: int, stride: int, out: np.ndarray) -> np.ndarray:
-    """Lower a padded NCHW array into ``out``, a ``(C*KH*KW, N*OH*OW)`` matrix.
+def im2col(x: np.ndarray, layout: TallLayout, scratch: ScratchPool) -> np.ndarray:
+    """Lower NCHW ``x`` into a ``(C*KH*KW, positions)`` matrix from ``scratch``.
 
-    Row ``(c, i, j)`` holds input channel ``c`` seen through kernel offset
-    ``(i, j)`` at every output position ``(n, oh, ow)``, so the rows follow
-    the weight's own ``(C_out, C, KH, KW)`` layout.  Each kernel offset is
-    one strided slice copy whose inner loop runs along an output row.
-    ``out`` must be C-contiguous; it is returned.
+    Row ``(c, i, j)`` holds channel ``c`` of the tall image seen through
+    kernel offset ``(i, j)`` at every position of ``layout``, junk ones
+    included, so the rows follow the weight's own ``(C_out, C, KH, KW)``
+    layout.
     """
-    n, c, hp, wp = xp.shape
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    rows = out.reshape(c, kh, kw, n, oh, ow)
-    channels_first = xp.transpose(1, 0, 2, 3)
-    for i in range(kh):
-        for j in range(kw):
-            rows[:, i, j] = _offset_view(channels_first, i, j, oh, ow, stride)
-    return out
+    grid = layout.grid(x.shape, "conv_grid", x.dtype, scratch)
+    layout.interior(grid, x.shape)[...] = x
+    n, out_rows, out_cols = layout.output_grid(x.shape[0])
+    cols = scratch("conv_cols", (x.shape[1] * layout.kh * layout.kw, n * out_rows * out_cols), x.dtype)
+    for positions, rows in _offsets(layout, grid, cols):
+        rows[...] = positions
+    return cols
 
 
 def conv2d_forward(
@@ -131,28 +172,22 @@ def conv2d_forward(
     stride: int,
     padding: int,
     scratch: ScratchPool,
-    cols: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Cross-correlate NCHW ``x`` with ``weight`` as ``cols.T @ W.T``, plus ``bias``.
 
     The forward of every convolution in the repository: the autograd op
     and the inference runtime both call it, so a compiled plan reproduces
     the dense forward bit for bit.  Temporaries come from ``scratch``; the
-    returned ``(N, C_out, OH, OW)`` array is a fresh allocation.  The
-    im2col matrix goes into ``cols`` when the caller passes one to keep.
+    returned ``(N, C_out, OH, OW)`` array is a fresh allocation.
     """
-    xp = _padded_input(x, padding, scratch)
-    c_out, c_in, kh, kw = weight.shape
-    n = x.shape[0]
-    oh = (xp.shape[2] - kh) // stride + 1
-    ow = (xp.shape[3] - kw) // stride + 1
-    if cols is None:
-        cols = scratch("conv_cols", (c_in * kh * kw, n * oh * ow), x.dtype)
-    im2col(xp, kh, kw, stride, cols)
-    prod = scratch("conv_out", (n * oh * ow, c_out), x.dtype)
+    c_out = weight.shape[0]
+    layout = TallLayout.of(x.shape, weight.shape, stride, padding)
+    cols = im2col(x, layout, scratch)
+    prod = scratch("conv_out", (cols.shape[1], c_out), x.dtype)
     np.matmul(cols.T, weight.reshape(c_out, -1).T, out=prod)
-    out = np.empty((n, c_out, oh, ow), dtype=prod.dtype)
-    np.copyto(out, prod.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2))
+    out = np.empty((x.shape[0], c_out, layout.oh, layout.ow), dtype=prod.dtype)
+    valid = prod.reshape(*layout.output_grid(x.shape[0]), c_out)[:, : layout.oh, : layout.ow]
+    np.copyto(out, valid.transpose(0, 3, 1, 2))
     if bias is not None:
         out += bias[None, :, None, None]
     return out
@@ -165,12 +200,11 @@ class Conv2d(Function):
     optional bias ``(C_out,)``.  Output: ``(N, C_out, OH, OW)``.
 
     With ``W`` the ``(C_out, C_in*KH*KW)`` weight matrix, ``cols`` the
-    :func:`im2col` matrix and ``go`` the ``(C_out, N*OH*OW)`` output
-    gradient, the weight gradient is ``go @ cols.T`` and the input gradient
-    is ``W.T @ go`` scattered back one kernel offset at a time.  The input
-    gradient is skipped when the input needs none (the first layer's input
-    is the encoded frame).  With a :class:`SharedLowering` (``shared``) the
-    op convolves a repeated frame once per sequence.
+    :func:`im2col` matrix and ``go`` the output gradient, zero at the junk
+    positions, the weight gradient is ``(cols @ go.T).T`` and the input
+    gradient is ``W.T @ go`` scattered back one kernel offset at a time.
+    The input gradient is skipped when the input needs none (the first
+    layer's input is the encoded frame).
     """
 
     @staticmethod
@@ -181,53 +215,37 @@ class Conv2d(Function):
         bias: np.ndarray | None,
         stride: int = 1,
         padding: int = 0,
-        shared: Optional[SharedLowering] = None,
     ) -> np.ndarray:
-        if shared is None:
-            ctx.save_for_backward(x, None, weight, bias is not None, stride, padding)
-            return conv2d_forward(x, weight, bias, stride, padding, _scratch)
-        if shared.out is None:
-            _, c_in, kh, kw = weight.shape
-            oh, ow = conv_output_shape(x.shape[2], x.shape[3], kh, stride, padding)
-            shared.cols = np.empty((c_in * kh * kw, x.shape[0] * oh * ow), dtype=x.dtype)
-            shared.out = conv2d_forward(x, weight, bias, stride, padding, _scratch, cols=shared.cols)
-            shared.out.flags.writeable = False
-        ctx.save_for_backward(x, shared.cols, weight, bias is not None, stride, padding)
-        return shared.out
+        ctx.save_for_backward(x, weight, bias is not None, stride, padding)
+        return conv2d_forward(x, weight, bias, stride, padding, _scratch)
 
     @staticmethod
     def backward(ctx: Context, grad_output: np.ndarray):
-        x, cols, weight, has_bias, stride, padding = ctx.saved
-        c_out, c_in, kh, kw = weight.shape
+        x, weight, has_bias, stride, padding = ctx.saved
+        c_out = weight.shape[0]
         go = np.asarray(grad_output)
-        n, _, oh, ow = go.shape
-        h, w = x.shape[2], x.shape[3]
-        cols_shape = (c_in * kh * kw, n * oh * ow)
+        layout = TallLayout.of(x.shape, weight.shape, stride, padding)
+        cols = im2col(x, layout, _scratch)
 
-        go_mat = _scratch("conv_go", (c_out, n * oh * ow), go.dtype)
-        np.copyto(go_mat.reshape(c_out, n, oh, ow), go.transpose(1, 0, 2, 3))
-        if cols is None:
-            xp = _padded_input(x, padding, _scratch)
-            cols = im2col(xp, kh, kw, stride, _scratch("conv_cols", cols_shape, x.dtype))
-        grad_w = (go_mat @ cols.T).reshape(weight.shape)
+        go_mat = _scratch("conv_go", (c_out, cols.shape[1]), go.dtype)
+        go_mat.fill(0)
+        valid = go_mat.reshape(c_out, *layout.output_grid(x.shape[0]))[:, :, : layout.oh, : layout.ow]
+        valid[...] = go.transpose(1, 0, 2, 3)
+        grad_w = (cols @ go_mat.T).T.reshape(weight.shape)
 
         grad_x = None
         if ctx.needs_input_grad[0]:
-            grad_cols = _scratch("conv_gcols", cols_shape, go.dtype)
+            grad_cols = _scratch("conv_gcols", cols.shape, go.dtype)
             np.matmul(weight.reshape(c_out, -1).T, go_mat, out=grad_cols)
-            grad_xp = _scratch("conv_gxp", (n, c_in, h + 2 * padding, w + 2 * padding), go.dtype)
-            grad_xp.fill(0)
-            # col2im: one strided slice-add per kernel offset.
-            rows = grad_cols.reshape(c_in, kh, kw, n, oh, ow)
-            channels_first = grad_xp.transpose(1, 0, 2, 3)
-            for i in range(kh):
-                for j in range(kw):
-                    _offset_view(channels_first, i, j, oh, ow, stride)[...] += rows[:, i, j]
+            grad_grid = layout.grid(x.shape, "conv_ggrid", go.dtype, _scratch)
+            # col2im: one strided add per kernel offset.
+            for positions, rows in _offsets(layout, grad_grid, grad_cols):
+                positions += rows
             # Copied out of the pool: the engine holds the returned gradient
             # while later backward calls reuse the buffer.
-            grad_x = grad_xp[:, :, padding : padding + h, padding : padding + w].copy()
+            grad_x = layout.interior(grad_grid, x.shape).copy()
         grad_b = go.sum(axis=(0, 2, 3)) if has_bias else None
-        return grad_x, grad_w, grad_b, None, None, None
+        return grad_x, grad_w, grad_b, None, None
 
 
 class MaxPool2d(Function):

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.ops_conv import SharedLowering
 from repro.autograd.tensor import Tensor
 from repro.encoding.base import is_time_invariant
 from repro.neurons.factory import build_neuron
@@ -118,12 +117,12 @@ class SpikingCNN(Module):
         self.lif_out = fire()
 
     # ------------------------------------------------------------------ #
-    def step(self, frame: Tensor, shared: Optional[SharedLowering] = None) -> Tensor:
-        """Process one timestep frame of shape ``(N, C, H, W)``; returns output spikes.
+    def step(self, frame: Tensor) -> Tensor:
+        """Process one timestep frame of shape ``(N, C, H, W)``; returns output spikes."""
+        return self._after_conv1(self.conv1(frame))
 
-        ``shared`` is conv1's lowering for a frame repeated at every step.
-        """
-        x = self.conv1(frame, shared)
+    def _after_conv1(self, x: Tensor) -> Tensor:
+        """The rest of a timestep, from conv1's output ``x`` on."""
         x = self.lif1(x)
         x = self.pool1(x)
         x = self.conv2(x)
@@ -138,18 +137,24 @@ class SpikingCNN(Module):
     def forward(self, spike_sequence: Tensor) -> Tensor:
         """Accumulate output spike counts over the whole sequence ``(T, N, ...)``.
 
-        A frame repeated at every step (direct coding) is convolved once
-        (:class:`SharedLowering`), bit-identically to :meth:`step` per frame.
+        A sequence that repeats one frame (direct coding) and needs no
+        input gradient gets one conv1 node, whose read-only output feeds
+        ``lif1`` at every step: the engine sums its ``T`` output gradients,
+        so conv1's backward is one product instead of ``T``.
         """
-        if spike_sequence.ndim != 5:
+        if spike_sequence.ndim != 5 or spike_sequence.shape[0] == 0:
             raise ValueError(
-                f"SpikingCNN expects input of shape (T, N, C, H, W), got {spike_sequence.shape}"
+                "SpikingCNN expects input of shape (T, N, C, H, W) with T >= 1, "
+                f"got {spike_sequence.shape}"
             )
         num_steps = spike_sequence.shape[0]
-        shared = SharedLowering() if is_time_invariant(spike_sequence.data) else None
+        conv1_out: Optional[Tensor] = None
+        if not spike_sequence.requires_grad and is_time_invariant(spike_sequence.data):
+            conv1_out = self.conv1(spike_sequence[0])
+            conv1_out.data.flags.writeable = False
         counts: Optional[Tensor] = None
         for t in range(num_steps):
-            out_spikes = self.step(spike_sequence[t], shared)
+            out_spikes = self.step(spike_sequence[t]) if conv1_out is None else self._after_conv1(conv1_out)
             counts = out_spikes if counts is None else counts + out_spikes
         return counts
 

@@ -55,7 +55,7 @@ CACHE_SCHEMA_VERSION = 2
 #: Bump whenever a code change alters training/evaluation numerics, so that
 #: stale records can never be served for results the current code would not
 #: reproduce.  The suffix names the change that last required a bump.
-TRAINING_CODE_VERSION = "4-kernel-offset-im2col"
+TRAINING_CODE_VERSION = "5-tall-image-conv"
 
 PathLike = Union[str, Path]
 

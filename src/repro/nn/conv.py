@@ -64,13 +64,9 @@ class Conv2d(Module):
         """Spatial output size for an input of size ``(h, w)``."""
         return conv_output_shape(h, w, self.kernel_size, self.stride, self.padding)
 
-    def forward(self, x: Tensor, shared: Optional[ops_conv.SharedLowering] = None) -> Tensor:
-        """Convolve ``x``; ``shared`` is the sequence's lowering when ``x`` repeats every step."""
-        if x.ndim != 4:
-            raise ValueError(f"Conv2d expects NCHW input, got shape {x.shape}")
-        if x.shape[1] != self.in_channels:
-            raise ValueError(f"Conv2d expected {self.in_channels} input channels, got {x.shape[1]}")
-        return ops_conv.Conv2d.apply(x, self.weight, self.bias, self.stride, self.padding, shared)
+    def forward(self, x: Tensor) -> Tensor:
+        """Convolve NCHW ``x``."""
+        return ops_conv.Conv2d.apply(x, self.weight, self.bias, self.stride, self.padding)
 
     def extra_repr(self) -> str:
         return (

@@ -4,7 +4,7 @@ Each kernel is a plain-array analogue of one :mod:`repro.nn` /
 :mod:`repro.neurons` layer, specialised for inference:
 
 * no :class:`~repro.autograd.tensor.Tensor` wrapping and no graph recording,
-* buffers (padded inputs, im2col matrices) cached across timesteps,
+* buffers (tall images, im2col matrices) cached across timesteps,
 * a fast path that skips the weights on silent frames.
 
 Numerical contract: every kernel produces **the same spike-relevant values**
@@ -40,7 +40,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.ops_conv import ScratchPool, conv2d_forward
+from repro.autograd.ops_conv import ScratchPool, TallLayout, conv2d_forward
 from repro.hardware.quantization import QuantizationConfig, quantize_array_int
 
 #: Largest integer magnitude exactly representable in a float32 accumulator.
@@ -187,14 +187,10 @@ class ConvKernel(Kernel):
     def run(self, frame: np.ndarray) -> np.ndarray:
         if self.compute_dtype is not None and frame.dtype != self.compute_dtype:
             frame = frame.astype(self.compute_dtype)
-        if frame.ndim != 4:
-            raise ValueError(f"ConvKernel expects NCHW input, got shape {frame.shape}")
         if frame.any():
             return conv2d_forward(frame, self.weight, self.bias, self.stride, self.padding, self._scratch)
-        n, _, h, w = frame.shape
-        c_out, _, kh, kw = self.weight.shape
-        p, s = self.padding, self.stride
-        out = np.zeros((n, c_out, (h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1), dtype=frame.dtype)
+        layout = TallLayout.of(frame.shape, self.weight.shape, self.stride, self.padding)
+        out = np.zeros((frame.shape[0], self.weight.shape[0], layout.oh, layout.ow), dtype=frame.dtype)
         if self.bias is not None:
             out += self.bias[None, :, None, None]
         return out

@@ -1,10 +1,14 @@
 """Gradient correctness for matmul, linear, convolution and pooling ops."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor, gradcheck
-from repro.autograd.ops_conv import Conv2d, SharedLowering, conv_output_shape, im2col
+from repro.autograd.ops_conv import ScratchPool, TallLayout, conv_output_shape, im2col
+from repro.runtime.kernels import ConvKernel
 
 
 def t(shape, seed=0, scale=1.0):
@@ -98,10 +102,7 @@ class TestConv2d:
         "stride,padding,with_bias",
         [(1, 0, False), (1, 0, True), (1, 1, False), (1, 1, True), (2, 1, True), (2, 0, False)],
     )
-    def test_forward_bit_identical_to_tensordot_reference(self, stride, padding, with_bias):
-        # The kernel-offset lowering must reproduce the original pad +
-        # tensordot forward bit-for-bit, not just approximately (the
-        # backward's contract is in _assert_matches_reference).
+    def test_matches_tall_lowering_and_tensordot_reference(self, stride, padding, with_bias):
         rng = np.random.default_rng(400 + stride * 10 + padding * 2 + with_bias)
         x = rng.standard_normal((2, 3, 7, 7))
         w = rng.standard_normal((4, 3, 3, 3))
@@ -125,65 +126,174 @@ class TestConv2d:
         self._assert_matches_reference(x, w, b, 1, 1, rng)
 
     @staticmethod
-    def _assert_matches_reference(x, w, b, stride, padding, rng):
-        """Check the lowering against the original as_strided/tensordot path.
+    def _op(x, w, b, stride, padding, go):
+        """The autograd op's output and weight, input and bias gradients for ``go``."""
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        bt = None if b is None else Tensor(b, requires_grad=True)
+        out = xt.conv2d(wt, bt, stride, padding)
+        out.backward(go)
+        return out.numpy(), wt.grad, xt.grad, None if bt is None else bt.grad
 
-        The forward must equal tensordot bit for bit.  The backward products
-        use transposed GEMM operands, which some BLAS kernels round
-        differently from tensordot's (OpenBLAS's small-matrix kernels for the
-        weight gradient, its Haswell kernels for the input gradient), so each
-        gradient must equal the *same* product taken on an independently
-        built column matrix exactly -- the lowering and the per-offset col2im
-        are pure data movement -- and the original formulation to rounding.
+    @staticmethod
+    def _tolerance(dtype):
+        return {"rtol": 1e-5, "atol": 1e-4} if dtype == np.float32 else {"rtol": 1e-12, "atol": 1e-12}
+
+    @staticmethod
+    def _tensordot_reference(x, w, b, stride, padding, go):
+        """The original pad + as_strided/tensordot convolution.
+
+        Returns its output and the weight, input and bias gradients for the
+        output gradient ``go``.
         """
         from numpy.lib.stride_tricks import as_strided
 
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         n, c, h, wd = xp.shape
-        c_out, _, kh, kw = w.shape
+        _, _, kh, kw = w.shape
         oh = (h - kh) // stride + 1
         ow = (wd - kw) // stride + 1
         sn, sc, sh, sw = xp.strides
         cols = as_strided(
             xp, shape=(n, c, kh, kw, oh, ow), strides=(sn, sc, sh, sw, sh * stride, sw * stride)
         )
-        ref = np.tensordot(cols, w, axes=([1, 2, 3], [1, 2, 3])).transpose(0, 3, 1, 2)
+        out = np.tensordot(cols, w, axes=([1, 2, 3], [1, 2, 3])).transpose(0, 3, 1, 2)
         if b is not None:
-            ref = ref + b[None, :, None, None]
-        go = rng.standard_normal(ref.shape).astype(x.dtype)
-        tol = {"rtol": 1e-5, "atol": 1e-4} if x.dtype == np.float32 else {"rtol": 1e-12, "atol": 1e-12}
+            out = out + b[None, :, None, None]
+        grad_cols = np.tensordot(go, w, axes=([1], [0]))  # (N, OH, OW, C, KH, KW)
+        grad_xp = np.zeros(xp.shape, dtype=grad_cols.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                grad_xp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += (
+                    grad_cols[..., i, j].transpose(0, 3, 1, 2)
+                )
+        grad_w = np.tensordot(go, cols, axes=([0, 2, 3], [0, 4, 5]))
+        grad_x = grad_xp[:, :, padding : h - padding, padding : wd - padding]
+        grad_b = None if b is None else go.sum(axis=(0, 2, 3))
+        return out, grad_w, grad_x, grad_b
 
-        # (C*KH*KW, N*OH*OW) columns and (C_out, N*OH*OW) output gradient.
-        col_mat = cols.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * oh * ow)
-        go_mat = go.transpose(1, 0, 2, 3).reshape(c_out, n * oh * ow)
+    @staticmethod
+    def _tall_reference(x, kh, kw, stride, padding):
+        """An independently built tall image: ``(cols, valid, scatter)``.
+
+        The grid is filled image by image and each kernel offset gathered
+        by index arithmetic: rows ``W + 2p`` wide and images every
+        ``max(H + p, OH*s)`` rows, both rounded up to the stride.  ``valid``
+        indexes the non-junk columns in ``(n, oy, ox)`` order, and
+        ``scatter(grad_cols)`` adds gradient columns back one kernel offset
+        at a time and returns the ``(N, C, H, W)`` input gradient.
+        """
+        n, c, h, wd = x.shape
+        s, p = stride, padding
+        oh, ow = conv_output_shape(h, wd, (kh, kw), s, p)
+        width = -(-(wd + 2 * p) // s) * s
+        pitch = -(-max(h + p, oh * s) // s) * s
+        grid = np.zeros((c, n * pitch + kh, width), dtype=x.dtype)
+        for img in range(n):
+            grid[:, img * pitch + p : img * pitch + p + h, p : p + wd] = x[img]
+        qy, qx = np.meshgrid(np.arange(n * pitch // s), np.arange(width // s), indexing="ij")
+        reads = (qy * s * width + qx * s).ravel()
+        offsets = [i * width + j for i in range(kh) for j in range(kw)]
+        cols = np.stack([grid.reshape(c, -1)[:, off + reads] for off in offsets], axis=1)
+        img, oy, ox = np.meshgrid(np.arange(n), np.arange(oh), np.arange(ow), indexing="ij")
+        valid = ((img * (pitch // s) + oy) * (width // s) + ox).ravel()
+
+        def scatter(grad_cols):
+            grad_grid = np.zeros(grid.shape, dtype=grad_cols.dtype)
+            flat = grad_grid.reshape(c, -1)
+            for k, off in enumerate(offsets):
+                flat[:, off + reads] += grad_cols.reshape(c, len(offsets), -1)[:, k]
+            images = grad_grid[:, : n * pitch].reshape(c, n, pitch, width)
+            return images[:, :, p : p + h, p : p + wd].transpose(1, 0, 2, 3)
+
+        # C order, as the op's: BLAS may round transposed operands differently.
+        return np.ascontiguousarray(cols.reshape(c * kh * kw, -1)), valid, scatter
+
+    def _assert_matches_reference(self, x, w, b, stride, padding, rng):
+        """Check the lowering against the tall image and the tensordot path.
+
+        The forward and all three gradients must equal the *same* products
+        taken on an independently built tall matrix exactly -- laying out,
+        lowering, scattering and dropping the junk positions is pure data
+        movement -- and the original as_strided/tensordot formulation to
+        dtype tolerance: the longer GEMMs, and the transposed operands of the
+        backward products, round differently on some BLAS kernels.
+        """
+        c_out, c, kh, kw = w.shape
+        out_shape = (x.shape[0], c_out) + conv_output_shape(*x.shape[2:], (kh, kw), stride, padding)
+        go = rng.standard_normal(out_shape).astype(x.dtype)
+        ref_out, ref_grad_w, ref_grad_x, ref_grad_b = self._tensordot_reference(x, w, b, stride, padding, go)
+        tol = self._tolerance(x.dtype)
+
+        cols, valid, scatter = self._tall_reference(x, kh, kw, stride, padding)
+        layout = TallLayout.of(x.shape, w.shape, stride, padding)
+        np.testing.assert_array_equal(im2col(x, layout, ScratchPool()), cols)
         w_mat = w.reshape(c_out, -1)
-        np.testing.assert_array_equal(im2col(xp, kh, kw, stride, np.empty_like(col_mat)), col_mat)
-
-        def col2im(grad_cols):
-            # The original scatter: (N, OH, OW, C, KH, KW) gradient columns,
-            # one slice-add per kernel offset.
-            grad_xp = np.zeros(xp.shape, dtype=x.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    grad_xp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += (
-                        grad_cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-                    )
-            return grad_xp[:, :, padding : h - padding, padding : wd - padding]
-
-        same_product_grad_x = col2im((w_mat.T @ go_mat).T.reshape(n, oh, ow, c, kh, kw))
-        original_grad_x = col2im((go_mat.T @ w_mat).reshape(n, oh, ow, c, kh, kw))
-
-        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        bt = None if b is None else Tensor(b, requires_grad=True)
-        out = xt.conv2d(wt, bt, stride, padding)
-        np.testing.assert_array_equal(out.numpy(), np.ascontiguousarray(ref))
-        out.backward(go)
-        np.testing.assert_array_equal(wt.grad, (go_mat @ col_mat.T).reshape(w.shape))
-        np.testing.assert_allclose(wt.grad, np.tensordot(go, cols, axes=([0, 2, 3], [0, 4, 5])), **tol)
-        np.testing.assert_array_equal(xt.grad, same_product_grad_x)
-        np.testing.assert_allclose(xt.grad, original_grad_x, **tol)
+        same_gemm_out = (cols.T @ w_mat.T)[valid].reshape(ref_out.shape[:1] + ref_out.shape[2:] + (c_out,))
+        same_gemm_out = same_gemm_out.transpose(0, 3, 1, 2)
         if b is not None:
-            np.testing.assert_array_equal(bt.grad, go.sum(axis=(0, 2, 3)))
+            same_gemm_out = same_gemm_out + b[None, :, None, None]
+        go_mat = np.zeros((c_out, cols.shape[1]), dtype=go.dtype)
+        go_mat[:, valid] = go.transpose(1, 0, 2, 3).reshape(c_out, -1)
+
+        out, grad_w, grad_x, grad_b = self._op(x, w, b, stride, padding, go)
+        np.testing.assert_array_equal(out, same_gemm_out)
+        np.testing.assert_allclose(out, ref_out, **tol)
+        np.testing.assert_array_equal(grad_w, (cols @ go_mat.T).T.reshape(w.shape))
+        np.testing.assert_allclose(grad_w, ref_grad_w, **tol)
+        np.testing.assert_array_equal(grad_x, scatter(w_mat.T @ go_mat))
+        np.testing.assert_allclose(grad_x, ref_grad_x, **tol)
+        np.testing.assert_array_equal(grad_b, ref_grad_b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.data(),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.sampled_from([np.float32, np.float64]),
+    )
+    def test_random_geometry_matches_tensordot_reference(self, data, n, c_in, c_out, stride, padding, dtype):
+        # Non-square inputs and kernels, every stride, and padding up to and
+        # past the kernel size: the row width, image pitch and slack rows of
+        # the tall image are right for each.
+        kh = data.draw(st.integers(1, 5), label="kh")
+        kw = data.draw(st.integers(1, 5).filter(lambda k: k != kh), label="kw")
+        h = data.draw(st.integers(max(1, kh - 2 * padding), 12), label="h")
+        wd = data.draw(st.integers(max(1, kw - 2 * padding), 12).filter(lambda v: v != h), label="w")
+        with_bias = data.draw(st.booleans(), label="with_bias")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.standard_normal((n, c_in, h, wd)).astype(dtype)
+        w = rng.standard_normal((c_out, c_in, kh, kw)).astype(dtype)
+        b = rng.standard_normal(c_out).astype(dtype) if with_bias else None
+        out_shape = (n, c_out) + conv_output_shape(h, wd, (kh, kw), stride, padding)
+        go = rng.standard_normal(out_shape).astype(dtype)
+        got = self._op(x, w, b, stride, padding, go)
+        ref = self._tensordot_reference(x, w, b, stride, padding, go)
+        for name, value, expected in zip(("out", "grad_w", "grad_x", "grad_b"), got, ref):
+            if expected is None:
+                assert value is None
+            else:
+                np.testing.assert_allclose(value, expected, err_msg=name, **self._tolerance(dtype))
+
+    @pytest.mark.parametrize("entry", ["autograd", "kernel-active", "kernel-silent"])
+    @pytest.mark.parametrize(
+        "x_shape,w_shape",
+        [((2, 4, 5, 5), (3, 3, 3, 3)), ((2, 3, 2, 2), (3, 3, 3, 3))],
+        ids=["channel-mismatch", "smaller-than-kernel"],
+    )
+    def test_rejects_malformed_input_naming_both_shapes(self, x_shape, w_shape, entry):
+        # One check, reached by the autograd op and by the runtime kernel on
+        # active and silent frames alike.
+        x = np.zeros(x_shape) if entry == "kernel-silent" else np.ones(x_shape)
+        w = np.ones(w_shape)
+        match = rf"{re.escape(str(x_shape))}.*{re.escape(str(w_shape))}"
+        with pytest.raises(ValueError, match=match):
+            if entry == "autograd":
+                Tensor(x).conv2d(Tensor(w), None, 1, 0)
+            else:
+                ConvKernel("conv", w, None).run(x)
 
     def test_input_without_grad_skips_its_gradient(self):
         # The first layer's input is the encoded frame: its gradient would be
@@ -237,43 +347,6 @@ class TestConv2d:
         snapshot = out.copy()
         t((1, 1, 5, 5), 55).conv2d(t((2, 1, 3, 3), 56), None, 1, 1)
         np.testing.assert_array_equal(out, snapshot)
-
-    @pytest.mark.parametrize("input_grad", [False, True])
-    def test_shared_lowering_reuses_one_read_only_output(self, input_grad):
-        # Every step's node returns the first step's output, which no
-        # in-place write can change, and routes its own gradients: to the
-        # weight and bias once per node, and to that node's own input.
-        rng = np.random.default_rng(58)
-        x = rng.random((3, 2, 6, 6)).astype(np.float32)
-        w = Tensor(rng.standard_normal((4, 2, 3, 3)).astype(np.float32), requires_grad=True)
-        b = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
-        gos = [rng.standard_normal((3, 4, 6, 6)).astype(np.float32) for _ in range(3)]
-
-        def run(shared):
-            w.zero_grad()
-            b.zero_grad()
-            frames = [Tensor(x.copy(), requires_grad=input_grad) for _ in gos]
-            outs = [Conv2d.apply(frame, w, b, 1, 1, shared) for frame in frames]
-            sum((out * Tensor(go)).sum() for out, go in zip(outs, gos)).backward()
-            return outs, [frame.grad for frame in frames], w.grad, b.grad
-
-        shared = SharedLowering()
-        outs, input_grads, grad_w, grad_b = run(shared)
-        ref_outs, ref_input_grads, ref_grad_w, ref_grad_b = run(None)
-        assert all(out.data is shared.out for out in outs)
-        assert not shared.out.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            outs[1].data += 1.0
-        np.testing.assert_array_equal(shared.out, ref_outs[0].data)
-        np.testing.assert_array_equal(grad_w, ref_grad_w)
-        np.testing.assert_array_equal(grad_b, ref_grad_b)
-        for got, ref in zip(input_grads, ref_input_grads):
-            if input_grad:
-                np.testing.assert_array_equal(got, ref)
-            else:
-                assert got is None and ref is None
-        if input_grad:
-            assert not np.array_equal(input_grads[0], input_grads[1])
 
 
 class TestPooling:

@@ -31,6 +31,8 @@ class TestSpikingCNN:
         model = self._small()
         with pytest.raises(ValueError):
             model(Tensor(np.zeros((2, 3, 8, 8))))
+        with pytest.raises(ValueError, match="T >= 1"):
+            model(Tensor(np.zeros((0, 2, 3, 8, 8))))
 
     def test_requires_image_size_divisible_by_four(self):
         with pytest.raises(ValueError):
@@ -118,9 +120,12 @@ class TestTimeInvariantInput:
     @pytest.mark.parametrize("mode", ["backward", "backward-input-grad", "no_grad"])
     @pytest.mark.parametrize("variant", ["direct", "one-element", "signed-zero"])
     def test_forward_matches_stepping_frame_by_frame(self, monkeypatch, variant, mode):
-        # Only bit-equal frames share conv1's lowering; -0.0 is not +0.0.
-        # Either way, counts, loss and every gradient equal model.step on
-        # each frame in turn.
+        # Only bit-equal frames that need no input gradient share one conv1
+        # node, whose read-only output lif1 gets at every step; -0.0 is not
+        # +0.0.  Either way, counts, loss and every gradient equal
+        # model.step on each frame in turn -- bit for bit, except conv1's
+        # weight and bias gradients on the shared node, which sum the
+        # output gradients before the product.
         model = SpikingCNN(
             image_size=8, conv_channels=(4, 4), hidden_units=16, threshold=0.5, surrogate_scale=0.5, seed=3
         )
@@ -129,11 +134,15 @@ class TestTimeInvariantInput:
         lowerings = []
         lower = ops_conv.conv2d_forward
         monkeypatch.setattr(ops_conv, "conv2d_forward", lambda *a, **k: lowerings.append(1) or lower(*a, **k))
+        lif1_inputs = []
+        lif1 = model.lif1.forward
+        monkeypatch.setattr(model.lif1, "forward", lambda x: lif1_inputs.append(x) or lif1(x))
 
         def run(forward):
             model.zero_grad()
             model.reset_spiking_state()
             lowerings.clear()
+            lif1_inputs.clear()
             sequence = Tensor(frames, requires_grad=mode == "backward-input-grad")
             with no_grad() if mode == "no_grad" else nullcontext():
                 counts = forward(sequence)
@@ -141,7 +150,7 @@ class TestTimeInvariantInput:
             if mode != "no_grad":
                 loss.backward()
             grads = {name: p.grad for name, p in model.named_parameters()}
-            return counts.data, loss.data, grads, sequence.grad, len(lowerings)
+            return counts.data, loss.data, grads, sequence.grad, len(lowerings), list(lif1_inputs)
 
         def stepped(sequence):
             counts = None
@@ -150,10 +159,13 @@ class TestTimeInvariantInput:
                 counts = out if counts is None else counts + out
             return counts
 
-        counts, loss, grads, input_grad, calls = run(model)
-        ref_counts, ref_loss, ref_grads, ref_input_grad, ref_calls = run(stepped)
+        counts, loss, grads, input_grad, calls, conv1_outs = run(model)
+        ref_counts, ref_loss, ref_grads, ref_input_grad, ref_calls, _ = run(stepped)
+        shared = variant == "direct" and mode != "backward-input-grad"
         assert ref_calls == 2 * self.STEPS
-        assert calls == (self.STEPS + 1 if variant == "direct" else 2 * self.STEPS)
+        assert calls == (self.STEPS + 1 if shared else 2 * self.STEPS)
+        assert len({id(x) for x in conv1_outs}) == (1 if shared else self.STEPS)
+        assert all(x.data.flags.writeable != shared for x in conv1_outs)
         assert counts.sum() > 0
         np.testing.assert_array_equal(counts, ref_counts)
         np.testing.assert_array_equal(loss, ref_loss)
@@ -163,7 +175,10 @@ class TestTimeInvariantInput:
                 assert grad is None and ref_grads[name] is None
             else:
                 assert np.abs(grad).max() > 0, name
-                np.testing.assert_array_equal(grad, ref_grads[name], err_msg=name)
+                if shared and name.startswith("conv1."):
+                    np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-5, atol=1e-6, err_msg=name)
+                else:
+                    np.testing.assert_array_equal(grad, ref_grads[name], err_msg=name)
         if mode == "backward-input-grad":
             assert np.abs(input_grad).max() > 0
             np.testing.assert_array_equal(input_grad, ref_input_grad)
