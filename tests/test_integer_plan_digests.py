@@ -1,0 +1,132 @@
+"""Integer plans pinned to recorded spike trains.
+
+The int8/int16 plans execute exact integer arithmetic on float carriers, so
+their spike trains do not depend on the BLAS kernel family, and any change
+to how a neuron kernel charges, leaks, rounds, fires or resets shows up as
+a different train.  The other integer tests only check replay determinism
+and agreement with the fp64 reference; this one hashes every spiking
+layer's train, the output counts and each neuron kernel's final membrane
+(values, dtype and shape: the membrane pins the carrier each layer picked
+and every rounding, which a one-unit error rarely shows in the trains) and
+compares them with digests recorded from the kernels as they stood.
+
+The grid covers every substrate x every reset x {rate, direct} x two
+(beta, theta) pairs x both integer precisions, for a small CNN and MLP.
+It includes the adaptive neuron at step 0 (its threshold increment rounds
+to zero) and at decay 1 (an unbounded trace), both together, and the
+synaptic neuron at alpha = 1.  Every substrate's state lands on both
+carriers or is forced to float64: IF, alpha = 1 and decay 1 always take
+float64, and beta = 0.95 puts the direct-coded first layers there, the
+int16 CNN's with an integer threshold above 2**24.  Weights are doubled so
+the deeper layers fire.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.core.network import SpikingCNN, SpikingMLP
+from repro.encoding import DirectEncoder, RateEncoder
+from repro.neurons.base import SpikingNeuron
+from repro.runtime import compile_network, default_input_scale
+
+#: Case name -> (substrate, substrate parameters).
+SUBSTRATES = {
+    "lif": ("lif", {}),
+    "if": ("if", {}),
+    "adaptive": ("adaptive", {"adaptation_step": 0.3, "adaptation_decay": 0.8}),
+    "adaptive-step0": ("adaptive", {"adaptation_step": 0.0, "adaptation_decay": 0.8}),
+    "adaptive-decay1": ("adaptive", {"adaptation_step": 0.3, "adaptation_decay": 1.0}),
+    "adaptive-step0-decay1": ("adaptive", {"adaptation_step": 0.0, "adaptation_decay": 1.0}),
+    "synaptic": ("synaptic", {"alpha": 0.6}),
+    "synaptic-alpha1": ("synaptic", {"alpha": 1.0}),
+}
+RESETS = ("subtract", "zero", "none")
+BETA_THETA = ((0.5, 1.0), (0.95, 2.0))
+ENCODERS = ("rate", "direct")
+PRECISIONS = ("int8", "int16")
+NUM_STEPS = 6
+
+#: sha256 (first 16 hex digits) of each (model, case) over the grid above.
+DIGESTS = {
+    ("cnn", "lif"): "2fafb57abfa5c5e1",
+    ("cnn", "if"): "97529025fdcc8027",
+    ("cnn", "adaptive"): "2f0de1e235a003ae",
+    ("cnn", "adaptive-step0"): "2fafb57abfa5c5e1",
+    ("cnn", "adaptive-decay1"): "eb609003a2f63216",
+    ("cnn", "adaptive-step0-decay1"): "31137510ad66d38a",
+    ("cnn", "synaptic"): "50c6163278468926",
+    ("cnn", "synaptic-alpha1"): "38342489e2ddf09f",
+    ("mlp", "lif"): "9280c61cea21ea9d",
+    ("mlp", "if"): "dcd5d02f2d743701",
+    ("mlp", "adaptive"): "499f4dba465fbcbd",
+    ("mlp", "adaptive-step0"): "9280c61cea21ea9d",
+    ("mlp", "adaptive-decay1"): "d8fc1dee3a9e29b6",
+    ("mlp", "adaptive-step0-decay1"): "699f0f546fd481d8",
+    ("mlp", "synaptic"): "c8b1762cff719d63",
+    ("mlp", "synaptic-alpha1"): "dc5b83096faa37f9",
+}
+
+
+def _model(kind: str, case: str, beta: float, threshold: float, reset: str):
+    neuron, params = SUBSTRATES[case]
+    if kind == "cnn":
+        model = SpikingCNN(
+            image_size=8, conv_channels=(3, 4), hidden_units=16, beta=beta,
+            threshold=threshold, seed=7, neuron=neuron, neuron_params=params,
+        )
+    else:
+        model = SpikingMLP(
+            in_features=12, hidden_units=10, num_classes=4, beta=beta,
+            threshold=threshold, seed=3, neuron=neuron, neuron_params=params,
+        )
+    for module in model.modules():
+        if isinstance(module, SpikingNeuron):
+            module.reset_mechanism = reset
+    for param in model.parameters():
+        param.data *= 2.0
+    return model
+
+
+def _update(digest, label: str, array: np.ndarray) -> None:
+    digest.update(f"{label}:{array.dtype.str}:{array.shape}".encode())
+    digest.update(np.ascontiguousarray(array).tobytes())
+
+
+def plan_digest(kind: str, case: str) -> str:
+    """Hash the integer plans' spike trains, counts and membranes over the grid."""
+    images = np.random.default_rng(2024).random(
+        (8, 3, 8, 8) if kind == "cnn" else (8, 12), dtype=np.float32
+    )
+    digest = hashlib.sha256()
+    for reset, (beta, threshold), encoder_name, precision in itertools.product(
+        RESETS, BETA_THETA, ENCODERS, PRECISIONS
+    ):
+        encoder = (
+            RateEncoder(num_steps=NUM_STEPS, seed=11)
+            if encoder_name == "rate"
+            else DirectEncoder(num_steps=NUM_STEPS)
+        )
+        plan = compile_network(
+            _model(kind, case, beta, threshold, reset),
+            precision=precision,
+            input_scale=default_input_scale(encoder),
+        )
+        result = plan.run(encoder(images), collect_spike_trains=True)
+        cell = f"{reset}/{beta}/{threshold}/{encoder_name}/{precision}"
+        for name in sorted(result.spike_trains):
+            _update(digest, f"{cell}/{name}", result.spike_trains[name])
+        _update(digest, f"{cell}/counts", result.counts)
+        for kernel in plan.kernels:
+            if kernel.is_spiking_stage:
+                _update(digest, f"{cell}/{kernel.name}/membrane", kernel.mem)
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind,case", sorted(DIGESTS))
+def test_integer_plans_match_recorded_digest(kind, case):
+    assert plan_digest(kind, case) == DIGESTS[(kind, case)]
