@@ -1,6 +1,6 @@
 """Benchmark E8 — sweep executor: serial vs parallel vs warm cache.
 
-Measures three things on a reduced Figure 2 (beta x theta) grid:
+Measures two things on a reduced Figure 2 (beta x theta) grid:
 
 1. **Parallel speedup** — the same grid trained serially and through the
    fork-based process pool.  Parallelism only helps with spare cores; the
@@ -10,8 +10,6 @@ Measures three things on a reduced Figure 2 (beta x theta) grid:
 2. **Warm-cache re-run** — the whole grid re-run against the populated
    experiment cache must perform *zero* trainings (hard assertion, every
    mode) and return in a fraction of the cold time.
-3. **Fused LIF fast path** — single-config training time with the fused
-   LIF step versus the composed elementwise reference implementation.
 
 Results are printed and recorded both in ``benchmarks/results/measured.json``
 (headline numbers) and as a standalone ``benchmarks/results/BENCH_sweep.json``
@@ -23,17 +21,11 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
-
 from .conftest import RESULTS_DIR, run_once
 from repro.analysis.io import save_json
 from repro.core.beta_theta_sweep import run_beta_theta_sweep
 from repro.core.config import ExperimentConfig, SCALE_PRESETS
-from repro.core.experiment import make_dataset, make_encoder, make_loss, make_model
 from repro.exec import ExperimentCache
-from repro.neurons.lif import LIF
-from repro.training.optim import Adam
-from repro.training.trainer import Trainer
 
 #: Workers used for the parallel leg (the acceptance bar is quoted at 4).
 PARALLEL_WORKERS = 4
@@ -126,89 +118,3 @@ def test_sweep_parallel_and_cache(benchmark, bench_smoke, repro_scale, results_s
     # Warm cache must beat training anywhere.
     assert warm_s < serial_s
 
-
-def _time_training(config: ExperimentConfig, use_fused: bool, epochs: int) -> float:
-    """Wall-clock one training run with the LIF fast path on or off."""
-    train_loader, _ = make_dataset(config)
-    model = make_model(config)
-    for module in model.modules():
-        if isinstance(module, LIF):
-            module.use_fused = use_fused
-    trainer = Trainer(
-        model,
-        make_encoder(config),
-        Adam(model.parameters(), lr=config.learning_rate),
-        loss_fn=make_loss(config),
-    )
-    start = time.perf_counter()
-    trainer.fit(train_loader, epochs=epochs)
-    return time.perf_counter() - start
-
-
-def _time_lif_steps(use_fused: bool, *, shape=(32, 64), steps=6, iters=200) -> float:
-    """Wall-clock the LIF substrate alone: step sequence + BPTT backward."""
-    from repro.autograd import Tensor
-
-    lif = LIF(use_fused=use_fused)
-    rng = np.random.default_rng(0)
-    frames = [Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True) for _ in range(steps)]
-    start = time.perf_counter()
-    for _ in range(iters):
-        lif.reset_state()
-        counts = None
-        for frame in frames:
-            spikes = lif.step(frame)
-            counts = spikes if counts is None else counts + spikes
-        counts.sum().backward()
-        for frame in frames:
-            frame.grad = None
-    return time.perf_counter() - start
-
-
-def test_fused_lif_training_fast_path(benchmark, bench_smoke, repro_scale, results_store):
-    scale = SCALE_PRESETS["smoke"] if bench_smoke else repro_scale
-    epochs = 1 if bench_smoke else 3
-    config = ExperimentConfig(scale=scale)
-    step_iters = 50 if bench_smoke else 300
-
-    def run():
-        # Warm-up pass so allocator/scratch effects do not favour either leg.
-        _time_training(config, use_fused=True, epochs=1)
-        composed_s = _time_training(config, use_fused=False, epochs=epochs)
-        fused_s = _time_training(config, use_fused=True, epochs=epochs)
-        _time_lif_steps(True, iters=10)
-        step_composed_s = _time_lif_steps(False, iters=step_iters)
-        step_fused_s = _time_lif_steps(True, iters=step_iters)
-        return composed_s, fused_s, step_composed_s, step_fused_s
-
-    composed_s, fused_s, step_composed_s, step_fused_s = run_once(benchmark, run)
-    speedup = composed_s / fused_s if fused_s > 0 else float("nan")
-    step_speedup = step_composed_s / step_fused_s if step_fused_s > 0 else float("nan")
-
-    mode = "smoke" if bench_smoke else "full"
-    print()
-    print(f"[fused-lif] scale={scale.name}, epochs={epochs}, mode={mode}")
-    print(f"  end-to-end training:  composed {composed_s:>7.2f}s  fused {fused_s:>7.2f}s  ({speedup:.2f}x)")
-    print(
-        f"  LIF substrate only:   composed {step_composed_s:>7.2f}s  fused {step_fused_s:>7.2f}s  "
-        f"({step_speedup:.2f}x)"
-    )
-
-    results_store.add(
-        "fused_lif_training",
-        f"scale={scale.name}_{mode}",
-        {
-            "composed_seconds": composed_s,
-            "fused_seconds": fused_s,
-            "speedup": speedup,
-            "step_composed_seconds": step_composed_s,
-            "step_fused_seconds": step_fused_s,
-            "step_speedup": step_speedup,
-        },
-    )
-    # The fused path must never be slower end to end, and at the substrate
-    # level (where the convolution cost does not mask it) it must be a clear
-    # win.  Hard bars only arm on full runs; smoke timings are too jittery.
-    if not bench_smoke:
-        assert speedup > 1.0, f"fused LIF step should be faster, got {speedup:.2f}x"
-        assert step_speedup > 1.2, f"expected a clear substrate-level win, got {step_speedup:.2f}x"

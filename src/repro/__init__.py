@@ -12,9 +12,10 @@ with the paper's methodology on top:
 * :mod:`repro.encoding` — rate / latency / delta / direct input encoders.
 * :mod:`repro.training` — losses, Adam/SGD, cosine annealing, BPTT trainer.
 * :mod:`repro.data` — synthetic SVHN-like dataset and data loading.
-* :mod:`repro.runtime` — event-driven sparse inference runtime (fused LIF
-  kernels, sparsity-exploiting conv/linear paths, measured activity
-  reports feeding the hardware models).
+* :mod:`repro.runtime` — event-driven sparse inference runtime (one fused
+  kernel per layer kind at fp32/fp64/int8/int16, sparsity-exploiting
+  conv/linear paths, measured activity reports feeding the hardware
+  models).
 * :mod:`repro.exec` — sweep execution subsystem: process-pool parallel
   experiment runner with deterministic seeding, structured progress, and a
   content-addressed on-disk result cache (CLI: ``python -m repro.exec``).

@@ -8,7 +8,7 @@ backward pass that propagates gradients to every leaf with
 
 The engine supports everything the paper's convolutional spiking network
 needs: elementwise arithmetic, matrix multiplication, 2-D convolution
-(im2col), max/average pooling, reductions, reshaping, concatenation/stacking
+(im2col), max pooling, reductions, reshaping, concatenation/stacking
 over time, and custom functions (used by the surrogate-gradient spike
 operator in :mod:`repro.surrogate`).
 

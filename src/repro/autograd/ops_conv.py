@@ -289,28 +289,3 @@ class MaxPool2d(Function):
             _offset_view(grad, *divmod(phase, kernel), oh, ow, kernel)[...] = np.where(idx == phase, go, 0)
         return grad, None
 
-
-class AvgPool2d(Function):
-    """Non-overlapping average pooling (kernel == stride)."""
-
-    @staticmethod
-    def forward(ctx: Context, x: np.ndarray, kernel: int = 2) -> np.ndarray:
-        n, c, h, w = x.shape
-        oh, ow = h // kernel, w // kernel
-        trimmed = x[:, :, : oh * kernel, : ow * kernel]
-        windows = trimmed.reshape(n, c, oh, kernel, ow, kernel)
-        ctx.save_for_backward(x.shape, kernel)
-        return windows.mean(axis=(3, 5))
-
-    @staticmethod
-    def backward(ctx: Context, grad_output: np.ndarray):
-        x_shape, kernel = ctx.saved
-        n, c, h, w = x_shape
-        oh, ow = h // kernel, w // kernel
-        go = np.asarray(grad_output) / (kernel * kernel)
-        grad_trimmed = np.repeat(np.repeat(go, kernel, axis=2), kernel, axis=3)
-        if oh * kernel == h and ow * kernel == w:
-            return grad_trimmed, None
-        grad = np.zeros(x_shape, dtype=grad_trimmed.dtype)
-        grad[:, :, : oh * kernel, : ow * kernel] = grad_trimmed
-        return grad, None

@@ -83,29 +83,6 @@ class Stack(Function):
         return tuple(np.squeeze(g, axis=axis) for g in grads)
 
 
-class Pad2d(Function):
-    """Zero-pad the trailing two (spatial) dimensions of an NCHW tensor."""
-
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, padding: Tuple[int, int]) -> np.ndarray:
-        ph, pw = padding
-        ctx.save_for_backward(ph, pw, a.shape)
-        if ph == 0 and pw == 0:
-            return a
-        pad_width = [(0, 0)] * (a.ndim - 2) + [(ph, ph), (pw, pw)]
-        return np.pad(a, pad_width)
-
-    @staticmethod
-    def backward(ctx: Context, grad_output: np.ndarray):
-        ph, pw, in_shape = ctx.saved
-        g = np.asarray(grad_output)
-        if ph == 0 and pw == 0:
-            return (g, None)
-        h, w = in_shape[-2], in_shape[-1]
-        slicer = (Ellipsis, slice(ph, ph + h), slice(pw, pw + w))
-        return (g[slicer], None)
-
-
 class Flatten(Function):
     """Flatten all dimensions after the batch dimension."""
 

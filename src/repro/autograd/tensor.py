@@ -359,9 +359,6 @@ class Tensor:
     def max_pool2d(self, kernel: int = 2):
         return ops_conv.MaxPool2d.apply(self, kernel)
 
-    def avg_pool2d(self, kernel: int = 2):
-        return ops_conv.AvgPool2d.apply(self, kernel)
-
     def linear(self, weight: "Tensor", bias: Optional["Tensor"] = None):
         return ops_matmul.Linear.apply(self, weight, bias)
 

@@ -10,6 +10,9 @@ from repro.nn.module import Module
 from repro.surrogate.base import SurrogateFunction
 from repro.surrogate.fast_sigmoid import FastSigmoid
 
+#: Membrane reset rules every spiking substrate accepts.
+RESET_MECHANISMS = ("subtract", "zero", "none")
+
 
 @dataclass
 class NeuronState:
@@ -48,7 +51,7 @@ class SpikingNeuron(Module):
             raise ValueError(f"beta must lie in [0, 1], got {beta}")
         if threshold <= 0.0:
             raise ValueError(f"threshold must be positive, got {threshold}")
-        if reset_mechanism not in ("subtract", "zero", "none"):
+        if reset_mechanism not in RESET_MECHANISMS:
             raise ValueError(f"unknown reset mechanism '{reset_mechanism}'")
         self.beta = float(beta)
         self.threshold = float(threshold)

@@ -9,7 +9,7 @@ SNN needs (convolution, pooling, dense, flatten) plus the usual extras
 from repro.nn.module import Module, Parameter
 from repro.nn.linear import Linear
 from repro.nn.conv import Conv2d
-from repro.nn.pool import MaxPool2d, AvgPool2d
+from repro.nn.pool import MaxPool2d
 from repro.nn.flatten import Flatten
 from repro.nn.dropout import Dropout
 from repro.nn.batchnorm import BatchNorm2d
@@ -22,7 +22,6 @@ __all__ = [
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "Flatten",
     "Dropout",
     "BatchNorm2d",

@@ -1,4 +1,4 @@
-"""Pooling layers (non-overlapping max and average pooling)."""
+"""Pooling layer (non-overlapping max pooling)."""
 
 from __future__ import annotations
 
@@ -23,20 +23,3 @@ class MaxPool2d(Module):
     def extra_repr(self) -> str:
         return f"kernel_size={self.kernel_size}"
 
-
-class AvgPool2d(Module):
-    """Non-overlapping average pooling (kernel == stride)."""
-
-    def __init__(self, kernel_size: int = 2) -> None:
-        super().__init__()
-        if kernel_size <= 0:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = int(kernel_size)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise ValueError(f"AvgPool2d expects NCHW input, got shape {x.shape}")
-        return x.avg_pool2d(self.kernel_size)
-
-    def extra_repr(self) -> str:
-        return f"kernel_size={self.kernel_size}"

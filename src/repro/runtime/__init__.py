@@ -9,11 +9,13 @@ analogue of the sparsity-aware accelerator:
 
 * :func:`compile_network` lowers a trained :class:`SpikingCNN` /
   :class:`SpikingMLP` (or any ``Sequential``-ordered spiking classifier)
-  into a plan of fused kernels (:mod:`repro.runtime.kernels`): the training
-  op's own matmul for dense layers (the bias row alone for a silent frame),
-  convolution through the training op's own im2col lowering on buffers
-  cached across timesteps, and a fused LIF step (charge + threshold + reset
-  in one pass, no graph recording).
+  into a plan of fused kernels (:mod:`repro.runtime.kernels`), one per
+  layer kind: the training op's own matmul for dense layers (the bias row
+  alone for a silent frame), convolution through the training op's own
+  im2col lowering on buffers cached across timesteps, and one neuron
+  kernel for every substrate (its charge, then a shared threshold and
+  reset, no graph recording).  The precision (fp32, fp64, int8, int16)
+  is a kernel argument.
 * :class:`CompiledNetwork.run` executes the timestep loop on raw arrays
   under ``no_grad`` and produces spike trains identical to the dense
   forward.
@@ -49,20 +51,13 @@ from repro.runtime.engine import (
 )
 from repro.runtime.pool import CompiledNetworkPool
 from repro.runtime.kernels import (
-    AdaptiveLIFKernel,
-    AvgPoolKernel,
     ConvKernel,
     FlattenKernel,
-    FusedLIFKernel,
     Kernel,
     LinearKernel,
     MaxPoolKernel,
-    QuantizedAdaptiveLIFKernel,
-    QuantizedConvKernel,
-    QuantizedLIFKernel,
-    QuantizedLinearKernel,
-    QuantizedSynapticLIFKernel,
-    SynapticLIFKernel,
+    NeuronKernel,
+    WeightKernel,
 )
 
 __all__ = [
@@ -86,17 +81,10 @@ __all__ = [
     "resolve_quantization",
     "run_inference",
     "Kernel",
+    "WeightKernel",
     "ConvKernel",
     "LinearKernel",
-    "FusedLIFKernel",
-    "AdaptiveLIFKernel",
-    "SynapticLIFKernel",
+    "NeuronKernel",
     "MaxPoolKernel",
-    "AvgPoolKernel",
     "FlattenKernel",
-    "QuantizedConvKernel",
-    "QuantizedLinearKernel",
-    "QuantizedLIFKernel",
-    "QuantizedAdaptiveLIFKernel",
-    "QuantizedSynapticLIFKernel",
 ]

@@ -23,8 +23,8 @@ Plans compile at one of four precisions (:data:`PRECISIONS`):
 * ``"int8"`` / ``"int16"`` — the quantized execution path: weight kernels
   hold integer lattices with per-tensor scales from
   :mod:`repro.hardware.quantization`, accumulation is exact integer
-  arithmetic, and LIF thresholds/decays operate on the integer grid (see
-  the quantized kernels in :mod:`repro.runtime.kernels`).  Binary spike
+  arithmetic, and neuron thresholds/decays operate on the integer grid
+  (see :class:`~repro.runtime.kernels.NeuronKernel`).  Binary spike
   activations reset the scale between layers, so the only dequantization
   happens at the network output boundary.
 
@@ -47,6 +47,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor, no_grad
 from repro.neurons.adaptive import AdaptiveLIF
 from repro.neurons.base import SpikingNeuron
+from repro.neurons.factory import neuron_descriptor
 from repro.neurons.lif import LIF
 from repro.neurons.synaptic import SynapticLIF
 from repro.nn.conv import Conv2d
@@ -54,25 +55,17 @@ from repro.nn.dropout import Dropout
 from repro.nn.flatten import Flatten
 from repro.nn.linear import Linear
 from repro.nn.module import Module
-from repro.nn.pool import AvgPool2d, MaxPool2d
+from repro.nn.pool import MaxPool2d
 from repro.nn.sequential import Sequential
 from repro.hardware.quantization import QuantizationConfig
 from repro.runtime.activity import RuntimeActivity
 from repro.runtime.kernels import (
-    AdaptiveLIFKernel,
-    AvgPoolKernel,
     ConvKernel,
     FlattenKernel,
-    FusedLIFKernel,
     Kernel,
     LinearKernel,
     MaxPoolKernel,
-    QuantizedAdaptiveLIFKernel,
-    QuantizedConvKernel,
-    QuantizedLIFKernel,
-    QuantizedLinearKernel,
-    QuantizedSynapticLIFKernel,
-    SynapticLIFKernel,
+    NeuronKernel,
 )
 
 #: Supported execution precisions for :func:`compile_network`.
@@ -136,8 +129,8 @@ class _LoweringState:
     ``input_scale`` (integer magnitudes up to ``input_int_max``), each weight
     stage multiplies the scale by its weight scale, and each spiking stage
     collapses it back to binary (scale 1.0).  ``pending_weight`` is the
-    quantized weight kernel whose output the next LIF will threshold — how
-    the LIF learns its grid.
+    weight kernel whose output the next spiking layer will threshold — how
+    an integer plan's neuron learns its grid.
     """
 
     def __init__(self, quantization: Optional[QuantizationConfig], input_scale: float, compute_dtype) -> None:
@@ -152,30 +145,36 @@ class _LoweringState:
         return self.quantization is not None
 
 
-#: Neuron classes with a runtime kernel; a subclass lowers as the first it matches.
-_SUBSTRATES = (AdaptiveLIF, SynapticLIF, LIF)
+#: The neuron class whose dynamics each substrate's kernel implements.
+_SUBSTRATE_CLASSES = {"lif": LIF, "if": LIF, "adaptive": AdaptiveLIF, "synaptic": SynapticLIF}
 
 
-def _check_substrate_dynamics(name: str, module: SpikingNeuron) -> None:
-    """Reject a neuron subclass that redefines the dynamics of its substrate.
+def _substrate(name: str, module: SpikingNeuron) -> Tuple[str, Dict[str, float]]:
+    """Return the ``(substrate, params)`` of a neuron layer the runtime can lower.
 
-    Lowering matches by ``isinstance`` and compiles the substrate's kernel,
-    so a subclass that overrides ``step`` or ``forward`` would silently run
-    its parent's dynamics in the plan.  Subclasses that only change
-    construction (``IF`` fixes ``beta = 1``) lower as their substrate.
+    Lowering keys on :func:`~repro.neurons.factory.neuron_descriptor`, which
+    matches by ``isinstance``, so a subclass that overrides ``step`` or
+    ``forward`` would silently run its parent's dynamics in the plan; it is
+    rejected instead.  Subclasses that only change construction (``IF``
+    fixes ``beta = 1``) lower as their substrate.
     """
-    for substrate in _SUBSTRATES:
-        if isinstance(module, substrate):
-            overridden = [
-                method for method in ("step", "forward")
-                if getattr(type(module), method) is not getattr(substrate, method)
-            ]
-            if overridden:
-                raise RuntimeCompileError(
-                    f"layer '{name}': {type(module).__name__} overrides {' and '.join(overridden)} "
-                    f"of {substrate.__name__}; the runtime only has {substrate.__name__}'s dynamics"
-                )
-            return
+    try:
+        substrate, params = neuron_descriptor(module)
+    except TypeError:
+        raise RuntimeCompileError(
+            f"layer '{name}': {type(module).__name__} neurons are not supported by the "
+            "runtime (supported: LIF, IF, AdaptiveLIF, SynapticLIF)"
+        ) from None
+    base = _SUBSTRATE_CLASSES[substrate]
+    overridden = [
+        method for method in ("step", "forward") if getattr(type(module), method) is not getattr(base, method)
+    ]
+    if overridden:
+        raise RuntimeCompileError(
+            f"layer '{name}': {type(module).__name__} overrides {' and '.join(overridden)} "
+            f"of {base.__name__}; the runtime only has {base.__name__}'s dynamics"
+        )
+    return substrate, params
 
 
 def _lower_module(name: str, module: Module, state: _LoweringState) -> Optional[Kernel]:
@@ -188,97 +187,31 @@ def _lower_module(name: str, module: Module, state: _LoweringState) -> Optional[
                 "scale chain needs a binary re-normalization point)"
             )
         bias = module.bias.data if module.bias is not None else None
+        precision = dict(
+            compute_dtype=state.compute_dtype,
+            quantization=state.quantization,
+            input_scale=state.input_scale,
+            input_int_max=state.input_int_max,
+        )
         if isinstance(module, Conv2d):
-            if state.integer:
-                kernel = QuantizedConvKernel(
-                    name,
-                    module.weight.data,
-                    bias,
-                    state.quantization,
-                    stride=module.stride,
-                    padding=module.padding,
-                    input_scale=state.input_scale,
-                    input_int_max=state.input_int_max,
-                )
-            else:
-                kernel = ConvKernel(
-                    name,
-                    module.weight.data,
-                    bias,
-                    stride=module.stride,
-                    padding=module.padding,
-                    compute_dtype=state.compute_dtype,
-                )
+            kernel = ConvKernel(name, module.weight.data, bias, module.stride, module.padding, **precision)
         else:
-            if state.integer:
-                kernel = QuantizedLinearKernel(
-                    name,
-                    module.weight.data,
-                    bias,
-                    state.quantization,
-                    input_scale=state.input_scale,
-                    input_int_max=state.input_int_max,
-                )
-            else:
-                kernel = LinearKernel(name, module.weight.data, bias, compute_dtype=state.compute_dtype)
-        if state.integer:
-            state.pending_weight = kernel
+            kernel = LinearKernel(name, module.weight.data, bias, **precision)
+        state.pending_weight = kernel
         return kernel
     if isinstance(module, SpikingNeuron):
-        _check_substrate_dynamics(name, module)
-        if isinstance(module, AdaptiveLIF):
-            if state.integer:
-                kernel = QuantizedAdaptiveLIFKernel(
-                    name,
-                    module.beta,
-                    module.threshold,
-                    module.reset_mechanism,
-                    upstream=state.pending_weight,
-                    fallback_scale=state.input_scale,
-                    adaptation_step=module.adaptation_step,
-                    adaptation_decay=module.adaptation_decay,
-                )
-            else:
-                return AdaptiveLIFKernel(
-                    name,
-                    module.beta,
-                    module.threshold,
-                    module.reset_mechanism,
-                    adaptation_step=module.adaptation_step,
-                    adaptation_decay=module.adaptation_decay,
-                )
-        elif isinstance(module, SynapticLIF):
-            if state.integer:
-                kernel = QuantizedSynapticLIFKernel(
-                    name,
-                    module.alpha,
-                    module.beta,
-                    module.threshold,
-                    module.reset_mechanism,
-                    upstream=state.pending_weight,
-                    fallback_scale=state.input_scale,
-                )
-            else:
-                return SynapticLIFKernel(
-                    name, module.alpha, module.beta, module.threshold, module.reset_mechanism
-                )
-        elif isinstance(module, LIF):
-            if state.integer:
-                kernel = QuantizedLIFKernel(
-                    name,
-                    module.beta,
-                    module.threshold,
-                    module.reset_mechanism,
-                    upstream=state.pending_weight,
-                    fallback_scale=state.input_scale,
-                )
-            else:
-                return FusedLIFKernel(name, module.beta, module.threshold, module.reset_mechanism)
-        else:
-            raise RuntimeCompileError(
-                f"layer '{name}': {type(module).__name__} neurons are not supported by the "
-                "runtime (supported: LIF, IF, AdaptiveLIF, SynapticLIF)"
-            )
+        substrate, params = _substrate(name, module)
+        kernel = NeuronKernel(
+            name,
+            substrate,
+            params,
+            module.beta,
+            module.threshold,
+            module.reset_mechanism,
+            integer=state.integer,
+            upstream=state.pending_weight,
+            input_scale=state.input_scale,
+        )
         # Binary spikes leave the layer: the scale chain restarts at 1.
         state.pending_weight = None
         state.input_scale = 1.0
@@ -287,13 +220,6 @@ def _lower_module(name: str, module: Module, state: _LoweringState) -> Optional[
     if isinstance(module, MaxPool2d):
         # Max of same-scale integers is exact — scale chain unaffected.
         return MaxPoolKernel(name, module.kernel_size)
-    if isinstance(module, AvgPool2d):
-        if state.integer:
-            raise RuntimeCompileError(
-                f"layer '{name}': AvgPool2d leaves the integer grid (divides by the "
-                "window size) and has no integer-precision lowering"
-            )
-        return AvgPoolKernel(name, module.kernel_size)
     if isinstance(module, Flatten):
         return FlattenKernel(name)
     if isinstance(module, Dropout):
@@ -519,8 +445,6 @@ class CompiledNetwork:
             for t in range(num_steps):
                 x = spike_sequence[t]
                 for kernel in self.kernels:
-                    if kernel.is_weight_stage and isinstance(kernel, LinearKernel) and x.ndim > 2:
-                        x = x.reshape(x.shape[0], -1)
                     if activity is not None and kernel.is_weight_stage:
                         activity.layer_input_events[kernel.name] = (
                             activity.layer_input_events.get(kernel.name, 0.0)

@@ -1,11 +1,13 @@
 """Fused NumPy kernels for the event-driven inference runtime.
 
-Each kernel is a plain-array analogue of one :mod:`repro.nn` /
-:mod:`repro.neurons` layer, specialised for inference:
-
-* no :class:`~repro.autograd.tensor.Tensor` wrapping and no graph recording,
-* buffers (tall images, im2col matrices) cached across timesteps,
-* a fast path that skips the weights on silent frames.
+One kernel per layer kind, each a plain-array analogue of a
+:mod:`repro.nn` / :mod:`repro.neurons` layer specialised for inference:
+:class:`LinearKernel` and :class:`ConvKernel` (sharing
+:class:`WeightKernel`), :class:`NeuronKernel`, :class:`MaxPoolKernel` and
+:class:`FlattenKernel`.  They record no autograd graph, cache buffers (tall
+images, im2col matrices) across timesteps, and skip the weights on silent
+frames.  The execution precision and the neuron substrate are constructor
+arguments, not classes.
 
 Numerical contract: every kernel produces **the same spike-relevant values**
 as the dense training path.  Convolution runs the autograd op's own forward
@@ -19,29 +21,32 @@ Weight kernels reference the live parameter arrays of the model they were
 compiled from (no copy), so a compiled network tracks in-place weight
 updates such as ``load_state_dict``.  Kernels that execute in a different
 representation — the ``compute_dtype`` float64 reference path and the
-quantized integer kernels — refresh their derived arrays from the live
-source parameters in :meth:`Kernel.prepare`, which the engine calls at the
-start of every run, so the same contract holds for them.
+quantized integer path — refresh their derived arrays from the live source
+parameters in :meth:`Kernel.prepare`, which the engine calls at the start of
+every run, so the same contract holds for them.
 
-Quantized kernels (``Quantized*Kernel``) execute the integer arithmetic of
-the modeled accelerator while *carrying* the integers in float arrays so the
+Integer plans (a weight kernel given a ``quantization``, a neuron kernel
+given ``integer=True``) execute the integer arithmetic of the modeled
+accelerator while *carrying* the integers in float arrays so the
 contraction still runs through BLAS (NumPy integer matmul bypasses BLAS and
-is far slower).  Every carried value is an exact integer: float32 represents
-all integers up to 2**24 and float64 up to 2**53, and each kernel bounds its
-worst-case accumulator magnitude at prepare time (sum of |addends|, valid
-for any summation order BLAS may choose) to pick the narrowest exact
-carrier.  The results are therefore bit-exact integer arithmetic, not an
-approximation of it.
+is far slower).  Every carried value is an exact integer: float32
+represents all integers up to 2**24 and float64 up to 2**53, and each
+kernel bounds its worst-case magnitude at prepare time (sum of |addends|,
+valid for any summation order BLAS may choose; the fixed point of each
+neuron state's decay) to pick the narrowest exact carrier.  The results are
+therefore bit-exact integer arithmetic, not an approximation of it.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.autograd.ops_conv import ScratchPool, TallLayout, conv2d_forward
 from repro.hardware.quantization import QuantizationConfig, quantize_array_int
+from repro.neurons.base import RESET_MECHANISMS
+from repro.neurons.factory import NEURON_TYPES
 
 #: Largest integer magnitude exactly representable in a float32 accumulator.
 _FLOAT32_EXACT = float(2 ** 24)
@@ -77,19 +82,24 @@ class Kernel:
         return f"{type(self).__name__}({self.name})"
 
 
-class LinearKernel(Kernel):
-    """Affine transform ``y = x W^T + b``.
+class WeightKernel(Kernel):
+    """Shared precision handling of the weight kernels.
 
-    A silent frame (no input spikes at all) yields the bias row without
-    touching the weights; any other frame takes one BLAS matmul on the same
-    arrays the autograd op uses, so the kernel equals the autograd op bit
-    for bit.
+    The constructor picks what :meth:`prepare` contracts:
 
-    ``compute_dtype`` selects a reference execution precision: when set
-    (e.g. ``np.float64``), :meth:`prepare` refreshes a cast copy of the live
-    weights and :meth:`run` casts incoming frames, so the whole affine step
-    executes in that dtype.  The default (``None``) is the unchanged live
-    -reference float32 path.
+    * by default, the live parameter arrays themselves (the fp32 plan);
+    * with ``compute_dtype`` (e.g. ``np.float64``), copies cast to it, with
+      every incoming frame cast to match;
+    * with ``quantization``, the weight's int8/int16 lattice from
+      :func:`repro.hardware.quantization.quantize_array_int`.  Inputs arrive
+      as integers scaled by ``input_scale`` (1.0 for binary spikes) with
+      magnitude at most ``input_int_max``; outputs are integers worth
+      ``output_scale`` (weight scale x input scale) each.  ``weight_int``
+      holds the authoritative lattice, ``acc_bound`` the worst-case
+      accumulator magnitude, and ``weight`` / ``bias`` (the bias rounded
+      onto the output grid) the float carrier copies, in the narrowest
+      dtype that keeps every accumulation exact; ``compute_dtype`` becomes
+      that carrier.
     """
 
     is_weight_stage = True
@@ -100,37 +110,85 @@ class LinearKernel(Kernel):
         weight: np.ndarray,
         bias: Optional[np.ndarray],
         compute_dtype=None,
+        quantization: Optional[QuantizationConfig] = None,
+        input_scale: float = 1.0,
+        input_int_max: float = 1.0,
     ) -> None:
         super().__init__(name)
-        self.source_weight = weight  # (out_features, in_features), live reference
-        self.source_bias = bias  # (out_features,) or None
+        self.source_weight = weight  # live reference
+        self.source_bias = bias  # live reference or None
         self.weight = weight  # array actually contracted (refreshed in prepare)
         self.bias = bias
         self.compute_dtype = None if compute_dtype is None else np.dtype(compute_dtype)
-
-    @property
-    def in_features(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_features(self) -> int:
-        return self.weight.shape[0]
+        self.quantization = quantization
+        self.input_scale = float(input_scale)
+        self.input_int_max = float(input_int_max)
+        self.weight_int: Optional[np.ndarray] = None
+        self.output_scale = 1.0
+        self.acc_bound = 0.0
+        self._quantized_from: Optional[tuple] = None
 
     def prepare(self) -> None:
-        if self.compute_dtype is None:
+        if self.quantization is not None:
+            self._requantize()
+        elif self.compute_dtype is None:
             self.weight = self.source_weight
             self.bias = self.source_bias
         else:
             self.weight = self.source_weight.astype(self.compute_dtype)
             self.bias = None if self.source_bias is None else self.source_bias.astype(self.compute_dtype)
 
-    def run(self, frame: np.ndarray) -> np.ndarray:
+    def _requantize(self) -> None:
+        """Refresh the integer arrays when the live source parameters changed.
+
+        Quantization involves a percentile scan, which would otherwise
+        dominate small serving batches, while the byte-equality check
+        against the arrays last quantized is one cheap linear pass.
+        ``load_state_dict`` between runs changes the source arrays and so
+        triggers re-quantization on the next prepare.
+        """
+        src, src_bias = self.source_weight, self.source_bias
+        if self._quantized_from is not None:
+            old, old_bias = self._quantized_from
+            if np.array_equal(src, old) and (src_bias is None or np.array_equal(src_bias, old_bias)):
+                return
+        quantized, scale = quantize_array_int(src, self.quantization)
+        self.weight_int = quantized
+        self.output_scale = float(scale) * self.input_scale
+        abs_rows = np.abs(quantized).astype(np.float64).sum(axis=tuple(range(1, quantized.ndim)))
+        acc_bound = float(abs_rows.max()) * self.input_int_max if abs_rows.size else 0.0
+        bias_int = None
+        if src_bias is not None:
+            bias_int = np.rint(src_bias.astype(np.float64) / self.output_scale)
+            acc_bound += float(np.abs(bias_int).max()) if bias_int.size else 0.0
+        self.acc_bound = acc_bound
+        carrier = np.dtype(np.float32) if acc_bound < _FLOAT32_EXACT else np.dtype(np.float64)
+        self.compute_dtype = carrier
+        self.weight = quantized.astype(carrier)
+        self.bias = None if bias_int is None else bias_int.astype(carrier)
+        self._quantized_from = (src.copy(), None if src_bias is None else src_bias.copy())
+
+    def _cast(self, frame: np.ndarray) -> np.ndarray:
         if self.compute_dtype is not None and frame.dtype != self.compute_dtype:
-            frame = frame.astype(self.compute_dtype)
+            return frame.astype(self.compute_dtype)
+        return frame
+
+
+class LinearKernel(WeightKernel):
+    """Affine transform ``y = x W^T + b`` over the flattened frame.
+
+    A silent frame (no input spikes at all) yields the bias row without
+    touching the weights; any other frame takes one BLAS matmul on the same
+    arrays the autograd op uses, so the fp32 kernel equals the autograd op
+    bit for bit.
+    """
+
+    def run(self, frame: np.ndarray) -> np.ndarray:
+        frame = self._cast(frame)
         if frame.ndim != 2:
             frame = frame.reshape(frame.shape[0], -1)
         if not frame.any():
-            out = np.zeros((frame.shape[0], self.out_features), dtype=frame.dtype)
+            out = np.zeros((frame.shape[0], self.weight.shape[0]), dtype=frame.dtype)
             if self.bias is not None:
                 out += self.bias
             return out
@@ -140,7 +198,7 @@ class LinearKernel(Kernel):
         return out
 
 
-class ConvKernel(Kernel):
+class ConvKernel(WeightKernel):
     """2-D cross-correlation through the autograd op's own forward.
 
     Runs :func:`repro.autograd.ops_conv.conv2d_forward` -- the same im2col
@@ -152,8 +210,6 @@ class ConvKernel(Kernel):
     map and skips the product.
     """
 
-    is_weight_stage = True
-
     def __init__(
         self,
         name: str,
@@ -161,32 +217,18 @@ class ConvKernel(Kernel):
         bias: Optional[np.ndarray],
         stride: int = 1,
         padding: int = 0,
-        compute_dtype=None,
+        **precision,
     ) -> None:
-        super().__init__(name)
-        self.source_weight = weight  # (C_out, C_in, KH, KW), live reference
-        self.source_bias = bias  # (C_out,) or None
-        self.weight = weight  # array actually contracted (refreshed in prepare)
-        self.bias = bias
-        self.compute_dtype = None if compute_dtype is None else np.dtype(compute_dtype)
+        super().__init__(name, weight, bias, **precision)
         self.stride = int(stride)
         self.padding = int(padding)
         self._scratch = ScratchPool()
-
-    def prepare(self) -> None:
-        if self.compute_dtype is None:
-            self.weight = self.source_weight
-            self.bias = self.source_bias
-        else:
-            self.weight = self.source_weight.astype(self.compute_dtype)
-            self.bias = None if self.source_bias is None else self.source_bias.astype(self.compute_dtype)
 
     def reset(self) -> None:
         self._scratch.clear()
 
     def run(self, frame: np.ndarray) -> np.ndarray:
-        if self.compute_dtype is not None and frame.dtype != self.compute_dtype:
-            frame = frame.astype(self.compute_dtype)
+        frame = self._cast(frame)
         if frame.any():
             return conv2d_forward(frame, self.weight, self.bias, self.stride, self.padding, self._scratch)
         layout = TallLayout.of(frame.shape, self.weight.shape, self.stride, self.padding)
@@ -196,146 +238,145 @@ class ConvKernel(Kernel):
         return out
 
 
-class FusedLIFKernel(Kernel):
-    """Fused LIF timestep: charge, threshold, and reset in one pass.
+def _fixed_point_bound(decay: float, drive: float) -> float:
+    """Bound on ``|x|`` under ``x <- decay * x + d`` with ``|d| <= drive``: the fixed point."""
+    return drive / (1.0 - decay) if decay < 1.0 else float("inf")
 
-    Implements the same update as :class:`repro.neurons.lif.LIF` —
-    ``u[t+1] = beta * u[t] + I_syn[t] - s[t] * theta`` with Heaviside spike
-    generation — but in-place on a persistent membrane buffer with no graph
-    recording and no intermediate tensor allocation.
 
-    ``u > theta`` is used directly instead of ``(u - theta) > 0``: the two
-    predicates agree for every float (the rounded difference of floats on
-    opposite sides of the threshold cannot cross zero), so the spike trains
-    match the dense path exactly.
+class NeuronKernel(Kernel):
+    """One spiking layer's timestep: its substrate's charge, then fire and reset.
+
+    ``substrate`` and ``params`` are what
+    :func:`repro.neurons.factory.neuron_descriptor` returns.  The charge:
+
+    * ``lif`` / ``if`` (``beta = 1``): ``u <- beta * u + x``;
+    * ``synaptic``: ``i <- alpha * i + x``, then ``u <- beta * u + i``;
+    * ``adaptive``: ``u <- beta * u + x`` against ``theta + b * a``, with the
+      trace ``a <- rho * a + s`` updated after firing.
+
+    Fire and reset are shared: ``s = u > theta``, then ``u -= s * theta``
+    (subtract; the adaptive threshold for ``adaptive``), ``u *= 1 - s``
+    (zero) or nothing (none).  States persist across timesteps and are
+    dropped on :meth:`reset`.
+
+    Float plans evaluate the dense step's expressions, in its order, in the
+    frame's dtype, so the spike trains match the dense forward bit for bit;
+    e.g. the adaptive comparison centres ``u`` by the computed
+    ``theta_eff - theta`` as :class:`repro.neurons.AdaptiveLIF` does.
+
+    Integer plans (``integer=True``) run on the grid of the upstream weight
+    kernel's ``output_scale`` (``input_scale`` without one): ``theta`` and
+    ``b`` round onto it (``theta`` to at least one step) and every decay is
+    followed by ``np.rint``, so every state is an exact integer.  The states
+    share one carrier: float32 while each decay's fixed point
+    (:func:`_fixed_point_bound`, driven by the upstream ``acc_bound``) stays
+    below 2**24, else float64.  The carrier decides how ``rint(beta * u)``
+    rounds, and the reset's product runs in it, where it equals the masked
+    integer subtraction exactly; on exact integers the adaptive centring
+    equals ``u > theta + b * a``.  Spikes leave as float32, which resets the
+    activation scale to 1.0, so a plan dequantizes only at its output.  The
+    grid is derived in :meth:`prepare`, which the engine calls in execution
+    order, after the upstream kernel's own.
     """
 
     is_spiking_stage = True
 
-    def __init__(self, name: str, beta: float, threshold: float, reset_mechanism: str = "subtract") -> None:
+    def __init__(
+        self,
+        name: str,
+        substrate: str,
+        params: Dict[str, float],
+        beta: float,
+        threshold: float,
+        reset_mechanism: str = "subtract",
+        integer: bool = False,
+        upstream: Optional[WeightKernel] = None,
+        input_scale: float = 1.0,
+    ) -> None:
         super().__init__(name)
-        if reset_mechanism not in ("subtract", "zero", "none"):
+        if substrate not in NEURON_TYPES:
+            raise ValueError(f"unknown neuron substrate '{substrate}' (expected one of {NEURON_TYPES})")
+        if reset_mechanism not in RESET_MECHANISMS:
             raise ValueError(f"unknown reset mechanism '{reset_mechanism}'")
+        self.substrate = substrate
         self.beta = float(beta)
         self.threshold = float(threshold)
         self.reset_mechanism = reset_mechanism
+        self.alpha = float(params["alpha"]) if substrate == "synaptic" else 0.0
+        self.adaptation_step = float(params["adaptation_step"]) if substrate == "adaptive" else 0.0
+        self.adaptation_decay = float(params["adaptation_decay"]) if substrate == "adaptive" else 0.0
+        self.integer = bool(integer)
+        self.upstream = upstream
+        self.input_scale = float(input_scale)
+        # Threshold and adaptation step on the execution grid (integers in
+        # integer plans, set in prepare), and the integer plans' carrier.
+        self.theta = self.threshold
+        self.step = self.adaptation_step
+        self.carrier = np.dtype(np.float64)
         self.mem: Optional[np.ndarray] = None
-
-    def reset(self) -> None:
-        self.mem = None
-
-    def run(self, frame: np.ndarray) -> np.ndarray:
-        if self.mem is None or self.mem.shape != frame.shape:
-            self.mem = np.zeros_like(frame)
-        mem = self.mem
-        mem *= self.beta
-        mem += frame
-        spikes = (mem > self.threshold).astype(frame.dtype)
-        if self.reset_mechanism == "subtract":
-            mem -= spikes * self.threshold
-        elif self.reset_mechanism == "zero":
-            mem *= 1.0 - spikes
-        return spikes
-
-
-class AdaptiveLIFKernel(FusedLIFKernel):
-    """Fused adaptive-threshold LIF step (ALIF) — one pass, two state buffers.
-
-    Mirrors :class:`repro.neurons.adaptive.AdaptiveLIF` exactly: the
-    adaptation trace ``a`` decays by ``adaptation_decay`` and increments per
-    emitted spike, the effective threshold is ``theta + adaptation_step * a``,
-    and the reset subtracts the *effective* threshold.  Bit-identity with the
-    dense path requires replicating its exact float expression order — the
-    dense step centres the membrane by ``theta_eff - theta`` (a computed
-    difference, not ``adaptation_step * a`` directly) before the scalar
-    threshold comparison, so this kernel evaluates the same expressions on
-    the same arrays rather than an algebraic simplification of them.
-
-    State is separated from weights like :class:`FusedLIFKernel`: the
-    membrane and adaptation buffers persist across timesteps, are dropped on
-    :meth:`reset`, and reallocate on a shape change (new batch size).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        beta: float,
-        threshold: float,
-        reset_mechanism: str = "subtract",
-        adaptation_step: float = 0.2,
-        adaptation_decay: float = 0.9,
-    ) -> None:
-        super().__init__(name, beta, threshold, reset_mechanism)
-        self.adaptation_step = float(adaptation_step)
-        self.adaptation_decay = float(adaptation_decay)
-        self.adaptation: Optional[np.ndarray] = None
-
-    def reset(self) -> None:
-        self.mem = None
-        self.adaptation = None
-
-    def run(self, frame: np.ndarray) -> np.ndarray:
-        if self.mem is None or self.mem.shape != frame.shape:
-            self.mem = np.zeros_like(frame)
-            self.adaptation = np.zeros_like(frame)
-        mem = self.mem
-        mem *= self.beta
-        mem += frame
-        # Same expression structure as the dense AdaptiveLIF.step: the
-        # comparison is against the scalar theta after centring by the
-        # computed (theta_eff - theta) difference.
-        theta_eff = self.adaptation * self.adaptation_step + self.threshold
-        centred = mem - (theta_eff - self.threshold)
-        spikes = (centred > self.threshold).astype(frame.dtype)
-        if self.reset_mechanism == "subtract":
-            mem -= spikes * theta_eff
-        elif self.reset_mechanism == "zero":
-            mem *= 1.0 - spikes
-        self.adaptation *= self.adaptation_decay
-        self.adaptation += spikes
-        return spikes
-
-
-class SynapticLIFKernel(FusedLIFKernel):
-    """Fused second-order LIF step: synaptic-current state plus membrane.
-
-    Mirrors :class:`repro.neurons.synaptic.SynapticLIF` —
-    ``i[t+1] = alpha * i[t] + I_in[t]``, ``u[t+1] = beta * u[t] + i[t+1]`` —
-    with the standard threshold/reset of the plain LIF.  Both state arrays
-    persist across timesteps and update in place; the in-place multiply/add
-    sequence is bitwise identical to the dense path's out-of-place chain
-    (identical operands, identical operation order).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        alpha: float,
-        beta: float,
-        threshold: float,
-        reset_mechanism: str = "subtract",
-    ) -> None:
-        super().__init__(name, beta, threshold, reset_mechanism)
-        self.alpha = float(alpha)
         self.syn: Optional[np.ndarray] = None
+        self.trace: Optional[np.ndarray] = None
 
     def reset(self) -> None:
-        self.mem = None
-        self.syn = None
+        self.mem = self.syn = self.trace = None
+
+    def prepare(self) -> None:
+        if not self.integer:
+            return
+        upstream = self.upstream
+        scale = upstream.output_scale if upstream is not None else self.input_scale
+        charge = upstream.acc_bound if upstream is not None else _FLOAT32_EXACT
+        self.theta = max(1.0, float(np.rint(self.threshold / scale)))
+        if self.substrate == "adaptive":
+            self.step = float(np.rint(self.adaptation_step / scale))
+            # The trace's rint adds up to 0.5 per step to its unit drive.
+            theta_bound = self.theta + self.step * _fixed_point_bound(self.adaptation_decay, 1.0 + 0.5)
+            bound = _fixed_point_bound(self.beta, charge + theta_bound)
+        elif self.substrate == "synaptic":
+            syn_bound = _fixed_point_bound(self.alpha, charge + 0.5)
+            bound = _fixed_point_bound(self.beta, syn_bound + self.theta + 0.5)
+        else:
+            bound = _fixed_point_bound(self.beta, charge + self.theta)
+        self.carrier = np.dtype(np.float32) if bound < _FLOAT32_EXACT else np.dtype(np.float64)
+
+    def _decay(self, state: np.ndarray, factor: float) -> None:
+        state *= factor
+        if self.integer:
+            np.rint(state, out=state)
 
     def run(self, frame: np.ndarray) -> np.ndarray:
-        if self.mem is None or self.mem.shape != frame.shape:
-            self.mem = np.zeros_like(frame)
-            self.syn = np.zeros_like(frame)
-        syn = self.syn
-        syn *= self.alpha
-        syn += frame
+        dtype = self.carrier if self.integer else frame.dtype
+        if self.mem is None or self.mem.shape != frame.shape or self.mem.dtype != dtype:
+            self.mem = np.zeros(frame.shape, dtype=dtype)
+            self.syn = np.zeros(frame.shape, dtype=dtype) if self.substrate == "synaptic" else None
+            self.trace = np.zeros(frame.shape, dtype=dtype) if self.substrate == "adaptive" else None
         mem = self.mem
-        mem *= self.beta
-        mem += syn
-        spikes = (mem > self.threshold).astype(frame.dtype)
+        if self.syn is not None:
+            self._decay(self.syn, self.alpha)
+            self.syn += frame
+            frame = self.syn
+        self._decay(mem, self.beta)
+        mem += frame
+        if self.trace is None:
+            spikes = self._fire(mem, self.theta)
+        else:
+            theta_eff = self.trace * self.step + self.theta
+            spikes = self._fire(mem - (theta_eff - self.theta), theta_eff)
+            self._decay(self.trace, self.adaptation_decay)
+            self.trace += spikes
+        return spikes.astype(np.float32, copy=False) if self.integer else spikes
+
+    def _fire(self, centred: np.ndarray, reset_threshold) -> np.ndarray:
+        """Spike where ``centred > theta``, then reset the membrane.
+
+        ``u > theta`` is used directly instead of ``(u - theta) > 0``: the
+        two predicates agree for every float (the rounded difference of
+        floats on opposite sides of the threshold cannot cross zero).
+        """
+        mem = self.mem
+        spikes = (centred > self.theta).astype(mem.dtype)
         if self.reset_mechanism == "subtract":
-            mem -= spikes * self.threshold
+            mem -= spikes * reset_threshold
         elif self.reset_mechanism == "zero":
             mem *= 1.0 - spikes
         return spikes
@@ -366,348 +407,8 @@ class MaxPoolKernel(Kernel):
         return out
 
 
-class AvgPoolKernel(Kernel):
-    """Non-overlapping average pooling (kernel == stride)."""
-
-    def __init__(self, name: str, kernel_size: int) -> None:
-        super().__init__(name)
-        self.kernel_size = int(kernel_size)
-
-    def run(self, frame: np.ndarray) -> np.ndarray:
-        n, c, h, w = frame.shape
-        k = self.kernel_size
-        oh, ow = h // k, w // k
-        windows = frame[:, :, : oh * k, : ow * k].reshape(n, c, oh, k, ow, k)
-        return windows.mean(axis=(3, 5))
-
-
 class FlattenKernel(Kernel):
     """Flatten everything after the batch dimension."""
 
     def run(self, frame: np.ndarray) -> np.ndarray:
         return frame.reshape(frame.shape[0], -1)
-
-
-def _requantize_weight_kernel(kernel, reduce_axes: Tuple[int, ...]) -> None:
-    """Refresh a quantized weight kernel's integer arrays from its live source.
-
-    Re-quantizes only when the source parameters actually changed since the
-    last call (byte-equality against a snapshot): quantization involves a
-    percentile scan, which would otherwise dominate small serving batches,
-    while the equality check is one cheap linear pass.  This preserves the
-    live-tracking contract — ``load_state_dict`` between runs changes the
-    source arrays and triggers re-quantization on the next prepare.
-
-    Derived state set on ``kernel``: ``weight_int`` (authoritative int8/int16
-    lattice), ``weight_scale``, ``output_scale`` (= weight scale x input
-    scale — the physical value of one output unit), ``bias_int`` (bias
-    rounded onto the output grid), ``acc_bound`` (worst-case accumulator
-    magnitude, any summation order), and the float *carrier* arrays
-    ``weight`` / ``bias`` in the narrowest dtype that keeps every
-    accumulation exact (float32 below 2**24, float64 otherwise).
-    """
-    src = kernel.source_weight
-    src_bias = kernel.source_bias
-    if (
-        kernel._quant_weight_snapshot is not None
-        and np.array_equal(src, kernel._quant_weight_snapshot)
-        and (
-            (src_bias is None and kernel._quant_bias_snapshot is None)
-            or (
-                src_bias is not None
-                and kernel._quant_bias_snapshot is not None
-                and np.array_equal(src_bias, kernel._quant_bias_snapshot)
-            )
-        )
-    ):
-        return
-    quantized, scale = quantize_array_int(src, kernel.quantization)
-    kernel.weight_int = quantized
-    kernel.weight_scale = float(scale)
-    kernel.output_scale = float(scale) * kernel.input_scale
-    abs_rows = np.abs(quantized).astype(np.float64).sum(axis=reduce_axes)
-    acc_bound = float(abs_rows.max()) * kernel.input_int_max if abs_rows.size else 0.0
-    if src_bias is not None:
-        bias_int = np.rint(src_bias.astype(np.float64) / kernel.output_scale)
-        acc_bound += float(np.abs(bias_int).max()) if bias_int.size else 0.0
-    else:
-        bias_int = None
-    kernel.bias_int = bias_int
-    kernel.acc_bound = acc_bound
-    carrier = np.dtype(np.float32) if acc_bound < _FLOAT32_EXACT else np.dtype(np.float64)
-    kernel.compute_dtype = carrier  # base run() casts incoming frames to this
-    kernel.weight = quantized.astype(carrier)
-    kernel.bias = None if bias_int is None else bias_int.astype(carrier)
-    kernel._quant_weight_snapshot = src.copy()
-    kernel._quant_bias_snapshot = None if src_bias is None else src_bias.copy()
-
-
-class QuantizedLinearKernel(LinearKernel):
-    """Integer affine transform ``y_int = x_int Q^T + b_int``.
-
-    ``Q`` is the weight's int8/int16 lattice from
-    :func:`repro.hardware.quantization.quantize_array_int`; inputs arrive as
-    integers scaled by ``input_scale`` (1.0 for binary spikes) with magnitude
-    at most ``input_int_max``.  Outputs are integers worth ``output_scale``
-    each.  The integers are carried in a float array sized by the prepare
-    -time accumulator bound so the contraction is both BLAS-fast and exact
-    (see the module docstring); the parent's silent-frame shortcut applies
-    unchanged.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        quantization: QuantizationConfig,
-        input_scale: float = 1.0,
-        input_int_max: float = 1.0,
-        **kwargs,
-    ) -> None:
-        super().__init__(name, weight, bias, **kwargs)
-        self.quantization = quantization
-        self.input_scale = float(input_scale)
-        self.input_int_max = float(input_int_max)
-        self.weight_int: Optional[np.ndarray] = None
-        self.weight_scale = 0.0
-        self.output_scale = 1.0
-        self.bias_int: Optional[np.ndarray] = None
-        self.acc_bound = 0.0
-        self._quant_weight_snapshot: Optional[np.ndarray] = None
-        self._quant_bias_snapshot: Optional[np.ndarray] = None
-
-    def prepare(self) -> None:
-        _requantize_weight_kernel(self, reduce_axes=(1,))
-
-
-class QuantizedConvKernel(ConvKernel):
-    """Integer 2-D cross-correlation; conv analogue of
-    :class:`QuantizedLinearKernel` (same lattice, scales, carrier selection
-    and exactness argument, reduced over the full receptive field)."""
-
-    def __init__(
-        self,
-        name: str,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
-        quantization: QuantizationConfig,
-        stride: int = 1,
-        padding: int = 0,
-        input_scale: float = 1.0,
-        input_int_max: float = 1.0,
-        **kwargs,
-    ) -> None:
-        super().__init__(name, weight, bias, stride=stride, padding=padding, **kwargs)
-        self.quantization = quantization
-        self.input_scale = float(input_scale)
-        self.input_int_max = float(input_int_max)
-        self.weight_int: Optional[np.ndarray] = None
-        self.weight_scale = 0.0
-        self.output_scale = 1.0
-        self.bias_int: Optional[np.ndarray] = None
-        self.acc_bound = 0.0
-        self._quant_weight_snapshot: Optional[np.ndarray] = None
-        self._quant_bias_snapshot: Optional[np.ndarray] = None
-
-    def prepare(self) -> None:
-        _requantize_weight_kernel(self, reduce_axes=(1, 2, 3))
-
-
-class QuantizedLIFKernel(FusedLIFKernel):
-    """LIF step executed entirely on the integer grid of its synaptic input.
-
-    The threshold is rounded onto the grid of the upstream weight kernel's
-    realized ``output_scale`` — ``theta_int = max(1, rint(theta / scale))``,
-    clamping thresholds below half a quantization step to one step — and the
-    leak is applied as an integer decay ``mem <- rint(beta * mem) + I_int``,
-    so the membrane is an exact integer at every step.  Spike generation and
-    reset then mirror the float kernel with ``theta_int`` in place of
-    ``theta``.  Because the upstream scale is only known once live weights
-    are quantized, ``theta_int`` is derived in :meth:`prepare` (the engine
-    prepares kernels in execution order, so the upstream kernel has already
-    refreshed).  Output spikes are binary float32, which resets the
-    activation scale to 1.0 for the next weight stage — the single dequant
-    point of the whole plan is therefore the network output boundary.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        beta: float,
-        threshold: float,
-        reset_mechanism: str = "subtract",
-        upstream: Optional[Kernel] = None,
-        fallback_scale: float = 1.0,
-    ) -> None:
-        super().__init__(name, beta, threshold, reset_mechanism)
-        self.upstream = upstream
-        self.fallback_scale = float(fallback_scale)
-        self.theta_int = 1.0
-        self.realized_input_scale = float(fallback_scale)
-        self.mem_dtype = np.dtype(np.float64)
-
-    def prepare(self) -> None:
-        in_scale = self.upstream.output_scale if self.upstream is not None else self.fallback_scale
-        self.realized_input_scale = float(in_scale)
-        self.theta_int = max(1.0, float(np.rint(self.threshold / in_scale)))
-        charge_bound = self.upstream.acc_bound if self.upstream is not None else _FLOAT32_EXACT
-        if self.beta < 1.0:
-            # Fixed point of |mem| <= beta * |mem| + charge (+ theta slack
-            # around the reset) — conservative for every reset mechanism.
-            mem_bound = (charge_bound + self.theta_int) / (1.0 - self.beta)
-        else:
-            mem_bound = float("inf")
-        self.mem_dtype = np.dtype(np.float32) if mem_bound < _FLOAT32_EXACT else np.dtype(np.float64)
-
-    def run(self, frame: np.ndarray) -> np.ndarray:
-        if self.mem is None or self.mem.shape != frame.shape or self.mem.dtype != self.mem_dtype:
-            self.mem = np.zeros(frame.shape, dtype=self.mem_dtype)
-        mem = self.mem
-        mem *= self.beta
-        np.rint(mem, out=mem)
-        mem += frame
-        spikes = mem > self.theta_int
-        if self.reset_mechanism == "subtract":
-            np.subtract(mem, self.theta_int, out=mem, where=spikes)
-        elif self.reset_mechanism == "zero":
-            mem[spikes] = 0.0
-        return spikes.astype(np.float32)
-
-
-class QuantizedAdaptiveLIFKernel(QuantizedLIFKernel):
-    """Adaptive-threshold LIF on the integer grid of its synaptic input.
-
-    The integer-domain analogue of :class:`AdaptiveLIFKernel`: the base
-    threshold rounds onto the upstream output grid exactly like
-    :class:`QuantizedLIFKernel` (``theta_int``), the per-spike threshold
-    increment rounds onto the same grid (``step_int = rint(adaptation_step /
-    scale)`` — an increment below half a quantization step quantizes to
-    zero, degrading gracefully to the plain quantized LIF), and the
-    adaptation trace holds small integers: ``a <- rint(decay * a) + s``.
-    The membrane update, spike comparison against ``theta_int + step_int *
-    a`` and effective-threshold subtraction are then exact integer
-    arithmetic on float carriers, with accumulator bounds derived in
-    :meth:`prepare` (the trace is bounded by its decay fixed point, which
-    bounds the effective threshold and hence the membrane).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        beta: float,
-        threshold: float,
-        reset_mechanism: str = "subtract",
-        upstream: Optional[Kernel] = None,
-        fallback_scale: float = 1.0,
-        adaptation_step: float = 0.2,
-        adaptation_decay: float = 0.9,
-    ) -> None:
-        super().__init__(name, beta, threshold, reset_mechanism, upstream, fallback_scale)
-        self.adaptation_step = float(adaptation_step)
-        self.adaptation_decay = float(adaptation_decay)
-        self.step_int = 0.0
-        self.adaptation: Optional[np.ndarray] = None
-
-    def reset(self) -> None:
-        self.mem = None
-        self.adaptation = None
-
-    def prepare(self) -> None:
-        super().prepare()
-        self.step_int = float(np.rint(self.adaptation_step / self.realized_input_scale))
-        if self.adaptation_decay < 1.0:
-            # Fixed point of a <- rint(decay * a) + 1 (+0.5 rounding slack).
-            trace_bound = (1.0 + 0.5) / (1.0 - self.adaptation_decay)
-        else:
-            trace_bound = float("inf")
-        theta_bound = self.theta_int + self.step_int * trace_bound
-        charge_bound = self.upstream.acc_bound if self.upstream is not None else _FLOAT32_EXACT
-        if self.beta < 1.0 and theta_bound < float("inf"):
-            mem_bound = (charge_bound + theta_bound) / (1.0 - self.beta)
-        else:
-            mem_bound = float("inf")
-        self.mem_dtype = np.dtype(np.float32) if mem_bound < _FLOAT32_EXACT else np.dtype(np.float64)
-
-    def run(self, frame: np.ndarray) -> np.ndarray:
-        if self.mem is None or self.mem.shape != frame.shape or self.mem.dtype != self.mem_dtype:
-            self.mem = np.zeros(frame.shape, dtype=self.mem_dtype)
-            self.adaptation = np.zeros(frame.shape, dtype=self.mem_dtype)
-        mem = self.mem
-        mem *= self.beta
-        np.rint(mem, out=mem)
-        mem += frame
-        theta_eff = self.adaptation * self.step_int + self.theta_int
-        spikes = mem > theta_eff
-        if self.reset_mechanism == "subtract":
-            np.subtract(mem, theta_eff, out=mem, where=spikes)
-        elif self.reset_mechanism == "zero":
-            mem[spikes] = 0.0
-        trace = self.adaptation
-        trace *= self.adaptation_decay
-        np.rint(trace, out=trace)
-        trace += spikes
-        return spikes.astype(np.float32)
-
-
-class QuantizedSynapticLIFKernel(QuantizedLIFKernel):
-    """Second-order LIF on the integer grid of its synaptic input.
-
-    The integer-domain analogue of :class:`SynapticLIFKernel`: both decays
-    are integer decays (``x <- rint(factor * x)``), so the synaptic current
-    and the membrane stay exact integers at every step.  The synaptic state
-    is bounded by its own decay fixed point, which feeds the membrane's
-    accumulator bound in :meth:`prepare`; ``alpha = 1`` or ``beta = 1``
-    makes the respective state unbounded and forces the float64 carrier.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        alpha: float,
-        beta: float,
-        threshold: float,
-        reset_mechanism: str = "subtract",
-        upstream: Optional[Kernel] = None,
-        fallback_scale: float = 1.0,
-    ) -> None:
-        super().__init__(name, beta, threshold, reset_mechanism, upstream, fallback_scale)
-        self.alpha = float(alpha)
-        self.syn: Optional[np.ndarray] = None
-
-    def reset(self) -> None:
-        self.mem = None
-        self.syn = None
-
-    def prepare(self) -> None:
-        super().prepare()
-        charge_bound = self.upstream.acc_bound if self.upstream is not None else _FLOAT32_EXACT
-        if self.alpha < 1.0:
-            # Fixed point of |syn| <= rint(alpha * |syn|) + charge.
-            syn_bound = (charge_bound + 0.5) / (1.0 - self.alpha)
-        else:
-            syn_bound = float("inf")
-        if self.beta < 1.0 and syn_bound < float("inf"):
-            mem_bound = (syn_bound + self.theta_int + 0.5) / (1.0 - self.beta)
-        else:
-            mem_bound = float("inf")
-        self.mem_dtype = np.dtype(np.float32) if mem_bound < _FLOAT32_EXACT else np.dtype(np.float64)
-
-    def run(self, frame: np.ndarray) -> np.ndarray:
-        if self.mem is None or self.mem.shape != frame.shape or self.mem.dtype != self.mem_dtype:
-            self.mem = np.zeros(frame.shape, dtype=self.mem_dtype)
-            self.syn = np.zeros(frame.shape, dtype=self.mem_dtype)
-        syn = self.syn
-        syn *= self.alpha
-        np.rint(syn, out=syn)
-        syn += frame
-        mem = self.mem
-        mem *= self.beta
-        np.rint(mem, out=mem)
-        mem += syn
-        spikes = mem > self.theta_int
-        if self.reset_mechanism == "subtract":
-            np.subtract(mem, self.theta_int, out=mem, where=spikes)
-        elif self.reset_mechanism == "zero":
-            mem[spikes] = 0.0
-        return spikes.astype(np.float32)

@@ -2,7 +2,7 @@
 
 A checkpoint is one ``.npz`` archive holding every parameter from
 ``model.state_dict()`` plus a JSON header describing how to rebuild the
-model (class, constructor arguments, LIF reset/fast-path flags), the input
+model (class, constructor arguments, the neurons' reset rule), the input
 encoder it was trained with, and free-form caller metadata.  Loading
 reconstructs the model with :func:`~repro.nn.module.Module.load_state_dict`,
 so a reloaded model is *bit-identical* to the saved one: its dense forward,
@@ -30,7 +30,7 @@ import numpy as np
 import repro
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DeltaEncoder, DirectEncoder, Encoder, LatencyEncoder, RateEncoder
-from repro.neurons.base import SpikingNeuron
+from repro.neurons.base import RESET_MECHANISMS, SpikingNeuron
 from repro.neurons.factory import neuron_descriptor
 from repro.nn.module import Module
 from repro.utils import atomic_write
@@ -110,8 +110,9 @@ def model_spec(model: Module) -> Dict[str, Any]:
 
     Captures the constructor arguments — including the spiking substrate
     (``neuron`` + ``neuron_params``, see :mod:`repro.neurons.factory`) —
-    plus the neuron flags the constructors do not take (``reset_mechanism``,
-    ``use_fused``), which are re-applied to every spiking layer on load.
+    plus the neuron setting the constructors do not take
+    (``reset_mechanism``), which is re-applied to every spiking layer on
+    load.
     """
     lifs = _spiking_layers(model)
     if not lifs:
@@ -134,14 +135,12 @@ def model_spec(model: Module) -> Dict[str, Any]:
             and other.beta == lif.beta
             and other.threshold == lif.threshold
             and other.reset_mechanism == lif.reset_mechanism
-            and getattr(other, "use_fused", True) == getattr(lif, "use_fused", True)
             and other.surrogate == lif.surrogate
         )
         if not same:
             raise CheckpointError(
                 f"cannot checkpoint {type(model).__name__}: spiking layer {i} differs from "
-                "layer 0 (substrate/beta/threshold/reset/surrogate/use_fused must match "
-                "across layers)"
+                "layer 0 (substrate/beta/threshold/reset/surrogate must match across layers)"
             )
     surrogate = lif.surrogate
     common = {
@@ -174,12 +173,7 @@ def model_spec(model: Module) -> Dict[str, Any]:
         raise CheckpointError(
             f"cannot checkpoint {type(model).__name__}; supported: SpikingCNN, SpikingMLP"
         )
-    return {
-        "class": cls_name,
-        "kwargs": kwargs,
-        "reset_mechanism": lif.reset_mechanism,
-        "use_fused": bool(getattr(lif, "use_fused", True)),
-    }
+    return {"class": cls_name, "kwargs": kwargs, "reset_mechanism": lif.reset_mechanism}
 
 
 def build_model(spec: Dict[str, Any]) -> Module:
@@ -187,20 +181,26 @@ def build_model(spec: Dict[str, Any]) -> Module:
 
     Checkpoints written before the substrate field existed carry no
     ``neuron`` key in their kwargs; the constructors' ``neuron="lif"``
-    default makes those load to exactly the model they saved.
+    default makes those load to exactly the model they saved.  Older
+    headers also carry a ``use_fused`` flag, which is ignored: every LIF
+    step runs the fused kernel, whose results the composed one matched bit
+    for bit.
     """
     classes = {"SpikingCNN": SpikingCNN, "SpikingMLP": SpikingMLP}
     cls = classes.get(spec.get("class"))
     if cls is None:
         raise CheckpointError(f"unknown model class '{spec.get('class')}' in checkpoint")
+    reset = spec.get("reset_mechanism", "subtract")
+    if reset not in RESET_MECHANISMS:
+        raise CheckpointError(
+            f"unknown reset_mechanism {reset!r} in checkpoint; supported: {RESET_MECHANISMS}"
+        )
     kwargs = dict(spec.get("kwargs", {}))
     if "conv_channels" in kwargs:
         kwargs["conv_channels"] = tuple(kwargs["conv_channels"])
     model = cls(**kwargs)
     for lif in _spiking_layers(model):
-        lif.reset_mechanism = spec.get("reset_mechanism", lif.reset_mechanism)
-        if hasattr(lif, "use_fused"):
-            lif.use_fused = bool(spec.get("use_fused", lif.use_fused))
+        lif.reset_mechanism = reset
     return model
 
 

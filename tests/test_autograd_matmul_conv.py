@@ -407,16 +407,6 @@ class TestPooling:
         out.backward(go)
         np.testing.assert_array_equal(xt.grad, ref_grad)
 
-    def test_avgpool_forward(self):
-        x = Tensor(np.ones((1, 1, 4, 4)) * 2.0)
-        out = x.avg_pool2d(2)
-        assert out.shape == (1, 1, 2, 2)
-        assert np.allclose(out.numpy(), 2.0)
-
-    def test_avgpool_gradcheck(self):
-        x = t((1, 2, 4, 4), 51)
-        assert gradcheck(lambda a: a.avg_pool2d(2), [x])
-
     def test_pool_trims_odd_sizes(self):
         x = Tensor(np.ones((1, 1, 5, 5)), requires_grad=True)
         out = x.max_pool2d(2)

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEncoder
-from repro.neurons.lif import LIF
 from repro.runtime import compile_network
 from repro.training.checkpoint import (
+    _HEADER_KEY,
     CheckpointError,
     build_encoder,
     encoder_spec,
@@ -26,9 +28,9 @@ ENCODER_CLASSES = {
 }
 
 
-def _make_model(kind: str, use_fused: bool):
+def _make_model(kind: str):
     if kind == "cnn":
-        model = SpikingCNN(
+        return SpikingCNN(
             image_size=8,
             conv_channels=(3, 4),
             hidden_units=16,
@@ -38,14 +40,19 @@ def _make_model(kind: str, use_fused: bool):
             surrogate_scale=2.0,
             seed=7,
         )
-    else:
-        model = SpikingMLP(
-            in_features=12, hidden_units=10, num_classes=4, beta=0.3, threshold=0.9, seed=3
-        )
-    for module in model.modules():
-        if isinstance(module, LIF):
-            module.use_fused = use_fused
-    return model
+    return SpikingMLP(
+        in_features=12, hidden_units=10, num_classes=4, beta=0.3, threshold=0.9, seed=3
+    )
+
+
+def _rewrite_header(path, **model_fields) -> None:
+    """Overwrite fields of a saved checkpoint's model spec in place."""
+    with np.load(path, allow_pickle=False) as archive:
+        members = {key: archive[key] for key in archive.files}
+    header = json.loads(str(members[_HEADER_KEY][()]))
+    header["model"].update(model_fields)
+    members[_HEADER_KEY] = json.dumps(header, sort_keys=True)
+    np.savez(path, **members)
 
 
 def _images(kind: str, rng: np.random.Generator) -> np.ndarray:
@@ -56,9 +63,8 @@ def _images(kind: str, rng: np.random.Generator) -> np.ndarray:
 
 @pytest.mark.parametrize("kind", ["cnn", "mlp"])
 @pytest.mark.parametrize("encoder_name", sorted(ENCODER_CLASSES))
-@pytest.mark.parametrize("use_fused", [True, False], ids=["fused", "composed"])
-def test_round_trip_predictions_bit_identical(tmp_path, rng, kind, encoder_name, use_fused):
-    model = _make_model(kind, use_fused)
+def test_round_trip_predictions_bit_identical(tmp_path, rng, kind, encoder_name):
+    model = _make_model(kind)
     encoder = ENCODER_CLASSES[encoder_name](num_steps=4, seed=11)
     path = save_checkpoint(tmp_path / "model.npz", model, encoder, metadata={"kind": kind})
 
@@ -87,14 +93,34 @@ def test_round_trip_predictions_bit_identical(tmp_path, rng, kind, encoder_name,
     runtime_counts = compile_network(loaded_model).run(spikes, record_activity=False).counts
     np.testing.assert_array_equal(runtime_counts, dense_counts)
 
-    # LIF flags survive the round-trip.
-    for module in loaded_model.modules():
-        if isinstance(module, LIF):
-            assert module.use_fused is use_fused
+
+@pytest.mark.parametrize("kind", ["cnn", "mlp"])
+def test_legacy_use_fused_flag_is_ignored(tmp_path, rng, kind):
+    """Older headers carry ``use_fused``; such a checkpoint still predicts bit-identically."""
+    model = _make_model(kind)
+    path = save_checkpoint(tmp_path / "legacy.npz", model, RateEncoder(num_steps=4, seed=11))
+    _rewrite_header(path, use_fused=False)
+    loaded_model, loaded_encoder, _ = load_checkpoint(path)
+
+    spikes = loaded_encoder(_images(kind, rng))
+    model.eval()
+    model.reset_spiking_state()
+    loaded_model.reset_spiking_state()
+    dense_counts = model.forward(Tensor(spikes)).numpy()
+    np.testing.assert_array_equal(loaded_model.forward(Tensor(spikes)).numpy(), dense_counts)
+    runtime_counts = compile_network(loaded_model).run(spikes, record_activity=False).counts
+    np.testing.assert_array_equal(runtime_counts, dense_counts)
+
+
+def test_unknown_reset_mechanism_rejected_at_load(tmp_path):
+    path = save_checkpoint(tmp_path / "tampered.npz", _make_model("mlp"))
+    _rewrite_header(path, reset_mechanism="bogus")
+    with pytest.raises(CheckpointError, match=r"'bogus'.*'subtract', 'zero', 'none'"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_without_encoder(tmp_path):
-    model = _make_model("mlp", use_fused=True)
+    model = _make_model("mlp")
     path = save_checkpoint(tmp_path / "bare.npz", model)
     loaded_model, loaded_encoder, metadata = load_checkpoint(path)
     assert loaded_encoder is None
@@ -129,7 +155,7 @@ def test_corrupt_header_rejected(tmp_path):
 
 def test_loaded_model_usable_for_further_training(tmp_path, rng):
     """A reloaded model has real Parameters: gradients flow after load."""
-    model = _make_model("mlp", use_fused=True)
+    model = _make_model("mlp")
     path = save_checkpoint(tmp_path / "model.npz", model)
     loaded, _, _ = load_checkpoint(path)
     loaded.train()
@@ -141,7 +167,7 @@ def test_loaded_model_usable_for_further_training(tmp_path, rng):
 
 def test_heterogeneous_lif_settings_rejected(tmp_path):
     """Per-layer mutated LIF settings must fail loudly, not round-trip silently."""
-    model = _make_model("mlp", use_fused=True)
+    model = _make_model("mlp")
     model.lif_out.reset_mechanism = "zero"
     with pytest.raises(CheckpointError, match="differs from"):
         save_checkpoint(tmp_path / "hetero.npz", model)

@@ -1,11 +1,12 @@
 """Fused LIF training step vs. the composed elementwise implementation.
 
 The fused step (:func:`repro.autograd.ops_spiking.fused_lif_step`) must be a
-drop-in replacement for the original chain of ``Mul``/``Add``/``Spike``/
-``Sub`` ops: identical spikes, identical membrane trajectory, and
-**bit-for-bit identical gradients** for every surrogate, reset mechanism and
-``beta``/``theta`` combination — that is what makes it safe to route every
-training run (and therefore every cached sweep record) through it.
+drop-in replacement for the chain of ``Mul``/``Add``/``Spike``/``Sub`` ops
+in :func:`composed_step`, the oracle kept here: identical spikes, identical
+membrane trajectory, and **bit-for-bit identical gradients** for every
+surrogate, reset mechanism and ``beta``/``theta`` combination — that is what
+makes it safe to route every training run (and therefore every cached sweep
+record) through it.
 """
 
 from __future__ import annotations
@@ -15,14 +16,31 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.autograd.ops_spiking import fused_lif_step
+from repro.autograd.tensor import zeros
 from repro.neurons.lif import LIF
+from repro.surrogate.base import spike
 from repro.surrogate.registry import get_surrogate
 
 SURROGATES = ["fast_sigmoid", "arctan", "triangular", "piecewise_linear", "sigmoid"]
 RESETS = ["subtract", "zero", "none"]
 
 
-def _run_sequence(use_fused: bool, *, reset: str, surrogate: str, scale: float,
+def composed_step(lif: LIF, synaptic_input: Tensor) -> Tensor:
+    """One LIF step built from individual elementwise autograd ops."""
+    if lif.state.mem is None or lif.state.mem.shape != synaptic_input.shape:
+        lif.state.mem = zeros(synaptic_input.shape, dtype=synaptic_input.dtype)
+    mem = lif.state.mem * lif.beta + synaptic_input
+    spikes = spike(mem, lif.threshold, lif.surrogate)
+    if lif.reset_mechanism == "subtract":
+        mem = mem - spikes.detach() * lif.threshold
+    elif lif.reset_mechanism == "zero":
+        mem = mem * (1.0 - spikes.detach())
+    # "none": leave the membrane as is.
+    lif.state.mem = mem
+    return spikes
+
+
+def _run_sequence(fused: bool, *, reset: str, surrogate: str, scale: float,
                   beta: float, threshold: float, dtype=np.float32, steps: int = 6):
     """Drive one LIF layer over a BPTT sequence and return grads + outputs."""
     rng = np.random.default_rng(42)
@@ -31,13 +49,12 @@ def _run_sequence(use_fused: bool, *, reset: str, surrogate: str, scale: float,
         threshold=threshold,
         surrogate=get_surrogate(surrogate, scale),
         reset_mechanism=reset,
-        use_fused=use_fused,
     )
     inputs = [Tensor(rng.standard_normal((3, 4)).astype(dtype), requires_grad=True) for _ in range(steps)]
     counts = None
     total_spikes = 0.0
     for frame in inputs:
-        spikes = lif.step(frame)
+        spikes = lif.step(frame) if fused else composed_step(lif, frame)
         total_spikes += float(spikes.data.sum())
         counts = spikes if counts is None else counts + spikes
     # Non-uniform upstream gradient so the surrogate backward is exercised
@@ -103,12 +120,6 @@ def test_fused_rejects_unknown_reset():
     zeros = Tensor(np.zeros((1, 1)))
     with pytest.raises(ValueError, match="reset"):
         fused_lif_step(zeros, zeros, 0.5, 1.0, surrogate, "bogus")
-
-
-def test_fused_is_default_and_toggleable():
-    lif = LIF()
-    assert lif.use_fused
-    assert LIF(use_fused=False).use_fused is False
 
 
 def test_fused_no_graph_under_no_grad():

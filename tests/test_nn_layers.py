@@ -5,7 +5,6 @@ import pytest
 
 from repro.autograd import Tensor, gradcheck
 from repro.nn import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,
@@ -136,10 +135,6 @@ class TestConvPoolLayers:
         out = MaxPool2d(2)(Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)))
         assert out.shape == (1, 1, 2, 2)
         assert out.numpy()[0, 0, 1, 1] == 15.0
-
-    def test_avgpool_layer(self):
-        out = AvgPool2d(2)(Tensor(np.ones((1, 2, 4, 4))))
-        assert np.allclose(out.numpy(), 1.0)
 
     def test_pool_rejects_non_4d(self):
         with pytest.raises(ValueError):

@@ -19,10 +19,11 @@ from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEnco
 from repro.hardware.quantization import QuantizationConfig
 from repro.runtime import (
     AccuracyGateError,
-    QuantizedConvKernel,
-    QuantizedLIFKernel,
-    QuantizedLinearKernel,
+    ConvKernel,
+    LinearKernel,
+    NeuronKernel,
     RuntimeCompileError,
+    WeightKernel,
     check_accuracy_delta,
     compile_network,
     default_input_scale,
@@ -70,9 +71,14 @@ class TestQuantizedPlans:
     def test_lowering_produces_quantized_kernels(self, precision):
         plan = compile_network(_make_model("cnn"), precision=precision)
         kinds = [type(k) for k in plan.kernels]
-        assert QuantizedConvKernel in kinds
-        assert QuantizedLinearKernel in kinds
-        assert QuantizedLIFKernel in kinds
+        assert ConvKernel in kinds
+        assert LinearKernel in kinds
+        assert NeuronKernel in kinds
+        for kernel in plan.kernels:
+            if isinstance(kernel, WeightKernel):
+                assert kernel.quantization is not None
+            if isinstance(kernel, NeuronKernel):
+                assert kernel.integer and kernel.substrate == "lif"
         assert plan.precision == precision
         assert plan.weight_bits == {"int8": 8, "int16": 16}[precision]
 
@@ -81,7 +87,7 @@ class TestQuantizedPlans:
         plan = compile_network(_make_model("mlp"), precision=precision)
         plan.run(ENCODER_CLASSES["rate"](num_steps=2, seed=0)(_images("mlp", rng, 2)))
         for kernel in plan.kernels:
-            if isinstance(kernel, (QuantizedLinearKernel, QuantizedConvKernel)):
+            if isinstance(kernel, WeightKernel):
                 assert kernel.weight_int is not None
                 assert kernel.weight_int.dtype == STORAGE_DTYPES[precision]
                 assert kernel.output_scale > 0.0

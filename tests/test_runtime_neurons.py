@@ -23,11 +23,8 @@ from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEnco
 from repro.neurons import IF, AdaptiveLIF, LIF, SynapticLIF, neuron_descriptor
 from repro.neurons.base import SpikingNeuron
 from repro.runtime import (
-    AdaptiveLIFKernel,
-    QuantizedAdaptiveLIFKernel,
-    QuantizedSynapticLIFKernel,
+    NeuronKernel,
     RuntimeCompileError,
-    SynapticLIFKernel,
     compile_network,
     default_input_scale,
 )
@@ -128,13 +125,13 @@ class TestSubstrateMatrix:
     def test_adaptive_lowering_uses_fused_adaptive_kernels(self, kind):
         plan = compile_network(_make_model(kind, "adaptive"))
         spiking = [k for k in plan.kernels if k.is_spiking_stage]
-        assert spiking and all(type(k) is AdaptiveLIFKernel for k in spiking)
+        assert spiking and all(type(k) is NeuronKernel and k.substrate == "adaptive" for k in spiking)
 
     @pytest.mark.parametrize("kind", ["cnn", "mlp"])
     def test_synaptic_lowering_uses_fused_synaptic_kernels(self, kind):
         plan = compile_network(_make_model(kind, "synaptic"))
         spiking = [k for k in plan.kernels if k.is_spiking_stage]
-        assert spiking and all(type(k) is SynapticLIFKernel for k in spiking)
+        assert spiking and all(type(k) is NeuronKernel and k.substrate == "synaptic" for k in spiking)
 
     @pytest.mark.parametrize("reset", ["subtract", "zero", "none"])
     @pytest.mark.parametrize("neuron", ["adaptive", "synaptic"])
@@ -226,11 +223,10 @@ class TestQuantizedSubstrates:
         quantized = compile_network(
             _make_model(kind, neuron), precision=precision, input_scale=input_scale
         )
-        expected_kernel = (
-            QuantizedAdaptiveLIFKernel if neuron == "adaptive" else QuantizedSynapticLIFKernel
-        )
         spiking = [k for k in quantized.kernels if k.is_spiking_stage]
-        assert spiking and all(type(k) is expected_kernel for k in spiking)
+        assert spiking and all(
+            type(k) is NeuronKernel and k.substrate == neuron and k.integer for k in spiking
+        )
 
         ref = reference.run(spikes, record_activity=False)
         out = quantized.run(spikes, record_activity=False)
