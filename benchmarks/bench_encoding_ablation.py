@@ -10,7 +10,7 @@ quantifying how much of the firing-rate budget the encoder choice controls.
 from __future__ import annotations
 
 from repro.core.config import ExperimentConfig
-from repro.core.encoding_ablation import run_encoding_ablation
+from repro.core.sweeps import format_encoding_ablation, run_encoding_ablation
 
 from .conftest import run_once
 
@@ -23,20 +23,20 @@ def test_encoding_ablation(benchmark, repro_scale, results_store):
     def run():
         return run_encoding_ablation(encoders=BENCH_ENCODERS, base_config=base_config)
 
-    result = run_once(benchmark, run)
+    sweep = run_once(benchmark, run)
 
     print()
     print(f"[encoding ablation] repro scale: {repro_scale.name}")
-    print(result.format())
+    print(format_encoding_ablation(sweep))
 
     metrics = {}
-    for encoder, record in result.records.items():
+    for (encoder,), record in sweep.records.items():
         metrics[f"{encoder}_accuracy"] = record.accuracy
         metrics[f"{encoder}_firing_rate"] = record.hardware.firing_rate
         metrics[f"{encoder}_fps_per_watt"] = record.hardware.fps_per_watt
     results_store.add("encoding_ablation", f"scale={repro_scale.name}", metrics)
 
-    rows = result.rows()
+    rows = sweep.rows()
     assert len(rows) == len(BENCH_ENCODERS)
     # Latency (single-spike) coding must produce the sparsest input-driven
     # activity of the compared encoders.

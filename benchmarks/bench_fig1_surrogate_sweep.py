@@ -17,8 +17,11 @@ Paper observations this bench checks (shape, not absolute values):
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import ExperimentConfig
-from repro.core.surrogate_sweep import format_figure1, run_surrogate_sweep
+from repro.core.sweeps import efficiency_advantage, format_figure1, run_surrogate_sweep
+from repro.hardware.prior_work import PRIOR_WORK_REFERENCE
 
 from .conftest import run_once
 
@@ -34,32 +37,35 @@ def test_figure1_surrogate_scale_sweep(benchmark, repro_scale, results_store):
     def run():
         return run_surrogate_sweep(scales=BENCH_SCALES, base_config=base_config)
 
-    result = run_once(benchmark, run)
+    sweep = run_once(benchmark, run)
 
     print()
     print(f"[figure1] repro scale: {repro_scale.name}")
-    print(format_figure1(result))
+    print(format_figure1(sweep))
+
+    def mean(name, surrogate):
+        return float(np.mean(sweep.metric(name, surrogate=surrogate)))
 
     # Record headline numbers for EXPERIMENTS.md.
     results_store.add(
         "figure1",
         f"scale={repro_scale.name}",
         {
-            "fast_sigmoid_mean_firing_rate": result.mean_firing_rate("fast_sigmoid"),
-            "arctan_mean_firing_rate": result.mean_firing_rate("arctan"),
-            "fast_sigmoid_mean_fps_per_watt": result.mean_efficiency("fast_sigmoid"),
-            "arctan_mean_fps_per_watt": result.mean_efficiency("arctan"),
-            "efficiency_advantage_fast_vs_arctan": result.efficiency_advantage(),
-            "fast_sigmoid_best_accuracy": result.best_accuracy("fast_sigmoid"),
-            "arctan_best_accuracy": result.best_accuracy("arctan"),
-            "prior_work_accuracy_line": result.prior_work_accuracy,
+            "fast_sigmoid_mean_firing_rate": mean("firing_rate", "fast_sigmoid"),
+            "arctan_mean_firing_rate": mean("firing_rate", "arctan"),
+            "fast_sigmoid_mean_fps_per_watt": mean("fps_per_watt", "fast_sigmoid"),
+            "arctan_mean_fps_per_watt": mean("fps_per_watt", "arctan"),
+            "efficiency_advantage_fast_vs_arctan": efficiency_advantage(sweep),
+            "fast_sigmoid_best_accuracy": max(sweep.metric("accuracy", surrogate="fast_sigmoid")),
+            "arctan_best_accuracy": max(sweep.metric("accuracy", surrogate="arctan")),
+            "prior_work_accuracy_line": PRIOR_WORK_REFERENCE.accuracy,
         },
     )
 
     # Shape checks mirroring the paper's qualitative claims.
-    assert result.mean_firing_rate("fast_sigmoid") > 0
-    assert result.efficiency_advantage() > 0
+    assert mean("firing_rate", "fast_sigmoid") > 0
+    assert efficiency_advantage(sweep) > 0
     for surrogate in ("arctan", "fast_sigmoid"):
-        accuracies = result.accuracy_series(surrogate)
+        accuracies = sweep.metric("accuracy", surrogate=surrogate)
         # Accuracy at the largest scale should not beat the best swept point.
         assert accuracies[-1] <= max(accuracies) + 1e-9

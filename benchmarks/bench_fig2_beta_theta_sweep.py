@@ -9,8 +9,8 @@ latency for a 2.88% accuracy loss versus the best-accuracy configuration.
 
 from __future__ import annotations
 
-from repro.core.beta_theta_sweep import format_figure2, run_beta_theta_sweep
 from repro.core.config import ExperimentConfig
+from repro.core.sweeps import format_figure2, run_beta_theta_sweep
 
 from .conftest import run_once
 
@@ -32,33 +32,33 @@ def test_figure2_beta_theta_cross_sweep(benchmark, repro_scale, results_store):
     def run():
         return run_beta_theta_sweep(betas=BENCH_BETAS, thetas=BENCH_THETAS, base_config=base_config)
 
-    result = run_once(benchmark, run)
+    sweep = run_once(benchmark, run)
 
     print()
     print(f"[figure2] repro scale: {repro_scale.name}")
-    print(format_figure2(result, max_accuracy_loss=PAPER_ACCURACY_BUDGET))
+    print(format_figure2(sweep, max_accuracy_loss=PAPER_ACCURACY_BUDGET))
 
-    optimal = result.optimal_tradeoff_config(max_accuracy_loss=PAPER_ACCURACY_BUDGET)
-    best_acc = result.best_accuracy_config()
+    optimal = sweep.tradeoff(max_accuracy_loss=PAPER_ACCURACY_BUDGET)
+    best_acc = sweep.best()
     default_cell = (0.25, 1.0)
     metrics = {
         "best_accuracy_beta": best_acc[0],
         "best_accuracy_theta": best_acc[1],
-        "best_accuracy": result.records[best_acc].accuracy,
+        "best_accuracy": sweep.records[best_acc].accuracy,
         "selected_beta": optimal[0],
         "selected_theta": optimal[1],
-        "latency_reduction_vs_best_accuracy": result.latency_reduction(optimal),
-        "accuracy_loss_vs_best_accuracy": result.accuracy_loss(optimal),
+        "latency_reduction_vs_best_accuracy": sweep.latency_reduction(optimal),
+        "accuracy_loss_vs_best_accuracy": sweep.accuracy_loss(optimal),
     }
-    if default_cell in result.records:
-        metrics["latency_reduction_vs_default"] = result.latency_reduction_vs(optimal, default_cell)
-        metrics["selected_accuracy"] = result.records[optimal].accuracy
-        metrics["default_accuracy"] = result.records[default_cell].accuracy
+    if default_cell in sweep.records:
+        metrics["latency_reduction_vs_default"] = sweep.latency_reduction(optimal, default_cell)
+        metrics["selected_accuracy"] = sweep.records[optimal].accuracy
+        metrics["default_accuracy"] = sweep.records[default_cell].accuracy
     results_store.add("figure2", f"scale={repro_scale.name}", metrics)
 
     # Shape checks: the selected point must actually trade accuracy for latency.
-    assert result.latency_reduction(optimal) >= 0.0
-    assert result.accuracy_loss(optimal) <= PAPER_ACCURACY_BUDGET + 1e-9
+    assert sweep.latency_reduction(optimal) >= 0.0
+    assert sweep.accuracy_loss(optimal) <= PAPER_ACCURACY_BUDGET + 1e-9
     # Latency must respond to the hyperparameters somewhere on the grid.
-    latencies = result.grid("latency_ms")
+    latencies = sweep.grid("latency_ms")
     assert latencies.max() > latencies.min()

@@ -11,14 +11,15 @@ The adaptive-threshold Pareto benchmark extends the ablation along the
 neuron-substrate axis: :func:`repro.core.run_adaptive_threshold_sweep`
 trains the same network on the :class:`~repro.neurons.AdaptiveLIF`
 substrate (adaptation step 0 = the exact LIF baseline) and records how the
-measured firing-rate shift moves the sparsity/cost Pareto points.
+measured firing-rate shift (:func:`repro.core.firing_rate_shift`) moves the
+sparsity/cost Pareto points.
 """
 
 from __future__ import annotations
 
-from repro.core.adaptive_sweep import format_adaptive_sweep, run_adaptive_threshold_sweep
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import run_experiment
+from repro.core.sweeps import firing_rate_shift, format_adaptive_sweep, run_adaptive_threshold_sweep
 from repro.hardware import DenseBaselineAccelerator, SparsityAwareAccelerator, evaluate_on_hardware, format_comparison
 
 from .conftest import run_once
@@ -82,26 +83,29 @@ def test_adaptive_threshold_pareto(benchmark, repro_scale, bench_smoke, results_
             base_config=ExperimentConfig(scale=repro_scale),
         )
 
-    result = run_once(benchmark, run)
+    sweep = run_once(benchmark, run)
 
     print()
     print(f"[adaptive threshold pareto] repro scale: {repro_scale.name}")
-    print(format_adaptive_sweep(result))
+    print(format_adaptive_sweep(sweep))
 
     shifts = {
-        f"step={step:g},beta={beta:g}": result.firing_rate_shift(step, beta)
-        for step in result.steps
-        for beta in result.betas
+        f"step={step:g},beta={beta:g}": firing_rate_shift(sweep, step, beta)
+        for step, beta in sweep.records
         if step > 0.0
     }
+    pareto_points = [
+        dict(row, firing_rate_shift=firing_rate_shift(sweep, row["adaptation_step"], row["beta"]))
+        for row in sweep.rows()
+    ]
     results_store.add(
         "adaptive_threshold_pareto",
         f"scale={repro_scale.name}",
         {
-            "adaptation_steps": list(result.steps),
-            "betas": list(result.betas),
+            "adaptation_steps": sweep.axes["adaptation_step"],
+            "betas": sweep.axes["beta"],
             "firing_rate_shifts": shifts,
-            "pareto_points": result.pareto_rows(),
+            "pareto_points": pareto_points,
         },
     )
 

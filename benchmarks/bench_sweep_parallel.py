@@ -23,8 +23,8 @@ import time
 
 from .conftest import RESULTS_DIR, run_once
 from repro.analysis.io import save_json
-from repro.core.beta_theta_sweep import run_beta_theta_sweep
 from repro.core.config import ExperimentConfig, SCALE_PRESETS
+from repro.core.sweeps import run_beta_theta_sweep
 from repro.exec import ExperimentCache
 
 #: Workers used for the parallel leg (the acceptance bar is quoted at 4).

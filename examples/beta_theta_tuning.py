@@ -20,8 +20,7 @@ import argparse
 import os
 
 from repro.analysis import pareto_front, save_csv
-from repro.core import run_beta_theta_sweep
-from repro.core.beta_theta_sweep import format_figure2
+from repro.core import format_figure2, run_beta_theta_sweep
 
 
 def main() -> None:
@@ -54,7 +53,7 @@ def main() -> None:
         f"running the Figure 2 cross-sweep at scale '{scale_preset}' "
         f"over beta={args.betas}, theta={args.thetas}"
     )
-    result = run_beta_theta_sweep(
+    sweep = run_beta_theta_sweep(
         betas=args.betas,
         thetas=args.thetas,
         scale_preset=scale_preset,
@@ -63,10 +62,10 @@ def main() -> None:
     )
 
     print()
-    print(format_figure2(result, max_accuracy_loss=args.budget))
+    print(format_figure2(sweep, max_accuracy_loss=args.budget))
 
     # Accuracy/latency Pareto front over the grid (latency negated: lower is better).
-    records = list(result.records.items())
+    records = list(sweep.records.items())
     front = pareto_front(records, objectives=lambda kv: (kv[1].accuracy, -kv[1].hardware.latency_ms))
     print("\nPareto-optimal (accuracy, latency) configurations:")
     for (beta, theta), record in front:
@@ -76,7 +75,7 @@ def main() -> None:
         )
 
     if args.output_csv:
-        path = save_csv(result.rows(), args.output_csv)
+        path = save_csv(sweep.rows(), args.output_csv)
         print(f"\nwrote grid results to {path}")
 
 

@@ -21,8 +21,7 @@ import argparse
 import os
 
 from repro.analysis import save_csv
-from repro.core import run_surrogate_sweep
-from repro.core.surrogate_sweep import format_figure1
+from repro.core import format_figure1, run_surrogate_sweep
 
 
 def main() -> None:
@@ -43,13 +42,13 @@ def main() -> None:
 
     scale_preset = os.environ.get("REPRO_SCALE", "bench")
     print(f"running the Figure 1 sweep at scale '{scale_preset}' over factors {args.scales}")
-    result = run_surrogate_sweep(scales=args.scales, scale_preset=scale_preset)
+    sweep = run_surrogate_sweep(scales=args.scales, scale_preset=scale_preset)
 
     print()
-    print(format_figure1(result))
+    print(format_figure1(sweep))
 
     if args.output_csv:
-        path = save_csv(result.rows(), args.output_csv)
+        path = save_csv(sweep.rows(), args.output_csv)
         print(f"\nwrote per-point results to {path}")
 
 

@@ -6,11 +6,11 @@ This package ties the substrates together into the paper's methodology:
 2. train it under a specific hyperparameter configuration
    (:mod:`repro.core.experiment`),
 3. profile its firing behaviour and evaluate it on the hardware model, and
-4. sweep the hyperparameters the paper studies —
-   surrogate function / derivative scale (:mod:`repro.core.surrogate_sweep`,
-   Figure 1), beta x theta (:mod:`repro.core.beta_theta_sweep`, Figure 2),
-   adaptation strength x beta over the adaptive-threshold substrate
-   (:mod:`repro.core.adaptive_sweep`) —
+4. sweep the hyperparameters the paper studies as grids of config fields
+   (:mod:`repro.core.sweeps`: :func:`run_sweep` returns a :class:`Sweep`) —
+   surrogate function x derivative scale (Figure 1), beta x theta
+   (Figure 2), adaptation strength x beta over the adaptive-threshold
+   substrate and the input encoder, each a front-end with its formatter —
    and compare against prior work (:mod:`repro.core.comparison`).
 """
 
@@ -21,15 +21,22 @@ from repro.core.experiment import (
     evaluate_trained_model,
     run_experiment,
 )
-from repro.core.surrogate_sweep import SurrogateSweepResult, run_surrogate_sweep, format_figure1
-from repro.core.beta_theta_sweep import BetaThetaSweepResult, run_beta_theta_sweep, format_figure2
-from repro.core.adaptive_sweep import (
-    AdaptiveSweepResult,
+from repro.core.sweeps import (
+    Sweep,
+    at_scale,
+    efficiency_advantage,
+    firing_rate_shift,
     format_adaptive_sweep,
+    format_encoding_ablation,
+    format_figure1,
+    format_figure2,
     run_adaptive_threshold_sweep,
+    run_beta_theta_sweep,
+    run_encoding_ablation,
+    run_surrogate_sweep,
+    run_sweep,
 )
 from repro.core.comparison import PriorWorkComparison, run_prior_work_comparison, format_comparison_table
-from repro.core.encoding_ablation import EncodingAblationResult, run_encoding_ablation
 from repro.core.results import ResultStore
 
 __all__ = [
@@ -43,19 +50,21 @@ __all__ = [
     "ExperimentRecord",
     "run_experiment",
     "evaluate_trained_model",
-    "SurrogateSweepResult",
+    "Sweep",
+    "run_sweep",
+    "at_scale",
     "run_surrogate_sweep",
     "format_figure1",
-    "BetaThetaSweepResult",
+    "efficiency_advantage",
     "run_beta_theta_sweep",
     "format_figure2",
-    "AdaptiveSweepResult",
     "run_adaptive_threshold_sweep",
     "format_adaptive_sweep",
+    "firing_rate_shift",
     "PriorWorkComparison",
     "run_prior_work_comparison",
     "format_comparison_table",
-    "EncodingAblationResult",
     "run_encoding_ablation",
+    "format_encoding_ablation",
     "ResultStore",
 ]

@@ -8,20 +8,19 @@ mechanics and reporting end to end, not to reproduce the published numbers
 import numpy as np
 import pytest
 
-from repro.core.beta_theta_sweep import (
-    BetaThetaSweepResult,
-    PAPER_BETA_GRID,
-    PAPER_THETA_GRID,
-    format_figure2,
-    run_beta_theta_sweep,
-)
 from repro.core.comparison import format_comparison_table, run_prior_work_comparison
 from repro.core.config import ExperimentConfig, SCALE_PRESETS
-from repro.core.encoding_ablation import run_encoding_ablation
-from repro.core.surrogate_sweep import (
+from repro.core.sweeps import (
+    PAPER_BETA_GRID,
     PAPER_SCALE_SWEEP,
-    SurrogateSweepResult,
+    PAPER_THETA_GRID,
+    Sweep,
+    efficiency_advantage,
+    format_encoding_ablation,
     format_figure1,
+    format_figure2,
+    run_beta_theta_sweep,
+    run_encoding_ablation,
     run_surrogate_sweep,
 )
 
@@ -61,27 +60,30 @@ class TestPaperSweepDefinitions:
 
 class TestSurrogateSweep:
     def test_result_structure(self, figure1_result):
-        assert isinstance(figure1_result, SurrogateSweepResult)
-        assert set(figure1_result.records) == {"arctan", "fast_sigmoid"}
-        assert figure1_result.scales == [0.5, 8.0]
-        assert len(figure1_result.records["arctan"]) == 2
+        assert isinstance(figure1_result, Sweep)
+        assert figure1_result.axes == {"surrogate": ["arctan", "fast_sigmoid"], "surrogate_scale": [0.5, 8.0]}
+        assert list(figure1_result.records) == [
+            ("arctan", 0.5), ("arctan", 8.0), ("fast_sigmoid", 0.5), ("fast_sigmoid", 8.0)
+        ]
 
     def test_series_accessors(self, figure1_result):
         for surrogate in ("arctan", "fast_sigmoid"):
-            assert len(figure1_result.accuracy_series(surrogate)) == 2
-            assert len(figure1_result.efficiency_series(surrogate)) == 2
-            assert all(v > 0 for v in figure1_result.efficiency_series(surrogate))
-            assert all(0 <= v <= 1 for v in figure1_result.accuracy_series(surrogate))
+            accuracy = figure1_result.metric("accuracy", surrogate=surrogate)
+            efficiency = figure1_result.metric("fps_per_watt", surrogate=surrogate)
+            assert len(accuracy) == 2
+            assert len(efficiency) == 2
+            assert all(v > 0 for v in efficiency)
+            assert all(0 <= v <= 1 for v in accuracy)
 
     def test_rows_cover_full_grid(self, figure1_result):
         rows = figure1_result.rows()
         assert len(rows) == 4
-        assert {(r["surrogate"], r["scale"]) for r in rows} == {
+        assert {(r["surrogate"], r["surrogate_scale"]) for r in rows} == {
             ("arctan", 0.5), ("arctan", 8.0), ("fast_sigmoid", 0.5), ("fast_sigmoid", 8.0)
         }
 
     def test_efficiency_advantage_is_positive(self, figure1_result):
-        assert figure1_result.efficiency_advantage() > 0
+        assert efficiency_advantage(figure1_result) > 0
 
     def test_format_figure1_mentions_both_plots_and_prior_work(self, figure1_result):
         text = format_figure1(figure1_result)
@@ -90,7 +92,7 @@ class TestSurrogateSweep:
         assert "fast sigmoid vs arctangent" in text
 
     def test_each_cell_used_the_requested_hyperparameters(self, figure1_result):
-        record = figure1_result.records["arctan"][1]
+        record = figure1_result.records[("arctan", 8.0)]
         assert record.config.surrogate == "arctan"
         assert record.config.surrogate_scale == 8.0
         # Figure 1 keeps beta/theta at the defaults.
@@ -100,7 +102,7 @@ class TestSurrogateSweep:
 
 class TestBetaThetaSweep:
     def test_result_structure(self, figure2_result):
-        assert isinstance(figure2_result, BetaThetaSweepResult)
+        assert isinstance(figure2_result, Sweep)
         assert set(figure2_result.records) == {(0.25, 1.0), (0.25, 1.5), (0.7, 1.0), (0.7, 1.5)}
 
     def test_grids_have_correct_shape(self, figure2_result):
@@ -109,33 +111,33 @@ class TestBetaThetaSweep:
         assert (figure2_result.grid("latency_ms") > 0).all()
 
     def test_selection_rules(self, figure2_result):
-        best_acc = figure2_result.best_accuracy_config()
-        best_lat = figure2_result.best_latency_config()
+        best_acc = figure2_result.best()
+        best_lat = figure2_result.best("latency_ms", lowest=True)
         assert best_acc in figure2_result.records
         assert best_lat in figure2_result.records
-        optimal = figure2_result.optimal_tradeoff_config(max_accuracy_loss=1.0)
+        optimal = figure2_result.tradeoff(max_accuracy_loss=1.0)
         # With an unlimited accuracy budget the choice is the latency optimum.
         assert optimal == best_lat
 
     def test_tradeoff_metrics_consistent(self, figure2_result):
-        optimal = figure2_result.optimal_tradeoff_config(max_accuracy_loss=1.0)
+        optimal = figure2_result.tradeoff(max_accuracy_loss=1.0)
         reduction = figure2_result.latency_reduction(optimal)
         assert reduction <= 1.0
         loss = figure2_result.accuracy_loss(optimal)
         assert loss >= -1e-9 or abs(loss) <= 1.0
 
     def test_latency_reduction_vs_reference_cell(self, figure2_result):
-        optimal = figure2_result.optimal_tradeoff_config(max_accuracy_loss=1.0)
+        optimal = figure2_result.tradeoff(max_accuracy_loss=1.0)
         # Relative to itself the reduction is exactly zero.
-        assert figure2_result.latency_reduction_vs(optimal, optimal) == pytest.approx(0.0)
-        reduction = figure2_result.latency_reduction_vs(optimal, (0.25, 1.0))
+        assert figure2_result.latency_reduction(optimal, optimal) == pytest.approx(0.0)
+        reduction = figure2_result.latency_reduction(optimal, (0.25, 1.0))
         assert reduction <= 1.0
         with pytest.raises(KeyError):
-            figure2_result.latency_reduction_vs(optimal, (0.99, 9.9))
+            figure2_result.latency_reduction(optimal, (0.99, 9.9))
 
     def test_zero_budget_falls_back_to_best_accuracy(self, figure2_result):
-        optimal = figure2_result.optimal_tradeoff_config(max_accuracy_loss=0.0)
-        best = figure2_result.best_accuracy_config()
+        optimal = figure2_result.tradeoff(max_accuracy_loss=0.0)
+        best = figure2_result.best()
         assert figure2_result.records[optimal].hardware.latency_ms <= figure2_result.records[best].hardware.latency_ms + 1e-12
 
     def test_fixed_surrogate_is_fast_sigmoid_at_low_slope(self, figure2_result):
@@ -152,7 +154,7 @@ class TestBetaThetaSweep:
     def test_rows_flat_export(self, figure2_result):
         rows = figure2_result.rows()
         assert len(rows) == 4
-        assert all({"beta", "theta", "accuracy", "latency_ms"} <= set(r) for r in rows)
+        assert all({"beta", "threshold", "accuracy", "latency_ms"} <= set(r) for r in rows)
 
 
 class TestPriorWorkComparison:
@@ -183,10 +185,10 @@ class TestPriorWorkComparison:
 class TestEncodingAblation:
     def test_ablation_runs_all_encoders(self, smoke_base):
         result = run_encoding_ablation(encoders=["rate", "direct"], base_config=smoke_base)
-        assert set(result.records) == {"rate", "direct"}
+        assert set(result.records) == {("rate",), ("direct",)}
         rows = result.rows()
         assert len(rows) == 2
         assert all(r["fps_per_watt"] > 0 for r in rows)
-        text = result.format()
+        text = format_encoding_ablation(result)
         assert "Encoding ablation" in text
         assert "rate" in text and "direct" in text

@@ -223,10 +223,10 @@ class TestProgressAndWorkers:
 
 
 class TestSweepFrontEnds:
-    """The four sweep entry points route through the executor."""
+    """The sweep front-ends route through the executor."""
 
     def test_beta_theta_sweep_parallel_equals_serial(self, micro_scale):
-        from repro.core.beta_theta_sweep import run_beta_theta_sweep
+        from repro.core import run_beta_theta_sweep
 
         base = ExperimentConfig(scale=micro_scale, surrogate="fast_sigmoid", surrogate_scale=0.25)
         grid = dict(betas=(0.25, 0.5), thetas=(1.0,), base_config=base)
@@ -237,33 +237,35 @@ class TestSweepFrontEnds:
             _assert_records_identical(serial.records[cell], parallel.records[cell])
 
     def test_surrogate_sweep_groups_records_correctly(self, micro_scale, tmp_path):
-        from repro.core.surrogate_sweep import run_surrogate_sweep
+        from repro.core import run_surrogate_sweep
 
         base = ExperimentConfig(scale=micro_scale)
         result = run_surrogate_sweep(
             scales=(0.5, 2.0), surrogates=("arctan", "fast_sigmoid"),
             base_config=base, cache=ExperimentCache(tmp_path),
         )
-        assert list(result.records) == ["arctan", "fast_sigmoid"]
-        for surrogate, records in result.records.items():
-            assert [r.config.surrogate for r in records] == [surrogate] * 2
-            assert [r.config.surrogate_scale for r in records] == [0.5, 2.0]
+        assert list(result.records) == [
+            ("arctan", 0.5), ("arctan", 2.0), ("fast_sigmoid", 0.5), ("fast_sigmoid", 2.0)
+        ]
+        for (surrogate, scale), record in result.records.items():
+            assert record.config.surrogate == surrogate
+            assert record.config.surrogate_scale == scale
 
     def test_encoding_ablation_routes_through_executor(self, micro_scale, tmp_path, monkeypatch):
-        from repro.core.encoding_ablation import run_encoding_ablation
+        from repro.core import run_encoding_ablation
 
         base = ExperimentConfig(scale=micro_scale)
         cache = ExperimentCache(tmp_path)
         first = run_encoding_ablation(encoders=("direct", "rate"), base_config=base, cache=cache)
-        assert list(first.records) == ["direct", "rate"]
+        assert list(first.records) == [("direct",), ("rate",)]
 
         def _no_training(*args, **kwargs):
             raise AssertionError("should be served from cache")
 
         monkeypatch.setattr(executor_mod, "run_experiment", _no_training)
         again = run_encoding_ablation(encoders=("direct", "rate"), base_config=base, cache=cache)
-        for name in ("direct", "rate"):
-            _assert_records_identical(first.records[name], again.records[name])
+        for cell in first.records:
+            _assert_records_identical(first.records[cell], again.records[cell])
 
 
 class TestFailureTransport:
