@@ -110,3 +110,13 @@ DIGESTS = {
 def test_rendering_matches_recorded_digest(case, fake_training):
     text = CASES[case](fake_training)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == DIGESTS[case]
+
+
+@pytest.mark.parametrize("surrogates", [("sigmoid", "triangular"), ("arctan",), ("fast_sigmoid",)])
+def test_figure1_renders_without_both_paper_surrogates(surrogates, fake_training):
+    """The fast-sigmoid-vs-arctangent line needs both; the rest renders for any surrogates."""
+    sweep = run_surrogate_sweep(scales=(0.5, 8.0), surrogates=surrogates, base_config=fake_training)
+    text = format_figure1(sweep)
+    assert "Figure 1a" in text and "Figure 1 data" in text
+    assert all(name in text for name in surrogates)
+    assert "fast sigmoid vs arctangent" not in text
