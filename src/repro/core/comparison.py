@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.analysis.tables import format_table
-from repro.core.config import ExperimentConfig, PAPER_COMPARISON_POINT, PAPER_DEFAULT, resolve_scale
+from repro.core.config import ExperimentConfig, PAPER_COMPARISON_POINT, PAPER_DEFAULT
 from repro.core.experiment import ExperimentRecord, build_workload
+from repro.core.sweeps import at_scale
 from repro.hardware.accelerator import SparsityAwareAccelerator
 from repro.hardware.efficiency import HardwareReport, evaluate_on_hardware
 from repro.hardware.prior_work import PriorWorkAccelerator
@@ -75,14 +76,15 @@ def run_prior_work_comparison(
     sparsity-aware platform (as the "default" row) and on the prior-work
     accelerator model (as the comparison baseline).  The tuned model uses
     the paper's fine-tuned point (fast sigmoid, ``beta=0.7``, ``theta=1.5``).
-    Both trainings route through :func:`repro.exec.run_experiments`, so they
-    can run in parallel (``workers=2``) and reuse cached records.
+    Both configs follow the sweeps' scale rule (:func:`~repro.core.sweeps.at_scale`):
+    a given config keeps its scale unless ``scale_preset`` names one.  Both
+    trainings route through :func:`repro.exec.run_experiments`, so they can
+    run in parallel (``workers=2``) and reuse cached records.
     """
     from repro.exec import run_experiments
 
-    repro_scale = resolve_scale(scale_preset)
-    tuned_config = (tuned_config or PAPER_COMPARISON_POINT).with_overrides(scale=repro_scale)
-    default_config = (default_config or PAPER_DEFAULT).with_overrides(scale=repro_scale)
+    tuned_config = at_scale(tuned_config, scale_preset, PAPER_COMPARISON_POINT)
+    default_config = at_scale(default_config, scale_preset, PAPER_DEFAULT)
 
     paper_platform = SparsityAwareAccelerator()
     prior_platform = PriorWorkAccelerator()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.comparison import format_comparison_table, run_prior_work_comparison
-from repro.core.config import ExperimentConfig, SCALE_PRESETS
+from repro.core.config import PAPER_COMPARISON_POINT, PAPER_DEFAULT, ExperimentConfig, SCALE_PRESETS
 from repro.core.sweeps import (
     PAPER_BETA_GRID,
     PAPER_SCALE_SWEEP,
@@ -180,6 +180,27 @@ class TestPriorWorkComparison:
         assert "prior work" in text
         assert "fine-tuned" in text
         assert "paper: 1.72x" in text
+
+    def test_given_configs_keep_their_scale(self, monkeypatch):
+        """Without ``scale_preset`` each config trains at its own scale, as in every grid front-end."""
+        from repro.exec import executor as executor_mod
+
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
+        trained_at = []
+        train = executor_mod.run_experiment
+
+        def spy(config, **kwargs):
+            trained_at.append(config.scale.name)
+            return train(config, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "run_experiment", spy)
+        smoke = SCALE_PRESETS["smoke"]
+        run_prior_work_comparison(
+            tuned_config=PAPER_COMPARISON_POINT.with_overrides(scale=smoke),
+            default_config=PAPER_DEFAULT.with_overrides(scale=smoke),
+        )
+        assert trained_at == ["smoke", "smoke"]
 
 
 class TestEncodingAblation:
