@@ -15,6 +15,7 @@ from repro.core.sweeps import (
     PAPER_SCALE_SWEEP,
     PAPER_THETA_GRID,
     Sweep,
+    at_scale,
     efficiency_advantage,
     format_encoding_ablation,
     format_figure1,
@@ -56,6 +57,23 @@ class TestPaperSweepDefinitions:
     def test_paper_beta_theta_grids_cover_published_points(self):
         assert 0.25 in PAPER_BETA_GRID and 0.5 in PAPER_BETA_GRID and 0.7 in PAPER_BETA_GRID
         assert 1.0 in PAPER_THETA_GRID and 1.5 in PAPER_THETA_GRID
+
+
+class TestScaleRule:
+    """``at_scale``: a given config keeps its scale unless a preset is named."""
+
+    @pytest.mark.parametrize(
+        "config, preset, expected",
+        [
+            (ExperimentConfig(scale=SCALE_PRESETS["smoke"], beta=0.7), None, ("smoke", 0.7)),
+            (ExperimentConfig(scale=SCALE_PRESETS["smoke"], beta=0.7), "full", ("full", 0.7)),
+            (None, None, ("full", 0.25)),
+        ],
+    )
+    def test_at_scale(self, config, preset, expected, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "full")
+        resolved = at_scale(config, preset)
+        assert (resolved.scale.name, resolved.beta) == expected
 
 
 class TestSurrogateSweep:
@@ -155,6 +173,12 @@ class TestBetaThetaSweep:
         rows = figure2_result.rows()
         assert len(rows) == 4
         assert all({"beta", "threshold", "accuracy", "latency_ms"} <= set(r) for r in rows)
+
+    def test_cells_are_labelled_by_their_axis_values(self, figure2_result):
+        labels = [record.config.label for record in figure2_result.records.values()]
+        assert labels == [
+            "beta=0.25, threshold=1", "beta=0.25, threshold=1.5", "beta=0.7, threshold=1", "beta=0.7, threshold=1.5"
+        ]
 
 
 class TestPriorWorkComparison:
