@@ -13,7 +13,7 @@ from repro.analysis.sparsity import SparsityProfile
 from repro.analysis.pareto import pareto_front, dominates
 from repro.analysis.tables import format_table
 from repro.analysis.plots import ascii_line_plot, ascii_heatmap
-from repro.analysis.io import save_json, load_json, save_csv, load_csv
+from repro.analysis.io import save_json, load_json, save_csv
 
 __all__ = [
     "SparsityProfile",
@@ -25,5 +25,4 @@ __all__ = [
     "save_json",
     "load_json",
     "save_csv",
-    "load_csv",
 ]

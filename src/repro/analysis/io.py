@@ -60,9 +60,3 @@ def save_csv(rows: Sequence[Dict[str, object]], path: PathLike) -> Path:
         for row in rows:
             writer.writerow({k: _to_serialisable(v) for k, v in row.items()})
     return path
-
-
-def load_csv(path: PathLike) -> List[Dict[str, str]]:
-    """Load a CSV written by :func:`save_csv` (values remain strings)."""
-    with open(Path(path), newline="") as handle:
-        return list(csv.DictReader(handle))

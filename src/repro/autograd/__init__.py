@@ -23,7 +23,7 @@ Example
 [[2.0, 2.0, 2.0], [2.0, 2.0, 2.0]]
 """
 
-from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled, zeros, ones, randn, rand, arange, tensor
+from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled, zeros, ones, arange, tensor
 from repro.autograd.function import Function, Context
 from repro.autograd.gradcheck import gradcheck, numerical_gradient
 from repro.autograd.ops_spiking import fused_lif_step
@@ -39,8 +39,6 @@ __all__ = [
     "numerical_gradient",
     "zeros",
     "ones",
-    "randn",
-    "rand",
     "arange",
     "tensor",
 ]

@@ -379,16 +379,6 @@ def ones(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
 
 
-def randn(*shape, requires_grad: bool = False, rng: Optional[np.random.Generator] = None, dtype=np.float32) -> Tensor:
-    gen = rng if rng is not None else np.random.default_rng()
-    return Tensor(gen.standard_normal(shape).astype(dtype), requires_grad=requires_grad)
-
-
-def rand(*shape, requires_grad: bool = False, rng: Optional[np.random.Generator] = None, dtype=np.float32) -> Tensor:
-    gen = rng if rng is not None else np.random.default_rng()
-    return Tensor(gen.random(shape).astype(dtype), requires_grad=requires_grad)
-
-
 def arange(*args, requires_grad: bool = False, dtype=np.float32) -> Tensor:
     return Tensor(np.arange(*args, dtype=dtype), requires_grad=requires_grad)
 

@@ -1,4 +1,4 @@
-"""Weight initialisation schemes (Kaiming / Xavier / uniform)."""
+"""Weight initialisation schemes (Kaiming uniform, PyTorch-style bias, constants)."""
 
 from __future__ import annotations
 
@@ -30,20 +30,6 @@ def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: floa
     fan_in, _ = _fan_in_out(shape)
     std = gain / math.sqrt(fan_in)
     bound = math.sqrt(3.0) * std / math.sqrt((1.0 + gain ** 2) / 2.0)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def kaiming_normal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Kaiming normal initialisation (std = gain / sqrt(fan_in))."""
-    fan_in, _ = _fan_in_out(shape)
-    std = gain / math.sqrt(fan_in)
-    return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Xavier / Glorot uniform initialisation."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 

@@ -14,9 +14,9 @@ from repro.training.checkpoint import (
 )
 from repro.training.loss import CrossEntropySpikeCount, MSESpikeCount, cross_entropy_logits
 from repro.training.optim import SGD, Adam, Optimizer
-from repro.training.schedulers import ConstantLR, CosineAnnealingLR, LRScheduler, StepLR
-from repro.training.metrics import accuracy, confusion_matrix, top_k_accuracy
-from repro.training.callbacks import Callback, EarlyStopping, HistoryRecorder
+from repro.training.schedulers import CosineAnnealingLR, LRScheduler
+from repro.training.metrics import accuracy, top_k_accuracy
+from repro.training.callbacks import Callback, HistoryRecorder
 from repro.training.trainer import Trainer, TrainingResult
 
 __all__ = [
@@ -32,13 +32,9 @@ __all__ = [
     "Adam",
     "LRScheduler",
     "CosineAnnealingLR",
-    "StepLR",
-    "ConstantLR",
     "accuracy",
     "top_k_accuracy",
-    "confusion_matrix",
     "Callback",
-    "EarlyStopping",
     "HistoryRecorder",
     "Trainer",
     "TrainingResult",

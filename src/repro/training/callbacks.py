@@ -1,4 +1,4 @@
-"""Training callbacks (history recording, early stopping)."""
+"""Training callbacks (per-epoch history recording)."""
 
 from __future__ import annotations
 
@@ -10,10 +10,6 @@ class Callback:
 
     def on_epoch_end(self, epoch: int, logs: Dict[str, float]) -> None:
         """Called after every epoch with the epoch's metric dictionary."""
-
-    def should_stop(self) -> bool:
-        """Return ``True`` to terminate training early."""
-        return False
 
 
 class HistoryRecorder(Callback):
@@ -29,52 +25,3 @@ class HistoryRecorder(Callback):
     def last(self, key: str) -> Optional[float]:
         values = self.history.get(key)
         return values[-1] if values else None
-
-
-class EarlyStopping(Callback):
-    """Stop training when a monitored metric stops improving.
-
-    Parameters
-    ----------
-    monitor:
-        Metric key to watch (e.g. ``"val_accuracy"`` or ``"train_loss"``).
-    mode:
-        ``"max"`` if larger is better, ``"min"`` otherwise.
-    patience:
-        Number of epochs without improvement tolerated before stopping.
-    min_delta:
-        Minimum change that counts as an improvement.
-    """
-
-    def __init__(self, monitor: str = "val_accuracy", mode: str = "max", patience: int = 5, min_delta: float = 0.0) -> None:
-        if mode not in ("max", "min"):
-            raise ValueError("mode must be 'max' or 'min'")
-        if patience < 0:
-            raise ValueError("patience must be non-negative")
-        self.monitor = monitor
-        self.mode = mode
-        self.patience = int(patience)
-        self.min_delta = float(min_delta)
-        self.best: Optional[float] = None
-        self.stale_epochs = 0
-        self._stop = False
-
-    def on_epoch_end(self, epoch: int, logs: Dict[str, float]) -> None:
-        value = logs.get(self.monitor)
-        if value is None:
-            return
-        improved = (
-            self.best is None
-            or (self.mode == "max" and value > self.best + self.min_delta)
-            or (self.mode == "min" and value < self.best - self.min_delta)
-        )
-        if improved:
-            self.best = float(value)
-            self.stale_epochs = 0
-        else:
-            self.stale_epochs += 1
-            if self.stale_epochs > self.patience:
-                self._stop = True
-
-    def should_stop(self) -> bool:
-        return self._stop

@@ -33,15 +33,3 @@ def top_k_accuracy(scores: np.ndarray, targets: np.ndarray, k: int = 3) -> float
     top_k = np.argsort(-scores, axis=1)[:, :k]
     hits = (top_k == targets[:, None]).any(axis=1)
     return float(hits.mean()) if hits.size else 0.0
-
-
-def confusion_matrix(predictions: np.ndarray, targets: np.ndarray, num_classes: int) -> np.ndarray:
-    """Confusion matrix with rows = true class, columns = predicted class."""
-    predictions = np.asarray(predictions)
-    targets = np.asarray(targets)
-    if predictions.ndim == 2:
-        predictions = predictions.argmax(axis=-1)
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(targets, predictions):
-        matrix[int(t), int(p)] += 1
-    return matrix

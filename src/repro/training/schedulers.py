@@ -30,13 +30,6 @@ class LRScheduler:
         return self.optimizer.lr
 
 
-class ConstantLR(LRScheduler):
-    """No-op scheduler (fixed learning rate)."""
-
-    def get_lr(self) -> float:
-        return self.base_lr
-
-
 class CosineAnnealingLR(LRScheduler):
     r"""Cosine annealing (SGDR, Loshchilov & Hutter 2016) — the paper's schedule.
 
@@ -61,19 +54,3 @@ class CosineAnnealingLR(LRScheduler):
     def get_lr(self) -> float:
         t = min(self.epoch, self.t_max)
         return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1 + math.cos(math.pi * t / self.t_max))
-
-
-class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int = 10, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def get_lr(self) -> float:
-        return self.base_lr * (self.gamma ** (self.epoch // self.step_size))

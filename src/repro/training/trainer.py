@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.data.dataloader import DataLoader
 from repro.encoding.base import Encoder
 from repro.nn.module import Module
-from repro.training.callbacks import Callback, HistoryRecorder
+from repro.training.callbacks import HistoryRecorder
 from repro.training.loss import CrossEntropySpikeCount
 from repro.training.metrics import accuracy
 from repro.training.optim import Optimizer
@@ -33,7 +33,7 @@ class TrainingResult:
     final_val_accuracy:
         Validation accuracy after the last epoch.
     epochs_run:
-        Number of epochs actually executed (early stopping may cut it short).
+        Number of epochs executed.
     wall_time_seconds:
         Total wall-clock training time.
     """
@@ -65,8 +65,6 @@ class Trainer:
         Loss on output spike counts (default cross-entropy on counts).
     scheduler:
         Optional learning-rate scheduler stepped once per epoch.
-    callbacks:
-        Optional list of :class:`~repro.training.callbacks.Callback`.
     """
 
     def __init__(
@@ -76,16 +74,13 @@ class Trainer:
         optimizer: Optimizer,
         loss_fn: Optional[Callable] = None,
         scheduler: Optional[LRScheduler] = None,
-        callbacks: Optional[Sequence[Callback]] = None,
     ) -> None:
         self.model = model
         self.encoder = encoder
         self.optimizer = optimizer
         self.loss_fn = loss_fn if loss_fn is not None else CrossEntropySpikeCount()
         self.scheduler = scheduler
-        self.callbacks: List[Callback] = list(callbacks) if callbacks else []
         self._history = HistoryRecorder()
-        self.callbacks.append(self._history)
 
     # ------------------------------------------------------------------ #
     def train_batch(self, images: np.ndarray, labels: np.ndarray) -> Dict[str, float]:
@@ -134,7 +129,7 @@ class Trainer:
         train_loader, val_loader:
             Training and optional validation data.
         epochs:
-            Maximum number of epochs (the paper uses 25).
+            Number of epochs (the paper uses 25).
         verbose:
             Print a one-line summary per epoch.
         """
@@ -167,13 +162,10 @@ class Trainer:
             if self.scheduler is not None:
                 self.scheduler.step()
             epochs_run = epoch + 1
-            for callback in self.callbacks:
-                callback.on_epoch_end(epoch, logs)
+            self._history.on_epoch_end(epoch, logs)
             if verbose:
                 summary = ", ".join(f"{k}={v:.4f}" for k, v in logs.items())
                 print(f"epoch {epoch + 1}/{epochs}: {summary}")
-            if any(callback.should_stop() for callback in self.callbacks):
-                break
 
         return TrainingResult(
             history=dict(self._history.history),

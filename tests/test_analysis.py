@@ -1,5 +1,7 @@
 """Unit tests for the analysis utilities (sparsity, pareto, tables, plots, io)."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from repro.analysis import (
     ascii_line_plot,
     dominates,
     format_table,
-    load_csv,
     load_json,
     pareto_front,
     save_csv,
@@ -155,7 +156,8 @@ class TestIO:
     def test_csv_roundtrip(self, tmp_path):
         rows = [{"a": 1, "b": 2.5}, {"a": 3, "c": "hello"}]
         path = save_csv(rows, tmp_path / "out.csv")
-        loaded = load_csv(path)
+        with open(path, newline="") as handle:
+            loaded = list(csv.DictReader(handle))
         assert loaded[0]["a"] == "1"
         assert loaded[1]["c"] == "hello"
         assert loaded[0]["c"] == ""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, no_grad, is_grad_enabled, zeros, ones, randn, rand, arange, tensor
+from repro.autograd import Tensor, no_grad, is_grad_enabled, zeros, ones, arange, tensor
 from repro.autograd.tensor import concatenate, stack, where
 
 
@@ -29,8 +29,6 @@ class TestConstruction:
     def test_helpers(self):
         assert zeros((2, 3)).shape == (2, 3)
         assert float(ones((2,)).sum().item()) == 2.0
-        assert randn(4, 5).shape == (4, 5)
-        assert rand(3).shape == (3,)
         assert arange(5).shape == (5,)
         assert tensor([1.0]).shape == (1,)
 

@@ -9,7 +9,7 @@ import pytest
 from repro.data import ArrayDataset, DataLoader
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DirectEncoder
-from repro.training import Adam, CosineAnnealingLR, EarlyStopping, Trainer
+from repro.training import Adam, CosineAnnealingLR, Trainer
 
 
 def _two_blob_dataset(n=60, dim=12, seed=0):
@@ -65,18 +65,6 @@ class TestTrainer:
         trainer = Trainer(model, encoder, optimizer, scheduler=scheduler)
         trainer.fit(loader, epochs=4)
         assert optimizer.lr < 1e-2
-
-    def test_early_stopping_cuts_epochs(self, tiny_problem):
-        model, encoder, loader = tiny_problem
-
-        class AlwaysStop(EarlyStopping):
-            def should_stop(self):
-                return True
-
-        trainer = Trainer(model, encoder, Adam(model.parameters(), lr=1e-2),
-                          callbacks=[AlwaysStop()])
-        result = trainer.fit(loader, epochs=10)
-        assert result.epochs_run == 1
 
     def test_evaluate_runs_without_gradients(self, tiny_problem):
         model, encoder, loader = tiny_problem

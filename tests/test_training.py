@@ -7,16 +7,12 @@ from repro.autograd import Tensor
 from repro.nn import Linear, Parameter
 from repro.training import (
     Adam,
-    ConstantLR,
     CosineAnnealingLR,
     CrossEntropySpikeCount,
-    EarlyStopping,
     HistoryRecorder,
     MSESpikeCount,
     SGD,
-    StepLR,
     accuracy,
-    confusion_matrix,
     cross_entropy_logits,
     top_k_accuracy,
 )
@@ -169,21 +165,6 @@ class TestSchedulers:
         with pytest.raises(ValueError):
             CosineAnnealingLR(self._optimizer(lr=0.1), eta_min=1.0)
 
-    def test_step_lr_decays_every_step_size(self):
-        opt = self._optimizer(lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.lr == pytest.approx(1.0)
-        sched.step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_constant_lr(self):
-        opt = self._optimizer(lr=0.5)
-        sched = ConstantLR(opt)
-        for _ in range(5):
-            sched.step()
-        assert opt.lr == 0.5
-
 
 class TestMetrics:
     def test_accuracy_from_indices(self):
@@ -206,11 +187,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             top_k_accuracy(np.zeros((2, 3)), np.zeros(2), k=5)
 
-    def test_confusion_matrix(self):
-        cm = confusion_matrix(np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2]), num_classes=3)
-        assert cm[0, 0] == 1 and cm[1, 1] == 1 and cm[2, 1] == 1 and cm[2, 2] == 1
-        assert cm.sum() == 4
-
 
 class TestCallbacks:
     def test_history_recorder_accumulates(self):
@@ -220,34 +196,3 @@ class TestCallbacks:
         assert rec.history["loss"] == [1.0, 0.5]
         assert rec.last("loss") == 0.5
         assert rec.last("missing") is None
-
-    def test_early_stopping_triggers_after_patience(self):
-        stopper = EarlyStopping(monitor="val", mode="max", patience=1)
-        stopper.on_epoch_end(0, {"val": 0.5})
-        stopper.on_epoch_end(1, {"val": 0.4})
-        assert not stopper.should_stop()
-        stopper.on_epoch_end(2, {"val": 0.4})
-        assert stopper.should_stop()
-
-    def test_early_stopping_resets_on_improvement(self):
-        stopper = EarlyStopping(monitor="val", mode="max", patience=1)
-        stopper.on_epoch_end(0, {"val": 0.5})
-        stopper.on_epoch_end(1, {"val": 0.4})
-        stopper.on_epoch_end(2, {"val": 0.6})
-        stopper.on_epoch_end(3, {"val": 0.5})
-        assert not stopper.should_stop()
-
-    def test_early_stopping_min_mode(self):
-        stopper = EarlyStopping(monitor="loss", mode="min", patience=0)
-        stopper.on_epoch_end(0, {"loss": 1.0})
-        stopper.on_epoch_end(1, {"loss": 2.0})
-        assert stopper.should_stop()
-
-    def test_early_stopping_ignores_missing_metric(self):
-        stopper = EarlyStopping(monitor="val", patience=0)
-        stopper.on_epoch_end(0, {"other": 1.0})
-        assert not stopper.should_stop()
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            EarlyStopping(mode="sideways")
