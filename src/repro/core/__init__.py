@@ -23,7 +23,6 @@ from repro.core.experiment import (
 )
 from repro.core.sweeps import (
     Sweep,
-    at_scale,
     efficiency_advantage,
     firing_rate_shift,
     format_adaptive_sweep,
@@ -52,7 +51,6 @@ __all__ = [
     "evaluate_trained_model",
     "Sweep",
     "run_sweep",
-    "at_scale",
     "run_surrogate_sweep",
     "format_figure1",
     "efficiency_advantage",

@@ -65,7 +65,7 @@ def at_scale(
     """
     if config is not None and scale_preset is None:
         return config
-    return (config or default).with_overrides(scale=resolve_scale(scale_preset))
+    return (default if config is None else config).with_overrides(scale=resolve_scale(scale_preset))
 
 
 @dataclass
@@ -108,9 +108,9 @@ class Sweep:
         """One flat row per cell, in grid order: axis values, then every hardware metric."""
         return [{**dict(zip(self.axes, key)), **r.hardware.as_dict()} for key, r in self.records.items()]
 
-    def best(self, name: str = "accuracy", lowest: bool = False) -> Tuple:
-        """Key of the cell with the highest ``name`` (the lowest with ``lowest``); the first on ties."""
-        return (min if lowest else max)(self.records, key=lambda key: self._value(key, name))
+    def best(self) -> Tuple:
+        """Key of the highest-accuracy cell (the first in grid order on ties)."""
+        return max(self.records, key=lambda key: self._value(key, "accuracy"))
 
     def accuracy_loss(self, key: Tuple) -> float:
         """Absolute accuracy drop of cell ``key`` vs the best-accuracy cell."""

@@ -130,7 +130,7 @@ class TestBetaThetaSweep:
 
     def test_selection_rules(self, figure2_result):
         best_acc = figure2_result.best()
-        best_lat = figure2_result.best("latency_ms", lowest=True)
+        best_lat = min(figure2_result.records, key=lambda key: figure2_result.records[key].hardware.latency_ms)
         assert best_acc in figure2_result.records
         assert best_lat in figure2_result.records
         optimal = figure2_result.tradeoff(max_accuracy_loss=1.0)
