@@ -337,10 +337,10 @@ def format_adaptive_sweep(sweep: Sweep) -> str:
 def run_encoding_ablation(encoders: Optional[Sequence[str]] = None, **options: Any) -> Sweep:
     """Train the same configuration under several input encoders.
 
-    The paper's introduction names the input coding scheme as the primary
-    driver of SNN sparsity, with hyperparameter tuning as a complementary
-    knob; this extension measures how much of the firing-rate budget the
-    encoder controls.  ``options`` go to :func:`run_sweep`.
+    The paper's introduction names the input coding scheme as what mainly
+    sets SNN sparsity, with hyperparameter tuning as a complementary knob;
+    this extension measures how much of the firing-rate budget the encoder
+    controls.  ``options`` go to :func:`run_sweep`.
     """
     return run_sweep({"encoder": list(DEFAULT_ENCODERS if encoders is None else encoders)}, **options)
 
