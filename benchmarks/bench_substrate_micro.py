@@ -4,10 +4,14 @@ Engineering baselines for the building blocks every experiment relies on:
 autograd convolution, LIF stepping, BPTT through the paper's network, the
 synthetic dataset generator and the analytical hardware model.  Unlike the
 experiment benchmarks these use pytest-benchmark's statistical timing
-(multiple rounds) because each operation is cheap.
+(multiple rounds) because each operation is cheap; the BPTT step, which
+also reports its peak memory, runs once.
 """
 
 from __future__ import annotations
+
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +20,19 @@ from repro.autograd import Tensor
 from repro.core.config import SCALE_PRESETS
 from repro.core.network import SpikingCNN
 from repro.data.synth_svhn import SynthSVHNConfig, generate_digit_image
-from repro.encoding import RateEncoder
+from repro.encoding import DirectEncoder, RateEncoder
 from repro.hardware import SparsityAwareAccelerator, workload_from_layer_specs
 from repro.neurons import LIF
 from repro.surrogate import FastSigmoid
+from repro.training import Adam, Trainer
+
+from .conftest import run_once, update_bench_json
+
+#: Bound on one paper-scale BPTT step's peak traced allocation (full mode).
+#: The graph keeps only what each op saved for its backward pass (~1.0 GB);
+#: a graph that also kept every step's membrane, spike map and conv output
+#: peaks at ~2.7 GB.
+BPTT_STEP_PEAK_BYTES = 1.2e9
 
 
 def _conv_cases():
@@ -87,6 +100,55 @@ def test_spiking_cnn_forward_step(benchmark):
         return model.step(frame)
 
     benchmark(step)
+
+
+def test_bptt_step(benchmark, bench_smoke):
+    """One BPTT training step of the paper's network on direct-coded images.
+
+    Bench scale in smoke mode, the paper's scale (N=128, T=25, 32x32
+    images, 32+32 channels) in full mode.  The peak is what NumPy and
+    Python allocated during the step, traced by ``tracemalloc``, so it does
+    not depend on what the session ran before.  The step is timed while
+    traced.
+    """
+    scale = SCALE_PRESETS["bench" if bench_smoke else "paper"]
+    size, n = scale.image_size, scale.batch_size
+    model = SpikingCNN(
+        image_size=size, conv_channels=scale.conv_channels, hidden_units=scale.hidden_units, seed=0
+    )
+    rng = np.random.default_rng(5)
+    images = rng.random((n, 3, size, size), dtype=np.float32)
+    labels = rng.integers(0, model.num_classes, size=n)
+    trainer = Trainer(model, DirectEncoder(num_steps=scale.num_steps), Adam(model.parameters(), lr=1e-3))
+
+    def step():
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            trainer.train_batch(images, labels)
+            seconds = time.perf_counter() - start
+            return seconds, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    seconds, peak = run_once(benchmark, step)
+    mode = "smoke" if bench_smoke else "full"
+    print(f"\n[bptt-step] {scale.name} scale: {seconds:.2f} s, traced peak {peak / 1e6:.0f} MB")
+    update_bench_json(
+        "BENCH_substrate.json",
+        "bptt_step",
+        {
+            "experiment": "bptt_step",
+            "mode": mode,
+            "scale": scale.name,
+            "batch_size": n,
+            "num_steps": scale.num_steps,
+            "step_s": seconds,
+            "traced_peak_mb": peak / 1e6,
+        },
+    )
+    if not bench_smoke:
+        assert peak <= BPTT_STEP_PEAK_BYTES, f"traced peak {peak / 1e9:.2f} GB"
 
 
 def test_rate_encoder_throughput(benchmark):

@@ -19,11 +19,16 @@ Applying a Function via :meth:`Function.apply` unwraps tensor inputs to raw
 arrays, runs ``forward``, wraps the result in a new
 :class:`~repro.autograd.tensor.Tensor`, and records the graph edge when
 gradients are enabled.
+
+A :class:`Node` links the node that produced each non-leaf input and keeps
+each leaf input as its ``Tensor``, whose ``.grad`` the backward pass
+accumulates.  No node refers to an op's output, so the arrays in
+``ctx.saved`` are the only ones a graph keeps alive until the backward.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 import numpy as np
 
@@ -50,18 +55,21 @@ class Context:
 
 
 class Node:
-    """A recorded application of a :class:`Function` in the computation graph."""
+    """A recorded application of a :class:`Function` in the computation graph.
 
-    __slots__ = ("fn", "ctx", "inputs", "output_ref")
+    ``inputs`` has one entry per positional argument of ``forward``, in line
+    with the tuple ``backward`` returns: the :class:`Node` that produced a
+    non-leaf tensor, the ``Tensor`` itself for a leaf, ``None`` for a
+    non-tensor argument.
+    """
+
+    __slots__ = ("fn", "ctx", "inputs")
 
     def __init__(self, fn: "type[Function]", ctx: Context, inputs: Sequence[Any]) -> None:
+        """``inputs``: per positional argument, the ``Tensor`` passed or ``None``."""
         self.fn = fn
         self.ctx = ctx
-        # Keep references to input Tensors so the backward pass can route
-        # gradients; non-tensor inputs are kept as None placeholders so the
-        # positional correspondence with ``backward``'s return tuple holds.
-        self.inputs = tuple(inputs)
-        self.output_ref: Optional[Any] = None
+        self.inputs = tuple(t if t is None or t._node is None else t._node for t in inputs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.fn.__name__})"
@@ -103,8 +111,7 @@ class Function:
         requires_grad = any(ctx.needs_input_grad) and is_grad_enabled()
         out = Tensor(out_data, requires_grad=requires_grad)
         if requires_grad:
-            node = Node(cls, ctx, tensor_inputs)
-            out._node = node
+            out._node = Node(cls, ctx, tensor_inputs)
         return out
 
 

@@ -4,6 +4,10 @@ A ``Tensor`` wraps a ``numpy.ndarray`` and, when ``requires_grad=True``,
 records every operation applied to it in a computation graph.  Calling
 :meth:`Tensor.backward` on a scalar result walks the graph in reverse
 topological order and accumulates gradients on every leaf tensor.
+Only leaves get a ``.grad``: the graph links
+:class:`~repro.autograd.function.Node` objects, not tensors, so a non-leaf
+tensor's array is freed once the program drops the tensor, unless an op
+saved it for its backward pass.
 
 The API deliberately mirrors the small subset of PyTorch that snnTorch-style
 spiking networks use, so the rest of the reproduction reads like familiar
@@ -154,10 +158,19 @@ class Tensor:
         Parameters
         ----------
         grad:
-            Gradient of some scalar loss with respect to this tensor.  If
-            omitted, this tensor must be a scalar and a gradient of 1.0 is
-            used.
+            Gradient of some scalar loss with respect to this tensor, of
+            this tensor's shape.  If omitted, this tensor must be a scalar
+            and a gradient of 1.0 is used.
+
+        Raises ``RuntimeError`` when this tensor has no graph and does not
+        require grad (e.g. it was computed under :class:`no_grad`), and
+        ``ValueError`` when ``grad``'s shape differs from this tensor's.
         """
+        if self._node is None and not self.requires_grad:
+            raise RuntimeError(
+                "backward() on a tensor that does not require grad and has no graph "
+                "(was it computed under no_grad?)"
+            )
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError(
@@ -167,60 +180,53 @@ class Tensor:
             grad = np.ones_like(self.data)
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
+            if grad.shape != self.shape:
+                raise ValueError(
+                    f"backward() got a gradient of shape {grad.shape} for a tensor of shape {self.shape}"
+                )
+        if self._node is None:  # a leaf: the seed is its whole gradient
+            self.grad = grad.copy() if self.grad is None else self.grad + grad
+            return
 
-        # Topologically order the graph reachable from this tensor: a
+        # Topologically order the nodes reachable from this tensor's node: a
         # depth-first post-order over each node's inputs, in input order
         # (the order fixes how gradients accumulate, hence their bits).
         # Iterative, so no self-referencing closure keeps the graph alive
         # until the cyclic collector runs, and no recursion limit applies.
-        topo: List[Tensor] = []
-        visited = set()
-        stack = []
-        if self._node is not None:
-            visited.add(id(self))
-            stack.append((self, iter(self._node.inputs)))
+        topo: List[Node] = []
+        visited = {self._node}
+        stack = [(self._node, iter(self._node.inputs))]
         while stack:
-            t, parents = stack[-1]
+            node, parents = stack[-1]
             for parent in parents:
-                if isinstance(parent, Tensor) and parent._node is not None and id(parent) not in visited:
-                    visited.add(id(parent))
-                    stack.append((parent, iter(parent._node.inputs)))
+                if isinstance(parent, Node) and parent not in visited:
+                    visited.add(parent)
+                    stack.append((parent, iter(parent.inputs)))
                     break
             else:
                 stack.pop()
-                topo.append(t)
+                topo.append(node)
 
-        grads = {id(self): grad}
-        for t in reversed(topo):
-            node = t._node
-            grad_out = grads.pop(id(t), None)
+        grads = {self._node: grad}
+        for node in reversed(topo):
+            grad_out = grads.pop(node, None)
             if grad_out is None:
                 continue
             input_grads = node.fn.backward(node.ctx, grad_out)
             if not isinstance(input_grads, tuple):
                 input_grads = (input_grads,)
             for parent, g in zip(node.inputs, input_grads):
-                if parent is None or g is None or not isinstance(parent, Tensor):
-                    continue
-                if not (parent.requires_grad or parent._node is not None):
+                if parent is None or g is None:
                     continue
                 g = np.asarray(g)
-                if parent._node is None:
-                    # Leaf: accumulate into .grad
-                    if parent.requires_grad:
-                        if parent.grad is None:
-                            parent.grad = g.astype(parent.data.dtype, copy=True)
-                        else:
-                            parent.grad = parent.grad + g
-                else:
-                    existing = grads.get(id(parent))
-                    grads[id(parent)] = g if existing is None else existing + g
-        # Leaves with requires_grad that *are* this tensor itself.
-        if self._node is None and self.requires_grad:
-            if self.grad is None:
-                self.grad = np.asarray(grad, dtype=self.data.dtype).copy()
-            else:
-                self.grad = self.grad + grad
+                if isinstance(parent, Node):
+                    existing = grads.get(parent)
+                    grads[parent] = g if existing is None else existing + g
+                elif parent.requires_grad:  # a leaf: accumulate into .grad
+                    if parent.grad is None:
+                        parent.grad = g.astype(parent.data.dtype, copy=True)
+                    else:
+                        parent.grad = parent.grad + g
 
     # ------------------------------------------------------------------ #
     # Arithmetic operators

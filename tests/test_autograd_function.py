@@ -62,7 +62,13 @@ class TestFunctionApply:
         y = Double.apply(x)
         assert isinstance(y._node, Node)
         assert y._node.fn is Double
-        assert y._node.inputs[0] is x
+        assert y._node.inputs[0] is x  # a leaf input stays the tensor
+
+    def test_non_leaf_input_is_linked_as_its_node(self):
+        # The graph links producers, so it does not pin the inner output.
+        x = Tensor([1.0], requires_grad=True)
+        inner = Double.apply(x)
+        assert Double.apply(inner)._node.inputs[0] is inner._node
 
     def test_non_tensor_inputs_become_none_placeholders(self):
         x = Tensor([1.0], requires_grad=True)

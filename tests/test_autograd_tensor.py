@@ -1,5 +1,8 @@
 """Unit tests for the Tensor core: construction, graph recording, backward."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,21 @@ class TestBackwardBasics:
         y = x * 2.0
         y.backward(np.array([1.0, 10.0]))
         assert np.allclose(x.grad, [2.0, 20.0])
+
+    def test_backward_rejects_a_gradient_of_another_shape(self):
+        # A (2, 3) seed would broadcast through the ops and double x.grad.
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(3,\)"):
+            (x * 2.0).backward(np.ones((2, 3)))
+        assert x.grad is None
+
+    def test_backward_without_a_graph_raises(self):
+        # A loss computed under no_grad has nothing to train.
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with no_grad():
+            loss = (x * 2.0).sum()
+        with pytest.raises(RuntimeError, match="does not require grad"):
+            loss.backward()
 
     def test_gradient_accumulates_over_multiple_uses(self):
         x = Tensor([1.0], requires_grad=True)
@@ -175,6 +193,45 @@ class TestBackwardBasics:
         y = (a * b).sum()  # y = 12 x^2, dy/dx = 24 x = 48
         y.backward()
         assert x.grad == pytest.approx([48.0])
+
+
+class TestGraphHoldsWhatBackwardReads:
+    """A graph links the nodes that made its inputs, not the tensors.
+
+    So an intermediate's array dies with the last Python reference to it
+    (by reference counting, hence the cycle collector is off), unless an
+    op saved it for its backward pass.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_cycle_collector(self):
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_add_does_not_pin_its_operands(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = x + 1.0
+        ref = weakref.ref(y.data)
+        z = y + 2.0
+        loss = z.sum()
+        del y
+        assert ref() is None
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, np.ones(3))
+        assert z.grad is None and loss.grad is None
+
+    def test_mul_saves_only_the_operand_a_wanted_gradient_reads(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        h = x + 0.0
+        ref = weakref.ref(h.data)
+        z = h * 0.5
+        loss = z.sum()
+        del h
+        assert ref() is None
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, np.full(3, 0.5))
+        assert z.grad is None and loss.grad is None
 
 
 class TestOperatorSemantics:

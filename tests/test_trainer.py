@@ -6,6 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor
+from repro.autograd.function import Node
 from repro.data import ArrayDataset, DataLoader
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DirectEncoder
@@ -111,3 +113,31 @@ class TestTrainer:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_train_batch_graph_holds_no_intermediate_tensor(self):
+        # A node links the node that made each non-leaf input, so the BPTT
+        # graph pins no step's membrane, spike map or conv output; only the
+        # arrays the ops saved for their backward stay alive until it runs.
+        model = SpikingCNN(image_size=8, conv_channels=(3, 4), hidden_units=16, seed=0)
+        images = np.random.default_rng(0).random((6, 3, 8, 8), dtype=np.float32)
+        labels = np.arange(6) % model.num_classes
+        trainer = Trainer(model, DirectEncoder(num_steps=3), Adam(model.parameters(), lr=1e-2))
+        nodes, non_leaf_inputs = set(), []
+        loss_fn = trainer.loss_fn
+
+        def walking_loss(counts, targets):
+            stack = [counts._node]
+            while stack:
+                for parent in stack.pop().inputs:
+                    if isinstance(parent, Tensor) and parent._node is not None:
+                        non_leaf_inputs.append(parent._node.fn.__name__)
+                        parent = parent._node
+                    if isinstance(parent, Node) and parent not in nodes:
+                        nodes.add(parent)
+                        stack.append(parent)
+            return loss_fn(counts, targets)
+
+        trainer.loss_fn = walking_loss
+        trainer.train_batch(images, labels)
+        assert len(nodes) > 10  # the walk reached the unrolled graph
+        assert non_leaf_inputs == []
