@@ -33,14 +33,6 @@ Load-tests :mod:`repro.serve` end to end on freshly trained models:
    pre-queued burst served with request tracing off and on
    (``repro.obs``), bit-identity asserted between the legs.  Acceptance
    (full mode): traced p95 latency within **5%** of untraced.
-7. **Autoscale replay** (``test_serve_autoscale``) — a bursty
-   burst/lull/burst/lull traffic replay (bursts at ``OVERLOAD_FACTOR``
-   of baseline capacity, 50% of traffic high-priority with a deadline
-   budget) played identically against a fixed-capacity gateway and one
-   running the closed-loop autoscaler.  Acceptance (full mode): the
-   autoscaled gateway sheds strictly fewer high-priority requests and
-   keeps admitted p99 within the SLO bound, with scale events recorded
-   in telemetry.
 
 Every leg reports through :class:`repro.serve.ServeTelemetry`; the
 measured achieved fps is recorded next to the accelerator model's
@@ -48,8 +40,8 @@ prediction for the *same measured spike traffic* (see
 ``format_measured_vs_modeled``).  Results go to
 ``benchmarks/results/measured.json`` (headline) and
 ``benchmarks/results/BENCH_serve.json`` (one section per scenario —
-``microbatch``, ``gateway_overload``, ``faults``, ``observability`` and
-``autoscale``; see ``docs/BENCHMARKS.md``).
+``microbatch``, ``gateway_overload``, ``faults`` and ``observability``;
+see ``docs/BENCHMARKS.md``).
 """
 
 from __future__ import annotations
@@ -64,14 +56,12 @@ from repro.core.experiment import make_dataset
 from repro.hardware.report import format_measured_vs_modeled
 from repro.runtime import compile_network
 from repro.serve import (
-    AutoscalePolicy,
     BreakerPolicy,
     FaultInjector,
     InferenceServer,
     InjectedFault,
     ModelRegistry,
     ModelUnavailable,
-    RequestTimedOut,
     ServeGateway,
     ServerOverloaded,
     format_gateway_summary,
@@ -91,15 +81,6 @@ GATEWAY_MAX_QUEUE = 16
 
 #: Overload arrival rate as a multiple of measured gateway capacity (>= 2x).
 OVERLOAD_FACTOR = 2.2
-
-#: Queue cap for the autoscale replay (small, so overload bites quickly).
-AUTOSCALE_MAX_QUEUE = 8
-
-#: Lull arrival rate as a fraction of baseline capacity (the diurnal trough).
-LULL_LOAD = 0.3
-
-#: Latency budget attached to high-priority requests in the replay (ms).
-HIGH_PRIORITY_DEADLINE_MS = 250.0
 
 
 def _update_bench_json(section: str, payload: dict) -> None:
@@ -693,254 +674,3 @@ def test_serve_observability(benchmark, bench_smoke, repro_scale, results_store,
             f"{OBS_P95_OVERHEAD_BAR:.0%} bar"
         )
 
-
-def _bursty_schedule(capacity_fps: float, phase_counts, rng):
-    """Arrival schedule for the diurnal replay: ``[(delay_s, priority), ...]``.
-
-    Alternates burst phases (Poisson at ``OVERLOAD_FACTOR`` of baseline
-    capacity) and lull phases (``LULL_LOAD``); every second request rides
-    the high-priority lane.  Generated once so the fixed and autoscaled
-    runs replay byte-for-byte identical traffic.
-    """
-    schedule = []
-    for phase, count in enumerate(phase_counts):
-        rate = capacity_fps * (OVERLOAD_FACTOR if phase % 2 == 0 else LULL_LOAD)
-        for i in range(count):
-            schedule.append((rng.exponential(1.0 / rate), 1 if i % 2 == 0 else 0))
-    return schedule
-
-
-def _replay(gateway, name, images, schedule):
-    """Play one arrival schedule against a gateway; returns outcome counts.
-
-    High-priority arrivals carry a ``HIGH_PRIORITY_DEADLINE_MS`` budget,
-    which is a *real* timeout: a request still queued past its deadline
-    resolves to :class:`RequestTimedOut` instead of being dispatched late.
-    Requests shed at submit (or evicted from the queue) are counted per
-    lane; admitted futures are then drained to completion.
-    """
-    futures = []
-    submit_shed = {0: 0, 1: 0}
-    next_arrival = time.perf_counter()
-    for i, (delay, priority) in enumerate(schedule):
-        next_arrival += delay
-        sleep_s = next_arrival - time.perf_counter()
-        if sleep_s > 0:
-            time.sleep(sleep_s)
-        try:
-            futures.append(
-                gateway.submit(
-                    name,
-                    images[i % len(images)],
-                    priority=priority,
-                    deadline_ms=HIGH_PRIORITY_DEADLINE_MS if priority else None,
-                )
-            )
-        except ServerOverloaded:
-            submit_shed[priority] += 1
-    served = 0
-    evicted = 0
-    timed_out = 0
-    for future in futures:
-        try:
-            future.result(timeout=300)
-            served += 1
-        except ServerOverloaded:
-            evicted += 1  # admitted then evicted by a higher-priority arrival
-        except RequestTimedOut:
-            timed_out += 1  # queued past its deadline budget
-    return {
-        "served": served,
-        "evicted": evicted,
-        "timed_out": timed_out,
-        "submit_shed": submit_shed,
-    }
-
-
-def test_serve_autoscale(benchmark, bench_smoke, repro_scale, results_store, tmp_path):
-    """Closed-loop autoscaler vs fixed capacity under a bursty replay.
-
-    Baseline capacity is measured closed-loop at the autoscaler's minimum
-    configuration; the same burst/lull schedule then runs against (a) a
-    gateway pinned at that minimum and (b) a gateway running the control
-    loop.  Full-mode acceptance: the autoscaled gateway sheds strictly
-    fewer high-priority requests and keeps admitted p99 within the SLO
-    bound; both modes require at least one recorded scale-up event.
-    """
-    if bench_smoke:
-        scale = SCALE_PRESETS["smoke"]
-        burst_measure, burst_s, lull_s = 32, 0.6, 0.25
-    else:
-        scale = repro_scale
-        burst_measure, burst_s, lull_s = 128, 1.2, 0.5
-    config = ExperimentConfig(scale=scale, label="autoscale")
-    min_batch = 8
-
-    registry = ModelRegistry(tmp_path / "registry")
-    train_and_register(registry, "model", config)
-    images = _collect_images(config, 64)
-
-    def run():
-        # Baseline capacity: closed-loop burst at the ladder's minimum.
-        with ServeGateway(registry, max_batch=min_batch, max_wait_ms=5.0, workers=1) as warm:
-            start = time.perf_counter()
-            for future in [
-                warm.submit("model", images[i % len(images)]) for i in range(burst_measure)
-            ]:
-                future.result(timeout=300)
-            capacity_fps = burst_measure / (time.perf_counter() - start)
-
-        # The policy's targets and the replay's phase lengths both scale
-        # with measured capacity, so the scenario stresses a fast smoke
-        # model and a slow full-scale model identically: "hot" means the
-        # oldest request has queued longer than half a full queue's drain
-        # time at baseline capacity, and each phase lasts a fixed wall-time
-        # (many control-loop samples) rather than a fixed request count.
-        policy = AutoscalePolicy(
-            min_workers=1,
-            max_workers=3,
-            min_batch=min_batch,
-            max_batch=MAX_BATCH,
-            target_queue_age_ms=1000.0 * (AUTOSCALE_MAX_QUEUE / 2) / capacity_fps,
-            scale_up_after=2,
-            scale_down_after=8,
-            cooldown_s=0.1,
-        )
-        burst_n = min(1500, max(30, int(capacity_fps * OVERLOAD_FACTOR * burst_s)))
-        lull_n = min(300, max(8, int(capacity_fps * LULL_LOAD * lull_s)))
-        phase_counts = (burst_n, lull_n, burst_n, lull_n)
-        schedule = _bursty_schedule(capacity_fps, phase_counts, np.random.default_rng(13))
-
-        # (a) fixed at the minimum configuration the autoscaler starts from.
-        fixed = ServeGateway(
-            registry,
-            max_batch=min_batch,
-            max_wait_ms=5.0,
-            workers=1,
-            max_queue=AUTOSCALE_MAX_QUEUE,
-            overload="shed",
-        )
-        fixed_outcome = _replay(fixed, "model", images, schedule)
-        fixed_summary = fixed.summary()
-        fixed.stop()
-
-        # (b) same replay with the control loop closing telemetry -> capacity.
-        scaled = ServeGateway(
-            registry,
-            max_wait_ms=5.0,
-            max_queue=AUTOSCALE_MAX_QUEUE,
-            overload="shed",
-            autoscale=policy,
-        )
-        scaled_outcome = _replay(scaled, "model", images, schedule)
-        scaled_summary = scaled.summary()
-        scale_events = scaled.scale_events("model")
-        scaled.stop()
-        return (
-            capacity_fps,
-            policy,
-            phase_counts,
-            fixed_outcome,
-            fixed_summary,
-            scaled_outcome,
-            scaled_summary,
-            scale_events,
-        )
-
-    (
-        capacity_fps,
-        policy,
-        phase_counts,
-        fixed_outcome,
-        fixed_summary,
-        scaled_outcome,
-        scaled_summary,
-        scale_events,
-    ) = run_once(benchmark, run)
-
-    def _lane_metrics(summary, outcome):
-        per_model = summary["models"]["model"]
-        return {
-            "admitted": per_model["admitted"],
-            "served": outcome["served"],
-            "timed_out": outcome["timed_out"],
-            "shed": per_model["shed"],
-            "shed_high": per_model["shed_high"],
-            "shed_low": per_model["shed_low"],
-            "p99_ms": per_model["p99_ms"],
-            "deadline_dispatches": per_model["deadline_dispatches"],
-            "scale_ups": per_model["scale_ups"],
-            "scale_downs": per_model["scale_downs"],
-            "queue_high_water": per_model["queue_high_water"],
-        }
-
-    fixed_metrics = _lane_metrics(fixed_summary, fixed_outcome)
-    scaled_metrics = _lane_metrics(scaled_summary, scaled_outcome)
-    # SLO: worst case for an admitted request is a full queue plus one batch
-    # ahead of it at *baseline* capacity, with 3x slack for a loaded box —
-    # the autoscaled gateway must hold this even though the replay bursts at
-    # OVERLOAD_FACTOR x capacity.
-    slo_p99_ms = 3000.0 * (AUTOSCALE_MAX_QUEUE + MAX_BATCH) / capacity_fps
-
-    mode = "smoke" if bench_smoke else "full"
-    arrivals = sum(phase_counts)
-    print()
-    print(
-        f"[autoscale] {arrivals} arrivals, bursts at {OVERLOAD_FACTOR:.1f}x of "
-        f"{capacity_fps:.1f} req/s, max_queue={AUTOSCALE_MAX_QUEUE}, mode={mode}"
-    )
-    for label, metrics in (("fixed", fixed_metrics), ("autoscaled", scaled_metrics)):
-        print(
-            f"  {label:<11} served {metrics['served']:>4.0f}   "
-            f"shed {metrics['shed']:>4.0f} (high {metrics['shed_high']:.0f})   "
-            f"p99 {metrics['p99_ms']:>8.1f} ms   "
-            f"scale {metrics['scale_ups']:.0f}up/{metrics['scale_downs']:.0f}down"
-        )
-    print(f"  SLO p99 bound {slo_p99_ms:.1f} ms; {len(scale_events)} scale events recorded")
-
-    payload = {
-        "experiment": "serve_autoscale",
-        "mode": mode,
-        "scale": scale.name,
-        "arrivals": arrivals,
-        "capacity_fps": capacity_fps,
-        "overload_factor": OVERLOAD_FACTOR,
-        "max_queue": AUTOSCALE_MAX_QUEUE,
-        "slo_p99_ms": slo_p99_ms,
-        "policy": {
-            "min_workers": policy.min_workers,
-            "max_workers": policy.max_workers,
-            "min_batch": policy.min_batch,
-            "max_batch": policy.max_batch,
-            "target_queue_age_ms": policy.target_queue_age_ms,
-        },
-        "fixed": fixed_metrics,
-        "autoscaled": scaled_metrics,
-        "scale_events": scale_events,
-    }
-    results_store.add("serve_autoscale", f"scale={scale.name}_{mode}", payload)
-    _update_bench_json("autoscale", payload)
-
-    # Nothing admitted may be silently lost: every future resolves to a
-    # result, a counted eviction or a counted deadline timeout, in both runs.
-    for outcome, metrics in ((fixed_outcome, fixed_metrics), (scaled_outcome, scaled_metrics)):
-        assert (
-            outcome["served"]
-            + outcome["evicted"]
-            + outcome["timed_out"]
-            + sum(outcome["submit_shed"].values())
-        ) == arrivals
-        assert metrics["shed"] == outcome["evicted"] + sum(outcome["submit_shed"].values())
-    # The bursts must actually drive the ladder: scale-ups are required in
-    # both modes (the replay overloads the minimum configuration 2.2x).
-    assert scaled_metrics["scale_ups"] >= 1, "bursty replay never triggered a scale-up"
-    assert scale_events and scale_events[0]["direction"] == "up"
-    if not bench_smoke:
-        assert scaled_metrics["shed_high"] < fixed_metrics["shed_high"], (
-            f"autoscaled gateway must shed strictly fewer high-priority requests "
-            f"({scaled_metrics['shed_high']:.0f} vs {fixed_metrics['shed_high']:.0f})"
-        )
-        assert scaled_metrics["p99_ms"] <= slo_p99_ms, (
-            f"autoscaled admitted p99 {scaled_metrics['p99_ms']:.1f} ms blew the "
-            f"SLO bound {slo_p99_ms:.1f} ms"
-        )

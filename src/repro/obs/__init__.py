@@ -13,13 +13,13 @@ Three pillars, all stdlib-only at import time:
   capture for compiled plans, reconciled against the hardware latency
   model in a :class:`ProfileReport`.
 
-Structured serving events (breaker transitions, autoscaler resizes) go
-through :mod:`repro.obs.logs` on the ``"repro.serve"`` logger.  The whole
-surface is scrapable via ``python -m repro.obs dump|serve``
-(:mod:`repro.obs.cli`), which exposes ``/metrics`` and ``/healthz``.
+Structured serving events (breaker transitions) go through
+:mod:`repro.obs.logs` on the ``"repro.serve"`` logger.  The whole surface
+is scrapable via ``python -m repro.obs dump|serve`` (:mod:`repro.obs.cli`),
+which exposes ``/metrics`` and ``/healthz``.
 """
 
-from repro.obs.logs import log_breaker_transition, log_scale_event, serve_logger
+from repro.obs.logs import log_breaker_transition, serve_logger
 from repro.obs.metrics import (
     BATCH_SIZE_BUCKETS,
     Counter,
@@ -51,7 +51,6 @@ __all__ = [
     "default_registry",
     "default_tracer",
     "log_breaker_transition",
-    "log_scale_event",
     "profile_plan",
     "serve_logger",
 ]

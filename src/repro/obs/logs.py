@@ -1,12 +1,11 @@
 """Structured logging hooks for serving-layer state transitions.
 
-Breaker open/close transitions and autoscaler resize decisions were
-previously only visible in a full ``format_telemetry`` render; these
-helpers emit them as they happen through the standard :mod:`logging`
-machinery, on the ``"repro.serve"`` logger.  Each record carries the model
-name, the old and new state, a wall-clock ``unix_ts`` and the matching
-``perf_ts`` (``time.perf_counter``) so log lines correlate with trace
-spans, which live on the same monotonic clock.
+Breaker open/close transitions are emitted as they happen through the
+standard :mod:`logging` machinery, on the ``"repro.serve"`` logger, not
+only in a full ``format_telemetry`` render.  Each record carries the
+model name, the old and new state, a wall-clock ``unix_ts`` and the
+matching ``perf_ts`` (``time.perf_counter``) so log lines correlate with
+trace spans, which live on the same monotonic clock.
 
 The logger gets a ``NullHandler`` by default — applications opt in by
 attaching their own handler (``logging.basicConfig`` suffices).  The
@@ -19,7 +18,7 @@ import logging
 import time
 from typing import Any, Dict
 
-__all__ = ["serve_logger", "log_breaker_transition", "log_scale_event"]
+__all__ = ["serve_logger", "log_breaker_transition"]
 
 #: Logger name used for every serving-layer structured event.
 SERVE_LOGGER_NAME = "repro.serve"
@@ -59,29 +58,3 @@ def log_breaker_transition(model: str, old_state: str, new_state: str, reason: s
         level,
     )
 
-
-def log_scale_event(
-    model: str,
-    direction: str,
-    workers: int,
-    max_batch: int,
-    reason: str = "",
-) -> None:
-    """Emit an autoscaler resize decision as a structured log record.
-
-    ``direction`` is ``"up"`` or ``"down"``; ``workers`` / ``max_batch``
-    are the *new* values after the resize.
-    """
-    _emit(
-        "scale_event",
-        f"autoscaler[{model}]: scale {direction} -> workers={workers}, max_batch={max_batch}"
-        + (f" ({reason})" if reason else ""),
-        {
-            "model": model,
-            "direction": direction,
-            "workers": int(workers),
-            "max_batch": int(max_batch),
-            "reason": reason,
-        },
-        logging.INFO,
-    )

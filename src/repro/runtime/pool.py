@@ -128,25 +128,6 @@ class CompiledNetworkPool:
                     self._idle.append(plan)
                 self._cv.notify_all()
 
-    def resize(self, max_idle: int) -> None:
-        """Retarget the idle-plan retention cap to ``max_idle`` live.
-
-        Growing simply raises the cap — new plans are compiled lazily by the
-        next checkouts that need them.  Shrinking trims surplus *idle* plans
-        immediately (oldest first; the most recently warmed plans are kept)
-        under the same condition variable the :meth:`update_weights` quiesce
-        barrier uses, so plans currently on loan are untouched: an in-flight
-        batch always finishes on the plan it checked out, and is simply not
-        re-pooled if it returns past the new cap.  The serving autoscaler
-        calls this in lockstep with the worker count.
-        """
-        if max_idle < 1:
-            raise ValueError(f"max_idle must be at least 1, got {max_idle}")
-        with self._cv:
-            self.max_idle = int(max_idle)
-            if len(self._idle) > self.max_idle:
-                del self._idle[: len(self._idle) - self.max_idle]
-
     def update_weights(self, state: Dict[str, np.ndarray]) -> None:
         """Swap the pooled model's weights in place, between batches.
 

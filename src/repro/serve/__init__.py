@@ -24,18 +24,12 @@ This package is that deployment surface:
   bit-identical to offline ``evaluate_with_runtime`` on the same batches.
   ``max_queue`` / ``overload`` add admission control: surplus arrivals are
   shed fail-fast (:class:`~repro.serve.scheduler.ServerOverloaded`) or
-  back-pressured in FIFO order.
+  back-pressured in FIFO order.  Priority lanes shed low-priority traffic
+  first under overload, and ``deadline_ms`` budgets cut batches early.
 * :class:`~repro.serve.gateway.ServeGateway` routes *named-model* requests
   across registry entries — one lazily started server per active model —
   and hot-reloads weights in place when a model is republished, without
   restarting or dropping queued work.
-* :class:`~repro.serve.autoscaler.ModelAutoscaler` closes the loop from
-  telemetry back to capacity: driven by an
-  :class:`~repro.serve.autoscaler.AutoscalePolicy` on the gateway, each
-  model's worker count and micro-batch cap walk a hysteresis-damped
-  capacity ladder against observed queue age and latency, while the
-  scheduler's priority lanes shed low-priority traffic first under
-  overload and deadline budgets cut batches early.
 * :class:`~repro.serve.telemetry.ServeTelemetry` measures what the hardware
   models predict: p50/p95/p99 latency, achieved fps, per-layer spike
   activity, plus admission-control counters (admitted/shed, queue-depth
@@ -56,7 +50,6 @@ arrival modes (including gateway overload beyond capacity);
 ``docs/ARCHITECTURE.md``.
 """
 
-from repro.serve.autoscaler import AutoscalePolicy, ModelAutoscaler
 from repro.serve.breaker import BreakerPolicy, CircuitBreaker, ModelUnavailable
 from repro.serve.faults import (
     BatchFate,
@@ -86,8 +79,6 @@ from repro.serve.scheduler import (
 from repro.serve.telemetry import RequestStat, ServeTelemetry, format_telemetry
 
 __all__ = [
-    "AutoscalePolicy",
-    "ModelAutoscaler",
     "BreakerPolicy",
     "CircuitBreaker",
     "ModelUnavailable",

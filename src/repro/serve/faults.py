@@ -21,7 +21,7 @@ Four fault species are supported:
   loop entirely (the batch is requeued, the supervisor respawns the
   thread);
 - **slow batch** — a deterministic sleep before inference, for deadline
-  and autoscaler pressure tests;
+  and overload tests;
 - **torn checkpoint** — :func:`tear_checkpoint` corrupts a published
   checkpoint file in place (atomically, so the tear itself is never
   half-visible) to exercise integrity-failure degradation on hot-reload.

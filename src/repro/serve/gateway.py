@@ -39,15 +39,6 @@ front-end over a :class:`~repro.serve.registry.ModelRegistry`:
   FIFO back-pressure.  Shed counts, admitted counts and queue-depth
   high-water marks appear in each model's telemetry and in the gateway's
   aggregated :meth:`ServeGateway.summary`.
-* **Closed-loop autoscaling** — passing an
-  :class:`~repro.serve.autoscaler.AutoscalePolicy` attaches a
-  :class:`~repro.serve.autoscaler.ModelAutoscaler` to every per-model
-  server, all sampled from one background thread on a fixed cadence: each
-  model's worker count and micro-batch cap walk a capacity ladder against
-  observed queue age and latency, with scale events recorded in that
-  model's telemetry.  Scaling reuses the pool's quiesce discipline, so
-  queued work is never dropped and served outputs stay bit-identical
-  across scale events.
 
 ``benchmarks/bench_serve.py`` drives a two-model gateway through open-loop
 overload; ``examples/serve_quickstart.py`` shows routing plus a live
@@ -67,7 +58,6 @@ import numpy as np
 from repro.obs.metrics import default_registry
 from repro.obs.trace import Tracer, default_tracer
 from repro.runtime.pool import CompiledNetworkPool
-from repro.serve.autoscaler import AutoscalePolicy, ModelAutoscaler
 from repro.serve.breaker import BreakerPolicy, CircuitBreaker, ModelUnavailable
 from repro.serve.faults import FaultInjector
 from repro.serve.registry import (
@@ -102,8 +92,6 @@ class _ActiveModel:
     lock: threading.Lock = field(default_factory=threading.Lock)
     last_check: float = 0.0
     reloads: int = 0
-    reload_failures: int = 0
-    autoscaler: Optional[ModelAutoscaler] = None
 
 
 class ServeGateway:
@@ -119,16 +107,6 @@ class ServeGateway:
     max_queue, overload:
         Admission control applied to every per-model server queue — see
         :class:`InferenceServer`.  ``max_queue=None`` disables it.
-    autoscale:
-        Optional :class:`~repro.serve.autoscaler.AutoscalePolicy`.  When
-        set, every per-model server starts at the policy's baseline
-        capacity (``min_workers`` / ``min_batch`` — the gateway-level
-        ``workers`` / ``max_batch`` are ignored) and a background thread
-        samples each model's :class:`~repro.serve.autoscaler.ModelAutoscaler`
-        every ``autoscale_interval_s`` seconds.
-    autoscale_interval_s:
-        Control-loop sampling cadence (seconds); only used with
-        ``autoscale``.
     reload_check_s:
         Minimum seconds between republish checks per model.  ``0`` (the
         default) checks on every submit — the check is one ``stat`` call,
@@ -167,8 +145,6 @@ class ServeGateway:
         workers: int = 1,
         max_queue: Optional[int] = None,
         overload: str = OVERLOAD_SHED,
-        autoscale: Optional[AutoscalePolicy] = None,
-        autoscale_interval_s: float = 0.02,
         reload_check_s: float = 0.0,
         breaker: Optional[BreakerPolicy] = None,
         faults: Optional[FaultInjector] = None,
@@ -176,18 +152,12 @@ class ServeGateway:
     ) -> None:
         if reload_check_s < 0:
             raise ValueError(f"reload_check_s must be non-negative, got {reload_check_s}")
-        if autoscale_interval_s <= 0:
-            raise ValueError(
-                f"autoscale_interval_s must be positive, got {autoscale_interval_s}"
-            )
         self.registry = registry if isinstance(registry, ModelRegistry) else ModelRegistry(registry)
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
         self.workers = int(workers)
         self.max_queue = int(max_queue) if max_queue is not None else None
         self.overload = overload
-        self.autoscale = autoscale
-        self.autoscale_interval_s = float(autoscale_interval_s)
         self.reload_check_s = float(reload_check_s)
         self.breaker = breaker
         self.faults = faults
@@ -206,8 +176,6 @@ class ServeGateway:
         self._creating: Dict[str, threading.Lock] = {}
         self._lock = threading.Lock()
         self._closed = False
-        self._autoscale_thread: Optional[threading.Thread] = None
-        self._stop_event = threading.Event()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -223,10 +191,6 @@ class ServeGateway:
                 return
             self._closed = True
             active = list(self._active.values())
-            autoscale_thread = self._autoscale_thread
-        self._stop_event.set()
-        if autoscale_thread is not None:
-            autoscale_thread.join()
         for model in active:
             model.server.stop(drain=drain)
 
@@ -311,10 +275,6 @@ class ServeGateway:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def models(self) -> List[str]:
-        """Every model name currently publishable to this gateway."""
-        return self.registry.names()
-
     def active_models(self) -> List[str]:
         """Names with a live server (activated by at least one request)."""
         with self._lock:
@@ -335,10 +295,6 @@ class ServeGateway:
         if active is None:
             raise RegistryError(f"model {name!r} is not active on this gateway")
         return active.server.telemetry
-
-    def scale_events(self, name: str) -> List[Dict[str, Any]]:
-        """The named model's recorded autoscale events (oldest first)."""
-        return self.telemetry(name).scale_events()
 
     def last_errors(self) -> Dict[str, str]:
         """Most recent failure description per active model (clean models omitted)."""
@@ -375,15 +331,12 @@ class ServeGateway:
             "reload_failures": 0.0,
             "breaker_opens": 0.0,
             "breaker_rejections": 0.0,
-            "scale_ups": 0.0,
-            "scale_downs": 0.0,
             "queue_high_water": 0.0,
         }
         for name, model in sorted(active.items()):
             per_model = model.server.telemetry.summary()
             per_model["version"] = float(model.entry.version)
             per_model["reloads"] = float(model.reloads)
-            per_model["reload_failures"] = float(model.reload_failures)
             models[name] = per_model
             totals["requests"] += per_model["requests"]
             totals["admitted"] += per_model["admitted"]
@@ -393,11 +346,9 @@ class ServeGateway:
             totals["timed_out"] += per_model.get("timed_out", 0.0)
             totals["worker_deaths"] += per_model.get("worker_deaths", 0.0)
             totals["reloads"] += float(model.reloads)
-            totals["reload_failures"] += float(model.reload_failures)
+            totals["reload_failures"] += per_model["reload_failures"]
             totals["breaker_opens"] += per_model.get("breaker_opens", 0.0)
             totals["breaker_rejections"] += per_model.get("breaker_rejections", 0.0)
-            totals["scale_ups"] += per_model.get("scale_ups", 0.0)
-            totals["scale_downs"] += per_model.get("scale_downs", 0.0)
             totals["queue_high_water"] = max(totals["queue_high_water"], per_model["queue_high_water"])
         return {"models": models, "totals": totals}
 
@@ -407,14 +358,10 @@ class ServeGateway:
     def _make_server(
         self, entry: RegisteredModel, telemetry: Optional[ServeTelemetry] = None
     ) -> InferenceServer:
-        # Under autoscaling the control loop owns capacity end to end, so
-        # servers start at the policy baseline, not the gateway defaults.
-        workers = self.autoscale.min_workers if self.autoscale else self.workers
-        max_batch = self.autoscale.min_batch if self.autoscale else self.max_batch
         # A model published with a quantization spec serves integer plans:
         # the pool compiles every plan at the published precision.
         pool = CompiledNetworkPool(
-            entry.model, max_idle=workers, **quantization_pool_kwargs(entry.quantization)
+            entry.model, max_idle=self.workers, **quantization_pool_kwargs(entry.quantization)
         )
         telemetry = telemetry if telemetry is not None else ServeTelemetry(model=entry.name)
         telemetry.set_precision(pool.precision, pool.weight_bits)
@@ -434,9 +381,9 @@ class ServeGateway:
         server = InferenceServer(
             pool,
             entry.encoder,
-            max_batch=max_batch,
+            max_batch=self.max_batch,
             max_wait_ms=self.max_wait_ms,
-            workers=workers,
+            workers=self.workers,
             max_queue=self.max_queue,
             overload=self.overload,
             telemetry=telemetry,
@@ -446,28 +393,6 @@ class ServeGateway:
         )
         self._m_activations.inc()
         return server.start()
-
-    def _ensure_autoscale_thread_locked(self) -> None:
-        """Start the shared sampling thread on first activation (gateway lock held)."""
-        if self._autoscale_thread is None and not self._closed:
-            self._autoscale_thread = threading.Thread(
-                target=self._autoscale_loop, name="repro-serve-autoscale", daemon=True
-            )
-            self._autoscale_thread.start()
-
-    def _autoscale_loop(self) -> None:
-        """Sample every active model's autoscaler on a fixed cadence."""
-        while not self._stop_event.wait(self.autoscale_interval_s):
-            with self._lock:
-                if self._closed:
-                    return
-                scalers = [
-                    model.autoscaler
-                    for model in self._active.values()
-                    if model.autoscaler is not None
-                ]
-            for scaler in scalers:
-                scaler.sample()
 
     def _creation_lock(self, name: str) -> threading.Lock:
         with self._lock:
@@ -497,10 +422,6 @@ class ServeGateway:
                         signature=signature,
                         last_check=time.monotonic(),
                     )
-                    if self.autoscale is not None:
-                        active.autoscaler = ModelAutoscaler(
-                            active.server, self.autoscale, name=name
-                        )
                     with self._lock:
                         if self._closed:
                             # stop() already swept _active; don't leak a
@@ -508,8 +429,6 @@ class ServeGateway:
                             active.server.stop(drain=False)
                             raise ServerClosed("gateway has been stopped")
                         self._active[name] = active
-                        if active.autoscaler is not None:
-                            self._ensure_autoscale_thread_locked()
                     return active
         if reload:
             self._maybe_reload(active)
@@ -555,7 +474,6 @@ class ServeGateway:
                 # good republish changes the signature again and is picked
                 # up normally.
                 active.signature = signature
-                active.reload_failures += 1
                 active.server.telemetry.record_reload_failure(
                     f"{type(exc).__name__}: {exc}"
                 )
@@ -573,7 +491,6 @@ class ServeGateway:
                 # A republish with a malformed quantization spec degrades
                 # exactly like a torn checkpoint: old plans keep serving.
                 active.signature = signature
-                active.reload_failures += 1
                 active.server.telemetry.record_reload_failure(
                     f"{type(exc).__name__}: {exc}"
                 )
@@ -611,13 +528,6 @@ class ServeGateway:
                 retired = active.server
                 retired.telemetry.reset_activity()
                 active.server = self._make_server(entry, telemetry=retired.telemetry)
-                if self.autoscale is not None:
-                    # The fresh server restarts at the ladder baseline; the
-                    # inherited telemetry keeps scale/lane counters and the
-                    # scale-event history continuous across the reload.
-                    active.autoscaler = ModelAutoscaler(
-                        active.server, self.autoscale, name=active.name
-                    )
                 served_model = new_model
             active.entry = RegisteredModel(
                 name=active.name,
@@ -670,8 +580,7 @@ def format_gateway_summary(
         f"{totals.get('requests', 0):.0f} served, {totals.get('shed', 0):.0f} shed, "
         f"{totals.get('failed', 0):.0f} failed, {totals.get('timed_out', 0):.0f} timed out, "
         f"{totals.get('worker_deaths', 0):.0f} worker deaths, "
-        f"{totals.get('reloads', 0):.0f} reloads ({totals.get('reload_failures', 0):.0f} failed), "
-        f"{totals.get('scale_ups', 0):.0f}/{totals.get('scale_downs', 0):.0f} scale up/down"
+        f"{totals.get('reloads', 0):.0f} reloads ({totals.get('reload_failures', 0):.0f} failed)"
     )
     for name, error in sorted((last_errors or {}).items()):
         lines.append(f"  last error [{name}]: {error}")

@@ -27,8 +27,8 @@ Admission control
 -----------------
 By default the queue is unbounded — open-loop arrivals beyond capacity grow
 it (and every latency percentile) without limit.  Passing ``max_queue``
-caps the number of waiting requests and picks one of two overload
-policies:
+caps the number of requests admitted but not yet started and picks one of
+two overload policies:
 
 * ``overload="shed"`` (default) — a submit that finds the queue full
   fails fast with :class:`ServerOverloaded`, *before* paying the encode;
@@ -38,9 +38,11 @@ policies:
   (FIFO) order; late arrivals cannot barge past earlier waiters even when
   a slot opens just as they arrive.
 
-Admission decisions (admitted count, shed count, queue-depth high-water
-mark) are surfaced through the server's telemetry alongside latency and
-throughput.
+The dispatcher cuts a batch only when a worker is free to start it, so a
+request waiting for a worker is still in the admission queue: requests
+admitted but not yet started never exceed ``max_queue``.  Admission
+decisions (admitted count, shed count, queue-depth high-water mark) are
+surfaced through the server's telemetry alongside latency and throughput.
 
 Priority lanes and deadlines (SLO-aware scheduling)
 ---------------------------------------------------
@@ -64,12 +66,6 @@ important) and an optional ``deadline_ms`` latency budget:
   passed* is never dispatched late — its future fails with
   :class:`RequestTimedOut` at the cutoff (batch cut or batch start,
   whichever notices first), counted per lane in telemetry.
-
-Capacity is live-adjustable: :meth:`InferenceServer.resize` retargets the
-worker count and ``max_batch`` between batches — queued work is never
-dropped, in-flight batches finish untouched — which is the actuator the
-closed-loop autoscaler (:mod:`repro.serve.autoscaler`) drives against
-telemetry.
 
 Failure isolation and supervision
 ---------------------------------
@@ -201,16 +197,16 @@ class InferenceServer:
     workers:
         Concurrent batch executors.  Each worker checks out its own
         compiled plan, so ``workers`` bounds the plans ever compiled.
-        Live-adjustable through :meth:`resize`.
     deadline_margin_ms:
         Safety margin for deadline-aware batch cutoffs: a batch is
         dispatched as soon as any waiting request is within this many
         milliseconds of its ``deadline_ms`` budget (leaving that margin for
         the batch to actually execute).
     max_queue:
-        Admission-control cap on the number of *waiting* requests
-        (``None`` = unbounded, the historical behaviour).  Requests being
-        executed do not count against the cap.
+        Admission-control cap on the requests admitted but not yet started
+        (``None`` = unbounded, the historical behaviour).  A request waiting
+        for a free worker counts against the cap; one being executed does
+        not.
     overload:
         What to do with a submit that finds the queue full:
         ``"shed"`` raises :class:`ServerOverloaded` fail-fast,
@@ -301,6 +297,9 @@ class InferenceServer:
         # submission sequence and keys the fault injector's decisions.
         self._ready: Deque[Tuple[int, List[_Pending]]] = deque()
         self._batch_sequence = 0
+        # Batches cut and not yet finished (in _ready or running); the
+        # dispatcher cuts the next one only while this is below ``workers``.
+        self._in_flight = 0
         # Back-pressure turnstile: one opaque token per blocked submitter,
         # in arrival order; the head waiter is admitted first (no barging).
         self._blocked: Deque[object] = deque()
@@ -310,7 +309,7 @@ class InferenceServer:
         self._dispatch_done = False
         self._dispatcher: Optional[threading.Thread] = None
         # Worker threads are owned directly (not via a ThreadPoolExecutor)
-        # so resize() can grow and shrink the pool while serving.
+        # so the supervisor can replace a worker that dies.
         self._worker_threads: List[threading.Thread] = []
         self._live_workers = 0
         self._worker_serial = 0
@@ -344,42 +343,6 @@ class InferenceServer:
             )
             self._worker_threads.append(thread)
             thread.start()
-
-    def resize(self, workers: Optional[int] = None, max_batch: Optional[int] = None) -> bool:
-        """Retarget serving capacity live; returns whether anything changed.
-
-        ``max_batch`` takes effect at the next batch cut; ``workers`` grows
-        by starting threads immediately and shrinks by letting surplus
-        threads retire after the batch they are running (in-flight batches
-        always finish; queued work is never dropped).  The compiled-plan
-        pool's idle retention is resized in lockstep so the pool neither
-        hoards plans after a scale-down nor recompiles on every batch after
-        a scale-up.  This is the autoscaler's actuator, but it is safe to
-        call from anywhere, including on a server that has not started.
-        """
-        changed = False
-        with self._cv:
-            if max_batch is not None:
-                max_batch = int(max_batch)
-                if max_batch < 1:
-                    raise ValueError(f"max_batch must be at least 1, got {max_batch}")
-                if max_batch != self.max_batch:
-                    self.max_batch = max_batch
-                    changed = True
-            if workers is not None:
-                workers = int(workers)
-                if workers < 1:
-                    raise ValueError(f"workers must be at least 1, got {workers}")
-                if workers != self.workers:
-                    self.workers = workers
-                    changed = True
-                    if self._dispatcher is not None and not self._closed:
-                        self._spawn_workers_locked()
-            if changed:
-                self._cv.notify_all()
-        if changed:
-            self.pool.resize(self.workers)
-        return changed
 
     def stop(self, drain: bool = True) -> None:
         """Shut down; by default finishes all queued work first.
@@ -440,19 +403,6 @@ class InferenceServer:
         """
         with self._cv:
             return self._live_workers
-
-    @property
-    def oldest_queue_age_ms(self) -> float:
-        """Age (ms) of the oldest waiting request — 0.0 when the queue is empty.
-
-        This is the autoscaler's primary load signal: it rises as soon as
-        arrivals outpace service and falls back to ~0 the moment the queue
-        drains, with none of the lag a latency-percentile window has.
-        """
-        with self._cv:
-            if not self._queue:
-                return 0.0
-            return (time.perf_counter() - self._queue[0].queued) * 1000.0
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -705,28 +655,37 @@ class InferenceServer:
         self._cv.notify_all()
 
     def _take_batch(self) -> Optional[List[_Pending]]:
-        """Block until a batch is ready (or shutdown); pop and return it."""
+        """Block until a batch is due and a worker is free (or shutdown); pop it.
+
+        A due batch stays uncut while every worker is busy, so its requests
+        remain in the admission queue (bounded by ``max_queue``, open to
+        eviction) and are still timed out when their deadline passes.
+        """
         with self._cv:
-            deadline_cut = False
             while True:
                 self._prune_expired_locked()
-                if self._queue:
-                    if len(self._queue) >= self.max_batch or self._closed:
-                        break
-                    wait_cutoff, cutoff = self._cutoff_locked()
-                    now = time.perf_counter()
-                    if cutoff - now <= 0:
-                        # An early cut that beats the max_wait window can
-                        # only have come from a deadline-driven cutoff.
-                        deadline_cut = now < wait_cutoff
-                        break
-                    self._cv.wait(timeout=cutoff - now)
-                else:
+                if not self._queue:
                     if self._closed:
                         return None
                     # Both wake sources (submit, stop) notify under this
                     # condition, so an idle dispatcher blocks without polling.
                     self._cv.wait()
+                    continue
+                full = len(self._queue) >= self.max_batch or self._closed
+                wait_cutoff, cutoff = self._cutoff_locked()
+                now = time.perf_counter()
+                if not full and cutoff > now:
+                    self._cv.wait(timeout=cutoff - now)
+                    continue
+                if self._in_flight < self.workers:
+                    # An early cut that beats the max_wait window can only
+                    # have come from a deadline-driven cutoff.
+                    deadline_cut = not full and now < wait_cutoff
+                    break
+                # Every worker is busy; a finishing worker notifies, and
+                # the next deadline wakes us to time its request out.
+                deadlines = [p.deadline for p in self._queue if p.deadline is not None]
+                self._cv.wait(timeout=min(deadlines) - now if deadlines else None)
             if deadline_cut:
                 self.telemetry.record_deadline_dispatch()
             batch = [self._queue.popleft() for _ in range(min(self.max_batch, len(self._queue)))]
@@ -755,6 +714,7 @@ class InferenceServer:
                 with self._cv:
                     self._ready.append((self._batch_sequence, batch))
                     self._batch_sequence += 1
+                    self._in_flight += 1
                     self._cv.notify_all()
         finally:
             # Workers drain whatever is in _ready, then retire.
@@ -791,11 +751,6 @@ class InferenceServer:
         while True:
             with self._cv:
                 while True:
-                    if self._live_workers > self.workers:
-                        # Scale-down: surplus workers retire between batches.
-                        self._live_workers -= 1
-                        self._cv.notify_all()
-                        return
                     if self._ready:
                         batch_index, batch = self._ready.popleft()
                         break
@@ -814,6 +769,9 @@ class InferenceServer:
                     self._ready.appendleft((batch_index, batch))
                     self._cv.notify_all()
                 raise
+            with self._cv:
+                self._in_flight -= 1
+                self._cv.notify_all()
 
     def _process_batch(self, batch_index: int, batch: List[_Pending]) -> None:
         """Apply fault hooks and deadline cutoffs, then run the batch.

@@ -22,7 +22,6 @@ registry to the process-wide default registry, which is what
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence
@@ -31,10 +30,6 @@ import numpy as np
 
 from repro.obs.metrics import BATCH_SIZE_BUCKETS, Counter, LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.runtime.activity import RuntimeActivity
-
-#: How many most-recent scale events :class:`ServeTelemetry` retains in full
-#: detail (the up/down totals are unbounded counters).
-SCALE_EVENT_HISTORY = 256
 
 #: Numeric encoding of breaker state for the ``repro_serve_breaker_state``
 #: gauge (Prometheus gauges are floats; the string state stays on the
@@ -87,10 +82,8 @@ class ServeTelemetry:
     queue (tracking the queue-depth high-water mark) and :meth:`record_shed`
     when admission control rejects one — so overload behaviour is visible
     in the same summary as latency and throughput.  Both are tracked per
-    priority *lane* (:meth:`lane_counters`), and the autoscaler reports its
-    capacity changes through :meth:`record_scale_event`, so a telemetry
-    snapshot tells the whole closed-loop story: load, admission, shedding
-    order, and how capacity tracked all three.
+    priority *lane* (:meth:`lane_counters`), so a telemetry snapshot shows
+    load, admission and shedding order together.
     """
 
     def __init__(self, window: int = 4096, model: str = "") -> None:
@@ -152,12 +145,11 @@ class ServeTelemetry:
             buckets=BATCH_SIZE_BUCKETS,
             help="Micro-batch size distribution.",
         )
-        # Per-lane and per-direction counters materialise on first use
-        # (labelled instruments in the same registry).
+        # Per-lane counters materialise on first use (labelled instruments
+        # in the same registry).
         self._admitted_by_lane: Dict[int, Counter] = {}
         self._shed_by_lane: Dict[int, Counter] = {}
         self._timed_out_by_lane: Dict[int, Counter] = {}
-        self._scale_by_direction: Dict[str, Counter] = {}
 
         #: Current circuit-breaker state for the served model
         #: (``closed``/``open``/``half_open``); stays ``closed`` when no
@@ -172,7 +164,6 @@ class ServeTelemetry:
         #: Weight bits for quantized serving (``None`` = full precision).
         self.weight_bits: Optional[int] = None
         self.activity: Optional[RuntimeActivity] = None
-        self._scale_events: Deque[Dict[str, Any]] = deque(maxlen=SCALE_EVENT_HISTORY)
         self._first_submit: Optional[float] = None
         self._last_done: Optional[float] = None
 
@@ -201,18 +192,6 @@ class ServeTelemetry:
     def total_deadline_dispatches(self) -> int:
         """Batches dispatched early to protect a request deadline."""
         return int(self._c_deadline.value)
-
-    @property
-    def total_scale_ups(self) -> int:
-        """Autoscaler capacity increases."""
-        counter = self._scale_by_direction.get("up")
-        return int(counter.value) if counter is not None else 0
-
-    @property
-    def total_scale_downs(self) -> int:
-        """Autoscaler capacity decreases."""
-        counter = self._scale_by_direction.get("down")
-        return int(counter.value) if counter is not None else 0
 
     @property
     def total_failed(self) -> int:
@@ -348,45 +327,6 @@ class ServeTelemetry:
         """Count one submit rejected fail-fast by an open circuit breaker."""
         self._c_breaker_rejections.inc()
 
-    def record_scale_event(
-        self,
-        direction: str,
-        workers: int,
-        max_batch: int,
-        reason: str = "",
-    ) -> None:
-        """Log one autoscaler capacity change (``direction`` is ``up``/``down``).
-
-        The most recent :data:`SCALE_EVENT_HISTORY` events are kept in full
-        (new capacity, reason, monotonic timestamp) via :meth:`scale_events`;
-        the up/down totals surfaced in :meth:`summary` are unbounded.
-        """
-        with self._lock:
-            key = "up" if direction == "up" else "down"
-            counter = self._scale_by_direction.get(key)
-            if counter is None:
-                counter = self.metrics.counter(
-                    "repro_serve_scale_events_total",
-                    help="Autoscaler capacity changes.",
-                    labels={"direction": key},
-                )
-                self._scale_by_direction[key] = counter
-            counter.inc()
-            self._scale_events.append(
-                {
-                    "time": time.monotonic(),
-                    "direction": direction,
-                    "workers": int(workers),
-                    "max_batch": int(max_batch),
-                    "reason": reason,
-                }
-            )
-
-    def scale_events(self) -> List[Dict[str, Any]]:
-        """The retained scale-event log, oldest first (bounded, see above)."""
-        with self._lock:
-            return list(self._scale_events)
-
     def lane_counters(self) -> Dict[str, Dict[int, int]]:
         """Per-lane counts: ``{"admitted": {...}, "shed": {...}, "timed_out": {...}}``."""
         with self._lock:
@@ -443,34 +383,15 @@ class ServeTelemetry:
                 self._last_done = done
 
     # ------------------------------------------------------------------ #
-    def latency_percentiles(self, last: Optional[int] = None) -> Dict[str, float]:
-        """p50/p95/p99 latency (ms) over the current window (NaN when empty).
-
-        ``last`` restricts the computation to the most recent ``last``
-        requests of the window — the autoscaler uses this to judge *current*
-        latency without old pre-scale requests dragging the percentiles.
-        """
+    def latency_percentiles(self) -> Dict[str, float]:
+        """p50/p95/p99 latency (ms) over the current window (NaN when empty)."""
         with self._lock:
             stats = list(self._stats)
-        if last is not None:
-            stats = stats[-int(last):]
         if not stats:
             return {"p50_ms": float("nan"), "p95_ms": float("nan"), "p99_ms": float("nan")}
         latencies = np.asarray([stat.latency_ms for stat in stats])
         p50, p95, p99 = np.percentile(latencies, [50.0, 95.0, 99.0])
         return {"p50_ms": float(p50), "p95_ms": float(p95), "p99_ms": float(p99)}
-
-    def queue_percentiles(self, last: Optional[int] = None) -> Dict[str, float]:
-        """p50/p95 queueing delay (ms) over the window (NaN when empty)."""
-        with self._lock:
-            stats = list(self._stats)
-        if last is not None:
-            stats = stats[-int(last):]
-        if not stats:
-            return {"queue_p50_ms": float("nan"), "queue_p95_ms": float("nan")}
-        queue_ms = np.asarray([stat.queue_ms for stat in stats])
-        p50, p95 = np.percentile(queue_ms, [50.0, 95.0])
-        return {"queue_p50_ms": float(p50), "queue_p95_ms": float(p95)}
 
     def achieved_fps(self) -> float:
         """Completed requests per second of wall time since the first submit."""
@@ -496,14 +417,6 @@ class ServeTelemetry:
             if not self._stats:
                 return 0.0
             return float(np.mean([stat.input_density for stat in self._stats]))
-
-    def measured_firing_rates(self) -> Dict[str, float]:
-        """Measured spikes per neuron per step for every served spiking layer."""
-        with self._lock:
-            activity = self.activity
-            if activity is None:
-                return {}
-            return {name: activity.firing_rate(name) for name in activity.layer_output_events}
 
     # ------------------------------------------------------------------ #
     def summary(self) -> Dict[str, float]:
@@ -535,8 +448,6 @@ class ServeTelemetry:
             "breaker_opens": float(self.total_breaker_opens),
             "breaker_closes": float(self.total_breaker_closes),
             "breaker_rejections": float(self.total_breaker_rejections),
-            "scale_ups": float(self.total_scale_ups),
-            "scale_downs": float(self.total_scale_downs),
             # 0.0 = full-precision float serving; the precision *name* is
             # on the telemetry object itself (summary values stay floats).
             "weight_bits": float(self.weight_bits or 0),
@@ -624,10 +535,6 @@ def format_telemetry(
             f"{summary.get('breaker_rejections', 0):.0f}",
         ),
         ("queue high-water", f"{summary.get('queue_high_water', 0):.0f}"),
-        (
-            "scale up/down",
-            f"{summary.get('scale_ups', 0):.0f}/{summary.get('scale_downs', 0):.0f}",
-        ),
         ("mean batch size", f"{summary.get('mean_batch_size', 0):.2f}"),
         ("achieved fps", f"{summary.get('achieved_fps', 0):.1f}"),
         ("latency p50", f"{summary.get('p50_ms', float('nan')):.3f} ms"),

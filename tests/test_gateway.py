@@ -99,7 +99,7 @@ class TestGatewayRouting:
         _publish(registry, "model-a", micro_config)
         _publish(registry, "model-b", micro_config)
         with ServeGateway(registry) as gateway:
-            assert gateway.models() == ["model-a", "model-b"]
+            assert gateway.registry.names() == ["model-a", "model-b"]
             assert gateway.active_models() == []
             gateway.submit("model-a", images[0]).result(timeout=30)
             assert gateway.active_models() == ["model-a"]

@@ -14,9 +14,11 @@ from repro.encoding import DirectEncoder
 from repro.hardware.report import format_measured_vs_modeled
 from repro.runtime import CompiledNetworkPool, compile_network
 from repro.serve import (
+    FaultInjector,
     InferenceServer,
     ModelRegistry,
     RegistryError,
+    RequestTimedOut,
     ServeTelemetry,
     ServerClosed,
     ServerOverloaded,
@@ -214,6 +216,33 @@ class TestAdmissionControl:
         assert server.telemetry.queue_depth_high_water <= cap
         assert server.telemetry.total_admitted == len(outcomes)
 
+    def test_requests_waiting_for_a_worker_count_against_the_cap(self, untrained):
+        """No batch is cut while every worker is busy, so the cap still holds them."""
+        model, encoder, images = untrained
+        faults = FaultInjector(slow_batches={0}, slow_batch_ms=600.0)
+        server = InferenceServer(
+            model, encoder, max_batch=1, max_wait_ms=0.0, max_queue=2, faults=faults
+        )
+        with server:
+            running = server.submit(images[0])
+            deadline = time.monotonic() + 10
+            while server.queue_depth:  # batch 0 is cut and its worker sleeps
+                assert time.monotonic() < deadline, "batch 0 was never cut"
+                time.sleep(0.001)
+            admitted, shed = [], 0
+            for image in images[1:6]:
+                try:
+                    admitted.append(server.submit(image))
+                except ServerOverloaded:
+                    shed += 1
+                time.sleep(0.02)
+            assert not running.done(), "batch 0 finished before the submits ended"
+            assert server.queue_depth == 2
+            for future in [running] + admitted:
+                future.result(timeout=30)
+        assert (len(admitted), shed) == (2, 3)
+        assert server.telemetry.queue_depth_high_water == 2
+
     def test_backpressure_blocks_and_admits_fifo(self, untrained):
         model, encoder, images = untrained
         cap = 2
@@ -378,7 +407,123 @@ class TestInferenceServer:
         assert summary["p50_ms"] > 0
         assert summary["achieved_fps"] > 0
         assert 0 < summary["mean_input_density"] <= 1.0
-        assert telemetry.measured_firing_rates()  # at least one spiking layer keyed
+        assert telemetry.activity.layer_output_events  # at least one spiking layer keyed
+
+
+class TestSloAwareScheduling:
+    def test_deadline_cuts_the_batch_early(self, untrained):
+        model, encoder, images = untrained
+        # Alone, a request would wait out the full 10s max_wait window; its
+        # 80ms deadline budget (minus the 5ms margin) must cut the batch.
+        server = InferenceServer(
+            model, encoder, max_batch=64, max_wait_ms=10_000.0, deadline_margin_ms=5.0
+        )
+        with server:
+            start = time.perf_counter()
+            result = server.submit(images[0], deadline_ms=80.0).result(timeout=30)
+            elapsed_s = time.perf_counter() - start
+        assert elapsed_s < 5.0, "deadline cutoff never fired"
+        assert result.batch_size == 1
+        assert server.telemetry.total_deadline_dispatches >= 1
+
+    def test_deadline_must_be_positive(self, untrained):
+        model, encoder, images = untrained
+        server = InferenceServer(model, encoder)
+        with pytest.raises(ValueError):
+            server.submit(images[0], deadline_ms=0.0)
+
+    def test_high_priority_evicts_lowest_latest_victim(self, untrained):
+        model, encoder, images = untrained
+        server = InferenceServer(model, encoder, max_batch=4, max_queue=2, overload="shed")
+        first = server.submit(images[0])
+        second = server.submit(images[1])
+        with pytest.raises(ServerOverloaded):
+            server.submit(images[2])  # equal priority never evicts
+        third = server.submit(images[3], priority=1)
+        # The latest-arrival low-priority request is sacrificed first...
+        with pytest.raises(ServerOverloaded, match="evicted"):
+            second.result(timeout=5)
+        fourth = server.submit(images[4], priority=1)
+        # ...then the remaining one.
+        with pytest.raises(ServerOverloaded, match="evicted"):
+            first.result(timeout=5)
+        with pytest.raises(ServerOverloaded):
+            server.submit(images[5], priority=1)  # all lanes equal again
+
+        telemetry = server.telemetry
+        assert telemetry.lane_counters() == {
+            "admitted": {0: 2, 1: 2},
+            "shed": {0: 3, 1: 1},
+            "timed_out": {},
+        }
+        summary = telemetry.summary()
+        assert summary["admitted_high"] == 2
+        assert summary["shed_high"] == 1 and summary["shed_low"] == 3
+
+        server.start()
+        for future in (third, fourth):
+            assert future.result(timeout=30).priority == 1
+        server.stop()
+
+    def test_priority_never_reorders_dispatch(self, untrained):
+        """Priority is a shed lane, not a fast lane: FIFO order holds."""
+        model, encoder, images = untrained
+        server = InferenceServer(model, encoder, max_batch=2, max_wait_ms=50.0)
+        futures = [
+            server.submit(images[i % len(images)], priority=i % 3) for i in range(8)
+        ]
+        server.start()
+        sequences = [future.result(timeout=60).sequence for future in futures]
+        server.stop()
+        assert sequences == sorted(sequences)
+
+    def test_every_arrival_is_accounted_for_under_mixed_priority_overload(self, untrained):
+        """Each arrival is served, evicted, timed out or shed at submit, once."""
+        model, encoder, images = untrained
+        slow_ms = 200.0
+        # Every batch sleeps past the priority-1 budget, so an admitted
+        # priority-1 request always times out; arrivals outpace service.
+        faults = FaultInjector(slow_batch_rate=1.0, slow_batch_ms=slow_ms)
+        server = InferenceServer(
+            model, encoder, max_batch=2, max_wait_ms=0.0, max_queue=3, faults=faults
+        )
+        arrivals = 40
+        lanes = (0, 1)
+        futures = []
+        submit_shed = dict.fromkeys(lanes, 0)
+        with server:
+            for i in range(arrivals):
+                priority = i % 2
+                try:
+                    future = server.submit(
+                        images[i % len(images)],
+                        priority=priority,
+                        deadline_ms=slow_ms / 2 if priority else None,
+                    )
+                    futures.append((priority, future))
+                except ServerOverloaded:
+                    submit_shed[priority] += 1
+                time.sleep(0.01)
+            served, evicted, timed_out = ({lane: 0 for lane in lanes} for _ in range(3))
+            for priority, future in futures:
+                try:
+                    future.result(timeout=60)
+                    served[priority] += 1
+                except ServerOverloaded:
+                    evicted[priority] += 1
+                except RequestTimedOut:
+                    timed_out[priority] += 1
+        endings = (served, evicted, timed_out, submit_shed)
+        assert sum(sum(ending.values()) for ending in endings) == arrivals
+        telemetry = server.telemetry
+        assert telemetry.total_shed == sum(evicted.values()) + sum(submit_shed.values())
+        counters = telemetry.lane_counters()
+        for lane in lanes:
+            assert counters["admitted"].get(lane, 0) == served[lane] + evicted[lane] + timed_out[lane]
+            assert counters["shed"].get(lane, 0) == evicted[lane] + submit_shed[lane]
+            assert counters["timed_out"].get(lane, 0) == timed_out[lane]
+        assert served[1] == evicted[1] == 0  # nothing outranks lane 1; its budget is too short
+        assert served[0] and evicted[0] and submit_shed[0] and timed_out[1]
 
 
 class TestTelemetryMath:
@@ -427,7 +572,7 @@ class TestTelemetryMath:
         telemetry = ServeTelemetry()
         assert np.isnan(telemetry.latency_percentiles()["p50_ms"])
         assert telemetry.achieved_fps() == 0.0
-        assert telemetry.measured_firing_rates() == {}
+        assert telemetry.activity is None
 
     def test_zero_admitted_summary_and_rendering(self):
         """A telemetry window with no admitted requests must still render."""
@@ -436,10 +581,8 @@ class TestTelemetryMath:
         assert summary["requests"] == 0 and summary["admitted"] == 0
         assert np.isnan(summary["p50_ms"]) and np.isnan(summary["p99_ms"])
         assert summary["shed_low"] == 0 and summary["shed_high"] == 0
-        assert summary["scale_ups"] == 0 and summary["scale_downs"] == 0
         text = format_telemetry(summary)
-        assert "requests" in text and "scale up/down" in text
-        assert np.isnan(telemetry.queue_percentiles()["queue_p95_ms"])
+        assert "requests" in text and "queue high-water" in text
         assert telemetry.lane_counters() == {"admitted": {}, "shed": {}, "timed_out": {}}
 
     def test_shed_only_window(self):
@@ -454,31 +597,6 @@ class TestTelemetryMath:
         assert np.isnan(summary["p99_ms"])
         assert "shed (low/high)" in format_telemetry(summary)
         assert telemetry.lane_counters()["shed"] == {0: 3, 1: 1}
-
-    def test_windowed_percentiles_restrict_to_recent_requests(self):
-        telemetry = ServeTelemetry(window=100)
-        stats = [
-            RequestStat(latency_ms=float(i), queue_ms=float(i) / 2, batch_size=1, input_density=0.5)
-            for i in range(1, 101)
-        ]
-        telemetry.record_batch(stats, None, first_submit=0.0, done=1.0)
-        recent = telemetry.latency_percentiles(last=10)
-        assert recent["p50_ms"] == pytest.approx(95.5)  # over 91..100 only
-        assert telemetry.queue_percentiles(last=10)["queue_p50_ms"] == pytest.approx(95.5 / 2)
-        # A `last` larger than the window degrades to the full window.
-        assert telemetry.latency_percentiles(last=1000) == telemetry.latency_percentiles()
-
-    def test_scale_event_history_is_bounded(self):
-        from repro.serve.telemetry import SCALE_EVENT_HISTORY
-
-        telemetry = ServeTelemetry()
-        for i in range(SCALE_EVENT_HISTORY + 10):
-            telemetry.record_scale_event("up", workers=1, max_batch=8, reason=f"event {i}")
-        events = telemetry.scale_events()
-        assert len(events) == SCALE_EVENT_HISTORY
-        assert events[-1]["reason"] == f"event {SCALE_EVENT_HISTORY + 9}"
-        assert telemetry.total_scale_ups == SCALE_EVENT_HISTORY + 10
-        assert telemetry.summary()["scale_ups"] == SCALE_EVENT_HISTORY + 10
 
     def test_format_helpers_render(self, untrained):
         model, encoder, images = untrained
