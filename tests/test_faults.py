@@ -454,6 +454,58 @@ class TestGatewayDegradedReload:
             # One failure event for one bad publish, however many submits.
             assert gateway.telemetry("m").total_reload_failures == 1
 
+    def test_malformed_quantization_republish_keeps_serving_old_weights(
+        self, tmp_path, micro_config, untrained
+    ):
+        _, _, images = untrained
+        registry = ModelRegistry(tmp_path)
+        model_v1 = self._publish(registry, "m", micro_config)
+        reference = _reference_counts(micro_config, model_v1, images[:4], 1)
+        with ServeGateway(registry, max_batch=4, max_wait_ms=1.0) as gateway:
+            served = [gateway.submit("m", images[0]).result(timeout=30).counts]
+            # The registry refuses to publish an unknown precision, so the
+            # bad republish is written as a bare checkpoint.
+            model_v2 = make_model(micro_config.with_overrides(seed=1))
+            model_v2.eval()
+            save_checkpoint(
+                registry.checkpoint_path("m"),
+                model_v2,
+                make_encoder(micro_config),
+                metadata={
+                    "registry": {"name": "m", "version": 2, "quantization": {"precision": "int4"}}
+                },
+            )
+            assert gateway.refresh("m") is False
+            served += [
+                gateway.submit("m", image).result(timeout=30).counts for image in images[1:4]
+            ]
+            np.testing.assert_array_equal(np.stack(served), reference)  # old weights live
+            assert gateway.version("m") == 1
+            assert gateway.telemetry("m").total_reload_failures == 1
+            assert "unknown precision" in gateway.last_errors()["m"]
+            assert gateway.summary()["totals"]["reload_failures"] == 1.0
+
+    def test_reload_failures_survive_a_replacing_reload(self, tmp_path, micro_config, untrained):
+        """The count lives in the model's telemetry, which a new server inherits."""
+        _, _, images = untrained
+        registry = ModelRegistry(tmp_path)
+        self._publish(registry, "m", micro_config)
+        with ServeGateway(registry, max_batch=4, max_wait_ms=1.0) as gateway:
+            gateway.submit("m", images[0]).result(timeout=30)
+            server_before = gateway._active["m"].server
+            tear_checkpoint(registry.checkpoint_path("m"), seed=FAULT_SEED)
+            assert gateway.refresh("m") is False
+            # beta lives outside the weights, so this republish replaces the server.
+            self._publish(registry, "m", micro_config.with_overrides(beta=0.75))
+            assert gateway.refresh("m") is True
+            assert gateway._active["m"].server is not server_before
+            gateway.submit("m", images[1]).result(timeout=30)
+            assert gateway.telemetry("m").total_reload_failures == 1
+            summary = gateway.summary()
+            assert summary["models"]["m"]["reload_failures"] == 1.0
+            assert summary["models"]["m"]["reloads"] == 1.0
+            assert summary["totals"]["reload_failures"] == 1.0
+
 
 # --------------------------------------------------------------------- #
 # Executor: collect + retries

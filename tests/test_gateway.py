@@ -122,6 +122,33 @@ class TestGatewayRouting:
             assert server.workers == 2
             assert "shed" in gateway.summary()["models"]["m"]
 
+    def test_batching_knobs_forwarded_to_servers(self, tmp_path, micro_config, images):
+        registry = ModelRegistry(tmp_path)
+        _publish(registry, "m", micro_config)
+        with ServeGateway(registry, max_batch=3, max_wait_ms=7.0, workers=2) as gateway:
+            gateway.submit("m", images[0]).result(timeout=30)
+            server = gateway._active["m"].server
+            assert server.max_batch == 3
+            assert server.max_wait == pytest.approx(0.007)
+            assert server.live_workers == 2
+            assert server.pool.max_idle == 2  # one idle plan per worker
+
+    def test_negative_reload_check_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="reload_check_s"):
+            ServeGateway(ModelRegistry(tmp_path), reload_check_s=-1.0)
+
+    def test_rendered_summary_lists_last_errors(self):
+        summary = {
+            "models": {"m": {"version": 2.0, "requests": 5.0}},
+            "totals": {"models": 1.0, "requests": 5.0, "reloads": 1.0, "reload_failures": 1.0},
+        }
+        rendered = format_gateway_summary(
+            summary, last_errors={"m": "CheckpointIntegrityError: torn"}
+        )
+        assert rendered.splitlines()[-1] == "  last error [m]: CheckpointIntegrityError: torn"
+        assert "1 reloads (1 failed)" in rendered
+        assert "last error" not in format_gateway_summary(summary)
+
     def test_stop_closes_all_servers(self, tmp_path, micro_config, images):
         registry = ModelRegistry(tmp_path)
         _publish(registry, "m", micro_config)
@@ -187,6 +214,24 @@ class TestGatewayHotReload:
             # pre-reload request too, they never go backwards.
             assert gateway.telemetry("m").total_requests == 4
             assert gateway.telemetry("m") is server_before.telemetry
+
+    def test_replacement_server_keeps_the_gateway_capacity(self, tmp_path, micro_config, images):
+        registry = ModelRegistry(tmp_path)
+        _publish(registry, "m", micro_config)
+        with ServeGateway(
+            registry, max_batch=3, workers=2, max_queue=5, overload="block"
+        ) as gateway:
+            gateway.submit("m", images[0]).result(timeout=30)
+            server_before = gateway._active["m"].server
+            _publish(registry, "m", micro_config.with_overrides(beta=0.75))
+            gateway.submit("m", images[1]).result(timeout=30)
+            server = gateway._active["m"].server
+            assert server is not server_before
+            assert (server.max_batch, server.workers, server.max_queue, server.overload) == (
+                3, 2, 5, "block",
+            )
+            assert server.live_workers == 2 and server.pool.max_idle == 2
+            assert server_before.live_workers == 0  # drained and stopped
 
     def test_republish_without_encoder_keeps_serving(self, tmp_path, micro_config, images):
         registry = ModelRegistry(tmp_path)

@@ -7,6 +7,7 @@ import logging
 import threading
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ from repro.obs import (
 )
 from repro.obs.cli import main as obs_main, make_server
 from repro.runtime import compile_network
-from repro.serve import InferenceServer, ModelRegistry, ServeGateway, ServeTelemetry
+from repro.serve import (
+    BreakerPolicy,
+    CircuitBreaker,
+    InferenceServer,
+    ModelRegistry,
+    ServeGateway,
+    ServeTelemetry,
+)
 
 
 @pytest.fixture
@@ -395,6 +403,35 @@ class TestStructuredLogging:
         log_breaker_transition("m", "half_open", "closed")
         (record,) = captured_serve_log.records
         assert record.levelno == logging.INFO
+
+    def test_half_open_logs_at_warning_with_the_reason(self, captured_serve_log):
+        log_breaker_transition("m", "open", "half_open", reason="backoff elapsed")
+        (record,) = captured_serve_log.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == "breaker[m]: open -> half_open (backoff elapsed)"
+        assert record.event["reason"] == "backoff elapsed"
+
+    def test_breaker_logs_each_transition_as_it_happens(self, captured_serve_log):
+        clock = SimpleNamespace(now=0.0)
+        policy = BreakerPolicy(failure_threshold=2, backoff_initial_s=1.0, jitter=0.0)
+        breaker = CircuitBreaker(policy, name="digits", clock=lambda: clock.now)
+        breaker.record_failure()
+        breaker.record_failure()  # trips open
+        clock.now = 1.0
+        assert breaker.allow()  # the half-open probe
+        breaker.record_success()  # closes
+        events = [record.event for record in captured_serve_log.records]
+        assert [(e["old_state"], e["new_state"]) for e in events] == [
+            ("closed", "open"),
+            ("open", "half_open"),
+            ("half_open", "closed"),
+        ]
+        assert {e["model"] for e in events} == {"digits"}
+        assert [r.levelno for r in captured_serve_log.records] == [
+            logging.WARNING,
+            logging.WARNING,
+            logging.INFO,
+        ]
 
 
 # --------------------------------------------------------------------- #

@@ -46,6 +46,14 @@ def untrained(micro_config):
     return model, encoder, images
 
 
+def _await_cut(server):
+    """Wait until the dispatcher has cut every queued request into a batch."""
+    deadline = time.monotonic() + 10
+    while server.queue_depth:
+        assert time.monotonic() < deadline, "the queued batch was never cut"
+        time.sleep(0.001)
+
+
 class TestModelRegistry:
     def test_save_load_round_trip_with_meta(self, tmp_path, micro_config, untrained):
         model, encoder, _ = untrained
@@ -128,6 +136,11 @@ class TestCompiledNetworkPool:
         with pool.acquire(), pool.acquire(), pool.acquire():
             pass
         assert pool.idle_count == 1
+
+    def test_max_idle_must_be_positive(self, untrained):
+        model, _, _ = untrained
+        with pytest.raises(ValueError, match="max_idle"):
+            CompiledNetworkPool(model, max_idle=0)
 
 
 class TestCompiledNetworkPoolUpdateWeights:
@@ -216,32 +229,114 @@ class TestAdmissionControl:
         assert server.telemetry.queue_depth_high_water <= cap
         assert server.telemetry.total_admitted == len(outcomes)
 
-    def test_requests_waiting_for_a_worker_count_against_the_cap(self, untrained):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_requests_waiting_for_a_worker_count_against_the_cap(self, untrained, workers):
         """No batch is cut while every worker is busy, so the cap still holds them."""
         model, encoder, images = untrained
-        faults = FaultInjector(slow_batches={0}, slow_batch_ms=600.0)
+        faults = FaultInjector(slow_batches=set(range(workers)), slow_batch_ms=600.0)
         server = InferenceServer(
-            model, encoder, max_batch=1, max_wait_ms=0.0, max_queue=2, faults=faults
+            model, encoder, max_batch=1, max_wait_ms=0.0, max_queue=2, workers=workers,
+            faults=faults,
         )
         with server:
-            running = server.submit(images[0])
-            deadline = time.monotonic() + 10
-            while server.queue_depth:  # batch 0 is cut and its worker sleeps
-                assert time.monotonic() < deadline, "batch 0 was never cut"
-                time.sleep(0.001)
+            running = []
+            for image in images[:workers]:  # one slow batch per worker
+                running.append(server.submit(image))
+                _await_cut(server)
             admitted, shed = [], 0
-            for image in images[1:6]:
+            for image in images[workers : workers + 5]:
                 try:
                     admitted.append(server.submit(image))
                 except ServerOverloaded:
                     shed += 1
                 time.sleep(0.02)
-            assert not running.done(), "batch 0 finished before the submits ended"
+            assert not any(f.done() for f in running), "a slow batch ended before the submits"
             assert server.queue_depth == 2
-            for future in [running] + admitted:
+            for future in running + admitted:
                 future.result(timeout=30)
         assert (len(admitted), shed) == (2, 3)
         assert server.telemetry.queue_depth_high_water == 2
+
+    def test_expired_request_times_out_while_every_worker_is_busy(self, untrained):
+        """A waiting request's deadline is enforced without a free worker."""
+        model, encoder, images = untrained
+        faults = FaultInjector(slow_batches={0}, slow_batch_ms=1000.0)
+        server = InferenceServer(model, encoder, max_batch=1, max_wait_ms=0.0, faults=faults)
+        with server:
+            running = server.submit(images[0])
+            _await_cut(server)
+            doomed = server.submit(images[1], deadline_ms=50.0)
+            with pytest.raises(RequestTimedOut, match="before the batch was cut"):
+                doomed.result(timeout=0.9)
+            assert not running.done(), "the timeout waited for the busy worker"
+            assert server.queue_depth == 0
+            running.result(timeout=30)
+        assert server.telemetry.lane_counters()["timed_out"] == {0: 1}
+
+    def test_priority_arrival_evicts_a_request_waiting_for_a_worker(self, untrained):
+        model, encoder, images = untrained
+        faults = FaultInjector(slow_batches={0}, slow_batch_ms=600.0)
+        server = InferenceServer(
+            model, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1, faults=faults
+        )
+        with server:
+            running = server.submit(images[0])
+            _await_cut(server)
+            waiting = server.submit(images[1])
+            time.sleep(0.05)  # time enough for the dispatcher to cut it, were a worker free
+            assert server.queue_depth == 1
+            urgent = server.submit(images[2], priority=1)
+            with pytest.raises(ServerOverloaded, match="evicted"):
+                waiting.result(timeout=5)
+            assert not running.done(), "batch 0 finished before the eviction"
+            assert urgent.result(timeout=30).priority == 1
+            running.result(timeout=30)
+        assert server.telemetry.lane_counters()["shed"] == {0: 1}
+
+    def test_blocked_submitter_waits_for_a_busy_worker(self, untrained):
+        model, encoder, images = untrained
+        faults = FaultInjector(slow_batches={0}, slow_batch_ms=600.0)
+        server = InferenceServer(
+            model, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1,
+            overload="block", faults=faults,
+        )
+        with server:
+            running = server.submit(images[0])
+            _await_cut(server)
+            waiting = server.submit(images[1])  # takes the only slot
+            blocked = {}
+            thread = threading.Thread(
+                target=lambda: blocked.__setitem__("future", server.submit(images[2]))
+            )
+            thread.start()
+            deadline = time.monotonic() + 10
+            while not server._blocked:
+                assert time.monotonic() < deadline, "submitter never blocked"
+                time.sleep(0.001)
+            assert not running.done(), "batch 0 finished before the submitter blocked"
+            thread.join(timeout=30)
+            assert not thread.is_alive(), "the blocked submitter was never admitted"
+            results = [f.result(timeout=30) for f in (running, waiting, blocked["future"])]
+        assert [r.sequence for r in results] == [0, 1, 2]
+        assert server.telemetry.queue_depth_high_water == 1
+        assert server.telemetry.total_shed == 0
+
+    def test_stop_without_drain_fails_requests_waiting_for_a_busy_worker(self, untrained):
+        model, encoder, images = untrained
+        faults = FaultInjector(slow_batches={0}, slow_batch_ms=600.0)
+        server = InferenceServer(model, encoder, max_batch=1, max_wait_ms=0.0, faults=faults)
+        server.start()
+        running = server.submit(images[0])
+        _await_cut(server)
+        waiting = server.submit_many(images[1:3])
+        time.sleep(0.05)  # time enough for the dispatcher to cut them, were a worker free
+        assert server.queue_depth == 2
+        server.stop(drain=False)
+        assert running.result(timeout=30).batch_size == 1  # a started batch finishes
+        for future in waiting:
+            with pytest.raises(ServerClosed):
+                future.result(timeout=5)
+        assert server.telemetry.total_requests == 1
 
     def test_backpressure_blocks_and_admits_fifo(self, untrained):
         model, encoder, images = untrained
@@ -334,6 +429,51 @@ class TestInferenceServer:
         served = np.stack([result.counts for result in results])
         np.testing.assert_array_equal(served, reference)
         assert [r.prediction for r in results] == list(reference.argmax(axis=1))
+
+    @pytest.mark.parametrize("max_batch", [1, 5])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_fixed_capacity_drain_is_lossless_and_bit_identical(
+        self, micro_config, untrained, workers, max_batch
+    ):
+        """Every worker count and batch size serves each request once, unperturbed."""
+        model, encoder, images = untrained
+        images = (images * 3)[:24]
+        server = InferenceServer(
+            model, encoder, max_batch=max_batch, max_wait_ms=50.0, workers=workers
+        )
+        futures = server.submit_many(images)  # queued before start: FIFO chunks
+        server.start()
+        results = [future.result(timeout=60) for future in futures]
+        assert server.live_workers == workers
+        server.stop()
+
+        # A fresh encoder replays the serving encoder's stream from the top
+        # (required for stochastic encoders: the served instance has moved on).
+        reference_encoder = make_encoder(micro_config)
+        trains = [reference_encoder(image[None]) for image in images]
+        chunks = [trains[start : start + max_batch] for start in range(0, len(trains), max_batch)]
+        plan = compile_network(model)
+        reference = np.concatenate(
+            [
+                plan.run(np.concatenate(chunk, axis=1), record_activity=False).counts
+                for chunk in chunks
+            ]
+        )
+        np.testing.assert_array_equal(np.stack([r.counts for r in results]), reference)
+        assert [r.sequence for r in results] == list(range(len(images)))
+        assert [r.batch_size for r in results] == [len(chunk) for chunk in chunks for _ in chunk]
+        assert server.telemetry.total_batches == len(chunks)
+        assert server.pool.compiled_count <= workers
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_batch": 0}, {"max_wait_ms": -1.0}, {"workers": 0}, {"deadline_margin_ms": -1.0}],
+    )
+    def test_invalid_batching_arguments_rejected(self, untrained, kwargs):
+        model, encoder, _ = untrained
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            InferenceServer(model, encoder, **kwargs)
 
     def test_coalesces_up_to_max_batch(self, untrained):
         model, encoder, images = untrained
@@ -538,6 +678,53 @@ class TestTelemetryMath:
         assert pct["p50_ms"] == pytest.approx(50.5)
         assert pct["p99_ms"] == pytest.approx(np.percentile(np.arange(1.0, 101.0), 99))
         assert telemetry.achieved_fps() == pytest.approx(100.0)
+
+    def test_window_keeps_only_the_most_recent_requests(self):
+        telemetry = ServeTelemetry(window=10)
+        stats = [
+            RequestStat(
+                latency_ms=float(i),
+                queue_ms=0.0,
+                batch_size=1 if i <= 90 else 4,
+                input_density=0.5 if i <= 90 else 0.25,
+            )
+            for i in range(1, 101)
+        ]
+        telemetry.record_batch(stats, None, first_submit=0.0, done=1.0)
+        assert telemetry.latency_percentiles()["p50_ms"] == pytest.approx(95.5)  # 91..100 only
+        assert telemetry.mean_batch_size() == 4.0
+        assert telemetry.mean_input_density() == 0.25
+        # Counters and throughput are totals, not windowed.
+        assert telemetry.total_requests == 100
+        assert telemetry.achieved_fps() == pytest.approx(100.0)
+
+    def test_window_must_be_positive(self):
+        with pytest.raises(ValueError, match="window"):
+            ServeTelemetry(window=0)
+
+    def test_summary_splits_lanes_at_priority_zero(self):
+        """Lanes above 0 count as high priority; lane 0 and below as low."""
+        telemetry = ServeTelemetry()
+        for priority in (-1, 0, 0, 1, 2, 2):
+            telemetry.record_admission(queue_depth=1, priority=priority)
+            telemetry.record_shed(priority=priority)
+        summary = telemetry.summary()
+        assert (summary["shed_low"], summary["shed_high"]) == (3, 3)
+        assert (summary["admitted"], summary["admitted_high"]) == (6, 3)
+        assert telemetry.lane_counters()["shed"] == {-1: 1, 0: 2, 1: 1, 2: 2}
+
+    def test_rendering_names_precision_and_last_error(self):
+        telemetry = ServeTelemetry()
+        telemetry.set_precision("int8", weight_bits=8)
+        telemetry.record_failure("RuntimeError: boom", count=2)
+        summary = telemetry.summary()
+        assert summary["weight_bits"] == 8.0
+        text = format_telemetry(summary, last_error=telemetry.last_error)
+        assert "int8 weights" in text
+        assert "2 / 0" in text  # failed / timed out
+        name, value = text.splitlines()[-1].split(":", 1)
+        assert name.strip() == "last error" and value.strip() == "RuntimeError: boom"
+        assert "last error" not in format_telemetry(summary)
 
     def test_activity_restarts_on_num_steps_change(self):
         """A hot-swapped timestep regime restarts activity, never raises."""
