@@ -248,25 +248,44 @@ class Conv2d(Function):
         return grad_x, grad_w, grad_b, None, None
 
 
+def maxpool2d_forward(x: np.ndarray, kernel: int) -> np.ndarray:
+    """Non-overlapping max pooling (kernel == stride) of NCHW ``x``, as a fresh array.
+
+    The running maximum over the ``k*k`` phase views -- window offset
+    ``(i, j)`` in row-major order, each a strided ``(N, C, OH, OW)`` view;
+    trailing rows/columns that do not fill a window are dropped.  The
+    inference runtime and every dense pool that needs no input gradient
+    run it, so compiled and dense pooling agree bit for bit.
+    """
+    oh, ow = x.shape[2] // kernel, x.shape[3] // kernel
+    out = _offset_view(x, 0, 0, oh, ow, kernel).copy()
+    for phase in range(1, kernel * kernel):
+        np.maximum(out, _offset_view(x, *divmod(phase, kernel), oh, ow, kernel), out=out)
+    return out
+
+
 class MaxPool2d(Function):
     """Non-overlapping max pooling (kernel == stride), as used in the paper.
 
-    The forward runs over the ``k*k`` phase views of the input -- window
-    offset ``(i, j)`` in row-major order, each a strided ``(N, C, OH, OW)``
-    view -- taking the running maximum as
-    :class:`~repro.runtime.kernels.MaxPoolKernel` does, while a later phase
-    takes over the saved index only when strictly greater.  The index is
-    therefore the *first* maximum in each window (the ``argmax``
-    convention, as in PyTorch), and the backward routes each output
-    gradient to that one winner: on binary spike maps, where every firing
-    pixel in a window holds the same 1.0, the whole gradient goes to the
-    first of the tied maxima.  The index is one uint8 per *output* element.
-    Trailing rows/columns that do not fill a window are dropped and receive
-    zero gradient.
+    When the input needs no gradient (validation, dense no-grad evaluation)
+    the forward is :func:`maxpool2d_forward` and nothing is saved.
+    Otherwise it takes the same running maximum over the phase views while
+    a later phase takes over the saved index only when strictly greater.
+    The index is therefore the *first* maximum in each window (the
+    ``argmax`` convention, as in PyTorch), and the backward routes each
+    output gradient to that one winner: on binary spike maps, where every
+    firing pixel in a window holds the same 1.0, the whole gradient goes to
+    the first of the tied maxima.  The index is one uint8 per *output*
+    element.  The backward writes each phase of the input gradient as
+    ``go * (idx == phase)`` straight into its strided view, so the other
+    positions of a window get ``go * 0`` (a signed zero); trailing
+    rows/columns that do not fill a window get zero gradient.
     """
 
     @staticmethod
     def forward(ctx: Context, x: np.ndarray, kernel: int = 2) -> np.ndarray:
+        if not ctx.needs_input_grad[0]:
+            return maxpool2d_forward(x, kernel)
         oh, ow = x.shape[2] // kernel, x.shape[3] // kernel
         out = _offset_view(x, 0, 0, oh, ow, kernel).copy()
         idx = np.zeros(out.shape, dtype=np.uint8 if kernel * kernel <= 255 else np.intp)
@@ -284,8 +303,9 @@ class MaxPool2d(Function):
         idx, x_shape, kernel = ctx.saved
         oh, ow = idx.shape[2], idx.shape[3]
         go = np.asarray(grad_output)
-        grad = np.zeros(x_shape, dtype=go.dtype)
+        grad = np.empty(x_shape, dtype=go.dtype)
+        grad[:, :, oh * kernel :] = 0
+        grad[:, :, : oh * kernel, ow * kernel :] = 0
         for phase in range(kernel * kernel):
-            _offset_view(grad, *divmod(phase, kernel), oh, ow, kernel)[...] = np.where(idx == phase, go, 0)
+            np.multiply(go, idx == phase, out=_offset_view(grad, *divmod(phase, kernel), oh, ow, kernel))
         return grad, None
-

@@ -54,13 +54,28 @@ class _LIFCharge(Function):
         return grad_output * beta, grad_output
 
 
+def surrogate_backward(grad_output: np.ndarray, surrogate: "SurrogateFunction", centred: np.ndarray) -> np.ndarray:
+    """``grad_output * surrogate.derivative(centred)``, the spike's input gradient.
+
+    The product goes into the derivative's own fresh array (see
+    :meth:`~repro.surrogate.base.SurrogateFunction.derivative`) when that
+    array has the product's dtype and shape, and into a new one otherwise.
+    ``grad_output`` is never written: other nodes hold it too (``_LIFCharge``
+    and ``_LIFReset`` pass their incoming gradient on unchanged).
+    """
+    derivative = surrogate.derivative(centred)
+    if derivative.shape == grad_output.shape and np.result_type(grad_output, derivative) == derivative.dtype:
+        return np.multiply(grad_output, derivative, out=derivative)
+    return grad_output * derivative
+
+
 class _LIFSpike(Function):
     """Heaviside forward / surrogate backward on a precomputed membrane."""
 
     @staticmethod
     def backward(ctx: Context, grad_output: np.ndarray):
         surrogate, centred = ctx.saved
-        return (grad_output * surrogate.derivative(centred),)
+        return (surrogate_backward(grad_output, surrogate, centred),)
 
 
 class _LIFReset(Function):
@@ -114,7 +129,8 @@ def fused_lif_step(
 
     reset_gate = None
     if reset_mechanism == "subtract":
-        new_mem = mem - spikes * np.asarray(theta, dtype=dtype)
+        new_mem = spikes * np.asarray(theta, dtype=dtype)
+        np.subtract(mem, new_mem, out=new_mem)
     elif reset_mechanism == "zero":
         reset_gate = 1.0 - spikes
         new_mem = mem * reset_gate

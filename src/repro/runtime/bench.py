@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -85,12 +85,18 @@ def make_spike_sequence(
     return (rng.random((num_steps,) + tuple(shape)) < density).astype(np.float32)
 
 
-def _time_best(fn, repeats: int) -> float:
-    best = float("inf")
+def _time_best(fns: Sequence[Callable[[], object]], repeats: int) -> List[float]:
+    """Best-of-``repeats`` seconds of each of ``fns``, timed in turn within every repeat.
+
+    Interleaving puts a slow spell of the host on both sides of the
+    comparison instead of on whichever path happened to be timed during it.
+    """
+    best = [float("inf")] * len(fns)
     for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
     return best
 
 
@@ -115,7 +121,8 @@ def measure_speedup(
     density, num_steps, batch_size, seed:
         Spike-sequence generation parameters (ignored when ``spikes`` given).
     repeats:
-        Timing repetitions; the best run of each path is reported.
+        Timing repetitions, each running the dense path and then the
+        runtime; the best run of each path is reported.
     """
     if model is None:
         model = make_reduced_cnn(seed=seed)
@@ -146,8 +153,7 @@ def measure_speedup(
     runtime_counts = runtime_forward().counts
     equivalent = bool(np.array_equal(dense_counts, runtime_counts))
 
-    dense_seconds = _time_best(dense_forward, repeats)
-    runtime_seconds = _time_best(runtime_forward, repeats)
+    dense_seconds, runtime_seconds = _time_best((dense_forward, runtime_forward), repeats)
 
     if was_training:
         model.train()

@@ -10,8 +10,9 @@ frames.  The execution precision and the neuron substrate are constructor
 arguments, not classes.
 
 Numerical contract: every kernel produces **the same spike-relevant values**
-as the dense training path.  Convolution runs the autograd op's own forward
-(:func:`repro.autograd.ops_conv.conv2d_forward`), and the dense linear path
+as the dense training path.  Convolution and max pooling run the autograd
+ops' own forwards (:func:`repro.autograd.ops_conv.conv2d_forward`,
+:func:`~repro.autograd.ops_conv.maxpool2d_forward`), and the dense linear path
 calls the exact same NumPy routine on the exact same arrays as the autograd
 op, so both are bitwise identical by construction; the equivalence test
 suite (and the benchmark's correctness gate) checks the resulting spike
@@ -43,7 +44,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.autograd.ops_conv import ScratchPool, TallLayout, conv2d_forward
+from repro.autograd.ops_conv import ScratchPool, TallLayout, conv2d_forward, maxpool2d_forward
 from repro.hardware.quantization import QuantizationConfig, quantize_array_int
 from repro.neurons.base import RESET_MECHANISMS
 from repro.neurons.factory import NEURON_TYPES
@@ -385,9 +386,9 @@ class NeuronKernel(Kernel):
 class MaxPoolKernel(Kernel):
     """Non-overlapping max pooling (kernel == stride), no backward mask.
 
-    Computed as an elementwise maximum over the k*k strided phase views
-    rather than a multi-axis window reduction — same values (max is exact
-    and order-free), several times faster on small maps.
+    Runs :func:`repro.autograd.ops_conv.maxpool2d_forward`, the running
+    maximum over the k*k strided phase views that the dense forward also
+    takes, so dense and compiled pooling agree bit for bit by construction.
     """
 
     def __init__(self, name: str, kernel_size: int) -> None:
@@ -395,16 +396,7 @@ class MaxPoolKernel(Kernel):
         self.kernel_size = int(kernel_size)
 
     def run(self, frame: np.ndarray) -> np.ndarray:
-        n, c, h, w = frame.shape
-        k = self.kernel_size
-        oh, ow = h // k, w // k
-        out = np.ascontiguousarray(frame[:, :, : oh * k : k, : ow * k : k])
-        for i in range(k):
-            for j in range(k):
-                if i == 0 and j == 0:
-                    continue
-                np.maximum(out, frame[:, :, i : oh * k : k, j : ow * k : k], out=out)
-        return out
+        return maxpool2d_forward(frame, self.kernel_size)
 
 
 class FlattenKernel(Kernel):

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from repro.autograd.function import Context, Function
+from repro.autograd.ops_spiking import surrogate_backward
 from repro.autograd.tensor import Tensor
 
 
@@ -42,6 +43,13 @@ class SurrogateFunction:
         raise NotImplementedError
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
+        """``dS/dU`` at the centred potential ``u``, as a fresh array.
+
+        Every implementation computes in a new array that it returns, and
+        leaves ``u`` unchanged.  The spike's backward multiplies the
+        incoming gradient into the returned array, so it must not be ``u``
+        or an array the surrogate keeps.
+        """
         raise NotImplementedError
 
     def __call__(self, membrane: Tensor, threshold: float = 1.0) -> Tensor:
@@ -75,8 +83,7 @@ class SpikeFunction(Function):
     @staticmethod
     def backward(ctx: Context, grad_output: np.ndarray):
         centred, surrogate = ctx.saved
-        grad = grad_output * surrogate.derivative(centred)
-        return grad, None, None
+        return surrogate_backward(grad_output, surrogate, centred), None, None
 
 
 def spike(membrane: Tensor, threshold: float, surrogate: SurrogateFunction) -> Tensor:

@@ -32,5 +32,8 @@ class FastSigmoid(SurrogateFunction):
         return u / (1.0 + self.scale * np.abs(u))
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
-        denom = 1.0 + self.scale * np.abs(u)
-        return 1.0 / (denom * denom)
+        denom = np.abs(u)
+        denom *= self.scale
+        denom += 1.0
+        denom *= denom
+        return np.divide(1.0, denom, out=denom)

@@ -25,4 +25,4 @@ class StraightThrough(SurrogateFunction):
         return np.asarray(u, dtype=np.float64)
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(u, dtype=np.float64), self.scale)
+        return np.full(np.shape(u), self.scale)

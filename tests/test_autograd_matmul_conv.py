@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.autograd import Tensor, gradcheck
+from repro.autograd import Tensor, gradcheck, no_grad
 from repro.autograd.ops_conv import ScratchPool, TallLayout, conv_output_shape, im2col
-from repro.runtime.kernels import ConvKernel
+from repro.runtime.kernels import ConvKernel, MaxPoolKernel
 
 
 def t(shape, seed=0, scale=1.0):
@@ -406,6 +406,17 @@ class TestPooling:
         np.testing.assert_array_equal(out._node.ctx.saved[0], idx)
         out.backward(go)
         np.testing.assert_array_equal(xt.grad, ref_grad)
+
+        # An input that needs no gradient takes the index-free forward,
+        # which the compiled plan's pool kernel runs too.
+        plain = Tensor(x).max_pool2d(kernel)
+        with no_grad():
+            no_grad_out = Tensor(x).max_pool2d(kernel)
+        for pooled in (plain, no_grad_out):
+            np.testing.assert_array_equal(pooled.numpy(), ref_out)
+            assert pooled.dtype == x.dtype and pooled._node is None and not pooled.requires_grad
+        compiled = MaxPoolKernel("pool", kernel).run(x)
+        assert compiled.dtype == x.dtype and compiled.tobytes() == plain.numpy().tobytes()
 
     def test_pool_trims_odd_sizes(self):
         x = Tensor(np.ones((1, 1, 5, 5)), requires_grad=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
+from repro.autograd.ops_spiking import surrogate_backward
 from repro.surrogate import (
     ArcTan,
     FastSigmoid,
@@ -106,6 +107,54 @@ class TestOtherSurrogates:
             ArcTan(scale=-1.0)
 
 
+def _arctan(s, u):
+    inner = np.pi * u * s.scale / 2.0
+    return (s.scale / 2.0) / (1.0 + inner * inner)
+
+
+def _fast_sigmoid(s, u):
+    denom = 1.0 + s.scale * np.abs(u)
+    return 1.0 / (denom * denom)
+
+
+def _sigmoid(s, u):
+    sig = 1.0 / (1.0 + np.exp(-s.scale * np.clip(u, -60.0 / s.scale, 60.0 / s.scale)))
+    return s.scale * sig * (1.0 - sig)
+
+
+#: Each registered surrogate's derivative as a plain expression: the
+#: reference its one-array implementation must reproduce byte for byte.
+REFERENCE_DERIVATIVES = {
+    "arctan": _arctan,
+    "fast_sigmoid": _fast_sigmoid,
+    "heaviside": lambda s, u: np.zeros_like(u),
+    "piecewise_linear": lambda s, u: 0.5 * s.scale * (np.abs(u) < 1.0 / s.scale).astype(u.dtype),
+    "sigmoid": _sigmoid,
+    "straight_through": lambda s, u: np.full_like(np.asarray(u, dtype=np.float64), s.scale),
+    "triangular": lambda s, u: s.scale * np.maximum(0.0, 1.0 - np.abs(u) * s.scale),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", available_surrogates())
+def test_derivative_keeps_its_bits_in_a_fresh_array(name, dtype):
+    rng = np.random.default_rng(7)
+    edges = [0.0, -0.0, 1e-30, -1e-30, 0.04, -0.04, 0.5, -0.5, 1.0, -1.0, 4.0, -4.0, 60.0, -60.0, 1e6, -1e6,
+             np.inf, -np.inf]
+    u = np.concatenate([rng.standard_normal(500) * 2.0, edges]).astype(dtype).reshape(2, -1)
+    before = u.copy()
+    for scale in (0.25, 2.0, 25.0):
+        surrogate = get_surrogate(name, scale)
+        got = surrogate.derivative(u)
+        want = REFERENCE_DERIVATIVES[name](surrogate, u)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert u.tobytes() == before.tobytes()
+        again = surrogate.derivative(u)
+        assert got is not u and got.flags.writeable
+        assert not np.shares_memory(got, u) and not np.shares_memory(got, again)
+
+
 class TestRegistry:
     def test_all_paper_surrogates_registered(self):
         names = available_surrogates()
@@ -171,6 +220,20 @@ class TestSpikeFunction:
         spike(mem, 1.0, surrogate).sum().backward()
         expected = surrogate.derivative(np.array([0.3, 1.3]) - 1.0)
         assert np.allclose(mem.grad, expected)
+
+    @pytest.mark.parametrize("surrogate", [FastSigmoid(2.0), ArcTan(2.0), StraightThrough()])
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+    def test_backward_product_never_goes_into_the_incoming_gradient(self, surrogate, grad_dtype):
+        # The fused LIF's charge and reset nodes pass their incoming gradient
+        # on unchanged as another input's gradient, so the product may reuse
+        # only the derivative's own array (when it has the product's dtype).
+        centred = np.array([[-0.8, 0.0, 0.7]], dtype=np.float32)
+        go = np.array([[0.5, -2.0, 3.0]], dtype=grad_dtype)
+        seed = go.copy()
+        grad = surrogate_backward(go, surrogate, centred)
+        want = seed * surrogate.derivative(centred)
+        assert grad.dtype == want.dtype and grad.tobytes() == want.tobytes()
+        assert go.tobytes() == seed.tobytes()
 
     def test_callable_interface(self):
         surrogate = FastSigmoid(25.0)

@@ -6,18 +6,20 @@ Usage::
 
 ``SRC_DIR`` is the ``src/`` directory of the checkout to fingerprint; it
 need not be this script's own tree, so the script can fingerprint a base
-commit that predates it.  The script trains ``ExperimentConfig()`` once
-(a few seconds) with that tree's ``repro`` package and prints one JSON
-line::
+commit that predates it.  The script trains ``ExperimentConfig()`` and the
+same cell with ``surrogate="arctan", surrogate_scale=2.0`` (a few seconds
+each) with that tree's ``repro`` package and prints one JSON line::
 
-    {"digest": "<sha256>", "training_code_version": "...", "val_accuracy": ...}
+    {"digest": "<sha256>", "arctan_digest": "<sha256>", "training_code_version": "...",
+     "val_accuracy": ..., "arctan_val_accuracy": ...}
 
-``digest`` is the sha256 of the trained ``state_dict`` (name, then raw
+Each digest is the sha256 of the trained ``state_dict`` (name, then raw
 bytes, in name order) followed by the training history minus its
-``*seconds`` fields.  Equal digests mean bit-identical training.  BLAS is
-pinned to one thread; the digest still depends on the BLAS kernel family,
-so compare trees under the same ``OPENBLAS_CORETYPE``.  A change that moves
-the digest must change ``TRAINING_CODE_VERSION``.
+``*seconds`` fields; ``digest`` is the default (fast-sigmoid) cell's and
+``arctan_digest`` the ArcTan cell's.  Equal digests mean bit-identical
+training.  BLAS is pinned to one thread; the digests still depend on the
+BLAS kernel family, so compare trees under the same ``OPENBLAS_CORETYPE``.
+A change that moves either digest must change ``TRAINING_CODE_VERSION``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,13 @@ import sys
 from pathlib import Path
 
 
+#: The second cell: the default one trained with the paper's other
+#: surrogate, so a change to ArcTan's numerics moves a digest too.
+ARCTAN_CELL = {"surrogate": "arctan", "surrogate_scale": 2.0}
+
+
 def fingerprint(src_dir: Path) -> dict:
-    """Train the default cell from ``src_dir`` and hash what it learned."""
+    """Train the default cell and its ArcTan twin from ``src_dir`` and hash what each learned."""
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path.insert(0, str(src_dir))
     import numpy as np
@@ -41,17 +48,25 @@ def fingerprint(src_dir: Path) -> dict:
 
     if not Path(repro.__file__).resolve().is_relative_to(src_dir.resolve()):
         raise SystemExit(f"imported repro from {repro.__file__}, not from {src_dir}")
-    model, _, _, training = train_model(ExperimentConfig())
-    digest = hashlib.sha256()
-    for name, value in sorted(model.state_dict().items()):
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(value).tobytes())
-    history = {k: v for k, v in training.history.items() if not k.endswith("seconds")}
-    digest.update(json.dumps(history, sort_keys=True).encode())
+
+    def train_and_hash(config) -> tuple:
+        model, _, _, training = train_model(config)
+        digest = hashlib.sha256()
+        for name, value in sorted(model.state_dict().items()):
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
+        history = {k: v for k, v in training.history.items() if not k.endswith("seconds")}
+        digest.update(json.dumps(history, sort_keys=True).encode())
+        return digest.hexdigest(), training.final_val_accuracy
+
+    digest, val_accuracy = train_and_hash(ExperimentConfig())
+    arctan_digest, arctan_val_accuracy = train_and_hash(ExperimentConfig(**ARCTAN_CELL))
     return {
-        "digest": digest.hexdigest(),
+        "digest": digest,
+        "arctan_digest": arctan_digest,
         "training_code_version": TRAINING_CODE_VERSION,
-        "val_accuracy": training.final_val_accuracy,
+        "val_accuracy": val_accuracy,
+        "arctan_val_accuracy": arctan_val_accuracy,
     }
 
 
