@@ -37,6 +37,7 @@ class GaussianSurrogate(SurrogateFunction):
         return 0.5 * (1.0 + erf(self.scale * np.asarray(u) / np.sqrt(2.0)))
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
+        # A new array each call: the spike's backward may write into it.
         z = self.scale * np.asarray(u)
         return self.scale * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
 

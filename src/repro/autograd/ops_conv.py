@@ -278,8 +278,10 @@ class MaxPool2d(Function):
     the first of the tied maxima.  The index is one uint8 per *output*
     element.  The backward writes each phase of the input gradient as
     ``go * (idx == phase)`` straight into its strided view, so the other
-    positions of a window get ``go * 0`` (a signed zero); trailing
-    rows/columns that do not fill a window get zero gradient.
+    positions of a window get ``go * 0``: a signed zero for a finite
+    gradient, NaN for an infinite or NaN one (a non-finite output gradient
+    spreads NaN over its whole window).  Trailing rows/columns that do not
+    fill a window get zero gradient.
     """
 
     @staticmethod

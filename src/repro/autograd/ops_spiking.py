@@ -57,14 +57,22 @@ class _LIFCharge(Function):
 def surrogate_backward(grad_output: np.ndarray, surrogate: "SurrogateFunction", centred: np.ndarray) -> np.ndarray:
     """``grad_output * surrogate.derivative(centred)``, the spike's input gradient.
 
-    The product goes into the derivative's own fresh array (see
-    :meth:`~repro.surrogate.base.SurrogateFunction.derivative`) when that
-    array has the product's dtype and shape, and into a new one otherwise.
-    ``grad_output`` is never written: other nodes hold it too (``_LIFCharge``
-    and ``_LIFReset`` pass their incoming gradient on unchanged).
+    The product goes into the derivative's own array (see
+    :meth:`~repro.surrogate.base.SurrogateFunction.derivative`) when that is
+    a fresh one -- a writable array that is not ``centred`` and views no
+    other -- with the product's dtype and shape, and into a new one
+    otherwise.  ``grad_output`` is never written: other nodes hold it too
+    (``_LIFCharge`` and ``_LIFReset`` pass their incoming gradient on
+    unchanged).
     """
     derivative = surrogate.derivative(centred)
-    if derivative.shape == grad_output.shape and np.result_type(grad_output, derivative) == derivative.dtype:
+    fresh = (
+        isinstance(derivative, np.ndarray)
+        and derivative is not centred
+        and derivative.base is None
+        and derivative.flags.writeable
+    )
+    if fresh and derivative.shape == grad_output.shape and np.result_type(grad_output, derivative) == derivative.dtype:
         return np.multiply(grad_output, derivative, out=derivative)
     return grad_output * derivative
 
@@ -129,7 +137,7 @@ def fused_lif_step(
 
     reset_gate = None
     if reset_mechanism == "subtract":
-        new_mem = spikes * np.asarray(theta, dtype=dtype)
+        new_mem = np.multiply(spikes, np.asarray(theta, dtype=dtype), dtype=mem.dtype)
         np.subtract(mem, new_mem, out=new_mem)
     elif reset_mechanism == "zero":
         reset_gate = 1.0 - spikes

@@ -33,9 +33,5 @@ class ArcTan(SurrogateFunction):
         return np.arctan(np.pi * u * self.scale / 2.0) / np.pi
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
-        inner = np.multiply(np.pi, u)
-        inner *= self.scale
-        inner /= 2.0
-        inner *= inner
-        inner += 1.0
-        return np.divide(self.scale / 2.0, inner, out=inner)
+        inner = np.pi * u * self.scale / 2.0
+        return (self.scale / 2.0) / (1.0 + inner * inner)

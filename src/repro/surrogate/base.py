@@ -45,10 +45,10 @@ class SurrogateFunction:
     def derivative(self, u: np.ndarray) -> np.ndarray:
         """``dS/dU`` at the centred potential ``u``, as a fresh array.
 
-        Every implementation computes in a new array that it returns, and
-        leaves ``u`` unchanged.  The spike's backward multiplies the
-        incoming gradient into the returned array, so it must not be ``u``
-        or an array the surrogate keeps.
+        Every implementation returns a new array and leaves ``u`` unchanged.
+        The spike's backward multiplies the incoming gradient into a
+        returned array that is writable, is not ``u`` and views no other
+        array, so a surrogate must not return one that it keeps.
         """
         raise NotImplementedError
 

@@ -36,4 +36,5 @@ class FastSigmoid(SurrogateFunction):
         denom *= self.scale
         denom += 1.0
         denom *= denom
-        return np.divide(1.0, denom, out=denom)
+        # A 0-d ``u`` makes ``denom`` a NumPy scalar, which takes no ``out``.
+        return np.divide(1.0, denom, out=denom if isinstance(denom, np.ndarray) else None)

@@ -26,7 +26,5 @@ class PiecewiseLinear(SurrogateFunction):
         return np.clip(0.5 + 0.5 * u * self.scale, 0.0, 1.0)
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
-        window = np.abs(u)
-        np.less(window, 1.0 / self.scale, out=window)
-        window *= 0.5 * self.scale
-        return window
+        window = (np.abs(u) < 1.0 / self.scale).astype(u.dtype if hasattr(u, "dtype") else np.float64)
+        return 0.5 * self.scale * window

@@ -29,6 +29,10 @@ def register_surrogate(cls: Type[SurrogateFunction]) -> Type[SurrogateFunction]:
         class MySurrogate(SurrogateFunction):
             name = "my_surrogate"
             ...
+
+    The class's ``derivative`` should return a new array each call (see
+    :meth:`SurrogateFunction.derivative`): the spike's backward may write
+    the incoming gradient into it.
     """
     if not getattr(cls, "name", None):
         raise ValueError("surrogate classes must define a non-empty 'name' attribute")

@@ -26,12 +26,5 @@ class Sigmoid(SurrogateFunction):
         return 1.0 / (1.0 + np.exp(-self.scale * u))
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
-        s = np.clip(u, -60.0 / self.scale, 60.0 / self.scale)
-        s *= -self.scale
-        np.exp(s, out=s)
-        s += 1.0
-        np.divide(1.0, s, out=s)
-        complement = np.subtract(1.0, s)
-        s *= self.scale
-        s *= complement
-        return s
+        s = 1.0 / (1.0 + np.exp(-self.scale * np.clip(u, -60.0 / self.scale, 60.0 / self.scale)))
+        return self.scale * s * (1.0 - s)

@@ -28,9 +28,4 @@ class Triangular(SurrogateFunction):
         return 0.5 + x - 0.5 * np.sign(x) * x * x
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
-        hat = np.abs(u)
-        hat *= self.scale
-        np.subtract(1.0, hat, out=hat)
-        np.maximum(0.0, hat, out=hat)
-        hat *= self.scale
-        return hat
+        return self.scale * np.maximum(0.0, 1.0 - np.abs(u) * self.scale)

@@ -102,6 +102,20 @@ def test_fused_step_gradient_is_surrogate_derivative():
     np.testing.assert_allclose(new_mem.data, syn.data - spikes.data * 1.0)
 
 
+def test_fused_subtract_reset_keeps_a_wider_membrane_dtype():
+    """A float64 membrane driven by float32 input stays float64 through the reset."""
+    surrogate = get_surrogate("fast_sigmoid", 2.0)
+    mem_prev = Tensor(np.array([[0.1, 0.7, 3.9]]))
+    syn = Tensor(np.array([[0.3, 0.45, 0.2]], dtype=np.float32))
+    spikes, new_mem = fused_lif_step(mem_prev, syn, beta=0.3, threshold=1.1,
+                                     surrogate=surrogate, reset_mechanism="subtract")
+    mem = mem_prev.data * np.float32(0.3) + syn.data
+    expected = mem - spikes.data * np.float32(1.1)
+    assert spikes.data.tolist() == [[0.0, 0.0, 1.0]]
+    assert new_mem.dtype == np.float64
+    assert new_mem.data.tobytes() == expected.tobytes()
+
+
 def test_fused_membrane_gradient_routes_through_beta():
     """d(new_mem)/d(mem_prev) must include the leak factor once per step."""
     beta = 0.5

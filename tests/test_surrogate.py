@@ -123,7 +123,7 @@ def _sigmoid(s, u):
 
 
 #: Each registered surrogate's derivative as a plain expression: the
-#: reference its one-array implementation must reproduce byte for byte.
+#: reference its implementation must reproduce byte for byte.
 REFERENCE_DERIVATIVES = {
     "arctan": _arctan,
     "fast_sigmoid": _fast_sigmoid,
@@ -153,6 +153,23 @@ def test_derivative_keeps_its_bits_in_a_fresh_array(name, dtype):
         again = surrogate.derivative(u)
         assert got is not u and got.flags.writeable
         assert not np.shares_memory(got, u) and not np.shares_memory(got, again)
+        for point in (u[0, 3], np.array(u[0, 3])):  # a NumPy scalar and a 0-d array
+            got, want = surrogate.derivative(point), REFERENCE_DERIVATIVES[name](surrogate, point)
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class _Returning(SurrogateFunction):
+    """A user surrogate whose derivative is ``fn(u)``, which may not be a fresh array."""
+
+    name = "returning"
+
+    def __init__(self, fn) -> None:
+        super().__init__(1.0)
+        self.fn = fn
+
+    def derivative(self, u):
+        return self.fn(u)
 
 
 class TestRegistry:
@@ -221,19 +238,33 @@ class TestSpikeFunction:
         expected = surrogate.derivative(np.array([0.3, 1.3]) - 1.0)
         assert np.allclose(mem.grad, expected)
 
-    @pytest.mark.parametrize("surrogate", [FastSigmoid(2.0), ArcTan(2.0), StraightThrough()])
+    @pytest.mark.parametrize(
+        "surrogate",
+        [
+            FastSigmoid(2.0),
+            ArcTan(2.0),
+            StraightThrough(),
+            _Returning(lambda u: np.broadcast_to(np.float32(0.5), u.shape)),
+            _Returning(lambda u: u),
+            _Returning(lambda u: u[:, ::-1]),
+            _Returning(lambda u: 0.5),
+        ],
+        ids=["fast_sigmoid", "arctan", "straight_through", "read-only", "input", "input-view", "scalar"],
+    )
     @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
-    def test_backward_product_never_goes_into_the_incoming_gradient(self, surrogate, grad_dtype):
+    def test_backward_product_goes_only_into_a_derivative_it_owns(self, surrogate, grad_dtype):
         # The fused LIF's charge and reset nodes pass their incoming gradient
-        # on unchanged as another input's gradient, so the product may reuse
-        # only the derivative's own array (when it has the product's dtype).
+        # on unchanged as another input's gradient, and the saved potential
+        # belongs to the node, so the product may reuse only a fresh
+        # derivative array of the product's dtype.
         centred = np.array([[-0.8, 0.0, 0.7]], dtype=np.float32)
+        saved = centred.copy()
         go = np.array([[0.5, -2.0, 3.0]], dtype=grad_dtype)
         seed = go.copy()
         grad = surrogate_backward(go, surrogate, centred)
-        want = seed * surrogate.derivative(centred)
+        want = seed * surrogate.derivative(saved)
         assert grad.dtype == want.dtype and grad.tobytes() == want.tobytes()
-        assert go.tobytes() == seed.tobytes()
+        assert go.tobytes() == seed.tobytes() and centred.tobytes() == saved.tobytes()
 
     def test_callable_interface(self):
         surrogate = FastSigmoid(25.0)
