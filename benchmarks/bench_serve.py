@@ -22,13 +22,12 @@ Load-tests :mod:`repro.serve` end to end on freshly trained models:
    worst-case drain time of one full queue — overload sheds load, it does
    not melt latency for the requests that were accepted.
 5. **Fault storm** (``test_serve_fault_storm``) — closed-loop traffic
-   against a gateway with a deterministic :class:`~repro.serve.FaultInjector`
-   schedule (a breaker-tripping run of kernel faults, a worker death, a
-   slow batch) plus a torn republish mid-run.  Acceptance: every
+   against a gateway whose compiled-plan pool is a stub that fails or
+   stalls chosen checkouts (a breaker-tripping run of kernel faults, a
+   slow batch), plus a torn republish mid-run.  Acceptance: every
    non-faulted request is served bit-identically, the circuit breaker
-   opens and re-closes, the worker pool recovers, the torn republish
-   degrades (not crashes) and the next good publish is picked up, and
-   served-request p99 stays bounded.
+   opens and re-closes, the torn republish degrades (not crashes) and the
+   next good publish is picked up, and served-request p99 stays bounded.
 6. **Observability overhead** (``test_serve_observability``) — the same
    pre-queued burst served with request tracing off and on
    (``repro.obs``), bit-identity asserted between the legs.  Acceptance
@@ -46,29 +45,30 @@ see ``docs/BENCHMARKS.md``).
 
 from __future__ import annotations
 
+import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
+import repro.serve.gateway as gateway_module
 from .conftest import run_once, update_bench_json
 from repro.core.config import ExperimentConfig, SCALE_PRESETS
 from repro.core.experiment import make_dataset
 from repro.hardware.report import format_measured_vs_modeled
-from repro.runtime import compile_network
+from repro.runtime import CompiledNetworkPool, compile_network
 from repro.serve import (
     BreakerPolicy,
-    FaultInjector,
     InferenceServer,
-    InjectedFault,
     ModelRegistry,
     ModelUnavailable,
     ServeGateway,
     ServerOverloaded,
     format_gateway_summary,
     format_telemetry,
-    tear_checkpoint,
     train_and_register,
 )
+from repro.utils import atomic_write
 
 #: Micro-batch size for the batched legs (the serial leg always uses 1).
 MAX_BATCH = 32
@@ -384,12 +384,40 @@ def test_serve_gateway_overload(benchmark, bench_smoke, repro_scale, results_sto
         )
 
 
-#: Deterministic storm schedule, keyed by batch index (batch == request in
-#: this leg: the storm drives the gateway closed-loop at ``max_batch=1``).
+#: Deterministic storm schedule, keyed by plan checkout (checkout == request
+#: in this leg: the storm drives the gateway closed-loop at ``max_batch=1``).
 STORM_KERNEL_FAULTS = frozenset({3, 4, 5})  # consecutive -> trips the breaker
-STORM_WORKER_DEATH = frozenset({8})
 STORM_SLOW_BATCHES = frozenset({12})
 STORM_SLOW_MS = 5.0
+
+
+class KernelFault(RuntimeError):
+    """What a :class:`StormPool` checkout raises in place of running a batch."""
+
+
+class StormPool(CompiledNetworkPool):
+    """A compiled-plan pool that fails or stalls the storm's checkouts.
+
+    Checkouts are numbered in order: one in ``STORM_KERNEL_FAULTS`` raises
+    :class:`KernelFault`, one in ``STORM_SLOW_BATCHES`` first sleeps
+    ``STORM_SLOW_MS``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checkouts = 0
+        self._count_lock = threading.Lock()
+
+    @contextmanager
+    def acquire(self):
+        with self._count_lock:
+            index, self.checkouts = self.checkouts, self.checkouts + 1
+        if index in STORM_SLOW_BATCHES:
+            time.sleep(STORM_SLOW_MS / 1000.0)
+        if index in STORM_KERNEL_FAULTS:
+            raise KernelFault(f"kernel fault at checkout {index}")
+        with super().acquire() as plan:
+            yield plan
 
 #: Breaker policy for the storm: trips on the third consecutive failure,
 #: probes after a short deterministic backoff (jitter off for replayability).
@@ -398,17 +426,18 @@ STORM_BREAKER = BreakerPolicy(
 )
 
 
-def test_serve_fault_storm(benchmark, bench_smoke, repro_scale, results_store, tmp_path):
-    """Availability under injected faults: the storm serves everything it can.
+def test_serve_fault_storm(
+    benchmark, bench_smoke, repro_scale, results_store, tmp_path, monkeypatch
+):
+    """Availability under kernel faults: the storm serves everything it can.
 
-    A deterministic :class:`FaultInjector` schedule drives one gateway
-    through a breaker-tripping run of kernel faults, a worker death and a
-    slow batch, while a torn republish lands mid-run followed by a good
-    one.  Acceptance: every non-faulted request is served **bit-identically**
-    to the offline reference, the breaker opens and re-closes (rejections
-    are fail-fast, not hangs), the worker pool recovers, the torn republish
-    degrades to the old weights, and served-request p99 stays bounded by
-    the clean closed-loop service time.
+    One gateway serves through :class:`StormPool`, which fails a
+    breaker-tripping run of checkouts and stalls one, while a torn
+    republish lands mid-run followed by a good one.  Acceptance: every
+    non-faulted request is served **bit-identically** to the offline
+    reference, the breaker opens and re-closes (rejections are fail-fast,
+    not hangs), the torn republish degrades to the old weights, and
+    served-request p99 stays bounded by the clean closed-loop service time.
     """
     if bench_smoke:
         scale = SCALE_PRESETS["smoke"]
@@ -443,15 +472,9 @@ def test_serve_fault_storm(benchmark, bench_smoke, repro_scale, results_store, t
                 future.result(timeout=300)
             capacity_fps = warm_n / (time.perf_counter() - start)
 
-        faults = FaultInjector(
-            kernel_fault_batches=STORM_KERNEL_FAULTS,
-            worker_death_batches=STORM_WORKER_DEATH,
-            slow_batches=STORM_SLOW_BATCHES,
-            slow_batch_ms=STORM_SLOW_MS,
-        )
-        gateway = ServeGateway(
-            registry, max_batch=1, max_wait_ms=0.0, breaker=STORM_BREAKER, faults=faults
-        )
+        # The storm gateway compiles its plans through the faulty pool.
+        monkeypatch.setattr(gateway_module, "CompiledNetworkPool", StormPool)
+        gateway = ServeGateway(registry, max_batch=1, max_wait_ms=0.0, breaker=STORM_BREAKER)
         served = {}
         faulted = []
         rejections = 0
@@ -459,7 +482,8 @@ def test_serve_fault_storm(benchmark, bench_smoke, repro_scale, results_store, t
         for i in range(arrivals):
             if i == tear_at:
                 # Torn republish mid-storm, then a good one right after.
-                tear_checkpoint(registry.checkpoint_path("storm"), seed=0)
+                path = registry.checkpoint_path("storm")
+                atomic_write(path, path.read_bytes()[: path.stat().st_size // 2])
                 degraded = gateway.refresh("storm") is False
                 registry.save("storm", entry.model, entry.encoder, config=config)
                 recovered = gateway.refresh("storm") is True
@@ -467,8 +491,8 @@ def test_serve_fault_storm(benchmark, bench_smoke, repro_scale, results_store, t
                 try:
                     served[i] = gateway.submit("storm", images[i]).result(timeout=300).counts
                     break
-                except InjectedFault:
-                    faulted.append(i)  # the injected failure is this request's outcome
+                except KernelFault:
+                    faulted.append(i)  # the kernel fault is this request's outcome
                     break
                 except ModelUnavailable:
                     rejections += 1  # fail-fast while open; wait out the backoff
@@ -478,22 +502,18 @@ def test_serve_fault_storm(benchmark, bench_smoke, repro_scale, results_store, t
         telemetry = gateway.telemetry("storm")
         summary = gateway.summary()
         breaker_closes = telemetry.total_breaker_closes
-        injected = faults.injected_counts
         gateway.stop()
-        return (
-            capacity_fps, served, faulted, rejections,
-            degraded, recovered, summary, breaker_closes, injected,
-        )
+        return capacity_fps, served, faulted, rejections, degraded, recovered, summary, breaker_closes
 
     (
         capacity_fps, served, faulted, rejections,
-        degraded, recovered, summary, breaker_closes, injected,
+        degraded, recovered, summary, breaker_closes,
     ) = run_once(benchmark, run)
 
     totals = summary["totals"]
     p99_ms = summary["models"]["storm"]["p99_ms"]
     # A non-faulted request is one service time; give 10x for scheduling
-    # noise plus the injected slow-batch delay and the worker respawn.
+    # noise plus the slow-batch delay.
     p99_bound_ms = 10_000.0 / capacity_fps + 10.0 * STORM_SLOW_MS
 
     mode = "smoke" if bench_smoke else "full"
@@ -503,8 +523,7 @@ def test_serve_fault_storm(benchmark, bench_smoke, repro_scale, results_store, t
         f"{rejections} breaker rejections, mode={mode}"
     )
     print(
-        f"  worker deaths {totals['worker_deaths']:.0f}   "
-        f"reload failures {totals['reload_failures']:.0f}   "
+        f"  reload failures {totals['reload_failures']:.0f}   "
         f"breaker opens {totals['breaker_opens']:.0f} / closes {breaker_closes}   "
         f"p99 {p99_ms:.2f} ms (bound {p99_bound_ms:.2f} ms)"
     )
@@ -518,11 +537,9 @@ def test_serve_fault_storm(benchmark, bench_smoke, repro_scale, results_store, t
         "capacity_fps": capacity_fps,
         "served": len(served),
         "faulted": sorted(faulted),
-        "injected": injected,
         "breaker_rejections": rejections,
         "breaker_opens": totals["breaker_opens"],
         "breaker_closes": breaker_closes,
-        "worker_deaths": totals["worker_deaths"],
         "reload_failures": totals["reload_failures"],
         "degraded_on_torn_republish": degraded,
         "recovered_on_good_republish": recovered,
@@ -532,11 +549,11 @@ def test_serve_fault_storm(benchmark, bench_smoke, repro_scale, results_store, t
     results_store.add("serve_faults", f"scale={scale.name}_{mode}", payload)
     _update_bench_json("faults", payload)
 
-    # Availability: exactly the injected kernel faults fail, nothing else.
+    # Availability: exactly the stubbed kernel faults fail, nothing else.
     assert sorted(faulted) == sorted(STORM_KERNEL_FAULTS)
     assert len(served) == arrivals - len(faulted)
     # Correctness: everything served is bit-identical to the offline plan,
-    # across the worker death, the breaker cycle and both republishes.
+    # across the slow batch, the breaker cycle and both republishes.
     for i, counts in served.items():
         np.testing.assert_array_equal(counts, reference[i])
     # The breaker cycled: open on the fault run, fail-fast while open,
@@ -545,8 +562,7 @@ def test_serve_fault_storm(benchmark, bench_smoke, repro_scale, results_store, t
     assert breaker_closes >= 1
     assert rejections >= 1
     assert totals["breaker_rejections"] == rejections
-    # Supervision and degrade-on-corrupt both fired and recovered.
-    assert totals["worker_deaths"] == 1
+    # Degrade-on-corrupt fired and recovered.
     assert totals["reload_failures"] == 1
     assert degraded and recovered
     assert totals["failed"] == len(faulted)

@@ -35,14 +35,15 @@ This package is that deployment surface:
   activity, plus admission-control counters (admitted/shed, queue-depth
   high-water mark), and renders measured-vs-modeled comparisons via
   :func:`repro.hardware.report.format_measured_vs_modeled`.
-* Fault tolerance spans the stack: worker threads are supervised (death →
-  respawn, batch requeued), batch failures are isolated to their own
-  futures, ``deadline_ms`` is a real timeout
+* Failure handling stays where traffic reaches it: a malformed image fails
+  its own submit, a batch failure resolves only that batch's futures (no
+  batch can kill a worker), a client's ``Future.cancel()`` drops only its
+  own request, ``deadline_ms`` is a real timeout
   (:class:`~repro.serve.scheduler.RequestTimedOut`), per-model circuit
   breakers (:mod:`repro.serve.breaker`) fail fast while a model keeps
-  failing, a corrupt republish degrades to the old weights, and
-  :mod:`repro.serve.faults` provides the deterministic chaos harness that
-  proves all of it (``tests/test_faults.py``).
+  failing, and a corrupt republish degrades to the old weights.
+  ``tests/test_faults.py`` induces each failure through a stub
+  compiled-plan pool and a torn checkpoint.
 
 ``benchmarks/bench_serve.py`` load-tests the stack in closed- and open-loop
 arrival modes (including gateway overload beyond capacity);
@@ -51,14 +52,6 @@ arrival modes (including gateway overload beyond capacity);
 """
 
 from repro.serve.breaker import BreakerPolicy, CircuitBreaker, ModelUnavailable
-from repro.serve.faults import (
-    BatchFate,
-    FaultInjector,
-    InjectedFault,
-    InjectedKernelFault,
-    InjectedWorkerDeath,
-    tear_checkpoint,
-)
 from repro.serve.gateway import ServeGateway, format_gateway_summary
 from repro.serve.registry import (
     ModelRegistry,
@@ -82,12 +75,6 @@ __all__ = [
     "BreakerPolicy",
     "CircuitBreaker",
     "ModelUnavailable",
-    "BatchFate",
-    "FaultInjector",
-    "InjectedFault",
-    "InjectedKernelFault",
-    "InjectedWorkerDeath",
-    "tear_checkpoint",
     "ModelRegistry",
     "RegisteredModel",
     "RegistryError",

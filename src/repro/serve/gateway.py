@@ -9,8 +9,9 @@ front-end over a :class:`~repro.serve.registry.ModelRegistry`:
   :class:`~repro.runtime.pool.CompiledNetworkPool` and
   :class:`~repro.serve.telemetry.ServeTelemetry`) per active model and
   keeps it warm for subsequent requests.
-* **Hot-reload on republish** — every submit cheaply checks the registry
-  checkpoint's stat signature; when a newer version has been published the
+* **Hot-reload on republish** — every submit checks the registry
+  checkpoint's stat signature (one ``stat`` call, cheap next to the
+  encode); when a newer version has been published the
   gateway reloads the checkpoint and swaps the weights *in place* through
   :meth:`~repro.runtime.pool.CompiledNetworkPool.update_weights`.  The
   swap waits only for in-flight batches (queued work is not dropped) and
@@ -48,7 +49,6 @@ republish.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -59,7 +59,6 @@ from repro.obs.metrics import default_registry
 from repro.obs.trace import Tracer, default_tracer
 from repro.runtime.pool import CompiledNetworkPool
 from repro.serve.breaker import BreakerPolicy, CircuitBreaker, ModelUnavailable
-from repro.serve.faults import FaultInjector
 from repro.serve.registry import (
     ModelRegistry,
     RegisteredModel,
@@ -90,7 +89,6 @@ class _ActiveModel:
     server: InferenceServer
     signature: Optional[Tuple[int, int, int]]
     lock: threading.Lock = field(default_factory=threading.Lock)
-    last_check: float = 0.0
     reloads: int = 0
 
 
@@ -107,11 +105,6 @@ class ServeGateway:
     max_queue, overload:
         Admission control applied to every per-model server queue — see
         :class:`InferenceServer`.  ``max_queue=None`` disables it.
-    reload_check_s:
-        Minimum seconds between republish checks per model.  ``0`` (the
-        default) checks on every submit — the check is one ``stat`` call,
-        cheap next to encoding a request.  Raise it to amortise even that
-        on very hot paths.
     breaker:
         Optional :class:`~repro.serve.breaker.BreakerPolicy`.  When set,
         every per-model server gets its own
@@ -119,10 +112,6 @@ class ServeGateway:
         telemetry: repeated batch failures trip the model open and submits
         fail fast with :class:`~repro.serve.breaker.ModelUnavailable`
         until a half-open probe succeeds.  Other models are unaffected.
-    faults:
-        Optional :class:`~repro.serve.faults.FaultInjector` shared by
-        every per-model server — test-only chaos hook, never set in
-        production.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When enabled, every
         :meth:`submit` mints a trace and opens a ``gateway.submit`` root
@@ -145,22 +134,16 @@ class ServeGateway:
         workers: int = 1,
         max_queue: Optional[int] = None,
         overload: str = OVERLOAD_SHED,
-        reload_check_s: float = 0.0,
         breaker: Optional[BreakerPolicy] = None,
-        faults: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if reload_check_s < 0:
-            raise ValueError(f"reload_check_s must be non-negative, got {reload_check_s}")
         self.registry = registry if isinstance(registry, ModelRegistry) else ModelRegistry(registry)
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
         self.workers = int(workers)
         self.max_queue = int(max_queue) if max_queue is not None else None
         self.overload = overload
-        self.reload_check_s = float(reload_check_s)
         self.breaker = breaker
-        self.faults = faults
         self.tracer = tracer if tracer is not None else default_tracer()
         # Gateway-level lifecycle counters live on the process registry
         # (per-model counters live in each model's labelled telemetry
@@ -212,12 +195,12 @@ class ServeGateway:
     ) -> "Future[ServeResult]":
         """Route one raw image to the named model; returns its future.
 
-        Activates the model on first use, then (rate-limited by
-        ``reload_check_s``) checks the registry for a republish and
-        hot-reloads before enqueueing.  ``priority`` and ``deadline_ms``
-        are forwarded to the per-model server's SLO-aware scheduler (shed
-        lanes and deadline-driven batch cutoffs — see
-        :meth:`InferenceServer.submit`).  Raises
+        Activates the model on first use, then checks the registry for a
+        republish and hot-reloads before enqueueing.  ``priority`` and
+        ``deadline_ms`` are forwarded to the per-model server's SLO-aware
+        scheduler (shed lanes and deadline-driven batch cutoffs — see
+        :meth:`InferenceServer.submit`).  Raises ``ValueError`` for an
+        image that does not have the model's input shape,
         :class:`~repro.serve.registry.RegistryError` for unknown names,
         :class:`~repro.serve.scheduler.ServerOverloaded` when shed-mode
         admission control rejects the request,
@@ -326,7 +309,6 @@ class ServeGateway:
             "shed_high": 0.0,
             "failed": 0.0,
             "timed_out": 0.0,
-            "worker_deaths": 0.0,
             "reloads": 0.0,
             "reload_failures": 0.0,
             "breaker_opens": 0.0,
@@ -344,7 +326,6 @@ class ServeGateway:
             totals["shed_high"] += per_model.get("shed_high", 0.0)
             totals["failed"] += per_model.get("failed", 0.0)
             totals["timed_out"] += per_model.get("timed_out", 0.0)
-            totals["worker_deaths"] += per_model.get("worker_deaths", 0.0)
             totals["reloads"] += float(model.reloads)
             totals["reload_failures"] += per_model["reload_failures"]
             totals["breaker_opens"] += per_model.get("breaker_opens", 0.0)
@@ -388,7 +369,6 @@ class ServeGateway:
             overload=self.overload,
             telemetry=telemetry,
             breaker=breaker,
-            faults=self.faults,
             tracer=self.tracer,
         )
         self._m_activations.inc()
@@ -420,7 +400,6 @@ class ServeGateway:
                         entry=entry,
                         server=self._make_server(entry),
                         signature=signature,
-                        last_check=time.monotonic(),
                     )
                     with self._lock:
                         if self._closed:
@@ -441,24 +420,17 @@ class ServeGateway:
         # pickup would be misreported as False.
         active = self._resolve(name, reload=False)
         reloads_before = active.reloads
-        self._maybe_reload(active, force=True)
+        self._maybe_reload(active)
         return active.reloads > reloads_before
 
-    def _maybe_reload(self, active: _ActiveModel, force: bool = False) -> None:
+    def _maybe_reload(self, active: _ActiveModel) -> None:
         """Pick up a republished checkpoint for one active model.
 
         Holds only the model's own lock, so a reload of one model never
         stalls routing to the others.
         """
-        now = time.monotonic()
-        if not force and self.reload_check_s and now - active.last_check < self.reload_check_s:
-            return
         retired: Optional[InferenceServer] = None
         with active.lock:
-            now = time.monotonic()
-            if not force and self.reload_check_s and now - active.last_check < self.reload_check_s:
-                return
-            active.last_check = now
             signature = self.registry.checkpoint_signature(active.name)
             if signature is None or signature == active.signature:
                 return
@@ -579,7 +551,6 @@ def format_gateway_summary(
         f"  totals: {totals.get('models', 0):.0f} models, "
         f"{totals.get('requests', 0):.0f} served, {totals.get('shed', 0):.0f} shed, "
         f"{totals.get('failed', 0):.0f} failed, {totals.get('timed_out', 0):.0f} timed out, "
-        f"{totals.get('worker_deaths', 0):.0f} worker deaths, "
         f"{totals.get('reloads', 0):.0f} reloads ({totals.get('reload_failures', 0):.0f} failed)"
     )
     for name, error in sorted((last_errors or {}).items()):

@@ -60,29 +60,35 @@ important) and an optional ``deadline_ms`` latency budget:
   deterministic-batching bit-identity contract is unchanged.
 * A ``deadline_ms`` steers batching *and* is a real timeout: the
   dispatcher cuts a batch early when any waiting request is within
-  ``deadline_margin_ms`` of its deadline, instead of waiting out
+  :data:`DEADLINE_MARGIN_MS` of its deadline, instead of waiting out
   ``max_wait_ms`` for more company (FIFO dispatch means the urgent request
   is always in the cut batch).  A request whose deadline has *already
   passed* is never dispatched late — its future fails with
   :class:`RequestTimedOut` at the cutoff (batch cut or batch start,
   whichever notices first), counted per lane in telemetry.
 
-Failure isolation and supervision
----------------------------------
+Failure isolation and cancellation
+-----------------------------------
 A batch whose inference raises resolves *only that batch's* futures with
 the error (counted via
 :meth:`~repro.serve.telemetry.ServeTelemetry.record_failure`, reported to
 the attached circuit breaker); the server keeps serving subsequent
-batches.  Worker threads are *supervised*: a worker that dies from an
-escaped exception is detected, its in-hand batch is requeued at the front
-(same composition, so the retried results are bit-identical), and a
-replacement thread is spawned — capacity never silently shrinks
-(:attr:`InferenceServer.live_workers` is the observable).  An attached
+batches.  Because a batch's every exception ends on its futures, no batch
+can kill a worker: the ``workers`` threads start with the server and are
+joined once by :meth:`InferenceServer.stop`.  An attached
 :class:`~repro.serve.breaker.CircuitBreaker` fails submits fast with
 :class:`~repro.serve.breaker.ModelUnavailable` while the model keeps
-failing; an attached :class:`~repro.serve.faults.FaultInjector` (tests
-only) injects deterministic kernel faults, worker deaths and slow batches
-keyed on the dispatcher's batch index.
+failing.  A submit whose image does not have the served network's input
+shape raises ``ValueError`` before anything is encoded or admitted, so a
+malformed request fails alone and never reaches a batch or the breaker.
+
+A client may ``cancel()`` a returned future until its request is cut into
+a batch.  The server claims every future before resolving it
+(``Future.set_running_or_notify_cancel``): the dispatcher claims each
+request as it cuts a batch and drops the cancelled ones, and a request
+that is evicted, times out or is abandoned by ``stop(drain=False)`` while
+still queued is claimed first too.  A cancelled request is never served,
+failed or counted, and never disturbs another request.
 """
 
 from __future__ import annotations
@@ -92,16 +98,16 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import Encoder
 from repro.nn.module import Module
 from repro.obs.trace import Tracer, default_tracer
 from repro.runtime.pool import CompiledNetworkPool
 from repro.serve.breaker import CircuitBreaker, ModelUnavailable
-from repro.serve.faults import FaultInjector, InjectedKernelFault, InjectedWorkerDeath
 from repro.serve.telemetry import RequestStat, ServeTelemetry
 
 
@@ -123,6 +129,20 @@ OVERLOAD_SHED = "shed"
 OVERLOAD_BLOCK = "block"
 
 _OVERLOAD_POLICIES = (OVERLOAD_SHED, OVERLOAD_BLOCK)
+
+#: A deadline-driven cutoff fires this many milliseconds before a waiting
+#: request's ``deadline_ms`` budget runs out, leaving that margin for the
+#: batch to execute.
+DEADLINE_MARGIN_MS = 5.0
+
+
+def _input_shape(model: Module) -> Optional[Tuple[int, ...]]:
+    """Shape of one image ``model`` classifies (``None``: the model does not say)."""
+    if isinstance(model, SpikingCNN):
+        return (model.in_channels, model.image_size, model.image_size)
+    if isinstance(model, SpikingMLP):
+        return (model.in_features,)
+    return None
 
 
 @dataclass
@@ -195,13 +215,9 @@ class InferenceServer:
         batch is dispatched anyway.  ``0`` disables coalescing-by-time:
         whatever is queued when the dispatcher wakes is sent immediately.
     workers:
-        Concurrent batch executors.  Each worker checks out its own
-        compiled plan, so ``workers`` bounds the plans ever compiled.
-    deadline_margin_ms:
-        Safety margin for deadline-aware batch cutoffs: a batch is
-        dispatched as soon as any waiting request is within this many
-        milliseconds of its ``deadline_ms`` budget (leaving that margin for
-        the batch to actually execute).
+        Concurrent batch executors: this many worker threads start with
+        the server and run until :meth:`stop`.  Each worker checks out its
+        own compiled plan, so ``workers`` bounds the plans ever compiled.
     max_queue:
         Admission-control cap on the requests admitted but not yet started
         (``None`` = unbounded, the historical behaviour).  A request waiting
@@ -221,11 +237,6 @@ class InferenceServer:
         every submit (open breaker ⇒ fail-fast
         :class:`~repro.serve.breaker.ModelUnavailable` before the encode)
         and fed every batch outcome.
-    faults:
-        Optional :class:`~repro.serve.faults.FaultInjector` — test-only
-        hook injecting deterministic batch-level failures; ``None`` (the
-        default, and the only production value) costs one attribute check
-        per batch.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` receiving per-request
         stage spans (admission → queue → batch → checkout → kernel →
@@ -251,9 +262,7 @@ class InferenceServer:
         max_queue: Optional[int] = None,
         overload: str = OVERLOAD_SHED,
         telemetry: Optional[ServeTelemetry] = None,
-        deadline_margin_ms: float = 5.0,
         breaker: Optional[CircuitBreaker] = None,
-        faults: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if max_batch < 1:
@@ -266,19 +275,18 @@ class InferenceServer:
             raise ValueError(f"max_queue must be at least 1 (or None), got {max_queue}")
         if overload not in _OVERLOAD_POLICIES:
             raise ValueError(f"overload must be one of {_OVERLOAD_POLICIES}, got {overload!r}")
-        if deadline_margin_ms < 0:
-            raise ValueError(f"deadline_margin_ms must be non-negative, got {deadline_margin_ms}")
         self.pool = model if isinstance(model, CompiledNetworkPool) else CompiledNetworkPool(model, max_idle=workers)
         self.encoder = encoder
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait_ms) / 1000.0
         self.workers = int(workers)
-        self.deadline_margin = float(deadline_margin_ms) / 1000.0
+        # A hot reload swaps weights in place only between same-spec
+        # models, so the served input shape never changes under a server.
+        self._input_shape = _input_shape(self.pool.model)
         self.max_queue = int(max_queue) if max_queue is not None else None
         self.overload = overload
         self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
         self.breaker = breaker
-        self.faults = faults
         # Disabled tracing is the default and stays off the hot path: every
         # instrumented site first checks ``self.tracer.enabled`` (a single
         # attribute read) before touching timestamps or span records.
@@ -291,12 +299,8 @@ class InferenceServer:
         # stalling the dispatcher, which waits on the queue condition.
         self._encode_lock = threading.Lock()
         self._queue: Deque[_Pending] = deque()
-        # Batches the dispatcher has cut, waiting for a worker thread, as
-        # (batch_index, batch) — the index is assigned by the (single)
-        # dispatcher in FIFO order, so it is deterministic for a given
-        # submission sequence and keys the fault injector's decisions.
-        self._ready: Deque[Tuple[int, List[_Pending]]] = deque()
-        self._batch_sequence = 0
+        # Batches the dispatcher has cut, waiting for a worker thread.
+        self._ready: Deque[List[_Pending]] = deque()
         # Batches cut and not yet finished (in _ready or running); the
         # dispatcher cuts the next one only while this is below ``workers``.
         self._in_flight = 0
@@ -308,11 +312,7 @@ class InferenceServer:
         self._draining = True
         self._dispatch_done = False
         self._dispatcher: Optional[threading.Thread] = None
-        # Worker threads are owned directly (not via a ThreadPoolExecutor)
-        # so the supervisor can replace a worker that dies.
         self._worker_threads: List[threading.Thread] = []
-        self._live_workers = 0
-        self._worker_serial = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -327,27 +327,20 @@ class InferenceServer:
             self._dispatcher = threading.Thread(
                 target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
             )
-            self._spawn_workers_locked()
+            self._worker_threads = [
+                threading.Thread(target=self._worker_loop, name=f"repro-serve-worker-{i}", daemon=True)
+                for i in range(self.workers)
+            ]
+            for thread in self._worker_threads:
+                thread.start()
             self._dispatcher.start()
         return self
-
-    def _spawn_workers_locked(self) -> None:
-        """Bring the live worker-thread count up to ``self.workers`` (cv held)."""
-        while self._live_workers < self.workers:
-            self._live_workers += 1
-            self._worker_serial += 1
-            thread = threading.Thread(
-                target=self._worker_entry,
-                name=f"repro-serve-worker-{self._worker_serial}",
-                daemon=True,
-            )
-            self._worker_threads.append(thread)
-            thread.start()
 
     def stop(self, drain: bool = True) -> None:
         """Shut down; by default finishes all queued work first.
 
-        With ``drain=False`` queued requests fail with :class:`ServerClosed`.
+        With ``drain=False`` the batches already cut still run, and the
+        requests still queued fail with :class:`ServerClosed`.
         """
         with self._cv:
             if self._closed:
@@ -359,23 +352,14 @@ class InferenceServer:
             self._cv.notify_all()
         if self._dispatcher is not None:
             self._dispatcher.join()
-        # The supervisor may respawn workers *during* this join (a worker
-        # dying mid-drain), so re-snapshot until the pool is quiescent
-        # instead of joining one stale list.
-        while True:
-            with self._cv:
-                threads = [t for t in self._worker_threads if t is not threading.current_thread()]
-            if not any(t.is_alive() for t in threads):
-                break
-            for thread in threads:
-                thread.join()
+        for thread in self._worker_threads:
+            thread.join()
         # Anything still queued was abandoned (drain=False, or never started).
-        abandoned: List[_Pending] = []
         with self._cv:
             while self._queue:
-                abandoned.append(self._queue.popleft())
-        for pending in abandoned:
-            pending.future.set_exception(ServerClosed("server stopped before the request ran"))
+                self._fail_queued_locked(
+                    self._queue.popleft(), ServerClosed("server stopped before the request ran")
+                )
 
     def __enter__(self) -> "InferenceServer":
         return self.start()
@@ -391,18 +375,6 @@ class InferenceServer:
         """Number of requests currently waiting to be batched."""
         with self._cv:
             return len(self._queue)
-
-    @property
-    def live_workers(self) -> int:
-        """Worker threads currently serving — the supervision invariant.
-
-        Between supervision windows (a death is detected and repaired
-        atomically under the server lock) this equals ``workers``; the
-        chaos suite asserts it post-recovery to prove capacity never
-        silently shrank.
-        """
-        with self._cv:
-            return self._live_workers
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -451,11 +423,10 @@ class InferenceServer:
             if victim is not None:
                 evicted = self._queue[victim]
                 del self._queue[victim]
-                self.telemetry.record_shed(priority=evicted.priority)
-                evicted.future.set_exception(
-                    ServerOverloaded(
-                        f"evicted from a full queue by a priority-{priority} arrival"
-                    )
+                self._fail_queued_locked(
+                    evicted,
+                    ServerOverloaded(f"evicted from a full queue by a priority-{priority} arrival"),
+                    count=self.telemetry.record_shed,
                 )
                 return
             self.telemetry.record_shed(priority=priority)
@@ -497,6 +468,11 @@ class InferenceServer:
     ) -> "Future[ServeResult]":
         """Queue one raw image; returns a future resolving to a :class:`ServeResult`.
 
+        The image must have the served network's input shape,
+        ``(in_channels, image_size, image_size)`` for a
+        :class:`~repro.core.network.SpikingCNN` and ``(in_features,)`` for a
+        :class:`~repro.core.network.SpikingMLP`; any other shape raises
+        ``ValueError`` before the encode, and nothing is admitted or counted.
         The image is encoded synchronously (so encoder errors surface here,
         attributed to the caller) and the request then waits to be coalesced.
         With ``max_queue`` set, admission control runs first: shed mode
@@ -517,6 +493,9 @@ class InferenceServer:
         from an upstream span (the gateway's ``gateway.submit`` root);
         when the tracer is enabled and no context is given, the request
         mints its own trace.
+
+        The returned future may be cancelled until the request is cut into
+        a batch; the server then drops it without serving or counting it.
         """
         image = np.asarray(image, dtype=np.float32)
         submitted = time.perf_counter()
@@ -531,6 +510,11 @@ class InferenceServer:
                 trace_id = self.tracer.mint_trace()
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be positive, got {deadline_ms}")
+        if self._input_shape is not None and image.shape != self._input_shape:
+            raise ValueError(
+                f"image shape {image.shape} does not match the served network's "
+                f"input shape {self._input_shape}"
+            )
         if self._closed:
             raise ServerClosed("cannot submit to a stopped server")
         if self.breaker is not None and not self.breaker.allow():
@@ -625,8 +609,24 @@ class InferenceServer:
         cutoff = wait_cutoff
         for pending in self._queue:
             if pending.deadline is not None:
-                cutoff = min(cutoff, pending.deadline - self.deadline_margin)
+                cutoff = min(cutoff, pending.deadline - DEADLINE_MARGIN_MS / 1000.0)
         return wait_cutoff, cutoff
+
+    def _fail_queued_locked(
+        self, pending: _Pending, error: BaseException, count: Optional[Callable[..., None]] = None
+    ) -> None:
+        """Fail a request that is still queued, unless its client cancelled it (cv held).
+
+        The one way a queued request is resolved: the future is claimed
+        first, so a cancelled one is dropped silently.  ``count`` (a
+        telemetry recorder taking ``priority=``) runs before the future
+        resolves, and only for a request that is failed.
+        """
+        if not pending.future.set_running_or_notify_cancel():
+            return
+        if count is not None:
+            count(priority=pending.priority)
+        pending.future.set_exception(error)
 
     def _prune_expired_locked(self) -> None:
         """Time out queued requests whose deadline has already passed (cv held).
@@ -642,12 +642,13 @@ class InferenceServer:
         keep: Deque[_Pending] = deque()
         for pending in self._queue:
             if pending.deadline is not None and now >= pending.deadline:
-                self.telemetry.record_timeout(priority=pending.priority)
-                pending.future.set_exception(
+                self._fail_queued_locked(
+                    pending,
                     RequestTimedOut(
                         f"deadline expired {(now - pending.deadline) * 1000.0:.1f} ms "
                         "before the batch was cut"
-                    )
+                    ),
+                    count=self.telemetry.record_timeout,
                 )
             else:
                 keep.append(pending)
@@ -655,14 +656,20 @@ class InferenceServer:
         self._cv.notify_all()
 
     def _take_batch(self) -> Optional[List[_Pending]]:
-        """Block until a batch is due and a worker is free (or shutdown); pop it.
+        """Block until a batch is due and a worker is free (or shutdown); cut it.
 
         A due batch stays uncut while every worker is busy, so its requests
         remain in the admission queue (bounded by ``max_queue``, open to
         eviction) and are still timed out when their deadline passes.
+        Cutting claims each request's future: a request its client
+        cancelled is dropped, and the batch fills up from the queue behind
+        it.  Returns ``None`` at shutdown: once the queue is drained, or at
+        once after ``stop(drain=False)``, which fails what is still queued.
         """
         with self._cv:
             while True:
+                if self._closed and not self._draining:
+                    return None
                 self._prune_expired_locked()
                 if not self._queue:
                     if self._closed:
@@ -678,25 +685,30 @@ class InferenceServer:
                     self._cv.wait(timeout=cutoff - now)
                     continue
                 if self._in_flight < self.workers:
-                    # An early cut that beats the max_wait window can only
-                    # have come from a deadline-driven cutoff.
-                    deadline_cut = not full and now < wait_cutoff
-                    break
+                    batch: List[_Pending] = []
+                    while self._queue and len(batch) < self.max_batch:
+                        pending = self._queue.popleft()
+                        if pending.future.set_running_or_notify_cancel():
+                            batch.append(pending)
+                    # Freed queue slots: wake back-pressured submitters (FIFO).
+                    self._cv.notify_all()
+                    if batch:
+                        break
+                    continue  # every request cut was cancelled
                 # Every worker is busy; a finishing worker notifies, and
                 # the next deadline wakes us to time its request out.
                 deadlines = [p.deadline for p in self._queue if p.deadline is not None]
                 self._cv.wait(timeout=min(deadlines) - now if deadlines else None)
-            if deadline_cut:
+            # An early cut that beats the max_wait window can only have
+            # come from a deadline-driven cutoff.
+            if not full and now < wait_cutoff:
                 self.telemetry.record_deadline_dispatch()
-            batch = [self._queue.popleft() for _ in range(min(self.max_batch, len(self._queue)))]
             if self.tracer.enabled:
                 # Stamp when the dispatcher cut the batch: the boundary
                 # between each member's queue-wait and batch-formation spans.
                 cut = time.perf_counter()
                 for pending in batch:
                     pending.cut = cut
-            # Freed queue slots: wake back-pressured submitters (FIFO).
-            self._cv.notify_all()
             return batch
 
     def _dispatch_loop(self) -> None:
@@ -705,15 +717,8 @@ class InferenceServer:
                 batch = self._take_batch()
                 if batch is None:
                     return
-                if self._closed and not self._draining:
-                    for pending in batch:
-                        pending.future.set_exception(
-                            ServerClosed("server stopped before the request ran")
-                        )
-                    continue
                 with self._cv:
-                    self._ready.append((self._batch_sequence, batch))
-                    self._batch_sequence += 1
+                    self._ready.append(batch)
                     self._in_flight += 1
                     self._cv.notify_all()
         finally:
@@ -722,71 +727,25 @@ class InferenceServer:
                 self._dispatch_done = True
                 self._cv.notify_all()
 
-    def _worker_entry(self) -> None:
-        """Thread target wrapping :meth:`_worker_loop` with supervision.
-
-        An exception escaping the loop is a *dead worker*: the supervisor
-        (this wrapper, running as the thread's last act) records the death,
-        repairs the live-worker count, and spawns a replacement while work
-        remains — so capacity never silently shrinks.  The batch the worker
-        held was already requeued by the loop, preserving its composition.
-        """
-        try:
-            self._worker_loop()
-        except BaseException as exc:  # noqa: BLE001 - supervision boundary
-            with self._cv:
-                self._live_workers -= 1
-                self.telemetry.record_worker_death(f"{type(exc).__name__}: {exc}")
-                if not self._closed or self._ready or not self._dispatch_done:
-                    self._spawn_workers_locked()
-                self._cv.notify_all()
-        finally:
-            with self._cv:
-                try:
-                    self._worker_threads.remove(threading.current_thread())
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-
     def _worker_loop(self) -> None:
         while True:
             with self._cv:
-                while True:
-                    if self._ready:
-                        batch_index, batch = self._ready.popleft()
-                        break
-                    if self._closed and self._dispatch_done:
-                        self._live_workers -= 1
-                        self._cv.notify_all()
+                while not self._ready:
+                    if self._dispatch_done:
                         return
                     self._cv.wait()
-            try:
-                self._process_batch(batch_index, batch)
-            except BaseException:
-                # The worker is about to die; put its batch back at the
-                # front (same index, same composition) so the respawned
-                # worker's retry serves bit-identical results.
-                with self._cv:
-                    self._ready.appendleft((batch_index, batch))
-                    self._cv.notify_all()
-                raise
+                batch = self._ready.popleft()
+            self._process_batch(batch)
             with self._cv:
                 self._in_flight -= 1
                 self._cv.notify_all()
 
-    def _process_batch(self, batch_index: int, batch: List[_Pending]) -> None:
-        """Apply fault hooks and deadline cutoffs, then run the batch.
+    def _process_batch(self, batch: List[_Pending]) -> None:
+        """Apply deadline cutoffs, then run the batch.
 
         Requests whose deadline has already passed are failed here with
-        :class:`RequestTimedOut` instead of being served late; an injected
-        worker death escapes *before* the batch runs (the caller requeues
-        it), while an injected kernel fault fails inside the normal
-        batch-failure path.
+        :class:`RequestTimedOut` instead of being served late.
         """
-        fate = self.faults.on_batch(batch_index) if self.faults is not None else None
-        if fate is not None and fate.worker_death:
-            raise InjectedWorkerDeath(f"injected worker death at batch {batch_index}")
-        if fate is not None and fate.slow_ms > 0:
-            time.sleep(fate.slow_ms / 1000.0)
         now = time.perf_counter()
         live: List[_Pending] = []
         for pending in batch:
@@ -801,14 +760,12 @@ class InferenceServer:
             else:
                 live.append(pending)
         if live:
-            self._run_batch(live, inject_kernel_fault=fate is not None and fate.kernel_fault)
+            self._run_batch(live)
 
-    def _run_batch(self, batch: List[_Pending], inject_kernel_fault: bool = False) -> None:
+    def _run_batch(self, batch: List[_Pending]) -> None:
         traced = self.tracer.enabled
         try:
             started = time.perf_counter()
-            if inject_kernel_fault:
-                raise InjectedKernelFault("injected kernel fault")
             spikes = (
                 batch[0].spikes
                 if len(batch) == 1

@@ -106,9 +106,6 @@ class ServeTelemetry:
             help="Batches dispatched early to protect a request deadline.",
         )
         self._c_failed = reg.counter("repro_serve_failed_total", help="Requests whose batch failed.")
-        self._c_worker_deaths = reg.counter(
-            "repro_serve_worker_deaths_total", help="Worker threads lost to escaped exceptions."
-        )
         self._c_reload_failures = reg.counter(
             "repro_serve_reload_failures_total", help="Hot reloads that failed (old weights kept serving)."
         )
@@ -156,7 +153,7 @@ class ServeTelemetry:
         #: breaker is attached.
         self.breaker_state = "closed"
         #: Human-readable description of the most recent failure (batch
-        #: error, worker death, or reload failure); ``None`` until one occurs.
+        #: error or reload failure); ``None`` until one occurs.
         self.last_error: Optional[str] = None
         #: Execution precision of the served plans (``"fp32"`` until a
         #: server attaches and reports its pool's precision).
@@ -202,11 +199,6 @@ class ServeTelemetry:
     def total_timed_out(self) -> int:
         """Requests that missed their deadline (all lanes)."""
         return sum(int(c.value) for c in self._timed_out_by_lane.values())
-
-    @property
-    def total_worker_deaths(self) -> int:
-        """Worker threads lost to escaped exceptions (and respawned)."""
-        return int(self._c_worker_deaths.value)
 
     @property
     def total_reload_failures(self) -> int:
@@ -287,13 +279,6 @@ class ServeTelemetry:
                 "Requests that missed their deadline.",
                 int(priority),
             ).inc()
-
-    def record_worker_death(self, error: str = "") -> None:
-        """Count one worker thread lost to an escaped exception (and respawned)."""
-        with self._lock:
-            self._c_worker_deaths.inc()
-            if error:
-                self.last_error = str(error)
 
     def set_precision(self, precision: str, weight_bits: Optional[int] = None) -> None:
         """Record the execution precision of the plans now being served.
@@ -443,7 +428,6 @@ class ServeTelemetry:
             "deadline_dispatches": float(self.total_deadline_dispatches),
             "failed": float(self.total_failed),
             "timed_out": float(self.total_timed_out),
-            "worker_deaths": float(self.total_worker_deaths),
             "reload_failures": float(self.total_reload_failures),
             "breaker_opens": float(self.total_breaker_opens),
             "breaker_closes": float(self.total_breaker_closes),
@@ -527,7 +511,6 @@ def format_telemetry(
             "failed / timed out",
             f"{summary.get('failed', 0):.0f} / {summary.get('timed_out', 0):.0f}",
         ),
-        ("worker deaths", f"{summary.get('worker_deaths', 0):.0f}"),
         (
             "breaker open/close/rej",
             f"{summary.get('breaker_opens', 0):.0f}/"

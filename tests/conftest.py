@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import threading
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.config import ExperimentConfig, SCALE_PRESETS
+from repro.runtime import CompiledNetworkPool
+from repro.utils import atomic_write
 
 
 @pytest.fixture
@@ -82,3 +89,56 @@ def make_tensor(rng: np.random.Generator, *shape, requires_grad: bool = True, dt
     from repro.autograd import Tensor
 
     return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=requires_grad)
+
+
+class KernelFault(RuntimeError):
+    """What a :class:`StubPool` checkout raises in place of running a batch."""
+
+
+class StubPool(CompiledNetworkPool):
+    """A compiled-plan pool whose checkouts fail, stall or wait on cue.
+
+    Checkouts are numbered 0, 1, ... in the order workers ask for them (with
+    one worker, the batch order).  A checkout in ``hold`` waits until
+    ``release`` is set (at most a minute, so a failing test cannot hang), one
+    in ``slow`` sleeps ``slow_ms``, and one in ``fail`` raises
+    :class:`KernelFault`.  Any container works: ``range(n)`` covers the first
+    ``n``.  Serve through it with ``InferenceServer(StubPool(model, ...), encoder)``.
+    """
+
+    def __init__(self, model, fail=(), slow=(), slow_ms=0.0, hold=(), **kwargs):
+        super().__init__(model, **kwargs)
+        self.fail, self.slow, self.slow_ms, self.hold = fail, slow, slow_ms, hold
+        self.release = threading.Event()
+        self.checkouts = 0
+        self._count_lock = threading.Lock()
+
+    @contextmanager
+    def acquire(self):
+        with self._count_lock:
+            index, self.checkouts = self.checkouts, self.checkouts + 1
+        if index in self.hold:
+            self.release.wait(timeout=60)
+        if index in self.slow:
+            time.sleep(self.slow_ms / 1000.0)
+        if index in self.fail:
+            raise KernelFault(f"kernel fault at checkout {index}")
+        with super().acquire() as plan:
+            yield plan
+
+
+def tear_checkpoint(path, seed: int = 0) -> Path:
+    """Corrupt a published checkpoint in place, identically for one seed.
+
+    Keeps a seeded quarter-to-half of the file, flips up to four bytes and
+    writes the result atomically, so a gateway's stat-signature check sees a
+    republish; reading it raises ``CheckpointIntegrityError``.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    rng = np.random.default_rng([seed, len(data)])
+    torn = bytearray(data[: int(rng.integers(max(1, len(data) // 4), max(2, len(data) // 2) + 1))])
+    for _ in range(min(4, len(torn))):
+        torn[int(rng.integers(0, len(torn)))] ^= 0xFF
+    atomic_write(path, bytes(torn))
+    return path

@@ -1,10 +1,11 @@
-"""Chaos suite: deterministic fault injection across the serving/sweep stack.
+"""Chaos suite: deterministic failures across the serving/sweep stack.
 
 Every failure mode this repo claims to tolerate is *induced* here, on a
-seeded schedule, and the recovery contract asserted:
+seeded schedule, and the recovery contract asserted.  Serving failures
+come from a stub compiled-plan pool (``conftest.StubPool``: kernel faults
+and slow batches on chosen checkouts) and a torn checkpoint
+(``conftest.tear_checkpoint``):
 
-- a worker thread dying mid-batch is respawned and its batch re-served
-  bit-identically (capacity never silently shrinks);
 - a batch-level inference failure resolves only that batch's futures while
   subsequent batches keep serving;
 - expired deadlines produce ``RequestTimedOut`` instead of late dispatch;
@@ -18,7 +19,8 @@ seeded schedule, and the recovery contract asserted:
   never crash it.
 
 ``REPRO_FAULT_SEED`` (CI runs a small matrix) reseeds the rate-based storm
-schedules; explicit-schedule tests are seed-independent by construction.
+and the checkpoint tears; explicit-schedule tests are seed-independent by
+construction.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import KernelFault, StubPool, tear_checkpoint
 
 import repro.exec.executor as executor_mod
 from repro.core.config import ExperimentConfig
@@ -43,16 +46,12 @@ from repro.runtime import compile_network
 from repro.serve import (
     BreakerPolicy,
     CircuitBreaker,
-    FaultInjector,
     InferenceServer,
-    InjectedFault,
-    InjectedKernelFault,
     ModelRegistry,
     ModelUnavailable,
     RequestTimedOut,
     ServeGateway,
     ServeTelemetry,
-    tear_checkpoint,
 )
 from repro.training.checkpoint import (
     CheckpointIntegrityError,
@@ -95,43 +94,6 @@ def _reference_counts(config, model, images, max_batch):
         spikes = chunk[0] if len(chunk) == 1 else np.concatenate(chunk, axis=1)
         rows.extend(np.asarray(plan.run(spikes, record_activity=False).counts))
     return np.stack(rows)
-
-
-# --------------------------------------------------------------------- #
-# FaultInjector determinism
-# --------------------------------------------------------------------- #
-class TestFaultInjector:
-    def test_same_seed_same_schedule(self):
-        a = FaultInjector(seed=7, kernel_fault_rate=0.3, worker_death_rate=0.2, slow_batch_rate=0.3)
-        b = FaultInjector(seed=7, kernel_fault_rate=0.3, worker_death_rate=0.2, slow_batch_rate=0.3)
-        fates_a = [a.on_batch(i) for i in range(64)]
-        fates_b = [b.on_batch(i) for i in range(64)]
-        assert fates_a == fates_b
-        assert a.injected_counts == b.injected_counts
-
-    def test_decisions_independent_of_call_order(self):
-        forward = FaultInjector(seed=3, kernel_fault_rate=0.4)
-        backward = FaultInjector(seed=3, kernel_fault_rate=0.4)
-        indices = list(range(32))
-        by_index = {i: forward.on_batch(i) for i in indices}
-        for i in reversed(indices):
-            assert backward.on_batch(i) == by_index[i]
-
-    def test_worker_death_is_one_shot_per_index(self):
-        injector = FaultInjector(worker_death_batches={5})
-        assert injector.on_batch(5).worker_death
-        # The requeued batch must run clean, or the pool would death-loop.
-        assert not injector.on_batch(5).worker_death
-        assert injector.injected_counts["worker_deaths"] == 1
-
-    def test_explicit_schedules_compose_with_clean_default(self):
-        injector = FaultInjector(kernel_fault_batches={2}, slow_batches={3}, slow_batch_ms=7.5)
-        assert not injector.on_batch(0).kernel_fault
-        assert injector.on_batch(2).kernel_fault
-        fate = injector.on_batch(3)
-        assert fate.slow_ms == 7.5 and not fate.kernel_fault
-        counts = injector.injected_counts
-        assert counts == {"kernel_faults": 1, "worker_deaths": 0, "slow_batches": 1}
 
 
 # --------------------------------------------------------------------- #
@@ -243,40 +205,20 @@ class TestCircuitBreaker:
 
 
 # --------------------------------------------------------------------- #
-# Scheduler: supervision, batch isolation, deadlines
+# Scheduler: batch isolation, deadlines, breaker
 # --------------------------------------------------------------------- #
-class TestSchedulerSupervision:
-    def test_worker_death_respawns_and_batch_is_reserved_bit_identically(
-        self, micro_config, untrained
-    ):
-        model, encoder, images = untrained
-        faults = FaultInjector(worker_death_batches={0})
-        server = InferenceServer(model, encoder, max_batch=4, max_wait_ms=0.0, faults=faults)
-        futures = [server.submit(image) for image in images[:8]]
-        server.start()
-        served = np.stack([f.result(timeout=30).counts for f in futures])
-        assert server.live_workers == server.workers  # capacity restored
-        telemetry = server.telemetry
-        server.stop()
-        np.testing.assert_array_equal(
-            served, _reference_counts(micro_config, model, images[:8], 4)
-        )
-        assert telemetry.total_worker_deaths == 1
-        assert telemetry.total_failed == 0  # the requeued batch served clean
-        assert faults.injected_counts["worker_deaths"] == 1
-        assert "InjectedWorkerDeath" in telemetry.last_error
-
+class TestBatchFailures:
     def test_kernel_fault_fails_only_its_batch(self, micro_config, untrained):
         model, encoder, images = untrained
         images = (images * 2)[:12]  # micro scale ships 8 test images; need 3 batches
-        faults = FaultInjector(kernel_fault_batches={1})
-        server = InferenceServer(model, encoder, max_batch=4, max_wait_ms=0.0, faults=faults)
+        pool = StubPool(model, fail={1})
+        server = InferenceServer(pool, encoder, max_batch=4, max_wait_ms=0.0)
         futures = [server.submit(image) for image in images]
         server.start()
         reference = _reference_counts(micro_config, model, images, 4)
-        # Batch 1 (requests 4..7): every future fails with the injected error.
+        # Batch 1 (requests 4..7): every future fails with the kernel fault.
         for future in futures[4:8]:
-            with pytest.raises(InjectedKernelFault):
+            with pytest.raises(KernelFault):
                 future.result(timeout=30)
         # Batches 0 and 2 serve bit-identically; the server survived.
         for i in list(range(0, 4)) + list(range(8, 12)):
@@ -284,8 +226,7 @@ class TestSchedulerSupervision:
         telemetry = server.telemetry
         server.stop()
         assert telemetry.total_failed == 4
-        assert telemetry.total_worker_deaths == 0
-        assert "InjectedKernelFault" in telemetry.last_error
+        assert "KernelFault" in telemetry.last_error
 
     def test_real_backend_exception_isolated_mid_batch(self, micro_config, untrained, monkeypatch):
         """Satellite: a genuine inference exception resolves only its batch."""
@@ -335,19 +276,18 @@ class TestSchedulerSupervision:
 
     def test_breaker_trips_rejects_then_recovers(self, untrained):
         model, encoder, images = untrained
-        faults = FaultInjector(kernel_fault_batches={0, 1})
         telemetry = ServeTelemetry()
         breaker = CircuitBreaker(
             BreakerPolicy(failure_threshold=2, backoff_initial_s=0.05, jitter=0.0),
             telemetry=telemetry,
         )
         server = InferenceServer(
-            model, encoder, max_batch=1, max_wait_ms=0.0,
-            telemetry=telemetry, breaker=breaker, faults=faults,
+            StubPool(model, fail={0, 1}), encoder, max_batch=1, max_wait_ms=0.0,
+            telemetry=telemetry, breaker=breaker,
         )
         server.start()
         for i in range(2):  # two consecutive failing batches trip the breaker
-            with pytest.raises(InjectedKernelFault):
+            with pytest.raises(KernelFault):
                 server.submit(images[i]).result(timeout=30)
         assert breaker.state == "open"
         with pytest.raises(ModelUnavailable):
@@ -366,32 +306,35 @@ class TestSchedulerSupervision:
     def test_rate_based_storm_accounting_closes(self, untrained):
         """Seed-matrix leg: under a random storm every future still resolves."""
         model, encoder, images = untrained
-        faults = FaultInjector(
-            seed=FAULT_SEED,
-            kernel_fault_rate=0.25,
-            worker_death_rate=0.15,
-            slow_batch_rate=0.2,
-            slow_batch_ms=2.0,
+        requests = images * 2
+        # Each checkout draws its kernel-fault and slow-batch decisions from
+        # its own stream, so the schedule does not depend on thread timing.
+        draws = [np.random.default_rng([FAULT_SEED, i]).random(2) for i in range(len(requests))]
+        pool = StubPool(
+            model,
+            fail={i for i, (fault, _) in enumerate(draws) if fault < 0.25},
+            slow={i for i, (_, slow) in enumerate(draws) if slow < 0.2},
+            slow_ms=2.0,
         )
-        server = InferenceServer(
-            model, encoder, max_batch=2, max_wait_ms=0.0, workers=2, faults=faults
-        )
-        futures = [server.submit(image) for image in images * 2]
+        server = InferenceServer(pool, encoder, max_batch=2, max_wait_ms=0.0, workers=2)
+        futures = [server.submit(image) for image in requests]
         server.start()
         served = failed = 0
         for future in futures:
             try:
                 future.result(timeout=60)
                 served += 1
-            except InjectedFault:
+            except KernelFault:
                 failed += 1
-        assert server.live_workers == server.workers
         telemetry = server.telemetry
         server.stop()
         assert served + failed == len(futures)
         assert telemetry.total_failed == failed
-        counts = faults.injected_counts
-        assert telemetry.total_worker_deaths == counts["worker_deaths"]
+        # Pre-queued FIFO chunks of two: one checkout per batch, and exactly
+        # the drawn kernel faults fail their two requests each.
+        assert pool.checkouts == len(requests) // 2
+        assert failed == 2 * sum(i in pool.fail for i in range(pool.checkouts))
+        assert telemetry.total_batches == pool.checkouts - failed // 2
 
 
 # --------------------------------------------------------------------- #

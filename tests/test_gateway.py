@@ -130,12 +130,8 @@ class TestGatewayRouting:
             server = gateway._active["m"].server
             assert server.max_batch == 3
             assert server.max_wait == pytest.approx(0.007)
-            assert server.live_workers == 2
+            assert [thread.is_alive() for thread in server._worker_threads] == [True, True]
             assert server.pool.max_idle == 2  # one idle plan per worker
-
-    def test_negative_reload_check_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="reload_check_s"):
-            ServeGateway(ModelRegistry(tmp_path), reload_check_s=-1.0)
 
     def test_rendered_summary_lists_last_errors(self):
         summary = {
@@ -230,8 +226,10 @@ class TestGatewayHotReload:
             assert (server.max_batch, server.workers, server.max_queue, server.overload) == (
                 3, 2, 5, "block",
             )
-            assert server.live_workers == 2 and server.pool.max_idle == 2
-            assert server_before.live_workers == 0  # drained and stopped
+            assert [thread.is_alive() for thread in server._worker_threads] == [True, True]
+            assert server.pool.max_idle == 2
+            # Drained and stopped.
+            assert not any(thread.is_alive() for thread in server_before._worker_threads)
 
     def test_republish_without_encoder_keeps_serving(self, tmp_path, micro_config, images):
         registry = ModelRegistry(tmp_path)
@@ -296,13 +294,13 @@ class TestGatewayHotReload:
     def test_refresh_reports_reload(self, tmp_path, micro_config, images):
         registry = ModelRegistry(tmp_path)
         _publish(registry, "m", micro_config)
-        with ServeGateway(registry, reload_check_s=3600.0) as gateway:
+        with ServeGateway(registry) as gateway:
             gateway.submit("m", images[0]).result(timeout=30)
-            assert gateway.refresh("m") is False
+            assert gateway.refresh("m") is False  # nothing republished yet
             _publish(registry, "m", micro_config.with_overrides(seed=9))
-            # The throttle window suppresses the per-submit check...
-            gateway.submit("m", images[0]).result(timeout=30)
-            assert gateway.version("m") == 1
-            # ...but an explicit refresh picks the republish up immediately.
+            # An explicit refresh picks the republish up without a submit...
             assert gateway.refresh("m") is True
             assert gateway.version("m") == 2
+            # ...and only once.
+            assert gateway.refresh("m") is False
+            assert gateway.summary()["models"]["m"]["reloads"] == 1

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from conftest import StubPool
 
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import make_dataset, make_encoder, make_model
+from repro.core.network import SpikingMLP
 from repro.encoding import DirectEncoder
 from repro.hardware.report import format_measured_vs_modeled
 from repro.runtime import CompiledNetworkPool, compile_network
 from repro.serve import (
-    FaultInjector,
+    BreakerPolicy,
+    CircuitBreaker,
     InferenceServer,
     ModelRegistry,
     RegistryError,
@@ -52,6 +56,19 @@ def _await_cut(server):
     while server.queue_depth:
         assert time.monotonic() < deadline, "the queued batch was never cut"
         time.sleep(0.001)
+
+
+def _stop_without_drain_while_held(server, pool):
+    """Call ``stop(drain=False)`` while a held batch runs; release it once the stop took effect."""
+    stopper = threading.Thread(target=server.stop, kwargs={"drain": False})
+    stopper.start()
+    deadline = time.monotonic() + 10
+    while not server._closed:
+        assert time.monotonic() < deadline, "stop() never took effect"
+        time.sleep(0.001)
+    pool.release.set()
+    stopper.join(timeout=30)
+    assert not stopper.is_alive(), "stop() never returned"
 
 
 class TestModelRegistry:
@@ -233,14 +250,13 @@ class TestAdmissionControl:
     def test_requests_waiting_for_a_worker_count_against_the_cap(self, untrained, workers):
         """No batch is cut while every worker is busy, so the cap still holds them."""
         model, encoder, images = untrained
-        faults = FaultInjector(slow_batches=set(range(workers)), slow_batch_ms=600.0)
+        pool = StubPool(model, hold=range(workers))
         server = InferenceServer(
-            model, encoder, max_batch=1, max_wait_ms=0.0, max_queue=2, workers=workers,
-            faults=faults,
+            pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=2, workers=workers
         )
         with server:
             running = []
-            for image in images[:workers]:  # one slow batch per worker
+            for image in images[:workers]:  # one held batch per worker
                 running.append(server.submit(image))
                 _await_cut(server)
             admitted, shed = [], 0
@@ -250,8 +266,9 @@ class TestAdmissionControl:
                 except ServerOverloaded:
                     shed += 1
                 time.sleep(0.02)
-            assert not any(f.done() for f in running), "a slow batch ended before the submits"
+            assert not any(f.done() for f in running), "a held batch ended before the submits"
             assert server.queue_depth == 2
+            pool.release.set()
             for future in running + admitted:
                 future.result(timeout=30)
         assert (len(admitted), shed) == (2, 3)
@@ -260,25 +277,24 @@ class TestAdmissionControl:
     def test_expired_request_times_out_while_every_worker_is_busy(self, untrained):
         """A waiting request's deadline is enforced without a free worker."""
         model, encoder, images = untrained
-        faults = FaultInjector(slow_batches={0}, slow_batch_ms=1000.0)
-        server = InferenceServer(model, encoder, max_batch=1, max_wait_ms=0.0, faults=faults)
+        pool = StubPool(model, hold={0})
+        server = InferenceServer(pool, encoder, max_batch=1, max_wait_ms=0.0)
         with server:
             running = server.submit(images[0])
             _await_cut(server)
             doomed = server.submit(images[1], deadline_ms=50.0)
             with pytest.raises(RequestTimedOut, match="before the batch was cut"):
-                doomed.result(timeout=0.9)
+                doomed.result(timeout=30)
             assert not running.done(), "the timeout waited for the busy worker"
             assert server.queue_depth == 0
+            pool.release.set()
             running.result(timeout=30)
         assert server.telemetry.lane_counters()["timed_out"] == {0: 1}
 
     def test_priority_arrival_evicts_a_request_waiting_for_a_worker(self, untrained):
         model, encoder, images = untrained
-        faults = FaultInjector(slow_batches={0}, slow_batch_ms=600.0)
-        server = InferenceServer(
-            model, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1, faults=faults
-        )
+        pool = StubPool(model, hold={0})
+        server = InferenceServer(pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1)
         with server:
             running = server.submit(images[0])
             _await_cut(server)
@@ -289,16 +305,16 @@ class TestAdmissionControl:
             with pytest.raises(ServerOverloaded, match="evicted"):
                 waiting.result(timeout=5)
             assert not running.done(), "batch 0 finished before the eviction"
+            pool.release.set()
             assert urgent.result(timeout=30).priority == 1
             running.result(timeout=30)
         assert server.telemetry.lane_counters()["shed"] == {0: 1}
 
     def test_blocked_submitter_waits_for_a_busy_worker(self, untrained):
         model, encoder, images = untrained
-        faults = FaultInjector(slow_batches={0}, slow_batch_ms=600.0)
+        pool = StubPool(model, hold={0})
         server = InferenceServer(
-            model, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1,
-            overload="block", faults=faults,
+            pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1, overload="block"
         )
         with server:
             running = server.submit(images[0])
@@ -314,6 +330,7 @@ class TestAdmissionControl:
                 assert time.monotonic() < deadline, "submitter never blocked"
                 time.sleep(0.001)
             assert not running.done(), "batch 0 finished before the submitter blocked"
+            pool.release.set()
             thread.join(timeout=30)
             assert not thread.is_alive(), "the blocked submitter was never admitted"
             results = [f.result(timeout=30) for f in (running, waiting, blocked["future"])]
@@ -323,15 +340,16 @@ class TestAdmissionControl:
 
     def test_stop_without_drain_fails_requests_waiting_for_a_busy_worker(self, untrained):
         model, encoder, images = untrained
-        faults = FaultInjector(slow_batches={0}, slow_batch_ms=600.0)
-        server = InferenceServer(model, encoder, max_batch=1, max_wait_ms=0.0, faults=faults)
+        pool = StubPool(model, hold={0})
+        server = InferenceServer(pool, encoder, max_batch=1, max_wait_ms=0.0)
         server.start()
         running = server.submit(images[0])
         _await_cut(server)
         waiting = server.submit_many(images[1:3])
         time.sleep(0.05)  # time enough for the dispatcher to cut them, were a worker free
         assert server.queue_depth == 2
-        server.stop(drain=False)
+        assert not running.done(), "batch 0 finished before the stop"
+        _stop_without_drain_while_held(server, pool)
         assert running.result(timeout=30).batch_size == 1  # a started batch finishes
         for future in waiting:
             with pytest.raises(ServerClosed):
@@ -407,6 +425,180 @@ class TestAdmissionControl:
             InferenceServer(model, encoder, max_queue=2, overload="panic")
 
 
+class TestCancellation:
+    """A client's ``Future.cancel()`` touches only its own request."""
+
+    def test_cancelled_request_drops_out_of_its_batch(self, micro_config, untrained):
+        model, encoder, images = untrained
+        server = InferenceServer(model, encoder, max_batch=4, max_wait_ms=50.0)
+        futures = server.submit_many(images[:4])  # queued before start: one batch
+        assert futures[0].cancel()
+        server.start()
+        results = [future.result(timeout=30) for future in futures[1:]]
+        server.stop()
+        reference_encoder = make_encoder(micro_config)
+        trains = [reference_encoder(image[None]) for image in images[:4]]
+        reference = compile_network(model).run(
+            np.concatenate(trains[1:], axis=1), record_activity=False
+        ).counts
+        np.testing.assert_array_equal(np.stack([r.counts for r in results]), reference)
+        assert [r.batch_size for r in results] == [3, 3, 3]
+        assert futures[0].cancelled()
+        assert server.telemetry.total_failed == 0
+        assert server.telemetry.total_requests == 3
+
+    def test_cancelled_request_past_its_deadline_does_not_stall_the_queue(self, untrained):
+        model, encoder, images = untrained
+        server = InferenceServer(model, encoder, max_batch=2)
+        doomed = server.submit(images[0], deadline_ms=0.001)
+        plain = server.submit(images[1])
+        assert doomed.cancel()
+        server.start()
+        assert plain.result(timeout=10).batch_size == 1
+        server.stop()
+        assert server.telemetry.total_timed_out == 0  # cancelled, not timed out
+
+    def test_cancelled_eviction_victim_raises_nothing(self, untrained):
+        model, encoder, images = untrained
+        server = InferenceServer(model, encoder, max_batch=4, max_queue=1)
+        victim = server.submit(images[0])
+        assert victim.cancel()
+        urgent = server.submit(images[1], priority=1)  # evicts the cancelled request
+        server.start()
+        assert urgent.result(timeout=30).priority == 1
+        server.stop()
+        assert victim.cancelled()
+        assert server.telemetry.total_shed == 0
+        assert server.telemetry.total_requests == 1
+
+    def test_cancelled_waiter_of_an_unstarted_server_survives_stop(self, untrained):
+        model, encoder, images = untrained
+        server = InferenceServer(model, encoder, max_batch=4)
+        futures = server.submit_many(images[:2])
+        assert futures[0].cancel()
+        server.stop(drain=False)
+        assert futures[0].cancelled()
+        with pytest.raises(ServerClosed):
+            futures[1].result(timeout=5)
+
+    def test_cancelled_waiter_of_a_busy_server_survives_stop(self, untrained):
+        model, encoder, images = untrained
+        pool = StubPool(model, hold={0})
+        server = InferenceServer(pool, encoder, max_batch=2, max_wait_ms=0.0).start()
+        running = server.submit(images[0])
+        _await_cut(server)
+        waiting = server.submit_many(images[1:3])  # one batch, waiting for the worker
+        assert waiting[0].cancel()
+        _stop_without_drain_while_held(server, pool)
+        assert running.result(timeout=5).batch_size == 1  # a started batch finishes
+        assert waiting[0].cancelled()
+        with pytest.raises(ServerClosed):
+            waiting[1].result(timeout=5)
+
+    def test_cancels_racing_the_cut_lose_no_request(self, untrained):
+        """Stress: clients cancel while the dispatcher claims; each request ends one way."""
+        model, encoder, images = untrained
+        outcomes = []  # (future, whether cancel() succeeded)
+        lock = threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            server = InferenceServer(model, encoder, max_batch=3, max_wait_ms=0.5, workers=4)
+            with server:
+
+                def client(offset):
+                    for i in range(30):
+                        future = server.submit(images[(offset + i) % len(images)])
+                        cancelled = future.cancel() if i % 2 else False
+                        with lock:
+                            outcomes.append((future, cancelled))
+
+                threads = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads), "a client hung"
+        finally:
+            sys.setswitchinterval(interval)
+        served = 0
+        for future, cancelled in outcomes:
+            assert future.cancelled() == cancelled
+            if not cancelled:
+                assert future.result(timeout=5).counts.shape
+                served += 1
+        telemetry = server.telemetry
+        assert telemetry.total_admitted == len(outcomes) == 120
+        assert telemetry.total_requests == served
+        assert telemetry.total_failed == 0
+
+    def test_a_request_cut_into_a_batch_can_no_longer_be_cancelled(self, untrained):
+        model, encoder, images = untrained
+        pool = StubPool(model, hold={0})
+        with InferenceServer(pool, encoder, max_batch=1, max_wait_ms=0.0) as server:
+            running = server.submit(images[0])
+            _await_cut(server)
+            assert not running.cancel()
+            assert running.running()
+            pool.release.set()
+            assert running.result(timeout=30).batch_size == 1
+
+
+class TestMalformedImage:
+    """An image of the wrong shape fails its own submit, before the encode."""
+
+    @staticmethod
+    def _mlp():
+        model = SpikingMLP(16, 8, 4)
+        model.eval()
+        return model
+
+    def test_fails_only_its_own_submit(self):
+        model = self._mlp()
+        rng = np.random.default_rng(0)
+        good = [rng.random(16, dtype=np.float32) for _ in range(3)]
+        server = InferenceServer(model, DirectEncoder(4), max_batch=4, max_wait_ms=50.0)
+        futures = server.submit_many(good[:2])
+        with pytest.raises(ValueError, match="input shape"):
+            server.submit(np.zeros(15, dtype=np.float32))
+        futures.append(server.submit(good[2]))
+        server.start()
+        served = np.stack([future.result(timeout=30).counts for future in futures])
+        server.stop()
+        reference = compile_network(model).run(
+            DirectEncoder(4)(np.stack(good)), record_activity=False
+        ).counts
+        np.testing.assert_array_equal(served, reference)
+        assert server.telemetry.total_admitted == 3
+        assert server.telemetry.total_failed == 0
+
+    def test_does_not_open_the_breaker(self):
+        telemetry = ServeTelemetry()
+        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=3), telemetry=telemetry)
+        server = InferenceServer(
+            self._mlp(), DirectEncoder(4), max_batch=1, telemetry=telemetry, breaker=breaker
+        )
+        with server:
+            for _ in range(3):
+                with pytest.raises(ValueError, match="input shape"):
+                    server.submit(np.zeros(15, dtype=np.float32))
+            assert breaker.state == "closed"
+            result = server.submit(np.full(16, 0.5, dtype=np.float32)).result(timeout=30)
+        assert result.counts.shape == (4,)
+        assert telemetry.total_admitted == 1
+        assert telemetry.total_failed == 0
+        assert telemetry.total_breaker_rejections == 0
+
+    def test_cnn_takes_channels_first_images(self, untrained):
+        model, encoder, images = untrained
+        with InferenceServer(model, encoder) as server:
+            for bad in (images[0][0], images[0].transpose(1, 2, 0), images[0][None]):
+                with pytest.raises(ValueError, match="input shape"):
+                    server.submit(bad)
+            assert server.submit(images[0]).result(timeout=30).batch_size == 1
+        assert server.telemetry.total_admitted == 1
+
+
 class TestInferenceServer:
     def test_predictions_bit_identical_to_runtime(self, untrained):
         """Pre-submitted FIFO chunks == evaluate_with_runtime on the same batches."""
@@ -444,7 +636,7 @@ class TestInferenceServer:
         futures = server.submit_many(images)  # queued before start: FIFO chunks
         server.start()
         results = [future.result(timeout=60) for future in futures]
-        assert server.live_workers == workers
+        assert [thread.is_alive() for thread in server._worker_threads] == [True] * workers
         server.stop()
 
         # A fresh encoder replays the serving encoder's stream from the top
@@ -467,7 +659,7 @@ class TestInferenceServer:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_batch": 0}, {"max_wait_ms": -1.0}, {"workers": 0}, {"deadline_margin_ms": -1.0}],
+        [{"max_batch": 0}, {"max_wait_ms": -1.0}, {"workers": 0}],
     )
     def test_invalid_batching_arguments_rejected(self, untrained, kwargs):
         model, encoder, _ = untrained
@@ -555,9 +747,7 @@ class TestSloAwareScheduling:
         model, encoder, images = untrained
         # Alone, a request would wait out the full 10s max_wait window; its
         # 80ms deadline budget (minus the 5ms margin) must cut the batch.
-        server = InferenceServer(
-            model, encoder, max_batch=64, max_wait_ms=10_000.0, deadline_margin_ms=5.0
-        )
+        server = InferenceServer(model, encoder, max_batch=64, max_wait_ms=10_000.0)
         with server:
             start = time.perf_counter()
             result = server.submit(images[0], deadline_ms=80.0).result(timeout=30)
@@ -621,13 +811,12 @@ class TestSloAwareScheduling:
         """Each arrival is served, evicted, timed out or shed at submit, once."""
         model, encoder, images = untrained
         slow_ms = 200.0
-        # Every batch sleeps past the priority-1 budget, so an admitted
-        # priority-1 request always times out; arrivals outpace service.
-        faults = FaultInjector(slow_batch_rate=1.0, slow_batch_ms=slow_ms)
-        server = InferenceServer(
-            model, encoder, max_batch=2, max_wait_ms=0.0, max_queue=3, faults=faults
-        )
         arrivals = 40
+        # Every batch runs for twice the priority-1 budget, so arrivals
+        # outpace service and a priority-1 request that waits out one
+        # batch times out.
+        pool = StubPool(model, slow=range(arrivals), slow_ms=slow_ms)
+        server = InferenceServer(pool, encoder, max_batch=2, max_wait_ms=0.0, max_queue=3)
         lanes = (0, 1)
         futures = []
         submit_shed = dict.fromkeys(lanes, 0)
@@ -662,7 +851,9 @@ class TestSloAwareScheduling:
             assert counters["admitted"].get(lane, 0) == served[lane] + evicted[lane] + timed_out[lane]
             assert counters["shed"].get(lane, 0) == evicted[lane] + submit_shed[lane]
             assert counters["timed_out"].get(lane, 0) == timed_out[lane]
-        assert served[1] == evicted[1] == 0  # nothing outranks lane 1; its budget is too short
+        # Nothing outranks lane 1.  A lane-1 request still waiting at its
+        # deadline times out; one cut in time is served, late.
+        assert evicted[1] == 0
         assert served[0] and evicted[0] and submit_shed[0] and timed_out[1]
 
 
