@@ -87,8 +87,9 @@ a batch.  The server claims every future before resolving it
 (``Future.set_running_or_notify_cancel``): the dispatcher claims each
 request as it cuts a batch and drops the cancelled ones, and a request
 that is evicted, times out or is abandoned by ``stop(drain=False)`` while
-still queued is claimed first too.  A cancelled request is never served,
-failed or counted, and never disturbs another request.
+still queued is claimed first too.  A cancelled request stays counted as
+admitted but is never served, failed, shed or timed out, and never
+disturbs another request.
 """
 
 from __future__ import annotations
@@ -495,7 +496,8 @@ class InferenceServer:
         mints its own trace.
 
         The returned future may be cancelled until the request is cut into
-        a batch; the server then drops it without serving or counting it.
+        a batch; the server then drops it without serving it or counting
+        a shed, timeout or failure.
         """
         image = np.asarray(image, dtype=np.float32)
         submitted = time.perf_counter()
