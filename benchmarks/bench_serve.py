@@ -419,6 +419,7 @@ class StormPool(CompiledNetworkPool):
         with super().acquire() as plan:
             yield plan
 
+
 #: Breaker policy for the storm: trips on the third consecutive failure,
 #: probes after a short deterministic backoff (jitter off for replayability).
 STORM_BREAKER = BreakerPolicy(

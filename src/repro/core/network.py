@@ -117,6 +117,11 @@ class SpikingCNN(Module):
         self.lif_out = fire()
 
     # ------------------------------------------------------------------ #
+    @property
+    def input_shape(self) -> Tuple[int, int, int]:
+        """Shape of one input image, ``(in_channels, image_size, image_size)``."""
+        return (self.in_channels, self.image_size, self.image_size)
+
     def step(self, frame: Tensor) -> Tensor:
         """Process one timestep frame of shape ``(N, C, H, W)``; returns output spikes."""
         return self._after_conv1(self.conv1(frame))
@@ -256,6 +261,11 @@ class SpikingMLP(Module):
         self.lif_out = build_neuron(
             neuron, beta=beta, threshold=threshold, surrogate=surrogate, params=neuron_params
         )
+
+    @property
+    def input_shape(self) -> Tuple[int]:
+        """Shape of one input image, ``(in_features,)``; wider frames are flattened."""
+        return (self.in_features,)
 
     def step(self, frame: Tensor) -> Tensor:
         """One timestep on a flat frame of shape ``(N, in_features)``."""

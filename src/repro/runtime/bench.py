@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
-from repro.core.network import SpikingCNN, SpikingMLP
+from repro.core.network import SpikingCNN
 from repro.nn.module import Module
 from repro.runtime.engine import CompiledNetwork, compile_network
 
@@ -127,13 +127,10 @@ def measure_speedup(
     if model is None:
         model = make_reduced_cnn(seed=seed)
     if spikes is None:
-        if isinstance(model, SpikingCNN):
-            sample_shape = (batch_size, model.in_channels, model.image_size, model.image_size)
-        elif isinstance(model, SpikingMLP):
-            sample_shape = (batch_size, model.in_features)
-        else:
+        input_shape = getattr(model, "input_shape", None)
+        if input_shape is None:
             raise ValueError("provide `spikes` explicitly for custom model types")
-        spikes = make_spike_sequence(sample_shape, density, num_steps, seed=seed)
+        spikes = make_spike_sequence((batch_size, *input_shape), density, num_steps, seed=seed)
 
     was_training = getattr(model, "training", False)
     model.eval()

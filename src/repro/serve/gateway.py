@@ -200,7 +200,7 @@ class ServeGateway:
         ``deadline_ms`` are forwarded to the per-model server's SLO-aware
         scheduler (shed lanes and deadline-driven batch cutoffs — see
         :meth:`InferenceServer.submit`).  Raises ``ValueError`` for an
-        image that does not have the model's input shape,
+        image that does not fit the model's ``input_shape``,
         :class:`~repro.serve.registry.RegistryError` for unknown names,
         :class:`~repro.serve.scheduler.ServerOverloaded` when shed-mode
         admission control rejects the request,

@@ -78,9 +78,10 @@ can kill a worker: the ``workers`` threads start with the server and are
 joined once by :meth:`InferenceServer.stop`.  An attached
 :class:`~repro.serve.breaker.CircuitBreaker` fails submits fast with
 :class:`~repro.serve.breaker.ModelUnavailable` while the model keeps
-failing.  A submit whose image does not have the served network's input
-shape raises ``ValueError`` before anything is encoded or admitted, so a
-malformed request fails alone and never reaches a batch or the breaker.
+failing.  A submit whose image does not fit the served network's
+``input_shape`` raises ``ValueError`` before anything is encoded or
+admitted, so a malformed request fails alone and never reaches a batch
+or the breaker.
 
 A client may ``cancel()`` a returned future until its request is cut into
 a batch.  The server claims every future before resolving it
@@ -88,8 +89,9 @@ a batch.  The server claims every future before resolving it
 request as it cuts a batch and drops the cancelled ones, and a request
 that is evicted, times out or is abandoned by ``stop(drain=False)`` while
 still queued is claimed first too.  A cancelled request stays counted as
-admitted but is never served, failed, shed or timed out, and never
-disturbs another request.
+admitted but is never served, failed, shed or timed out.  It keeps its
+queue slot until the dispatcher reaches it: until then it counts toward
+``max_queue``, toward a full batch and toward the ``max_wait_ms`` clock.
 """
 
 from __future__ import annotations
@@ -103,7 +105,6 @@ from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import Encoder
 from repro.nn.module import Module
 from repro.obs.trace import Tracer, default_tracer
@@ -135,15 +136,6 @@ _OVERLOAD_POLICIES = (OVERLOAD_SHED, OVERLOAD_BLOCK)
 #: request's ``deadline_ms`` budget runs out, leaving that margin for the
 #: batch to execute.
 DEADLINE_MARGIN_MS = 5.0
-
-
-def _input_shape(model: Module) -> Optional[Tuple[int, ...]]:
-    """Shape of one image ``model`` classifies (``None``: the model does not say)."""
-    if isinstance(model, SpikingCNN):
-        return (model.in_channels, model.image_size, model.image_size)
-    if isinstance(model, SpikingMLP):
-        return (model.in_features,)
-    return None
 
 
 @dataclass
@@ -283,7 +275,7 @@ class InferenceServer:
         self.workers = int(workers)
         # A hot reload swaps weights in place only between same-spec
         # models, so the served input shape never changes under a server.
-        self._input_shape = _input_shape(self.pool.model)
+        self._input_shape: Optional[Tuple[int, ...]] = getattr(self.pool.model, "input_shape", None)
         self.max_queue = int(max_queue) if max_queue is not None else None
         self.overload = overload
         self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
@@ -341,26 +333,28 @@ class InferenceServer:
         """Shut down; by default finishes all queued work first.
 
         With ``drain=False`` the batches already cut still run, and the
-        requests still queued fail with :class:`ServerClosed`.
+        requests still queued fail with :class:`ServerClosed`.  A
+        done-callback may call it; on one of the server's own threads (where
+        a served or timed-out request's callback runs) it waits for none of
+        them, and they finish after it returns.
         """
         with self._cv:
             if self._closed:
                 return
             self._closed = True
             self._draining = drain
+            abandoned: List[_Pending] = []
+            if self._dispatcher is None or not drain:
+                abandoned, self._queue = list(self._queue), deque()  # nothing will cut these
             if self._dispatcher is None:
                 self._dispatch_done = True  # nothing will ever cut a batch
             self._cv.notify_all()
-        if self._dispatcher is not None:
-            self._dispatcher.join()
-        for thread in self._worker_threads:
-            thread.join()
-        # Anything still queued was abandoned (drain=False, or never started).
-        with self._cv:
-            while self._queue:
-                self._fail_queued_locked(
-                    self._queue.popleft(), ServerClosed("server stopped before the request ran")
-                )
+        for pending in abandoned:
+            self._fail_queued(pending, ServerClosed("server stopped before the request ran"))
+        threads = [t for t in [self._dispatcher, *self._worker_threads] if t is not None]
+        if threading.current_thread() not in threads:
+            for thread in threads:
+                thread.join()
 
     def __enter__(self) -> "InferenceServer":
         return self.start()
@@ -406,30 +400,26 @@ class InferenceServer:
             return victim
         return None
 
-    def _admit_locked(self, priority: int = 0) -> None:
+    def _admit_locked(self, priority: int = 0) -> Optional[_Pending]:
         """Apply the overload policy; returns with a queue slot available.
 
         Must be called with ``self._cv`` held.  Under the shed policy a
         full queue first looks for a lower-priority victim to evict (shed
-        low-priority traffic first); failing that the new arrival itself
-        is shed with :class:`ServerOverloaded`.  The block policy is plain
-        FIFO back-pressure regardless of priority; it raises
-        :class:`ServerClosed` if the server stops while the submitter
-        waits.
+        low-priority traffic first), which it takes off the queue and
+        returns for the caller to fail once the lock is released; failing
+        that the new arrival itself is shed with :class:`ServerOverloaded`.
+        The block policy is plain FIFO back-pressure regardless of
+        priority; it raises :class:`ServerClosed` if the server stops while
+        the submitter waits.
         """
         if not self._queue_full_locked():
-            return
+            return None
         if self.overload == OVERLOAD_SHED:
             victim = self._shed_victim_locked(priority)
             if victim is not None:
                 evicted = self._queue[victim]
                 del self._queue[victim]
-                self._fail_queued_locked(
-                    evicted,
-                    ServerOverloaded(f"evicted from a full queue by a priority-{priority} arrival"),
-                    count=self.telemetry.record_shed,
-                )
-                return
+                return evicted
             self.telemetry.record_shed(priority=priority)
             raise ServerOverloaded(
                 f"queue full ({self.max_queue} waiting requests); request shed"
@@ -441,7 +431,7 @@ class InferenceServer:
                 if self._closed:
                     raise ServerClosed("server stopped while awaiting admission")
                 if self._blocked[0] is token and len(self._queue) < self.max_queue:
-                    return
+                    return None
                 self._cv.wait()
         finally:
             self._blocked.remove(token)
@@ -469,10 +459,11 @@ class InferenceServer:
     ) -> "Future[ServeResult]":
         """Queue one raw image; returns a future resolving to a :class:`ServeResult`.
 
-        The image must have the served network's input shape,
+        The image must have the served network's ``input_shape``,
         ``(in_channels, image_size, image_size)`` for a
-        :class:`~repro.core.network.SpikingCNN` and ``(in_features,)`` for a
-        :class:`~repro.core.network.SpikingMLP`; any other shape raises
+        :class:`~repro.core.network.SpikingCNN`; a flat input shape such as a
+        :class:`~repro.core.network.SpikingMLP`'s ``(in_features,)`` takes any
+        image of that many values, flattened.  Any other image raises
         ``ValueError`` before the encode, and nothing is admitted or counted.
         The image is encoded synchronously (so encoder errors surface here,
         attributed to the caller) and the request then waits to be coalesced.
@@ -512,10 +503,14 @@ class InferenceServer:
                 trace_id = self.tracer.mint_trace()
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be positive, got {deadline_ms}")
-        if self._input_shape is not None and image.shape != self._input_shape:
+        shape = self._input_shape
+        if shape is not None and len(shape) == 1 and image.size == shape[0]:
+            # A flat input (SpikingMLP) takes any frame of its size, flattened
+            # here so that frames of different shapes can share a batch.
+            image = image.reshape(shape)
+        if shape is not None and image.shape != shape:
             raise ValueError(
-                f"image shape {image.shape} does not match the served network's "
-                f"input shape {self._input_shape}"
+                f"image shape {image.shape} does not match the served network's input shape {shape}"
             )
         if self._closed:
             raise ServerClosed("cannot submit to a stopped server")
@@ -547,7 +542,7 @@ class InferenceServer:
         with self._cv:
             if self._closed:
                 raise ServerClosed("cannot submit to a stopped server")
-            self._admit_locked(priority)
+            evicted = self._admit_locked(priority)
             sequence = self._sequence
             self._sequence += 1
             # The wait-for-company clock starts at queue entry, not at
@@ -572,6 +567,12 @@ class InferenceServer:
             queue_depth = len(self._queue)
             self.telemetry.record_admission(queue_depth, priority=priority)
             self._cv.notify_all()
+        if evicted is not None:
+            self._fail_queued(
+                evicted,
+                ServerOverloaded(f"evicted from a full queue by a priority-{priority} arrival"),
+                count=self.telemetry.record_shed,
+            )
         if trace_id:
             # Admission covers everything from submit to queue entry:
             # breaker check, overload fast-path, encode, and admission
@@ -614,10 +615,10 @@ class InferenceServer:
                 cutoff = min(cutoff, pending.deadline - DEADLINE_MARGIN_MS / 1000.0)
         return wait_cutoff, cutoff
 
-    def _fail_queued_locked(
+    def _fail_queued(
         self, pending: _Pending, error: BaseException, count: Optional[Callable[..., None]] = None
     ) -> None:
-        """Fail a request that is still queued, unless its client cancelled it (cv held).
+        """Fail a request just taken off the queue, unless its client cancelled it.
 
         The one way a queued request is resolved: the future is claimed
         first, so a cancelled one is dropped silently.  ``count`` (a
@@ -639,22 +640,21 @@ class InferenceServer:
         submitters.
         """
         now = time.perf_counter()
-        if not any(p.deadline is not None and now >= p.deadline for p in self._queue):
+        expired = [p for p in self._queue if p.deadline is not None and now >= p.deadline]
+        if not expired:
             return
-        keep: Deque[_Pending] = deque()
-        for pending in self._queue:
-            if pending.deadline is not None and now >= pending.deadline:
-                self._fail_queued_locked(
-                    pending,
-                    RequestTimedOut(
-                        f"deadline expired {(now - pending.deadline) * 1000.0:.1f} ms "
-                        "before the batch was cut"
-                    ),
-                    count=self.telemetry.record_timeout,
-                )
-            else:
-                keep.append(pending)
-        self._queue = keep
+        # The queue is settled before any future resolves: a done-callback
+        # may call stop(), which empties it.
+        self._queue = deque(p for p in self._queue if p.deadline is None or now < p.deadline)
+        for pending in expired:
+            self._fail_queued(
+                pending,
+                RequestTimedOut(
+                    f"deadline expired {(now - pending.deadline) * 1000.0:.1f} ms "
+                    "before the batch was cut"
+                ),
+                count=self.telemetry.record_timeout,
+            )
         self._cv.notify_all()
 
     def _take_batch(self) -> Optional[List[_Pending]]:
@@ -762,12 +762,11 @@ class InferenceServer:
             else:
                 live.append(pending)
         if live:
-            self._run_batch(live)
+            self._run_batch(live, started=now)
 
-    def _run_batch(self, batch: List[_Pending]) -> None:
+    def _run_batch(self, batch: List[_Pending], started: float) -> None:
         traced = self.tracer.enabled
         try:
-            started = time.perf_counter()
             spikes = (
                 batch[0].spikes
                 if len(batch) == 1

@@ -38,6 +38,11 @@ class TestSpikingCNN:
         with pytest.raises(ValueError):
             SpikingCNN(image_size=10)
 
+    def test_input_shape_is_one_channels_first_image(self):
+        model = self._small(in_channels=2)
+        assert model.input_shape == (2, 8, 8)
+        assert model(Tensor(np.zeros((3, 4, *model.input_shape), dtype=np.float32))).shape == (4, 10)
+
     def test_hyperparameters_propagate_to_all_lif_layers(self):
         model = self._small(beta=0.7, threshold=1.5, surrogate_name="arctan", surrogate_scale=4.0)
         for name in model.spiking_layer_names():
@@ -192,6 +197,11 @@ class TestSpikingMLP:
         spikes = np.zeros((4, 2, 3, 2, 2), dtype=np.float32)
         counts = model(Tensor(spikes))
         assert counts.shape == (2, 3)
+
+    def test_input_shape_is_flat(self):
+        model = SpikingMLP(in_features=12, hidden_units=8, num_classes=3)
+        assert model.input_shape == (12,)
+        assert model(Tensor(np.zeros((3, 4, *model.input_shape), dtype=np.float32))).shape == (4, 3)
 
     def test_forward_rejects_low_rank(self):
         model = SpikingMLP(in_features=4)

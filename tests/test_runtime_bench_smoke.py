@@ -8,8 +8,10 @@ continuous test without the benchmark suite's runtime cost.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.network import SpikingMLP
+from repro.nn.module import Module
 from repro.runtime.bench import make_reduced_cnn, make_spike_sequence, measure_speedup
 
 
@@ -36,3 +38,8 @@ def test_measure_speedup_accepts_explicit_spikes():
     assert result.label == "explicit"
     assert result.equivalent
     assert np.isfinite(result.speedup)
+
+
+def test_measure_speedup_needs_spikes_for_a_model_without_an_input_shape():
+    with pytest.raises(ValueError, match="provide `spikes`"):
+        measure_speedup(Module(), repeats=1)

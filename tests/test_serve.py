@@ -71,6 +71,25 @@ def _stop_without_drain_while_held(server, pool):
     assert not stopper.is_alive(), "stop() never returned"
 
 
+def _stop_in_callback(server, future, drain=False):
+    """Make ``future``'s done-callback stop ``server``; the event is set once stop() returned."""
+    returned = threading.Event()
+
+    def stop(_future):
+        server.stop(drain=drain)
+        returned.set()
+
+    future.add_done_callback(stop)
+    return returned
+
+
+def _assert_threads_end(server):
+    """Every thread of a stopped server ends."""
+    for thread in [server._dispatcher, *server._worker_threads]:
+        thread.join(timeout=30)
+        assert not thread.is_alive(), f"{thread.name} never ended"
+
+
 class TestModelRegistry:
     def test_save_load_round_trip_with_meta(self, tmp_path, micro_config, untrained):
         model, encoder, _ = untrained
@@ -284,7 +303,7 @@ class TestAdmissionControl:
             _await_cut(server)
             doomed = server.submit(images[1], deadline_ms=50.0)
             with pytest.raises(RequestTimedOut, match="before the batch was cut"):
-                doomed.result(timeout=30)
+                doomed.result(timeout=0.9)
             assert not running.done(), "the timeout waited for the busy worker"
             assert server.queue_depth == 0
             pool.release.set()
@@ -589,6 +608,23 @@ class TestMalformedImage:
         assert telemetry.total_failed == 0
         assert telemetry.total_breaker_rejections == 0
 
+    def test_flat_input_takes_any_frame_of_its_size(self):
+        """Frames of different shapes share a batch: each is flattened at submit."""
+        model = self._mlp()
+        rng = np.random.default_rng(1)
+        good = [rng.random(16, dtype=np.float32) for _ in range(3)]
+        server = InferenceServer(model, DirectEncoder(4), max_batch=3, max_wait_ms=50.0)
+        frames = (good[0], good[1].reshape(4, 4), good[2].reshape(1, 4, 4))
+        futures = [server.submit(frame) for frame in frames]
+        server.start()
+        results = [future.result(timeout=30) for future in futures]
+        server.stop()
+        reference = compile_network(model).run(
+            DirectEncoder(4)(np.stack(good)), record_activity=False
+        ).counts
+        np.testing.assert_array_equal(np.stack([r.counts for r in results]), reference)
+        assert [r.batch_size for r in results] == [3, 3, 3]
+
     def test_cnn_takes_channels_first_images(self, untrained):
         model, encoder, images = untrained
         with InferenceServer(model, encoder) as server:
@@ -717,6 +753,70 @@ class TestInferenceServer:
             with pytest.raises(ServerClosed):
                 future.result(timeout=5)
 
+    @pytest.mark.parametrize("workers, drain", [(2, False), (1, True)])
+    def test_a_served_requests_callback_may_stop_the_server(self, untrained, workers, drain):
+        """That callback runs on a worker, which stop() must not wait for."""
+        model, encoder, images = untrained
+        server = InferenceServer(model, encoder, max_batch=1, max_wait_ms=0.0, workers=workers)
+        futures = server.submit_many(images[:6])  # queued before start
+        returned = _stop_in_callback(server, futures[0], drain=drain)
+        server.start()
+        assert returned.wait(timeout=30), "stop() in the callback never returned"
+        outcomes = []
+        for future in futures:
+            try:
+                future.result(timeout=30)
+                outcomes.append("served")
+            except ServerClosed:
+                outcomes.append("closed")
+        _assert_threads_end(server)
+        served = 6 if drain else outcomes.count("served")
+        # Batches are cut in FIFO order and every cut batch runs.
+        assert served >= 1
+        assert outcomes == ["served"] * served + ["closed"] * (6 - served)
+
+    def test_a_timed_out_requests_callback_may_stop_the_server(self, untrained):
+        """That callback runs on the dispatcher, in the middle of its deadline prune."""
+        model, encoder, images = untrained
+        pool = StubPool(model, hold={0})
+        server = InferenceServer(pool, encoder, max_batch=1, max_wait_ms=0.0).start()
+        running = server.submit(images[0])
+        _await_cut(server)
+        doomed = server.submit(images[1], deadline_ms=200.0)
+        returned = _stop_in_callback(server, doomed)
+        waiting = server.submit(images[2])
+        assert returned.wait(timeout=30), "stop() in the callback never returned"
+        with pytest.raises(RequestTimedOut):
+            doomed.result(timeout=5)
+        with pytest.raises(ServerClosed):
+            waiting.result(timeout=5)
+        pool.release.set()
+        assert running.result(timeout=30).batch_size == 1
+        _assert_threads_end(server)
+
+    def test_an_evicted_requests_callback_may_stop_the_server(self, untrained):
+        """That callback runs on the evicting submitter, once it let go of the server lock."""
+        model, encoder, images = untrained
+        server = InferenceServer(
+            model, encoder, max_batch=2, max_wait_ms=10_000.0, max_queue=1
+        ).start()
+        victim = server.submit(images[0])  # waits for company
+        returned = _stop_in_callback(server, victim)
+        urgent = {}
+        submitter = threading.Thread(
+            target=lambda: urgent.__setitem__("future", server.submit(images[1], priority=1)),
+            daemon=True,
+        )
+        submitter.start()
+        submitter.join(timeout=30)
+        assert not submitter.is_alive(), "stop() in the eviction's callback never returned"
+        assert returned.is_set()
+        with pytest.raises(ServerOverloaded, match="evicted"):
+            victim.result(timeout=5)
+        with pytest.raises(ServerClosed):
+            urgent["future"].result(timeout=5)
+        _assert_threads_end(server)
+
     def test_encoder_errors_surface_at_submit(self, untrained):
         model, encoder, _ = untrained
         with InferenceServer(model, encoder) as server:
@@ -755,6 +855,26 @@ class TestSloAwareScheduling:
         assert elapsed_s < 5.0, "deadline cutoff never fired"
         assert result.batch_size == 1
         assert server.telemetry.total_deadline_dispatches >= 1
+
+    def test_deadline_passing_after_the_cut_times_out_at_batch_start(self, untrained):
+        """A request cut in time but started after its deadline is not served late."""
+        model, encoder, images = untrained
+        server = InferenceServer(model, encoder, max_batch=2, max_wait_ms=0.0)
+        doomed = server.submit(images[0], deadline_ms=200.0)
+        plain = server.submit(images[1])  # queued before start: one full batch
+        process_batch = server._process_batch
+
+        def late_start(batch):
+            time.sleep(0.25)  # the worker starts the batch after the deadline
+            process_batch(batch)
+
+        server._process_batch = late_start
+        with server:
+            with pytest.raises(RequestTimedOut, match="before the batch started"):
+                doomed.result(timeout=30)
+            assert plain.result(timeout=30).batch_size == 1
+        assert server.telemetry.lane_counters()["timed_out"] == {0: 1}
+        assert server.telemetry.total_requests == 1
 
     def test_deadline_must_be_positive(self, untrained):
         model, encoder, images = untrained
@@ -834,10 +954,13 @@ class TestSloAwareScheduling:
                     submit_shed[priority] += 1
                 time.sleep(0.01)
             served, evicted, timed_out = ({lane: 0 for lane in lanes} for _ in range(3))
+            lane1_queue_ms = []
             for priority, future in futures:
                 try:
-                    future.result(timeout=60)
+                    result = future.result(timeout=60)
                     served[priority] += 1
+                    if priority:
+                        lane1_queue_ms.append(result.queue_ms)
                 except ServerOverloaded:
                     evicted[priority] += 1
                 except RequestTimedOut:
@@ -852,8 +975,9 @@ class TestSloAwareScheduling:
             assert counters["shed"].get(lane, 0) == evicted[lane] + submit_shed[lane]
             assert counters["timed_out"].get(lane, 0) == timed_out[lane]
         # Nothing outranks lane 1.  A lane-1 request still waiting at its
-        # deadline times out; one cut in time is served, late.
+        # deadline times out; one served started before its deadline.
         assert evicted[1] == 0
+        assert all(queue_ms < slow_ms / 2 for queue_ms in lane1_queue_ms)
         assert served[0] and evicted[0] and submit_shed[0] and timed_out[1]
 
 
