@@ -7,7 +7,7 @@ with the paper's methodology on top:
 * :mod:`repro.autograd` — NumPy reverse-mode autodiff engine (PyTorch stand-in).
 * :mod:`repro.surrogate` — surrogate gradient functions (arctangent, fast
   sigmoid, and extensions) with pluggable derivative scaling.
-* :mod:`repro.neurons` — LIF / IF / synaptic spiking neuron models (Eq. 1–2).
+* :mod:`repro.neurons` — LIF / IF / adaptive-threshold spiking neuron models (Eq. 1–2).
 * :mod:`repro.nn` — convolution, pooling, dense and utility layers.
 * :mod:`repro.encoding` — rate / latency / delta / direct input encoders.
 * :mod:`repro.training` — losses, Adam/SGD, cosine annealing, BPTT trainer.

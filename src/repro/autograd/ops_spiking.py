@@ -1,40 +1,42 @@
-"""Fused LIF training-step operation (charge + threshold + reset).
+"""The spiking layer's timestep: one NumPy step, and its fused training op.
 
-The composed LIF step builds five elementwise graph nodes per layer per
-timestep (``Mul``/``Add`` for the charge, ``SpikeFunction`` for the
-threshold, ``Mul``/``Sub`` for the reset) plus the temporaries each of them
-allocates.  During BPTT that Python/allocation overhead is paid for every
-spiking layer at every timestep of every batch, so it dominates the
-non-convolution share of training time.
+:func:`lif_forward` is the only place the membrane arithmetic is written.
+It splits a timestep into charge, fire and reset, as spikingjelly's
+neurons do, and covers every substrate: LIF, IF (``beta = 1``) and the
+adaptive-threshold LIF, whose trace raises the threshold after each spike.
+Training (:func:`fused_lif_step`) and the compiled plan
+(:class:`repro.runtime.kernels.NeuronKernel`) both call it, so the two
+agree by construction, as they do for convolution and pooling.
 
-:func:`fused_lif_step` computes the whole membrane update in **one** raw
-NumPy pass and records only three graph nodes (built directly, skipping the
-generic ``Function.apply`` argument machinery) with analytic backward rules:
+:func:`fused_lif_step` wraps that step in **three** hand-built graph nodes
+(skipping the generic ``Function.apply`` argument machinery) with analytic
+backward rules:
 
 ``_LIFCharge``
     ``U[t] = beta * U[t-1] + I_syn[t]`` — backward routes ``beta * g`` to the
     previous membrane and ``g`` to the synaptic input.
 
 ``_LIFSpike``
-    Heaviside forward on the precomputed membrane; backward multiplies by the
-    surrogate derivative at the centred potential (Neftci et al.'s surrogate
-    gradient), exactly like :class:`~repro.surrogate.base.SpikeFunction`.
+    Heaviside forward; backward multiplies by the surrogate derivative at
+    the centred potential ``v - theta`` (Neftci et al.'s surrogate
+    gradient, applied only in the backward pass), exactly like
+    :class:`~repro.surrogate.base.SpikeFunction`.
 
 ``_LIFReset``
     The post-spike membrane; backward is the identity for ``subtract`` /
     ``none`` resets and ``g * (1 - s)`` for the ``zero`` reset (spikes are
-    detached from the reset path, matching snnTorch and the composed
-    implementation).
+    detached from the reset path, matching snnTorch).  The adaptive
+    threshold is detached too, so it adds no node.
 
-The node structure mirrors the composed graph's gradient routing exactly, so
-backward results are bit-for-bit identical to the composed implementation
-for every surrogate, reset mechanism and ``beta``/``theta`` value (see
-``tests/test_fused_lif.py``).
+The nodes mirror the gradient routing of the same step composed from
+elementwise autograd ops, so backward results are bit-for-bit identical to
+that composition for every surrogate, reset mechanism, ``beta``/``theta``
+value and adaptation rule (see ``tests/test_fused_lif.py``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +45,66 @@ from repro.autograd.tensor import Tensor, is_grad_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.surrogate.base import SurrogateFunction
+
+
+def lif_forward(
+    mem: np.ndarray,
+    x: np.ndarray,
+    beta,
+    theta,
+    reset_mechanism: str,
+    trace: Optional[np.ndarray] = None,
+    adaptation_step=0.0,
+    adaptation_decay=0.0,
+    integer: bool = False,
+    out: Tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None),
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """One timestep of a spiking layer on raw arrays: ``(spikes, v, mem, trace)``.
+
+    * charge: ``u <- beta * u + x``;
+    * fire: ``s = v > theta``, with ``v = u``, or with a ``trace`` ``a``
+      ``v = u - (theta_eff - theta)`` where ``theta_eff = a * b + theta``;
+    * reset: ``u - s * theta`` (``s * theta_eff`` with a trace) for
+      ``subtract``, ``u * (1 - s)`` for ``zero``, ``u`` for ``none``;
+    * trace: ``a <- rho * a + s``, with ``b`` = ``adaptation_step`` and
+      ``rho`` = ``adaptation_decay``.
+
+    Everything runs in the charged membrane's dtype, with ``beta``,
+    ``theta`` and the adaptation scalars as the caller passes them (Python
+    floats, or 0-d arrays of a chosen dtype).  With ``integer``, ``np.rint``
+    follows each decay, so a state on an integer grid stays on it.  ``out``
+    names the arrays the new membrane and trace are written into (the
+    previous ones, for a state updated in place); with ``None`` they are
+    fresh and the inputs are left untouched.  ``v`` is the potential
+    compared with ``theta``; the surrogate's argument is ``v - theta``, and
+    ``v > theta`` holds exactly where ``v - theta > 0`` does (the rounded
+    difference of floats on opposite sides of ``theta`` cannot cross zero).
+    """
+    mem_out, trace_out = out
+    charged = np.multiply(mem, beta, out=mem_out)
+    if integer:
+        np.rint(charged, out=charged)
+    charged += x
+    if trace is None:
+        v, reset_threshold = charged, theta
+    else:
+        reset_threshold = trace * adaptation_step + theta
+        v = charged - (reset_threshold - theta)
+    spikes = (v > theta).astype(charged.dtype)
+    if reset_mechanism == "subtract":
+        mem = np.subtract(charged, spikes * reset_threshold, out=mem_out)
+    elif reset_mechanism == "zero":
+        mem = np.multiply(charged, 1.0 - spikes, out=mem_out)
+    elif reset_mechanism == "none":
+        mem = charged
+    else:
+        raise ValueError(f"unknown reset mechanism '{reset_mechanism}'")
+    if trace is not None:
+        trace = np.multiply(trace, adaptation_decay, out=trace_out)
+        if integer:
+            np.rint(trace, out=trace)
+        trace += spikes
+    return spikes, v, mem, trace
 
 
 class _LIFCharge(Function):
@@ -78,12 +140,12 @@ def surrogate_backward(grad_output: np.ndarray, surrogate: "SurrogateFunction", 
 
 
 class _LIFSpike(Function):
-    """Heaviside forward / surrogate backward on a precomputed membrane."""
+    """Heaviside forward / surrogate backward at ``v - theta``."""
 
     @staticmethod
     def backward(ctx: Context, grad_output: np.ndarray):
-        surrogate, centred = ctx.saved
-        return (surrogate_backward(grad_output, surrogate, centred),)
+        surrogate, v, theta = ctx.saved
+        return (surrogate_backward(grad_output, surrogate, v - theta),)
 
 
 class _LIFReset(Function):
@@ -91,10 +153,10 @@ class _LIFReset(Function):
 
     @staticmethod
     def backward(ctx: Context, grad_output: np.ndarray):
-        (reset_gate,) = ctx.saved
-        if reset_gate is None:  # "subtract" / "none": dU[t+]/dU[t] = 1
+        (zeroed_by,) = ctx.saved
+        if zeroed_by is None:  # "subtract" / "none": dU[t+]/dU[t] = 1
             return (grad_output,)
-        return (grad_output * reset_gate,)
+        return (grad_output * (1.0 - zeroed_by),)
 
 
 def _node(tensor: Tensor, fn: "type[Function]", inputs: Tuple[Tensor, ...], *saved) -> None:
@@ -111,10 +173,16 @@ def fused_lif_step(
     threshold: float,
     surrogate: "SurrogateFunction",
     reset_mechanism: str = "subtract",
-) -> Tuple[Tensor, Tensor]:
-    """One LIF timestep, fused: returns ``(spikes, new_membrane)``.
+    trace: Optional[Tensor] = None,
+    adaptation_step: float = 0.0,
+    adaptation_decay: float = 0.0,
+) -> Tuple[Tensor, Tensor, Optional[Tensor]]:
+    """One training timestep: returns ``(spikes, new_membrane, new_trace)``.
 
-    Semantics are identical to the composed sequence
+    Runs :func:`lif_forward` on fresh arrays, with ``beta`` and
+    ``threshold`` in the synaptic input's dtype, and records the three
+    nodes of the module docstring.  Semantics are identical to the composed
+    sequence
 
     .. code-block:: python
 
@@ -123,36 +191,33 @@ def fused_lif_step(
         mem = mem - spikes.detach() * threshold        # "subtract"
 
     (or the ``zero`` / ``none`` reset variants) — same forward spikes, same
-    membrane trajectory and bit-identical gradients — but computed in a
-    single NumPy pass with three graph nodes instead of five-plus.
+    membrane trajectory and bit-identical gradients.  With a ``trace`` (the
+    adaptive neuron's, a tensor outside the graph) the threshold adapts as
+    :func:`lif_forward` describes, and ``new_trace`` is the updated trace;
+    without one it is ``None``.
     """
     dtype = synaptic_input.dtype
     beta_arr = np.asarray(beta, dtype=dtype)
-    theta = float(threshold)
-
-    mem = mem_prev.data * beta_arr
-    mem += synaptic_input.data
-    centred = mem - theta
-    spikes = (centred > 0).astype(dtype)
-
-    reset_gate = None
-    if reset_mechanism == "subtract":
-        new_mem = np.multiply(spikes, np.asarray(theta, dtype=dtype), dtype=mem.dtype)
-        np.subtract(mem, new_mem, out=new_mem)
-    elif reset_mechanism == "zero":
-        reset_gate = 1.0 - spikes
-        new_mem = mem * reset_gate
-    elif reset_mechanism == "none":
-        new_mem = mem
-    else:
-        raise ValueError(f"unknown reset mechanism '{reset_mechanism}'")
+    theta = np.asarray(threshold, dtype=dtype)
+    spikes, v, new_mem, new_trace = lif_forward(
+        mem_prev.data,
+        synaptic_input.data,
+        beta_arr,
+        theta,
+        reset_mechanism,
+        None if trace is None else trace.data,
+        adaptation_step,
+        adaptation_decay,
+    )
 
     record = (mem_prev.requires_grad or synaptic_input.requires_grad) and is_grad_enabled()
-    mem_t = Tensor(mem, requires_grad=record)
+    # The charge node's output differs from ``v`` by a detached offset, so
+    # ``v`` carries its gradient exactly; only the node is ever read.
+    charged_t = Tensor(v, requires_grad=record)
     spikes_t = Tensor(spikes, requires_grad=record)
     new_mem_t = Tensor(new_mem, requires_grad=record)
     if record:
-        _node(mem_t, _LIFCharge, (mem_prev, synaptic_input), beta_arr)
-        _node(spikes_t, _LIFSpike, (mem_t,), surrogate, centred)
-        _node(new_mem_t, _LIFReset, (mem_t,), reset_gate)
-    return spikes_t, new_mem_t
+        _node(charged_t, _LIFCharge, (mem_prev, synaptic_input), beta_arr)
+        _node(spikes_t, _LIFSpike, (charged_t,), surrogate, v, theta)
+        _node(new_mem_t, _LIFReset, (charged_t,), spikes if reset_mechanism == "zero" else None)
+    return spikes_t, new_mem_t, None if new_trace is None else Tensor(new_trace)

@@ -157,12 +157,10 @@ class ExperimentConfig:
         Optional free-form label used in reports.
     neuron:
         Spiking substrate name for every firing layer: ``"lif"`` (the
-        paper's model, default), ``"if"``, ``"adaptive"`` or ``"synaptic"``
-        (see :mod:`repro.neurons.factory`).
+        paper's model, default), ``"if"`` or ``"adaptive"`` (see
+        :mod:`repro.neurons.factory`).
     adaptation_step, adaptation_decay:
         Adaptive-threshold parameters, used when ``neuron="adaptive"``.
-    alpha:
-        Synaptic-current decay factor, used when ``neuron="synaptic"``.
     """
 
     surrogate: str = "fast_sigmoid"
@@ -178,7 +176,6 @@ class ExperimentConfig:
     neuron: str = "lif"
     adaptation_step: float = 0.2
     adaptation_decay: float = 0.9
-    alpha: float = 0.9
 
     def __post_init__(self) -> None:
         if self.surrogate_scale <= 0:
@@ -193,31 +190,26 @@ class ExperimentConfig:
             raise ValueError("loss must be 'ce_count' or 'mse_count'")
         # Local tuple rather than repro.neurons.NEURON_TYPES: config must
         # stay importable without pulling in the neuron/autograd stack.
-        if self.neuron not in ("lif", "if", "adaptive", "synaptic"):
-            raise ValueError(
-                f"neuron must be one of ('lif', 'if', 'adaptive', 'synaptic'), got '{self.neuron}'"
-            )
+        neurons = ("lif", "if", "adaptive")
+        if self.neuron not in neurons:
+            raise ValueError(f"neuron must be one of {neurons}, got '{self.neuron}'")
         if self.adaptation_step < 0:
             raise ValueError("adaptation_step must be non-negative")
         if not 0.0 <= self.adaptation_decay <= 1.0:
             raise ValueError("adaptation_decay must lie in [0, 1]")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
 
     def neuron_params(self) -> Dict[str, float]:
         """Substrate-specific parameters for :func:`~repro.neurons.factory.build_neuron`.
 
         Only the fields the selected substrate actually consumes are
         included, so ``lif`` / ``if`` configs map to an empty dict no matter
-        what the adaptive/synaptic fields hold.
+        what the adaptive fields hold.
         """
         if self.neuron == "adaptive":
             return {
                 "adaptation_step": self.adaptation_step,
                 "adaptation_decay": self.adaptation_decay,
             }
-        if self.neuron == "synaptic":
-            return {"alpha": self.alpha}
         return {}
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":

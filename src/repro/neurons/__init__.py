@@ -11,14 +11,15 @@ dynamics are given by Eq. 1–2:
 
 :class:`LIF` implements exactly this model (soft reset by subtraction, the
 default, or hard reset to zero).  :class:`IF` is the non-leaky special case
-(``beta = 1``) and :class:`SynapticLIF` adds a second-order synaptic current
-state, both used by the extension experiments.
+(``beta = 1``) and :class:`AdaptiveLIF` raises its threshold after each
+spike, both used by the extension experiments.  Every substrate's timestep
+is one NumPy function, :func:`repro.autograd.ops_spiking.lif_forward`,
+which training and the compiled runtime both call.
 """
 
 from repro.neurons.base import NeuronState, SpikingNeuron
 from repro.neurons.lif import LIF
 from repro.neurons.if_neuron import IF
-from repro.neurons.synaptic import SynapticLIF
 from repro.neurons.adaptive import AdaptiveLIF
 from repro.neurons.factory import (
     NEURON_PARAM_DEFAULTS,
@@ -33,7 +34,6 @@ __all__ = [
     "NeuronState",
     "LIF",
     "IF",
-    "SynapticLIF",
     "AdaptiveLIF",
     "NEURON_TYPES",
     "NEURON_PARAM_DEFAULTS",

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.autograd.ops_spiking import fused_lif_step
 from repro.autograd.tensor import Tensor, zeros
 from repro.neurons.base import SpikingNeuron
-from repro.surrogate.base import SurrogateFunction, spike
+from repro.surrogate.base import SurrogateFunction
 
 
 class AdaptiveLIF(SpikingNeuron):
@@ -25,6 +26,9 @@ class AdaptiveLIF(SpikingNeuron):
         a[t+1] &= \rho\, a[t] + s[t] \\
         \theta_{eff}[t] &= \theta + b\, a[t] \\
         u[t+1] &= \beta\, u[t] + I_{syn}[t] - s[t]\,\theta_{eff}[t]
+
+    Each step runs the same fused training step as :class:`~repro.neurons.LIF`,
+    given the trace ``a`` (the adaptive neuron of LSNNs, Bellec et al. 2018).
 
     Parameters
     ----------
@@ -52,42 +56,34 @@ class AdaptiveLIF(SpikingNeuron):
             raise ValueError("adaptation_decay must lie in [0, 1]")
         self.adaptation_step = float(adaptation_step)
         self.adaptation_decay = float(adaptation_decay)
-        self._adaptation: Optional[Tensor] = None
-
-    def reset_state(self) -> None:
-        super().reset_state()
-        self._adaptation = None
 
     @property
     def adaptation(self) -> Optional[Tensor]:
         """Current adaptation variable ``a`` (``None`` before the first step)."""
-        return self._adaptation
+        return self.state.trace
 
     def effective_threshold(self) -> Optional[Tensor]:
         """Per-neuron effective threshold ``theta + b * a``."""
-        if self._adaptation is None:
+        if self.state.trace is None:
             return None
-        return self._adaptation * self.adaptation_step + self.threshold
+        return self.state.trace * self.adaptation_step + self.threshold
 
     def step(self, synaptic_input: Tensor) -> Tensor:
-        if self.state.mem is None or self.state.mem.shape != synaptic_input.shape:
-            self.state.mem = zeros(synaptic_input.shape, dtype=synaptic_input.dtype)
-            self._adaptation = zeros(synaptic_input.shape, dtype=synaptic_input.dtype)
-
-        mem = self.state.mem * self.beta + synaptic_input
-        theta_eff = self._adaptation.detach() * self.adaptation_step + self.threshold
-        # The spike operator takes a scalar threshold; centre the membrane by
-        # the adaptive offset so the comparison is against theta_eff.
-        centred = mem - (theta_eff - self.threshold)
-        spikes = spike(centred, self.threshold, self.surrogate)
-
-        if self.reset_mechanism == "subtract":
-            mem = mem - spikes.detach() * theta_eff
-        elif self.reset_mechanism == "zero":
-            mem = mem * (1.0 - spikes.detach())
-
-        self._adaptation = self._adaptation * self.adaptation_decay + spikes.detach()
-        self.state.mem = mem
+        state = self.state
+        if state.mem is None or state.mem.shape != synaptic_input.shape:
+            state.mem = zeros(synaptic_input.shape, dtype=synaptic_input.dtype)
+            state.trace = zeros(synaptic_input.shape, dtype=synaptic_input.dtype)
+        spikes, state.mem, state.trace = fused_lif_step(
+            state.mem,
+            synaptic_input,
+            self.beta,
+            self.threshold,
+            self.surrogate,
+            self.reset_mechanism,
+            state.trace,
+            self.adaptation_step,
+            self.adaptation_decay,
+        )
         return spikes
 
     def extra_repr(self) -> str:

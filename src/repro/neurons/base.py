@@ -22,12 +22,13 @@ class NeuronState:
     ----------
     mem:
         Membrane potential tensor (part of the autograd graph during BPTT).
-    syn:
-        Optional synaptic current for second-order neurons.
+    trace:
+        Spike-triggered adaptation trace of an adaptive-threshold layer
+        (outside the graph); ``None`` for a fixed threshold.
     """
 
     mem: Optional[Tensor] = None
-    syn: Optional[Tensor] = None
+    trace: Optional[Tensor] = None
 
 
 class SpikingNeuron(Module):
@@ -61,15 +62,13 @@ class SpikingNeuron(Module):
 
     # ------------------------------------------------------------------ #
     def reset_state(self) -> None:
-        """Clear membrane state before a new sequence."""
+        """Clear the membrane (and adaptation) state before a new sequence."""
         self.state = NeuronState()
 
     def detach_state(self) -> None:
         """Cut the BPTT graph at the current state (truncated BPTT)."""
         if self.state.mem is not None:
             self.state.mem = self.state.mem.detach()
-        if self.state.syn is not None:
-            self.state.syn = self.state.syn.detach()
 
     # ------------------------------------------------------------------ #
     def step(self, synaptic_input: Tensor) -> Tensor:

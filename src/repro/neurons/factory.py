@@ -15,8 +15,9 @@ module is the single mapping between those names and the neuron classes:
 
 Every name in :data:`NEURON_TYPES` is compilable by the event-driven
 runtime (:mod:`repro.runtime`) with spike trains bit-identical to the dense
-forward; the cross-substrate matrix in ``tests/test_runtime_neurons.py``
-enforces that for each of them.
+forward: both run :func:`repro.autograd.ops_spiking.lif_forward`, and the
+cross-substrate matrix in ``tests/test_runtime_neurons.py`` checks it for
+each of them.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from repro.neurons.adaptive import AdaptiveLIF
 from repro.neurons.base import SpikingNeuron
 from repro.neurons.if_neuron import IF
 from repro.neurons.lif import LIF
-from repro.neurons.synaptic import SynapticLIF
 from repro.surrogate.base import SurrogateFunction
 
 #: Neuron substrate names accepted by :func:`build_neuron` (and therefore by
 #: ``ExperimentConfig.neuron`` and the network constructors).
-NEURON_TYPES = ("lif", "if", "adaptive", "synaptic")
+NEURON_TYPES = ("lif", "if", "adaptive")
 
 #: Substrate-specific constructor parameters (and defaults) per neuron name.
 #: ``lif`` / ``if`` take none; the extras ride in the ``params`` mapping of
@@ -41,7 +41,6 @@ NEURON_PARAM_DEFAULTS: Dict[str, Dict[str, float]] = {
     "lif": {},
     "if": {},
     "adaptive": {"adaptation_step": 0.2, "adaptation_decay": 0.9},
-    "synaptic": {"alpha": 0.9},
 }
 
 
@@ -89,21 +88,13 @@ def build_neuron(
         return LIF(beta=beta, threshold=threshold, surrogate=surrogate, reset_mechanism=reset_mechanism)
     if neuron == "if":
         return IF(threshold=threshold, surrogate=surrogate, reset_mechanism=reset_mechanism)
-    if neuron == "adaptive":
-        return AdaptiveLIF(
-            beta=beta,
-            threshold=threshold,
-            surrogate=surrogate,
-            reset_mechanism=reset_mechanism,
-            adaptation_step=resolved["adaptation_step"],
-            adaptation_decay=resolved["adaptation_decay"],
-        )
-    return SynapticLIF(
-        alpha=resolved["alpha"],
+    return AdaptiveLIF(
         beta=beta,
         threshold=threshold,
         surrogate=surrogate,
         reset_mechanism=reset_mechanism,
+        adaptation_step=resolved["adaptation_step"],
+        adaptation_decay=resolved["adaptation_decay"],
     )
 
 
@@ -113,17 +104,14 @@ def neuron_descriptor(layer: SpikingNeuron) -> Tuple[str, Dict[str, float]]:
     The inverse of :func:`build_neuron` for every supported neuron class;
     raises ``TypeError`` for layer types outside :data:`NEURON_TYPES` (the
     checkpoint writer turns that into a loud :class:`CheckpointError`).
-    Subclass order matters: :class:`AdaptiveLIF` / :class:`SynapticLIF` are
-    checked before the generic bases, and :class:`IF` before :class:`LIF`
-    (of which it is a subclass).
+    Subclass order matters: :class:`IF` is checked before :class:`LIF`, of
+    which it is a subclass.
     """
     if isinstance(layer, AdaptiveLIF):
         return "adaptive", {
             "adaptation_step": float(layer.adaptation_step),
             "adaptation_decay": float(layer.adaptation_decay),
         }
-    if isinstance(layer, SynapticLIF):
-        return "synaptic", {"alpha": float(layer.alpha)}
     if isinstance(layer, IF):
         return "if", {}
     if isinstance(layer, LIF):

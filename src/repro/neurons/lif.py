@@ -36,25 +36,21 @@ class LIF(SpikingNeuron):
         ``"subtract"`` (paper; soft reset), ``"zero"`` (hard reset) or
         ``"none"`` (no reset, for analysis).
 
-    Each step runs the fused training-step kernel
-    (:func:`~repro.autograd.ops_spiking.fused_lif_step`), which
-    ``tests/test_fused_lif.py`` checks bit for bit against the same step
-    composed from elementwise autograd ops.
+    Each step runs the fused training step
+    (:func:`~repro.autograd.ops_spiking.fused_lif_step`) around the NumPy
+    step the compiled plan runs too, which ``tests/test_fused_lif.py``
+    checks bit for bit against the same step composed from elementwise
+    autograd ops.
     """
 
     def step(self, synaptic_input: Tensor) -> Tensor:
         """Advance one timestep; returns the spike tensor for this step."""
-        if self.state.mem is None or self.state.mem.shape != synaptic_input.shape:
-            self.state.mem = zeros(synaptic_input.shape, dtype=synaptic_input.dtype)
-        spikes, new_mem = fused_lif_step(
-            self.state.mem,
-            synaptic_input,
-            self.beta,
-            self.threshold,
-            self.surrogate,
-            self.reset_mechanism,
+        state = self.state
+        if state.mem is None or state.mem.shape != synaptic_input.shape:
+            state.mem = zeros(synaptic_input.shape, dtype=synaptic_input.dtype)
+        spikes, state.mem, _ = fused_lif_step(
+            state.mem, synaptic_input, self.beta, self.threshold, self.surrogate, self.reset_mechanism
         )
-        self.state.mem = new_mem
         return spikes
 
     @property

@@ -13,9 +13,10 @@ analogue of the sparsity-aware accelerator:
   layer kind: the training op's own matmul for dense layers (the bias row
   alone for a silent frame), convolution through the training op's own
   im2col lowering on buffers cached across timesteps, and one neuron
-  kernel for every substrate (its charge, then a shared threshold and
-  reset, no graph recording).  The precision (fp32, fp64, int8, int16)
-  is a kernel argument.
+  kernel for every substrate, which runs the training step's own NumPy
+  forward (:func:`repro.autograd.ops_spiking.lif_forward`) on states
+  updated in place, with no graph recording.  The precision (fp32, fp64,
+  int8, int16) is a kernel argument.
 * :class:`CompiledNetwork.run` executes the timestep loop on raw arrays
   under ``no_grad`` and produces spike trains identical to the dense
   forward.

@@ -49,7 +49,6 @@ from repro.neurons.adaptive import AdaptiveLIF
 from repro.neurons.base import SpikingNeuron
 from repro.neurons.factory import neuron_descriptor
 from repro.neurons.lif import LIF
-from repro.neurons.synaptic import SynapticLIF
 from repro.nn.conv import Conv2d
 from repro.nn.dropout import Dropout
 from repro.nn.flatten import Flatten
@@ -146,7 +145,7 @@ class _LoweringState:
 
 
 #: The neuron class whose dynamics each substrate's kernel implements.
-_SUBSTRATE_CLASSES = {"lif": LIF, "if": LIF, "adaptive": AdaptiveLIF, "synaptic": SynapticLIF}
+_SUBSTRATE_CLASSES = {"lif": LIF, "if": LIF, "adaptive": AdaptiveLIF}
 
 
 def _substrate(name: str, module: SpikingNeuron) -> Tuple[str, Dict[str, float]]:
@@ -163,7 +162,7 @@ def _substrate(name: str, module: SpikingNeuron) -> Tuple[str, Dict[str, float]]
     except TypeError:
         raise RuntimeCompileError(
             f"layer '{name}': {type(module).__name__} neurons are not supported by the "
-            "runtime (supported: LIF, IF, AdaptiveLIF, SynapticLIF)"
+            "runtime (supported: LIF, IF, AdaptiveLIF)"
         ) from None
     base = _SUBSTRATE_CLASSES[substrate]
     overridden = [

@@ -10,11 +10,13 @@ frames.  The execution precision and the neuron substrate are constructor
 arguments, not classes.
 
 Numerical contract: every kernel produces **the same spike-relevant values**
-as the dense training path.  Convolution and max pooling run the autograd
-ops' own forwards (:func:`repro.autograd.ops_conv.conv2d_forward`,
-:func:`~repro.autograd.ops_conv.maxpool2d_forward`), and the dense linear path
+as the dense training path.  Convolution, max pooling and the neuron step
+run the training forwards themselves
+(:func:`repro.autograd.ops_conv.conv2d_forward`,
+:func:`~repro.autograd.ops_conv.maxpool2d_forward`,
+:func:`repro.autograd.ops_spiking.lif_forward`), and the dense linear path
 calls the exact same NumPy routine on the exact same arrays as the autograd
-op, so both are bitwise identical by construction; the equivalence test
+op, so all are bitwise identical by construction; the equivalence test
 suite (and the benchmark's correctness gate) checks the resulting spike
 trains.
 
@@ -45,6 +47,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.autograd.ops_conv import ScratchPool, TallLayout, conv2d_forward, maxpool2d_forward
+from repro.autograd.ops_spiking import lif_forward
 from repro.hardware.quantization import QuantizationConfig, quantize_array_int
 from repro.neurons.base import RESET_MECHANISMS
 from repro.neurons.factory import NEURON_TYPES
@@ -245,39 +248,30 @@ def _fixed_point_bound(decay: float, drive: float) -> float:
 
 
 class NeuronKernel(Kernel):
-    """One spiking layer's timestep: its substrate's charge, then fire and reset.
+    """One spiking layer's timestep: :func:`repro.autograd.ops_spiking.lif_forward`.
 
     ``substrate`` and ``params`` are what
-    :func:`repro.neurons.factory.neuron_descriptor` returns.  The charge:
-
-    * ``lif`` / ``if`` (``beta = 1``): ``u <- beta * u + x``;
-    * ``synaptic``: ``i <- alpha * i + x``, then ``u <- beta * u + i``;
-    * ``adaptive``: ``u <- beta * u + x`` against ``theta + b * a``, with the
-      trace ``a <- rho * a + s`` updated after firing.
-
-    Fire and reset are shared: ``s = u > theta``, then ``u -= s * theta``
-    (subtract; the adaptive threshold for ``adaptive``), ``u *= 1 - s``
-    (zero) or nothing (none).  States persist across timesteps and are
-    dropped on :meth:`reset`.
-
-    Float plans evaluate the dense step's expressions, in its order, in the
-    frame's dtype, so the spike trains match the dense forward bit for bit;
-    e.g. the adaptive comparison centres ``u`` by the computed
-    ``theta_eff - theta`` as :class:`repro.neurons.AdaptiveLIF` does.
+    :func:`repro.neurons.factory.neuron_descriptor` returns: ``lif`` / ``if``
+    (``beta = 1``) charge, fire and reset the membrane, and ``adaptive``
+    also keeps the trace that raises its threshold.  The kernel calls the
+    step training calls, updating its states in place; they persist across
+    timesteps and are dropped on :meth:`reset`.  Float plans run it in the
+    frame's dtype, so the spike trains match the dense forward bit for bit
+    by construction.
 
     Integer plans (``integer=True``) run on the grid of the upstream weight
     kernel's ``output_scale`` (``input_scale`` without one): ``theta`` and
-    ``b`` round onto it (``theta`` to at least one step) and every decay is
-    followed by ``np.rint``, so every state is an exact integer.  The states
-    share one carrier: float32 while each decay's fixed point
-    (:func:`_fixed_point_bound`, driven by the upstream ``acc_bound``) stays
-    below 2**24, else float64.  The carrier decides how ``rint(beta * u)``
-    rounds, and the reset's product runs in it, where it equals the masked
-    integer subtraction exactly; on exact integers the adaptive centring
-    equals ``u > theta + b * a``.  Spikes leave as float32, which resets the
-    activation scale to 1.0, so a plan dequantizes only at its output.  The
-    grid is derived in :meth:`prepare`, which the engine calls in execution
-    order, after the upstream kernel's own.
+    ``b`` round onto it (``theta`` to at least one step) and the step
+    follows every decay with ``np.rint``, so every state is an exact
+    integer.  The states share one carrier: float32 while each decay's fixed
+    point (:func:`_fixed_point_bound`, driven by the upstream ``acc_bound``)
+    stays below 2**24, else float64.  The carrier decides how
+    ``rint(beta * u)`` rounds, and the reset's product runs in it, where it
+    equals the masked integer subtraction exactly; on exact integers the
+    adaptive centring equals ``u > theta + b * a``.  Spikes leave as
+    float32, which resets the activation scale to 1.0, so a plan dequantizes
+    only at its output.  The grid is derived in :meth:`prepare`, which the
+    engine calls in execution order, after the upstream kernel's own.
     """
 
     is_spiking_stage = True
@@ -303,7 +297,6 @@ class NeuronKernel(Kernel):
         self.beta = float(beta)
         self.threshold = float(threshold)
         self.reset_mechanism = reset_mechanism
-        self.alpha = float(params["alpha"]) if substrate == "synaptic" else 0.0
         self.adaptation_step = float(params["adaptation_step"]) if substrate == "adaptive" else 0.0
         self.adaptation_decay = float(params["adaptation_decay"]) if substrate == "adaptive" else 0.0
         self.integer = bool(integer)
@@ -315,11 +308,10 @@ class NeuronKernel(Kernel):
         self.step = self.adaptation_step
         self.carrier = np.dtype(np.float64)
         self.mem: Optional[np.ndarray] = None
-        self.syn: Optional[np.ndarray] = None
         self.trace: Optional[np.ndarray] = None
 
     def reset(self) -> None:
-        self.mem = self.syn = self.trace = None
+        self.mem = self.trace = None
 
     def prepare(self) -> None:
         if not self.integer:
@@ -333,54 +325,28 @@ class NeuronKernel(Kernel):
             # The trace's rint adds up to 0.5 per step to its unit drive.
             theta_bound = self.theta + self.step * _fixed_point_bound(self.adaptation_decay, 1.0 + 0.5)
             bound = _fixed_point_bound(self.beta, charge + theta_bound)
-        elif self.substrate == "synaptic":
-            syn_bound = _fixed_point_bound(self.alpha, charge + 0.5)
-            bound = _fixed_point_bound(self.beta, syn_bound + self.theta + 0.5)
         else:
             bound = _fixed_point_bound(self.beta, charge + self.theta)
         self.carrier = np.dtype(np.float32) if bound < _FLOAT32_EXACT else np.dtype(np.float64)
-
-    def _decay(self, state: np.ndarray, factor: float) -> None:
-        state *= factor
-        if self.integer:
-            np.rint(state, out=state)
 
     def run(self, frame: np.ndarray) -> np.ndarray:
         dtype = self.carrier if self.integer else frame.dtype
         if self.mem is None or self.mem.shape != frame.shape or self.mem.dtype != dtype:
             self.mem = np.zeros(frame.shape, dtype=dtype)
-            self.syn = np.zeros(frame.shape, dtype=dtype) if self.substrate == "synaptic" else None
             self.trace = np.zeros(frame.shape, dtype=dtype) if self.substrate == "adaptive" else None
-        mem = self.mem
-        if self.syn is not None:
-            self._decay(self.syn, self.alpha)
-            self.syn += frame
-            frame = self.syn
-        self._decay(mem, self.beta)
-        mem += frame
-        if self.trace is None:
-            spikes = self._fire(mem, self.theta)
-        else:
-            theta_eff = self.trace * self.step + self.theta
-            spikes = self._fire(mem - (theta_eff - self.theta), theta_eff)
-            self._decay(self.trace, self.adaptation_decay)
-            self.trace += spikes
+        spikes = lif_forward(
+            self.mem,
+            frame,
+            self.beta,
+            self.theta,
+            self.reset_mechanism,
+            self.trace,
+            self.step,
+            self.adaptation_decay,
+            self.integer,
+            out=(self.mem, self.trace),
+        )[0]
         return spikes.astype(np.float32, copy=False) if self.integer else spikes
-
-    def _fire(self, centred: np.ndarray, reset_threshold) -> np.ndarray:
-        """Spike where ``centred > theta``, then reset the membrane.
-
-        ``u > theta`` is used directly instead of ``(u - theta) > 0``: the
-        two predicates agree for every float (the rounded difference of
-        floats on opposite sides of the threshold cannot cross zero).
-        """
-        mem = self.mem
-        spikes = (centred > self.theta).astype(mem.dtype)
-        if self.reset_mechanism == "subtract":
-            mem -= spikes * reset_threshold
-        elif self.reset_mechanism == "zero":
-            mem *= 1.0 - spikes
-        return spikes
 
 
 class MaxPoolKernel(Kernel):

@@ -198,7 +198,12 @@ def build_model(spec: Dict[str, Any]) -> Module:
     kwargs = dict(spec.get("kwargs", {}))
     if "conv_channels" in kwargs:
         kwargs["conv_channels"] = tuple(kwargs["conv_channels"])
-    model = cls(**kwargs)
+    try:
+        model = cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        # E.g. a neuron substrate this code does not have (the message
+        # names the supported ones).
+        raise CheckpointError(f"cannot rebuild {spec['class']} from checkpoint: {exc}") from None
     for lif in _spiking_layers(model):
         lif.reset_mechanism = reset
     return model
@@ -276,6 +281,31 @@ def save_checkpoint(
     return path
 
 
+def _read_archive(path: PathLike, with_params: bool) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    """The JSON header of the checkpoint at ``path`` and, ``with_params``, its parameters.
+
+    The file is opened here, not by ``np.load``, which leaves its own
+    handle open when the archive cannot be read.  A torn or unreadable
+    archive raises the typed :class:`CheckpointIntegrityError` the gateway
+    degrades on, not a raw zipfile/numpy exception.
+    """
+    try:
+        with open(path, "rb") as file, np.load(file, allow_pickle=False) as archive:
+            if _HEADER_KEY not in archive.files:
+                raise CheckpointError(f"{path} is not a repro checkpoint (missing header)")
+            header = json.loads(str(archive[_HEADER_KEY][()]))
+            state = {
+                key[len(_PARAM_PREFIX):]: archive[key]
+                for key in archive.files
+                if with_params and key.startswith(_PARAM_PREFIX)
+            }
+    except CheckpointError:
+        raise
+    except Exception as exc:
+        raise CheckpointIntegrityError(f"cannot read checkpoint {path}: {exc}") from exc
+    return header, state
+
+
 def read_checkpoint_metadata(path: PathLike) -> Dict[str, Any]:
     """Read just the caller metadata from a checkpoint, without the weights.
 
@@ -284,16 +314,7 @@ def read_checkpoint_metadata(path: PathLike) -> Dict[str, Any]:
     metadata (e.g. the registry's version counter) do not pay a full model
     reconstruction.
     """
-    path = Path(path)
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            if _HEADER_KEY not in archive.files:
-                raise CheckpointError(f"{path} is not a repro checkpoint (missing header)")
-            header = json.loads(str(archive[_HEADER_KEY][()]))
-    except CheckpointError:
-        raise
-    except Exception as exc:
-        raise CheckpointIntegrityError(f"cannot read checkpoint {path}: {exc}") from exc
+    header, _ = _read_archive(path, with_params=False)
     return header.get("metadata", {})
 
 
@@ -305,16 +326,7 @@ def read_checkpoint_quantization(path: PathLike) -> Optional[Dict[str, Any]]:
     without a spec (full-precision serving), including all pre-quantization
     format-2 checkpoints.
     """
-    path = Path(path)
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            if _HEADER_KEY not in archive.files:
-                raise CheckpointError(f"{path} is not a repro checkpoint (missing header)")
-            header = json.loads(str(archive[_HEADER_KEY][()]))
-    except CheckpointError:
-        raise
-    except Exception as exc:
-        raise CheckpointIntegrityError(f"cannot read checkpoint {path}: {exc}") from exc
+    header, _ = _read_archive(path, with_params=False)
     spec = header.get("quantization")
     return dict(spec) if isinstance(spec, dict) else None
 
@@ -326,22 +338,7 @@ def load_checkpoint(path: PathLike) -> Tuple[Module, Optional[Encoder], Dict[str
     ``encoder`` is ``None`` when the checkpoint was saved without one.
     """
     path = Path(path)
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            if _HEADER_KEY not in archive.files:
-                raise CheckpointError(f"{path} is not a repro checkpoint (missing header)")
-            header = json.loads(str(archive[_HEADER_KEY][()]))
-            state = {
-                key[len(_PARAM_PREFIX):]: archive[key]
-                for key in archive.files
-                if key.startswith(_PARAM_PREFIX)
-            }
-    except CheckpointError:
-        raise
-    except Exception as exc:
-        # A torn/truncated archive surfaces as the typed integrity error the
-        # gateway degrades on, not a raw zipfile/numpy exception.
-        raise CheckpointIntegrityError(f"cannot read checkpoint {path}: {exc}") from exc
+    header, state = _read_archive(path, with_params=True)
     if header.get("format") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint format {header.get('format')!r} "

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import json
 import threading
 import time
 from contextlib import contextmanager
@@ -141,4 +143,22 @@ def tear_checkpoint(path, seed: int = 0) -> Path:
     for _ in range(min(4, len(torn))):
         torn[int(rng.integers(0, len(torn)))] ^= 0xFF
     atomic_write(path, bytes(torn))
+    return path
+
+
+def rewrite_checkpoint_header(path, **model_fields) -> Path:
+    """Overwrite fields of a saved checkpoint's model spec, atomically.
+
+    The parameters and their checksum are kept, so the file stays a valid
+    archive, and a gateway's stat-signature check sees a republish.
+    """
+    path = Path(path)
+    with np.load(path, allow_pickle=False) as archive:
+        members = {key: archive[key] for key in archive.files}
+    header = json.loads(str(members["__checkpoint__"][()]))
+    header["model"].update(model_fields)
+    members["__checkpoint__"] = json.dumps(header, sort_keys=True)
+    buffer = io.BytesIO()
+    np.savez(buffer, **members)
+    atomic_write(path, buffer.getvalue())
     return path

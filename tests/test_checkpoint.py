@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
+from conftest import rewrite_checkpoint_header
 
 from repro.autograd import Tensor
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEncoder
 from repro.runtime import compile_network
+from repro.neurons import NEURON_TYPES
 from repro.training.checkpoint import (
-    _HEADER_KEY,
     CheckpointError,
     build_encoder,
     encoder_spec,
     load_checkpoint,
+    model_spec,
     save_checkpoint,
 )
 
@@ -43,16 +43,6 @@ def _make_model(kind: str):
     return SpikingMLP(
         in_features=12, hidden_units=10, num_classes=4, beta=0.3, threshold=0.9, seed=3
     )
-
-
-def _rewrite_header(path, **model_fields) -> None:
-    """Overwrite fields of a saved checkpoint's model spec in place."""
-    with np.load(path, allow_pickle=False) as archive:
-        members = {key: archive[key] for key in archive.files}
-    header = json.loads(str(members[_HEADER_KEY][()]))
-    header["model"].update(model_fields)
-    members[_HEADER_KEY] = json.dumps(header, sort_keys=True)
-    np.savez(path, **members)
 
 
 def _images(kind: str, rng: np.random.Generator) -> np.ndarray:
@@ -99,7 +89,7 @@ def test_legacy_use_fused_flag_is_ignored(tmp_path, rng, kind):
     """Older headers carry ``use_fused``; such a checkpoint still predicts bit-identically."""
     model = _make_model(kind)
     path = save_checkpoint(tmp_path / "legacy.npz", model, RateEncoder(num_steps=4, seed=11))
-    _rewrite_header(path, use_fused=False)
+    rewrite_checkpoint_header(path, use_fused=False)
     loaded_model, loaded_encoder, _ = load_checkpoint(path)
 
     spikes = loaded_encoder(_images(kind, rng))
@@ -114,9 +104,20 @@ def test_legacy_use_fused_flag_is_ignored(tmp_path, rng, kind):
 
 def test_unknown_reset_mechanism_rejected_at_load(tmp_path):
     path = save_checkpoint(tmp_path / "tampered.npz", _make_model("mlp"))
-    _rewrite_header(path, reset_mechanism="bogus")
+    rewrite_checkpoint_header(path, reset_mechanism="bogus")
     with pytest.raises(CheckpointError, match=r"'bogus'.*'subtract', 'zero', 'none'"):
         load_checkpoint(path)
+
+
+def test_unknown_neuron_substrate_rejected_at_load(tmp_path):
+    """A substrate this code lacks (``synaptic`` was removed) is a CheckpointError naming the supported ones."""
+    model = _make_model("mlp")
+    path = save_checkpoint(tmp_path / "tampered.npz", model)
+    kwargs = dict(model_spec(model)["kwargs"], neuron="synaptic", neuron_params={"alpha": 0.9})
+    rewrite_checkpoint_header(path, kwargs=kwargs)
+    with pytest.raises(CheckpointError, match="'synaptic'") as excinfo:
+        load_checkpoint(path)
+    assert str(NEURON_TYPES) in str(excinfo.value)
 
 
 def test_checkpoint_without_encoder(tmp_path):

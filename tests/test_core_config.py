@@ -1,5 +1,7 @@
 """Unit tests for experiment configuration and scale presets."""
 
+import re
+
 import pytest
 
 from repro.core.config import (
@@ -80,6 +82,15 @@ class TestExperimentConfig:
             ExperimentConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(loss="hinge")
+
+    def test_neuron_names_are_the_factory_substrates(self):
+        """Config checks names against its own tuple, which must be NEURON_TYPES."""
+        from repro.neurons import NEURON_TYPES
+
+        for neuron in NEURON_TYPES:
+            assert ExperimentConfig(neuron=neuron).neuron == neuron
+        with pytest.raises(ValueError, match=re.escape(f"one of {NEURON_TYPES}, got 'synaptic'")):
+            ExperimentConfig(neuron="synaptic")
 
     def test_paper_reference_points(self):
         assert PAPER_DEFAULT.beta == 0.25 and PAPER_DEFAULT.threshold == 1.0

@@ -25,16 +25,18 @@ construction.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
 import time
+import warnings
 from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import KernelFault, StubPool, tear_checkpoint
+from conftest import KernelFault, StubPool, rewrite_checkpoint_header, tear_checkpoint
 
 import repro.exec.executor as executor_mod
 from repro.core.config import ExperimentConfig
@@ -53,10 +55,13 @@ from repro.serve import (
     ServeGateway,
     ServeTelemetry,
 )
+from repro.neurons import NEURON_TYPES
 from repro.training.checkpoint import (
     CheckpointIntegrityError,
     load_checkpoint,
+    model_spec,
     read_checkpoint_metadata,
+    read_checkpoint_quantization,
     save_checkpoint,
 )
 
@@ -119,6 +124,19 @@ class TestCheckpointIntegrity:
             load_checkpoint(path)
         with pytest.raises(CheckpointIntegrityError):
             read_checkpoint_metadata(path)
+
+    def test_torn_file_is_closed_by_every_reader(self, tmp_path, untrained):
+        """``np.load`` leaks its own handle on a torn archive; no reader may."""
+        model, encoder, _ = untrained
+        path = tear_checkpoint(save_checkpoint(tmp_path / "ck.npz", model, encoder), seed=FAULT_SEED)
+        for reader in (load_checkpoint, read_checkpoint_metadata, read_checkpoint_quantization):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(CheckpointIntegrityError):
+                    reader(path)
+                gc.collect()  # finalize a leaked file object held in a reference cycle
+            leaked = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+            assert not leaked, f"{reader.__name__}: {leaked}"
 
     def test_checksum_mismatch_raises_integrity_error(self, tmp_path, untrained):
         model, encoder, _ = untrained
@@ -384,6 +402,28 @@ class TestGatewayDegradedReload:
             np.testing.assert_array_equal(
                 served_v2, _reference_counts(config_v2, model_v2, images[:3], 1)
             )
+
+    def test_unknown_substrate_republish_keeps_serving_old_weights(
+        self, tmp_path, micro_config, untrained
+    ):
+        """A republish naming a neuron substrate this code lacks degrades like a torn one."""
+        _, _, images = untrained
+        registry = ModelRegistry(tmp_path)
+        model_v1 = self._publish(registry, "m", micro_config)
+        reference = _reference_counts(micro_config, model_v1, images[:3], 1)
+        with ServeGateway(registry, max_batch=4, max_wait_ms=1.0) as gateway:
+            served = [gateway.submit("m", images[0]).result(timeout=30).counts]
+            kwargs = model_spec(model_v1)["kwargs"]
+            rewrite_checkpoint_header(
+                registry.checkpoint_path("m"),
+                kwargs=dict(kwargs, neuron="synaptic", neuron_params={"alpha": 0.9}),
+            )
+            served += [gateway.submit("m", image).result(timeout=30).counts for image in images[1:3]]
+            np.testing.assert_array_equal(np.stack(served), reference)  # old weights live
+            assert gateway.telemetry("m").total_reload_failures == 1
+            error = gateway.last_errors()["m"]
+            assert error.startswith("CheckpointError") and str(NEURON_TYPES) in error
+            assert gateway.summary()["totals"]["reload_failures"] == 1.0
 
     def test_torn_republish_does_not_rescan_every_submit(self, tmp_path, micro_config, untrained):
         _, _, images = untrained

@@ -2,11 +2,12 @@
 
 The fused step (:func:`repro.autograd.ops_spiking.fused_lif_step`) must be a
 drop-in replacement for the chain of ``Mul``/``Add``/``Spike``/``Sub`` ops
-in :func:`composed_step`, the oracle kept here: identical spikes, identical
-membrane trajectory, and **bit-for-bit identical gradients** for every
-surrogate, reset mechanism and ``beta``/``theta`` combination — that is what
-makes it safe to route every training run (and therefore every cached sweep
-record) through it.
+in :func:`composed_step` and, for the adaptive-threshold neuron, in
+:func:`composed_adaptive_step`, the oracles kept here: identical spikes,
+identical membrane (and trace) trajectory, and **bit-for-bit identical
+gradients** for every surrogate, reset mechanism, ``beta``/``theta``
+combination and adaptation rule — that is what makes it safe to route every
+training run (and therefore every cached sweep record) through it.
 """
 
 from __future__ import annotations
@@ -17,12 +18,21 @@ import pytest
 from repro.autograd import Tensor
 from repro.autograd.ops_spiking import fused_lif_step
 from repro.autograd.tensor import zeros
+from repro.neurons.adaptive import AdaptiveLIF
 from repro.neurons.lif import LIF
 from repro.surrogate.base import spike
 from repro.surrogate.registry import get_surrogate
 
 SURROGATES = ["fast_sigmoid", "arctan", "triangular", "piecewise_linear", "sigmoid"]
 RESETS = ["subtract", "zero", "none"]
+#: Layers each comparison runs: (label, adaptation (step, decay) or None for LIF).
+#: Step 0 never raises the threshold; decay 1.0 never forgets a spike.
+NEURONS = [
+    ("lif", None),
+    ("adaptive", (0.3, 0.8)),
+    ("adaptive-step0", (0.0, 0.8)),
+    ("adaptive-decay1", (0.3, 1.0)),
+]
 
 
 def composed_step(lif: LIF, synaptic_input: Tensor) -> Tensor:
@@ -40,52 +50,85 @@ def composed_step(lif: LIF, synaptic_input: Tensor) -> Tensor:
     return spikes
 
 
-def _run_sequence(fused: bool, *, reset: str, surrogate: str, scale: float,
+def composed_adaptive_step(layer: AdaptiveLIF, synaptic_input: Tensor) -> Tensor:
+    """One AdaptiveLIF step built from individual elementwise autograd ops."""
+    state = layer.state
+    if state.mem is None or state.mem.shape != synaptic_input.shape:
+        state.mem = zeros(synaptic_input.shape, dtype=synaptic_input.dtype)
+        state.trace = zeros(synaptic_input.shape, dtype=synaptic_input.dtype)
+    mem = state.mem * layer.beta + synaptic_input
+    theta_eff = state.trace.detach() * layer.adaptation_step + layer.threshold
+    # The spike operator takes a scalar threshold; centre the membrane by
+    # the adaptive offset so the comparison is against theta_eff.
+    centred = mem - (theta_eff - layer.threshold)
+    spikes = spike(centred, layer.threshold, layer.surrogate)
+    if layer.reset_mechanism == "subtract":
+        mem = mem - spikes.detach() * theta_eff
+    elif layer.reset_mechanism == "zero":
+        mem = mem * (1.0 - spikes.detach())
+    state.trace = state.trace * layer.adaptation_decay + spikes.detach()
+    state.mem = mem
+    return spikes
+
+
+def _run_sequence(fused: bool, *, adaptation=None, reset: str, surrogate: str, scale: float,
                   beta: float, threshold: float, dtype=np.float32, steps: int = 6):
-    """Drive one LIF layer over a BPTT sequence and return grads + outputs."""
+    """Drive one LIF (or, given ``adaptation``, AdaptiveLIF) layer over a BPTT
+    sequence and return grads + outputs."""
     rng = np.random.default_rng(42)
-    lif = LIF(
-        beta=beta,
-        threshold=threshold,
-        surrogate=get_surrogate(surrogate, scale),
-        reset_mechanism=reset,
-    )
-    inputs = [Tensor(rng.standard_normal((3, 4)).astype(dtype), requires_grad=True) for _ in range(steps)]
+    common = dict(beta=beta, threshold=threshold, surrogate=get_surrogate(surrogate, scale), reset_mechanism=reset)
+    if adaptation is None:
+        layer, composed = LIF(**common), composed_step
+    else:
+        step, decay = adaptation
+        layer = AdaptiveLIF(adaptation_step=step, adaptation_decay=decay, **common)
+        composed = composed_adaptive_step
+    # 128 neurons: enough that a re-associated threshold offset changes some
+    # surrogate argument's last bit, which a 12-neuron layer may not.
+    inputs = [Tensor(rng.standard_normal((8, 16)).astype(dtype), requires_grad=True) for _ in range(steps)]
     counts = None
     total_spikes = 0.0
     for frame in inputs:
-        spikes = lif.step(frame) if fused else composed_step(lif, frame)
+        spikes = layer.step(frame) if fused else composed(layer, frame)
         total_spikes += float(spikes.data.sum())
         counts = spikes if counts is None else counts + spikes
     # Non-uniform upstream gradient so the surrogate backward is exercised
     # with something richer than all-ones.
     (counts * counts.detach() + counts).sum().backward()
     grads = [frame.grad.copy() for frame in inputs]
-    return grads, counts.data.copy(), lif.state.mem.data.copy(), total_spikes
+    trace = None if layer.state.trace is None else layer.state.trace.data.copy()
+    return grads, counts.data.copy(), layer.state.mem.data.copy(), trace, total_spikes
+
+
+def _assert_same_runs(fused, composed, label: str) -> None:
+    """Input gradients, counts, membrane, trace and spike total agree bit for bit."""
+    (fused_grads, *fused_rest), (comp_grads, *comp_rest) = fused, composed
+    for fused_value, comp_value in zip(fused_grads + fused_rest, comp_grads + comp_rest):
+        np.testing.assert_array_equal(fused_value, comp_value, err_msg=label)
 
 
 @pytest.mark.parametrize("surrogate", SURROGATES)
 @pytest.mark.parametrize("reset", RESETS)
 def test_fused_matches_composed_bitwise(surrogate, reset):
     kwargs = dict(reset=reset, surrogate=surrogate, scale=2.0, beta=0.25, threshold=1.0)
-    fused_grads, fused_out, fused_mem, fused_spikes = _run_sequence(True, **kwargs)
-    comp_grads, comp_out, comp_mem, comp_spikes = _run_sequence(False, **kwargs)
-    np.testing.assert_array_equal(fused_out, comp_out)
-    np.testing.assert_array_equal(fused_mem, comp_mem)
-    assert fused_spikes == comp_spikes
-    for fused_g, comp_g in zip(fused_grads, comp_grads):
-        np.testing.assert_array_equal(fused_g, comp_g)
+    for label, adaptation in NEURONS:
+        _assert_same_runs(
+            _run_sequence(True, adaptation=adaptation, **kwargs),
+            _run_sequence(False, adaptation=adaptation, **kwargs),
+            label,
+        )
 
 
 @pytest.mark.parametrize("beta,threshold", [(0.0, 0.5), (0.25, 1.0), (0.5, 1.5), (0.95, 2.5), (1.0, 1.0)])
 def test_fused_matches_composed_over_hyperparameters(beta, threshold):
     kwargs = dict(reset="subtract", surrogate="fast_sigmoid", scale=0.25,
                   beta=beta, threshold=threshold, dtype=np.float64)
-    fused_grads, fused_out, _, _ = _run_sequence(True, **kwargs)
-    comp_grads, comp_out, _, _ = _run_sequence(False, **kwargs)
-    np.testing.assert_array_equal(fused_out, comp_out)
-    for fused_g, comp_g in zip(fused_grads, comp_grads):
-        np.testing.assert_array_equal(fused_g, comp_g)
+    for label, adaptation in NEURONS:
+        _assert_same_runs(
+            _run_sequence(True, adaptation=adaptation, **kwargs),
+            _run_sequence(False, adaptation=adaptation, **kwargs),
+            label,
+        )
 
 
 def test_fused_step_gradient_is_surrogate_derivative():
@@ -93,8 +136,8 @@ def test_fused_step_gradient_is_surrogate_derivative():
     surrogate = get_surrogate("fast_sigmoid", 2.0)
     mem_prev = Tensor(np.zeros((2, 3)), requires_grad=False)
     syn = Tensor(np.linspace(-2.0, 2.0, 6).reshape(2, 3), requires_grad=True)
-    spikes, new_mem = fused_lif_step(mem_prev, syn, beta=0.5, threshold=1.0,
-                                     surrogate=surrogate, reset_mechanism="subtract")
+    spikes, new_mem, _ = fused_lif_step(mem_prev, syn, beta=0.5, threshold=1.0,
+                                        surrogate=surrogate, reset_mechanism="subtract")
     spikes.sum().backward()
     centred = syn.data - 1.0  # beta * 0 + syn, centred at theta
     np.testing.assert_allclose(syn.grad, surrogate.derivative(centred))
@@ -107,8 +150,8 @@ def test_fused_subtract_reset_keeps_a_wider_membrane_dtype():
     surrogate = get_surrogate("fast_sigmoid", 2.0)
     mem_prev = Tensor(np.array([[0.1, 0.7, 3.9]]))
     syn = Tensor(np.array([[0.3, 0.45, 0.2]], dtype=np.float32))
-    spikes, new_mem = fused_lif_step(mem_prev, syn, beta=0.3, threshold=1.1,
-                                     surrogate=surrogate, reset_mechanism="subtract")
+    spikes, new_mem, _ = fused_lif_step(mem_prev, syn, beta=0.3, threshold=1.1,
+                                        surrogate=surrogate, reset_mechanism="subtract")
     mem = mem_prev.data * np.float32(0.3) + syn.data
     expected = mem - spikes.data * np.float32(1.1)
     assert spikes.data.tolist() == [[0.0, 0.0, 1.0]]
@@ -122,8 +165,8 @@ def test_fused_membrane_gradient_routes_through_beta():
     surrogate = get_surrogate("fast_sigmoid", 2.0)
     mem_prev = Tensor(np.full((1, 2), 0.3), requires_grad=True)
     syn = Tensor(np.zeros((1, 2)), requires_grad=False)
-    _, new_mem = fused_lif_step(mem_prev, syn, beta=beta, threshold=10.0,
-                                surrogate=surrogate, reset_mechanism="subtract")
+    _, new_mem, _ = fused_lif_step(mem_prev, syn, beta=beta, threshold=10.0,
+                                   surrogate=surrogate, reset_mechanism="subtract")
     new_mem.sum().backward()
     # No spikes fire (threshold 10), so the only path is the charge: grad = beta.
     np.testing.assert_allclose(mem_prev.grad, np.full((1, 2), beta))
@@ -139,8 +182,9 @@ def test_fused_rejects_unknown_reset():
 def test_fused_no_graph_under_no_grad():
     from repro.autograd import no_grad
 
-    lif = LIF()
-    with no_grad():
-        spikes = lif.step(Tensor(np.ones((2, 2)), requires_grad=True))
-    assert spikes._node is None
-    assert lif.state.mem._node is None
+    for layer in (LIF(), AdaptiveLIF()):
+        with no_grad():
+            spikes = layer.step(Tensor(np.ones((2, 2)), requires_grad=True))
+        assert spikes._node is None
+        assert layer.state.mem._node is None
+    assert layer.state.trace._node is None and not layer.state.trace.requires_grad

@@ -13,11 +13,10 @@ compares them with digests recorded from the kernels as they stood.
 The grid covers every substrate x every reset x {rate, direct} x two
 (beta, theta) pairs x both integer precisions, for a small CNN and MLP.
 It includes the adaptive neuron at step 0 (its threshold increment rounds
-to zero) and at decay 1 (an unbounded trace), both together, and the
-synaptic neuron at alpha = 1.  Every substrate's state lands on both
-carriers or is forced to float64: IF, alpha = 1 and decay 1 always take
-float64, and beta = 0.95 puts the direct-coded first layers there, the
-int16 CNN's with an integer threshold above 2**24.  Weights are doubled so
+to zero) and at decay 1 (an unbounded trace), and both together.  Every
+substrate's state lands on both carriers or is forced to float64: IF and
+decay 1 always take float64, and beta = 0.95 puts the direct-coded first
+layers there, the int16 CNN's with an integer threshold above 2**24.  Weights are doubled so
 the deeper layers fire.
 """
 
@@ -42,8 +41,6 @@ SUBSTRATES = {
     "adaptive-step0": ("adaptive", {"adaptation_step": 0.0, "adaptation_decay": 0.8}),
     "adaptive-decay1": ("adaptive", {"adaptation_step": 0.3, "adaptation_decay": 1.0}),
     "adaptive-step0-decay1": ("adaptive", {"adaptation_step": 0.0, "adaptation_decay": 1.0}),
-    "synaptic": ("synaptic", {"alpha": 0.6}),
-    "synaptic-alpha1": ("synaptic", {"alpha": 1.0}),
 }
 RESETS = ("subtract", "zero", "none")
 BETA_THETA = ((0.5, 1.0), (0.95, 2.0))
@@ -59,16 +56,12 @@ DIGESTS = {
     ("cnn", "adaptive-step0"): "2fafb57abfa5c5e1",
     ("cnn", "adaptive-decay1"): "eb609003a2f63216",
     ("cnn", "adaptive-step0-decay1"): "31137510ad66d38a",
-    ("cnn", "synaptic"): "50c6163278468926",
-    ("cnn", "synaptic-alpha1"): "38342489e2ddf09f",
     ("mlp", "lif"): "9280c61cea21ea9d",
     ("mlp", "if"): "dcd5d02f2d743701",
     ("mlp", "adaptive"): "499f4dba465fbcbd",
     ("mlp", "adaptive-step0"): "9280c61cea21ea9d",
     ("mlp", "adaptive-decay1"): "d8fc1dee3a9e29b6",
     ("mlp", "adaptive-step0-decay1"): "699f0f546fd481d8",
-    ("mlp", "synaptic"): "c8b1762cff719d63",
-    ("mlp", "synaptic-alpha1"): "dc5b83096faa37f9",
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor
-from repro.neurons import IF, LIF, AdaptiveLIF, SynapticLIF
+from repro.neurons import IF, LIF, AdaptiveLIF
 from repro.surrogate import FastSigmoid
 
 
@@ -146,34 +146,6 @@ class TestIFNeuron:
         assert integrator_spikes >= leaky_spikes
 
 
-class TestSynapticLIF:
-    def test_synaptic_current_state_exists(self):
-        neuron = SynapticLIF(alpha=0.8, beta=0.5, threshold=10.0)
-        neuron.step(Tensor([[1.0]]))
-        assert neuron.state.syn is not None
-        assert neuron.state.syn.numpy()[0, 0] == pytest.approx(1.0)
-
-    def test_current_decays_with_alpha(self):
-        neuron = SynapticLIF(alpha=0.5, beta=0.0, threshold=100.0)
-        neuron.step(Tensor([[1.0]]))
-        neuron.step(Tensor([[0.0]]))
-        assert neuron.state.syn.numpy()[0, 0] == pytest.approx(0.5)
-
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            SynapticLIF(alpha=1.2)
-
-    def test_spikes_and_reset(self):
-        neuron = SynapticLIF(alpha=0.9, beta=0.5, threshold=1.0)
-        spikes = neuron.step(Tensor([[3.0]]))
-        assert spikes.numpy()[0, 0] == 1.0
-        assert neuron.state.mem.numpy()[0, 0] == pytest.approx(2.0)
-
-    def test_repr_contains_parameters(self):
-        text = repr(SynapticLIF(alpha=0.8, beta=0.4))
-        assert "alpha=0.8" in text and "beta=0.4" in text
-
-
 # ---------------------------------------------------------------------- #
 # Property-based dynamics of the runtime-compilable substrates
 # ---------------------------------------------------------------------- #
@@ -240,36 +212,6 @@ class TestAdaptiveLIFProperties:
             AdaptiveLIF(adaptation_decay=1.5)
 
 
-class TestSynapticLIFProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        beta=st.floats(min_value=0.0, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_instantaneous_synaptic_decay_reduces_exactly_to_lif(self, beta, seed):
-        """alpha = 0: the synaptic state passes input straight through."""
-        drive = _drive_sequence(seed)
-        synaptic = SynapticLIF(alpha=0.0, beta=beta, threshold=1.0)
-        plain = LIF(beta=beta, threshold=1.0)
-        np.testing.assert_array_equal(_spike_train(synaptic, drive), _spike_train(plain, drive))
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        alpha=st.floats(min_value=0.0, max_value=0.99),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_synaptic_state_decays_when_silent(self, alpha, seed):
-        neuron = SynapticLIF(alpha=alpha, beta=0.0, threshold=100.0)
-        neuron.step(Tensor(_drive_sequence(seed, steps=1)[0]))
-        previous = neuron.state.syn.numpy().copy()
-        for _ in range(4):
-            neuron.step(Tensor(np.zeros_like(previous)))
-            current = neuron.state.syn.numpy()
-            assert np.all(current <= previous + 1e-12)
-            np.testing.assert_allclose(current, previous * alpha, rtol=1e-6)
-            previous = current.copy()
-
-
 class TestSurrogateGradientsFinite:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -283,26 +225,6 @@ class TestSurrogateGradientsFinite:
             beta=beta, threshold=1.0, surrogate=FastSigmoid(scale),
             adaptation_step=step, adaptation_decay=0.9,
         )
-        drive = _drive_sequence(seed, steps=5, shape=(1, 4))
-        inputs = [Tensor(frame, requires_grad=True) for frame in drive]
-        total = None
-        for x in inputs:
-            s = neuron.step(x)
-            total = s if total is None else total + s
-        total.sum().backward()
-        for x in inputs:
-            assert x.grad is not None
-            assert np.all(np.isfinite(x.grad))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        alpha=st.floats(min_value=0.0, max_value=1.0),
-        beta=st.floats(min_value=0.05, max_value=0.95),
-        scale=st.floats(min_value=0.1, max_value=25.0),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_synaptic_gradients_finite_across_sweep_grid(self, alpha, beta, scale, seed):
-        neuron = SynapticLIF(alpha=alpha, beta=beta, threshold=1.0, surrogate=FastSigmoid(scale))
         drive = _drive_sequence(seed, steps=5, shape=(1, 4))
         inputs = [Tensor(frame, requires_grad=True) for frame in drive]
         total = None

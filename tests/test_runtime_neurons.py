@@ -1,6 +1,6 @@
 """Cross-substrate equivalence matrix for the event-driven runtime.
 
-Every supported spiking substrate ({LIF, IF, AdaptiveLIF, SynapticLIF}) x
+Every supported spiking substrate ({LIF, IF, AdaptiveLIF}) x
 both model families x all four encoders must satisfy the runtime's
 contract: the compiled plan's spike trains are bit-identical to the dense
 forward at fp32, fp64 predictions agree on the same paired spikes, and the
@@ -20,7 +20,7 @@ from repro.core.config import ExperimentConfig
 from repro.core.experiment import make_encoder, make_model
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEncoder
-from repro.neurons import IF, AdaptiveLIF, LIF, SynapticLIF, neuron_descriptor
+from repro.neurons import IF, AdaptiveLIF, LIF, neuron_descriptor
 from repro.neurons.base import SpikingNeuron
 from repro.runtime import (
     NeuronKernel,
@@ -44,14 +44,12 @@ SUBSTRATES = {
     "lif": {},
     "if": {},
     "adaptive": {"adaptation_step": 0.3, "adaptation_decay": 0.8},
-    "synaptic": {"alpha": 0.6},
 }
 
 EXPECTED_LAYER_CLASSES = {
     "lif": LIF,
     "if": IF,
     "adaptive": AdaptiveLIF,
-    "synaptic": SynapticLIF,
 }
 
 INT_PRECISIONS = ("int8", "int16")
@@ -127,14 +125,8 @@ class TestSubstrateMatrix:
         spiking = [k for k in plan.kernels if k.is_spiking_stage]
         assert spiking and all(type(k) is NeuronKernel and k.substrate == "adaptive" for k in spiking)
 
-    @pytest.mark.parametrize("kind", ["cnn", "mlp"])
-    def test_synaptic_lowering_uses_fused_synaptic_kernels(self, kind):
-        plan = compile_network(_make_model(kind, "synaptic"))
-        spiking = [k for k in plan.kernels if k.is_spiking_stage]
-        assert spiking and all(type(k) is NeuronKernel and k.substrate == "synaptic" for k in spiking)
-
     @pytest.mark.parametrize("reset", ["subtract", "zero", "none"])
-    @pytest.mark.parametrize("neuron", ["adaptive", "synaptic"])
+    @pytest.mark.parametrize("neuron", ["adaptive"])
     def test_reset_mechanisms_bit_identical(self, rng, neuron, reset):
         model = _make_model("mlp", neuron)
         for module in model.modules():
@@ -213,7 +205,7 @@ class TestSubclassLowering:
 class TestQuantizedSubstrates:
     @pytest.mark.parametrize("precision", INT_PRECISIONS)
     @pytest.mark.parametrize("kind", ["cnn", "mlp"])
-    @pytest.mark.parametrize("neuron", ["adaptive", "synaptic"])
+    @pytest.mark.parametrize("neuron", ["adaptive"])
     def test_integer_agreement_with_fp64(self, rng, neuron, kind, precision):
         encoder = RateEncoder(num_steps=6, seed=11)
         spikes = encoder(_images(kind, rng, count=16))
@@ -290,7 +282,7 @@ class TestCheckpointRoundTrip:
 # Serving compiled adaptive models through the registry/gateway stack
 # ---------------------------------------------------------------------- #
 class TestServingAdaptiveModels:
-    @pytest.mark.parametrize("neuron", ["adaptive", "synaptic"])
+    @pytest.mark.parametrize("neuron", ["adaptive"])
     def test_gateway_serves_new_substrates(self, tmp_path, micro_scale, rng, neuron):
         config = ExperimentConfig(scale=micro_scale, seed=0, neuron=neuron)
         model = make_model(config)

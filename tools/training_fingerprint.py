@@ -6,20 +6,23 @@ Usage::
 
 ``SRC_DIR`` is the ``src/`` directory of the checkout to fingerprint; it
 need not be this script's own tree, so the script can fingerprint a base
-commit that predates it.  The script trains ``ExperimentConfig()`` and the
-same cell with ``surrogate="arctan", surrogate_scale=2.0`` (a few seconds
-each) with that tree's ``repro`` package and prints one JSON line::
+commit that predates it.  The script trains ``ExperimentConfig()``, the
+same cell with ``surrogate="arctan", surrogate_scale=2.0`` and the same
+cell with ``neuron="adaptive"`` (a few seconds each) with that tree's
+``repro`` package and prints one JSON line::
 
-    {"digest": "<sha256>", "arctan_digest": "<sha256>", "training_code_version": "...",
-     "val_accuracy": ..., "arctan_val_accuracy": ...}
+    {"digest": "<sha256>", "arctan_digest": "<sha256>", "adaptive_digest": "<sha256>",
+     "training_code_version": "...", "val_accuracy": ..., "arctan_val_accuracy": ...,
+     "adaptive_val_accuracy": ...}
 
 Each digest is the sha256 of the trained ``state_dict`` (name, then raw
 bytes, in name order) followed by the training history minus its
-``*seconds`` fields; ``digest`` is the default (fast-sigmoid) cell's and
-``arctan_digest`` the ArcTan cell's.  Equal digests mean bit-identical
-training.  BLAS is pinned to one thread; the digests still depend on the
-BLAS kernel family, so compare trees under the same ``OPENBLAS_CORETYPE``.
-A change that moves either digest must change ``TRAINING_CODE_VERSION``.
+``*seconds`` fields; ``digest`` is the default (fast-sigmoid LIF) cell's,
+``arctan_digest`` the ArcTan cell's and ``adaptive_digest`` the
+adaptive-threshold cell's.  Equal digests mean bit-identical training.
+BLAS is pinned to one thread; the digests still depend on the BLAS kernel
+family, so compare trees under the same ``OPENBLAS_CORETYPE``.  A change
+that moves any digest must change ``TRAINING_CODE_VERSION``.
 """
 
 from __future__ import annotations
@@ -35,9 +38,13 @@ from pathlib import Path
 #: surrogate, so a change to ArcTan's numerics moves a digest too.
 ARCTAN_CELL = {"surrogate": "arctan", "surrogate_scale": 2.0}
 
+#: The third cell: the default one on the adaptive-threshold neuron, so a
+#: change to that neuron's training step moves a digest too.
+ADAPTIVE_CELL = {"neuron": "adaptive"}
+
 
 def fingerprint(src_dir: Path) -> dict:
-    """Train the default cell and its ArcTan twin from ``src_dir`` and hash what each learned."""
+    """Train the default cell and its ArcTan and adaptive twins from ``src_dir``; hash what each learned."""
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path.insert(0, str(src_dir))
     import numpy as np
@@ -61,12 +68,15 @@ def fingerprint(src_dir: Path) -> dict:
 
     digest, val_accuracy = train_and_hash(ExperimentConfig())
     arctan_digest, arctan_val_accuracy = train_and_hash(ExperimentConfig(**ARCTAN_CELL))
+    adaptive_digest, adaptive_val_accuracy = train_and_hash(ExperimentConfig(**ADAPTIVE_CELL))
     return {
         "digest": digest,
         "arctan_digest": arctan_digest,
+        "adaptive_digest": adaptive_digest,
         "training_code_version": TRAINING_CODE_VERSION,
         "val_accuracy": val_accuracy,
         "arctan_val_accuracy": arctan_val_accuracy,
+        "adaptive_val_accuracy": adaptive_val_accuracy,
     }
 
 
