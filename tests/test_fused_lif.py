@@ -8,6 +8,12 @@ identical membrane (and trace) trajectory, and **bit-for-bit identical
 gradients** for every surrogate, reset mechanism, ``beta``/``theta``
 combination and adaptation rule — that is what makes it safe to route every
 training run (and therefore every cached sweep record) through it.
+
+Both it and the compiled plan's ``NeuronKernel`` run
+:func:`repro.autograd.ops_spiking.lif_forward` on raw arrays; the tests at
+the end pin that step itself: one worked step of Eq. 1-2 per reset, ``rint``
+after each decay on an integer grid, and the same result whether it writes
+fresh arrays (training) or updates its states in place (the kernel).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.autograd.ops_spiking import fused_lif_step
+from repro.autograd.ops_spiking import fused_lif_step, lif_forward
 from repro.autograd.tensor import zeros
 from repro.neurons.adaptive import AdaptiveLIF
 from repro.neurons.lif import LIF
@@ -188,3 +194,139 @@ def test_fused_no_graph_under_no_grad():
         assert spikes._node is None
         assert layer.state.mem._node is None
     assert layer.state.trace._node is None and not layer.state.trace.requires_grad
+
+
+# ---------------------------------------------------------------------- #
+# lif_forward: the raw-array step training and the compiled plan share
+# ---------------------------------------------------------------------- #
+# One step on dyadic values (exact in float64), with beta = 0.5 and
+# theta = 1.0.  The charged membrane is [1.125, 1.0, 1.75, 0.0, 2.0]; 1.0 sits
+# on theta and does not fire.  The adaptive trace (b = 0.25, rho = 0.5)
+# raises element 2's threshold to 2.0, which stops its spike, and element 4's
+# to 1.5, which does not.
+WORKED_MEM = [0.5, 2.0, 3.0, -1.0, 4.0]
+WORKED_INPUT = [0.875, 0.0, 0.25, 0.5, 0.0]
+WORKED_TRACE = [0.0, 0.0, 4.0, 1.0, 2.0]
+#: Layer -> (spikes, v, membrane after each reset, trace after the step).
+WORKED = {
+    "lif": (
+        [1, 0, 1, 0, 1],
+        [1.125, 1.0, 1.75, 0.0, 2.0],
+        {"subtract": [0.125, 1.0, 0.75, 0.0, 1.0], "zero": [0, 1.0, 0, 0, 0],
+         "none": [1.125, 1.0, 1.75, 0.0, 2.0]},
+        None,
+    ),
+    "adaptive": (
+        [1, 0, 0, 0, 1],
+        [1.125, 1.0, 0.75, -0.25, 1.5],
+        {"subtract": [0.125, 1.0, 1.75, 0.0, 0.5], "zero": [0, 1.0, 1.75, 0.0, 0],
+         "none": [1.125, 1.0, 1.75, 0.0, 2.0]},
+        [1.0, 0.0, 2.0, 0.5, 2.0],
+    ),
+}
+#: Layers the raw-array step runs: (label, adaptation (step, decay) or None).
+FORWARD_NEURONS = [("lif", None), ("adaptive", (0.5, 0.75))]
+
+
+@pytest.mark.parametrize("reset", RESETS)
+@pytest.mark.parametrize("label", sorted(WORKED))
+def test_lif_forward_worked_example(label, reset):
+    spikes_expected, v_expected, mems, trace_expected = WORKED[label]
+    trace = None if trace_expected is None else np.array(WORKED_TRACE)
+    spikes, v, mem, new_trace = lif_forward(
+        np.array(WORKED_MEM), np.array(WORKED_INPUT), 0.5, 1.0, reset, trace,
+        adaptation_step=0.25, adaptation_decay=0.5,
+    )
+    assert spikes.tolist() == spikes_expected
+    assert v.tolist() == v_expected
+    assert mem.tolist() == mems[reset]
+    if trace_expected is None:
+        assert new_trace is None
+    else:
+        assert new_trace.tolist() == trace_expected
+
+
+@pytest.mark.parametrize("label,adaptation", FORWARD_NEURONS)
+def test_lif_forward_integer_grid_rounds_after_each_decay(label, adaptation):
+    """``rint`` (half to even) follows ``beta * u`` and ``rho * a``, before the input and spike add."""
+    trace = None if adaptation is None else np.array([1.0, 3.0, 0.0, 0.0])
+    spikes, _, mem, trace = lif_forward(
+        np.array([3.0, 5.0, -3.0, 7.0]), np.array([1.0, 0.0, 2.0, 0.0]), 0.5, 3.0, "subtract",
+        trace, adaptation_step=1.0, adaptation_decay=0.5, integer=True,
+    )
+    # rint(0.5 * u) = [2, 2, -2, 4], charged [3, 2, 0, 4]; without the rint it
+    # would be [2.5, 2.5, 0.5, 3.5].  The trace lifts element 0's threshold to
+    # 4 and element 1's to 6, and element 3 fires either way.
+    assert spikes.tolist() == [0, 0, 0, 1]
+    assert mem.tolist() == [3, 2, 0, 1]
+    if adaptation is not None:
+        assert trace.tolist() == [0, 2, 0, 1]  # rint([0.5, 1.5, 0, 0]) + s
+
+
+@pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
+@pytest.mark.parametrize("reset", RESETS)
+@pytest.mark.parametrize("label,adaptation", FORWARD_NEURONS)
+def test_lif_forward_in_place_matches_fresh(label, adaptation, reset, integer):
+    """Updating states in place (the kernel) and on fresh arrays (training) agree bit for bit.
+
+    The fresh calls must leave their inputs untouched: training saves them
+    for the backward pass.  On the integer grid every state stays an exact
+    integer.
+    """
+    step, decay = adaptation or (0.0, 0.0)
+    rng = np.random.default_rng(9)
+    if integer:
+        # theta and b on the grid, as NeuronKernel.prepare rounds them.
+        drive = [rng.integers(-3, 6, (4, 32)).astype(np.float64) for _ in range(8)]
+        params = dict(beta=0.75, theta=4.0, adaptation_step=4.0 * step, adaptation_decay=decay, integer=True)
+    else:
+        drive = [rng.standard_normal((4, 32)) for _ in range(8)]
+        params = dict(beta=0.75, theta=1.0, adaptation_step=step, adaptation_decay=decay)
+    mem = np.zeros((4, 32))
+    trace = None if adaptation is None else np.zeros((4, 32))
+    mem_state = mem.copy()
+    trace_state = None if trace is None else trace.copy()
+    fired = 0.0
+    for x in drive:
+        inputs = [array for array in (mem, trace, x) if array is not None]
+        snapshot = [array.copy() for array in inputs]
+        spikes, _, mem, trace = lif_forward(mem, x, reset_mechanism=reset, trace=trace, **params)
+        for array, before in zip(inputs, snapshot):
+            np.testing.assert_array_equal(array, before)
+
+        in_place = lif_forward(mem_state, x, reset_mechanism=reset, trace=trace_state,
+                               out=(mem_state, trace_state), **params)
+        assert in_place[2] is mem_state and in_place[3] is trace_state
+        np.testing.assert_array_equal(in_place[0], spikes)
+        np.testing.assert_array_equal(mem_state, mem)
+        if trace is not None:
+            np.testing.assert_array_equal(trace_state, trace)
+        fired += float(spikes.sum())
+    assert 0 < fired < spikes.size * len(drive)
+    if integer:
+        for state in (mem, trace):
+            assert state is None or np.array_equal(state, np.rint(state))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lif_forward_fires_exactly_where_the_surrogate_argument_is_positive(dtype):
+    """``v > theta`` and ``v - theta > 0`` agree, at a tie and a few ulps either side.
+
+    The fused step takes its spikes from the first and the surrogate's
+    argument from the second.
+    """
+    theta = dtype(1.1)
+    below = theta - dtype(4) * np.spacing(theta)
+    near = [below]
+    for _ in range(8):
+        near.append(np.nextafter(near[-1], dtype(np.inf)))
+    x = np.concatenate([np.array(near, dtype=dtype), np.random.default_rng(3).normal(1.1, 0.5, 64).astype(dtype)])
+    spikes, v, _, _ = lif_forward(np.zeros_like(x), x, dtype(0.0), theta, "none")
+    np.testing.assert_array_equal(v, x)
+    np.testing.assert_array_equal(spikes, (v - theta > 0).astype(dtype))
+    assert 0 < spikes[: len(near)].sum() < len(near)
+
+
+def test_lif_forward_rejects_unknown_reset():
+    with pytest.raises(ValueError, match="unknown reset mechanism 'bogus'"):
+        lif_forward(np.zeros(2), np.ones(2), 0.5, 1.0, "bogus")

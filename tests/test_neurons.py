@@ -146,6 +146,70 @@ class TestIFNeuron:
         assert integrator_spikes >= leaky_spikes
 
 
+class TestAdaptiveLIFDynamics:
+    """One-step arithmetic of the adaptive threshold (theta_eff = theta + b * a)."""
+
+    @staticmethod
+    def _neuron(reset="subtract"):
+        return AdaptiveLIF(beta=0.5, threshold=1.0, adaptation_step=0.5, adaptation_decay=0.5,
+                           reset_mechanism=reset)
+
+    def test_spike_raises_effective_threshold(self):
+        neuron = self._neuron()
+        assert neuron.step(Tensor([[2.0]])).numpy()[0, 0] == 1.0
+        assert neuron.adaptation.numpy()[0, 0] == 1.0
+        assert neuron.effective_threshold().numpy()[0, 0] == 1.5
+
+    def test_subtract_reset_removes_the_effective_threshold(self):
+        neuron = self._neuron()
+        neuron.step(Tensor([[2.0]]))  # fires at theta: u = 2.0 - 1.0, a = 1
+        assert neuron.step(Tensor([[2.0]])).numpy()[0, 0] == 1.0
+        # u = 0.5 * 1.0 + 2.0 - 1.5: the reset takes theta_eff, not theta.
+        assert neuron.state.mem.numpy()[0, 0] == 1.0
+        assert neuron.adaptation.numpy()[0, 0] == 1.5
+
+    def test_adapted_threshold_holds_back_a_spike_lif_fires(self):
+        adaptive, plain = self._neuron(), LIF(beta=0.5, threshold=1.0)
+        for drive, fired in ((2.0, 1.0), (0.75, 0.0)):
+            # Second step: u = 1.25 lies between theta = 1.0 and theta_eff = 1.5.
+            assert adaptive.step(Tensor([[drive]])).numpy()[0, 0] == fired
+            assert plain.step(Tensor([[drive]])).numpy()[0, 0] == 1.0
+        assert adaptive.state.mem.numpy()[0, 0] == 1.25
+        assert adaptive.adaptation.numpy()[0, 0] == 0.5
+
+    def test_zero_reset_clears_membrane(self):
+        neuron = self._neuron("zero")
+        neuron.step(Tensor([[2.5]]))
+        assert neuron.state.mem.numpy()[0, 0] == 0.0
+        assert neuron.adaptation.numpy()[0, 0] == 1.0
+
+    def test_none_reset_keeps_membrane(self):
+        neuron = self._neuron("none")
+        neuron.step(Tensor([[2.5]]))
+        assert neuron.state.mem.numpy()[0, 0] == 2.5
+        assert neuron.adaptation.numpy()[0, 0] == 1.0
+
+    def test_adaptation_trace_carries_no_gradient(self):
+        neuron = self._neuron()
+        inputs = [Tensor([[2.0, 0.5]], requires_grad=True) for _ in range(3)]
+        total = None
+        for x in inputs:
+            s = neuron.step(x)
+            total = s if total is None else total + s
+        assert not neuron.adaptation.requires_grad and neuron.adaptation._node is None
+        assert neuron.state.mem.requires_grad
+        total.sum().backward()
+        assert all(np.all(np.isfinite(x.grad)) for x in inputs)
+
+    def test_state_reset_clears_trace(self):
+        neuron = self._neuron()
+        neuron.step(Tensor([[2.0]]))
+        neuron.reset_state()
+        assert neuron.adaptation is None and neuron.effective_threshold() is None
+        # A fresh sequence starts from theta again.
+        assert neuron.step(Tensor([[1.25]])).numpy()[0, 0] == 1.0
+
+
 # ---------------------------------------------------------------------- #
 # Property-based dynamics of the runtime-compilable substrates
 # ---------------------------------------------------------------------- #
@@ -213,6 +277,25 @@ class TestAdaptiveLIFProperties:
 
 
 class TestSurrogateGradientsFinite:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        beta=st.floats(min_value=0.05, max_value=0.95),
+        scale=st.floats(min_value=0.1, max_value=25.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_lif_gradients_finite_across_sweep_grid(self, beta, scale, seed):
+        neuron = LIF(beta=beta, threshold=1.0, surrogate=FastSigmoid(scale))
+        drive = _drive_sequence(seed, steps=5, shape=(1, 4))
+        inputs = [Tensor(frame, requires_grad=True) for frame in drive]
+        total = None
+        for x in inputs:
+            s = neuron.step(x)
+            total = s if total is None else total + s
+        total.sum().backward()
+        for x in inputs:
+            assert x.grad is not None
+            assert np.all(np.isfinite(x.grad))
+
     @settings(max_examples=25, deadline=None)
     @given(
         beta=st.floats(min_value=0.05, max_value=0.95),

@@ -7,7 +7,7 @@ forward at fp32, fp64 predictions agree on the same paired spikes, and the
 integer precisions replay bit-deterministically with high paired-spike
 agreement against the fp64 reference.  Also covers checkpoint round-trip
 bit-identity for the substrate-specific neuron parameters and serving a
-compiled adaptive model through the registry/gateway stack.
+compiled model of each substrate through the registry/gateway stack.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class TestSubstrateMatrix:
         assert spiking and all(type(k) is NeuronKernel and k.substrate == "adaptive" for k in spiking)
 
     @pytest.mark.parametrize("reset", ["subtract", "zero", "none"])
-    @pytest.mark.parametrize("neuron", ["adaptive"])
+    @pytest.mark.parametrize("neuron", sorted(SUBSTRATES))
     def test_reset_mechanisms_bit_identical(self, rng, neuron, reset):
         model = _make_model("mlp", neuron)
         for module in model.modules():
@@ -200,12 +200,12 @@ class TestSubclassLowering:
 
 
 # ---------------------------------------------------------------------- #
-# Integer precisions for the new substrates
+# Integer precisions for every substrate
 # ---------------------------------------------------------------------- #
 class TestQuantizedSubstrates:
     @pytest.mark.parametrize("precision", INT_PRECISIONS)
     @pytest.mark.parametrize("kind", ["cnn", "mlp"])
-    @pytest.mark.parametrize("neuron", ["adaptive"])
+    @pytest.mark.parametrize("neuron", sorted(SUBSTRATES))
     def test_integer_agreement_with_fp64(self, rng, neuron, kind, precision):
         encoder = RateEncoder(num_steps=6, seed=11)
         spikes = encoder(_images(kind, rng, count=16))
@@ -279,10 +279,10 @@ class TestCheckpointRoundTrip:
 
 
 # ---------------------------------------------------------------------- #
-# Serving compiled adaptive models through the registry/gateway stack
+# Serving every substrate's compiled model through the registry/gateway stack
 # ---------------------------------------------------------------------- #
 class TestServingAdaptiveModels:
-    @pytest.mark.parametrize("neuron", ["adaptive"])
+    @pytest.mark.parametrize("neuron", sorted(SUBSTRATES))
     def test_gateway_serves_new_substrates(self, tmp_path, micro_scale, rng, neuron):
         config = ExperimentConfig(scale=micro_scale, seed=0, neuron=neuron)
         model = make_model(config)
