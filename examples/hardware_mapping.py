@@ -12,7 +12,7 @@ is profiled once and then mapped onto
 reporting latency, power, FPS/W and FPGA resource utilisation for each.
 
 The final section demonstrates the event-driven inference runtime
-(:mod:`repro.runtime`): a network is compiled into fused sparse kernels,
+(:mod:`repro.runtime`): a network is compiled into a graph-free plan,
 executed on a spike sequence, and the activity the runtime *measures while
 executing* is turned directly into a hardware workload — no separate
 profiling pass, and per-layer input events are the post-pooling counts the

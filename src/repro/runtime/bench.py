@@ -21,6 +21,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor, no_grad
 from repro.core.network import SpikingCNN
 from repro.nn.module import Module
+from repro.runtime.activity import count_events
 from repro.runtime.engine import CompiledNetwork, compile_network
 
 
@@ -158,7 +159,7 @@ def measure_speedup(
     return SpeedupResult(
         dense_seconds=dense_seconds,
         runtime_seconds=runtime_seconds,
-        density=float(np.count_nonzero(spikes)) / spikes.size,
+        density=count_events(spikes) / spikes.size,
         equivalent=equivalent,
         label=label or f"T={spikes.shape[0]}, N={spikes.shape[1]}, density={density:g}",
     )

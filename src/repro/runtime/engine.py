@@ -6,7 +6,8 @@ registration order is the execution order for :class:`SpikingCNN`,
 lowers each layer to a fused NumPy kernel from
 :mod:`repro.runtime.kernels`.  The resulting :class:`CompiledNetwork` runs
 the timestep loop entirely on raw arrays — no autograd tensors, no graph
-recording — while counting the spike events each layer consumes and emits.
+recording — while its kernels count the spike events each layer consumes
+and emits.
 
 The compiled forward produces spike trains identical to the dense training
 forward — enforced by ``tests/test_runtime_equivalence.py`` and the
@@ -407,8 +408,13 @@ class CompiledNetwork:
         ``repro.obs.profile.RuntimeProfiler``): when given, it receives
         ``start_run(num_steps, batch, precision)`` once, then per-timestep
         ``record_kernel(name, seconds)`` for every kernel invocation, on the
-        float and quantized paths alike.  Spike events are counted once, in
-        the result's :class:`RuntimeActivity`.
+        float and quantized paths alike.
+
+        Spike events are counted once, by the kernels: each weight kernel
+        counts the events it receives and, when ``record_activity`` is set,
+        each neuron kernel the spikes it emits.  The result's
+        :class:`RuntimeActivity` is filled from their totals after the last
+        step, so the step loop does no bookkeeping.
         """
         if isinstance(spike_sequence, Tensor):
             spike_sequence = spike_sequence.data
@@ -419,11 +425,9 @@ class CompiledNetwork:
             )
         num_steps = spike_sequence.shape[0]
         batch = spike_sequence.shape[1]
-        activity = RuntimeActivity(num_steps=num_steps, samples=batch) if record_activity else None
-        if activity is not None:
-            # Summed before quantization, so every precision reports the
-            # encoder's events rather than their integer-grid magnitudes.
-            activity.input_events = float(spike_sequence.sum())
+        # Summed before quantization, so every precision reports the
+        # encoder's events rather than their integer-grid magnitudes.
+        input_events = float(spike_sequence.sum()) if record_activity else 0.0
         if self.quantization is not None and self.input_scale != 1.0:
             # Quantize analog inputs onto the integer input grid (values up
             # to 1/input_scale, exactly representable in float32).
@@ -432,6 +436,8 @@ class CompiledNetwork:
         self.reset()
         for kernel in self.kernels:
             kernel.prepare()
+            if kernel.is_spiking_stage:
+                kernel.count_spikes = record_activity
         if profiler is not None:
             profiler.start_run(num_steps, batch, self.precision)
 
@@ -444,26 +450,14 @@ class CompiledNetwork:
             for t in range(num_steps):
                 x = spike_sequence[t]
                 for kernel in self.kernels:
-                    if activity is not None and kernel.is_weight_stage:
-                        activity.layer_input_events[kernel.name] = (
-                            activity.layer_input_events.get(kernel.name, 0.0)
-                            + float(np.count_nonzero(x))
-                        )
                     if profiler is None:
                         x = kernel.run(x)
                     else:
                         kernel_start = time.perf_counter()
                         x = kernel.run(x)
                         profiler.record_kernel(kernel.name, time.perf_counter() - kernel_start)
-                    if kernel.is_spiking_stage:
-                        if activity is not None:
-                            activity.layer_output_events[kernel.name] = (
-                                activity.layer_output_events.get(kernel.name, 0.0)
-                                + float(np.count_nonzero(x))
-                            )
-                            activity.layer_neuron_counts[kernel.name] = int(x[0].size)
-                        if trains is not None:
-                            trains[kernel.name].append(x.copy())
+                    if trains is not None and kernel.is_spiking_stage:
+                        trains[kernel.name].append(x.copy())
                 if counts is None:
                     counts = x.copy()
                 else:
@@ -477,7 +471,19 @@ class CompiledNetwork:
         spike_trains = (
             {name: np.stack(steps) for name, steps in trains.items()} if trains is not None else None
         )
+        activity = self._activity(num_steps, batch, input_events) if record_activity else None
         return InferenceResult(counts=counts, activity=activity, spike_trains=spike_trains)
+
+    def _activity(self, num_steps: int, batch: int, input_events: float) -> RuntimeActivity:
+        """The activity of the run just finished, from its kernels' event totals."""
+        activity = RuntimeActivity(num_steps=num_steps, samples=batch, input_events=input_events)
+        for kernel in self.kernels:
+            if kernel.is_weight_stage:
+                activity.layer_input_events[kernel.name] = float(kernel.input_events)
+            elif kernel.is_spiking_stage:
+                activity.layer_output_events[kernel.name] = float(kernel.output_events)
+                activity.layer_neuron_counts[kernel.name] = kernel.neurons
+        return activity
 
 
 def run_inference(model: Module, spike_sequence, record_activity: bool = True) -> InferenceResult:

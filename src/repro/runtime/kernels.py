@@ -9,6 +9,14 @@ images, im2col matrices) across timesteps, and skip the weights on silent
 frames.  The execution precision and the neuron substrate are constructor
 arguments, not classes.
 
+Each kernel also counts the spike events of its layer, once, with
+:func:`repro.runtime.activity.count_events`: a weight kernel the events in
+every frame it receives (the count is also its silent-frame test), and a
+neuron kernel the spikes it emits, in a run that records activity.  The
+totals cover one run; :meth:`Kernel.reset` clears them, and
+:meth:`repro.runtime.engine.CompiledNetwork.run` copies them into the
+run's :class:`~repro.runtime.activity.RuntimeActivity` after its last step.
+
 Numerical contract: every kernel produces **the same spike-relevant values**
 as the dense training path.  Convolution, max pooling and the neuron step
 run the training forwards themselves
@@ -42,7 +50,8 @@ therefore bit-exact integer arithmetic, not an approximation of it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import math
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +60,7 @@ from repro.autograd.ops_spiking import lif_forward
 from repro.hardware.quantization import QuantizationConfig, quantize_array_int
 from repro.neurons.base import RESET_MECHANISMS
 from repro.neurons.factory import NEURON_TYPES
+from repro.runtime.activity import count_events
 
 #: Largest integer magnitude exactly representable in a float32 accumulator.
 _FLOAT32_EXACT = float(2 ** 24)
@@ -59,17 +69,16 @@ _FLOAT32_EXACT = float(2 ** 24)
 class Kernel:
     """Base class: one fused pipeline stage operating on raw ``ndarray``s."""
 
-    #: Set on weight kernels (conv / linear); the engine records input events
-    #: for these stages.
+    #: Set on weight kernels (conv / linear), which count their input events.
     is_weight_stage = False
-    #: Set on spiking kernels; the engine records output events for these.
+    #: Set on spiking kernels, which count their output events.
     is_spiking_stage = False
 
     def __init__(self, name: str) -> None:
         self.name = name
 
     def reset(self) -> None:
-        """Drop per-sequence state (membranes) and shape-bound caches."""
+        """Drop per-sequence state (membranes, event totals) and shape-bound caches."""
 
     def prepare(self) -> None:
         """Called once at the start of every engine run (before any timestep).
@@ -131,6 +140,11 @@ class WeightKernel(Kernel):
         self.output_scale = 1.0
         self.acc_bound = 0.0
         self._quantized_from: Optional[tuple] = None
+        #: Events in the frames received since :meth:`reset`.
+        self.input_events = 0
+
+    def reset(self) -> None:
+        self.input_events = 0
 
     def prepare(self) -> None:
         if self.quantization is not None:
@@ -172,10 +186,17 @@ class WeightKernel(Kernel):
         self.bias = None if bias_int is None else bias_int.astype(carrier)
         self._quantized_from = (src.copy(), None if src_bias is None else src_bias.copy())
 
-    def _cast(self, frame: np.ndarray) -> np.ndarray:
+    def _receive(self, frame: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Cast ``frame`` to the compute dtype and count its events.
+
+        The count adds to :attr:`input_events`, and a frame without events
+        is silent: its output is the bias alone.
+        """
         if self.compute_dtype is not None and frame.dtype != self.compute_dtype:
-            return frame.astype(self.compute_dtype)
-        return frame
+            frame = frame.astype(self.compute_dtype)
+        events = count_events(frame)
+        self.input_events += events
+        return frame, events
 
 
 class LinearKernel(WeightKernel):
@@ -188,10 +209,10 @@ class LinearKernel(WeightKernel):
     """
 
     def run(self, frame: np.ndarray) -> np.ndarray:
-        frame = self._cast(frame)
+        frame, events = self._receive(frame)
         if frame.ndim != 2:
             frame = frame.reshape(frame.shape[0], -1)
-        if not frame.any():
+        if not events:
             out = np.zeros((frame.shape[0], self.weight.shape[0]), dtype=frame.dtype)
             if self.bias is not None:
                 out += self.bias
@@ -229,11 +250,12 @@ class ConvKernel(WeightKernel):
         self._scratch = ScratchPool()
 
     def reset(self) -> None:
+        super().reset()
         self._scratch.clear()
 
     def run(self, frame: np.ndarray) -> np.ndarray:
-        frame = self._cast(frame)
-        if frame.any():
+        frame, events = self._receive(frame)
+        if events:
             return conv2d_forward(frame, self.weight, self.bias, self.stride, self.padding, self._scratch)
         layout = TallLayout.of(frame.shape, self.weight.shape, self.stride, self.padding)
         out = np.zeros((frame.shape[0], self.weight.shape[0], layout.oh, layout.ow), dtype=frame.dtype)
@@ -272,6 +294,10 @@ class NeuronKernel(Kernel):
     float32, which resets the activation scale to 1.0, so a plan dequantizes
     only at its output.  The grid is derived in :meth:`prepare`, which the
     engine calls in execution order, after the upstream kernel's own.
+
+    With :attr:`count_spikes` set, :meth:`run` adds the spikes it emits to
+    :attr:`output_events`; the engine sets it for a run that records
+    activity, so a run that does not pays nothing for counting.
     """
 
     is_spiking_stage = True
@@ -309,9 +335,19 @@ class NeuronKernel(Kernel):
         self.carrier = np.dtype(np.float64)
         self.mem: Optional[np.ndarray] = None
         self.trace: Optional[np.ndarray] = None
+        #: Whether :meth:`run` counts the spikes it emits (set per run by the engine).
+        self.count_spikes = False
+        #: Spikes emitted since :meth:`reset` while :attr:`count_spikes` was set.
+        self.output_events = 0
 
     def reset(self) -> None:
         self.mem = self.trace = None
+        self.output_events = 0
+
+    @property
+    def neurons(self) -> int:
+        """Neurons per sample, from the last frame run (0 before any)."""
+        return 0 if self.mem is None else math.prod(self.mem.shape[1:])
 
     def prepare(self) -> None:
         if not self.integer:
@@ -346,6 +382,8 @@ class NeuronKernel(Kernel):
             self.integer,
             out=(self.mem, self.trace),
         )[0]
+        if self.count_spikes:
+            self.output_events += count_events(spikes)
         return spikes.astype(np.float32, copy=False) if self.integer else spikes
 
 

@@ -89,9 +89,13 @@ a batch.  The server claims every future before resolving it
 request as it cuts a batch and drops the cancelled ones, and a request
 that is evicted, times out or is abandoned by ``stop(drain=False)`` while
 still queued is claimed first too.  A cancelled request stays counted as
-admitted but is never served, failed, shed or timed out.  It keeps its
-queue slot until the dispatcher reaches it: until then it counts toward
-``max_queue``, toward a full batch and toward the ``max_wait_ms`` clock.
+admitted but is never served, failed, shed or timed out.  It frees its
+queue slot for admission: before a full queue sheds, evicts or blocks an
+arrival, the cancelled requests in it are claimed and dropped.  A cancel
+itself wakes nobody, so a submitter already blocked takes the slot at the
+next wake-up (a submit, a cut, a finished batch or :meth:`stop`).  Until
+the dispatcher or a full queue drops it, a cancelled request still counts
+toward a full batch and toward the ``max_wait_ms`` clock.
 """
 
 from __future__ import annotations
@@ -108,6 +112,7 @@ import numpy as np
 from repro.encoding import Encoder
 from repro.nn.module import Module
 from repro.obs.trace import Tracer, default_tracer
+from repro.runtime.activity import count_events
 from repro.runtime.pool import CompiledNetworkPool
 from repro.serve.breaker import CircuitBreaker, ModelUnavailable
 from repro.serve.telemetry import RequestStat, ServeTelemetry
@@ -380,7 +385,29 @@ class InferenceServer:
             return False
         # Waiting back-pressured submitters count as ahead in line: a new
         # arrival must not slip past them even if a slot is currently free.
-        return len(self._queue) >= self.max_queue or bool(self._blocked)
+        return not self._queue_has_room_locked() or bool(self._blocked)
+
+    def _queue_has_room_locked(self) -> bool:
+        """Whether fewer than ``max_queue`` requests wait (cv held).
+
+        A full queue first drops the requests their clients cancelled.  Each
+        is claimed (``set_running_or_notify_cancel``, which runs no
+        callback), so ``concurrent.futures.wait`` sees it done; it stays
+        counted as admitted.
+        """
+        if len(self._queue) < self.max_queue:
+            return True
+        kept: Deque[_Pending] = deque()
+        for pending in self._queue:
+            # A client may cancel at any moment, so each future is asked once.
+            if pending.future.cancelled():
+                pending.future.set_running_or_notify_cancel()
+            else:
+                kept.append(pending)
+        if len(kept) < len(self._queue):
+            self._queue = kept
+            self._cv.notify_all()  # the slots may go to a blocked submitter
+        return len(self._queue) < self.max_queue
 
     def _shed_victim_locked(self, priority: int) -> Optional[int]:
         """Index of the queued request a ``priority`` arrival may evict.
@@ -430,8 +457,10 @@ class InferenceServer:
             while True:
                 if self._closed:
                     raise ServerClosed("server stopped while awaiting admission")
-                if self._blocked[0] is token and len(self._queue) < self.max_queue:
+                if self._blocked[0] is token and self._queue_has_room_locked():
                     return None
+                # A cancel does not notify: a slot it frees is seen at the
+                # next wake-up (a submit, a cut, a finished batch or stop).
                 self._cv.wait()
         finally:
             self._blocked.remove(token)
@@ -488,7 +517,8 @@ class InferenceServer:
 
         The returned future may be cancelled until the request is cut into
         a batch; the server then drops it without serving it or counting
-        a shed, timeout or failure.
+        a shed, timeout or failure, and a later arrival that finds the
+        queue full takes its slot.
         """
         image = np.asarray(image, dtype=np.float32)
         submitted = time.perf_counter()
@@ -537,7 +567,7 @@ class InferenceServer:
                 spikes = self.encoder(image[None])
         else:
             spikes = self.encoder(image[None])
-        density = float(np.count_nonzero(spikes)) / float(spikes.size) if spikes.size else 0.0
+        density = count_events(spikes) / spikes.size if spikes.size else 0.0
         future: "Future[ServeResult]" = Future()
         with self._cv:
             if self._closed:

@@ -5,7 +5,9 @@ both model families x all four encoders must satisfy the runtime's
 contract: the compiled plan's spike trains are bit-identical to the dense
 forward at fp32, fp64 predictions agree on the same paired spikes, and the
 integer precisions replay bit-deterministically with high paired-spike
-agreement against the fp64 reference.  Also covers checkpoint round-trip
+agreement against the fp64 reference.  At every precision the measured
+:class:`RuntimeActivity` equals counts taken independently, from the input
+frames and the collected spike trains.  Also covers checkpoint round-trip
 bit-identity for the substrate-specific neuron parameters and serving a
 compiled model of each substrate through the registry/gateway stack.
 """
@@ -23,11 +25,15 @@ from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEnco
 from repro.neurons import IF, AdaptiveLIF, LIF, neuron_descriptor
 from repro.neurons.base import SpikingNeuron
 from repro.runtime import (
+    PRECISIONS,
+    FlattenKernel,
+    MaxPoolKernel,
     NeuronKernel,
     RuntimeCompileError,
     compile_network,
     default_input_scale,
 )
+from repro.runtime.activity import count_events
 from repro.serve import ModelRegistry, ServeGateway
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 
@@ -247,6 +253,133 @@ class TestQuantizedSubstrates:
         np.testing.assert_array_equal(out_a.counts, out_p.counts)
         for name in out_p.spike_trains:
             np.testing.assert_array_equal(out_a.spike_trains[name], out_p.spike_trains[name])
+
+
+# ---------------------------------------------------------------------- #
+# Activity accounting against an independent count, at every precision
+# ---------------------------------------------------------------------- #
+def _edge_case_spikes(kind: str, encoder_name: str, rng: np.random.Generator) -> np.ndarray:
+    """A 5-step sequence whose first three frames are edge cases.
+
+    Frame 0 is all zeros and frame 1 all ``-0.0`` (silent frames), and
+    frame 2 holds ``-0.0`` wherever it holds no event.  The images carry
+    exact zeros, and intensities that round to zero on the 8-bit input grid
+    of an integer plan (``0.001`` and ``0.0019``, under half of 1/255) next
+    to one that does not (``0.002``).
+    """
+    images = _images(kind, rng)
+    flat = images.reshape(len(images), -1)
+    flat[:, :3] = 0.0
+    flat[:, 3:6] = 0.001
+    flat[:, 6] = 0.0019
+    flat[:, 7] = 0.002
+    spikes = ENCODER_CLASSES[encoder_name](num_steps=5, seed=4)(images)
+    spikes[0] = 0.0
+    spikes[1] = -0.0
+    spikes[2] = np.where(spikes[2] == 0, -0.0, spikes[2])
+    return spikes
+
+
+def _independent_activity(plan, spikes: np.ndarray, trains) -> dict:
+    """Every :class:`RuntimeActivity` field, from the input and the spike trains alone.
+
+    A weight layer's events are the nonzero entries of what reaches it:
+    the input after the plan's input quantization, or the previous spiking
+    layer's train, max-pooled and flattened as the plan's stages say.
+    """
+    x = spikes
+    if plan.quantization is not None and plan.input_scale != 1.0:
+        x = np.rint(spikes / plan.input_scale)
+    layer_inputs = {}
+    for kernel in plan.kernels:
+        if kernel.is_weight_stage:
+            layer_inputs[kernel.name] = float(np.count_nonzero(x))
+        elif kernel.is_spiking_stage:
+            x = trains[kernel.name]
+        elif isinstance(kernel, MaxPoolKernel):
+            k = kernel.kernel_size
+            steps, n, c, h, w = x.shape
+            x = x.reshape(steps, n, c, h // k, k, w // k, k).max(axis=(4, 6))
+        else:
+            assert isinstance(kernel, FlattenKernel)
+            x = x.reshape(x.shape[0], x.shape[1], -1)
+    return {
+        "num_steps": spikes.shape[0],
+        "samples": spikes.shape[1],
+        "input_events": pytest.approx(float(spikes.astype(np.float64).sum()), rel=1e-6),
+        "layer_input_events": layer_inputs,
+        "layer_output_events": {name: float(np.count_nonzero(train)) for name, train in trains.items()},
+        "layer_neuron_counts": {name: train[0, 0].size for name, train in trains.items()},
+    }
+
+
+def _compile(kind: str, neuron: str, precision: str, encoder_name: str):
+    input_scale = default_input_scale(ENCODER_CLASSES[encoder_name](num_steps=1))
+    return compile_network(
+        _make_model(kind, neuron),
+        precision=precision,
+        input_scale=input_scale if precision in INT_PRECISIONS else 1.0,
+    )
+
+
+class TestActivityAccounting:
+    def test_an_event_is_a_nonzero_entry(self):
+        values = np.array([0.0, -0.0, np.nan, 1.0, -2.0, 1e-45, np.inf], dtype=np.float32)
+        assert count_events(values) == 5
+        assert count_events(np.zeros((2, 3))) == count_events(np.full(4, -0.0)) == 0
+
+    @pytest.mark.parametrize("encoder_name", ["rate", "direct"])
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("kind", ["cnn", "mlp"])
+    @pytest.mark.parametrize("neuron", sorted(SUBSTRATES))
+    def test_every_field_matches_an_independent_count(self, rng, neuron, kind, precision, encoder_name):
+        spikes = _edge_case_spikes(kind, encoder_name, rng)
+        plan = _compile(kind, neuron, precision, encoder_name)
+        result = plan.run(spikes, collect_spike_trains=True)
+        expected = _independent_activity(plan, spikes, result.spike_trains)
+        activity = result.activity
+        assert {field: getattr(activity, field) for field in expected} == expected
+        first = plan.weight_stage_names[0]
+        if precision in INT_PRECISIONS and encoder_name == "direct":
+            # The intensities under half a grid step are input, but no event.
+            assert activity.layer_input_events[first] < np.count_nonzero(spikes)
+        else:
+            assert activity.layer_input_events[first] == np.count_nonzero(spikes)
+
+    @pytest.mark.parametrize("kind", ["cnn", "mlp"])
+    def test_a_silent_frame_never_reads_the_weights(self, kind):
+        plan = compile_network(_make_model(kind, "lif"))
+        weights = [k for k in plan.kernels if k.is_weight_stage]
+        assert len(weights) >= 2
+        for kernel in weights:
+            kernel.source_weight[...] = np.nan
+            kernel.prepare()
+            fan_in = kernel.weight.shape[1]
+            shape = (3, fan_in, 8, 8) if kernel.weight.ndim == 4 else (3, fan_in)
+            for silent in (np.zeros(shape, np.float32), np.full(shape, -0.0, np.float32)):
+                out = kernel.run(silent)
+                bias = kernel.bias.reshape((1, -1) + (1,) * (out.ndim - 2))
+                np.testing.assert_array_equal(out, np.broadcast_to(bias, out.shape))
+            one_event = np.zeros(shape, np.float32)
+            one_event.flat[0] = 1.0
+            assert np.isnan(kernel.run(one_event)).any(), f"{kernel.name}: a live frame skipped the weights"
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("kind", ["cnn", "mlp"])
+    def test_alternating_recording_matches_a_fresh_plan(self, rng, kind, precision):
+        sequences = [_edge_case_spikes(kind, "rate", rng) for _ in range(2)]
+        plan = _compile(kind, "adaptive", precision, "rate")
+        spiking = [k for k in plan.kernels if k.is_spiking_stage]
+        for step, record in enumerate([True, False, True, False, False, True]):
+            spikes = sequences[step % 2]
+            result = plan.run(spikes, record_activity=record)
+            fresh = _compile(kind, "adaptive", precision, "rate").run(spikes)
+            np.testing.assert_array_equal(result.counts, fresh.counts)
+            if record:
+                assert result.activity == fresh.activity
+            else:
+                assert result.activity is None
+                assert all(k.output_events == 0 for k in spiking), "a run that records nothing counted spikes"
 
 
 # ---------------------------------------------------------------------- #

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -514,15 +515,20 @@ class TestCancellation:
         with pytest.raises(ServerClosed):
             waiting[1].result(timeout=5)
 
-    def test_cancels_racing_the_cut_lose_no_request(self, untrained):
-        """Stress: clients cancel while the dispatcher claims; each request ends one way."""
+    @pytest.mark.parametrize("max_queue", [None, 2])
+    def test_cancels_racing_the_cut_lose_no_request(self, untrained, max_queue):
+        """Stress: clients cancel while the dispatcher claims and, with a cap, while
+        admission drops cancelled requests; each request ends one way."""
         model, encoder, images = untrained
         outcomes = []  # (future, whether cancel() succeeded)
         lock = threading.Lock()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            server = InferenceServer(model, encoder, max_batch=3, max_wait_ms=0.5, workers=4)
+            server = InferenceServer(
+                model, encoder, max_batch=3, max_wait_ms=0.5, workers=4,
+                max_queue=max_queue, overload="block",
+            )
             with server:
 
                 def client(offset):
@@ -550,6 +556,88 @@ class TestCancellation:
         assert telemetry.total_admitted == len(outcomes) == 120
         assert telemetry.total_requests == served
         assert telemetry.total_failed == 0
+
+    def test_a_cancelled_request_frees_its_slot_for_a_shed_mode_arrival(self, untrained):
+        model, encoder, images = untrained
+        pool = StubPool(model, hold=range(1))
+        server = InferenceServer(pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1)
+        with server:
+            try:
+                running = server.submit(images[0])
+                _await_cut(server)
+                cancelled = server.submit(images[1])  # waits for the held worker
+                assert cancelled.cancel()
+                arrival = server.submit(images[2])  # takes the cancelled request's slot
+                assert cancelled in wait([cancelled], timeout=0).done  # claimed
+                assert not running.done(), "the held batch ended before the arrival"
+            finally:
+                pool.release.set()
+            assert [f.result(timeout=30).sequence for f in (running, arrival)] == [0, 2]
+        telemetry = server.telemetry
+        assert (telemetry.total_admitted, telemetry.total_shed, telemetry.total_requests) == (3, 0, 2)
+
+    def test_a_cancelled_request_frees_its_slot_for_a_block_mode_arrival(self, untrained):
+        model, encoder, images = untrained
+        pool = StubPool(model, hold=range(1))
+        server = InferenceServer(
+            pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1, overload="block"
+        )
+        with server:
+            try:
+                running = server.submit(images[0])
+                _await_cut(server)
+                cancelled = server.submit(images[1])  # waits for the held worker
+                assert cancelled.cancel()
+                submitted = {}
+                thread = threading.Thread(
+                    target=lambda: submitted.__setitem__("future", server.submit(images[2]))
+                )
+                thread.start()
+                thread.join(timeout=5)
+                assert not thread.is_alive(), "the submitter blocked behind a cancelled request"
+                assert cancelled in wait([cancelled], timeout=0).done  # claimed
+                assert not running.done(), "the held batch ended before the arrival"
+            finally:
+                pool.release.set()
+            assert [f.result(timeout=30).sequence for f in (running, submitted["future"])] == [0, 2]
+        telemetry = server.telemetry
+        assert (telemetry.total_admitted, telemetry.total_shed, telemetry.total_requests) == (3, 0, 2)
+
+    def test_a_blocked_submitter_takes_a_cancelled_slot_at_the_next_wake_up(self, untrained):
+        """A cancel wakes nobody; the next submit frees the slot for the head waiter."""
+        model, encoder, images = untrained
+        pool = StubPool(model, hold=range(1))
+        server = InferenceServer(
+            pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1, overload="block"
+        )
+        submitted = {}
+
+        def submit_in_thread(key, image):
+            thread = threading.Thread(target=lambda: submitted.__setitem__(key, server.submit(image)))
+            thread.start()
+            return thread
+
+        with server:
+            try:
+                running = server.submit(images[0])
+                _await_cut(server)
+                cancelled = server.submit(images[1])  # waits for the held worker
+                first = submit_in_thread("first", images[2])
+                deadline = time.monotonic() + 10
+                while not server._blocked:
+                    assert time.monotonic() < deadline, "submitter never blocked"
+                    time.sleep(0.001)
+                assert cancelled.cancel()
+                second = submit_in_thread("second", images[3])  # wakes the head waiter
+                first.join(timeout=5)
+                assert not first.is_alive(), "the head waiter never took the freed slot"
+                assert not running.done(), "the held batch ended before the head waiter"
+            finally:
+                pool.release.set()
+            second.join(timeout=30)
+            futures = (running, submitted["first"], submitted["second"])
+            assert [f.result(timeout=30).sequence for f in futures] == [0, 2, 3]
+        assert server.telemetry.total_requests == 3
 
     def test_a_request_cut_into_a_batch_can_no_longer_be_cancelled(self, untrained):
         model, encoder, images = untrained
