@@ -1,4 +1,4 @@
-"""Process-wide observability: tracing, metrics, structured logs, profiling.
+"""Process-wide observability: tracing, metrics, profiling.
 
 Three pillars, all stdlib-only at import time:
 
@@ -13,13 +13,10 @@ Three pillars, all stdlib-only at import time:
   capture for compiled plans, reconciled against the hardware latency
   model in a :class:`ProfileReport`.
 
-Structured serving events (breaker transitions) go through
-:mod:`repro.obs.logs` on the ``"repro.serve"`` logger.  The whole surface
-is scrapable via ``python -m repro.obs dump|serve`` (:mod:`repro.obs.cli`),
-which exposes ``/metrics`` and ``/healthz``.
+The whole surface is scrapable via ``python -m repro.obs dump|serve``
+(:mod:`repro.obs.cli`), which exposes ``/metrics`` and ``/healthz``.
 """
 
-from repro.obs.logs import log_breaker_transition, serve_logger
 from repro.obs.metrics import (
     BATCH_SIZE_BUCKETS,
     Counter,
@@ -50,7 +47,5 @@ __all__ = [
     "Tracer",
     "default_registry",
     "default_tracer",
-    "log_breaker_transition",
     "profile_plan",
-    "serve_logger",
 ]

@@ -36,9 +36,11 @@ class CompiledNetworkPool:
     Parameters
     ----------
     model:
-        The model every pooled plan is compiled from.  Compilation happens
-        lazily: a plan is built the first time a checkout finds the pool
-        empty, so an idle pool costs nothing.
+        The model every pooled plan is compiled from.  One plan is compiled
+        when the pool is built, so a model the runtime cannot lower raises
+        :class:`~repro.runtime.engine.RuntimeCompileError` here rather than
+        on every batch; further plans are compiled when a checkout finds
+        the pool empty.
     max_idle:
         How many idle plans are retained for reuse.  Checkouts beyond this
         still succeed (a fresh plan is compiled); the surplus plan is simply
@@ -52,8 +54,9 @@ class CompiledNetworkPool:
     Attributes
     ----------
     compiled_count:
-        Total plans compiled over the pool's lifetime — a serving loop with
-        a correctly sized pool compiles at most ``workers`` plans ever.
+        Total plans compiled over the pool's lifetime, the one compiled at
+        construction included — a serving loop with a correctly sized pool
+        compiles at most ``workers`` plans ever.
     """
 
     def __init__(
@@ -74,10 +77,10 @@ class CompiledNetworkPool:
         self.precision = precision
         self.input_scale = float(input_scale)
         self.compiled_count = 0
-        self._idle: List[CompiledNetwork] = []
         self._cv = threading.Condition()
         self._checked_out = 0
         self._updating = False
+        self._idle: List[CompiledNetwork] = [self._compile()]
 
     @property
     def weight_bits(self):
@@ -111,14 +114,7 @@ class CompiledNetworkPool:
             plan = self._idle.pop() if self._idle else None
             self._checked_out += 1
         if plan is None:
-            plan = compile_network(
-                self.model,
-                precision=self.precision,
-                quantization=self.quantization,
-                input_scale=self.input_scale,
-            )
-            with self._cv:
-                self.compiled_count += 1
+            plan = self._compile()
         try:
             yield plan
         finally:
@@ -127,6 +123,18 @@ class CompiledNetworkPool:
                 if len(self._idle) < self.max_idle:
                     self._idle.append(plan)
                 self._cv.notify_all()
+
+    def _compile(self) -> CompiledNetwork:
+        """Compile one more plan of the pooled model and count it."""
+        plan = compile_network(
+            self.model,
+            precision=self.precision,
+            quantization=self.quantization,
+            input_scale=self.input_scale,
+        )
+        with self._cv:
+            self.compiled_count += 1
+        return plan
 
     def update_weights(self, state: Dict[str, np.ndarray]) -> None:
         """Swap the pooled model's weights in place, between batches.

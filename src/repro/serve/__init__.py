@@ -35,15 +35,15 @@ This package is that deployment surface:
   activity, plus admission-control counters (admitted/shed, queue-depth
   high-water mark), and renders measured-vs-modeled comparisons via
   :func:`repro.hardware.report.format_measured_vs_modeled`.
-* Failure handling stays where traffic reaches it: a malformed image fails
+* Failure handling stays where traffic reaches it: a model the runtime
+  cannot lower fails when its server is built, a malformed image fails
   its own submit, a batch failure resolves only that batch's futures (no
   batch can kill a worker), a client's ``Future.cancel()`` drops only its
   own request, ``deadline_ms`` is a real timeout
-  (:class:`~repro.serve.scheduler.RequestTimedOut`), per-model circuit
-  breakers (:mod:`repro.serve.breaker`) fail fast while a model keeps
-  failing, and a corrupt republish degrades to the old weights.
-  ``tests/test_faults.py`` induces each failure through a stub
-  compiled-plan pool and a torn checkpoint.
+  (:class:`~repro.serve.scheduler.RequestTimedOut`), and a corrupt
+  republish degrades to the old weights.  ``tests/test_faults.py``
+  induces batch failures through a stub compiled-plan pool and reloads
+  through a torn checkpoint.
 
 ``benchmarks/bench_serve.py`` load-tests the stack in closed- and open-loop
 arrival modes (including gateway overload beyond capacity);
@@ -51,8 +51,7 @@ arrival modes (including gateway overload beyond capacity);
 ``docs/ARCHITECTURE.md``.
 """
 
-from repro.serve.breaker import BreakerPolicy, CircuitBreaker, ModelUnavailable
-from repro.serve.gateway import ServeGateway, format_gateway_summary
+from repro.serve.gateway import ModelUnavailable, ServeGateway, format_gateway_summary
 from repro.serve.registry import (
     ModelRegistry,
     RegisteredModel,
@@ -72,8 +71,6 @@ from repro.serve.scheduler import (
 from repro.serve.telemetry import RequestStat, ServeTelemetry, format_telemetry
 
 __all__ = [
-    "BreakerPolicy",
-    "CircuitBreaker",
     "ModelUnavailable",
     "ModelRegistry",
     "RegisteredModel",

@@ -25,15 +25,11 @@ front-end over a :class:`~repro.serve.registry.ModelRegistry`:
   published precision, so a precision change drains and replaces, while a
   weight-only republish of a quantized model still swaps in place (the
   integer kernels re-quantize from the new weights on their next batch).
-  A republished checkpoint that is torn or fails its content checksum
-  does **not** interrupt serving: the old weights stay live, the failure
-  is counted (``reload_failures``) with its cause in the model's
-  telemetry, and the next good republish is picked up normally.
-* **Circuit breaking** — with a :class:`~repro.serve.breaker.BreakerPolicy`,
-  each per-model server carries its own breaker: consecutive batch
-  failures trip it open and submits fail fast with
-  :class:`~repro.serve.breaker.ModelUnavailable` until a half-open probe
-  succeeds, leaving the other models serving undisturbed.
+  A republished checkpoint that is torn, fails its content checksum or
+  holds a model the runtime cannot lower does **not** interrupt serving:
+  the old weights stay live, the failure is counted (``reload_failures``)
+  with its cause in the model's telemetry, and the next good republish is
+  picked up normally.
 * **Admission control** — ``max_queue`` / ``overload`` are forwarded to
   every per-model server: ``"shed"`` fails surplus submits fast with
   :class:`~repro.serve.scheduler.ServerOverloaded`, ``"block"`` applies
@@ -57,8 +53,8 @@ import numpy as np
 
 from repro.obs.metrics import default_registry
 from repro.obs.trace import Tracer, default_tracer
+from repro.runtime.engine import RuntimeCompileError
 from repro.runtime.pool import CompiledNetworkPool
-from repro.serve.breaker import BreakerPolicy, CircuitBreaker, ModelUnavailable
 from repro.serve.registry import (
     ModelRegistry,
     RegisteredModel,
@@ -76,8 +72,17 @@ from repro.training.checkpoint import CheckpointError, load_checkpoint, model_sp
 
 #: How many times :meth:`ServeGateway.submit` re-resolves a model whose
 #: server was concurrently retired by a hot-reload before giving up with
-#: :class:`~repro.serve.breaker.ModelUnavailable`.
+#: :class:`ModelUnavailable`.
 SUBMIT_RELOAD_RETRIES = 3
+
+
+class ModelUnavailable(RuntimeError):
+    """Raised when a model's server kept retiring under a submit.
+
+    :meth:`ServeGateway.submit` raises it after
+    :data:`SUBMIT_RELOAD_RETRIES` hot-reload races in a row.  The request
+    was not admitted, and a later retry may succeed.
+    """
 
 
 @dataclass
@@ -105,13 +110,6 @@ class ServeGateway:
     max_queue, overload:
         Admission control applied to every per-model server queue — see
         :class:`InferenceServer`.  ``max_queue=None`` disables it.
-    breaker:
-        Optional :class:`~repro.serve.breaker.BreakerPolicy`.  When set,
-        every per-model server gets its own
-        :class:`~repro.serve.breaker.CircuitBreaker` wired into its
-        telemetry: repeated batch failures trip the model open and submits
-        fail fast with :class:`~repro.serve.breaker.ModelUnavailable`
-        until a half-open probe succeeds.  Other models are unaffected.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When enabled, every
         :meth:`submit` mints a trace and opens a ``gateway.submit`` root
@@ -134,7 +132,6 @@ class ServeGateway:
         workers: int = 1,
         max_queue: Optional[int] = None,
         overload: str = OVERLOAD_SHED,
-        breaker: Optional[BreakerPolicy] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.registry = registry if isinstance(registry, ModelRegistry) else ModelRegistry(registry)
@@ -143,7 +140,6 @@ class ServeGateway:
         self.workers = int(workers)
         self.max_queue = int(max_queue) if max_queue is not None else None
         self.overload = overload
-        self.breaker = breaker
         self.tracer = tracer if tracer is not None else default_tracer()
         # Gateway-level lifecycle counters live on the process registry
         # (per-model counters live in each model's labelled telemetry
@@ -202,11 +198,12 @@ class ServeGateway:
         :meth:`InferenceServer.submit`).  Raises ``ValueError`` for an
         image that does not fit the model's ``input_shape``,
         :class:`~repro.serve.registry.RegistryError` for unknown names,
+        :class:`~repro.runtime.engine.RuntimeCompileError` on the first
+        submit for a model the runtime cannot lower,
         :class:`~repro.serve.scheduler.ServerOverloaded` when shed-mode
-        admission control rejects the request,
-        :class:`~repro.serve.breaker.ModelUnavailable` when the model's
-        circuit breaker is open (or repeated reload races exhaust the
-        retry budget), and :class:`ServerClosed` after :meth:`stop`.
+        admission control rejects the request, :class:`ModelUnavailable`
+        when repeated reload races exhaust the retry budget, and
+        :class:`ServerClosed` after :meth:`stop`.
         """
         # Retries cover the benign race where a reload (architecture
         # change) retires the server between resolution and submission.
@@ -311,8 +308,6 @@ class ServeGateway:
             "timed_out": 0.0,
             "reloads": 0.0,
             "reload_failures": 0.0,
-            "breaker_opens": 0.0,
-            "breaker_rejections": 0.0,
             "queue_high_water": 0.0,
         }
         for name, model in sorted(active.items()):
@@ -328,8 +323,6 @@ class ServeGateway:
             totals["timed_out"] += per_model.get("timed_out", 0.0)
             totals["reloads"] += float(model.reloads)
             totals["reload_failures"] += per_model["reload_failures"]
-            totals["breaker_opens"] += per_model.get("breaker_opens", 0.0)
-            totals["breaker_rejections"] += per_model.get("breaker_rejections", 0.0)
             totals["queue_high_water"] = max(totals["queue_high_water"], per_model["queue_high_water"])
         return {"models": models, "totals": totals}
 
@@ -350,15 +343,6 @@ class ServeGateway:
         # the weakref attachment replaces any prior server's registry for
         # this name and drops automatically when the telemetry dies.
         default_registry().attach(f"serve/{entry.name}", telemetry.metrics)
-        # Each server gets a FRESH breaker sharing the model's telemetry:
-        # failure history must not leak across an architecture-replacing
-        # reload (the new network deserves a closed breaker), while the
-        # transition counters stay continuous in the inherited telemetry.
-        breaker = (
-            CircuitBreaker(self.breaker, telemetry=telemetry, name=entry.name)
-            if self.breaker is not None
-            else None
-        )
         server = InferenceServer(
             pool,
             entry.encoder,
@@ -368,7 +352,6 @@ class ServeGateway:
             max_queue=self.max_queue,
             overload=self.overload,
             telemetry=telemetry,
-            breaker=breaker,
             tracer=self.tracer,
         )
         self._m_activations.inc()
@@ -439,16 +422,8 @@ class ServeGateway:
                     self.registry.checkpoint_path(active.name)
                 )
             except CheckpointError as exc:
-                # A torn/corrupt republish must not take the model down:
-                # keep serving the previous weights, record the failure as
-                # an event, and adopt the bad file's signature so the (one)
-                # stat-change is not re-read on every submit — the next
-                # good republish changes the signature again and is picked
-                # up normally.
-                active.signature = signature
-                active.server.telemetry.record_reload_failure(
-                    f"{type(exc).__name__}: {exc}"
-                )
+                # A torn/corrupt republish must not take the model down.
+                self._reject_reload(active, signature, exc)
                 return
             meta = checkpoint_meta.get("registry") if isinstance(checkpoint_meta, dict) else None
             # A checkpoint republished without an encoder keeps serving
@@ -462,10 +437,7 @@ class ServeGateway:
             except RegistryError as exc:
                 # A republish with a malformed quantization spec degrades
                 # exactly like a torn checkpoint: old plans keep serving.
-                active.signature = signature
-                active.server.telemetry.record_reload_failure(
-                    f"{type(exc).__name__}: {exc}"
-                )
+                self._reject_reload(active, signature, exc)
                 return
             old_quant = quantization_pool_kwargs(active.entry.quantization)
             # In-place requires the compiled kernels to stay valid (same
@@ -497,9 +469,16 @@ class ServeGateway:
                 entry = RegisteredModel(
                     name=active.name, model=new_model, encoder=encoder, meta=meta or {}
                 )
+                try:
+                    server = self._make_server(entry, telemetry=active.server.telemetry)
+                except RuntimeCompileError as exc:
+                    # A republish the runtime cannot lower degrades the
+                    # same way: the new pool compiles a plan when built.
+                    self._reject_reload(active, signature, exc)
+                    return
                 retired = active.server
                 retired.telemetry.reset_activity()
-                active.server = self._make_server(entry, telemetry=retired.telemetry)
+                active.server = server
                 served_model = new_model
             active.entry = RegisteredModel(
                 name=active.name,
@@ -519,6 +498,17 @@ class ServeGateway:
             # landed; don't leave a freshly started server running behind a
             # gateway the caller believes is shut down.
             active.server.stop(drain=True)
+
+    @staticmethod
+    def _reject_reload(active: _ActiveModel, signature: Tuple[int, int, int], exc: Exception) -> None:
+        """Keep serving the previous weights and count ``exc`` as a failed reload.
+
+        The bad file's signature is adopted, so its one stat change is not
+        re-read on every submit; the next good republish changes the
+        signature again and is picked up normally.
+        """
+        active.signature = signature
+        active.server.telemetry.record_reload_failure(f"{type(exc).__name__}: {exc}")
 
 
 def format_gateway_summary(

@@ -71,17 +71,17 @@ Failure isolation and cancellation
 -----------------------------------
 A batch whose inference raises resolves *only that batch's* futures with
 the error (counted via
-:meth:`~repro.serve.telemetry.ServeTelemetry.record_failure`, reported to
-the attached circuit breaker); the server keeps serving subsequent
-batches.  Because a batch's every exception ends on its futures, no batch
-can kill a worker: the ``workers`` threads start with the server and are
-joined once by :meth:`InferenceServer.stop`.  An attached
-:class:`~repro.serve.breaker.CircuitBreaker` fails submits fast with
-:class:`~repro.serve.breaker.ModelUnavailable` while the model keeps
-failing.  A submit whose image does not fit the served network's
-``input_shape`` raises ``ValueError`` before anything is encoded or
-admitted, so a malformed request fails alone and never reaches a batch
-or the breaker.
+:meth:`~repro.serve.telemetry.ServeTelemetry.record_failure`); the server
+keeps serving subsequent batches.  Because a batch's every exception ends
+on its futures, no batch can kill a worker: the ``workers`` threads start
+with the server and are joined once by :meth:`InferenceServer.stop`.
+Errors that would fail every batch are raised before any request is
+admitted: a model the runtime cannot lower raises
+:class:`~repro.runtime.engine.RuntimeCompileError` when the server is
+built (its pool compiles one plan up front), and a submit whose image does
+not fit the served network's ``input_shape`` raises ``ValueError`` before
+anything is encoded, so a malformed request fails alone and never reaches
+a batch.
 
 A client may ``cancel()`` a returned future until its request is cut into
 a batch.  The server claims every future before resolving it
@@ -91,11 +91,13 @@ that is evicted, times out or is abandoned by ``stop(drain=False)`` while
 still queued is claimed first too.  A cancelled request stays counted as
 admitted but is never served, failed, shed or timed out.  It frees its
 queue slot for admission: before a full queue sheds, evicts or blocks an
-arrival, the cancelled requests in it are claimed and dropped.  A cancel
-itself wakes nobody, so a submitter already blocked takes the slot at the
-next wake-up (a submit, a cut, a finished batch or :meth:`stop`).  Until
-the dispatcher or a full queue drops it, a cancelled request still counts
-toward a full batch and toward the ``max_wait_ms`` clock.
+arrival, the cancelled requests in it are claimed and dropped, and the
+dispatcher drops them before it decides whether a batch is full or due,
+so a cancelled request counts neither toward ``max_batch`` nor toward the
+``max_wait_ms`` clock.  A cancel itself wakes nobody: a submitter already
+blocked takes the slot, and the dispatcher stops waiting for the request,
+at the next wake-up (a submit, a cut, a finished batch, a timer or
+:meth:`stop`).
 """
 
 from __future__ import annotations
@@ -114,7 +116,6 @@ from repro.nn.module import Module
 from repro.obs.trace import Tracer, default_tracer
 from repro.runtime.activity import count_events
 from repro.runtime.pool import CompiledNetworkPool
-from repro.serve.breaker import CircuitBreaker, ModelUnavailable
 from repro.serve.telemetry import RequestStat, ServeTelemetry
 
 
@@ -200,7 +201,9 @@ class InferenceServer:
     ----------
     model:
         The model to serve, or an existing
-        :class:`~repro.runtime.pool.CompiledNetworkPool` wrapping it.
+        :class:`~repro.runtime.pool.CompiledNetworkPool` wrapping it.  A
+        model the runtime cannot lower raises
+        :class:`~repro.runtime.engine.RuntimeCompileError` here.
     encoder:
         Input encoder applied to every submitted image.  Stochastic
         encoders draw from their own stream under the server's lock, so
@@ -230,11 +233,6 @@ class InferenceServer:
     telemetry:
         Optional shared :class:`ServeTelemetry` (a fresh one is created by
         default, exposed as :attr:`telemetry`).
-    breaker:
-        Optional :class:`~repro.serve.breaker.CircuitBreaker` consulted on
-        every submit (open breaker ⇒ fail-fast
-        :class:`~repro.serve.breaker.ModelUnavailable` before the encode)
-        and fed every batch outcome.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` receiving per-request
         stage spans (admission → queue → batch → checkout → kernel →
@@ -260,7 +258,6 @@ class InferenceServer:
         max_queue: Optional[int] = None,
         overload: str = OVERLOAD_SHED,
         telemetry: Optional[ServeTelemetry] = None,
-        breaker: Optional[CircuitBreaker] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if max_batch < 1:
@@ -284,7 +281,6 @@ class InferenceServer:
         self.max_queue = int(max_queue) if max_queue is not None else None
         self.overload = overload
         self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
-        self.breaker = breaker
         # Disabled tracing is the default and stays off the hot path: every
         # instrumented site first checks ``self.tracer.enabled`` (a single
         # attribute read) before touching timestamps or span records.
@@ -390,13 +386,19 @@ class InferenceServer:
     def _queue_has_room_locked(self) -> bool:
         """Whether fewer than ``max_queue`` requests wait (cv held).
 
-        A full queue first drops the requests their clients cancelled.  Each
-        is claimed (``set_running_or_notify_cancel``, which runs no
+        A full queue first drops the requests their clients cancelled.
+        """
+        if len(self._queue) >= self.max_queue:
+            self._drop_cancelled_locked()
+        return len(self._queue) < self.max_queue
+
+    def _drop_cancelled_locked(self) -> None:
+        """Drop the queued requests their clients cancelled (cv held).
+
+        Each is claimed (``set_running_or_notify_cancel``, which runs no
         callback), so ``concurrent.futures.wait`` sees it done; it stays
         counted as admitted.
         """
-        if len(self._queue) < self.max_queue:
-            return True
         kept: Deque[_Pending] = deque()
         for pending in self._queue:
             # A client may cancel at any moment, so each future is asked once.
@@ -407,7 +409,6 @@ class InferenceServer:
         if len(kept) < len(self._queue):
             self._queue = kept
             self._cv.notify_all()  # the slots may go to a blocked submitter
-        return len(self._queue) < self.max_queue
 
     def _shed_victim_locked(self, priority: int) -> Optional[int]:
         """Index of the queued request a ``priority`` arrival may evict.
@@ -506,9 +507,7 @@ class InferenceServer:
         dispatcher cut a batch early rather than let this request blow it
         waiting for company — and a real timeout: once it expires the
         request is never dispatched, its future failing with
-        :class:`RequestTimedOut` instead.  With a ``breaker`` attached, an
-        open circuit rejects the submit immediately with
-        :class:`~repro.serve.breaker.ModelUnavailable`.
+        :class:`RequestTimedOut` instead.
 
         ``trace_ctx`` is an optional ``(trace_id, parent_span_id)`` pair
         from an upstream span (the gateway's ``gateway.submit`` root);
@@ -517,8 +516,9 @@ class InferenceServer:
 
         The returned future may be cancelled until the request is cut into
         a batch; the server then drops it without serving it or counting
-        a shed, timeout or failure, and a later arrival that finds the
-        queue full takes its slot.
+        a shed, timeout or failure.  A later arrival that finds the queue
+        full takes its slot, and the requests behind it fill the batch
+        and start the ``max_wait_ms`` clock in its place.
         """
         image = np.asarray(image, dtype=np.float32)
         submitted = time.perf_counter()
@@ -544,12 +544,6 @@ class InferenceServer:
             )
         if self._closed:
             raise ServerClosed("cannot submit to a stopped server")
-        if self.breaker is not None and not self.breaker.allow():
-            # Fail fast while the model is tripping: the caller pays
-            # neither the encode nor a queue slot for a doomed request.
-            raise ModelUnavailable(
-                "circuit breaker is open (model failing); request rejected fail-fast"
-            )
         if self.max_queue is not None and self.overload == OVERLOAD_SHED:
             # Fail fast before the (dominant) encode cost; the authoritative
             # admission under the lock below still guards against races and
@@ -605,8 +599,8 @@ class InferenceServer:
             )
         if trace_id:
             # Admission covers everything from submit to queue entry:
-            # breaker check, overload fast-path, encode, and admission
-            # control under the lock.
+            # overload fast-path, encode, and admission control under the
+            # lock.
             self.tracer.record(
                 "serve.admission",
                 trace_id,
@@ -693,15 +687,18 @@ class InferenceServer:
         A due batch stays uncut while every worker is busy, so its requests
         remain in the admission queue (bounded by ``max_queue``, open to
         eviction) and are still timed out when their deadline passes.
-        Cutting claims each request's future: a request its client
-        cancelled is dropped, and the batch fills up from the queue behind
-        it.  Returns ``None`` at shutdown: once the queue is drained, or at
-        once after ``stop(drain=False)``, which fails what is still queued.
+        Cancelled requests are dropped before the batch is judged full or
+        due, and cutting claims each request's future, so a request
+        cancelled in between is dropped too and the batch fills up from the
+        queue behind it.  Returns ``None`` at shutdown: once the queue is
+        drained, or at once after ``stop(drain=False)``, which fails what is
+        still queued.
         """
         with self._cv:
             while True:
                 if self._closed and not self._draining:
                     return None
+                self._drop_cancelled_locked()
                 self._prune_expired_locked()
                 if not self._queue:
                     if self._closed:
@@ -841,8 +838,6 @@ class InferenceServer:
                         priority=pending.priority,
                     )
                 )
-            if self.breaker is not None:
-                self.breaker.record_success()
             if traced:
                 # Stage spans are recorded after the futures resolve, from
                 # timestamps stashed along the way — the batch's members
@@ -872,8 +867,6 @@ class InferenceServer:
             # Batch-level failure isolation: only THIS batch's futures see
             # the error; the worker survives and the server keeps serving.
             self.telemetry.record_failure(f"{type(exc).__name__}: {exc}", count=len(batch))
-            if self.breaker is not None:
-                self.breaker.record_failure()
             for pending in batch:
                 if not pending.future.done():
                     pending.future.set_exception(exc)

@@ -12,11 +12,9 @@ side with the accelerator model's *predicted* fps for the same traffic
 Counter state lives in :mod:`repro.obs.metrics` instruments: every
 telemetry instance owns a private
 :class:`~repro.obs.metrics.MetricsRegistry` (labelled with the model name
-when one is given), and the ``total_*`` attributes of old are now
-read-only views over those instruments.  The gateway attaches each model's
-registry to the process-wide default registry, which is what
-``python -m repro.obs serve`` scrapes — the public recording API and the
-:func:`format_telemetry` output are unchanged.
+when one is given), and the ``total_*`` properties read those instruments.
+The gateway attaches each model's registry to the process-wide default
+registry, which is what ``python -m repro.obs serve`` scrapes.
 """
 
 from __future__ import annotations
@@ -30,11 +28,6 @@ import numpy as np
 
 from repro.obs.metrics import BATCH_SIZE_BUCKETS, Counter, LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.runtime.activity import RuntimeActivity
-
-#: Numeric encoding of breaker state for the ``repro_serve_breaker_state``
-#: gauge (Prometheus gauges are floats; the string state stays on the
-#: telemetry object).
-BREAKER_STATE_CODES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
 
 @dataclass(frozen=True)
@@ -109,20 +102,8 @@ class ServeTelemetry:
         self._c_reload_failures = reg.counter(
             "repro_serve_reload_failures_total", help="Hot reloads that failed (old weights kept serving)."
         )
-        self._c_breaker_opens = reg.counter(
-            "repro_serve_breaker_opens_total", help="Circuit-breaker transitions into open."
-        )
-        self._c_breaker_closes = reg.counter(
-            "repro_serve_breaker_closes_total", help="Circuit-breaker recoveries back to closed."
-        )
-        self._c_breaker_rejections = reg.counter(
-            "repro_serve_breaker_rejections_total", help="Submits rejected fail-fast by an open breaker."
-        )
         self._g_queue_high_water = reg.gauge(
             "repro_serve_queue_depth_high_water", help="Deepest queue observed at admission."
-        )
-        self._g_breaker_state = reg.gauge(
-            "repro_serve_breaker_state", help="Breaker state code (0=closed, 1=half_open, 2=open)."
         )
         self._g_weight_bits = reg.gauge(
             "repro_serve_weight_bits", help="Weight precision in bits (0 = full-precision float)."
@@ -148,10 +129,6 @@ class ServeTelemetry:
         self._shed_by_lane: Dict[int, Counter] = {}
         self._timed_out_by_lane: Dict[int, Counter] = {}
 
-        #: Current circuit-breaker state for the served model
-        #: (``closed``/``open``/``half_open``); stays ``closed`` when no
-        #: breaker is attached.
-        self.breaker_state = "closed"
         #: Human-readable description of the most recent failure (batch
         #: error or reload failure); ``None`` until one occurs.
         self.last_error: Optional[str] = None
@@ -164,7 +141,7 @@ class ServeTelemetry:
         self._first_submit: Optional[float] = None
         self._last_done: Optional[float] = None
 
-    # -- instrument views (the old plain-int counter attributes) --------- #
+    # -- instrument views ------------------------------------------------ #
     @property
     def total_requests(self) -> int:
         """Requests completed successfully."""
@@ -204,21 +181,6 @@ class ServeTelemetry:
     def total_reload_failures(self) -> int:
         """Hot reloads that failed (old weights kept serving)."""
         return int(self._c_reload_failures.value)
-
-    @property
-    def total_breaker_opens(self) -> int:
-        """Circuit-breaker transitions into ``open``."""
-        return int(self._c_breaker_opens.value)
-
-    @property
-    def total_breaker_closes(self) -> int:
-        """Circuit-breaker recoveries back to ``closed``."""
-        return int(self._c_breaker_closes.value)
-
-    @property
-    def total_breaker_rejections(self) -> int:
-        """Submits rejected fail-fast by an open breaker."""
-        return int(self._c_breaker_rejections.value)
 
     @property
     def queue_depth_high_water(self) -> int:
@@ -297,20 +259,6 @@ class ServeTelemetry:
         with self._lock:
             self._c_reload_failures.inc()
             self.last_error = str(error)
-
-    def record_breaker_transition(self, state: str) -> None:
-        """Track a circuit-breaker state change (``closed``/``open``/``half_open``)."""
-        with self._lock:
-            if state == "open":
-                self._c_breaker_opens.inc()
-            elif state == "closed" and self.breaker_state != "closed":
-                self._c_breaker_closes.inc()
-            self.breaker_state = state
-            self._g_breaker_state.set(BREAKER_STATE_CODES.get(state, -1.0))
-
-    def record_breaker_rejection(self) -> None:
-        """Count one submit rejected fail-fast by an open circuit breaker."""
-        self._c_breaker_rejections.inc()
 
     def lane_counters(self) -> Dict[str, Dict[int, int]]:
         """Per-lane counts: ``{"admitted": {...}, "shed": {...}, "timed_out": {...}}``."""
@@ -429,9 +377,6 @@ class ServeTelemetry:
             "failed": float(self.total_failed),
             "timed_out": float(self.total_timed_out),
             "reload_failures": float(self.total_reload_failures),
-            "breaker_opens": float(self.total_breaker_opens),
-            "breaker_closes": float(self.total_breaker_closes),
-            "breaker_rejections": float(self.total_breaker_rejections),
             # 0.0 = full-precision float serving; the precision *name* is
             # on the telemetry object itself (summary values stay floats).
             "weight_bits": float(self.weight_bits or 0),
@@ -510,12 +455,6 @@ def format_telemetry(
         (
             "failed / timed out",
             f"{summary.get('failed', 0):.0f} / {summary.get('timed_out', 0):.0f}",
-        ),
-        (
-            "breaker open/close/rej",
-            f"{summary.get('breaker_opens', 0):.0f}/"
-            f"{summary.get('breaker_closes', 0):.0f}/"
-            f"{summary.get('breaker_rejections', 0):.0f}",
         ),
         ("queue high-water", f"{summary.get('queue_high_water', 0):.0f}"),
         ("mean batch size", f"{summary.get('mean_batch_size', 0):.2f}"),

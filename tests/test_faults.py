@@ -9,10 +9,8 @@ and slow batches on chosen checkouts) and a torn checkpoint
 - a batch-level inference failure resolves only that batch's futures while
   subsequent batches keep serving;
 - expired deadlines produce ``RequestTimedOut`` instead of late dispatch;
-- the circuit breaker opens after consecutive failures, fails submits fast,
-  and re-closes after a successful half-open probe;
-- a torn checkpoint republish degrades the gateway to the old weights
-  (reload failure is an event, not an outage);
+- a torn, malformed or unlowerable checkpoint republish degrades the
+  gateway to the old weights (reload failure is an event, not an outage);
 - a sweep with a poisoned cell completes the rest of the grid under
   ``on_error="collect"`` and retried flaky cells stay bit-identical;
 - corrupt cache files are *reported* by ``python -m repro.exec inspect``,
@@ -46,14 +44,10 @@ from repro.exec.cli import main as cache_cli_main
 from repro.exec.executor import CellExecutionError, fork_available
 from repro.runtime import compile_network
 from repro.serve import (
-    BreakerPolicy,
-    CircuitBreaker,
     InferenceServer,
     ModelRegistry,
-    ModelUnavailable,
     RequestTimedOut,
     ServeGateway,
-    ServeTelemetry,
 )
 from repro.neurons import NEURON_TYPES
 from repro.training.checkpoint import (
@@ -158,72 +152,7 @@ class TestCheckpointIntegrity:
 
 
 # --------------------------------------------------------------------- #
-# Circuit breaker state machine
-# --------------------------------------------------------------------- #
-class TestCircuitBreaker:
-    def _breaker(self, **overrides):
-        clock = SimpleNamespace(now=0.0)
-        policy = BreakerPolicy(
-            failure_threshold=overrides.pop("failure_threshold", 2),
-            backoff_initial_s=1.0,
-            backoff_max_s=8.0,
-            backoff_factor=2.0,
-            jitter=0.0,
-            **overrides,
-        )
-        telemetry = ServeTelemetry()
-        return CircuitBreaker(policy, telemetry=telemetry, clock=lambda: clock.now), clock, telemetry
-
-    def test_opens_after_consecutive_failures_only(self):
-        breaker, _, telemetry = self._breaker()
-        breaker.record_failure()
-        breaker.record_success()  # resets the consecutive count
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert telemetry.total_breaker_opens == 1
-        assert telemetry.breaker_state == "open"
-
-    def test_open_rejects_until_backoff_then_probes(self):
-        breaker, clock, telemetry = self._breaker()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert not breaker.allow()
-        assert telemetry.total_breaker_rejections == 1
-        clock.now = 1.0  # backoff_initial_s elapsed
-        assert breaker.allow()  # the single half-open probe
-        assert breaker.state == "half_open"
-        assert not breaker.allow()  # second caller still rejected
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert telemetry.total_breaker_closes == 1
-        assert breaker.allow()
-
-    def test_failed_probe_reopens_with_grown_backoff(self):
-        breaker, clock, _ = self._breaker()
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.now = 1.0
-        assert breaker.allow()
-        breaker.record_failure()  # probe fails -> backoff doubles
-        assert breaker.state == "open"
-        clock.now = 2.0  # only 1s later: still open
-        assert not breaker.allow()
-        clock.now = 3.0  # 2s after reopen: probe admitted
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            BreakerPolicy(failure_threshold=0)
-        with pytest.raises(ValueError, match="jitter"):
-            BreakerPolicy(jitter=1.5)
-
-
-# --------------------------------------------------------------------- #
-# Scheduler: batch isolation, deadlines, breaker
+# Scheduler: batch isolation, deadlines
 # --------------------------------------------------------------------- #
 class TestBatchFailures:
     def test_kernel_fault_fails_only_its_batch(self, micro_config, untrained):
@@ -291,35 +220,6 @@ class TestBatchFailures:
         assert telemetry.total_timed_out == 1
         assert telemetry.lane_counters()["timed_out"] == {1: 1}
         assert telemetry.summary()["timed_out"] == 1.0
-
-    def test_breaker_trips_rejects_then_recovers(self, untrained):
-        model, encoder, images = untrained
-        telemetry = ServeTelemetry()
-        breaker = CircuitBreaker(
-            BreakerPolicy(failure_threshold=2, backoff_initial_s=0.05, jitter=0.0),
-            telemetry=telemetry,
-        )
-        server = InferenceServer(
-            StubPool(model, fail={0, 1}), encoder, max_batch=1, max_wait_ms=0.0,
-            telemetry=telemetry, breaker=breaker,
-        )
-        server.start()
-        for i in range(2):  # two consecutive failing batches trip the breaker
-            with pytest.raises(KernelFault):
-                server.submit(images[i]).result(timeout=30)
-        assert breaker.state == "open"
-        with pytest.raises(ModelUnavailable):
-            server.submit(images[2])
-        time.sleep(0.1)  # backoff elapses -> half-open probe admitted
-        probe = server.submit(images[2]).result(timeout=30)
-        assert probe.counts.shape
-        assert breaker.state == "closed"
-        server.submit(images[3]).result(timeout=30)
-        server.stop()
-        summary = telemetry.summary()
-        assert summary["breaker_opens"] == 1.0
-        assert summary["breaker_closes"] == 1.0
-        assert summary["breaker_rejections"] >= 1.0
 
     def test_rate_based_storm_accounting_closes(self, untrained):
         """Seed-matrix leg: under a random storm every future still resolves."""
@@ -467,6 +367,43 @@ class TestGatewayDegradedReload:
             assert gateway.telemetry("m").total_reload_failures == 1
             assert "unknown precision" in gateway.last_errors()["m"]
             assert gateway.summary()["totals"]["reload_failures"] == 1.0
+
+    def test_unlowerable_republish_keeps_serving_old_weights(
+        self, tmp_path, micro_config, untrained
+    ):
+        """A republish whose new pool cannot compile degrades like a torn one."""
+        _, _, images = untrained
+        registry = ModelRegistry(tmp_path)
+        model_v1 = self._publish(registry, "m", micro_config)
+        reference = _reference_counts(micro_config, model_v1, images[:4], 1)
+        with ServeGateway(registry, max_batch=4, max_wait_ms=1.0) as gateway:
+            served = [gateway.submit("m", images[0]).result(timeout=30).counts]
+            server = gateway._active["m"].server
+            # A well-formed spec whose input scale compile_network refuses.
+            model_v2 = make_model(micro_config.with_overrides(seed=1))
+            model_v2.eval()
+            save_checkpoint(
+                registry.checkpoint_path("m"),
+                model_v2,
+                make_encoder(micro_config),
+                metadata={
+                    "registry": {
+                        "name": "m",
+                        "version": 2,
+                        "quantization": {"precision": "int8", "input_scale": 2.0},
+                    }
+                },
+            )
+            assert gateway.refresh("m") is False
+            served += [
+                gateway.submit("m", image).result(timeout=30).counts for image in images[1:4]
+            ]
+            np.testing.assert_array_equal(np.stack(served), reference)  # old weights live
+            assert gateway._active["m"].server is server
+            assert gateway.version("m") == 1
+            assert gateway.telemetry("m").total_reload_failures == 1
+            error = gateway.last_errors()["m"]
+            assert error.startswith("RuntimeCompileError") and "input_scale" in error
 
     def test_reload_failures_survive_a_replacing_reload(self, tmp_path, micro_config, untrained):
         """The count lives in the model's telemetry, which a new server inherits."""

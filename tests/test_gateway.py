@@ -7,8 +7,17 @@ import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import make_dataset, make_encoder, make_model
-from repro.runtime import compile_network
-from repro.serve import ModelRegistry, RegistryError, ServeGateway, ServerClosed, format_gateway_summary
+from repro.runtime import RuntimeCompileError, compile_network
+from repro.serve import (
+    ModelRegistry,
+    ModelUnavailable,
+    RegistryError,
+    ServeGateway,
+    ServerClosed,
+    format_gateway_summary,
+)
+from repro.serve.gateway import SUBMIT_RELOAD_RETRIES
+from repro.training.checkpoint import save_checkpoint
 
 
 @pytest.fixture
@@ -110,6 +119,53 @@ class TestGatewayRouting:
                 gateway.submit("ghost", images[0])
             with pytest.raises(RegistryError, match="not active"):
                 gateway.telemetry("ghost")
+
+    def test_a_model_the_runtime_cannot_lower_fails_its_first_submit(
+        self, tmp_path, micro_config, images
+    ):
+        registry = ModelRegistry(tmp_path)
+        model = make_model(micro_config)
+        model.eval()
+        # A well-formed quantization spec whose input scale compile_network refuses.
+        save_checkpoint(
+            registry.checkpoint_path("m"),
+            model,
+            make_encoder(micro_config),
+            metadata={
+                "registry": {"name": "m", "quantization": {"precision": "int8", "input_scale": 2.0}}
+            },
+        )
+        with ServeGateway(registry) as gateway:
+            for _ in range(2):
+                with pytest.raises(RuntimeCompileError, match="input_scale"):
+                    gateway.submit("m", images[0])
+            assert gateway.active_models() == []  # no server, so nothing was encoded
+
+    def test_a_server_that_keeps_retiring_exhausts_the_retry_budget(
+        self, tmp_path, micro_config, images, monkeypatch
+    ):
+        registry = ModelRegistry(tmp_path)
+        _publish(registry, "m", micro_config)
+        with ServeGateway(registry) as gateway:
+            gateway.submit("m", images[0]).result(timeout=30)
+            # Stop the model's server while the gateway stays open, as a
+            # reload that retires it between routing and submission does.
+            server = gateway._active["m"].server
+            server.stop()
+            attempts = []
+            real_submit = server.submit
+
+            def counted_submit(*args, **kwargs):
+                attempts.append(1)
+                return real_submit(*args, **kwargs)
+
+            monkeypatch.setattr(server, "submit", counted_submit)
+            with pytest.raises(ModelUnavailable, match="model 'm'") as raised:
+                gateway.submit("m", images[1])
+            assert isinstance(raised.value.__cause__, ServerClosed)
+            assert len(attempts) == SUBMIT_RELOAD_RETRIES
+            assert gateway.telemetry("m").total_admitted == 1  # only the first request
+            assert gateway.summary()["totals"]["admitted"] == 1.0
 
     def test_admission_knobs_forwarded_to_servers(self, tmp_path, micro_config, images):
         registry = ModelRegistry(tmp_path)

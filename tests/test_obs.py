@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import json
-import logging
 import threading
 import urllib.error
 import urllib.request
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,15 +19,11 @@ from repro.obs import (
     RuntimeProfiler,
     Tracer,
     default_tracer,
-    log_breaker_transition,
     profile_plan,
-    serve_logger,
 )
 from repro.obs.cli import main as obs_main, make_server
 from repro.runtime import compile_network
 from repro.serve import (
-    BreakerPolicy,
-    CircuitBreaker,
     InferenceServer,
     ModelRegistry,
     ServeGateway,
@@ -358,80 +352,6 @@ class TestProfiling:
         assert "modeled_latency_s" in payload
         assert report.bottleneck_layer
         assert "layer" in report.format()
-
-
-# --------------------------------------------------------------------- #
-# Structured logging
-# --------------------------------------------------------------------- #
-class _CaptureHandler(logging.Handler):
-    """Collects log records for assertions."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.records = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.records.append(record)
-
-
-@pytest.fixture
-def captured_serve_log():
-    handler = _CaptureHandler()
-    logger = serve_logger()
-    logger.addHandler(handler)
-    old_level = logger.level
-    logger.setLevel(logging.DEBUG)
-    yield handler
-    logger.removeHandler(handler)
-    logger.setLevel(old_level)
-
-
-class TestStructuredLogging:
-    def test_breaker_transition_event_payload(self, captured_serve_log):
-        log_breaker_transition("m", "closed", "open", reason="5 consecutive failures")
-        (record,) = captured_serve_log.records
-        assert record.levelno == logging.WARNING
-        event = record.event
-        assert event["kind"] == "breaker_transition"
-        assert event["model"] == "m"
-        assert event["old_state"] == "closed"
-        assert event["new_state"] == "open"
-        assert event["unix_ts"] > 0
-        assert "perf_ts" in event
-
-    def test_breaker_close_logs_at_info(self, captured_serve_log):
-        log_breaker_transition("m", "half_open", "closed")
-        (record,) = captured_serve_log.records
-        assert record.levelno == logging.INFO
-
-    def test_half_open_logs_at_warning_with_the_reason(self, captured_serve_log):
-        log_breaker_transition("m", "open", "half_open", reason="backoff elapsed")
-        (record,) = captured_serve_log.records
-        assert record.levelno == logging.WARNING
-        assert record.getMessage() == "breaker[m]: open -> half_open (backoff elapsed)"
-        assert record.event["reason"] == "backoff elapsed"
-
-    def test_breaker_logs_each_transition_as_it_happens(self, captured_serve_log):
-        clock = SimpleNamespace(now=0.0)
-        policy = BreakerPolicy(failure_threshold=2, backoff_initial_s=1.0, jitter=0.0)
-        breaker = CircuitBreaker(policy, name="digits", clock=lambda: clock.now)
-        breaker.record_failure()
-        breaker.record_failure()  # trips open
-        clock.now = 1.0
-        assert breaker.allow()  # the half-open probe
-        breaker.record_success()  # closes
-        events = [record.event for record in captured_serve_log.records]
-        assert [(e["old_state"], e["new_state"]) for e in events] == [
-            ("closed", "open"),
-            ("open", "half_open"),
-            ("half_open", "closed"),
-        ]
-        assert {e["model"] for e in events} == {"digits"}
-        assert [r.levelno for r in captured_serve_log.records] == [
-            logging.WARNING,
-            logging.WARNING,
-            logging.INFO,
-        ]
 
 
 # --------------------------------------------------------------------- #

@@ -16,10 +16,8 @@ from repro.core.experiment import make_dataset, make_encoder, make_model
 from repro.core.network import SpikingMLP
 from repro.encoding import DirectEncoder
 from repro.hardware.report import format_measured_vs_modeled
-from repro.runtime import CompiledNetworkPool, compile_network
+from repro.runtime import CompiledNetworkPool, RuntimeCompileError, compile_network
 from repro.serve import (
-    BreakerPolicy,
-    CircuitBreaker,
     InferenceServer,
     ModelRegistry,
     RegistryError,
@@ -49,6 +47,15 @@ def untrained(micro_config):
     for batch_images, _ in test_loader:
         images.extend(list(batch_images))
     return model, encoder, images
+
+
+def _unlowerable_mlp():
+    """A SpikingMLP whose ``lif1`` overrides ``step``, which the runtime refuses to lower."""
+    model = SpikingMLP(16, 8, 4)
+    model.eval()
+    base = type(model.lif1)
+    model.lif1.__class__ = type("SteppingLIF", (base,), {"step": lambda self, x: base.step(self, x)})
+    return model
 
 
 def _await_cut(server):
@@ -178,6 +185,20 @@ class TestCompiledNetworkPool:
         model, _, _ = untrained
         with pytest.raises(ValueError, match="max_idle"):
             CompiledNetworkPool(model, max_idle=0)
+
+    def test_a_model_the_runtime_cannot_lower_fails_when_the_pool_is_built(self):
+        with pytest.raises(RuntimeCompileError, match="SteppingLIF overrides step"):
+            CompiledNetworkPool(_unlowerable_mlp())
+        # A server builds its pool first, so no request is ever encoded.
+        with pytest.raises(RuntimeCompileError, match="SteppingLIF overrides step"):
+            InferenceServer(_unlowerable_mlp(), DirectEncoder(4), max_batch=1)
+
+    def test_the_plan_compiled_with_the_pool_serves_the_first_checkout(self, untrained):
+        model, _, _ = untrained
+        pool = CompiledNetworkPool(model)
+        assert (pool.compiled_count, pool.idle_count) == (1, 1)
+        with pool.acquire():
+            assert (pool.compiled_count, pool.idle_count) == (1, 0)
 
 
 class TestCompiledNetworkPoolUpdateWeights:
@@ -467,6 +488,30 @@ class TestCancellation:
         assert server.telemetry.total_failed == 0
         assert server.telemetry.total_requests == 3
 
+    def test_a_cancelled_request_does_not_count_toward_a_full_batch(self, untrained):
+        model, encoder, images = untrained
+        with InferenceServer(model, encoder, max_batch=2, max_wait_ms=2000.0) as server:
+            cancelled = server.submit(images[0])
+            assert cancelled.cancel()
+            first = server.submit(images[1])
+            time.sleep(0.2)  # the dispatcher sees the cancelled and the first request
+            second = server.submit(images[2])
+            results = [first.result(timeout=30), second.result(timeout=30)]
+        assert [r.batch_size for r in results] == [2, 2]
+        assert server.telemetry.total_batches == 1
+
+    def test_a_cancelled_request_does_not_start_the_wait_clock(self, untrained):
+        model, encoder, images = untrained
+        with InferenceServer(model, encoder, max_batch=4, max_wait_ms=300.0) as server:
+            cancelled = server.submit(images[0])
+            assert cancelled.cancel()
+            time.sleep(0.2)
+            result = server.submit(images[1]).result(timeout=30)
+        # The request waited out a whole window from its own arrival, not
+        # the rest of the cancelled request's window.
+        assert result.queue_ms >= 299.0
+        assert result.batch_size == 1
+
     def test_cancelled_request_past_its_deadline_does_not_stall_the_queue(self, untrained):
         model, encoder, images = untrained
         server = InferenceServer(model, encoder, max_batch=2)
@@ -679,22 +724,16 @@ class TestMalformedImage:
         assert server.telemetry.total_admitted == 3
         assert server.telemetry.total_failed == 0
 
-    def test_does_not_open_the_breaker(self):
-        telemetry = ServeTelemetry()
-        breaker = CircuitBreaker(BreakerPolicy(failure_threshold=3), telemetry=telemetry)
-        server = InferenceServer(
-            self._mlp(), DirectEncoder(4), max_batch=1, telemetry=telemetry, breaker=breaker
-        )
+    def test_is_never_admitted_or_counted_as_failed(self):
+        server = InferenceServer(self._mlp(), DirectEncoder(4), max_batch=1)
         with server:
             for _ in range(3):
                 with pytest.raises(ValueError, match="input shape"):
                     server.submit(np.zeros(15, dtype=np.float32))
-            assert breaker.state == "closed"
             result = server.submit(np.full(16, 0.5, dtype=np.float32)).result(timeout=30)
         assert result.counts.shape == (4,)
-        assert telemetry.total_admitted == 1
-        assert telemetry.total_failed == 0
-        assert telemetry.total_breaker_rejections == 0
+        assert server.telemetry.total_admitted == 1
+        assert server.telemetry.total_failed == 0
 
     def test_flat_input_takes_any_frame_of_its_size(self):
         """Frames of different shapes share a batch: each is flattened at submit."""
