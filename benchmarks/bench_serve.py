@@ -15,7 +15,7 @@ Load-tests :mod:`repro.serve` end to end on freshly trained models:
    requests wait at most ``max_wait_ms`` for company, so p50/p99 reflect
    batching delay + service time rather than queue explosion.
 4. **Gateway overload** (``test_serve_gateway_overload``) — two registered
-   models behind one :class:`~repro.serve.ServeGateway` with shed-mode
+   models behind one :class:`~repro.serve.ServeGateway` with ``max_queue``
    admission control, driven open-loop at **>= 2x** measured capacity.
    The queue-depth high-water mark must stay at or under ``max_queue``
    and (full mode) the admitted-request p99 must stay bounded by the
@@ -300,11 +300,7 @@ def test_serve_gateway_overload(benchmark, bench_smoke, repro_scale, results_sto
 
         # Open-loop overload: Poisson arrivals beyond capacity, queue capped.
         gateway = ServeGateway(
-            registry,
-            max_batch=MAX_BATCH,
-            max_wait_ms=5.0,
-            max_queue=GATEWAY_MAX_QUEUE,
-            overload="shed",
+            registry, max_batch=MAX_BATCH, max_wait_ms=5.0, max_queue=GATEWAY_MAX_QUEUE
         )
         rng = np.random.default_rng(7)
         rate = capacity_fps * OVERLOAD_FACTOR

@@ -6,8 +6,8 @@ Walks the deployment half of the pipeline (``repro.serve``) end to end:
 1. train **two** configurations with the standard sweep recipe and publish
    each trained model — weights, encoder, modeled hardware report, publish
    version — into a :class:`~repro.serve.ModelRegistry`,
-2. stand up a :class:`~repro.serve.ServeGateway` with shed-mode admission
-   control and route named-model requests to both (each gets its own lazily
+2. stand up a :class:`~repro.serve.ServeGateway` with ``max_queue``
+   admission control and route named-model requests to both (each gets its own lazily
    started micro-batching server over the event-driven runtime),
 3. **republish** one model while the gateway is live: the gateway notices
    the new registry version on the next request and swaps the weights into
@@ -41,7 +41,7 @@ from repro.serve import (
 def submit_or_shed(gateway: ServeGateway, name: str, images) -> list:
     """Open-loop submission: keep futures for admitted requests, drop sheds.
 
-    With ``overload="shed"``, a burst beyond the queue cap raises
+    With ``max_queue`` set, a burst beyond the queue cap raises
     :class:`ServerOverloaded` per surplus request — that is the admission
     control working, not an error, so a load generator just moves on (the
     sheds are counted in the gateway telemetry).
@@ -74,10 +74,8 @@ def main() -> None:
     images = [image for batch, _ in test_loader for image in batch]
 
     # 2. One gateway, two models: servers spin up lazily per routed name,
-    #    and max_queue/overload bound each model's queue under load.
-    with ServeGateway(
-        registry, max_batch=16, max_wait_ms=2.0, max_queue=64, overload="shed"
-    ) as gateway:
+    #    and max_queue bounds each model's queue under load.
+    with ServeGateway(registry, max_batch=16, max_wait_ms=2.0, max_queue=64) as gateway:
         half = len(images) // 2
         futures = submit_or_shed(gateway, "digits-default", images[:half])
         futures += submit_or_shed(gateway, "digits-fast", images[half:])

@@ -22,10 +22,10 @@ This package is that deployment surface:
   requests into micro-batches (``max_batch`` / ``max_wait_ms``), dispatches
   them across a worker pool, and demultiplexes per-request predictions —
   bit-identical to offline ``evaluate_with_runtime`` on the same batches.
-  ``max_queue`` / ``overload`` add admission control: surplus arrivals are
-  shed fail-fast (:class:`~repro.serve.scheduler.ServerOverloaded`) or
-  back-pressured in FIFO order.  Priority lanes shed low-priority traffic
-  first under overload, and ``deadline_ms`` budgets cut batches early.
+  ``max_queue`` adds admission control: an arrival that finds the queue
+  full is shed fail-fast (:class:`~repro.serve.scheduler.ServerOverloaded`),
+  and ``deadline_ms`` budgets cut batches early and time out requests that
+  would be served late.  Dispatch is FIFO.
 * :class:`~repro.serve.gateway.ServeGateway` routes *named-model* requests
   across registry entries — one lazily started server per active model —
   and hot-reloads weights in place when a model is republished, without
@@ -60,8 +60,6 @@ from repro.serve.registry import (
     train_and_register,
 )
 from repro.serve.scheduler import (
-    OVERLOAD_BLOCK,
-    OVERLOAD_SHED,
     InferenceServer,
     RequestTimedOut,
     ServeResult,
@@ -83,8 +81,6 @@ __all__ = [
     "ServerClosed",
     "ServerOverloaded",
     "RequestTimedOut",
-    "OVERLOAD_SHED",
-    "OVERLOAD_BLOCK",
     "RequestStat",
     "ServeTelemetry",
     "format_telemetry",

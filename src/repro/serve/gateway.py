@@ -30,12 +30,16 @@ front-end over a :class:`~repro.serve.registry.ModelRegistry`:
   the old weights stay live, the failure is counted (``reload_failures``)
   with its cause in the model's telemetry, and the next good republish is
   picked up normally.
-* **Admission control** — ``max_queue`` / ``overload`` are forwarded to
-  every per-model server: ``"shed"`` fails surplus submits fast with
-  :class:`~repro.serve.scheduler.ServerOverloaded`, ``"block"`` applies
-  FIFO back-pressure.  Shed counts, admitted counts and queue-depth
-  high-water marks appear in each model's telemetry and in the gateway's
-  aggregated :meth:`ServeGateway.summary`.
+* **Admission control** — ``max_queue`` is forwarded to every per-model
+  server, which fails a submit that finds its queue full fast with
+  :class:`~repro.serve.scheduler.ServerOverloaded`.  Shed counts, admitted
+  counts and queue-depth high-water marks appear in each model's telemetry
+  and in the gateway's aggregated :meth:`ServeGateway.summary`.
+* **Unlowerable models** — a model the runtime cannot lower fails its
+  first submit with :class:`~repro.runtime.engine.RuntimeCompileError`.
+  The gateway remembers the failure with the checkpoint's signature, so
+  later submits re-raise it without reading the file again until the
+  model is republished.
 
 ``benchmarks/bench_serve.py`` drives a two-model gateway through open-loop
 overload; ``examples/serve_quickstart.py`` shows routing plus a live
@@ -61,12 +65,7 @@ from repro.serve.registry import (
     RegistryError,
     quantization_pool_kwargs,
 )
-from repro.serve.scheduler import (
-    OVERLOAD_SHED,
-    InferenceServer,
-    ServeResult,
-    ServerClosed,
-)
+from repro.serve.scheduler import InferenceServer, ServeResult, ServerClosed
 from repro.serve.telemetry import ServeTelemetry
 from repro.training.checkpoint import CheckpointError, load_checkpoint, model_spec
 
@@ -107,9 +106,9 @@ class ServeGateway:
         a path, which is wrapped in one).
     max_batch, max_wait_ms, workers:
         Forwarded to every per-model :class:`InferenceServer`.
-    max_queue, overload:
+    max_queue:
         Admission control applied to every per-model server queue — see
-        :class:`InferenceServer`.  ``max_queue=None`` disables it.
+        :class:`InferenceServer`.  ``None`` disables it.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When enabled, every
         :meth:`submit` mints a trace and opens a ``gateway.submit`` root
@@ -131,7 +130,6 @@ class ServeGateway:
         max_wait_ms: float = 2.0,
         workers: int = 1,
         max_queue: Optional[int] = None,
-        overload: str = OVERLOAD_SHED,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.registry = registry if isinstance(registry, ModelRegistry) else ModelRegistry(registry)
@@ -139,7 +137,6 @@ class ServeGateway:
         self.max_wait_ms = float(max_wait_ms)
         self.workers = int(workers)
         self.max_queue = int(max_queue) if max_queue is not None else None
-        self.overload = overload
         self.tracer = tracer if tracer is not None else default_tracer()
         # Gateway-level lifecycle counters live on the process registry
         # (per-model counters live in each model's labelled telemetry
@@ -153,6 +150,10 @@ class ServeGateway:
         )
         self._active: Dict[str, _ActiveModel] = {}
         self._creating: Dict[str, threading.Lock] = {}
+        # Per name, an activation the runtime could not compile: the
+        # checkpoint signature it was read at and the error.  Until the
+        # signature changes, a submit re-raises it without reading the file.
+        self._unlowerable: Dict[str, Tuple[Optional[Tuple[int, int, int]], str]] = {}
         self._lock = threading.Lock()
         self._closed = False
 
@@ -183,25 +184,20 @@ class ServeGateway:
     # Routing
     # ------------------------------------------------------------------ #
     def submit(
-        self,
-        name: str,
-        image: np.ndarray,
-        priority: int = 0,
-        deadline_ms: Optional[float] = None,
+        self, name: str, image: np.ndarray, deadline_ms: Optional[float] = None
     ) -> "Future[ServeResult]":
         """Route one raw image to the named model; returns its future.
 
         Activates the model on first use, then checks the registry for a
-        republish and hot-reloads before enqueueing.  ``priority`` and
-        ``deadline_ms`` are forwarded to the per-model server's SLO-aware
-        scheduler (shed lanes and deadline-driven batch cutoffs — see
-        :meth:`InferenceServer.submit`).  Raises ``ValueError`` for an
-        image that does not fit the model's ``input_shape``,
-        :class:`~repro.serve.registry.RegistryError` for unknown names,
-        :class:`~repro.runtime.engine.RuntimeCompileError` on the first
-        submit for a model the runtime cannot lower,
-        :class:`~repro.serve.scheduler.ServerOverloaded` when shed-mode
-        admission control rejects the request, :class:`ModelUnavailable`
+        republish and hot-reloads before enqueueing.  ``deadline_ms`` is
+        forwarded to the per-model server (a deadline-driven batch cutoff
+        and a real timeout — see :meth:`InferenceServer.submit`).  Raises
+        ``ValueError`` for an image that does not fit the model's
+        ``input_shape``, :class:`~repro.serve.registry.RegistryError` for
+        unknown names, :class:`~repro.runtime.engine.RuntimeCompileError`
+        while the published model is one the runtime cannot lower,
+        :class:`~repro.serve.scheduler.ServerOverloaded` when the model's
+        queue is full, :class:`ModelUnavailable`
         when repeated reload races exhaust the retry budget, and
         :class:`ServerClosed` after :meth:`stop`.
         """
@@ -217,16 +213,14 @@ class ServeGateway:
             # reload checks and the synchronous encode; the scheduler's
             # stage spans attach under it via trace_ctx.
             trace_id = self.tracer.mint_trace()
-            root = self.tracer.begin("gateway.submit", trace_id, model=name, priority=priority)
+            root = self.tracer.begin("gateway.submit", trace_id, model=name)
             trace_ctx = (trace_id, root.span_id)
         try:
             last_exc: Optional[ServerClosed] = None
             for _ in range(SUBMIT_RELOAD_RETRIES):
                 active = self._resolve(name)
                 try:
-                    return active.server.submit(
-                        image, priority=priority, deadline_ms=deadline_ms, trace_ctx=trace_ctx
-                    )
+                    return active.server.submit(image, deadline_ms=deadline_ms, trace_ctx=trace_ctx)
                 except ServerClosed as exc:
                     if self._closed:
                         raise
@@ -240,17 +234,10 @@ class ServeGateway:
                 root.end()
 
     def submit_many(
-        self,
-        name: str,
-        images: Sequence[np.ndarray],
-        priority: int = 0,
-        deadline_ms: Optional[float] = None,
+        self, name: str, images: Sequence[np.ndarray], deadline_ms: Optional[float] = None
     ) -> List["Future[ServeResult]"]:
         """Submit a sequence of independent requests to one model (FIFO)."""
-        return [
-            self.submit(name, image, priority=priority, deadline_ms=deadline_ms)
-            for image in images
-        ]
+        return [self.submit(name, image, deadline_ms=deadline_ms) for image in images]
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -303,7 +290,6 @@ class ServeGateway:
             "requests": 0.0,
             "admitted": 0.0,
             "shed": 0.0,
-            "shed_high": 0.0,
             "failed": 0.0,
             "timed_out": 0.0,
             "reloads": 0.0,
@@ -318,7 +304,6 @@ class ServeGateway:
             totals["requests"] += per_model["requests"]
             totals["admitted"] += per_model["admitted"]
             totals["shed"] += per_model["shed"]
-            totals["shed_high"] += per_model.get("shed_high", 0.0)
             totals["failed"] += per_model.get("failed", 0.0)
             totals["timed_out"] += per_model.get("timed_out", 0.0)
             totals["reloads"] += float(model.reloads)
@@ -350,7 +335,6 @@ class ServeGateway:
             max_wait_ms=self.max_wait_ms,
             workers=self.workers,
             max_queue=self.max_queue,
-            overload=self.overload,
             telemetry=telemetry,
             tracer=self.tracer,
         )
@@ -377,13 +361,17 @@ class ServeGateway:
                     # Signature BEFORE load: a publish racing the load is
                     # then detected (and picked up) by the next reload check.
                     signature = self.registry.checkpoint_signature(name)
+                    failed = self._unlowerable.get(name)
+                    if failed is not None and failed[0] == signature:
+                        raise RuntimeCompileError(failed[1])
                     entry = self.registry.load(name)
-                    active = _ActiveModel(
-                        name=name,
-                        entry=entry,
-                        server=self._make_server(entry),
-                        signature=signature,
-                    )
+                    try:
+                        server = self._make_server(entry)
+                    except RuntimeCompileError as exc:
+                        self._unlowerable[name] = (signature, str(exc))
+                        raise
+                    self._unlowerable.pop(name, None)
+                    active = _ActiveModel(name=name, entry=entry, server=server, signature=signature)
                     with self._lock:
                         if self._closed:
                             # stop() already swept _active; don't leak a

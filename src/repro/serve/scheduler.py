@@ -26,46 +26,29 @@ contract ``tests/test_serve.py`` and the serving benchmark enforce.
 Admission control
 -----------------
 By default the queue is unbounded — open-loop arrivals beyond capacity grow
-it (and every latency percentile) without limit.  Passing ``max_queue``
-caps the number of requests admitted but not yet started and picks one of
-two overload policies:
+it (and every latency percentile) without limit.  ``max_queue`` caps the
+requests admitted but not yet started: a submit that finds the queue full
+fails fast with :class:`ServerOverloaded`, *before* paying the encode, and
+the shed is counted in :class:`~repro.serve.telemetry.ServeTelemetry`.  The
+check that counts runs again under the server lock as the request is
+queued, so racing submitters never overfill the queue.  The dispatcher
+cuts a batch only when a worker is free to start it, so a request waiting
+for a worker is still in the admission queue: requests admitted but not
+yet started never exceed ``max_queue``.  Admission decisions (admitted
+count, shed count, queue-depth high-water mark) are surfaced through the
+server's telemetry alongside latency and throughput.
 
-* ``overload="shed"`` (default) — a submit that finds the queue full
-  fails fast with :class:`ServerOverloaded`, *before* paying the encode;
-  the shed is counted in :class:`~repro.serve.telemetry.ServeTelemetry`.
-* ``overload="block"`` — the submitter blocks until a slot frees (classic
-  back-pressure).  Blocked submitters are admitted strictly in arrival
-  (FIFO) order; late arrivals cannot barge past earlier waiters even when
-  a slot opens just as they arrive.
-
-The dispatcher cuts a batch only when a worker is free to start it, so a
-request waiting for a worker is still in the admission queue: requests
-admitted but not yet started never exceed ``max_queue``.  Admission
-decisions (admitted count, shed count, queue-depth high-water mark) are
-surfaced through the server's telemetry alongside latency and throughput.
-
-Priority lanes and deadlines (SLO-aware scheduling)
----------------------------------------------------
-Every request carries a ``priority`` lane (0 = normal, higher = more
-important) and an optional ``deadline_ms`` latency budget:
-
-* Under shed-mode overload, **low-priority traffic is shed first**: a
-  higher-priority arrival that finds the queue full *evicts* the
-  lowest-priority (latest-arrival among ties) waiting request instead of
-  being rejected itself; the evicted request's future fails with
-  :class:`ServerOverloaded` and the shed is counted against *its* lane.
-  Only when every waiting request has equal or higher priority is the new
-  arrival shed.  Dispatch order stays strictly FIFO — priority decides who
-  is sacrificed under overload, never who barges ahead, so the
-  deterministic-batching bit-identity contract is unchanged.
-* A ``deadline_ms`` steers batching *and* is a real timeout: the
-  dispatcher cuts a batch early when any waiting request is within
-  :data:`DEADLINE_MARGIN_MS` of its deadline, instead of waiting out
-  ``max_wait_ms`` for more company (FIFO dispatch means the urgent request
-  is always in the cut batch).  A request whose deadline has *already
-  passed* is never dispatched late — its future fails with
-  :class:`RequestTimedOut` at the cutoff (batch cut or batch start,
-  whichever notices first), counted per lane in telemetry.
+Deadlines
+---------
+A request may carry a ``deadline_ms`` latency budget.  It steers batching
+*and* is a real timeout: the dispatcher cuts a batch early when any waiting
+request is within :data:`DEADLINE_MARGIN_MS` of its deadline, instead of
+waiting out ``max_wait_ms`` for more company (FIFO dispatch means the
+urgent request is always in the cut batch).  A request whose deadline has
+*already passed* is never dispatched late — its future fails with
+:class:`RequestTimedOut` at the cutoff (batch cut or batch start, whichever
+notices first), counted in telemetry.  Dispatch order is FIFO whatever the
+deadlines, so the deterministic-batching bit-identity contract holds.
 
 Failure isolation and cancellation
 -----------------------------------
@@ -81,23 +64,22 @@ admitted: a model the runtime cannot lower raises
 built (its pool compiles one plan up front), and a submit whose image does
 not fit the served network's ``input_shape`` raises ``ValueError`` before
 anything is encoded, so a malformed request fails alone and never reaches
-a batch.
+a batch.  No future resolves under the server lock, so a done-callback may
+submit or call :meth:`InferenceServer.stop`.
 
 A client may ``cancel()`` a returned future until its request is cut into
 a batch.  The server claims every future before resolving it
 (``Future.set_running_or_notify_cancel``): the dispatcher claims each
 request as it cuts a batch and drops the cancelled ones, and a request
-that is evicted, times out or is abandoned by ``stop(drain=False)`` while
-still queued is claimed first too.  A cancelled request stays counted as
-admitted but is never served, failed, shed or timed out.  It frees its
-queue slot for admission: before a full queue sheds, evicts or blocks an
-arrival, the cancelled requests in it are claimed and dropped, and the
-dispatcher drops them before it decides whether a batch is full or due,
-so a cancelled request counts neither toward ``max_batch`` nor toward the
-``max_wait_ms`` clock.  A cancel itself wakes nobody: a submitter already
-blocked takes the slot, and the dispatcher stops waiting for the request,
-at the next wake-up (a submit, a cut, a finished batch, a timer or
-:meth:`stop`).
+that times out or is abandoned by ``stop(drain=False)`` while still queued
+is claimed first too.  A cancelled request stays counted as admitted but is
+never served, failed, shed or timed out.  It frees its queue slot for
+admission: before a full queue sheds an arrival, the cancelled requests in
+it are claimed and dropped, and the dispatcher drops them before it
+decides whether a batch is full or due, so a cancelled request counts
+neither toward ``max_batch`` nor toward the ``max_wait_ms`` clock.  A
+cancel itself wakes nobody: the dispatcher stops waiting for the request
+at its next wake-up (a submit, a finished batch, a timer or :meth:`stop`).
 """
 
 from __future__ import annotations
@@ -124,19 +106,12 @@ class ServerClosed(RuntimeError):
 
 
 class ServerOverloaded(RuntimeError):
-    """Raised by ``overload="shed"`` admission control when the queue is full."""
+    """Raised by a submit that finds the ``max_queue`` admission queue full."""
 
 
 class RequestTimedOut(RuntimeError):
     """Raised on a request's future when its ``deadline_ms`` expires before service."""
 
-
-#: Overload policy: reject surplus submits with :class:`ServerOverloaded`.
-OVERLOAD_SHED = "shed"
-#: Overload policy: block surplus submitters until a queue slot frees (FIFO).
-OVERLOAD_BLOCK = "block"
-
-_OVERLOAD_POLICIES = (OVERLOAD_SHED, OVERLOAD_BLOCK)
 
 #: A deadline-driven cutoff fires this many milliseconds before a waiting
 #: request's ``deadline_ms`` budget runs out, leaving that margin for the
@@ -165,8 +140,6 @@ class ServeResult:
     sequence:
         Admission order: the 0-based position of this request among every
         request this server ever admitted (sheds do not consume a number).
-    priority:
-        The priority lane the request was submitted on (0 = normal).
     """
 
     prediction: int
@@ -176,7 +149,6 @@ class ServeResult:
     batch_size: int
     input_density: float
     sequence: int = 0
-    priority: int = 0
 
 
 @dataclass
@@ -187,7 +159,6 @@ class _Pending:
     queued: float  # when the request entered the queue (batching deadline)
     input_density: float
     sequence: int  # admission order (see ServeResult.sequence)
-    priority: int = 0  # shed order under overload (lowest lane goes first)
     deadline: Optional[float] = None  # absolute perf_counter deadline, or None
     trace_id: int = 0  # observability trace this request belongs to (0 = untraced)
     root_span: int = 0  # parent span ID for the request's stage spans
@@ -221,15 +192,9 @@ class InferenceServer:
         own compiled plan, so ``workers`` bounds the plans ever compiled.
     max_queue:
         Admission-control cap on the requests admitted but not yet started
-        (``None`` = unbounded, the historical behaviour).  A request waiting
-        for a free worker counts against the cap; one being executed does
-        not.
-    overload:
-        What to do with a submit that finds the queue full:
-        ``"shed"`` raises :class:`ServerOverloaded` fail-fast,
-        ``"block"`` applies back-pressure — the submitter blocks until a
-        slot frees, admitted in FIFO arrival order.  Ignored while
-        ``max_queue`` is ``None``.
+        (``None`` = unbounded).  A submit that finds the queue full raises
+        :class:`ServerOverloaded` before the encode.  A request waiting for
+        a free worker counts against the cap; one being executed does not.
     telemetry:
         Optional shared :class:`ServeTelemetry` (a fresh one is created by
         default, exposed as :attr:`telemetry`).
@@ -256,7 +221,6 @@ class InferenceServer:
         max_wait_ms: float = 2.0,
         workers: int = 1,
         max_queue: Optional[int] = None,
-        overload: str = OVERLOAD_SHED,
         telemetry: Optional[ServeTelemetry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -268,8 +232,6 @@ class InferenceServer:
             raise ValueError(f"workers must be at least 1, got {workers}")
         if max_queue is not None and max_queue < 1:
             raise ValueError(f"max_queue must be at least 1 (or None), got {max_queue}")
-        if overload not in _OVERLOAD_POLICIES:
-            raise ValueError(f"overload must be one of {_OVERLOAD_POLICIES}, got {overload!r}")
         self.pool = model if isinstance(model, CompiledNetworkPool) else CompiledNetworkPool(model, max_idle=workers)
         self.encoder = encoder
         self.max_batch = int(max_batch)
@@ -279,7 +241,6 @@ class InferenceServer:
         # models, so the served input shape never changes under a server.
         self._input_shape: Optional[Tuple[int, ...]] = getattr(self.pool.model, "input_shape", None)
         self.max_queue = int(max_queue) if max_queue is not None else None
-        self.overload = overload
         self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
         # Disabled tracing is the default and stays off the hot path: every
         # instrumented site first checks ``self.tracer.enabled`` (a single
@@ -298,9 +259,6 @@ class InferenceServer:
         # Batches cut and not yet finished (in _ready or running); the
         # dispatcher cuts the next one only while this is below ``workers``.
         self._in_flight = 0
-        # Back-pressure turnstile: one opaque token per blocked submitter,
-        # in arrival order; the head waiter is admitted first (no barging).
-        self._blocked: Deque[object] = deque()
         self._sequence = 0
         self._closed = False
         self._draining = True
@@ -375,22 +333,19 @@ class InferenceServer:
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
-    def _queue_full_locked(self) -> bool:
-        """Whether admission control should act on a new arrival (cv held)."""
-        if self.max_queue is None:
-            return False
-        # Waiting back-pressured submitters count as ahead in line: a new
-        # arrival must not slip past them even if a slot is currently free.
-        return not self._queue_has_room_locked() or bool(self._blocked)
+    def _admit_locked(self) -> None:
+        """Shed the arrival if ``max_queue`` requests already wait (cv held).
 
-    def _queue_has_room_locked(self) -> bool:
-        """Whether fewer than ``max_queue`` requests wait (cv held).
-
-        A full queue first drops the requests their clients cancelled.
+        A full queue first drops the requests their clients cancelled, so
+        a cancelled request never costs an arrival its slot.
         """
+        if self.max_queue is None:
+            return
         if len(self._queue) >= self.max_queue:
             self._drop_cancelled_locked()
-        return len(self._queue) < self.max_queue
+        if len(self._queue) >= self.max_queue:
+            self.telemetry.record_shed()
+            raise ServerOverloaded(f"queue full ({self.max_queue} waiting requests); request shed")
 
     def _drop_cancelled_locked(self) -> None:
         """Drop the queued requests their clients cancelled (cv held).
@@ -406,84 +361,11 @@ class InferenceServer:
                 pending.future.set_running_or_notify_cancel()
             else:
                 kept.append(pending)
-        if len(kept) < len(self._queue):
-            self._queue = kept
-            self._cv.notify_all()  # the slots may go to a blocked submitter
-
-    def _shed_victim_locked(self, priority: int) -> Optional[int]:
-        """Index of the queued request a ``priority`` arrival may evict.
-
-        The victim is the lowest-priority waiting request, breaking ties
-        toward the latest arrival (least sunk queueing time); only requests
-        in a strictly lower lane than the new arrival qualify.  ``None``
-        when the whole queue is at or above ``priority``.
-        """
-        if not self._queue:
-            return None
-        victim = min(
-            range(len(self._queue)),
-            key=lambda i: (self._queue[i].priority, -i),
-        )
-        if self._queue[victim].priority < priority:
-            return victim
-        return None
-
-    def _admit_locked(self, priority: int = 0) -> Optional[_Pending]:
-        """Apply the overload policy; returns with a queue slot available.
-
-        Must be called with ``self._cv`` held.  Under the shed policy a
-        full queue first looks for a lower-priority victim to evict (shed
-        low-priority traffic first), which it takes off the queue and
-        returns for the caller to fail once the lock is released; failing
-        that the new arrival itself is shed with :class:`ServerOverloaded`.
-        The block policy is plain FIFO back-pressure regardless of
-        priority; it raises :class:`ServerClosed` if the server stops while
-        the submitter waits.
-        """
-        if not self._queue_full_locked():
-            return None
-        if self.overload == OVERLOAD_SHED:
-            victim = self._shed_victim_locked(priority)
-            if victim is not None:
-                evicted = self._queue[victim]
-                del self._queue[victim]
-                return evicted
-            self.telemetry.record_shed(priority=priority)
-            raise ServerOverloaded(
-                f"queue full ({self.max_queue} waiting requests); request shed"
-            )
-        token = object()
-        self._blocked.append(token)
-        try:
-            while True:
-                if self._closed:
-                    raise ServerClosed("server stopped while awaiting admission")
-                if self._blocked[0] is token and self._queue_has_room_locked():
-                    return None
-                # A cancel does not notify: a slot it frees is seen at the
-                # next wake-up (a submit, a cut, a finished batch or stop).
-                self._cv.wait()
-        finally:
-            self._blocked.remove(token)
-            self._cv.notify_all()
-
-    def _shed_would_reject_locked(self, priority: int) -> bool:
-        """Whether a shed-mode arrival would be rejected outright (cv held).
-
-        Used for the pre-encode fast path: an arrival that could only be
-        admitted by evicting a victim is *not* rejected here — the eviction
-        itself is deferred to the authoritative post-encode admission, so a
-        request that later loses a race for the slot never evicts anyone
-        for nothing.
-        """
-        if not self._queue_full_locked():
-            return False
-        return self._shed_victim_locked(priority) is None
+        self._queue = kept
 
     def submit(
         self,
         image: np.ndarray,
-        priority: int = 0,
         deadline_ms: Optional[float] = None,
         trace_ctx: Optional[Tuple[int, int]] = None,
     ) -> "Future[ServeResult]":
@@ -497,12 +379,10 @@ class InferenceServer:
         ``ValueError`` before the encode, and nothing is admitted or counted.
         The image is encoded synchronously (so encoder errors surface here,
         attributed to the caller) and the request then waits to be coalesced.
-        With ``max_queue`` set, admission control runs first: shed mode
-        raises :class:`ServerOverloaded` before the encode is paid; block
-        mode encodes, then waits for a queue slot in FIFO arrival order.
+        With ``max_queue`` set, a full queue raises :class:`ServerOverloaded`
+        before the encode is paid, and again if the queue filled up while
+        this request was being encoded.
 
-        ``priority`` picks the request's shed lane (higher lanes are shed
-        last and may evict lower-lane traffic from a full queue);
         ``deadline_ms`` is a latency budget from *now* that makes the
         dispatcher cut a batch early rather than let this request blow it
         waiting for company — and a real timeout: once it expires the
@@ -522,7 +402,6 @@ class InferenceServer:
         """
         image = np.asarray(image, dtype=np.float32)
         submitted = time.perf_counter()
-        priority = int(priority)
         traced = self.tracer.enabled
         trace_id = 0
         root_span = 0
@@ -544,16 +423,11 @@ class InferenceServer:
             )
         if self._closed:
             raise ServerClosed("cannot submit to a stopped server")
-        if self.max_queue is not None and self.overload == OVERLOAD_SHED:
-            # Fail fast before the (dominant) encode cost; the authoritative
-            # admission under the lock below still guards against races and
-            # performs any eviction.
+        if self.max_queue is not None:
+            # Fail fast before the (dominant) encode cost; the admission
+            # under the lock below is the one that holds against races.
             with self._cv:
-                if self._shed_would_reject_locked(priority):
-                    self.telemetry.record_shed(priority=priority)
-                    raise ServerOverloaded(
-                        f"queue full ({self.max_queue} waiting requests); request shed"
-                    )
+                self._admit_locked()
         if getattr(self.encoder, "stochastic", True):
             # Only stochastic encoders need submission-order serialisation
             # (the RNG stream); deterministic ones encode fully in parallel.
@@ -566,7 +440,7 @@ class InferenceServer:
         with self._cv:
             if self._closed:
                 raise ServerClosed("cannot submit to a stopped server")
-            evicted = self._admit_locked(priority)
+            self._admit_locked()
             sequence = self._sequence
             self._sequence += 1
             # The wait-for-company clock starts at queue entry, not at
@@ -582,24 +456,17 @@ class InferenceServer:
                     queued=queued,
                     input_density=density,
                     sequence=sequence,
-                    priority=priority,
                     deadline=submitted + deadline_ms / 1000.0 if deadline_ms is not None else None,
                     trace_id=trace_id,
                     root_span=root_span,
                 )
             )
             queue_depth = len(self._queue)
-            self.telemetry.record_admission(queue_depth, priority=priority)
+            self.telemetry.record_admission(queue_depth)
             self._cv.notify_all()
-        if evicted is not None:
-            self._fail_queued(
-                evicted,
-                ServerOverloaded(f"evicted from a full queue by a priority-{priority} arrival"),
-                count=self.telemetry.record_shed,
-            )
         if trace_id:
             # Admission covers everything from submit to queue entry:
-            # overload fast-path, encode, and admission control under the
+            # the shed fast path, encode, and admission control under the
             # lock.
             self.tracer.record(
                 "serve.admission",
@@ -607,19 +474,15 @@ class InferenceServer:
                 root_span,
                 submitted,
                 queued,
-                priority=priority,
                 queue_depth=queue_depth,
             )
         return future
 
     def submit_many(
-        self,
-        images: Sequence[np.ndarray],
-        priority: int = 0,
-        deadline_ms: Optional[float] = None,
+        self, images: Sequence[np.ndarray], deadline_ms: Optional[float] = None
     ) -> List["Future[ServeResult]"]:
         """Submit a sequence of independent single-image requests (FIFO order)."""
-        return [self.submit(image, priority=priority, deadline_ms=deadline_ms) for image in images]
+        return [self.submit(image, deadline_ms=deadline_ms) for image in images]
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -640,66 +503,48 @@ class InferenceServer:
         return wait_cutoff, cutoff
 
     def _fail_queued(
-        self, pending: _Pending, error: BaseException, count: Optional[Callable[..., None]] = None
+        self, pending: _Pending, error: BaseException, count: Optional[Callable[[], None]] = None
     ) -> None:
         """Fail a request just taken off the queue, unless its client cancelled it.
 
-        The one way a queued request is resolved: the future is claimed
-        first, so a cancelled one is dropped silently.  ``count`` (a
-        telemetry recorder taking ``priority=``) runs before the future
+        The one way a queued request is resolved, always off the server
+        lock: the future is claimed first, so a cancelled one is dropped
+        silently.  ``count`` (a telemetry recorder) runs before the future
         resolves, and only for a request that is failed.
         """
         if not pending.future.set_running_or_notify_cancel():
             return
         if count is not None:
-            count(priority=pending.priority)
+            count()
         pending.future.set_exception(error)
 
-    def _prune_expired_locked(self) -> None:
-        """Time out queued requests whose deadline has already passed (cv held).
+    def _dispatch_next(self) -> Optional[List[_Pending]]:
+        """Hand the next due batch to the workers, or take expired requests off the queue.
 
-        Each expired request's future fails with :class:`RequestTimedOut`
-        immediately — it is never cut into a batch — and its lane's
-        timeout counter is incremented.  Freed queue slots wake blocked
-        submitters.
-        """
-        now = time.perf_counter()
-        expired = [p for p in self._queue if p.deadline is not None and now >= p.deadline]
-        if not expired:
-            return
-        # The queue is settled before any future resolves: a done-callback
-        # may call stop(), which empties it.
-        self._queue = deque(p for p in self._queue if p.deadline is None or now < p.deadline)
-        for pending in expired:
-            self._fail_queued(
-                pending,
-                RequestTimedOut(
-                    f"deadline expired {(now - pending.deadline) * 1000.0:.1f} ms "
-                    "before the batch was cut"
-                ),
-                count=self.telemetry.record_timeout,
-            )
-        self._cv.notify_all()
-
-    def _take_batch(self) -> Optional[List[_Pending]]:
-        """Block until a batch is due and a worker is free (or shutdown); cut it.
+        Blocks until a batch is due and a worker is free to start it, or a
+        queued request's deadline has passed.  Returns the expired requests
+        (none once a batch was handed over) for the caller to time out
+        after the lock is released, or ``None`` at shutdown: once the queue
+        is drained, or at once after ``stop(drain=False)``, which fails
+        what is still queued.
 
         A due batch stays uncut while every worker is busy, so its requests
-        remain in the admission queue (bounded by ``max_queue``, open to
-        eviction) and are still timed out when their deadline passes.
-        Cancelled requests are dropped before the batch is judged full or
-        due, and cutting claims each request's future, so a request
-        cancelled in between is dropped too and the batch fills up from the
-        queue behind it.  Returns ``None`` at shutdown: once the queue is
-        drained, or at once after ``stop(drain=False)``, which fails what is
-        still queued.
+        remain in the admission queue (bounded by ``max_queue``) and are
+        still timed out when their deadline passes.  Cancelled requests are
+        dropped before the batch is judged full or due, and cutting claims
+        each request's future, so a request cancelled in between is dropped
+        too and the batch fills up from the queue behind it.
         """
         with self._cv:
             while True:
                 if self._closed and not self._draining:
                     return None
                 self._drop_cancelled_locked()
-                self._prune_expired_locked()
+                now = time.perf_counter()
+                expired = [p for p in self._queue if p.deadline is not None and now >= p.deadline]
+                if expired:
+                    self._queue = deque(p for p in self._queue if p.deadline is None or now < p.deadline)
+                    return expired
                 if not self._queue:
                     if self._closed:
                         return None
@@ -709,7 +554,6 @@ class InferenceServer:
                     continue
                 full = len(self._queue) >= self.max_batch or self._closed
                 wait_cutoff, cutoff = self._cutoff_locked()
-                now = time.perf_counter()
                 if not full and cutoff > now:
                     self._cv.wait(timeout=cutoff - now)
                     continue
@@ -719,8 +563,6 @@ class InferenceServer:
                         pending = self._queue.popleft()
                         if pending.future.set_running_or_notify_cancel():
                             batch.append(pending)
-                    # Freed queue slots: wake back-pressured submitters (FIFO).
-                    self._cv.notify_all()
                     if batch:
                         break
                     continue  # every request cut was cancelled
@@ -738,18 +580,27 @@ class InferenceServer:
                 cut = time.perf_counter()
                 for pending in batch:
                     pending.cut = cut
-            return batch
+            self._ready.append(batch)
+            self._in_flight += 1
+            self._cv.notify_all()
+            return []
 
     def _dispatch_loop(self) -> None:
         try:
             while True:
-                batch = self._take_batch()
-                if batch is None:
+                expired = self._dispatch_next()
+                if expired is None:
                     return
-                with self._cv:
-                    self._ready.append(batch)
-                    self._in_flight += 1
-                    self._cv.notify_all()
+                now = time.perf_counter()
+                for pending in expired:
+                    self._fail_queued(
+                        pending,
+                        RequestTimedOut(
+                            f"deadline expired {(now - pending.deadline) * 1000.0:.1f} ms "
+                            "before the batch was cut"
+                        ),
+                        count=self.telemetry.record_timeout,
+                    )
         finally:
             # Workers drain whatever is in _ready, then retire.
             with self._cv:
@@ -779,7 +630,7 @@ class InferenceServer:
         live: List[_Pending] = []
         for pending in batch:
             if pending.deadline is not None and now >= pending.deadline:
-                self.telemetry.record_timeout(priority=pending.priority)
+                self.telemetry.record_timeout()
                 pending.future.set_exception(
                     RequestTimedOut(
                         f"deadline expired {(now - pending.deadline) * 1000.0:.1f} ms "
@@ -811,7 +662,6 @@ class InferenceServer:
                     queue_ms=(started - pending.submitted) * 1000.0,
                     batch_size=len(batch),
                     input_density=pending.input_density,
-                    priority=pending.priority,
                 )
                 for pending in batch
             ]
@@ -835,7 +685,6 @@ class InferenceServer:
                         batch_size=stat.batch_size,
                         input_density=stat.input_density,
                         sequence=pending.sequence,
-                        priority=pending.priority,
                     )
                 )
             if traced:

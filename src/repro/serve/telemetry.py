@@ -26,7 +26,7 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.obs.metrics import BATCH_SIZE_BUCKETS, Counter, LATENCY_BUCKETS_MS, MetricsRegistry
+from repro.obs.metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.runtime.activity import RuntimeActivity
 
 
@@ -44,16 +44,12 @@ class RequestStat:
         Size of the micro-batch the request was coalesced into.
     input_density:
         Fraction of non-zero elements in the request's encoded spike train.
-    priority:
-        The request's priority lane (0 = normal; higher lanes are shed last
-        under overload).
     """
 
     latency_ms: float
     queue_ms: float
     batch_size: int
     input_density: float
-    priority: int = 0
 
 
 class ServeTelemetry:
@@ -72,11 +68,10 @@ class ServeTelemetry:
 
     Besides completion stats, the scheduler reports every *admission
     decision* here: :meth:`record_admission` when a request enters the
-    queue (tracking the queue-depth high-water mark) and :meth:`record_shed`
-    when admission control rejects one — so overload behaviour is visible
-    in the same summary as latency and throughput.  Both are tracked per
-    priority *lane* (:meth:`lane_counters`), so a telemetry snapshot shows
-    load, admission and shedding order together.
+    queue (tracking the queue-depth high-water mark), :meth:`record_shed`
+    when admission control rejects one and :meth:`record_timeout` when a
+    queued request misses its deadline — so overload behaviour is visible
+    in the same summary as latency and throughput.
     """
 
     def __init__(self, window: int = 4096, model: str = "") -> None:
@@ -97,6 +92,13 @@ class ServeTelemetry:
         self._c_deadline = reg.counter(
             "repro_serve_deadline_dispatches_total",
             help="Batches dispatched early to protect a request deadline.",
+        )
+        self._c_admitted = reg.counter("repro_serve_admitted_total", help="Requests admitted to the queue.")
+        self._c_shed = reg.counter(
+            "repro_serve_shed_total", help="Requests rejected by admission control (queue full)."
+        )
+        self._c_timed_out = reg.counter(
+            "repro_serve_timed_out_total", help="Requests that missed their deadline."
         )
         self._c_failed = reg.counter("repro_serve_failed_total", help="Requests whose batch failed.")
         self._c_reload_failures = reg.counter(
@@ -123,11 +125,6 @@ class ServeTelemetry:
             buckets=BATCH_SIZE_BUCKETS,
             help="Micro-batch size distribution.",
         )
-        # Per-lane counters materialise on first use (labelled instruments
-        # in the same registry).
-        self._admitted_by_lane: Dict[int, Counter] = {}
-        self._shed_by_lane: Dict[int, Counter] = {}
-        self._timed_out_by_lane: Dict[int, Counter] = {}
 
         #: Human-readable description of the most recent failure (batch
         #: error or reload failure); ``None`` until one occurs.
@@ -154,13 +151,13 @@ class ServeTelemetry:
 
     @property
     def total_admitted(self) -> int:
-        """Requests admitted to the queue (all lanes)."""
-        return sum(int(c.value) for c in self._admitted_by_lane.values())
+        """Requests admitted to the queue."""
+        return int(self._c_admitted.value)
 
     @property
     def total_shed(self) -> int:
-        """Requests rejected or evicted by admission control (all lanes)."""
-        return sum(int(c.value) for c in self._shed_by_lane.values())
+        """Requests rejected by admission control (queue full)."""
+        return int(self._c_shed.value)
 
     @property
     def total_deadline_dispatches(self) -> int:
@@ -174,8 +171,8 @@ class ServeTelemetry:
 
     @property
     def total_timed_out(self) -> int:
-        """Requests that missed their deadline (all lanes)."""
-        return sum(int(c.value) for c in self._timed_out_by_lane.values())
+        """Requests that missed their deadline."""
+        return int(self._c_timed_out.value)
 
     @property
     def total_reload_failures(self) -> int:
@@ -187,34 +184,15 @@ class ServeTelemetry:
         """Deepest queue observed at admission."""
         return int(self._g_queue_high_water.value)
 
-    def _lane_counter(self, table: Dict[int, Counter], name: str, help_text: str, lane: int) -> Counter:
-        counter = table.get(lane)
-        if counter is None:
-            counter = self.metrics.counter(name, help=help_text, labels={"lane": str(lane)})
-            table[lane] = counter
-        return counter
-
     # ------------------------------------------------------------------ #
-    def record_admission(self, queue_depth: int, priority: int = 0) -> None:
+    def record_admission(self, queue_depth: int) -> None:
         """Count one admitted request and fold in the observed queue depth."""
-        with self._lock:
-            self._lane_counter(
-                self._admitted_by_lane,
-                "repro_serve_admitted_total",
-                "Requests admitted to the queue.",
-                int(priority),
-            ).inc()
-            self._g_queue_high_water.set_max(float(queue_depth))
+        self._c_admitted.inc()
+        self._g_queue_high_water.set_max(float(queue_depth))
 
-    def record_shed(self, priority: int = 0) -> None:
-        """Count one request rejected (or evicted) by admission control."""
-        with self._lock:
-            self._lane_counter(
-                self._shed_by_lane,
-                "repro_serve_shed_total",
-                "Requests rejected or evicted by admission control.",
-                int(priority),
-            ).inc()
+    def record_shed(self) -> None:
+        """Count one request rejected by admission control."""
+        self._c_shed.inc()
 
     def record_deadline_dispatch(self) -> None:
         """Count one batch dispatched early to protect a request's deadline."""
@@ -232,15 +210,9 @@ class ServeTelemetry:
             self._c_failed.inc(int(count))
             self.last_error = str(error)
 
-    def record_timeout(self, priority: int = 0) -> None:
-        """Count one request that missed its deadline (per priority lane)."""
-        with self._lock:
-            self._lane_counter(
-                self._timed_out_by_lane,
-                "repro_serve_timed_out_total",
-                "Requests that missed their deadline.",
-                int(priority),
-            ).inc()
+    def record_timeout(self) -> None:
+        """Count one request that missed its deadline."""
+        self._c_timed_out.inc()
 
     def set_precision(self, precision: str, weight_bits: Optional[int] = None) -> None:
         """Record the execution precision of the plans now being served.
@@ -259,15 +231,6 @@ class ServeTelemetry:
         with self._lock:
             self._c_reload_failures.inc()
             self.last_error = str(error)
-
-    def lane_counters(self) -> Dict[str, Dict[int, int]]:
-        """Per-lane counts: ``{"admitted": {...}, "shed": {...}, "timed_out": {...}}``."""
-        with self._lock:
-            return {
-                "admitted": {lane: int(c.value) for lane, c in self._admitted_by_lane.items()},
-                "shed": {lane: int(c.value) for lane, c in self._shed_by_lane.items()},
-                "timed_out": {lane: int(c.value) for lane, c in self._timed_out_by_lane.items()},
-            }
 
     def reset_activity(self) -> None:
         """Drop the accumulated spike activity; keep every other counter.
@@ -353,25 +316,12 @@ class ServeTelemetry:
 
     # ------------------------------------------------------------------ #
     def summary(self) -> Dict[str, float]:
-        """Flat snapshot of every headline serving metric.
-
-        The lane split collapses priorities into two headline numbers:
-        ``*_high`` counts lanes with priority > 0, ``*_low`` the rest —
-        the full per-lane breakdown stays available via
-        :meth:`lane_counters`.
-        """
-        with self._lock:
-            shed_high = sum(int(c.value) for lane, c in self._shed_by_lane.items() if lane > 0)
-            shed_low = sum(int(c.value) for lane, c in self._shed_by_lane.items() if lane <= 0)
-            admitted_high = sum(int(c.value) for lane, c in self._admitted_by_lane.items() if lane > 0)
+        """Flat snapshot of every headline serving metric."""
         out: Dict[str, float] = {
             "requests": float(self.total_requests),
             "batches": float(self.total_batches),
             "admitted": float(self.total_admitted),
-            "admitted_high": float(admitted_high),
             "shed": float(self.total_shed),
-            "shed_high": float(shed_high),
-            "shed_low": float(shed_low),
             "queue_high_water": float(self.queue_depth_high_water),
             "deadline_dispatches": float(self.total_deadline_dispatches),
             "failed": float(self.total_failed),
@@ -447,11 +397,7 @@ def format_telemetry(
         ("precision", f"int{weight_bits:.0f} weights" if weight_bits else "full (float)"),
         ("requests", f"{summary.get('requests', 0):.0f}"),
         ("batches", f"{summary.get('batches', 0):.0f}"),
-        (
-            "shed (low/high)",
-            f"{summary.get('shed', 0):.0f} "
-            f"({summary.get('shed_low', 0):.0f}/{summary.get('shed_high', 0):.0f})",
-        ),
+        ("shed", f"{summary.get('shed', 0):.0f}"),
         (
             "failed / timed out",
             f"{summary.get('failed', 0):.0f} / {summary.get('timed_out', 0):.0f}",

@@ -208,7 +208,7 @@ class TestBatchFailures:
     def test_expired_deadline_times_out_instead_of_dispatching(self, untrained):
         model, encoder, images = untrained
         server = InferenceServer(model, encoder, max_batch=2, max_wait_ms=0.0)
-        doomed = server.submit(images[0], deadline_ms=5.0, priority=1)
+        doomed = server.submit(images[0], deadline_ms=5.0)
         healthy = server.submit(images[1])
         time.sleep(0.05)  # deadline passes while the server is not yet started
         server.start()
@@ -218,7 +218,6 @@ class TestBatchFailures:
         telemetry = server.telemetry
         server.stop()
         assert telemetry.total_timed_out == 1
-        assert telemetry.lane_counters()["timed_out"] == {1: 1}
         assert telemetry.summary()["timed_out"] == 1.0
 
     def test_rate_based_storm_accounting_closes(self, untrained):

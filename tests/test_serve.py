@@ -98,6 +98,31 @@ def _assert_threads_end(server):
         assert not thread.is_alive(), f"{thread.name} never ended"
 
 
+class _ParkingEncoder:
+    """Wraps an encoder and counts its calls; one call can be parked mid-encode.
+
+    Set ``park`` to an ``Event``: the next call sets ``parked`` and waits on
+    it before it encodes.  Calls do not serialise (``stochastic`` is false),
+    so other submitters encode while one is parked.
+    """
+
+    stochastic = False
+
+    def __init__(self, encoder):
+        self.encoder = encoder
+        self.calls = 0
+        self.park = None
+        self.parked = threading.Event()
+
+    def __call__(self, images):
+        self.calls += 1
+        park, self.park = self.park, None
+        if park is not None:
+            self.parked.set()
+            park.wait(timeout=30)
+        return self.encoder(images)
+
+
 class TestModelRegistry:
     def test_save_load_round_trip_with_meta(self, tmp_path, micro_config, untrained):
         model, encoder, _ = untrained
@@ -255,10 +280,12 @@ class TestCompiledNetworkPoolUpdateWeights:
 class TestAdmissionControl:
     def test_shed_beyond_cap(self, untrained):
         model, encoder, images = untrained
+        encoder = _ParkingEncoder(encoder)
         server = InferenceServer(model, encoder, max_batch=4, max_queue=3)
         futures = server.submit_many(images[:3])  # fills the queue (not started)
         with pytest.raises(ServerOverloaded, match="queue full"):
             server.submit(images[3])
+        assert encoder.calls == 3  # shed before its encode
         assert server.telemetry.total_shed == 1
         assert server.telemetry.total_admitted == 3
         server.start()
@@ -269,6 +296,104 @@ class TestAdmissionControl:
         assert summary["shed"] == 1
         assert summary["admitted"] == 3
         assert summary["queue_high_water"] == 3
+
+    def test_an_arrival_that_loses_the_last_slot_while_encoding_is_shed(self, untrained):
+        """The check under the lock sheds a submit whose slot was taken during its encode."""
+        model, encoder, images = untrained
+        encoder = _ParkingEncoder(encoder)
+        server = InferenceServer(model, encoder, max_batch=4, max_queue=2)  # not started
+        first = server.submit(images[0])
+        gate = encoder.park = threading.Event()
+        shed = []
+
+        def late_submit():
+            with pytest.raises(ServerOverloaded, match="queue full"):
+                server.submit(images[1])
+            shed.append(True)
+
+        thread = threading.Thread(target=late_submit)
+        thread.start()
+        try:
+            assert encoder.parked.wait(timeout=10), "the late submit never reached its encode"
+            second = server.submit(images[2])  # takes the last slot meanwhile
+        finally:
+            gate.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive() and shed == [True]
+        telemetry = server.telemetry
+        # The late arrival paid its encode, and its shed consumed no sequence number.
+        assert (telemetry.total_admitted, telemetry.total_shed, encoder.calls) == (2, 1, 3)
+        with server:
+            assert [f.result(timeout=30).sequence for f in (first, second)] == [0, 1]
+
+    def test_a_submit_racing_stop_is_not_admitted(self, untrained):
+        """A server stopped while a submit encodes refuses it under the lock."""
+        model, encoder, images = untrained
+        encoder = _ParkingEncoder(encoder)
+        server = InferenceServer(model, encoder).start()
+        gate = encoder.park = threading.Event()
+        refused = []
+
+        def racing_submit():
+            with pytest.raises(ServerClosed):
+                server.submit(images[0])
+            refused.append(True)
+
+        thread = threading.Thread(target=racing_submit)
+        thread.start()
+        try:
+            assert encoder.parked.wait(timeout=10), "the submit never reached its encode"
+            server.stop()
+        finally:
+            gate.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive() and refused == [True]
+        assert server.telemetry.total_admitted == 0
+
+    def test_concurrent_submitters_never_overfill_the_queue(self, untrained):
+        """Stress: racing submitters against a held worker admit exactly ``max_queue``."""
+        model, encoder, images = untrained
+        pool = StubPool(model, hold={0})
+        cap, clients, per_client = 3, 8, 10
+        admitted, shed = [], []
+        lock = threading.Lock()
+
+        def client(offset):
+            for i in range(per_client):
+                try:
+                    future = server.submit(images[(offset + i) % len(images)])
+                except ServerOverloaded:
+                    with lock:
+                        shed.append(i)
+                else:
+                    with lock:
+                        admitted.append(future)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            server = InferenceServer(pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=cap)
+            with server:
+                try:
+                    running = server.submit(images[0])
+                    _await_cut(server)
+                    threads = [threading.Thread(target=client, args=(k,)) for k in range(clients)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                    assert not any(thread.is_alive() for thread in threads), "a client hung"
+                    assert server.queue_depth == cap
+                finally:
+                    pool.release.set()
+                for future in [running, *admitted]:
+                    future.result(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (len(admitted), len(shed)) == (cap, clients * per_client - cap)
+        telemetry = server.telemetry
+        assert (telemetry.total_admitted, telemetry.total_shed) == (cap + 1, len(shed))
+        assert telemetry.queue_depth_high_water == cap
 
     def test_queue_depth_never_exceeds_cap_under_load(self, untrained):
         model, encoder, images = untrained
@@ -330,54 +455,7 @@ class TestAdmissionControl:
             assert server.queue_depth == 0
             pool.release.set()
             running.result(timeout=30)
-        assert server.telemetry.lane_counters()["timed_out"] == {0: 1}
-
-    def test_priority_arrival_evicts_a_request_waiting_for_a_worker(self, untrained):
-        model, encoder, images = untrained
-        pool = StubPool(model, hold={0})
-        server = InferenceServer(pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1)
-        with server:
-            running = server.submit(images[0])
-            _await_cut(server)
-            waiting = server.submit(images[1])
-            time.sleep(0.05)  # time enough for the dispatcher to cut it, were a worker free
-            assert server.queue_depth == 1
-            urgent = server.submit(images[2], priority=1)
-            with pytest.raises(ServerOverloaded, match="evicted"):
-                waiting.result(timeout=5)
-            assert not running.done(), "batch 0 finished before the eviction"
-            pool.release.set()
-            assert urgent.result(timeout=30).priority == 1
-            running.result(timeout=30)
-        assert server.telemetry.lane_counters()["shed"] == {0: 1}
-
-    def test_blocked_submitter_waits_for_a_busy_worker(self, untrained):
-        model, encoder, images = untrained
-        pool = StubPool(model, hold={0})
-        server = InferenceServer(
-            pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1, overload="block"
-        )
-        with server:
-            running = server.submit(images[0])
-            _await_cut(server)
-            waiting = server.submit(images[1])  # takes the only slot
-            blocked = {}
-            thread = threading.Thread(
-                target=lambda: blocked.__setitem__("future", server.submit(images[2]))
-            )
-            thread.start()
-            deadline = time.monotonic() + 10
-            while not server._blocked:
-                assert time.monotonic() < deadline, "submitter never blocked"
-                time.sleep(0.001)
-            assert not running.done(), "batch 0 finished before the submitter blocked"
-            pool.release.set()
-            thread.join(timeout=30)
-            assert not thread.is_alive(), "the blocked submitter was never admitted"
-            results = [f.result(timeout=30) for f in (running, waiting, blocked["future"])]
-        assert [r.sequence for r in results] == [0, 1, 2]
-        assert server.telemetry.queue_depth_high_water == 1
-        assert server.telemetry.total_shed == 0
+        assert server.telemetry.total_timed_out == 1
 
     def test_stop_without_drain_fails_requests_waiting_for_a_busy_worker(self, untrained):
         model, encoder, images = untrained
@@ -397,73 +475,48 @@ class TestAdmissionControl:
                 future.result(timeout=5)
         assert server.telemetry.total_requests == 1
 
-    def test_backpressure_blocks_and_admits_fifo(self, untrained):
-        model, encoder, images = untrained
-        cap = 2
-        server = InferenceServer(
-            model, encoder, max_batch=1, max_wait_ms=0.0, max_queue=cap, overload="block"
-        )
-        head = server.submit_many(images[:cap])  # fills the queue (not started)
-
-        blocked_futures = {}
-        threads = []
-        for i in range(3):
-            thread = threading.Thread(
-                target=lambda i=i: blocked_futures.__setitem__(i, server.submit(images[cap + i]))
-            )
-            thread.start()
-            threads.append(thread)
-            # Wait until this submitter is parked in the admission turnstile
-            # before launching the next, so arrival order is deterministic.
-            deadline = time.monotonic() + 10
-            while len(server._blocked) != i + 1:
-                assert time.monotonic() < deadline, "submitter never blocked"
-                time.sleep(0.001)
-
-        server.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        results = [blocked_futures[i].result(timeout=30) for i in range(3)]
-        for future in head:
-            future.result(timeout=30)
-        server.stop()
-
-        # Blocked submitters were admitted in arrival order, after the head.
-        assert [r.sequence for r in results] == [cap, cap + 1, cap + 2]
-        assert server.telemetry.queue_depth_high_water <= cap
-        assert server.telemetry.total_shed == 0
-        assert server.telemetry.total_admitted == cap + 3
-
-    def test_blocked_submitter_released_by_stop(self, untrained):
-        model, encoder, images = untrained
-        server = InferenceServer(
-            model, encoder, max_batch=1, max_queue=1, overload="block"
-        )
-        server.submit(images[0])  # fills the queue (not started)
-        errors = []
-
-        def client():
-            try:
-                server.submit(images[1])
-            except ServerClosed as exc:
-                errors.append(exc)
-
-        thread = threading.Thread(target=client)
-        thread.start()
-        deadline = time.monotonic() + 10
-        while not server._blocked:
-            assert time.monotonic() < deadline
-            time.sleep(0.001)
-        server.stop(drain=False)
-        thread.join(timeout=10)
-        assert len(errors) == 1
-
     def test_invalid_admission_arguments_rejected(self, untrained):
-        model, encoder, _ = untrained
+        model, encoder, images = untrained
         with pytest.raises(ValueError, match="max_queue"):
             InferenceServer(model, encoder, max_queue=0)
-        with pytest.raises(ValueError, match="overload"):
-            InferenceServer(model, encoder, max_queue=2, overload="panic")
+        # One admission policy: no overload mode to pick, no priority lane.
+        with pytest.raises(TypeError, match="overload"):
+            InferenceServer(model, encoder, max_queue=2, overload="shed")
+        with pytest.raises(TypeError, match="priority"):
+            InferenceServer(model, encoder).submit(images[0], priority=1)
+
+    def test_admission_counters_are_exposed_per_model_only(self, untrained):
+        """The admitted, shed and timed-out series carry only ``model`` and match the summary."""
+        model, encoder, images = untrained
+        pool = StubPool(model, hold={0})
+        telemetry = ServeTelemetry(model="m")
+        server = InferenceServer(
+            pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1, telemetry=telemetry
+        )
+        with server:
+            try:
+                running = server.submit(images[0])
+                _await_cut(server)
+                doomed = server.submit(images[1], deadline_ms=50.0)
+                with pytest.raises(RequestTimedOut):
+                    doomed.result(timeout=5)
+                waiting = server.submit(images[2])  # takes the slot the timeout freed
+                with pytest.raises(ServerOverloaded):
+                    server.submit(images[3])
+            finally:
+                pool.release.set()
+            for future in (running, waiting):
+                future.result(timeout=30)
+        text = telemetry.metrics.expose_text()
+        names = ("repro_serve_admitted_total", "repro_serve_shed_total", "repro_serve_timed_out_total")
+        rows = dict(line.rsplit(" ", 1) for line in text.splitlines() if line.startswith(names))
+        summary = telemetry.summary()
+        assert (summary["admitted"], summary["shed"], summary["timed_out"]) == (3, 1, 1)
+        assert rows == {
+            f'{name}{{model="m"}}': f"{summary[key]:g}"
+            for name, key in zip(names, ("admitted", "shed", "timed_out"))
+        }
+        assert "lane" not in text
 
 
 class TestCancellation:
@@ -523,19 +576,6 @@ class TestCancellation:
         server.stop()
         assert server.telemetry.total_timed_out == 0  # cancelled, not timed out
 
-    def test_cancelled_eviction_victim_raises_nothing(self, untrained):
-        model, encoder, images = untrained
-        server = InferenceServer(model, encoder, max_batch=4, max_queue=1)
-        victim = server.submit(images[0])
-        assert victim.cancel()
-        urgent = server.submit(images[1], priority=1)  # evicts the cancelled request
-        server.start()
-        assert urgent.result(timeout=30).priority == 1
-        server.stop()
-        assert victim.cancelled()
-        assert server.telemetry.total_shed == 0
-        assert server.telemetry.total_requests == 1
-
     def test_cancelled_waiter_of_an_unstarted_server_survives_stop(self, untrained):
         model, encoder, images = untrained
         server = InferenceServer(model, encoder, max_batch=4)
@@ -566,19 +606,24 @@ class TestCancellation:
         admission drops cancelled requests; each request ends one way."""
         model, encoder, images = untrained
         outcomes = []  # (future, whether cancel() succeeded)
+        shed = []
         lock = threading.Lock()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             server = InferenceServer(
-                model, encoder, max_batch=3, max_wait_ms=0.5, workers=4,
-                max_queue=max_queue, overload="block",
+                model, encoder, max_batch=3, max_wait_ms=0.5, workers=4, max_queue=max_queue
             )
             with server:
 
                 def client(offset):
                     for i in range(30):
-                        future = server.submit(images[(offset + i) % len(images)])
+                        try:
+                            future = server.submit(images[(offset + i) % len(images)])
+                        except ServerOverloaded:
+                            with lock:
+                                shed.append(i)
+                            continue
                         cancelled = future.cancel() if i % 2 else False
                         with lock:
                             outcomes.append((future, cancelled))
@@ -598,11 +643,12 @@ class TestCancellation:
                 assert future.result(timeout=5).counts.shape
                 served += 1
         telemetry = server.telemetry
-        assert telemetry.total_admitted == len(outcomes) == 120
+        assert len(outcomes) + len(shed) == 120
+        assert (telemetry.total_admitted, telemetry.total_shed) == (len(outcomes), len(shed))
         assert telemetry.total_requests == served
         assert telemetry.total_failed == 0
 
-    def test_a_cancelled_request_frees_its_slot_for_a_shed_mode_arrival(self, untrained):
+    def test_a_cancelled_request_frees_its_slot_for_an_arrival(self, untrained):
         model, encoder, images = untrained
         pool = StubPool(model, hold=range(1))
         server = InferenceServer(pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1)
@@ -620,69 +666,6 @@ class TestCancellation:
             assert [f.result(timeout=30).sequence for f in (running, arrival)] == [0, 2]
         telemetry = server.telemetry
         assert (telemetry.total_admitted, telemetry.total_shed, telemetry.total_requests) == (3, 0, 2)
-
-    def test_a_cancelled_request_frees_its_slot_for_a_block_mode_arrival(self, untrained):
-        model, encoder, images = untrained
-        pool = StubPool(model, hold=range(1))
-        server = InferenceServer(
-            pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1, overload="block"
-        )
-        with server:
-            try:
-                running = server.submit(images[0])
-                _await_cut(server)
-                cancelled = server.submit(images[1])  # waits for the held worker
-                assert cancelled.cancel()
-                submitted = {}
-                thread = threading.Thread(
-                    target=lambda: submitted.__setitem__("future", server.submit(images[2]))
-                )
-                thread.start()
-                thread.join(timeout=5)
-                assert not thread.is_alive(), "the submitter blocked behind a cancelled request"
-                assert cancelled in wait([cancelled], timeout=0).done  # claimed
-                assert not running.done(), "the held batch ended before the arrival"
-            finally:
-                pool.release.set()
-            assert [f.result(timeout=30).sequence for f in (running, submitted["future"])] == [0, 2]
-        telemetry = server.telemetry
-        assert (telemetry.total_admitted, telemetry.total_shed, telemetry.total_requests) == (3, 0, 2)
-
-    def test_a_blocked_submitter_takes_a_cancelled_slot_at_the_next_wake_up(self, untrained):
-        """A cancel wakes nobody; the next submit frees the slot for the head waiter."""
-        model, encoder, images = untrained
-        pool = StubPool(model, hold=range(1))
-        server = InferenceServer(
-            pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1, overload="block"
-        )
-        submitted = {}
-
-        def submit_in_thread(key, image):
-            thread = threading.Thread(target=lambda: submitted.__setitem__(key, server.submit(image)))
-            thread.start()
-            return thread
-
-        with server:
-            try:
-                running = server.submit(images[0])
-                _await_cut(server)
-                cancelled = server.submit(images[1])  # waits for the held worker
-                first = submit_in_thread("first", images[2])
-                deadline = time.monotonic() + 10
-                while not server._blocked:
-                    assert time.monotonic() < deadline, "submitter never blocked"
-                    time.sleep(0.001)
-                assert cancelled.cancel()
-                second = submit_in_thread("second", images[3])  # wakes the head waiter
-                first.join(timeout=5)
-                assert not first.is_alive(), "the head waiter never took the freed slot"
-                assert not running.done(), "the held batch ended before the head waiter"
-            finally:
-                pool.release.set()
-            second.join(timeout=30)
-            futures = (running, submitted["first"], submitted["second"])
-            assert [f.result(timeout=30).sequence for f in futures] == [0, 2, 3]
-        assert server.telemetry.total_requests == 3
 
     def test_a_request_cut_into_a_batch_can_no_longer_be_cancelled(self, untrained):
         model, encoder, images = untrained
@@ -921,28 +904,75 @@ class TestInferenceServer:
         assert running.result(timeout=30).batch_size == 1
         _assert_threads_end(server)
 
-    def test_an_evicted_requests_callback_may_stop_the_server(self, untrained):
-        """That callback runs on the evicting submitter, once it let go of the server lock."""
+    def test_a_timed_out_requests_callback_holds_no_server_lock(self, untrained):
+        """A callback that blocks on a timed-out request stalls no other submitter."""
         model, encoder, images = untrained
-        server = InferenceServer(
-            model, encoder, max_batch=2, max_wait_ms=10_000.0, max_queue=1
-        ).start()
-        victim = server.submit(images[0])  # waits for company
-        returned = _stop_in_callback(server, victim)
-        urgent = {}
-        submitter = threading.Thread(
-            target=lambda: urgent.__setitem__("future", server.submit(images[1], priority=1)),
-            daemon=True,
-        )
-        submitter.start()
-        submitter.join(timeout=30)
-        assert not submitter.is_alive(), "stop() in the eviction's callback never returned"
-        assert returned.is_set()
-        with pytest.raises(ServerOverloaded, match="evicted"):
-            victim.result(timeout=5)
+        pool = StubPool(model, hold={0})
+        gate, entered = threading.Event(), threading.Event()
+        submitted = {}
+
+        def block(_future):
+            entered.set()
+            gate.wait(timeout=30)
+
+        with InferenceServer(pool, encoder, max_batch=1, max_wait_ms=0.0) as server:
+            try:
+                running = server.submit(images[0])
+                _await_cut(server)
+                doomed = server.submit(images[1], deadline_ms=200.0)
+                doomed.add_done_callback(block)
+                assert entered.wait(timeout=10), "the request never timed out"
+                submitter = threading.Thread(
+                    target=lambda: submitted.__setitem__("future", server.submit(images[2]))
+                )
+                submitter.start()
+                submitter.join(timeout=5)
+                assert not submitter.is_alive(), "submit() waited for a timed-out request's callback"
+            finally:
+                gate.set()
+                pool.release.set()
+            with pytest.raises(RequestTimedOut):
+                doomed.result(timeout=5)
+            assert running.result(timeout=30).batch_size == 1
+            assert submitted["future"].result(timeout=30).batch_size == 1
+
+    def test_a_timed_out_requests_callback_may_submit(self, untrained):
+        """That callback runs on the dispatcher; what it submits is admitted and served."""
+        model, encoder, images = untrained
+        server = InferenceServer(model, encoder, max_batch=1, max_wait_ms=0.0)
+        doomed = server.submit(images[0], deadline_ms=0.001)  # expired when the server starts
+        resubmitted, retried = threading.Event(), []
+
+        def resubmit(_future):
+            retried.append(server.submit(images[1]))
+            resubmitted.set()
+
+        doomed.add_done_callback(resubmit)
+        with server:
+            assert resubmitted.wait(timeout=10), "the callback's submit never returned"
+            assert retried[0].result(timeout=30).sequence == 1
+        with pytest.raises(RequestTimedOut):
+            doomed.result(timeout=5)
+        assert server.telemetry.total_timed_out == 1
+
+    def test_requests_expiring_together_time_out_when_a_callback_stops_the_server(
+        self, untrained
+    ):
+        """The prune fails every request it took off the queue, even after a callback's stop()."""
+        model, encoder, images = untrained
+        server = InferenceServer(model, encoder, max_batch=4, max_wait_ms=10_000.0)
+        doomed = [server.submit(image, deadline_ms=0.001) for image in images[:2]]
+        waiting = server.submit(images[2])
+        returned = _stop_in_callback(server, doomed[0])
+        server.start()
+        assert returned.wait(timeout=30), "stop() in the callback never returned"
+        for future in doomed:
+            with pytest.raises(RequestTimedOut):
+                future.result(timeout=5)
         with pytest.raises(ServerClosed):
-            urgent["future"].result(timeout=5)
+            waiting.result(timeout=5)
         _assert_threads_end(server)
+        assert server.telemetry.total_timed_out == 2
 
     def test_encoder_errors_surface_at_submit(self, untrained):
         model, encoder, _ = untrained
@@ -1000,8 +1030,29 @@ class TestSloAwareScheduling:
             with pytest.raises(RequestTimedOut, match="before the batch started"):
                 doomed.result(timeout=30)
             assert plain.result(timeout=30).batch_size == 1
-        assert server.telemetry.lane_counters()["timed_out"] == {0: 1}
+        assert server.telemetry.total_timed_out == 1
         assert server.telemetry.total_requests == 1
+
+    def test_a_draining_stop_times_out_an_expired_request(self, untrained):
+        """stop() drains the queue, but never serves a request past its deadline."""
+        model, encoder, images = untrained
+        pool = StubPool(model, hold={0})
+        server = InferenceServer(pool, encoder, max_batch=2, max_wait_ms=0.0).start()
+        running = server.submit(images[0])
+        _await_cut(server)
+        doomed = server.submit(images[1], deadline_ms=100.0)
+        plain = server.submit(images[2])
+        stopper = threading.Thread(target=server.stop)  # drains, so it waits for the held batch
+        stopper.start()
+        try:
+            with pytest.raises(RequestTimedOut, match="before the batch was cut"):
+                doomed.result(timeout=5)
+        finally:
+            pool.release.set()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive(), "stop() never returned"
+        assert [f.result(timeout=5).batch_size for f in (running, plain)] == [1, 1]
+        assert server.telemetry.total_timed_out == 1
 
     def test_deadline_must_be_positive(self, untrained):
         model, encoder, images = untrained
@@ -1009,103 +1060,53 @@ class TestSloAwareScheduling:
         with pytest.raises(ValueError):
             server.submit(images[0], deadline_ms=0.0)
 
-    def test_high_priority_evicts_lowest_latest_victim(self, untrained):
-        model, encoder, images = untrained
-        server = InferenceServer(model, encoder, max_batch=4, max_queue=2, overload="shed")
-        first = server.submit(images[0])
-        second = server.submit(images[1])
-        with pytest.raises(ServerOverloaded):
-            server.submit(images[2])  # equal priority never evicts
-        third = server.submit(images[3], priority=1)
-        # The latest-arrival low-priority request is sacrificed first...
-        with pytest.raises(ServerOverloaded, match="evicted"):
-            second.result(timeout=5)
-        fourth = server.submit(images[4], priority=1)
-        # ...then the remaining one.
-        with pytest.raises(ServerOverloaded, match="evicted"):
-            first.result(timeout=5)
-        with pytest.raises(ServerOverloaded):
-            server.submit(images[5], priority=1)  # all lanes equal again
-
-        telemetry = server.telemetry
-        assert telemetry.lane_counters() == {
-            "admitted": {0: 2, 1: 2},
-            "shed": {0: 3, 1: 1},
-            "timed_out": {},
-        }
-        summary = telemetry.summary()
-        assert summary["admitted_high"] == 2
-        assert summary["shed_high"] == 1 and summary["shed_low"] == 3
-
-        server.start()
-        for future in (third, fourth):
-            assert future.result(timeout=30).priority == 1
-        server.stop()
-
-    def test_priority_never_reorders_dispatch(self, untrained):
-        """Priority is a shed lane, not a fast lane: FIFO order holds."""
-        model, encoder, images = untrained
-        server = InferenceServer(model, encoder, max_batch=2, max_wait_ms=50.0)
-        futures = [
-            server.submit(images[i % len(images)], priority=i % 3) for i in range(8)
-        ]
-        server.start()
-        sequences = [future.result(timeout=60).sequence for future in futures]
-        server.stop()
-        assert sequences == sorted(sequences)
-
-    def test_every_arrival_is_accounted_for_under_mixed_priority_overload(self, untrained):
-        """Each arrival is served, evicted, timed out or shed at submit, once."""
+    def test_every_arrival_is_accounted_for_under_overload(self, untrained):
+        """Each arrival is served, timed out, shed at submit or cancelled, once."""
         model, encoder, images = untrained
         slow_ms = 200.0
         arrivals = 40
-        # Every batch runs for twice the priority-1 budget, so arrivals
-        # outpace service and a priority-1 request that waits out one
+        # Every batch runs for twice the deadline budget, so arrivals
+        # outpace service and a request with a deadline that waits out one
         # batch times out.
         pool = StubPool(model, slow=range(arrivals), slow_ms=slow_ms)
         server = InferenceServer(pool, encoder, max_batch=2, max_wait_ms=0.0, max_queue=3)
-        lanes = (0, 1)
-        futures = []
-        submit_shed = dict.fromkeys(lanes, 0)
+        admitted = []  # (whether it has a deadline, future)
+        shed = cancelled = 0
         with server:
             for i in range(arrivals):
-                priority = i % 2
+                deadline_ms = slow_ms / 2 if i % 2 else None
                 try:
-                    future = server.submit(
-                        images[i % len(images)],
-                        priority=priority,
-                        deadline_ms=slow_ms / 2 if priority else None,
-                    )
-                    futures.append((priority, future))
+                    future = server.submit(images[i % len(images)], deadline_ms=deadline_ms)
                 except ServerOverloaded:
-                    submit_shed[priority] += 1
+                    shed += 1
+                else:
+                    admitted.append((deadline_ms is not None, future))
+                    # Every third admitted client gives up while its request waits.
+                    if len(admitted) % 3 == 0 and future.cancel():
+                        cancelled += 1
                 time.sleep(0.01)
-            served, evicted, timed_out = ({lane: 0 for lane in lanes} for _ in range(3))
-            lane1_queue_ms = []
-            for priority, future in futures:
+            served = timed_out = 0
+            deadline_queue_ms = []
+            for has_deadline, future in admitted:
+                if future.cancelled():
+                    continue
                 try:
                     result = future.result(timeout=60)
-                    served[priority] += 1
-                    if priority:
-                        lane1_queue_ms.append(result.queue_ms)
-                except ServerOverloaded:
-                    evicted[priority] += 1
                 except RequestTimedOut:
-                    timed_out[priority] += 1
-        endings = (served, evicted, timed_out, submit_shed)
-        assert sum(sum(ending.values()) for ending in endings) == arrivals
+                    timed_out += 1
+                else:
+                    served += 1
+                    if has_deadline:
+                        deadline_queue_ms.append(result.queue_ms)
+        assert served + timed_out + shed + cancelled == arrivals
         telemetry = server.telemetry
-        assert telemetry.total_shed == sum(evicted.values()) + sum(submit_shed.values())
-        counters = telemetry.lane_counters()
-        for lane in lanes:
-            assert counters["admitted"].get(lane, 0) == served[lane] + evicted[lane] + timed_out[lane]
-            assert counters["shed"].get(lane, 0) == evicted[lane] + submit_shed[lane]
-            assert counters["timed_out"].get(lane, 0) == timed_out[lane]
-        # Nothing outranks lane 1.  A lane-1 request still waiting at its
-        # deadline times out; one served started before its deadline.
-        assert evicted[1] == 0
-        assert all(queue_ms < slow_ms / 2 for queue_ms in lane1_queue_ms)
-        assert served[0] and evicted[0] and submit_shed[0] and timed_out[1]
+        assert telemetry.total_admitted == served + timed_out + cancelled
+        assert (telemetry.total_requests, telemetry.total_timed_out) == (served, timed_out)
+        assert (telemetry.total_shed, telemetry.total_failed) == (shed, 0)
+        # A request still waiting at its deadline times out; one served
+        # started before its deadline.
+        assert all(queue_ms < slow_ms / 2 for queue_ms in deadline_queue_ms)
+        assert served and timed_out and shed and cancelled
 
 
 class TestTelemetryMath:
@@ -1144,16 +1145,11 @@ class TestTelemetryMath:
         with pytest.raises(ValueError, match="window"):
             ServeTelemetry(window=0)
 
-    def test_summary_splits_lanes_at_priority_zero(self):
-        """Lanes above 0 count as high priority; lane 0 and below as low."""
-        telemetry = ServeTelemetry()
-        for priority in (-1, 0, 0, 1, 2, 2):
-            telemetry.record_admission(queue_depth=1, priority=priority)
-            telemetry.record_shed(priority=priority)
-        summary = telemetry.summary()
-        assert (summary["shed_low"], summary["shed_high"]) == (3, 3)
-        assert (summary["admitted"], summary["admitted_high"]) == (6, 3)
-        assert telemetry.lane_counters()["shed"] == {-1: 1, 0: 2, 1: 1, 2: 2}
+    def test_admission_counters_are_exposed_from_zero(self):
+        """A fresh telemetry already exposes its admission series, each at 0."""
+        lines = ServeTelemetry(model="m").metrics.expose_text().splitlines()
+        for name in ("repro_serve_admitted_total", "repro_serve_shed_total", "repro_serve_timed_out_total"):
+            assert f'{name}{{model="m"}} 0' in lines
 
     def test_rendering_names_precision_and_last_error(self):
         telemetry = ServeTelemetry()
@@ -1209,23 +1205,21 @@ class TestTelemetryMath:
         summary = telemetry.summary()
         assert summary["requests"] == 0 and summary["admitted"] == 0
         assert np.isnan(summary["p50_ms"]) and np.isnan(summary["p99_ms"])
-        assert summary["shed_low"] == 0 and summary["shed_high"] == 0
+        assert summary["shed"] == 0 and summary["timed_out"] == 0
         text = format_telemetry(summary)
         assert "requests" in text and "queue high-water" in text
-        assert telemetry.lane_counters() == {"admitted": {}, "shed": {}, "timed_out": {}}
 
     def test_shed_only_window(self):
-        """Every arrival rejected: sheds counted per lane, percentiles stay NaN."""
+        """Every arrival rejected: sheds counted, percentiles stay NaN."""
         telemetry = ServeTelemetry()
-        for priority in (0, 0, 1, 0):
-            telemetry.record_shed(priority=priority)
+        for _ in range(4):
+            telemetry.record_shed()
         summary = telemetry.summary()
         assert summary["shed"] == 4
-        assert summary["shed_low"] == 3 and summary["shed_high"] == 1
         assert summary["admitted"] == 0 and summary["requests"] == 0
         assert np.isnan(summary["p99_ms"])
-        assert "shed (low/high)" in format_telemetry(summary)
-        assert telemetry.lane_counters()["shed"] == {0: 3, 1: 1}
+        rows = dict(line.split(":", 1) for line in format_telemetry(summary).splitlines()[2:])
+        assert {name.strip(): value.strip() for name, value in rows.items()}["shed"] == "4"
 
     def test_format_helpers_render(self, untrained):
         model, encoder, images = untrained
