@@ -59,7 +59,7 @@ class SpanRecord:
     start / end:
         ``time.perf_counter`` timestamps bounding the interval.
     attrs:
-        Small free-form payload (batch size, priority, model name, ...).
+        Small free-form payload (batch size, model name, ...).
     """
 
     trace_id: int

@@ -35,11 +35,6 @@ front-end over a :class:`~repro.serve.registry.ModelRegistry`:
   :class:`~repro.serve.scheduler.ServerOverloaded`.  Shed counts, admitted
   counts and queue-depth high-water marks appear in each model's telemetry
   and in the gateway's aggregated :meth:`ServeGateway.summary`.
-* **Unlowerable models** — a model the runtime cannot lower fails its
-  first submit with :class:`~repro.runtime.engine.RuntimeCompileError`.
-  The gateway remembers the failure with the checkpoint's signature, so
-  later submits re-raise it without reading the file again until the
-  model is republished.
 
 ``benchmarks/bench_serve.py`` drives a two-model gateway through open-loop
 overload; ``examples/serve_quickstart.py`` shows routing plus a live
@@ -150,10 +145,6 @@ class ServeGateway:
         )
         self._active: Dict[str, _ActiveModel] = {}
         self._creating: Dict[str, threading.Lock] = {}
-        # Per name, an activation the runtime could not compile: the
-        # checkpoint signature it was read at and the error.  Until the
-        # signature changes, a submit re-raises it without reading the file.
-        self._unlowerable: Dict[str, Tuple[Optional[Tuple[int, int, int]], str]] = {}
         self._lock = threading.Lock()
         self._closed = False
 
@@ -361,17 +352,13 @@ class ServeGateway:
                     # Signature BEFORE load: a publish racing the load is
                     # then detected (and picked up) by the next reload check.
                     signature = self.registry.checkpoint_signature(name)
-                    failed = self._unlowerable.get(name)
-                    if failed is not None and failed[0] == signature:
-                        raise RuntimeCompileError(failed[1])
                     entry = self.registry.load(name)
-                    try:
-                        server = self._make_server(entry)
-                    except RuntimeCompileError as exc:
-                        self._unlowerable[name] = (signature, str(exc))
-                        raise
-                    self._unlowerable.pop(name, None)
-                    active = _ActiveModel(name=name, entry=entry, server=server, signature=signature)
+                    active = _ActiveModel(
+                        name=name,
+                        entry=entry,
+                        server=self._make_server(entry),
+                        signature=signature,
+                    )
                     with self._lock:
                         if self._closed:
                             # stop() already swept _active; don't leak a

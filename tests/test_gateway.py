@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -42,33 +40,6 @@ def _publish(registry: ModelRegistry, name: str, config: ExperimentConfig):
     model.eval()
     registry.save(name, model, make_encoder(config), config=config)
     return model
-
-
-def _publish_unlowerable(registry: ModelRegistry, name: str, config: ExperimentConfig):
-    """Publish a model with a well-formed quantization spec whose input scale compile_network refuses."""
-    model = make_model(config)
-    model.eval()
-    save_checkpoint(
-        registry.checkpoint_path(name),
-        model,
-        make_encoder(config),
-        metadata={
-            "registry": {"name": name, "quantization": {"precision": "int8", "input_scale": 2.0}}
-        },
-    )
-
-
-def _count_loads(registry: ModelRegistry, monkeypatch) -> list:
-    """Record the name of every ``registry.load`` call in the returned list."""
-    loads = []
-    real_load = registry.load
-
-    def counted_load(name):
-        loads.append(name)
-        return real_load(name)
-
-    monkeypatch.setattr(registry, "load", counted_load)
-    return loads
 
 
 def _single_image_counts(model, encoder, images):
@@ -153,74 +124,22 @@ class TestGatewayRouting:
         self, tmp_path, micro_config, images
     ):
         registry = ModelRegistry(tmp_path)
-        _publish_unlowerable(registry, "m", micro_config)
+        model = make_model(micro_config)
+        model.eval()
+        # A well-formed quantization spec whose input scale compile_network refuses.
+        save_checkpoint(
+            registry.checkpoint_path("m"),
+            model,
+            make_encoder(micro_config),
+            metadata={
+                "registry": {"name": "m", "quantization": {"precision": "int8", "input_scale": 2.0}}
+            },
+        )
         with ServeGateway(registry) as gateway:
             for _ in range(2):
                 with pytest.raises(RuntimeCompileError, match="input_scale"):
                     gateway.submit("m", images[0])
             assert gateway.active_models() == []  # no server, so nothing was encoded
-
-    def test_a_failed_activation_is_not_retried_until_a_republish(
-        self, tmp_path, micro_config, images, monkeypatch
-    ):
-        registry = ModelRegistry(tmp_path)
-        _publish_unlowerable(registry, "m", micro_config)
-        loads = _count_loads(registry, monkeypatch)
-        with ServeGateway(registry) as gateway:
-            for _ in range(2):
-                with pytest.raises(RuntimeCompileError, match="input_scale"):
-                    gateway.submit("m", images[0])
-            assert loads == ["m"]  # the second submit read nothing
-            # A lowerable publish under the same name is tried afresh, and serves.
-            lowerable = _publish(registry, "m", micro_config)
-            served = gateway.submit("m", images[0]).result(timeout=30).counts
-            assert loads == ["m", "m"]
-        np.testing.assert_array_equal(
-            served, _single_image_counts(lowerable, make_encoder(micro_config), images[:1])[0]
-        )
-
-    def test_a_new_unlowerable_publish_is_read_once(
-        self, tmp_path, micro_config, images, monkeypatch
-    ):
-        registry = ModelRegistry(tmp_path)
-        _publish_unlowerable(registry, "m", micro_config)
-        loads = _count_loads(registry, monkeypatch)
-        with ServeGateway(registry) as gateway:
-            with pytest.raises(RuntimeCompileError, match="input_scale"):
-                gateway.submit("m", images[0])
-            _publish_unlowerable(registry, "m", micro_config.with_overrides(seed=1))
-            for _ in range(2):
-                with pytest.raises(RuntimeCompileError, match="input_scale"):
-                    gateway.submit("m", images[0])
-            assert loads == ["m", "m"]  # one read per publish
-            assert gateway.active_models() == []
-
-    def test_concurrent_first_submits_read_an_unlowerable_model_once(
-        self, tmp_path, micro_config, images, monkeypatch
-    ):
-        registry = ModelRegistry(tmp_path)
-        _publish_unlowerable(registry, "m", micro_config)
-        loads = _count_loads(registry, monkeypatch)
-        clients = 4
-        start = threading.Barrier(clients)
-        errors = []
-
-        def client():
-            start.wait(timeout=30)
-            try:
-                gateway.submit("m", images[0])
-            except RuntimeCompileError as exc:
-                errors.append(exc)
-
-        with ServeGateway(registry) as gateway:
-            threads = [threading.Thread(target=client) for _ in range(clients)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads), "a client hung"
-        assert len(errors) == clients
-        assert loads == ["m"]  # activation is serialised per name, and the failure remembered
 
     def test_a_server_that_keeps_retiring_exhausts_the_retry_budget(
         self, tmp_path, micro_config, images, monkeypatch
