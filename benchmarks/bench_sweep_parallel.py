@@ -3,7 +3,7 @@
 Measures two things on a reduced Figure 2 (beta x theta) grid:
 
 1. **Parallel speedup** — the same grid trained serially and through the
-   fork-based process pool.  Parallelism only helps with spare cores; the
+   sweep process pool.  Parallelism only helps with spare cores; the
    assertion (>= 2x at 4 workers) therefore only arms on full mode
    (``REPRO_BENCH_FULL=1``) on a machine with at least 4 CPUs, but the
    measured numbers are always recorded.

@@ -11,9 +11,9 @@ is profiled once and then mapped onto
 
 reporting latency, power, FPS/W and FPGA resource utilisation for each.
 
-The final section demonstrates the event-driven inference runtime
+The final section demonstrates a compiled inference plan
 (:mod:`repro.runtime`): a network is compiled into a graph-free plan,
-executed on a spike sequence, and the activity the runtime *measures while
+executed on a spike sequence, and the activity the plan *measures while
 executing* is turned directly into a hardware workload — no separate
 profiling pass, and per-layer input events are the post-pooling counts the
 accelerator would really see.
@@ -83,8 +83,8 @@ def main() -> None:
 
 
 def runtime_section() -> None:
-    """Event-driven runtime: measured activity straight into the hardware model."""
-    print("\nevent-driven runtime (repro.runtime):")
+    """Compiled plan: measured activity straight into the hardware model."""
+    print("\ncompiled inference plan (repro.runtime):")
     model = make_reduced_cnn()
     model.eval()
     spikes = make_spike_sequence(

@@ -7,16 +7,16 @@ This walks the full pipeline the paper uses, end to end, at a small scale:
 2. build the paper's convolutional SNN (``XC3-MP2-XC3-MP2-H-10``) with a
    chosen surrogate gradient, ``beta`` and ``theta``,
 3. train it with surrogate-gradient BPTT (Adam + cosine annealing),
-4. measure its per-layer firing rates (through the event-driven inference
-   runtime, ``repro.runtime``, which produces identical spike trains to the
-   dense forward at a fraction of the cost), and
+4. measure its per-layer firing rates (through a compiled inference plan,
+   ``repro.runtime``, which produces spike trains identical to the dense
+   forward's), and
 5. map it onto the sparsity-aware FPGA accelerator model to obtain latency,
    power and FPS/W.
 
 See ``examples/hardware_mapping.py`` for the runtime API in isolation
 (``compile_network`` / ``run_inference``) and
-``benchmarks/bench_runtime_speedup.py`` for the dense-vs-event-driven
-speedup measurement.
+``benchmarks/bench_runtime_speedup.py`` for the dense forward timed
+against the compiled plan.
 
 Run:
     python examples/quickstart.py            # bench scale (~10 s)

@@ -8,7 +8,7 @@ Walks the deployment half of the pipeline (``repro.serve``) end to end:
    version — into a :class:`~repro.serve.ModelRegistry`,
 2. stand up a :class:`~repro.serve.ServeGateway` with ``max_queue``
    admission control and route named-model requests to both (each gets its own lazily
-   started micro-batching server over the event-driven runtime),
+   started micro-batching server over a compiled inference plan),
 3. **republish** one model while the gateway is live: the gateway notices
    the new registry version on the next request and swaps the weights into
    the running compiled kernels — no restart, version bump visible in the

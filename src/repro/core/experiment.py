@@ -151,7 +151,7 @@ def evaluate_trained_model(
 ) -> Tuple[SparsityProfile, HardwareReport]:
     """Profile a trained model and evaluate it on the hardware model.
 
-    The model is compiled once into the event-driven runtime
+    The model is compiled once into an inference plan
     (:mod:`repro.runtime`), whose spike trains are identical to the dense
     forward; one sweep of that plan yields the accuracy and the measured
     sparsity profile.
@@ -225,8 +225,8 @@ def run_experiment(
 
     This is the unit of work repeated by every sweep: build the dataset,
     encoder and network from ``config``, train with Adam + cosine annealing,
-    measure test accuracy, profile firing rates through the event-driven
-    runtime, and run the hardware model.
+    measure test accuracy, profile firing rates through the compiled
+    inference plan, and run the hardware model.
     """
     model, encoder, test_loader, training = train_model(config, verbose=verbose)
     accuracy = training.final_val_accuracy

@@ -12,11 +12,10 @@ one cell at a time.  This subpackage provides:
   pool forks where the platform allows and spawns otherwise (see
   :func:`~repro.exec.executor.resolve_start_method`); ``workers=1`` (the
   default) runs a serial loop.  Parallel results are bit-for-bit identical
-  to serial ones under either start method.  ``retries=`` re-runs flaky
-  cells with identical seeding (bit-identical records on success) and
-  ``on_error="collect"`` reports a poisoned cell as a
-  :class:`~repro.exec.executor.FailedCell` while the rest of the grid
-  completes.
+  to serial ones under either start method.  A cell that raises, or a
+  worker process that exits, aborts the sweep with
+  :class:`~repro.exec.executor.CellExecutionError`; the cells that
+  finished are already cached.
 * :class:`~repro.exec.cache.ExperimentCache` — a content-addressed on-disk
   cache of :class:`~repro.core.experiment.ExperimentRecord` keyed by the
   resolved configuration plus code-relevant versions, so re-running or
@@ -34,10 +33,7 @@ from repro.exec.cache import (
     experiment_cache_key,
 )
 from repro.exec.executor import (
-    ON_ERROR_COLLECT,
-    ON_ERROR_RAISE,
     CellExecutionError,
-    FailedCell,
     ProgressEvent,
     resolve_cache,
     resolve_start_method,
@@ -52,9 +48,6 @@ __all__ = [
     "CellExecutionError",
     "ExperimentCache",
     "experiment_cache_key",
-    "FailedCell",
-    "ON_ERROR_RAISE",
-    "ON_ERROR_COLLECT",
     "ProgressEvent",
     "resolve_cache",
     "resolve_start_method",

@@ -3,11 +3,11 @@
 :func:`run_experiments` is the single entry point every sweep routes
 through.  It takes an ordered list of configurations, satisfies as many as
 possible from the :class:`~repro.exec.cache.ExperimentCache`, then runs the
-remaining cells either serially or across a process pool.  The pool start
-method defaults to ``fork`` where the platform offers it and falls back to
-``spawn`` otherwise (macOS, Windows), so ``workers>1`` is honoured
-everywhere; :func:`resolve_start_method` picks, and
-``REPRO_SWEEP_START_METHOD`` or the ``start_method=`` argument override.
+remaining cells either serially or on a
+:class:`~concurrent.futures.ProcessPoolExecutor`.  The pool forks where
+the platform offers ``fork`` and spawns otherwise (macOS, Windows), so
+``workers>1`` is honoured everywhere; :func:`resolve_start_method` picks,
+and ``REPRO_SWEEP_START_METHOD`` overrides.
 
 Determinism
 -----------
@@ -21,16 +21,14 @@ results bit-for-bit identical to serial ones (asserted by
 
 Failure policy
 --------------
-At the hundreds-of-cells scale of the companion characterization paper, one
-poisoned cell must not abort a whole grid.  ``retries=N`` re-runs a failing
-cell up to ``N`` more times with jittered exponential backoff between
-attempts — the RNG is reseeded identically before every attempt, so a
-retried success is bit-identical to a first-attempt success (and to the
-cached record).  ``on_error="collect"`` turns a cell that exhausts its
-retries into a :class:`FailedCell` entry in the returned list (carrying the
-worker's full traceback) while every other cell completes;
-``on_error="raise"`` (the default, historical behaviour) aborts the sweep
-with :class:`CellExecutionError` on first failure.
+A failing cell aborts the sweep with :class:`CellExecutionError`.  A cell
+that raises carries the worker's traceback as text, and the workers still
+running are terminated.  A worker process that exits (say, killed by the
+OOM killer) breaks the pool, and the error names every cell that had not
+finished.  Records are cached as their cells finish, so re-running a
+failed sweep with the same cache trains only the cells that are missing.
+A retry would not help a raising cell: its RNG is seeded from its config,
+so it raises again.
 
 Progress
 --------
@@ -46,6 +44,8 @@ import multiprocessing
 import os
 import time
 import traceback
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
@@ -78,10 +78,6 @@ class ProgressEvent:
         Wall-clock seconds the cell took (0 for ``start``/``cached``).
     error:
         Stringified exception for ``kind == "error"``.
-    timestamp:
-        Wall-clock ``time.time()`` at which the event was emitted (0.0 when
-        an event is constructed by hand without one), so progress streams
-        can be correlated with traces and structured logs.
     """
 
     kind: str
@@ -90,7 +86,6 @@ class ProgressEvent:
     label: str
     seconds: float = 0.0
     error: str = ""
-    timestamp: float = 0.0
 
 
 def _print_progress(event: ProgressEvent) -> None:
@@ -141,28 +136,17 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def resolve_start_method(start_method: Optional[str] = None) -> str:
-    """Resolve the pool start method: argument, then env, then the platform.
+def resolve_start_method() -> str:
+    """Resolve the pool start method: ``REPRO_SWEEP_START_METHOD``, then the platform.
 
     The default prefers ``fork`` (cheap, inherits the warmed parent) and
     falls back to ``spawn`` where fork does not exist — cells are
     deterministic per config, so both produce bit-identical records; only
-    startup cost differs.  ``REPRO_SWEEP_START_METHOD`` overrides the
-    default; an explicit argument overrides both.  Asking for a method the
-    platform does not offer is an error for the argument, while a
-    malformed env value falls back to the platform default rather than
-    failing a sweep that never asked for it.
+    startup cost differs.  A malformed env value falls back to the
+    platform default rather than failing a sweep that never asked for it.
     """
-    available = multiprocessing.get_all_start_methods()
-    if start_method is not None:
-        if start_method not in available:
-            raise ValueError(
-                f"start_method {start_method!r} is not available on this platform "
-                f"(choose from {sorted(available)})"
-            )
-        return start_method
     env = os.environ.get("REPRO_SWEEP_START_METHOD", "").strip().lower()
-    if env in available:
+    if env in multiprocessing.get_all_start_methods():
         return env
     return "fork" if fork_available() else "spawn"
 
@@ -173,52 +157,14 @@ def _config_seed(config: ExperimentConfig) -> int:
     return int(key[:8], 16)
 
 
-#: ``on_error`` policy: abort the sweep on the first failing cell (default).
-ON_ERROR_RAISE = "raise"
-#: ``on_error`` policy: report failing cells as :class:`FailedCell` records.
-ON_ERROR_COLLECT = "collect"
-
-_ON_ERROR_POLICIES = (ON_ERROR_RAISE, ON_ERROR_COLLECT)
-
-
-@dataclass(frozen=True)
-class FailedCell:
-    """A sweep cell that failed every attempt, under ``on_error="collect"``.
-
-    Occupies the cell's slot in the returned results list, so positional
-    correspondence with the submitted configs is preserved.  Filter with
-    ``isinstance(r, FailedCell)`` (or its truthiness: a ``FailedCell`` is
-    falsy, so ``[r for r in results if r]`` keeps only real records).
-
-    Attributes
-    ----------
-    index:
-        Position of the cell in the submitted config list.
-    label:
-        The config's human-readable label (``config.describe()``).
-    error:
-        Full formatted traceback from the final failed attempt, captured
-        where the cell actually ran.
-    attempts:
-        Total attempts made (1 + retries actually used).
-    """
-
-    index: int
-    label: str
-    error: str
-    attempts: int
-
-    def __bool__(self) -> bool:
-        """``False``, so failed cells filter out like missing records."""
-        return False
-
-
 class CellExecutionError(RuntimeError):
     """Raised in the parent when a sweep cell fails (in-process or in a worker).
 
     The message embeds the failing cell's label and the full formatted
     traceback from where the cell actually ran, so the failure site survives
     the process boundary even though the original exception object does not.
+    When a worker process exits instead, ``label`` joins the labels of every
+    cell that had not finished with ``"; "``.
     """
 
     def __init__(self, label: str, formatted_traceback: str) -> None:
@@ -232,58 +178,67 @@ class _CellFailure:
 
     Only the *formatted traceback string* travels — never the live exception
     object.  Pickling strips ``__traceback__`` anyway, and an exception whose
-    attributes do not pickle would otherwise surface as multiprocessing's
-    opaque ``MaybeEncodingError`` with no hint of which cell blew up.
+    attributes do not pickle would otherwise fail the result's transport
+    with no hint of which cell blew up.
     """
 
-    __slots__ = ("traceback", "attempts")
+    __slots__ = ("traceback",)
 
-    def __init__(self, formatted_traceback: str, attempts: int = 1) -> None:
+    def __init__(self, formatted_traceback: str) -> None:
         self.traceback = formatted_traceback
-        self.attempts = attempts
 
 
-def _run_cell(payload: Tuple[int, ExperimentConfig, Any, bool, int, float]):
+def _run_cell(payload: Tuple[int, ExperimentConfig, Any, bool]):
     """Train one cell; shared by the serial path and every pool worker.
 
     Returns ``(index, record_or_failure, seconds)`` — failures are wrapped
     rather than raised so the parent can attribute the error to the right
-    cell even with ``imap_unordered``.  Each of the ``1 + retries``
-    attempts reseeds the global RNG from the *same* config-derived seed, so
-    a retried success computes exactly the record a first-attempt success
-    would have; the backoff between attempts is exponential with a jitter
-    drawn deterministically from ``(config seed, attempt)``.
+    cell whatever order cells finish in.  The global RNG is reseeded from
+    the config first (see Determinism above).
     """
-    index, config, accelerator, verbose, retries, backoff_s = payload
-    seed = _config_seed(config)
+    index, config, accelerator, verbose = payload
     start = time.perf_counter()
-    for attempt in range(1 + retries):
-        if attempt:
-            jitter = float(np.random.default_rng([seed, attempt]).uniform(0.5, 1.5))
-            time.sleep(backoff_s * (2.0 ** (attempt - 1)) * jitter)
-        np.random.seed(seed)
+    np.random.seed(_config_seed(config))
+    try:
+        record = run_experiment(config, accelerator=accelerator, verbose=verbose)
+    except Exception:
+        return index, _CellFailure(traceback.format_exc()), time.perf_counter() - start
+    return index, record, time.perf_counter() - start
+
+
+def _run_pool(payloads: List[tuple], workers: int, settle: Callable[..., None]) -> List[int]:
+    """Run cells on a process pool, passing each outcome to ``settle`` as it lands.
+
+    Returns the cells a dead worker broke the pool on (``BrokenProcessPool``
+    fails every unfinished cell).  If ``settle`` raises, the running workers
+    are terminated first: ``shutdown()`` would wait for their cells.
+    """
+    context = multiprocessing.get_context(resolve_start_method())
+    lost: List[int] = []
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
         try:
-            record = run_experiment(config, accelerator=accelerator, verbose=verbose)
-        except Exception:
-            if attempt == retries:
-                return index, _CellFailure(traceback.format_exc(), attempts=attempt + 1), time.perf_counter() - start
-        else:
-            return index, record, time.perf_counter() - start
+            futures = {pool.submit(_run_cell, payload): payload[0] for payload in payloads}
+            for future in as_completed(futures):
+                if isinstance(future.exception(), BrokenProcessPool):
+                    lost.append(futures[future])
+                else:
+                    settle(*future.result())
+        except BaseException:
+            for process in list(pool._processes.values()):
+                process.terminate()
+            raise
+    return sorted(lost)
 
 
 def run_experiments(
     configs: Sequence[ExperimentConfig],
     *,
     workers: Optional[int] = None,
-    start_method: Optional[str] = None,
     cache: CacheSpec = None,
     accelerator: Any = None,
     verbose: bool = False,
     progress: Optional[ProgressCallback] = None,
-    on_error: str = ON_ERROR_RAISE,
-    retries: int = 0,
-    retry_backoff_s: float = 0.05,
-) -> List[Union[ExperimentRecord, FailedCell]]:
+) -> List[ExperimentRecord]:
     """Run every configuration and return records in submission order.
 
     Parameters
@@ -293,10 +248,7 @@ def run_experiments(
     workers:
         Process-pool size (default: ``REPRO_SWEEP_WORKERS`` or 1).  With one
         worker cells run serially in this process; results are identical
-        either way.
-    start_method:
-        Pool start method (default: see :func:`resolve_start_method` —
-        ``fork`` where available, ``spawn`` otherwise).
+        either way.  The start method is :func:`resolve_start_method`'s.
     cache:
         See :func:`resolve_cache`.  Hits skip training entirely; fresh
         records are stored as soon as they complete, so an interrupted sweep
@@ -309,25 +261,7 @@ def run_experiments(
     progress:
         Structured :class:`ProgressEvent` callback (overrides the default
         printer; receives events regardless of ``verbose``).
-    on_error:
-        ``"raise"`` (default) aborts the sweep with
-        :class:`CellExecutionError` when a cell exhausts its retries;
-        ``"collect"`` puts a :class:`FailedCell` in that cell's result slot
-        and lets the rest of the grid complete.
-    retries:
-        Extra attempts per failing cell (0 = fail on first error).  Every
-        attempt is identically reseeded, so flaky-environment retries
-        cannot change a record's bits.
-    retry_backoff_s:
-        Base delay before the first retry; subsequent retries back off
-        exponentially with deterministic per-cell jitter.
     """
-    if on_error not in _ON_ERROR_POLICIES:
-        raise ValueError(f"on_error must be one of {_ON_ERROR_POLICIES}, got {on_error!r}")
-    if retries < 0:
-        raise ValueError(f"retries must be non-negative, got {retries}")
-    if retry_backoff_s < 0:
-        raise ValueError(f"retry_backoff_s must be non-negative, got {retry_backoff_s}")
     configs = list(configs)
     total = len(configs)
     store = resolve_cache(cache)
@@ -343,7 +277,7 @@ def run_experiments(
         "repro_exec_completed_cells_total", "Sweep cells that trained to completion."
     )
     m_failed = registry.counter(
-        "repro_exec_failed_cells_total", "Sweep cells that exhausted their retries."
+        "repro_exec_failed_cells_total", "Sweep cells that raised or died with their worker."
     )
     m_cells.inc(total)
     tracer = default_tracer()
@@ -362,11 +296,10 @@ def run_experiments(
                     label=configs[index].describe(),
                     seconds=seconds,
                     error=error,
-                    timestamp=time.time(),
                 )
             )
 
-    results: List[Union[None, ExperimentRecord, FailedCell]] = [None] * total
+    results: List[Optional[ExperimentRecord]] = [None] * total
     keys: List[Optional[str]] = [None] * total
     pending: List[int] = []
     for i, config in enumerate(configs):
@@ -409,41 +342,34 @@ def run_experiments(
         record_cell_span(index, seconds, "done")
         emit("done", index, seconds=seconds)
 
+    def fail(index: int, seconds: float, error: str) -> None:
+        m_failed.inc()
+        record_cell_span(index, seconds, "error")
+        emit("error", index, seconds=seconds, error=error)
+
     def settle(index: int, outcome, seconds: float) -> None:
-        """Record a completed cell, or apply the failure policy with attribution."""
+        """Record a completed cell, or abort the sweep with attribution."""
         if isinstance(outcome, _CellFailure):
             # The event and the raised error both carry the worker's full
             # stack as text — the original exception object never crosses
             # the process boundary (see _CellFailure).
-            m_failed.inc()
-            record_cell_span(index, seconds, "error")
-            emit("error", index, seconds=seconds, error=outcome.traceback)
-            if on_error == ON_ERROR_RAISE:
-                raise CellExecutionError(configs[index].describe(), outcome.traceback)
-            results[index] = FailedCell(
-                index=index,
-                label=configs[index].describe(),
-                error=outcome.traceback,
-                attempts=outcome.attempts,
-            )
-            return
+            fail(index, seconds, outcome.traceback)
+            raise CellExecutionError(configs[index].describe(), outcome.traceback)
         finish(index, outcome, seconds)
 
     try:
         if pending:
-            payloads = [
-                (i, configs[i], accelerator, verbose, int(retries), float(retry_backoff_s))
-                for i in pending
-            ]
+            payloads = [(i, configs[i], accelerator, verbose) for i in pending]
             nworkers = min(resolve_workers(workers), len(pending))
             if nworkers > 1:
-                method = resolve_start_method(start_method)
                 for i in pending:
                     emit("start", i)
-                ctx = multiprocessing.get_context(method)
-                with ctx.Pool(processes=nworkers) as pool:
-                    for index, outcome, seconds in pool.imap_unordered(_run_cell, payloads):
-                        settle(index, outcome, seconds)
+                lost = _run_pool(payloads, nworkers, settle)
+                if lost:
+                    note = "a worker process exited before the cell finished"
+                    for i in lost:
+                        fail(i, 0.0, note)
+                    raise CellExecutionError("; ".join(configs[i].describe() for i in lost), note)
             else:
                 # _run_cell reseeds the global RNG per cell (the serial==parallel
                 # bit-identity guarantee); running in the caller's process, that
@@ -459,6 +385,5 @@ def run_experiments(
         if sweep_span is not None:
             sweep_span.end(pending=len(pending), cached=total - len(pending))
 
-    # Every cell either came from the cache, completed above, or (under
-    # "collect") holds its FailedCell, so the list is fully populated.
+    # Every cell either came from the cache or completed above.
     return results  # type: ignore[return-value]

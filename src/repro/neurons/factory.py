@@ -13,8 +13,8 @@ module is the single mapping between those names and the neuron classes:
   ``(name, params)`` pair :func:`build_neuron` would need to rebuild it —
   which is what the checkpoint writer and the runtime compiler key on.
 
-Every name in :data:`NEURON_TYPES` is compilable by the event-driven
-runtime (:mod:`repro.runtime`) with spike trains bit-identical to the dense
+Every name in :data:`NEURON_TYPES` compiles into an inference plan
+(:mod:`repro.runtime`) with spike trains bit-identical to the dense
 forward: both run :func:`repro.autograd.ops_spiking.lif_forward`, and the
 cross-substrate matrix in ``tests/test_runtime_neurons.py`` checks it for
 each of them.

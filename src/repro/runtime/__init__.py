@@ -1,11 +1,13 @@
-"""Event-driven sparse inference runtime.
+"""Compiled inference plans.
 
 The training stack simulates spiking networks densely: every ``Conv2d`` /
-``Linear`` processes complete activation tensors at every timestep, because
-BPTT needs the full graph.  At inference time none of that is necessary —
-spike tensors are mostly zeros, and the paper's whole premise is that
-hardware exploits exactly that sparsity.  This package is the software
-analogue of the sparsity-aware accelerator:
+``Linear`` processes complete activation tensors at every timestep, and
+records a graph, because BPTT needs it.  At inference time no graph is
+needed.  This package compiles a trained network into a graph-free plan
+that shares training's lowering, so a layer's cost does not follow its
+activity (a weight layer skips its weights only on a wholly silent frame).
+What the plan adds is measurement: it counts the spike events that the
+paper's sparsity-aware accelerator model prices.
 
 * :func:`compile_network` lowers a trained :class:`SpikingCNN` /
   :class:`SpikingMLP` (or any ``Sequential``-ordered spiking classifier)
@@ -29,8 +31,8 @@ analogue of the sparsity-aware accelerator:
   profiling into a single sweep over a data loader; it backs
   ``repro.core.experiment.evaluate_trained_model`` and therefore every
   sweep driver.  It is the only place spikes are counted.
-* :mod:`repro.runtime.bench` measures the dense-vs-event-driven speedup
-  (see ``benchmarks/bench_runtime_speedup.py``).
+* :mod:`repro.runtime.bench` times the compiled plan against the dense
+  forward (see ``benchmarks/bench_runtime_speedup.py``).
 """
 
 from repro.runtime.activity import RuntimeActivity

@@ -1,6 +1,6 @@
-"""Spike-activity accounting for the event-driven runtime.
+"""Spike-activity accounting for compiled inference plans.
 
-The runtime counts, while it executes, exactly the quantities the hardware
+A compiled plan counts, while it executes, exactly the quantities the hardware
 cost models consume: encoder events entering the network, spike events
 entering every weight layer, and spike events emitted by every spiking
 layer.  Each kernel counts the events it consumes or emits with
@@ -38,7 +38,7 @@ def count_events(x: np.ndarray) -> int:
 
 @dataclass
 class RuntimeActivity:
-    """Spike counts recorded during event-driven execution.
+    """Spike counts recorded while a compiled plan runs.
 
     All event counts are totals over every sample and timestep processed;
     the ``*_per_step`` accessors normalise to the per-sample per-timestep

@@ -1,4 +1,4 @@
-"""Dense-vs-event-driven speedup measurement.
+"""Dense forward vs compiled plan: speedup measurement.
 
 Shared by ``benchmarks/bench_runtime_speedup.py`` (full statistical runs)
 and the tier-1 smoke test (one fast configuration), so the benchmark and
@@ -111,7 +111,7 @@ def measure_speedup(
     seed: int = 0,
     label: str = "",
 ) -> SpeedupResult:
-    """Time the dense forward against the compiled event-driven runtime.
+    """Time the dense forward against the compiled plan.
 
     Parameters
     ----------

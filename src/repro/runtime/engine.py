@@ -1,4 +1,4 @@
-"""Compile a trained spiking network into a fused event-driven inference plan.
+"""Compile a trained spiking network into a graph-free inference plan.
 
 :func:`compile_network` walks a model's registered submodules (whose
 registration order is the execution order for :class:`SpikingCNN`,
@@ -97,7 +97,7 @@ class AccuracyGateError(RuntimeError):
 
 @dataclass
 class InferenceResult:
-    """Output of one event-driven run.
+    """Output of one compiled-plan run.
 
     Attributes
     ----------
@@ -225,7 +225,7 @@ def _lower_module(name: str, module: Module, state: _LoweringState) -> Optional[
     if isinstance(module, Dropout):
         return None  # identity at inference time
     raise RuntimeCompileError(
-        f"layer '{name}': {type(module).__name__} has no event-driven lowering"
+        f"layer '{name}': {type(module).__name__} has no compiled-plan lowering"
     )
 
 
@@ -487,7 +487,7 @@ class CompiledNetwork:
 
 
 def run_inference(model: Module, spike_sequence, record_activity: bool = True) -> InferenceResult:
-    """Compile ``model`` and run one event-driven inference.
+    """Compile ``model`` and run one inference through the compiled plan.
 
     Convenience wrapper over :func:`compile_network` +
     :meth:`CompiledNetwork.run`; compile once and reuse the

@@ -1,4 +1,4 @@
-"""Fused NumPy kernels for the event-driven inference runtime.
+"""NumPy kernels of a compiled inference plan.
 
 One kernel per layer kind, each a plain-array analogue of a
 :mod:`repro.nn` / :mod:`repro.neurons` layer specialised for inference:

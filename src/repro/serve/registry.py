@@ -3,8 +3,8 @@
 The registry is the hand-off point between the offline world (sweeps,
 training runs) and the serving layer: a trained model is published once
 under a name, and any number of serving processes can then load it, compile
-it through the event-driven runtime, and keep a pool of reusable compiled
-plans for it.
+it into an inference plan (:mod:`repro.runtime`), and keep a pool of
+reusable compiled plans for it.
 
 Layout (one directory per model under the root)::
 

@@ -2,8 +2,8 @@
 
 :class:`InferenceServer` accepts *single* raw images, encodes each one
 through the model's encoder at submit time, and coalesces concurrent
-requests into micro-batches before dispatching them to the event-driven
-runtime:
+requests into micro-batches before dispatching them to a compiled
+inference plan:
 
 * a request is queued with its encoded ``(T, 1, ...)`` spike train;
 * the dispatcher thread forms a batch as soon as ``max_batch`` requests are
@@ -49,6 +49,12 @@ urgent request is always in the cut batch).  A request whose deadline has
 :class:`RequestTimedOut` at the cutoff (batch cut or batch start, whichever
 notices first), counted in telemetry.  Dispatch order is FIFO whatever the
 deadlines, so the deterministic-batching bit-identity contract holds.
+
+A request that times out in the queue is failed on the dispatcher thread,
+so its future's done-callbacks run there: a callback that blocks delays
+the next batch cut for as long as it blocks.  A request that times out at
+batch start, like every served or failed one, resolves on the worker that
+took its batch.
 
 Failure isolation and cancellation
 -----------------------------------

@@ -6,7 +6,7 @@ model (class, constructor arguments, the neurons' reset rule), the input
 encoder it was trained with, and free-form caller metadata.  Loading
 reconstructs the model with :func:`~repro.nn.module.Module.load_state_dict`,
 so a reloaded model is *bit-identical* to the saved one: its dense forward,
-and the event-driven runtime compiled from it, produce exactly the spike
+and the inference plan compiled from it, produce exactly the spike
 trains of the original (``tests/test_checkpoint.py``).
 
 Only the repo's two classifier architectures (:class:`SpikingCNN`,

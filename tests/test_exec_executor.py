@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.config import ExperimentConfig
 from repro.exec import (
     ExperimentCache,
@@ -17,10 +28,16 @@ from repro.exec import (
 from repro.exec import executor as executor_mod
 
 # Tests that monkeypatch executor internals and then run a pool must pin
-# fork: spawn workers re-import the module tree and do not inherit patches.
+# fork (REPRO_SWEEP_START_METHOD=fork): spawn workers re-import the module
+# tree and do not inherit patches.
 needs_fork = pytest.mark.skipif(
     not executor_mod.fork_available(), reason="test relies on fork inheriting monkeypatches"
 )
+
+
+@pytest.fixture
+def pin_fork(monkeypatch):
+    monkeypatch.setenv("REPRO_SWEEP_START_METHOD", "fork")
 
 
 @pytest.fixture
@@ -58,11 +75,12 @@ class TestParallelMatchesSerial:
         for config, record in zip(micro_configs, records):
             assert record.config == config
 
-    def test_spawn_pool_bitwise_identical_to_serial(self, micro_configs):
+    def test_spawn_pool_bitwise_identical_to_serial(self, micro_configs, monkeypatch):
         # spawn is the fallback on platforms without fork; workers re-import
         # and reseed per config, so records must still match serial exactly.
         serial = run_experiments(micro_configs[:2], workers=1)
-        spawned = run_experiments(micro_configs[:2], workers=2, start_method="spawn")
+        monkeypatch.setenv("REPRO_SWEEP_START_METHOD", "spawn")
+        spawned = run_experiments(micro_configs[:2], workers=2)
         for a, b in zip(serial, spawned):
             _assert_records_identical(a, b)
 
@@ -71,29 +89,17 @@ class TestStartMethodResolution:
     def test_default_prefers_fork_else_spawn(self, monkeypatch):
         monkeypatch.delenv("REPRO_SWEEP_START_METHOD", raising=False)
         expected = "fork" if executor_mod.fork_available() else "spawn"
-        assert resolve_start_method(None) == expected
-
-    def test_explicit_argument_wins(self):
-        assert resolve_start_method("spawn") == "spawn"
-
-    def test_unavailable_method_is_an_error(self):
-        with pytest.raises(ValueError, match="not available on this platform"):
-            resolve_start_method("no-such-method")
+        assert resolve_start_method() == expected
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_START_METHOD", "spawn")
-        assert resolve_start_method(None) == "spawn"
+        assert resolve_start_method() == "spawn"
 
     @pytest.mark.parametrize("malformed", ["", "4", "forkserver-maybe"])
     def test_malformed_env_falls_back_to_platform_default(self, monkeypatch, malformed):
         monkeypatch.setenv("REPRO_SWEEP_START_METHOD", malformed)
         expected = "fork" if executor_mod.fork_available() else "spawn"
-        assert resolve_start_method(None) == expected
-
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_START_METHOD", "spawn")
-        if executor_mod.fork_available():
-            assert resolve_start_method("fork") == "fork"
+        assert resolve_start_method() == expected
 
 
 class TestCachingBehaviour:
@@ -192,6 +198,14 @@ class TestProgressAndWorkers:
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", malformed)
         assert resolve_workers(None) == 1
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("retries", 1), ("retry_backoff_s", 0.0), ("on_error", "collect"), ("start_method", "spawn")],
+    )
+    def test_removed_knobs_are_rejected(self, micro_configs, knob, value):
+        with pytest.raises(TypeError, match=knob):
+            run_experiments(micro_configs[:1], workers=1, **{knob: value})
+
     def test_failures_propagate(self, micro_configs, monkeypatch):
         def _boom(*args, **kwargs):
             raise RuntimeError("cell exploded")
@@ -203,7 +217,7 @@ class TestProgressAndWorkers:
         assert events[-1].kind == "error"
 
     @needs_fork
-    def test_pool_failure_reports_the_failing_cell(self, micro_configs, monkeypatch):
+    def test_pool_failure_reports_the_failing_cell(self, micro_configs, monkeypatch, pin_fork):
         failing = micro_configs[1]
 
         def _selective_boom(config, **kwargs):
@@ -212,7 +226,7 @@ class TestProgressAndWorkers:
         monkeypatch.setattr(executor_mod, "run_experiment", _selective_boom)
         events = []
         with pytest.raises(RuntimeError, match="exploded"):
-            run_experiments(micro_configs, workers=2, start_method="fork", progress=events.append)
+            run_experiments(micro_configs, workers=2, progress=events.append)
         errors = [e for e in events if e.kind == "error"]
         assert errors, "pool failure must emit an error event"
         # The event must name the cell that actually failed and carry the
@@ -268,6 +282,82 @@ class TestSweepFrontEnds:
             _assert_records_identical(first.records[cell], again.records[cell])
 
 
+# Run in a child process so that a pool that hangs on a dead worker fails
+# the test by its timeout instead of hanging the suite.
+_DEAD_WORKER_SWEEP = textwrap.dedent(
+    """
+    import json, os, sys
+    from types import SimpleNamespace
+
+    from repro.core.config import ExperimentConfig
+    from repro.exec import CellExecutionError, run_experiments
+    from repro.exec import executor as executor_mod
+
+    def _cell(config, **kwargs):
+        if config.seed == 0:
+            os._exit(1)  # the worker dies mid-cell, as an OOM kill would end it
+        return SimpleNamespace(config=config)
+
+    executor_mod.run_experiment = _cell
+    configs = [ExperimentConfig(seed=i, label=f"cell-{i}") for i in range(3)]
+    events = []
+    try:
+        run_experiments(configs, workers=2, progress=events.append)
+    except CellExecutionError as error:
+        done = [event.label for event in events if event.kind == "done"]
+        errors = [event.label for event in events if event.kind == "error"]
+        print(json.dumps({"lost": error.label.split("; "), "done": done, "errors": errors}))
+    else:
+        sys.exit("the sweep returned although a worker died")
+    """
+)
+
+
+class TestPoolFailures:
+    """A failing cell or a dead worker aborts the sweep promptly."""
+
+    @needs_fork
+    def test_dead_worker_raises_naming_unfinished_cells(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, REPRO_SWEEP_START_METHOD="fork")
+        child = subprocess.Popen(
+            [sys.executable, "-c", _DEAD_WORKER_SWEEP],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)  # the sweep and its pool workers
+            child.communicate()
+            pytest.fail("run_experiments did not return after a pool worker died")
+        assert child.returncode == 0, err
+        result = json.loads(out.splitlines()[-1])
+        assert "cell-0" in result["lost"]
+        assert result["errors"] == result["lost"]  # one error event per unfinished cell
+        # Every other cell either finished or is named as unfinished.
+        assert sorted(result["lost"] + result["done"]) == ["cell-0", "cell-1", "cell-2"]
+
+    @needs_fork
+    def test_raising_cell_terminates_running_siblings(self, micro_configs, monkeypatch, pin_fork):
+        from repro.exec import CellExecutionError
+
+        def _cell(config, **kwargs):
+            if config.seed == 0:
+                time.sleep(30)
+            raise RuntimeError("cell exploded")
+
+        monkeypatch.setattr(executor_mod, "run_experiment", _cell)
+        start = time.perf_counter()
+        with pytest.raises(CellExecutionError, match="cell exploded"):
+            run_experiments(micro_configs[:2], workers=2)
+        assert time.perf_counter() - start < 10
+        assert multiprocessing.active_children() == []
+
+
 class TestFailureTransport:
     """Failures travel as traceback text, never as live exception objects."""
 
@@ -285,9 +375,11 @@ class TestFailureTransport:
         assert "Traceback" in str(excinfo.value)
 
     @needs_fork
-    def test_unpicklable_exception_is_attributed_not_opaque(self, micro_configs, monkeypatch):
-        """An exception holding unpicklable state must not surface as
-        multiprocessing's MaybeEncodingError: only its traceback crosses."""
+    def test_unpicklable_exception_is_attributed_not_opaque(
+        self, micro_configs, monkeypatch, pin_fork
+    ):
+        """An exception holding unpicklable state must not fail the result's
+        transport opaquely: only its traceback crosses."""
         from repro.exec import CellExecutionError
 
         class Unpicklable(RuntimeError):
@@ -301,9 +393,7 @@ class TestFailureTransport:
         monkeypatch.setattr(executor_mod, "run_experiment", _boom)
         events = []
         with pytest.raises(CellExecutionError) as excinfo:
-            run_experiments(
-                micro_configs[:2], workers=2, start_method="fork", progress=events.append
-            )
+            run_experiments(micro_configs[:2], workers=2, progress=events.append)
         assert "Unpicklable" in excinfo.value.traceback
         errors = [e for e in events if e.kind == "error"]
         assert errors and errors[0].label == micro_configs[errors[0].index].describe()

@@ -11,8 +11,8 @@ and slow batches on chosen checkouts) and a torn checkpoint
 - expired deadlines produce ``RequestTimedOut`` instead of late dispatch;
 - a torn, malformed or unlowerable checkpoint republish degrades the
   gateway to the old weights (reload failure is an event, not an outage);
-- a sweep with a poisoned cell completes the rest of the grid under
-  ``on_error="collect"`` and retried flaky cells stay bit-identical;
+- a sweep with a poisoned cell aborts with the cells that finished before
+  it already cached, so a re-run trains only the cells that are missing;
 - corrupt cache files are *reported* by ``python -m repro.exec inspect``,
   never crash it.
 
@@ -39,9 +39,8 @@ from conftest import KernelFault, StubPool, rewrite_checkpoint_header, tear_chec
 import repro.exec.executor as executor_mod
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import make_dataset, make_encoder, make_model
-from repro.exec import ExperimentCache, FailedCell, run_experiments
+from repro.exec import CellExecutionError, ExperimentCache, run_experiments
 from repro.exec.cli import main as cache_cli_main
-from repro.exec.executor import CellExecutionError, fork_available
 from repro.runtime import compile_network
 from repro.serve import (
     InferenceServer,
@@ -60,8 +59,6 @@ from repro.training.checkpoint import (
 )
 
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
-
-needs_fork = pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
 
 
 @pytest.fixture
@@ -427,7 +424,7 @@ class TestGatewayDegradedReload:
 
 
 # --------------------------------------------------------------------- #
-# Executor: collect + retries
+# Executor: an aborted sweep resumes from the cache
 # --------------------------------------------------------------------- #
 class TestExecutorFailurePolicy:
     @pytest.fixture
@@ -438,101 +435,30 @@ class TestExecutorFailurePolicy:
             ExperimentConfig(scale=micro_scale, seed=2, threshold=1.5),
         ]
 
-    def test_collect_reports_poisoned_cell_and_completes_grid(
-        self, micro_configs, monkeypatch
-    ):
-        poisoned = micro_configs[1].describe()
-
-        def _selective_boom(config, **kwargs):
-            if config.describe() == poisoned:
-                raise RuntimeError("permanently poisoned cell")
-            return SimpleNamespace(config=config)
-
-        monkeypatch.setattr(executor_mod, "run_experiment", _selective_boom)
-        results = run_experiments(micro_configs, workers=1, on_error="collect")
-        assert len(results) == 3
-        failure = results[1]
-        assert isinstance(failure, FailedCell)
-        assert not failure  # falsy, filters like a missing record
-        assert failure.index == 1 and failure.label == poisoned
-        assert "permanently poisoned cell" in failure.error and "Traceback" in failure.error
-        assert failure.attempts == 1
-        assert [r.config for r in results if r] == [micro_configs[0], micro_configs[2]]
-
-    def test_raise_policy_still_aborts(self, micro_configs, monkeypatch):
-        monkeypatch.setattr(
-            executor_mod, "run_experiment",
-            lambda config, **kwargs: (_ for _ in ()).throw(RuntimeError("boom")),
-        )
-        with pytest.raises(CellExecutionError, match="boom"):
-            run_experiments(micro_configs[:1], workers=1)
-
-    def test_retries_rerun_flaky_cell_with_identical_seeding(
-        self, micro_configs, monkeypatch
-    ):
-        """A retried success must equal a first-attempt success bit for bit."""
-        flaky = micro_configs[0].describe()
-        attempts = {"n": 0}
-
-        def _rng_record(config, **kwargs):
-            # Capture the post-reseed global RNG stream: if retries reseed
-            # identically, the retried draw equals the first-attempt draw.
-            if config.describe() == flaky:
-                attempts["n"] += 1
-                if attempts["n"] == 1:
-                    raise RuntimeError("transient flake")
-            return SimpleNamespace(config=config, draw=float(np.random.random()))
-
-        monkeypatch.setattr(executor_mod, "run_experiment", _rng_record)
-        with_retry = run_experiments(
-            micro_configs[:1], workers=1, retries=1, retry_backoff_s=0.001
-        )
-        assert attempts["n"] == 2
-        clean = run_experiments(micro_configs[:1], workers=1)
-        assert with_retry[0].draw == clean[0].draw
-
-    def test_collect_failure_attempts_counts_all_retries(self, micro_configs, monkeypatch):
-        monkeypatch.setattr(
-            executor_mod, "run_experiment",
-            lambda config, **kwargs: (_ for _ in ()).throw(RuntimeError("always")),
-        )
-        results = run_experiments(
-            micro_configs[:1], workers=1, on_error="collect", retries=2, retry_backoff_s=0.001
-        )
-        assert results[0].attempts == 3
-
-    @needs_fork
-    def test_collect_works_across_the_process_pool(self, micro_configs, monkeypatch):
-        poisoned = micro_configs[2].describe()
-
-        def _selective_boom(config, **kwargs):
-            if config.describe() == poisoned:
-                raise RuntimeError("poisoned in a worker")
-            return SimpleNamespace(config=config)
-
-        monkeypatch.setattr(executor_mod, "run_experiment", _selective_boom)
-        results = run_experiments(
-            micro_configs, workers=2, start_method="fork", on_error="collect"
-        )
-        assert isinstance(results[2], FailedCell)
-        assert "poisoned in a worker" in results[2].error
-        assert [r.config for r in results if r] == micro_configs[:2]
-
     def test_failed_cells_are_never_cached(self, micro_configs, monkeypatch, tmp_path):
-        monkeypatch.setattr(
-            executor_mod, "run_experiment",
-            lambda config, **kwargs: (_ for _ in ()).throw(RuntimeError("boom")),
-        )
-        run_experiments(micro_configs[:1], workers=1, on_error="collect", cache=tmp_path)
-        assert len(ExperimentCache(tmp_path)) == 0
+        """The cache holds what finished, so a fixed re-run trains only the rest."""
+        train = executor_mod.run_experiment
+        poisoned = micro_configs[1]
 
-    def test_invalid_policy_arguments_rejected(self, micro_configs):
-        with pytest.raises(ValueError, match="on_error"):
-            run_experiments(micro_configs[:1], on_error="ignore")
-        with pytest.raises(ValueError, match="retries"):
-            run_experiments(micro_configs[:1], retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff_s"):
-            run_experiments(micro_configs[:1], retry_backoff_s=-0.5)
+        def _poisoned_middle(config, **kwargs):
+            if config == poisoned:
+                raise RuntimeError("poisoned cell")
+            return train(config, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "run_experiment", _poisoned_middle)
+        cache = ExperimentCache(tmp_path)
+        with pytest.raises(CellExecutionError, match="poisoned cell"):
+            run_experiments(micro_configs, workers=1, cache=cache)
+        assert len(cache) == 1
+        assert cache.load(cache.key(micro_configs[0])) is not None
+
+        monkeypatch.setattr(executor_mod, "run_experiment", train)  # the cell is fixed
+        events = []
+        run_experiments(micro_configs, workers=1, cache=cache, progress=events.append)
+        assert [(event.kind, event.index) for event in events] == [
+            ("cached", 0), ("start", 1), ("done", 1), ("start", 2), ("done", 2)
+        ]
+        assert len(cache) == 3
 
 
 # --------------------------------------------------------------------- #

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import make_dataset, make_encoder, make_model
-from repro.exec import ProgressEvent, run_experiments
+from repro.exec import run_experiments
 from repro.obs import (
     MetricsRegistry,
     NOOP_SPAN,
@@ -294,20 +294,13 @@ class TestServeTracing:
 # Exec progress events and sweep spans
 # --------------------------------------------------------------------- #
 class TestExecObservability:
-    def test_progress_event_timestamp_backward_compatible(self):
-        event = ProgressEvent(kind="start", index=0, total=1, label="cell")
-        assert event.timestamp == 0.0  # hand-built events need no clock
-
-    def test_start_events_carry_timestamp_and_label(self, micro_scale):
+    def test_start_events_carry_label(self, micro_scale):
         events = []
         configs = [ExperimentConfig(scale=micro_scale, seed=0)]
         run_experiments(configs, workers=1, progress=events.append)
         starts = [e for e in events if e.kind == "start"]
         assert len(starts) == 1
         assert starts[0].label == configs[0].describe()
-        assert starts[0].timestamp > 0.0
-        done = [e for e in events if e.kind == "done"]
-        assert done and done[0].timestamp >= starts[0].timestamp
 
     def test_sweep_emits_cell_spans_when_traced(self, micro_scale, traced):
         configs = [ExperimentConfig(scale=micro_scale, seed=0)]
