@@ -8,7 +8,7 @@ with the paper's methodology on top:
 * :mod:`repro.surrogate` — surrogate gradient functions (arctangent, fast
   sigmoid, and extensions) with pluggable derivative scaling.
 * :mod:`repro.neurons` — LIF / IF / adaptive-threshold spiking neuron models (Eq. 1–2).
-* :mod:`repro.nn` — convolution, pooling, dense and utility layers.
+* :mod:`repro.nn` — convolution, max-pool, dense and flatten layers.
 * :mod:`repro.encoding` — rate / latency / delta / direct input encoders.
 * :mod:`repro.training` — losses, Adam/SGD, cosine annealing, BPTT trainer.
 * :mod:`repro.data` — synthetic SVHN-like dataset and data loading.

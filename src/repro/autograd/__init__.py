@@ -6,26 +6,29 @@ records a computation graph as operations are applied and a topological
 backward pass that propagates gradients to every leaf with
 ``requires_grad=True``.
 
-The engine supports everything the paper's convolutional spiking network
-needs: elementwise arithmetic, matrix multiplication, 2-D convolution
-(im2col), max pooling, reductions, reshaping, concatenation/stacking
-over time, and custom functions (used by the surrogate-gradient spike
-operator in :mod:`repro.surrogate`).
+The engine holds what the paper's convolutional spiking network trains
+with, and nothing else: ten ops -- ``+``, ``-`` and ``*``
+(:mod:`~repro.autograd.ops_elementwise`), the mean and log-sum-exp of the
+count losses (:mod:`~repro.autograd.ops_reduce`), indexing and flattening
+(:mod:`~repro.autograd.ops_shape`), the dense layer's affine transform
+(:mod:`~repro.autograd.ops_matmul`), 2-D convolution and max pooling
+(:mod:`~repro.autograd.ops_conv`) -- and the neuron's fused timestep
+(:func:`~repro.autograd.ops_spiking.fused_lif_step`), whose spike takes
+its surrogate derivative (:mod:`repro.surrogate`) on the backward pass.
 
 Example
 -------
 >>> from repro.autograd import Tensor
 >>> import numpy as np
->>> x = Tensor(np.ones((2, 3)), requires_grad=True)
->>> y = (x * 2.0 + 1.0).sum()
+>>> x = Tensor(np.ones((2, 2)), requires_grad=True)
+>>> y = (x * 2.0 + 1.0).mean()
 >>> y.backward()
 >>> x.grad.tolist()
-[[2.0, 2.0, 2.0], [2.0, 2.0, 2.0]]
+[[0.5, 0.5], [0.5, 0.5]]
 """
 
-from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled, zeros, ones, arange, tensor
+from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled, zeros
 from repro.autograd.function import Function, Context
-from repro.autograd.gradcheck import gradcheck, numerical_gradient
 from repro.autograd.ops_spiking import fused_lif_step
 
 __all__ = [
@@ -35,10 +38,5 @@ __all__ = [
     "fused_lif_step",
     "no_grad",
     "is_grad_enabled",
-    "gradcheck",
-    "numerical_gradient",
     "zeros",
-    "ones",
-    "arange",
-    "tensor",
 ]

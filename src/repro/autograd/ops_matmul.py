@@ -1,43 +1,10 @@
-"""Matrix multiplication and linear-algebra operations."""
+"""The dense layer's fused affine transform."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.function import Context, Function, unbroadcast
-
-
-class MatMul(Function):
-    """Batched matrix product following NumPy ``@`` semantics.
-
-    Supports the 2-D case used by fully connected layers as well as batched
-    operands (leading broadcast dimensions).
-    """
-
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ctx.save_for_backward(a, b)
-        return a @ b
-
-    @staticmethod
-    def backward(ctx: Context, grad_output: np.ndarray):
-        a, b = ctx.saved
-        if a.ndim == 1 and b.ndim == 1:
-            # Inner product: grad is scalar.
-            return grad_output * b, grad_output * a
-        if a.ndim == 1:
-            a_mat = a[None, :]
-            grad_a = (grad_output[None, :] @ np.swapaxes(b, -1, -2))[0]
-            grad_b = a_mat.T @ grad_output[None, :]
-            return grad_a, unbroadcast(grad_b, np.shape(b))
-        if b.ndim == 1:
-            grad_a = grad_output[..., :, None] @ b[None, :]
-            grad_b = np.swapaxes(a, -1, -2) @ grad_output[..., :, None]
-            grad_b = grad_b[..., 0]
-            return unbroadcast(grad_a, np.shape(a)), unbroadcast(grad_b, np.shape(b))
-        grad_a = grad_output @ np.swapaxes(b, -1, -2)
-        grad_b = np.swapaxes(a, -1, -2) @ grad_output
-        return unbroadcast(grad_a, np.shape(a)), unbroadcast(grad_b, np.shape(b))
+from repro.autograd.function import Context, Function
 
 
 class Linear(Function):

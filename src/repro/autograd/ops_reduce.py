@@ -1,4 +1,4 @@
-"""Reduction operations (sum, mean, max) with full axis support."""
+"""Reductions: the mean (any axes) and the last axis's log-sum-exp."""
 
 from __future__ import annotations
 
@@ -29,20 +29,6 @@ def _expand_grad(grad: np.ndarray, in_shape: Tuple[int, ...], axes: Tuple[int, .
     return np.broadcast_to(grad, in_shape)
 
 
-class Sum(Function):
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, axis: AxisArg = None, keepdims: bool = False) -> np.ndarray:
-        axes = _normalise_axes(axis, a.ndim)
-        ctx.save_for_backward(a.shape, axes, keepdims)
-        return a.sum(axis=axis if axis is None else axes, keepdims=keepdims)
-
-    @staticmethod
-    def backward(ctx: Context, grad_output: np.ndarray):
-        in_shape, axes, keepdims = ctx.saved
-        grad = np.asarray(grad_output)
-        return (_expand_grad(grad, in_shape, axes, keepdims),)
-
-
 class Mean(Function):
     @staticmethod
     def forward(ctx: Context, a: np.ndarray, axis: AxisArg = None, keepdims: bool = False) -> np.ndarray:
@@ -56,62 +42,6 @@ class Mean(Function):
         in_shape, axes, keepdims, count = ctx.saved
         grad = np.asarray(grad_output) / count
         return (_expand_grad(grad, in_shape, axes, keepdims),)
-
-
-class Max(Function):
-    """Reduction max; gradient flows only to the arg-max positions.
-
-    Ties split the gradient evenly between tied elements, matching the
-    behaviour of numerical differentiation on smooth perturbations.
-    """
-
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, axis: AxisArg = None, keepdims: bool = False) -> np.ndarray:
-        axes = _normalise_axes(axis, a.ndim)
-        out = a.max(axis=axis if axis is None else axes, keepdims=True)
-        mask = (a == out).astype(a.dtype)
-        mask /= mask.sum(axis=tuple(axes), keepdims=True)
-        ctx.save_for_backward(a.shape, axes, keepdims, mask)
-        if not keepdims:
-            out = np.squeeze(out, axis=tuple(axes))
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad_output: np.ndarray):
-        in_shape, axes, keepdims, mask = ctx.saved
-        grad = np.asarray(grad_output)
-        if not keepdims:
-            shape = list(in_shape)
-            for a in axes:
-                shape[a] = 1
-            grad = grad.reshape(shape)
-        return (np.broadcast_to(grad, in_shape) * mask,)
-
-
-class Min(Function):
-    """Reduction min; mirror image of :class:`Max`."""
-
-    @staticmethod
-    def forward(ctx: Context, a: np.ndarray, axis: AxisArg = None, keepdims: bool = False) -> np.ndarray:
-        axes = _normalise_axes(axis, a.ndim)
-        out = a.min(axis=axis if axis is None else axes, keepdims=True)
-        mask = (a == out).astype(a.dtype)
-        mask /= mask.sum(axis=tuple(axes), keepdims=True)
-        ctx.save_for_backward(a.shape, axes, keepdims, mask)
-        if not keepdims:
-            out = np.squeeze(out, axis=tuple(axes))
-        return out
-
-    @staticmethod
-    def backward(ctx: Context, grad_output: np.ndarray):
-        in_shape, axes, keepdims, mask = ctx.saved
-        grad = np.asarray(grad_output)
-        if not keepdims:
-            shape = list(in_shape)
-            for a in axes:
-                shape[a] = 1
-            grad = grad.reshape(shape)
-        return (np.broadcast_to(grad, in_shape) * mask,)
 
 
 class LogSumExp(Function):

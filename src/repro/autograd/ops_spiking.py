@@ -19,8 +19,8 @@ backward rules:
 ``_LIFSpike``
     Heaviside forward; backward multiplies by the surrogate derivative at
     the centred potential ``v - theta`` (Neftci et al.'s surrogate
-    gradient, applied only in the backward pass), exactly like
-    :class:`~repro.surrogate.base.SpikeFunction`.
+    gradient, applied only in the backward pass) through
+    :func:`surrogate_backward`.
 
 ``_LIFReset``
     The post-spike membrane; backward is the identity for ``subtract`` /
@@ -29,9 +29,10 @@ backward rules:
     threshold is detached too, so it adds no node.
 
 The nodes mirror the gradient routing of the same step composed from
-elementwise autograd ops, so backward results are bit-for-bit identical to
-that composition for every surrogate, reset mechanism, ``beta``/``theta``
-value and adaptation rule (see ``tests/test_fused_lif.py``).
+elementwise ops and a Heaviside/surrogate spike op, so backward results
+are bit-for-bit identical to that composition for every surrogate, reset
+mechanism, ``beta``/``theta`` value and adaptation rule; the composition
+is kept as the oracle in ``tests/test_fused_lif.py``.
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ def fused_lif_step(
     .. code-block:: python
 
         mem = mem_prev * beta + synaptic_input
-        spikes = spike(mem, threshold, surrogate)
-        mem = mem - spikes.detach() * threshold        # "subtract"
+        spikes = heaviside(mem - threshold)      # surrogate derivative on the backward
+        mem = mem - spikes.detach() * threshold  # "subtract"
 
     (or the ``zero`` / ``none`` reset variants) — same forward spikes, same
     membrane trajectory and bit-identical gradients.  With a ``trace`` (the

@@ -17,7 +17,7 @@ deep-learning code.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -114,10 +114,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def __len__(self) -> int:
         return len(self.data)
@@ -252,113 +248,27 @@ class Tensor:
     def __rmul__(self, other):
         return ops_elementwise.Mul.apply(self._coerce(other), self)
 
-    def __truediv__(self, other):
-        return ops_elementwise.Div.apply(self, self._coerce(other))
-
-    def __rtruediv__(self, other):
-        return ops_elementwise.Div.apply(self._coerce(other), self)
-
-    def __neg__(self):
-        return ops_elementwise.Neg.apply(self)
-
-    def __pow__(self, exponent: float):
-        return ops_elementwise.Pow.apply(self, float(exponent))
-
-    def __matmul__(self, other):
-        return ops_matmul.MatMul.apply(self, self._coerce(other))
-
-    # Comparisons produce plain (non-differentiable) tensors.
-    def __gt__(self, other):
-        other = other.data if isinstance(other, Tensor) else other
-        return Tensor((self.data > other).astype(self.data.dtype))
-
-    def __ge__(self, other):
-        other = other.data if isinstance(other, Tensor) else other
-        return Tensor((self.data >= other).astype(self.data.dtype))
-
-    def __lt__(self, other):
-        other = other.data if isinstance(other, Tensor) else other
-        return Tensor((self.data < other).astype(self.data.dtype))
-
-    def __le__(self, other):
-        other = other.data if isinstance(other, Tensor) else other
-        return Tensor((self.data <= other).astype(self.data.dtype))
-
     def __getitem__(self, index):
         if isinstance(index, Tensor):
             index = index.data
         return ops_shape.GetItem.apply(self, index)
 
     # ------------------------------------------------------------------ #
-    # Math methods
+    # Reductions, shape and neural-network ops (delegated to ops modules)
     # ------------------------------------------------------------------ #
-    def exp(self):
-        return ops_elementwise.Exp.apply(self)
-
-    def log(self):
-        return ops_elementwise.Log.apply(self)
-
-    def sqrt(self):
-        return ops_elementwise.Sqrt.apply(self)
-
-    def abs(self):
-        return ops_elementwise.Abs.apply(self)
-
-    def relu(self):
-        return ops_elementwise.ReLU.apply(self)
-
-    def sigmoid(self):
-        return ops_elementwise.Sigmoid.apply(self)
-
-    def tanh(self):
-        return ops_elementwise.Tanh.apply(self)
-
-    def clip(self, lo: float, hi: float):
-        return ops_elementwise.Clip.apply(self, float(lo), float(hi))
-
-    def maximum(self, other):
-        return ops_elementwise.Maximum.apply(self, self._coerce(other))
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return ops_reduce.Sum.apply(self, axis, keepdims)
-
     def mean(self, axis=None, keepdims: bool = False):
         return ops_reduce.Mean.apply(self, axis, keepdims)
 
-    def max(self, axis=None, keepdims: bool = False):
-        return ops_reduce.Max.apply(self, axis, keepdims)
-
-    def min(self, axis=None, keepdims: bool = False):
-        return ops_reduce.Min.apply(self, axis, keepdims)
-
     def logsumexp(self):
         return ops_reduce.LogSumExp.apply(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return ops_shape.Reshape.apply(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 0:
-            axes = None
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return ops_shape.Transpose.apply(self, axes)
 
     def flatten(self):
         """Flatten everything after the batch dimension."""
         return ops_shape.Flatten.apply(self)
 
-    def broadcast_to(self, shape):
-        return ops_shape.Broadcast.apply(self, tuple(shape))
-
     def argmax(self, axis=None) -> np.ndarray:
         return self.data.argmax(axis=axis)
 
-    # ------------------------------------------------------------------ #
-    # Neural-network helpers (delegated to ops modules)
-    # ------------------------------------------------------------------ #
     def conv2d(self, weight: "Tensor", bias: Optional["Tensor"] = None, stride: int = 1, padding: int = 0):
         return ops_conv.Conv2d.apply(self, weight, bias, stride, padding)
 
@@ -369,37 +279,5 @@ class Tensor:
         return ops_matmul.Linear.apply(self, weight, bias)
 
 
-# ---------------------------------------------------------------------- #
-# Free functions
-# ---------------------------------------------------------------------- #
-def tensor(data: ArrayLike, requires_grad: bool = False, dtype=None) -> Tensor:
-    """Create a :class:`Tensor` (mirrors ``torch.tensor``)."""
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
 def zeros(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def arange(*args, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    return Tensor(np.arange(*args, dtype=dtype), requires_grad=requires_grad)
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis."""
-    return ops_shape.Concatenate.apply(*tensors, axis=axis)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis (used to collect per-timestep outputs)."""
-    return ops_shape.Stack.apply(*tensors, axis=axis)
-
-
-def where(condition: Union[Tensor, np.ndarray], a: Tensor, b: Tensor) -> Tensor:
-    """Differentiable elementwise selection."""
-    cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    return ops_elementwise.Where.apply(cond.astype(bool), a, b)

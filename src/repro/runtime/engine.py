@@ -51,7 +51,6 @@ from repro.neurons.base import SpikingNeuron
 from repro.neurons.factory import neuron_descriptor
 from repro.neurons.lif import LIF
 from repro.nn.conv import Conv2d
-from repro.nn.dropout import Dropout
 from repro.nn.flatten import Flatten
 from repro.nn.linear import Linear
 from repro.nn.module import Module
@@ -177,8 +176,8 @@ def _substrate(name: str, module: SpikingNeuron) -> Tuple[str, Dict[str, float]]
     return substrate, params
 
 
-def _lower_module(name: str, module: Module, state: _LoweringState) -> Optional[Kernel]:
-    """Map one layer module to its fused kernel (``None`` to skip)."""
+def _lower_module(name: str, module: Module, state: _LoweringState) -> Kernel:
+    """Map one layer module to its fused kernel."""
     if isinstance(module, (Conv2d, Linear)):
         if state.integer and state.pending_weight is not None:
             raise RuntimeCompileError(
@@ -222,8 +221,6 @@ def _lower_module(name: str, module: Module, state: _LoweringState) -> Optional[
         return MaxPoolKernel(name, module.kernel_size)
     if isinstance(module, Flatten):
         return FlattenKernel(name)
-    if isinstance(module, Dropout):
-        return None  # identity at inference time
     raise RuntimeCompileError(
         f"layer '{name}': {type(module).__name__} has no compiled-plan lowering"
     )
@@ -236,9 +233,7 @@ def _collect_kernels(model: Module, state: _LoweringState, prefix: str = "") -> 
         if isinstance(module, Sequential) or type(module).__name__ == "Sequential":
             kernels.extend(_collect_kernels(module, state, prefix=f"{full_name}."))
         else:
-            kernel = _lower_module(full_name, module, state)
-            if kernel is not None:
-                kernels.append(kernel)
+            kernels.append(_lower_module(full_name, module, state))
     return kernels
 
 

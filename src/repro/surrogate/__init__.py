@@ -16,10 +16,13 @@ Additional surrogates (:class:`Sigmoid`, :class:`Triangular`,
 extension experiments and for parity with snnTorch's surrogate module.
 
 All surrogates share the :class:`SurrogateFunction` interface and can be
-looked up by name through :func:`get_surrogate`.
+looked up by name through :func:`get_surrogate`.  A surrogate holds no
+graph code: the spiking layer's fused step
+(:func:`repro.autograd.ops_spiking.fused_lif_step`) emits the Heaviside
+spikes and calls :meth:`SurrogateFunction.derivative` on its backward pass.
 """
 
-from repro.surrogate.base import SurrogateFunction, SpikeFunction, spike
+from repro.surrogate.base import SurrogateFunction
 from repro.surrogate.arctan import ArcTan
 from repro.surrogate.fast_sigmoid import FastSigmoid
 from repro.surrogate.sigmoid import Sigmoid
@@ -30,8 +33,6 @@ from repro.surrogate.registry import register_surrogate, get_surrogate, availabl
 
 __all__ = [
     "SurrogateFunction",
-    "SpikeFunction",
-    "spike",
     "ArcTan",
     "FastSigmoid",
     "Sigmoid",

@@ -1,20 +1,16 @@
-"""Surrogate-gradient base class and the spike autograd function.
+"""Surrogate-gradient base class.
 
-The spiking non-linearity is ``S = Heaviside(U - theta)``.  In the forward
-pass we emit binary spikes; in the backward pass the chosen
+The spiking non-linearity is ``S = Heaviside(U - theta)``.  The forward
+pass emits binary spikes; in the backward pass the chosen
 :class:`SurrogateFunction` supplies ``dS/dU`` evaluated at the centred
-membrane potential ``U - theta``.
+membrane potential ``U - theta``.  Both happen in the fused neuron step
+(:func:`repro.autograd.ops_spiking.fused_lif_step`), whose spike node calls
+:func:`~repro.autograd.ops_spiking.surrogate_backward`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
-
-from repro.autograd.function import Context, Function
-from repro.autograd.ops_spiking import surrogate_backward
-from repro.autograd.tensor import Tensor
 
 
 class SurrogateFunction:
@@ -24,8 +20,10 @@ class SurrogateFunction:
     (the ``alpha`` / ``k`` of the paper), and two callables on raw arrays:
 
     ``forward_smooth(u)``
-        The smooth approximation of the Heaviside itself (used for analysis
-        and plotting, not in the training forward pass).
+        The smooth approximation of the Heaviside whose slope
+        ``derivative`` is: the reference a derivative is checked against
+        numerically.  Training never calls it; its forward pass emits the
+        exact step.
 
     ``derivative(u)``
         The surrogate derivative ``dS/dU`` evaluated at centred potential
@@ -52,10 +50,6 @@ class SurrogateFunction:
         """
         raise NotImplementedError
 
-    def __call__(self, membrane: Tensor, threshold: float = 1.0) -> Tensor:
-        """Emit spikes from a membrane-potential tensor (Heaviside forward)."""
-        return spike(membrane, threshold, self)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(scale={self.scale})"
 
@@ -64,41 +58,6 @@ class SurrogateFunction:
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.scale))
-
-
-class SpikeFunction(Function):
-    """Heaviside forward / surrogate backward.
-
-    ``forward(u, threshold, surrogate)`` returns ``1`` where ``u > threshold``
-    else ``0``.  ``backward`` multiplies the incoming gradient by the
-    surrogate derivative evaluated at ``u - threshold``.
-    """
-
-    @staticmethod
-    def forward(ctx: Context, u: np.ndarray, threshold: float, surrogate: SurrogateFunction) -> np.ndarray:
-        centred = u - threshold
-        ctx.save_for_backward(centred, surrogate)
-        return (centred > 0).astype(u.dtype)
-
-    @staticmethod
-    def backward(ctx: Context, grad_output: np.ndarray):
-        centred, surrogate = ctx.saved
-        return surrogate_backward(grad_output, surrogate, centred), None, None
-
-
-def spike(membrane: Tensor, threshold: float, surrogate: SurrogateFunction) -> Tensor:
-    """Apply the spiking non-linearity with a surrogate gradient.
-
-    Parameters
-    ----------
-    membrane:
-        Membrane potential tensor ``U`` of any shape.
-    threshold:
-        Firing threshold ``theta`` (Eq. 2).
-    surrogate:
-        The surrogate supplying ``dS/dU`` for the backward pass.
-    """
-    return SpikeFunction.apply(membrane, float(threshold), surrogate)
 
 
 class HeavisideExact(SurrogateFunction):

@@ -1,8 +1,9 @@
-"""Numerical gradient checking utilities.
+"""Numerical gradient checking for the test suite.
 
-Used throughout the test suite to verify that every analytical backward pass
-in :mod:`repro.autograd` (and the surrogate-gradient spike operator) matches
-a central-difference approximation.
+Verifies that an analytical backward pass in :mod:`repro.autograd` matches a
+central-difference approximation of the gradient of ``sum(fn(*inputs))``.
+The backward pass is seeded with ones, which is the gradient of that sum
+with respect to every output element.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ def numerical_gradient(
 ) -> np.ndarray:
     """Central-difference gradient of ``sum(fn(*inputs))`` w.r.t. ``inputs[index]``.
 
-    The function output is reduced with ``sum`` so arbitrary output shapes can
-    be checked against a scalar objective.
+    The function output is summed so arbitrary output shapes can be checked
+    against a scalar objective.
     """
     target = inputs[index]
     grad = np.zeros_like(target.data, dtype=np.float64)
@@ -32,9 +33,9 @@ def numerical_gradient(
     for i in range(flat.size):
         original = flat[i]
         flat[i] = original + eps
-        plus = float(fn(*inputs).sum().item())
+        plus = float(fn(*inputs).data.sum())
         flat[i] = original - eps
-        minus = float(fn(*inputs).sum().item())
+        minus = float(fn(*inputs).data.sum())
         flat[i] = original
         grad_flat[i] = (plus - minus) / (2 * eps)
     return grad
@@ -55,8 +56,8 @@ def gradcheck(
     """
     for t in inputs:
         t.zero_grad()
-    out = fn(*inputs).sum()
-    out.backward()
+    out = fn(*inputs)
+    out.backward(np.ones_like(out.data))
     for idx, t in enumerate(inputs):
         if not t.requires_grad:
             continue

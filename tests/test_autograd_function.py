@@ -1,10 +1,17 @@
 """Unit tests for the Function/Context graph machinery and unbroadcast."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro.autograd
+import repro.surrogate
 from repro.autograd import Tensor
 from repro.autograd.function import Context, Function, Node, unbroadcast
+from repro.core.config import SCALE_PRESETS, ExperimentConfig
+from repro.core.experiment import make_encoder, make_loss, make_model
 
 
 class Double(Function):
@@ -43,7 +50,7 @@ class TestFunctionApply:
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = Double.apply(x, 3.0)
         assert np.allclose(y.numpy(), [3.0, 6.0])
-        y.sum().backward()
+        y.backward(np.ones(2))
         assert np.allclose(x.grad, [3.0, 3.0])
 
     def test_kwargs_passed_to_forward(self):
@@ -110,3 +117,55 @@ class TestUnbroadcast:
         out = unbroadcast(g, (1, 5))
         assert out.shape == (1, 5)
         assert np.allclose(out, 8.0)
+
+
+def _repro_functions():
+    """Every ``Function`` subclass that ``repro`` defines.
+
+    Each module of ``repro.autograd`` and ``repro.surrogate`` is imported
+    first, so an op no other import reaches is counted too.
+    """
+    for package in (repro.autograd, repro.surrogate):
+        for info in pkgutil.iter_modules(package.__path__, f"{package.__name__}."):
+            importlib.import_module(info.name)
+    found, todo = set(), [Function]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls not in found:
+                found.add(cls)
+                todo.append(cls)
+    return {cls for cls in found if cls.__module__.startswith("repro.")}
+
+
+def _graph_functions(loss):
+    """The ``fn`` of every node reachable from ``loss`` through ``Node.inputs``."""
+    seen, todo = {loss._node}, [loss._node]
+    while todo:
+        for parent in todo.pop().inputs:
+            if isinstance(parent, Node) and parent not in seen:
+                seen.add(parent)
+                todo.append(parent)
+    return {node.fn for node in seen}
+
+
+class TestOpCensus:
+    def test_every_op_runs_in_a_spiking_cnn_training_graph(self):
+        # The engine holds only what the paper's network trains with: each
+        # op is in the BPTT graph of a smoke SpikingCNN under one of the
+        # two count losses, on the LIF or the adaptive substrate.
+        rng = np.random.default_rng(0)
+        ran = set()
+        for neuron in ("lif", "adaptive"):
+            for loss_name in ("ce_count", "mse_count"):
+                config = ExperimentConfig(scale=SCALE_PRESETS["smoke"], neuron=neuron, loss=loss_name, seed=0)
+                size = config.scale.image_size
+                images = rng.random((4, 3, size, size)).astype(np.float32)
+                model = make_model(config)
+                model.train()
+                model.reset_spiking_state()
+                counts = model(Tensor(make_encoder(config)(images)))
+                labels = rng.integers(0, counts.shape[1], len(images))
+                ran |= _graph_functions(make_loss(config)(counts, labels))
+        defined = _repro_functions()
+        never_run = sorted(f"{cls.__module__}.{cls.__qualname__}" for cls in defined - ran)
+        assert ran == defined, f"Function subclasses no training graph runs: {never_run}"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, gradcheck, numerical_gradient
+from gradcheck import gradcheck, numerical_gradient
+from repro.autograd import Tensor
 
 
 def t(data, requires_grad=True):
@@ -26,72 +27,8 @@ class TestElementwiseGradients:
         b = t(np.random.default_rng(5).standard_normal((2, 5)))
         assert gradcheck(lambda x, y: x * y, [a, b])
 
-    def test_div(self):
-        a = t(np.random.default_rng(6).standard_normal((3, 3)))
-        b = t(np.random.default_rng(7).standard_normal((3, 3)) + 3.0)
-        assert gradcheck(lambda x, y: x / y, [a, b])
-
-    def test_exp(self):
-        a = t(np.random.default_rng(8).standard_normal((4,)) * 0.5)
-        assert gradcheck(lambda x: x.exp(), [a])
-
-    def test_log(self):
-        a = t(np.abs(np.random.default_rng(9).standard_normal((4,))) + 1.0)
-        assert gradcheck(lambda x: x.log(), [a])
-
-    def test_sqrt(self):
-        a = t(np.abs(np.random.default_rng(10).standard_normal((4,))) + 1.0)
-        assert gradcheck(lambda x: x.sqrt(), [a])
-
-    def test_sigmoid(self):
-        a = t(np.random.default_rng(11).standard_normal((6,)))
-        assert gradcheck(lambda x: x.sigmoid(), [a])
-
-    def test_tanh(self):
-        a = t(np.random.default_rng(12).standard_normal((6,)))
-        assert gradcheck(lambda x: x.tanh(), [a])
-
-    def test_relu_gradient_masks_negative(self):
-        a = t([-1.0, 2.0, -3.0, 4.0])
-        a.relu().sum().backward()
-        assert np.allclose(a.grad, [0.0, 1.0, 0.0, 1.0])
-
-    def test_abs(self):
-        a = t([-2.0, 3.0])
-        a.abs().sum().backward()
-        assert np.allclose(a.grad, [-1.0, 1.0])
-
-    def test_clip_gradient_zero_outside_window(self):
-        a = t([-2.0, 0.5, 2.0])
-        a.clip(-1.0, 1.0).sum().backward()
-        assert np.allclose(a.grad, [0.0, 1.0, 0.0])
-
-    def test_maximum(self):
-        a = t([1.0, 5.0, 3.0])
-        b = t([2.0, 4.0, 3.0])
-        a.maximum(b).sum().backward()
-        # Ties route the gradient to the first operand.
-        assert np.allclose(a.grad, [0.0, 1.0, 1.0])
-        assert np.allclose(b.grad, [1.0, 0.0, 0.0])
-
-    def test_pow_gradcheck(self):
-        a = t(np.abs(np.random.default_rng(13).standard_normal((5,))) + 0.5)
-        assert gradcheck(lambda x: x ** 3, [a])
-
 
 class TestReductions:
-    def test_sum_all(self):
-        a = t(np.random.default_rng(20).standard_normal((3, 4)))
-        assert gradcheck(lambda x: x.sum(), [a])
-
-    def test_sum_axis_keepdims(self):
-        a = t(np.random.default_rng(21).standard_normal((3, 4)))
-        assert gradcheck(lambda x: x.sum(axis=1, keepdims=True), [a])
-
-    def test_sum_multiple_axes(self):
-        a = t(np.random.default_rng(22).standard_normal((2, 3, 4)))
-        assert gradcheck(lambda x: x.sum(axis=(0, 2)), [a])
-
     def test_mean_axis(self):
         a = t(np.random.default_rng(23).standard_normal((3, 5)))
         assert gradcheck(lambda x: x.mean(axis=0), [a])
@@ -99,21 +36,6 @@ class TestReductions:
     def test_mean_all_value(self):
         a = t([[1.0, 2.0], [3.0, 4.0]])
         assert a.mean().item() == pytest.approx(2.5)
-
-    def test_max_gradient_goes_to_argmax(self):
-        a = t([[1.0, 5.0, 3.0]])
-        a.max(axis=1).sum().backward()
-        assert np.allclose(a.grad, [[0.0, 1.0, 0.0]])
-
-    def test_max_ties_split_gradient(self):
-        a = t([2.0, 2.0])
-        a.max().backward()
-        assert np.allclose(a.grad, [0.5, 0.5])
-
-    def test_min_gradient(self):
-        a = t([[3.0, 1.0, 2.0]])
-        a.min(axis=1).sum().backward()
-        assert np.allclose(a.grad, [[0.0, 1.0, 0.0]])
 
     def test_logsumexp_matches_naive(self):
         data = np.random.default_rng(24).standard_normal((4, 6))
@@ -133,26 +55,6 @@ class TestReductions:
 
 
 class TestShapeOps:
-    def test_reshape_roundtrip_gradient(self):
-        a = t(np.random.default_rng(30).standard_normal((2, 6)))
-        assert gradcheck(lambda x: x.reshape(3, 4), [a])
-
-    def test_reshape_accepts_tuple(self):
-        a = t(np.zeros((2, 6)))
-        assert a.reshape((4, 3)).shape == (4, 3)
-
-    def test_transpose_default_reverses(self):
-        a = t(np.random.default_rng(31).standard_normal((2, 3, 4)))
-        assert a.transpose().shape == (4, 3, 2)
-
-    def test_transpose_gradient(self):
-        a = t(np.random.default_rng(32).standard_normal((2, 3, 4)))
-        assert gradcheck(lambda x: x.transpose(1, 0, 2), [a])
-
-    def test_T_property(self):
-        a = t(np.zeros((2, 5)))
-        assert a.T.shape == (5, 2)
-
     def test_flatten_keeps_batch(self):
         a = t(np.random.default_rng(33).standard_normal((2, 3, 4)))
         flat = a.flatten()

@@ -162,7 +162,8 @@ def test_loaded_model_usable_for_further_training(tmp_path, rng):
     loaded.train()
     spikes = (rng.random((3, 2, 12)) < 0.5).astype(np.float32)
     loaded.reset_spiking_state()
-    loaded.forward(Tensor(spikes)).sum().backward()
+    counts = loaded.forward(Tensor(spikes))
+    counts.backward(np.ones_like(counts.data))
     assert all(p.grad is not None for p in loaded.parameters())
 
 

@@ -118,11 +118,10 @@ class TestEvaluateTrainedModel:
         """A neuron class the runtime cannot lower fails loudly, at compile and at evaluation."""
         from repro.neurons.base import SpikingNeuron
         from repro.runtime import RuntimeCompileError, compile_network
-        from repro.surrogate.base import spike
 
         class CustomNeuron(SpikingNeuron):
             def step(self, synaptic_input):
-                return spike(synaptic_input, self.threshold, self.surrogate)
+                return synaptic_input
 
         model = make_model(smoke_config)
         model.lif2 = CustomNeuron()

@@ -97,7 +97,7 @@ class TestSpikingCNN:
         model = self._small(surrogate_scale=0.5)
         spikes = np.random.default_rng(1).random((3, 2, 3, 8, 8)).astype(np.float32)
         counts = model(Tensor(spikes))
-        counts.sum().backward()
+        counts.backward(np.ones_like(counts.data))
         assert model.conv1.weight.grad is not None
         assert np.abs(model.conv1.weight.grad).max() > 0
 

@@ -64,7 +64,7 @@ class TestAdaptiveLIF:
         for _ in range(4):
             s = neuron.step(x)
             total = s if total is None else total + s
-        total.sum().backward()
+        total.backward(np.ones_like(total.data))
         assert x.grad is not None
 
     def test_repr_mentions_adaptation(self):

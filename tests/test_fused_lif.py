@@ -1,9 +1,9 @@
 """Fused LIF training step vs. the composed elementwise implementation.
 
 The fused step (:func:`repro.autograd.ops_spiking.fused_lif_step`) must be a
-drop-in replacement for the chain of ``Mul``/``Add``/``Spike``/``Sub`` ops
-in :func:`composed_step` and, for the adaptive-threshold neuron, in
-:func:`composed_adaptive_step`, the oracles kept here: identical spikes,
+drop-in replacement for the chain of ``Mul``/``Add``/:class:`SpikeFunction`/
+``Sub`` ops in :func:`composed_step` and, for the adaptive-threshold neuron,
+in :func:`composed_adaptive_step`, the oracles kept here: identical spikes,
 identical membrane (and trace) trajectory, and **bit-for-bit identical
 gradients** for every surrogate, reset mechanism, ``beta``/``theta``
 combination and adaptation rule — that is what makes it safe to route every
@@ -22,11 +22,11 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.autograd.ops_spiking import fused_lif_step, lif_forward
+from repro.autograd.function import Function
+from repro.autograd.ops_spiking import fused_lif_step, lif_forward, surrogate_backward
 from repro.autograd.tensor import zeros
 from repro.neurons.adaptive import AdaptiveLIF
 from repro.neurons.lif import LIF
-from repro.surrogate.base import spike
 from repro.surrogate.registry import get_surrogate
 
 SURROGATES = ["fast_sigmoid", "arctan", "triangular", "piecewise_linear", "sigmoid"]
@@ -39,6 +39,31 @@ NEURONS = [
     ("adaptive-step0", (0.0, 0.8)),
     ("adaptive-decay1", (0.3, 1.0)),
 ]
+
+
+class SpikeFunction(Function):
+    """Heaviside forward / surrogate backward, as its own graph op.
+
+    ``forward(u, threshold, surrogate)`` returns ``1`` where ``u > threshold``
+    else ``0``; ``backward`` multiplies the incoming gradient by the
+    surrogate derivative at ``u - threshold``.
+    """
+
+    @staticmethod
+    def forward(ctx, u: np.ndarray, threshold: float, surrogate) -> np.ndarray:
+        centred = u - threshold
+        ctx.save_for_backward(centred, surrogate)
+        return (centred > 0).astype(u.dtype)
+
+    @staticmethod
+    def backward(ctx, grad_output: np.ndarray):
+        centred, surrogate = ctx.saved
+        return surrogate_backward(grad_output, surrogate, centred), None, None
+
+
+def spike(membrane: Tensor, threshold: float, surrogate) -> Tensor:
+    """Spikes of ``membrane`` at ``threshold`` with ``surrogate``'s gradient."""
+    return SpikeFunction.apply(membrane, float(threshold), surrogate)
 
 
 def composed_step(lif: LIF, synaptic_input: Tensor) -> Tensor:
@@ -100,7 +125,8 @@ def _run_sequence(fused: bool, *, adaptation=None, reset: str, surrogate: str, s
         counts = spikes if counts is None else counts + spikes
     # Non-uniform upstream gradient so the surrogate backward is exercised
     # with something richer than all-ones.
-    (counts * counts.detach() + counts).sum().backward()
+    objective = counts * counts.detach() + counts
+    objective.backward(np.ones_like(objective.data))
     grads = [frame.grad.copy() for frame in inputs]
     trace = None if layer.state.trace is None else layer.state.trace.data.copy()
     return grads, counts.data.copy(), layer.state.mem.data.copy(), trace, total_spikes
@@ -144,7 +170,7 @@ def test_fused_step_gradient_is_surrogate_derivative():
     syn = Tensor(np.linspace(-2.0, 2.0, 6).reshape(2, 3), requires_grad=True)
     spikes, new_mem, _ = fused_lif_step(mem_prev, syn, beta=0.5, threshold=1.0,
                                         surrogate=surrogate, reset_mechanism="subtract")
-    spikes.sum().backward()
+    spikes.backward(np.ones_like(spikes.data))
     centred = syn.data - 1.0  # beta * 0 + syn, centred at theta
     np.testing.assert_allclose(syn.grad, surrogate.derivative(centred))
     np.testing.assert_array_equal(spikes.data, (centred > 0).astype(syn.dtype))
@@ -173,7 +199,7 @@ def test_fused_membrane_gradient_routes_through_beta():
     syn = Tensor(np.zeros((1, 2)), requires_grad=False)
     _, new_mem, _ = fused_lif_step(mem_prev, syn, beta=beta, threshold=10.0,
                                    surrogate=surrogate, reset_mechanism="subtract")
-    new_mem.sum().backward()
+    new_mem.backward(np.ones_like(new_mem.data))
     # No spikes fire (threshold 10), so the only path is the charge: grad = beta.
     np.testing.assert_allclose(mem_prev.grad, np.full((1, 2), beta))
 

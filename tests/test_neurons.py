@@ -108,7 +108,7 @@ class TestLIFGradients:
         for x in inputs:
             s = lif.step(x)
             total = s if total is None else total + s
-        total.sum().backward()
+        total.backward(np.ones_like(total.data))
         assert inputs[0].grad is not None
         assert np.abs(inputs[0].grad).max() > 0
 
@@ -198,7 +198,7 @@ class TestAdaptiveLIFDynamics:
             total = s if total is None else total + s
         assert not neuron.adaptation.requires_grad and neuron.adaptation._node is None
         assert neuron.state.mem.requires_grad
-        total.sum().backward()
+        total.backward(np.ones_like(total.data))
         assert all(np.all(np.isfinite(x.grad)) for x in inputs)
 
     def test_state_reset_clears_trace(self):
@@ -291,7 +291,7 @@ class TestSurrogateGradientsFinite:
         for x in inputs:
             s = neuron.step(x)
             total = s if total is None else total + s
-        total.sum().backward()
+        total.backward(np.ones_like(total.data))
         for x in inputs:
             assert x.grad is not None
             assert np.all(np.isfinite(x.grad))
@@ -314,7 +314,7 @@ class TestSurrogateGradientsFinite:
         for x in inputs:
             s = neuron.step(x)
             total = s if total is None else total + s
-        total.sum().backward()
+        total.backward(np.ones_like(total.data))
         for x in inputs:
             assert x.grad is not None
             assert np.all(np.isfinite(x.grad))

@@ -2,7 +2,7 @@
 
 Runs the same measurement code as ``benchmarks/bench_runtime_speedup.py``
 at a minimal configuration, asserting the two execution paths stay
-equivalent and the event-driven runtime is actually faster at sparse
+equivalent and the compiled plan is actually faster at sparse
 activity.  Keeps the benchmark importable and the speedup claim under
 continuous test without the benchmark suite's runtime cost.
 """
@@ -17,7 +17,7 @@ from repro.runtime.bench import make_reduced_cnn, make_spike_sequence, measure_s
 
 def test_speedup_measurement_smoke():
     result = measure_speedup(density=0.1, num_steps=6, batch_size=4, repeats=3, seed=0)
-    assert result.equivalent, "event-driven runtime diverged from the dense forward"
+    assert result.equivalent, "compiled plan diverged from the dense forward"
     assert result.density <= 0.15
     assert result.dense_seconds > 0 and result.runtime_seconds > 0
     # The full benchmark holds the 2x bar; here only require a genuine win

@@ -1,4 +1,4 @@
-"""Equivalence of the event-driven runtime with the dense forward pass.
+"""Equivalence of the compiled plan with the dense forward pass.
 
 The runtime's contract is that its sparsity-exploiting execution is an
 *optimisation*, never an approximation: for any input sequence, every

@@ -1,4 +1,4 @@
-"""Cross-substrate equivalence matrix for the event-driven runtime.
+"""Cross-substrate equivalence matrix for the compiled plan.
 
 Every supported spiking substrate ({LIF, IF, AdaptiveLIF}) x
 both model families x all four encoders must satisfy the runtime's

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.autograd.ops_spiking import surrogate_backward
+from repro.autograd.ops_spiking import fused_lif_step, surrogate_backward
 from repro.surrogate import (
     ArcTan,
     FastSigmoid,
@@ -15,7 +15,6 @@ from repro.surrogate import (
     available_surrogates,
     get_surrogate,
     register_surrogate,
-    spike,
 )
 from repro.surrogate.base import HeavisideExact, SurrogateFunction
 
@@ -217,26 +216,39 @@ class TestRegistry:
         assert hash(FastSigmoid(2.0)) == hash(FastSigmoid(2.0))
 
 
+def _spike(values, threshold, surrogate):
+    """One LIF step from rest with ``beta = 0``: ``(input, spikes)``.
+
+    The charged membrane is the input itself, so the spikes are
+    ``input > threshold`` and the input's gradient is the surrogate
+    derivative at ``input - threshold``.
+    """
+    x = Tensor(values, requires_grad=True)
+    spikes, _, _ = fused_lif_step(Tensor(np.zeros_like(x.data)), x, 0.0, threshold, surrogate)
+    return x, spikes
+
+
 class TestSpikeFunction:
+    """The fused LIF step's spike function: Heaviside forward, surrogate backward."""
+
     def test_forward_is_heaviside_of_centred_potential(self):
-        mem = Tensor([0.5, 1.0, 1.5], requires_grad=True)
-        spikes = spike(mem, 1.0, FastSigmoid(25.0))
+        _, spikes = _spike([0.5, 1.0, 1.5], 1.0, FastSigmoid(25.0))
         # Strict inequality: u > theta.
         assert spikes.tolist() == [0.0, 0.0, 1.0]
 
     def test_backward_uses_surrogate_derivative(self):
         surrogate = FastSigmoid(scale=2.0)
-        mem = Tensor([0.0, 1.0, 2.0], requires_grad=True)
-        spike(mem, 1.0, surrogate).sum().backward()
+        x, spikes = _spike([0.0, 1.0, 2.0], 1.0, surrogate)
+        spikes.backward(np.ones(3))
         expected = surrogate.derivative(np.array([0.0, 1.0, 2.0]) - 1.0)
-        assert np.allclose(mem.grad, expected)
+        np.testing.assert_array_equal(x.grad, expected)
 
     def test_backward_with_arctan(self):
         surrogate = ArcTan(scale=2.0)
-        mem = Tensor([0.3, 1.3], requires_grad=True)
-        spike(mem, 1.0, surrogate).sum().backward()
+        x, spikes = _spike([0.3, 1.3], 1.0, surrogate)
+        spikes.backward(np.ones(2))
         expected = surrogate.derivative(np.array([0.3, 1.3]) - 1.0)
-        assert np.allclose(mem.grad, expected)
+        np.testing.assert_array_equal(x.grad, expected)
 
     @pytest.mark.parametrize(
         "surrogate",
@@ -266,13 +278,7 @@ class TestSpikeFunction:
         assert grad.dtype == want.dtype and grad.tobytes() == want.tobytes()
         assert go.tobytes() == seed.tobytes() and centred.tobytes() == saved.tobytes()
 
-    def test_callable_interface(self):
-        surrogate = FastSigmoid(25.0)
-        mem = Tensor([2.0], requires_grad=True)
-        assert surrogate(mem, 1.0).tolist() == [1.0]
-
     def test_output_is_binary(self):
         rng = np.random.default_rng(0)
-        mem = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        out = spike(mem, 0.0, FastSigmoid()).numpy()
-        assert set(np.unique(out)).issubset({0.0, 1.0})
+        _, spikes = _spike(rng.standard_normal((4, 5)), 0.0, FastSigmoid())
+        assert set(np.unique(spikes.numpy())).issubset({0.0, 1.0})

@@ -68,13 +68,12 @@ def test_arctan_gives_more_gradient_far_from_threshold_at_high_scales(scale):
 
 
 @settings(max_examples=40, deadline=None)
-@given(scales, potentials)
-def test_spike_forward_is_binary_and_matches_threshold(scale, values):
-    from repro.autograd import Tensor
-    from repro.surrogate import spike
+@given(potentials)
+def test_spike_forward_is_binary_and_matches_threshold(values):
+    from repro.autograd.ops_spiking import lif_forward
 
     threshold = 1.0
-    mem = Tensor(np.array(values, dtype=np.float32), requires_grad=True)
-    out = spike(mem, threshold, FastSigmoid(scale)).numpy()
-    expected = (np.array(values, dtype=np.float32) > threshold).astype(np.float32)
-    assert np.array_equal(out, expected)
+    x = np.array(values, dtype=np.float32)
+    spikes, _, _, _ = lif_forward(np.zeros_like(x), x, 0.0, threshold, "subtract")
+    expected = (x > threshold).astype(np.float32)
+    assert spikes.dtype == np.float32 and np.array_equal(spikes, expected)
