@@ -31,6 +31,38 @@ class TestLinearOp:
         x, w = t((3, 4), 26), t((2, 4), 27)
         assert gradcheck(lambda a, b_: a.linear(b_, None), [x, w])
 
+    def test_gradients_are_the_affine_products(self):
+        x, w, b = t((5, 4), 28), t((3, 4), 29), t((3,), 30)
+        go = np.random.default_rng(31).standard_normal((5, 3))
+        x.linear(w, b).backward(go)
+        np.testing.assert_array_equal(x.grad, go @ w.numpy())
+        np.testing.assert_array_equal(w.grad, go.T @ x.numpy())
+        np.testing.assert_array_equal(b.grad, go.sum(axis=0))
+
+    def test_leading_dimensions_collapse_into_the_weight_gradient(self):
+        # A (T, N, F) input applies the layer at every timestep; the weight
+        # and bias gradients sum over both leading axes.
+        x, w, b = t((2, 3, 4), 32), t((2, 4), 33), t((2,), 34)
+        assert x.linear(w, b).shape == (2, 3, 2)
+        assert gradcheck(lambda a, b_, c: a.linear(b_, c), [x, w, b])
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(35)
+        x = Tensor(rng.standard_normal((2, 4)).astype(np.float32))
+        w = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        out = x.linear(w, b)
+        assert out.dtype == np.float32
+        out.backward(np.ones((2, 3), dtype=np.float32))
+        assert w.grad.dtype == np.float32 and b.grad.dtype == np.float32
+
+    def test_frozen_weight_gets_no_gradient(self):
+        x = t((2, 4), 36)
+        w = Tensor(np.random.default_rng(37).standard_normal((3, 4)))
+        x.linear(w).backward(np.ones((2, 3)))
+        assert w.grad is None
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)) @ w.numpy())
+
 
 class TestConv2d:
     def test_output_shape_helper(self):

@@ -11,6 +11,15 @@ def t(data, requires_grad=True):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
 
 
+def normal(shape, seed):
+    return t(np.random.default_rng(seed).standard_normal(shape))
+
+
+#: Operand shapes that broadcast: a trailing vector (a bias), operands that
+#: both grow, and a 0-d operand on either side.
+BROADCAST_SHAPES = [((3, 4), (4,)), ((2, 1, 3), (4, 1)), ((), (2, 3)), ((2, 3), ())]
+
+
 class TestElementwiseGradients:
     def test_add_broadcast(self):
         a = t(np.random.default_rng(0).standard_normal((3, 4)))
@@ -27,11 +36,49 @@ class TestElementwiseGradients:
         b = t(np.random.default_rng(5).standard_normal((2, 5)))
         assert gradcheck(lambda x, y: x * y, [a, b])
 
+    @pytest.mark.parametrize("a_shape,b_shape", BROADCAST_SHAPES, ids=str)
+    @pytest.mark.parametrize(
+        "op", [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y], ids=["add", "sub", "mul"]
+    )
+    def test_broadcast_gradient_has_its_operand_shape(self, op, a_shape, b_shape):
+        a, b = normal(a_shape, 6), normal(b_shape, 7)
+        assert gradcheck(op, [a, b])
+        assert a.grad.shape == a_shape and b.grad.shape == b_shape
+
+    def test_mul_by_a_constant_saves_and_returns_no_gradient_for_it(self):
+        # ``mem * beta``: beta needs no gradient, so mem is not saved for it.
+        x = normal((2, 3), 8)
+        const = Tensor(np.full((2, 3), 0.5))
+        out = x * const
+        a_shape, b_shape, saved_b, saved_a = out._node.ctx.saved
+        assert saved_a is None and saved_b is const.data
+        grad_x, grad_const = out._node.fn.backward(out._node.ctx, np.ones((2, 3)))
+        assert grad_const is None
+        np.testing.assert_array_equal(grad_x, np.full((2, 3), 0.5))
+
 
 class TestReductions:
     def test_mean_axis(self):
         a = t(np.random.default_rng(23).standard_normal((3, 5)))
         assert gradcheck(lambda x: x.mean(axis=0), [a])
+
+    def test_mean_keepdims_gradcheck(self):
+        a = normal((3, 5), 26)
+        assert a.mean(axis=1, keepdims=True).shape == (3, 1)
+        assert gradcheck(lambda x: x.mean(axis=1, keepdims=True), [a])
+
+    def test_mean_negative_axis_is_the_same_axis_counted_from_the_end(self):
+        data = np.random.default_rng(27).standard_normal((2, 3, 4))
+        neg, pos = t(data), t(data)
+        neg.mean(axis=-1).backward(np.ones((2, 3)))
+        pos.mean(axis=2).backward(np.ones((2, 3)))
+        np.testing.assert_array_equal(neg.mean(axis=-1).numpy(), pos.mean(axis=2).numpy())
+        np.testing.assert_array_equal(neg.grad, pos.grad)
+
+    def test_mean_over_several_axes_gradcheck(self):
+        a = normal((2, 3, 4), 28)
+        assert a.mean(axis=(0, 2)).shape == (3,)
+        assert gradcheck(lambda x: x.mean(axis=(0, 2)), [a])
 
     def test_mean_all_value(self):
         a = t([[1.0, 2.0], [3.0, 4.0]])
@@ -52,6 +99,20 @@ class TestReductions:
         a = t(np.array([[1000.0, 1000.0]]))
         out = a.logsumexp()
         assert np.isfinite(out.numpy()).all()
+        out.backward(np.ones(1))
+        np.testing.assert_allclose(a.grad, [[0.5, 0.5]])
+
+    def test_logsumexp_gradient_is_the_softmax(self):
+        data = np.random.default_rng(29).standard_normal((3, 4))
+        a = t(data)
+        a.logsumexp().backward(np.ones(3))
+        softmax = np.exp(data) / np.exp(data).sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(a.grad, softmax)
+
+    def test_logsumexp_reduces_only_the_last_axis(self):
+        a = normal((2, 3, 4), 30)
+        assert a.logsumexp().shape == (2, 3)
+        assert gradcheck(lambda x: x.logsumexp(), [a])
 
 
 class TestShapeOps:
@@ -60,6 +121,46 @@ class TestShapeOps:
         flat = a.flatten()
         assert flat.shape == (2, 12)
         assert gradcheck(lambda x: x.flatten(), [a])
+
+    def test_flatten_backward_restores_the_input_shape(self):
+        a = normal((2, 3, 2, 2), 34)
+        seed = np.arange(24.0).reshape(2, 12)
+        a.flatten().backward(seed)
+        np.testing.assert_array_equal(a.grad, seed.reshape(2, 3, 2, 2))
+
+    def test_flatten_of_a_matrix_keeps_its_shape(self):
+        a = normal((3, 4), 35)
+        np.testing.assert_array_equal(a.flatten().numpy(), a.numpy())
+
+    def test_getitem_slice_gradcheck(self):
+        a = normal((3, 5), 36)
+        assert gradcheck(lambda x: x[:, 1:4:2], [a])
+
+    def test_getitem_reversed_and_negative_index_gradient(self):
+        a = normal((4,), 37)
+        (a[::-1] * t([1.0, 2.0, 3.0, 4.0], requires_grad=False)).backward(np.ones(4))
+        a[-1].backward(np.ones(()))
+        np.testing.assert_array_equal(a.grad, [4.0, 3.0, 2.0, 2.0])
+
+    def test_getitem_boolean_mask_gradient(self):
+        a = normal((2, 3), 38)
+        mask = np.array([[True, False, True], [False, True, False]])
+        picked = a[mask]
+        np.testing.assert_array_equal(picked.numpy(), a.numpy()[mask])
+        picked.backward(np.ones(3))
+        np.testing.assert_array_equal(a.grad, mask.astype(np.float64))
+
+    def test_getitem_tensor_index_picks_like_its_array(self):
+        a = normal((4, 2), 39)
+        rows = Tensor(np.array([2, 0, 3]), dtype=np.int64)
+        np.testing.assert_array_equal(a[rows].numpy(), a.numpy()[[2, 0, 3]])
+
+    def test_getitem_label_pick_gradient_is_one_hot(self):
+        # The cross-entropy loss picks each row's label logit this way.
+        a = normal((3, 4), 40)
+        labels = np.array([2, 0, 3])
+        a[np.arange(3), labels].backward(np.ones(3))
+        np.testing.assert_array_equal(a.grad, np.eye(4)[labels])
 
     def test_argmax_is_plain_numpy(self):
         a = t([[1.0, 3.0, 2.0]])

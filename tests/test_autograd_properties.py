@@ -59,6 +59,60 @@ def test_logsumexp_bounds(data):
     assert np.all(out <= row_max + np.log(data.shape[-1]) + 1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    hnp.arrays(
+        dtype=np.float64,
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 5)),
+        elements=st.floats(min_value=-20, max_value=20, allow_nan=False),
+    )
+)
+def test_logsumexp_gradient_rows_are_distributions(data):
+    """The gradient is a softmax: non-negative, each row summing to one."""
+    x = Tensor(data, requires_grad=True)
+    x.logsumexp().backward(np.ones(data.shape[0]))
+    assert np.all(x.grad >= 0)
+    assert np.allclose(x.grad.sum(axis=-1), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_floats)
+def test_mul_gradient_is_the_other_operand(data):
+    x = Tensor(data, requires_grad=True)
+    y = Tensor(data[::-1].copy() + 1.0, requires_grad=True)
+    (x * y).backward(np.ones_like(data))
+    np.testing.assert_array_equal(x.grad, y.data)
+    np.testing.assert_array_equal(y.grad, x.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_floats)
+def test_sub_gradients_are_opposite(data):
+    x = Tensor(data, requires_grad=True)
+    y = Tensor(data[..., :1], requires_grad=True)  # broadcast along the last axis
+    (x - y).backward(np.ones_like(data))
+    np.testing.assert_array_equal(x.grad, np.ones_like(data))
+    np.testing.assert_array_equal(y.grad, np.full(y.shape, -float(data.shape[-1])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    hnp.arrays(
+        dtype=np.float64,
+        shape=hnp.array_shapes(min_dims=2, max_dims=4, min_side=1, max_side=4),
+        elements=st.floats(min_value=-10, max_value=10, allow_nan=False),
+    )
+)
+def test_flatten_preserves_values_and_gradient(data):
+    x = Tensor(data, requires_grad=True)
+    flat = x.flatten()
+    assert flat.shape == (data.shape[0], data[0].size)
+    np.testing.assert_array_equal(flat.numpy().ravel(), data.ravel())
+    seed = np.arange(flat.size, dtype=np.float64).reshape(flat.shape)
+    flat.backward(seed)
+    np.testing.assert_array_equal(x.grad.ravel(), seed.ravel())
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     hnp.arrays(

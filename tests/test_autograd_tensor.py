@@ -246,6 +246,32 @@ class TestOperatorSemantics:
         assert (5.0 - x).numpy() == pytest.approx([3.0])
         assert (3.0 * x).numpy() == pytest.approx([6.0])
 
+    def test_reflected_operator_gradients(self):
+        x = Tensor([2.0, -1.0], requires_grad=True)
+        ((1.0 + x) + (5.0 - x) * 2.0 + 3.0 * x).backward(np.ones(2))
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "expr,grad",
+        [
+            (lambda x: x + 0.5, 1.0),
+            (lambda x: 0.5 + x, 1.0),
+            (lambda x: x - np.float64(0.5), 1.0),
+            (lambda x: 0.5 - x, -1.0),
+            (lambda x: x * np.float64(0.5), 0.5),
+            (lambda x: 0.5 * x, 0.5),
+        ],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+    )
+    def test_scalar_operand_takes_the_tensor_dtype(self, expr, grad):
+        # ``mem * beta`` with a Python or float64 beta must not promote a
+        # float32 membrane, or the whole network would train in float64.
+        x = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+        out = expr(x)
+        assert out.dtype == np.float32
+        out.backward(np.ones(2, dtype=np.float32))
+        assert x.grad.dtype == np.float32 and x.grad.tolist() == [grad, grad]
+
     def test_getitem_scatter_gradient(self):
         x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3), requires_grad=True)
         x[0].backward(np.ones(3))

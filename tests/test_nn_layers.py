@@ -106,6 +106,13 @@ class TestLinear:
         assert layer.bias.grad.shape == (2,)
         assert np.allclose(layer.bias.grad, 2.0)  # batch of 2, d(sum)/db = N
 
+    def test_gradcheck_through_layer(self):
+        layer = Linear(4, 3, rng=np.random.default_rng(8))
+        layer.weight.data = layer.weight.data.astype(np.float64)
+        layer.bias.data = layer.bias.data.astype(np.float64)
+        x = Tensor(np.random.default_rng(9).standard_normal((2, 4)), requires_grad=True)
+        assert gradcheck(lambda inp, *_: layer(inp), [x, layer.weight, layer.bias])
+
 
 class TestConvPoolLayers:
     def test_conv_output_shape_same_padding(self):
@@ -121,6 +128,16 @@ class TestConvPoolLayers:
         with pytest.raises(ValueError):
             layer(Tensor(np.zeros((2, 3, 8))))
 
+    def test_conv_without_bias(self):
+        layer = Conv2d(2, 3, kernel_size=3, padding=1, bias=False)
+        assert layer.bias is None and len(layer.parameters()) == 1
+        assert layer(Tensor(np.zeros((1, 2, 5, 5)))).shape == (1, 3, 5, 5)
+
+    def test_conv_stride_two_halves_the_image(self):
+        layer = Conv2d(1, 2, kernel_size=3, stride=2, padding=1)
+        assert layer(Tensor(np.zeros((1, 1, 8, 8)))).shape == (1, 2, 4, 4)
+        assert layer.output_shape(8, 8) == (4, 4)
+
     def test_conv_gradcheck_through_layer(self):
         layer = Conv2d(2, 3, kernel_size=3, padding=1, rng=np.random.default_rng(6))
         layer.weight.data = layer.weight.data.astype(np.float64)
@@ -132,6 +149,11 @@ class TestConvPoolLayers:
         out = MaxPool2d(2)(Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)))
         assert out.shape == (1, 1, 2, 2)
         assert out.numpy()[0, 0, 1, 1] == 15.0
+
+    def test_maxpool_layer_gradient_routes_to_window_max(self):
+        x = Tensor(np.array([[[[1.0, 5.0], [3.0, 2.0]]]]), requires_grad=True)
+        MaxPool2d(2)(x).backward(np.full((1, 1, 1, 1), 7.0))
+        np.testing.assert_array_equal(x.grad, [[[[0.0, 7.0], [0.0, 0.0]]]])
 
     def test_pool_rejects_non_4d(self):
         with pytest.raises(ValueError):
@@ -163,6 +185,18 @@ class TestSequential:
     def test_parameters_collected_from_children(self):
         model = Sequential(Linear(2, 4), Linear(4, 2))
         assert len(model.parameters()) == 4
+
+    def test_gradients_reach_every_parameter_of_a_conv_stack(self):
+        # The paper's block order: conv, pool, flatten, dense.
+        gen = np.random.default_rng(10)
+        model = Sequential(Conv2d(1, 2, 3, padding=1, rng=gen), MaxPool2d(2), Flatten(), Linear(8, 3, rng=gen))
+        x = Tensor(np.random.default_rng(11).standard_normal((2, 1, 4, 4)))
+        out = model(x)
+        assert out.shape == (2, 3)
+        out.backward(np.ones((2, 3)))
+        for name, param in model.named_parameters():
+            assert param.grad is not None and param.grad.shape == param.shape, name
+            assert np.any(param.grad != 0), name
 
 
 class TestInit:

@@ -243,6 +243,16 @@ class TestSpikeFunction:
         expected = surrogate.derivative(np.array([0.0, 1.0, 2.0]) - 1.0)
         np.testing.assert_array_equal(x.grad, expected)
 
+    @pytest.mark.parametrize("name", available_surrogates())
+    def test_every_registered_surrogate_scales_the_input_gradient(self, name):
+        surrogate = get_surrogate(name, 2.0)
+        values = np.array([[-0.5, 0.2, 0.9, 1.0, 1.1, 2.4]])
+        x, spikes = _spike(values, 1.0, surrogate)
+        np.testing.assert_array_equal(spikes.numpy(), (values > 1.0).astype(np.float64))
+        go = np.linspace(0.5, 3.0, 6).reshape(1, 6)
+        spikes.backward(go)
+        np.testing.assert_array_equal(x.grad, go * surrogate.derivative(values - 1.0))
+
     def test_backward_with_arctan(self):
         surrogate = ArcTan(scale=2.0)
         x, spikes = _spike([0.3, 1.3], 1.0, surrogate)
