@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.obs.metrics import default_registry
 from repro.utils import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -207,9 +206,9 @@ class ExperimentCache:
     Attributes
     ----------
     hits, misses, stores:
-        Running counters for this cache instance (used by benchmarks and the
-        warm-rerun acceptance test: a fully warm sweep re-run must report
-        ``misses == 0``).
+        Running counts for this cache instance, kept nowhere else (used by
+        benchmarks and the warm-rerun acceptance test: a fully warm sweep
+        re-run must report ``misses == 0``).
     """
 
     def __init__(self, root: Optional[PathLike] = None) -> None:
@@ -219,20 +218,6 @@ class ExperimentCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        # Per-instance attribute counters above stay the benchmark/test API;
-        # the process-wide registry instruments below aggregate across every
-        # cache instance for /metrics scrapes.
-        registry = default_registry()
-        self._m_hits = registry.counter(
-            "repro_exec_cache_hits_total", "Experiment-cache lookups served from disk."
-        )
-        self._m_misses = registry.counter(
-            "repro_exec_cache_misses_total",
-            "Experiment-cache lookups that missed (absent or unreadable entry).",
-        )
-        self._m_stores = registry.counter(
-            "repro_exec_cache_stores_total", "Experiment records persisted to the cache."
-        )
 
     # ------------------------------------------------------------------ #
     def key(self, config: "ExperimentConfig", accelerator: Any = None) -> str:
@@ -257,21 +242,18 @@ class ExperimentCache:
         path = self.path_for(key)
         if not path.exists():
             self.misses += 1
-            self._m_misses.inc()
             return None
         try:
             with open(path, "rb") as fh:
                 record = pickle.load(fh)
         except Exception:
             self.misses += 1
-            self._m_misses.inc()
             return None
         # Touch the entry so the size-budget sweep evicts least-recently
         # *used* records, not merely least-recently written ones.
         with contextlib.suppress(OSError):
             os.utime(path)
         self.hits += 1
-        self._m_hits.inc()
         return record
 
     def store(self, key: str, record: "ExperimentRecord", accelerator: Any = None) -> Path:
@@ -289,7 +271,6 @@ class ExperimentCache:
             key_payload_json(record.config, accelerator=accelerator).encode("utf-8"),
         )
         self.stores += 1
-        self._m_stores.inc()
         return path
 
     # ------------------------------------------------------------------ #

@@ -35,7 +35,8 @@ Progress
 Each cell emits structured :class:`ProgressEvent` values (``start`` /
 ``done`` / ``cached`` / ``error``) to an optional callback; ``verbose=True``
 installs a stdout printer.  Events always carry ``index``/``total``/``label``
-so callers can render progress bars without parsing strings.
+so callers can render progress bars without parsing strings; they are the
+only report of how many cells ran, came from the cache or failed.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ import numpy as np
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import ExperimentRecord, run_experiment
 from repro.exec.cache import ExperimentCache, experiment_cache_key
-from repro.obs.metrics import default_registry
 from repro.obs.trace import default_tracer
 
 ProgressCallback = Callable[["ProgressEvent"], None]
@@ -266,20 +266,6 @@ def run_experiments(
     total = len(configs)
     store = resolve_cache(cache)
     reporter = progress if progress is not None else (_print_progress if verbose else None)
-    registry = default_registry()
-    m_cells = registry.counter(
-        "repro_exec_cells_total", "Sweep cells submitted to run_experiments."
-    )
-    m_cached = registry.counter(
-        "repro_exec_cached_cells_total", "Sweep cells satisfied from the experiment cache."
-    )
-    m_done = registry.counter(
-        "repro_exec_completed_cells_total", "Sweep cells that trained to completion."
-    )
-    m_failed = registry.counter(
-        "repro_exec_failed_cells_total", "Sweep cells that raised or died with their worker."
-    )
-    m_cells.inc(total)
     tracer = default_tracer()
     sweep_trace = tracer.mint_trace()
     sweep_span = (
@@ -313,7 +299,6 @@ def run_experiments(
                 if record.config != config:
                     record.config = config
                 results[i] = record
-                m_cached.inc()
                 emit("cached", i)
                 continue
         pending.append(i)
@@ -338,12 +323,10 @@ def run_experiments(
         results[index] = record
         if store is not None:
             store.store(keys[index], record, accelerator=accelerator)
-        m_done.inc()
         record_cell_span(index, seconds, "done")
         emit("done", index, seconds=seconds)
 
     def fail(index: int, seconds: float, error: str) -> None:
-        m_failed.inc()
         record_cell_span(index, seconds, "error")
         emit("error", index, seconds=seconds, error=error)
 

@@ -44,10 +44,6 @@ class LatencyBreakdown:
     def latency_ms(self) -> float:
         return self.latency_seconds * 1e3
 
-    @property
-    def latency_us(self) -> float:
-        return self.latency_seconds * 1e6
-
     def bottleneck_layer(self) -> str:
         """Name of the layer that sets the lock-step interval."""
         return max(self.layer_cycles_per_step, key=self.layer_cycles_per_step.get)

@@ -39,7 +39,9 @@ def format_measured_vs_modeled(
     (``modeled_fps``, ``modeled_latency_ms``) and their ratio.  The measured
     side runs on a host CPU, so the ratio is the software-to-accelerator
     gap the paper's hardware argument quantifies — not an error in either
-    number.
+    number.  ``measured_fps`` counts only the time batches were running,
+    summed over batches, so when several workers run at once it is one
+    worker's rate, not the server's.
     """
 
     def fmt(key: str, pattern: str = "{:.1f}") -> str:

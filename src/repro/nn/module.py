@@ -101,14 +101,6 @@ class Module:
             if isinstance(module, SpikingNeuron):
                 module.reset_state()
 
-    def detach_spiking_state(self) -> None:
-        """Detach membrane state (truncated BPTT) of every spiking layer."""
-        from repro.neurons.base import SpikingNeuron
-
-        for module in self.modules():
-            if isinstance(module, SpikingNeuron):
-                module.detach_state()
-
     # ------------------------------------------------------------------ #
     # Checkpointing
     # ------------------------------------------------------------------ #

@@ -34,11 +34,6 @@ class KernelTiming:
     calls: int = 0
     total_seconds: float = 0.0
 
-    @property
-    def mean_ms(self) -> float:
-        """Mean milliseconds per kernel invocation (one invocation = one timestep)."""
-        return (self.total_seconds / self.calls) * 1000.0 if self.calls else 0.0
-
 
 class RuntimeProfiler:
     """Collects per-kernel timing from a compiled plan.

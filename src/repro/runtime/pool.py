@@ -93,12 +93,6 @@ class CompiledNetworkPool:
         with self._cv:
             return len(self._idle)
 
-    @property
-    def checked_out(self) -> int:
-        """Number of plans currently on loan (batches in flight)."""
-        with self._cv:
-            return self._checked_out
-
     @contextmanager
     def acquire(self) -> Iterator[CompiledNetwork]:
         """Check out a plan for exclusive use; returns it to the pool after.

@@ -50,7 +50,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.obs.metrics import default_registry
 from repro.obs.trace import Tracer, default_tracer
 from repro.runtime.engine import RuntimeCompileError
 from repro.runtime.pool import CompiledNetworkPool
@@ -81,7 +80,11 @@ class ModelUnavailable(RuntimeError):
 
 @dataclass
 class _ActiveModel:
-    """One model the gateway is currently serving."""
+    """One model the gateway is currently serving.
+
+    ``reloads`` counts the republishes picked up; :meth:`ServeGateway.summary`
+    reads it from here.
+    """
 
     name: str
     entry: RegisteredModel
@@ -133,16 +136,6 @@ class ServeGateway:
         self.workers = int(workers)
         self.max_queue = int(max_queue) if max_queue is not None else None
         self.tracer = tracer if tracer is not None else default_tracer()
-        # Gateway-level lifecycle counters live on the process registry
-        # (per-model counters live in each model's labelled telemetry
-        # registry, attached to the same process registry on activation).
-        registry_metrics = default_registry()
-        self._m_activations = registry_metrics.counter(
-            "repro_gateway_activations_total", help="Per-model servers stood up by this process."
-        )
-        self._m_reloads = registry_metrics.counter(
-            "repro_gateway_reloads_total", help="Hot reloads picked up (in-place or replacing)."
-        )
         self._active: Dict[str, _ActiveModel] = {}
         self._creating: Dict[str, threading.Lock] = {}
         self._lock = threading.Lock()
@@ -313,12 +306,8 @@ class ServeGateway:
         pool = CompiledNetworkPool(
             entry.model, max_idle=self.workers, **quantization_pool_kwargs(entry.quantization)
         )
-        telemetry = telemetry if telemetry is not None else ServeTelemetry(model=entry.name)
+        telemetry = telemetry if telemetry is not None else ServeTelemetry()
         telemetry.set_precision(pool.precision, pool.weight_bits)
-        # Make the model's labelled instruments scrapeable process-wide:
-        # the weakref attachment replaces any prior server's registry for
-        # this name and drops automatically when the telemetry dies.
-        default_registry().attach(f"serve/{entry.name}", telemetry.metrics)
         server = InferenceServer(
             pool,
             entry.encoder,
@@ -329,7 +318,6 @@ class ServeGateway:
             telemetry=telemetry,
             tracer=self.tracer,
         )
-        self._m_activations.inc()
         return server.start()
 
     def _creation_lock(self, name: str) -> threading.Lock:
@@ -463,7 +451,6 @@ class ServeGateway:
             )
             active.signature = signature
             active.reloads += 1
-            self._m_reloads.inc()
         if retired is not None:
             retired.stop(drain=True)
         with self._lock:

@@ -674,12 +674,7 @@ class InferenceServer:
             # Telemetry is recorded BEFORE the futures resolve: if it raises
             # (e.g. a mis-shared ServeTelemetry), the failure reaches the
             # requesters through the except block instead of vanishing.
-            self.telemetry.record_batch(
-                stats,
-                result.activity,
-                first_submit=min(pending.submitted for pending in batch),
-                done=done,
-            )
+            self.telemetry.record_batch(stats, result.activity, started=started, done=done)
             for i, (pending, stat) in enumerate(zip(batch, stats)):
                 row = np.array(counts[i], copy=True)
                 pending.future.set_result(

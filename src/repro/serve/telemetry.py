@@ -9,12 +9,10 @@ consume, so the telemetry can put *measured* serving throughput side by
 side with the accelerator model's *predicted* fps for the same traffic
 (:meth:`ServeTelemetry.hardware_comparison`).
 
-Counter state lives in :mod:`repro.obs.metrics` instruments: every
-telemetry instance owns a private
-:class:`~repro.obs.metrics.MetricsRegistry` (labelled with the model name
-when one is given), and the ``total_*`` properties read those instruments.
-The gateway attaches each model's registry to the process-wide default
-registry, which is what ``python -m repro.obs serve`` scrapes.
+Each count is stored once, here: the ``total_*`` counts and
+``queue_depth_high_water`` are plain attributes, the :class:`RequestStat`
+window is the only latency store, and every update happens under one
+lock that nothing else is taken inside.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.obs.metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.runtime.activity import RuntimeActivity
 
 
@@ -53,18 +50,14 @@ class RequestStat:
 
 
 class ServeTelemetry:
-    """Thread-safe aggregate of serving measurements over metric instruments.
+    """Thread-safe aggregate of serving measurements.
 
     Parameters
     ----------
     window:
         Number of most-recent requests the latency percentiles cover.
-        Totals (request/batch counters, admission counters, spike activity,
+        Totals (request/batch counts, admission counts, spike activity,
         fps) are unbounded.
-    model:
-        Optional served-model name; when given, every instrument in this
-        telemetry's registry carries a ``model="..."`` label so several
-        models' metrics coexist in one scrape.
 
     Besides completion stats, the scheduler reports every *admission
     decision* here: :meth:`record_admission` when a request enters the
@@ -74,57 +67,31 @@ class ServeTelemetry:
     in the same summary as latency and throughput.
     """
 
-    def __init__(self, window: int = 4096, model: str = "") -> None:
+    def __init__(self, window: int = 4096) -> None:
         if window < 1:
             raise ValueError(f"window must be positive, got {window}")
         self.window = int(window)
-        #: Name of the served model these metrics describe ("" = unnamed).
-        self.model = str(model)
-        #: The instrument registry backing every counter below; the gateway
-        #: attaches it to ``repro.obs.default_registry()`` for scraping.
-        self.metrics = MetricsRegistry(labels={"model": self.model} if self.model else None)
+        # A leaf lock: no other lock is ever taken while it is held.
         self._lock = threading.Lock()
         self._stats: Deque[RequestStat] = deque(maxlen=self.window)
-
-        reg = self.metrics
-        self._c_requests = reg.counter("repro_serve_requests_total", help="Requests completed successfully.")
-        self._c_batches = reg.counter("repro_serve_batches_total", help="Micro-batches executed.")
-        self._c_deadline = reg.counter(
-            "repro_serve_deadline_dispatches_total",
-            help="Batches dispatched early to protect a request deadline.",
-        )
-        self._c_admitted = reg.counter("repro_serve_admitted_total", help="Requests admitted to the queue.")
-        self._c_shed = reg.counter(
-            "repro_serve_shed_total", help="Requests rejected by admission control (queue full)."
-        )
-        self._c_timed_out = reg.counter(
-            "repro_serve_timed_out_total", help="Requests that missed their deadline."
-        )
-        self._c_failed = reg.counter("repro_serve_failed_total", help="Requests whose batch failed.")
-        self._c_reload_failures = reg.counter(
-            "repro_serve_reload_failures_total", help="Hot reloads that failed (old weights kept serving)."
-        )
-        self._g_queue_high_water = reg.gauge(
-            "repro_serve_queue_depth_high_water", help="Deepest queue observed at admission."
-        )
-        self._g_weight_bits = reg.gauge(
-            "repro_serve_weight_bits", help="Weight precision in bits (0 = full-precision float)."
-        )
-        self._h_latency = reg.histogram(
-            "repro_serve_request_latency_ms",
-            buckets=LATENCY_BUCKETS_MS,
-            help="Submit-to-completion latency per request (ms).",
-        )
-        self._h_queue = reg.histogram(
-            "repro_serve_queue_wait_ms",
-            buckets=LATENCY_BUCKETS_MS,
-            help="Queue wait before batch execution per request (ms).",
-        )
-        self._h_batch_size = reg.histogram(
-            "repro_serve_batch_size",
-            buckets=BATCH_SIZE_BUCKETS,
-            help="Micro-batch size distribution.",
-        )
+        #: Requests completed successfully.
+        self.total_requests = 0
+        #: Micro-batches executed.
+        self.total_batches = 0
+        #: Requests admitted to the queue.
+        self.total_admitted = 0
+        #: Requests rejected by admission control (queue full).
+        self.total_shed = 0
+        #: Batches dispatched early to protect a request deadline.
+        self.total_deadline_dispatches = 0
+        #: Requests whose batch failed.
+        self.total_failed = 0
+        #: Requests that missed their deadline.
+        self.total_timed_out = 0
+        #: Hot reloads that failed (old weights kept serving).
+        self.total_reload_failures = 0
+        #: Deepest queue observed at admission.
+        self.queue_depth_high_water = 0
 
         #: Human-readable description of the most recent failure (batch
         #: error or reload failure); ``None`` until one occurs.
@@ -135,84 +102,41 @@ class ServeTelemetry:
         #: Weight bits for quantized serving (``None`` = full precision).
         self.weight_bits: Optional[int] = None
         self.activity: Optional[RuntimeActivity] = None
-        self._first_submit: Optional[float] = None
-        self._last_done: Optional[float] = None
-
-    # -- instrument views ------------------------------------------------ #
-    @property
-    def total_requests(self) -> int:
-        """Requests completed successfully."""
-        return int(self._c_requests.value)
-
-    @property
-    def total_batches(self) -> int:
-        """Micro-batches executed."""
-        return int(self._c_batches.value)
-
-    @property
-    def total_admitted(self) -> int:
-        """Requests admitted to the queue."""
-        return int(self._c_admitted.value)
-
-    @property
-    def total_shed(self) -> int:
-        """Requests rejected by admission control (queue full)."""
-        return int(self._c_shed.value)
-
-    @property
-    def total_deadline_dispatches(self) -> int:
-        """Batches dispatched early to protect a request deadline."""
-        return int(self._c_deadline.value)
-
-    @property
-    def total_failed(self) -> int:
-        """Requests whose batch failed."""
-        return int(self._c_failed.value)
-
-    @property
-    def total_timed_out(self) -> int:
-        """Requests that missed their deadline."""
-        return int(self._c_timed_out.value)
-
-    @property
-    def total_reload_failures(self) -> int:
-        """Hot reloads that failed (old weights kept serving)."""
-        return int(self._c_reload_failures.value)
-
-    @property
-    def queue_depth_high_water(self) -> int:
-        """Deepest queue observed at admission."""
-        return int(self._g_queue_high_water.value)
+        self._busy_s = 0.0
 
     # ------------------------------------------------------------------ #
     def record_admission(self, queue_depth: int) -> None:
         """Count one admitted request and fold in the observed queue depth."""
-        self._c_admitted.inc()
-        self._g_queue_high_water.set_max(float(queue_depth))
+        with self._lock:
+            self.total_admitted += 1
+            self.queue_depth_high_water = max(self.queue_depth_high_water, int(queue_depth))
 
     def record_shed(self) -> None:
         """Count one request rejected by admission control."""
-        self._c_shed.inc()
+        with self._lock:
+            self.total_shed += 1
 
     def record_deadline_dispatch(self) -> None:
         """Count one batch dispatched early to protect a request's deadline."""
-        self._c_deadline.inc()
+        with self._lock:
+            self.total_deadline_dispatches += 1
 
     def record_failure(self, error: str, count: int = 1) -> None:
         """Count ``count`` requests whose batch failed, remembering the error.
 
         Called once per failed micro-batch with the batch size, so the
-        ``failed`` counter is in requests (comparable with ``requests`` /
+        ``failed`` count is in requests (comparable with ``requests`` /
         ``shed``), while ``last_error`` keeps the most recent cause for the
         rendered report.
         """
         with self._lock:
-            self._c_failed.inc(int(count))
+            self.total_failed += int(count)
             self.last_error = str(error)
 
     def record_timeout(self) -> None:
         """Count one request that missed its deadline."""
-        self._c_timed_out.inc()
+        with self._lock:
+            self.total_timed_out += 1
 
     def set_precision(self, precision: str, weight_bits: Optional[int] = None) -> None:
         """Record the execution precision of the plans now being served.
@@ -224,20 +148,19 @@ class ServeTelemetry:
         with self._lock:
             self.precision = str(precision)
             self.weight_bits = int(weight_bits) if weight_bits is not None else None
-            self._g_weight_bits.set(float(self.weight_bits or 0))
 
     def record_reload_failure(self, error: str) -> None:
         """Count one hot-reload that failed (old weights keep serving)."""
         with self._lock:
-            self._c_reload_failures.inc()
+            self.total_reload_failures += 1
             self.last_error = str(error)
 
     def reset_activity(self) -> None:
-        """Drop the accumulated spike activity; keep every other counter.
+        """Drop the accumulated spike activity; keep every other count.
 
         Called when the *served model* changes under a continuing telemetry
         stream (e.g. a gateway hot-reload that replaces the network):
-        request/admission counters and latency percentiles remain
+        request/admission counts and latency percentiles remain
         comparable across the swap, but per-layer spike activity from the
         old network must not be merged with the new one's — the layer sets
         (and possibly ``num_steps``) no longer match.
@@ -249,34 +172,26 @@ class ServeTelemetry:
         self,
         stats: Sequence[RequestStat],
         activity: Optional[RuntimeActivity],
-        first_submit: float,
+        started: float,
         done: float,
     ) -> None:
-        """Fold one completed micro-batch into the aggregate.
+        """Fold one completed micro-batch, busy from ``started`` to ``done``.
 
         Spike activity accumulates per timestep regime: a batch whose
         ``num_steps`` differs from the accumulated activity (the served
         model was hot-swapped to a different timestep count) restarts the
         activity aggregate rather than failing the batch — request
-        counters and latency stats continue uninterrupted.
+        counts and latency stats continue uninterrupted.
         """
         with self._lock:
             self._stats.extend(stats)
-            self._c_requests.inc(len(stats))
-            self._c_batches.inc()
-            for stat in stats:
-                self._h_latency.observe(stat.latency_ms)
-                self._h_queue.observe(stat.queue_ms)
-            if stats:
-                self._h_batch_size.observe(float(len(stats)))
+            self.total_requests += len(stats)
+            self.total_batches += 1
+            self._busy_s += done - started
             if activity is not None:
                 if self.activity is None or self.activity.num_steps != activity.num_steps:
                     self.activity = RuntimeActivity(num_steps=activity.num_steps)
                 self.activity.merge(activity)
-            if self._first_submit is None or first_submit < self._first_submit:
-                self._first_submit = first_submit
-            if self._last_done is None or done > self._last_done:
-                self._last_done = done
 
     # ------------------------------------------------------------------ #
     def latency_percentiles(self) -> Dict[str, float]:
@@ -290,15 +205,19 @@ class ServeTelemetry:
         return {"p50_ms": float(p50), "p95_ms": float(p95), "p99_ms": float(p99)}
 
     def achieved_fps(self) -> float:
-        """Completed requests per second of wall time since the first submit."""
+        """Completed requests per second of busy time.
+
+        Busy time sums, over batches, the time from a worker taking the
+        batch to its plan finishing, so time the server sat idle does not
+        count.  When workers run batches at once their times add up, so
+        the figure is one worker's rate, not the server's.
+        """
         with self._lock:
-            total = int(self._c_requests.value)
-            if self._first_submit is None or self._last_done is None or total == 0:
+            if self.total_requests == 0:
                 return 0.0
-            elapsed = self._last_done - self._first_submit
-            if elapsed <= 0:
+            if self._busy_s <= 0:
                 return float("inf")
-            return total / elapsed
+            return self.total_requests / self._busy_s
 
     def mean_batch_size(self) -> float:
         """Average micro-batch size over the window (0 when nothing served)."""

@@ -96,5 +96,5 @@ def test_walk_actually_sees_the_api():
             )
     assert "repro.serve.gateway.ServeGateway" in seen
     assert "repro.exec.executor.run_experiments" in seen
-    assert "repro.obs.metrics.MetricsRegistry" in seen
+    assert "repro.obs.trace.Tracer" in seen
     assert len(seen) > 20

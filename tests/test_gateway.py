@@ -13,6 +13,7 @@ from repro.serve import (
     ModelUnavailable,
     RegistryError,
     ServeGateway,
+    ServeTelemetry,
     ServerClosed,
     format_gateway_summary,
 )
@@ -98,6 +99,12 @@ class TestGatewayRouting:
             served_b, _single_image_counts(model_b, make_encoder(config_b), images[:4])
         )
         assert set(summary["models"]) == {"model-a", "model-b"}
+        per_model_keys = set(ServeTelemetry().summary()) | {"version", "reloads"}
+        assert all(set(per_model) == per_model_keys for per_model in summary["models"].values())
+        assert set(summary["totals"]) == {
+            "models", "requests", "admitted", "shed", "failed", "timed_out",
+            "reloads", "reload_failures", "queue_high_water",
+        }
         assert summary["totals"]["requests"] == 8
         assert summary["totals"]["models"] == 2
         rendered = format_gateway_summary(summary)

@@ -1,11 +1,8 @@
-"""Observability layer: tracing, metrics registry, profiling, zero-cost-off guards."""
+"""Observability layer: tracing, profiling, zero-cost-off guards."""
 
 from __future__ import annotations
 
 import json
-import threading
-import urllib.error
-import urllib.request
 
 import numpy as np
 import pytest
@@ -14,21 +11,14 @@ from repro.core.config import ExperimentConfig
 from repro.core.experiment import make_dataset, make_encoder, make_model
 from repro.exec import run_experiments
 from repro.obs import (
-    MetricsRegistry,
     NOOP_SPAN,
     RuntimeProfiler,
     Tracer,
     default_tracer,
     profile_plan,
 )
-from repro.obs.cli import main as obs_main, make_server
 from repro.runtime import compile_network
-from repro.serve import (
-    InferenceServer,
-    ModelRegistry,
-    ServeGateway,
-    ServeTelemetry,
-)
+from repro.serve import InferenceServer, ModelRegistry, ServeGateway
 
 
 @pytest.fixture
@@ -69,75 +59,6 @@ def untraced():
     tracer.reset()
     if was_enabled:
         tracer.enable()
-
-
-# --------------------------------------------------------------------- #
-# Metrics registry
-# --------------------------------------------------------------------- #
-class TestMetrics:
-    def test_counter_and_gauge(self):
-        registry = MetricsRegistry()
-        c = registry.counter("repro_test_total", "help text")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        g = registry.gauge("repro_test_gauge", "help")
-        g.set(4.0)
-        g.set_max(2.0)
-        assert g.value == 4.0
-        g.set_max(9.0)
-        assert g.value == 9.0
-
-    def test_get_or_create_returns_same_instrument(self):
-        registry = MetricsRegistry()
-        a = registry.counter("repro_same_total")
-        b = registry.counter("repro_same_total")
-        assert a is b
-        lane0 = registry.counter("repro_lane_total", labels={"lane": "0"})
-        lane1 = registry.counter("repro_lane_total", labels={"lane": "1"})
-        assert lane0 is not lane1
-        with pytest.raises(ValueError):
-            registry.gauge("repro_same_total")  # name already bound to a Counter
-
-    def test_histogram_buckets(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("repro_lat_ms", buckets=(1.0, 5.0, 10.0), help="help")
-        for v in (0.5, 0.9, 3.0, 7.0, 100.0):
-            h.observe(v)
-        assert h.count == 5
-        assert h.sum == pytest.approx(111.4)
-        assert h.bucket_counts() == [2, 1, 1, 1]  # <=1, <=5, <=10, +Inf
-        assert h.cumulative_counts() == [2, 3, 4, 5]
-
-    def test_prometheus_exposition_format(self):
-        registry = MetricsRegistry(labels={"model": "m"})
-        registry.counter("repro_req_total", "Requests.").inc(2)
-        registry.histogram("repro_lat_ms", buckets=(1.0,), help="Latency.").observe(0.5)
-        text = registry.expose_text()
-        assert "# HELP repro_req_total Requests." in text
-        assert "# TYPE repro_req_total counter" in text
-        assert 'repro_req_total{model="m"} 2' in text
-        assert 'le="1"' in text
-        assert 'le="+Inf"' in text
-        assert "repro_lat_ms_count" in text
-        assert "repro_lat_ms_sum" in text
-
-    def test_attach_aggregates_children(self):
-        parent = MetricsRegistry()
-        child = MetricsRegistry(labels={"model": "a"})
-        child.counter("repro_child_total").inc(7)
-        parent.attach("serve/a", child)
-        assert 'repro_child_total{model="a"} 7' in parent.expose_text()
-        parent.detach("serve/a")
-        assert "repro_child_total" not in parent.expose_text()
-
-    def test_snapshot_is_json_serialisable(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_a_total").inc()
-        registry.histogram("repro_h", buckets=(1.0,)).observe(2.0)
-        snap = registry.snapshot()
-        json.dumps(snap)  # must not raise
-        assert "repro_a_total" in snap
 
 
 # --------------------------------------------------------------------- #
@@ -265,27 +186,18 @@ class TestServeTracing:
 
         np.testing.assert_array_equal(burst(False), burst(True))
 
-    def test_disabled_tracing_adds_no_instruments_or_spans(
-        self, micro_config, images, untraced
-    ):
-        """Overhead guard: the off path allocates nothing per request.
+    def test_disabled_tracing_adds_no_spans(self, micro_config, images, untraced):
+        """Overhead guard: the off path records nothing per request.
 
-        Asserted on counts (instruments created, spans retained), not wall
-        time — instrument materialisation is the only per-request allocation
-        the observability layer could add, and it must happen at most once.
+        Asserted on the count of spans retained, not wall time.
         """
         model = make_model(micro_config)
         model.eval()
-        telemetry = ServeTelemetry(model="guard")
         with InferenceServer(
-            model, make_encoder(micro_config), max_batch=2, max_wait_ms=1.0, telemetry=telemetry
+            model, make_encoder(micro_config), max_batch=2, max_wait_ms=1.0
         ) as server:
-            server.submit(images[0]).result(timeout=30)  # warmup materialises lazy instruments
-            instruments_after_warmup = sum(len(v) for v in telemetry.metrics.snapshot().values())
-            for image in images[1:6]:
+            for image in images[:6]:
                 server.submit(image).result(timeout=30)
-            instruments_after_load = sum(len(v) for v in telemetry.metrics.snapshot().values())
-        assert instruments_after_load == instruments_after_warmup
         assert untraced.span_count == 0
         assert untraced.begin("x", 1) is NOOP_SPAN
 
@@ -345,37 +257,3 @@ class TestProfiling:
         assert "modeled_latency_s" in payload
         assert report.bottleneck_layer
         assert "layer" in report.format()
-
-
-# --------------------------------------------------------------------- #
-# CLI and HTTP exposition
-# --------------------------------------------------------------------- #
-class TestCli:
-    def test_dump_text_and_json(self, capsys):
-        assert obs_main(["dump"]) == 0
-        out = capsys.readouterr().out
-        assert "# HELP" in out or out.strip() == ""
-        assert obs_main(["dump", "--format", "json"]) == 0
-        json.loads(capsys.readouterr().out)
-
-    def test_http_metrics_and_healthz(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_http_total", "HTTP test counter.").inc(3)
-        server = make_server(port=0, registry=registry)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            base = f"http://127.0.0.1:{server.server_address[1]}"
-            with urllib.request.urlopen(f"{base}/metrics", timeout=10) as response:
-                body = response.read().decode("utf-8")
-                assert response.status == 200
-                assert response.headers["Content-Type"].startswith("text/plain")
-            assert "repro_http_total 3" in body
-            with urllib.request.urlopen(f"{base}/healthz", timeout=10) as response:
-                assert response.read() == b"ok\n"
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(f"{base}/nope", timeout=10)
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)

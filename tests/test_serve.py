@@ -485,14 +485,11 @@ class TestAdmissionControl:
         with pytest.raises(TypeError, match="priority"):
             InferenceServer(model, encoder).submit(images[0], priority=1)
 
-    def test_admission_counters_are_exposed_per_model_only(self, untrained):
-        """The admitted, shed and timed-out series carry only ``model`` and match the summary."""
+    def test_admission_counts_reach_the_summary(self, untrained):
+        """An admitted, a shed and a timed-out request each land in the summary."""
         model, encoder, images = untrained
         pool = StubPool(model, hold={0})
-        telemetry = ServeTelemetry(model="m")
-        server = InferenceServer(
-            pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1, telemetry=telemetry
-        )
+        server = InferenceServer(pool, encoder, max_batch=1, max_wait_ms=0.0, max_queue=1)
         with server:
             try:
                 running = server.submit(images[0])
@@ -507,16 +504,8 @@ class TestAdmissionControl:
                 pool.release.set()
             for future in (running, waiting):
                 future.result(timeout=30)
-        text = telemetry.metrics.expose_text()
-        names = ("repro_serve_admitted_total", "repro_serve_shed_total", "repro_serve_timed_out_total")
-        rows = dict(line.rsplit(" ", 1) for line in text.splitlines() if line.startswith(names))
-        summary = telemetry.summary()
+        summary = server.telemetry.summary()
         assert (summary["admitted"], summary["shed"], summary["timed_out"]) == (3, 1, 1)
-        assert rows == {
-            f'{name}{{model="m"}}': f"{summary[key]:g}"
-            for name, key in zip(names, ("admitted", "shed", "timed_out"))
-        }
-        assert "lane" not in text
 
 
 class TestCancellation:
@@ -998,12 +987,25 @@ class TestInferenceServer:
         assert 0 < summary["mean_input_density"] <= 1.0
         assert telemetry.activity.layer_output_events  # at least one spiking layer keyed
 
+    def test_achieved_fps_leaves_out_the_idle_time_between_requests(self, untrained):
+        """Half a second with nothing to serve does not lower the measured throughput."""
+        model, encoder, images = untrained
+        with InferenceServer(model, encoder, max_batch=1, max_wait_ms=0.0) as server:
+            server.submit(images[0]).result(timeout=30)
+            time.sleep(0.5)
+            server.submit(images[1]).result(timeout=30)
+        # Counting the idle half second, two requests would read under 4 fps.
+        assert server.telemetry.achieved_fps() > 2 / 0.5
+
 
 class TestSloAwareScheduling:
-    def test_deadline_cuts_the_batch_early(self, untrained):
+    def test_deadline_cuts_the_batch_early(self, untrained, monkeypatch):
         model, encoder, images = untrained
         # Alone, a request would wait out the full 10s max_wait window; its
-        # 80ms deadline budget (minus the 5ms margin) must cut the batch.
+        # 80ms deadline budget (minus the margin) must cut the batch.  The
+        # margin is widened from 5 ms to 60 ms so that a dispatcher waking
+        # late on a loaded host still cuts before the deadline passes.
+        monkeypatch.setattr("repro.serve.scheduler.DEADLINE_MARGIN_MS", 60.0)
         server = InferenceServer(model, encoder, max_batch=64, max_wait_ms=10_000.0)
         with server:
             start = time.perf_counter()
@@ -1116,7 +1118,7 @@ class TestTelemetryMath:
             RequestStat(latency_ms=float(i), queue_ms=0.0, batch_size=1, input_density=0.5)
             for i in range(1, 101)
         ]
-        telemetry.record_batch(stats, None, first_submit=0.0, done=1.0)
+        telemetry.record_batch(stats, None, started=0.0, done=1.0)
         pct = telemetry.latency_percentiles()
         assert pct["p50_ms"] == pytest.approx(50.5)
         assert pct["p99_ms"] == pytest.approx(np.percentile(np.arange(1.0, 101.0), 99))
@@ -1133,7 +1135,7 @@ class TestTelemetryMath:
             )
             for i in range(1, 101)
         ]
-        telemetry.record_batch(stats, None, first_submit=0.0, done=1.0)
+        telemetry.record_batch(stats, None, started=0.0, done=1.0)
         assert telemetry.latency_percentiles()["p50_ms"] == pytest.approx(95.5)  # 91..100 only
         assert telemetry.mean_batch_size() == 4.0
         assert telemetry.mean_input_density() == 0.25
@@ -1145,11 +1147,70 @@ class TestTelemetryMath:
         with pytest.raises(ValueError, match="window"):
             ServeTelemetry(window=0)
 
-    def test_admission_counters_are_exposed_from_zero(self):
-        """A fresh telemetry already exposes its admission series, each at 0."""
-        lines = ServeTelemetry(model="m").metrics.expose_text().splitlines()
-        for name in ("repro_serve_admitted_total", "repro_serve_shed_total", "repro_serve_timed_out_total"):
-            assert f'{name}{{model="m"}} 0' in lines
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            pytest.param([(0.0, 0.5), (9.5, 10.0)], id="idle-gap"),
+            pytest.param([(0.0, 0.5), (0.0, 0.5)], id="overlapping-workers"),
+        ],
+    )
+    def test_achieved_fps_counts_busy_time_not_idle_time(self, runs):
+        """Two 50-request batches, each busy 0.5 s, read 100 fps.
+
+        Idle time between batches does not count, and two workers' runs
+        at once add up, so the figure is one worker's rate.
+        """
+        telemetry = ServeTelemetry()
+        stats = [RequestStat(latency_ms=1.0, queue_ms=0.0, batch_size=50, input_density=0.5)] * 50
+        for started, done in runs:
+            telemetry.record_batch(stats, None, started, done)
+        assert telemetry.achieved_fps() == pytest.approx(100.0)
+
+    def test_telemetry_takes_no_model_label(self):
+        """Counts are not exported per model any more, so there is no label to give."""
+        with pytest.raises(TypeError, match="model"):
+            ServeTelemetry(model="m")
+
+    def test_counts_are_exact_under_concurrent_recording(self):
+        """Every ``record_*`` from 8 threads at once: no update is lost."""
+        telemetry = ServeTelemetry(window=16)
+        threads, calls = 8, 500
+        stats = [RequestStat(latency_ms=1.0, queue_ms=0.0, batch_size=2, input_density=0.5)] * 2
+        start = threading.Barrier(threads)
+
+        def record(t):
+            start.wait(timeout=60)
+            for i in range(calls):
+                telemetry.record_admission(t * calls + i)
+                telemetry.record_shed()
+                telemetry.record_deadline_dispatch()
+                telemetry.record_failure("boom", count=3)
+                telemetry.record_timeout()
+                telemetry.record_reload_failure("torn")
+                telemetry.record_batch(stats, None, started=0.0, done=0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=record, args=(t,)) for t in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers), "a recorder hung"
+        finally:
+            sys.setswitchinterval(interval)
+        n = threads * calls
+        assert telemetry.total_requests == 2 * n
+        assert telemetry.total_batches == n
+        assert telemetry.total_admitted == n
+        assert telemetry.total_shed == n
+        assert telemetry.total_deadline_dispatches == n
+        assert telemetry.total_failed == 3 * n
+        assert telemetry.total_timed_out == n
+        assert telemetry.total_reload_failures == n
+        assert telemetry.queue_depth_high_water == n - 1
+        assert telemetry.achieved_fps() == pytest.approx(2 * n / (n * 0.001))
 
     def test_rendering_names_precision_and_last_error(self):
         telemetry = ServeTelemetry()
@@ -1172,10 +1233,10 @@ class TestTelemetryMath:
         stat = RequestStat(latency_ms=1.0, queue_ms=0.0, batch_size=1, input_density=0.5)
         a = RuntimeActivity(num_steps=2)
         a.samples, a.layer_output_events = 1, {"lif1": 4.0}
-        telemetry.record_batch([stat], a, first_submit=0.0, done=0.001)
+        telemetry.record_batch([stat], a, started=0.0, done=0.001)
         b = RuntimeActivity(num_steps=4)
         b.samples, b.layer_output_events = 1, {"lif1": 8.0}
-        telemetry.record_batch([stat], b, first_submit=0.001, done=0.002)
+        telemetry.record_batch([stat], b, started=0.001, done=0.002)
         assert telemetry.activity.num_steps == 4
         assert telemetry.activity.layer_output_events == {"lif1": 8.0}
         assert telemetry.total_requests == 2  # counters continue across the swap
@@ -1187,7 +1248,7 @@ class TestTelemetryMath:
 
         activity = RuntimeActivity(num_steps=2)
         activity.samples = 1
-        telemetry.record_batch([stat], activity, first_submit=0.0, done=0.001)
+        telemetry.record_batch([stat], activity, started=0.0, done=0.001)
         telemetry.reset_activity()
         assert telemetry.activity is None
         assert telemetry.total_requests == 1
@@ -1203,6 +1264,11 @@ class TestTelemetryMath:
         """A telemetry window with no admitted requests must still render."""
         telemetry = ServeTelemetry()
         summary = telemetry.summary()
+        assert set(summary) == {
+            "requests", "batches", "admitted", "shed", "queue_high_water",
+            "deadline_dispatches", "failed", "timed_out", "reload_failures", "weight_bits",
+            "achieved_fps", "mean_batch_size", "mean_input_density", "p50_ms", "p95_ms", "p99_ms",
+        }
         assert summary["requests"] == 0 and summary["admitted"] == 0
         assert np.isnan(summary["p50_ms"]) and np.isnan(summary["p99_ms"])
         assert summary["shed"] == 0 and summary["timed_out"] == 0
@@ -1242,7 +1308,7 @@ class TestTelemetryMath:
         telemetry.record_batch(
             [RequestStat(latency_ms=2.0, queue_ms=0.5, batch_size=1, input_density=0.1)],
             None,
-            first_submit=0.0,
+            started=0.0,
             done=0.002,
         )
         comparison = telemetry.hardware_comparison(
