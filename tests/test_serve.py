@@ -1166,6 +1166,13 @@ class TestTelemetryMath:
             telemetry.record_batch(stats, None, started, done)
         assert telemetry.achieved_fps() == pytest.approx(100.0)
 
+    def test_queue_high_water_keeps_the_deepest_queue_seen(self):
+        """A shallower queue after a deep one does not lower the mark."""
+        telemetry = ServeTelemetry()
+        for depth in (2, 5, 1):
+            telemetry.record_admission(depth)
+        assert (telemetry.total_admitted, telemetry.queue_depth_high_water) == (3, 5)
+
     def test_telemetry_takes_no_model_label(self):
         """Counts are not exported per model any more, so there is no label to give."""
         with pytest.raises(TypeError, match="model"):
