@@ -1,47 +1,24 @@
-"""Reductions: the mean (any axes) and the last axis's log-sum-exp."""
+"""Reductions: the mean over every element and the last axis's log-sum-exp."""
 
 from __future__ import annotations
-
-from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.autograd.function import Context, Function
 
-AxisArg = Optional[Union[int, Sequence[int]]]
-
-
-def _normalise_axes(axis: AxisArg, ndim: int) -> Tuple[int, ...]:
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)
-
-
-def _expand_grad(grad: np.ndarray, in_shape: Tuple[int, ...], axes: Tuple[int, ...], keepdims: bool) -> np.ndarray:
-    """Reshape a reduced gradient so it broadcasts back over ``in_shape``."""
-    if not keepdims:
-        shape = list(in_shape)
-        for a in axes:
-            shape[a] = 1
-        grad = grad.reshape(shape)
-    return np.broadcast_to(grad, in_shape)
-
 
 class Mean(Function):
+    """The mean over every element, the reduction both count losses end in."""
+
     @staticmethod
-    def forward(ctx: Context, a: np.ndarray, axis: AxisArg = None, keepdims: bool = False) -> np.ndarray:
-        axes = _normalise_axes(axis, a.ndim)
-        count = int(np.prod([a.shape[ax] for ax in axes])) if axes else 1
-        ctx.save_for_backward(a.shape, axes, keepdims, count)
-        return a.mean(axis=axis if axis is None else axes, keepdims=keepdims)
+    def forward(ctx: Context, a: np.ndarray) -> np.ndarray:
+        ctx.save_for_backward(a.shape, a.size)
+        return a.mean()
 
     @staticmethod
     def backward(ctx: Context, grad_output: np.ndarray):
-        in_shape, axes, keepdims, count = ctx.saved
-        grad = np.asarray(grad_output) / count
-        return (_expand_grad(grad, in_shape, axes, keepdims),)
+        in_shape, count = ctx.saved
+        return (np.broadcast_to(np.asarray(grad_output) / count, in_shape),)
 
 
 class LogSumExp(Function):

@@ -132,12 +132,6 @@ class Tensor:
     def tolist(self):
         return self.data.tolist()
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
     def detach(self) -> "Tensor":
         """A view of the same values with no gradient history."""
         return Tensor(self.data, requires_grad=False)
@@ -256,8 +250,9 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Reductions, shape and neural-network ops (delegated to ops modules)
     # ------------------------------------------------------------------ #
-    def mean(self, axis=None, keepdims: bool = False):
-        return ops_reduce.Mean.apply(self, axis, keepdims)
+    def mean(self):
+        """The mean over every element."""
+        return ops_reduce.Mean.apply(self)
 
     def logsumexp(self):
         return ops_reduce.LogSumExp.apply(self)
@@ -265,9 +260,6 @@ class Tensor:
     def flatten(self):
         """Flatten everything after the batch dimension."""
         return ops_shape.Flatten.apply(self)
-
-    def argmax(self, axis=None) -> np.ndarray:
-        return self.data.argmax(axis=axis)
 
     def conv2d(self, weight: "Tensor", bias: Optional["Tensor"] = None, stride: int = 1, padding: int = 0):
         return ops_conv.Conv2d.apply(self, weight, bias, stride, padding)

@@ -7,15 +7,15 @@ crops of single digits with cluttered backgrounds, colour variation,
 neighbouring-digit distractors and sensor noise.  See DESIGN.md for the
 substitution rationale.
 
-:class:`Dataset`, :class:`DataLoader` and the transform utilities mirror the
-small subset of ``torch.utils.data`` / ``torchvision.transforms`` that the
-training pipeline needs.
+:class:`Dataset` and :class:`DataLoader` mirror the small subset of
+``torch.utils.data`` that the training pipeline needs; the generator's
+images are already float32 in ``[0, 1]``, so no transform runs between
+dataset and encoder.
 """
 
 from repro.data.dataset import ArrayDataset, Dataset, Subset, train_test_split
 from repro.data.dataloader import DataLoader
 from repro.data.synth_svhn import SynthSVHN, SynthSVHNConfig, generate_digit_image
-from repro.data.transforms import Compose, Normalize, RandomCrop, RandomHorizontalShift, ToFloat
 
 __all__ = [
     "Dataset",
@@ -26,9 +26,4 @@ __all__ = [
     "SynthSVHN",
     "SynthSVHNConfig",
     "generate_digit_image",
-    "Compose",
-    "Normalize",
-    "RandomCrop",
-    "RandomHorizontalShift",
-    "ToFloat",
 ]

@@ -20,23 +20,19 @@ class Dataset:
 class ArrayDataset(Dataset):
     """Dataset backed by in-memory arrays of images and integer labels."""
 
-    def __init__(self, images: np.ndarray, labels: np.ndarray, transform=None) -> None:
+    def __init__(self, images: np.ndarray, labels: np.ndarray) -> None:
         images = np.asarray(images)
         labels = np.asarray(labels)
         if len(images) != len(labels):
             raise ValueError(f"images ({len(images)}) and labels ({len(labels)}) must have equal length")
         self.images = images
         self.labels = labels.astype(np.int64)
-        self.transform = transform
 
     def __len__(self) -> int:
         return len(self.images)
 
     def __getitem__(self, index: int) -> Tuple[np.ndarray, int]:
-        image = self.images[index]
-        if self.transform is not None:
-            image = self.transform(image)
-        return image, int(self.labels[index])
+        return self.images[index], int(self.labels[index])
 
     @property
     def num_classes(self) -> int:

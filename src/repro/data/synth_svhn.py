@@ -309,8 +309,6 @@ class SynthSVHN(ArrayDataset):
         ``(num_samples, seed, config)``.
     config:
         Optional :class:`SynthSVHNConfig` overriding generation parameters.
-    transform:
-        Optional per-sample transform applied at access time.
     """
 
     def __init__(
@@ -318,7 +316,6 @@ class SynthSVHN(ArrayDataset):
         num_samples: int = 1000,
         seed: int = 0,
         config: Optional[SynthSVHNConfig] = None,
-        transform=None,
     ) -> None:
         if num_samples <= 0:
             raise ValueError(f"num_samples must be positive, got {num_samples}")
@@ -328,7 +325,7 @@ class SynthSVHN(ArrayDataset):
         labels = np.arange(num_samples, dtype=np.int64) % cfg.num_classes
         rng.shuffle(labels)
         images = np.stack([generate_digit_image(int(lab), rng, cfg) for lab in labels])
-        super().__init__(images, labels, transform=transform)
+        super().__init__(images, labels)
         self.config = cfg
         self.seed = int(seed)
 

@@ -43,7 +43,7 @@ from repro.hardware.accelerator import AcceleratorConfig, SparsityAwareAccelerat
 from repro.hardware.prior_work import PriorWorkAccelerator, PRIOR_WORK_REFERENCE
 from repro.hardware.efficiency import HardwareReport, evaluate_on_hardware
 from repro.hardware.report import format_report, format_comparison, format_measured_vs_modeled
-from repro.hardware.quantization import QuantizationConfig, QuantizationReport, quantize_array, quantize_model
+from repro.hardware.quantization import QuantizationConfig
 
 __all__ = [
     "LayerWorkload",
@@ -70,7 +70,4 @@ __all__ = [
     "format_comparison",
     "format_measured_vs_modeled",
     "QuantizationConfig",
-    "QuantizationReport",
-    "quantize_array",
-    "quantize_model",
 ]

@@ -2,35 +2,20 @@
 
 The modelled accelerator stores weights on-chip at reduced precision (the
 resource model assumes 8-bit weights).  This module provides the software
-side of that deployment step: symmetric per-tensor integer quantization of a
-trained model's weights, a measure of the induced quantization error, and a
-helper that evaluates the accuracy cost so the deployment flow can verify
-that the paper's hyperparameter conclusions survive quantization.
-
-Two views of the same quantization are exposed:
-
-* :func:`quantize_array` — "fake quantization": values are rounded to the
-  integer grid and returned *in floating point*, so the quantized model can
-  be evaluated through the existing float inference path.
-* :func:`quantize_array_int` — the raw integer lattice plus its scale, the
-  form :mod:`repro.runtime`'s quantized kernels execute directly (int8/int16
-  weights, integer accumulation).
-
-:func:`quantize_model` fake-quantizes a model in place but snapshots every
-original parameter first: :meth:`QuantizationReport.restore` rolls the model
-back bit-identically, which is what lets a failed accuracy-delta gate at
-publish time (``ModelRegistry.save_quantized``) abandon the quantization
-without corrupting the caller's trained weights.
+side of that deployment step: symmetric per-tensor integer quantization of
+a trained model's weights, clipped at each tensor's largest magnitude.
+:func:`quantize_array_int` returns the integer lattice plus its scale, the
+form :mod:`repro.runtime`'s int8/int16 plans execute directly (integer
+weights, integer accumulation); :func:`repro.runtime.check_accuracy_delta`
+measures what that costs in accuracy against the fp64 reference plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
-
-from repro.nn.module import Module
 
 
 @dataclass(frozen=True)
@@ -41,23 +26,13 @@ class QuantizationConfig:
     ----------
     weight_bits:
         Integer precision for weights (the accelerator model assumes 8).
-    clip_percentile:
-        Percentile of ``|w|`` used as the clipping range (100 = max-abs).
-        Clipping slightly below the maximum trades a little saturation error
-        for a finer step size on the bulk of the distribution.  When the
-        chosen percentile of a *sparse* tensor lands on 0 (more than
-        ``clip_percentile`` % of the weights are exactly zero), the range
-        falls back to max-abs rather than collapsing the tensor.
     """
 
     weight_bits: int = 8
-    clip_percentile: float = 100.0
 
     def __post_init__(self) -> None:
         if not 2 <= self.weight_bits <= 32:
             raise ValueError("weight_bits must lie in [2, 32]")
-        if not 0.0 < self.clip_percentile <= 100.0:
-            raise ValueError("clip_percentile must lie in (0, 100]")
 
     @property
     def levels(self) -> int:
@@ -73,142 +48,21 @@ class QuantizationConfig:
         return np.dtype(np.int32)
 
 
-def _clip_magnitude(values: np.ndarray, config: QuantizationConfig) -> float:
-    """Clipping range ``|w| <= magnitude`` for one tensor.
-
-    Uses the configured percentile of ``|w|``, falling back to max-abs
-    whenever the percentile lands on exactly 0 — which happens for any
-    tensor whose zero fraction exceeds ``clip_percentile`` (e.g. pruned or
-    extremely sparse weights).  Without the fallback such a tensor would
-    quantize to all-zeros with a 0.0 scale, silently deleting every
-    surviving weight.
-    """
-    if values.size == 0:
-        return 0.0
-    magnitudes = np.abs(values)
-    magnitude = float(np.percentile(magnitudes, config.clip_percentile))
-    if magnitude == 0.0:
-        magnitude = float(magnitudes.max())
-    return magnitude
-
-
-def quantize_array(values: np.ndarray, config: QuantizationConfig) -> Tuple[np.ndarray, float]:
-    """Quantize one array; returns the dequantized array and the scale used.
-
-    The scale is strictly positive for any tensor with at least one nonzero
-    element (sparse tensors fall back to max-abs clipping, see
-    :class:`QuantizationConfig`); it is 0.0 only for an all-zero tensor,
-    which round-trips to all-zeros unchanged.
-    """
-    magnitude = _clip_magnitude(values, config)
-    if magnitude == 0.0:
-        return np.zeros_like(values), 0.0
-    scale = magnitude / config.levels
-    quantized = np.clip(np.round(values / scale), -config.levels, config.levels)
-    return (quantized * scale).astype(values.dtype), float(scale)
-
-
 def quantize_array_int(values: np.ndarray, config: QuantizationConfig) -> Tuple[np.ndarray, float]:
     """Quantize one array onto its signed integer lattice.
 
     Returns ``(q, scale)`` with ``q`` in the smallest integer dtype that
     holds ``weight_bits`` (int8 for <=8, int16 for <=16) and
-    ``q * scale ~= values``.  Unlike :func:`quantize_array`, the scale is
-    *never* 0.0 — an all-zero tensor returns an all-zero lattice with scale
-    1.0 — so downstream integer kernels can divide by it unconditionally.
+    ``q * scale ~= values``.  The clipping range is the tensor's largest
+    magnitude, which lands on the top level, so a sparse tensor keeps its
+    nonzero weights.  The scale is *never* 0.0 — an all-zero tensor returns
+    an all-zero lattice with scale 1.0 — so downstream integer kernels can
+    divide by it unconditionally.
     """
-    magnitude = _clip_magnitude(values, config)
+    magnitude = float(np.abs(values).max()) if values.size else 0.0
     dtype = config.storage_dtype()
     if magnitude == 0.0:
         return np.zeros(values.shape, dtype=dtype), 1.0
     scale = magnitude / config.levels
     quantized = np.clip(np.round(values / scale), -config.levels, config.levels)
     return quantized.astype(dtype), float(scale)
-
-
-@dataclass
-class QuantizationReport:
-    """Outcome of quantizing a model's weights.
-
-    Attributes
-    ----------
-    scales:
-        Per-parameter quantization scales.
-    mean_squared_error:
-        MSE between original and quantized weights, averaged over parameters.
-    max_abs_error:
-        Largest absolute weight perturbation introduced.
-    weight_bits:
-        Precision used.
-    originals:
-        Bit-exact copies of every parameter as it was *before* quantization
-        (captured by :func:`quantize_model`); ``None`` on reports built by
-        hand.  Consumed by :meth:`restore`.
-    """
-
-    scales: Dict[str, float]
-    mean_squared_error: float
-    max_abs_error: float
-    weight_bits: int
-    originals: Optional[Dict[str, np.ndarray]] = field(default=None, repr=False)
-
-    def restore(self, model: Module) -> None:
-        """Write the snapshotted original weights back into ``model``.
-
-        Rolls back the in-place mutation of :func:`quantize_model`
-        bit-identically, so a failed accuracy-delta check can abandon a
-        quantization attempt without losing the trained weights.  Raises
-        ``ValueError`` when the report carries no snapshot or the model's
-        parameter set no longer matches it.
-        """
-        if self.originals is None:
-            raise ValueError("this QuantizationReport carries no original-weight snapshot")
-        params = dict(model.named_parameters())
-        if set(params) != set(self.originals):
-            raise ValueError(
-                "cannot restore: model parameters do not match the snapshot "
-                f"(missing={sorted(set(self.originals) - set(params))}, "
-                f"unexpected={sorted(set(params) - set(self.originals))})"
-            )
-        for name, param in params.items():
-            param.data[...] = self.originals[name]
-
-
-def quantize_model(model: Module, config: QuantizationConfig = QuantizationConfig()) -> QuantizationReport:
-    """Quantize every parameter of ``model`` in place (fake-quantization).
-
-    Weights are rounded to the integer grid and written back in floating
-    point (the standard deploy-time "fake quantization"), so the quantized
-    model can be evaluated with the existing inference path while behaving
-    exactly like the integer weights the accelerator would store.
-
-    Every original parameter is snapshotted on the returned report before
-    being overwritten: :meth:`QuantizationReport.restore` undoes the
-    quantization bit-identically, which the publish-time accuracy gate
-    (``ModelRegistry.save_quantized``) relies on to roll back a quantization
-    whose accuracy cost exceeds its budget.
-    """
-    scales: Dict[str, float] = {}
-    originals: Dict[str, np.ndarray] = {}
-    total_sq_error = 0.0
-    total_count = 0
-    max_abs_error = 0.0
-    for name, param in model.named_parameters():
-        original = param.data.copy()
-        originals[name] = original
-        quantized, scale = quantize_array(param.data, config)
-        param.data[...] = quantized
-        scales[name] = scale
-        error = quantized - original
-        total_sq_error += float((error ** 2).sum())
-        total_count += error.size
-        if error.size:
-            max_abs_error = max(max_abs_error, float(np.abs(error).max()))
-    mse = total_sq_error / total_count if total_count else 0.0
-    return QuantizationReport(
-        scales=scales,
-        mean_squared_error=mse,
-        max_abs_error=max_abs_error,
-        weight_bits=config.weight_bits,
-        originals=originals,
-    )

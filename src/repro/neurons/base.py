@@ -65,11 +65,6 @@ class SpikingNeuron(Module):
         """Clear the membrane (and adaptation) state before a new sequence."""
         self.state = NeuronState()
 
-    def detach_state(self) -> None:
-        """Cut the BPTT graph at the current state (truncated BPTT)."""
-        if self.state.mem is not None:
-            self.state.mem = self.state.mem.detach()
-
     # ------------------------------------------------------------------ #
     def step(self, synaptic_input: Tensor) -> Tensor:
         raise NotImplementedError

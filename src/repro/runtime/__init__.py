@@ -49,7 +49,6 @@ from repro.runtime.engine import (
     compile_network,
     default_input_scale,
     evaluate_with_runtime,
-    resolve_quantization,
     run_inference,
 )
 from repro.runtime.pool import CompiledNetworkPool
@@ -81,7 +80,6 @@ __all__ = [
     "compile_network",
     "default_input_scale",
     "evaluate_with_runtime",
-    "resolve_quantization",
     "run_inference",
     "Kernel",
     "WeightKernel",

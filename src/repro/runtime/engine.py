@@ -33,8 +33,10 @@ Plans compile at one of four precisions (:data:`PRECISIONS`):
 it runs a baseline plan and a quantized plan over the *same* encoded spike
 trains (encoders may be stochastic, so encoding once is what makes the
 comparison paired) and raises :class:`AccuracyGateError` when the top-1
-drop exceeds its ``max_accuracy_drop`` budget.  The serving stack applies
-the same gate at publish time (``ModelRegistry.save_quantized``).
+drop exceeds its ``max_accuracy_drop`` budget.  Serving runs fp32 plans
+only: the integer plans are measured
+(``benchmarks/bench_quantized_runtime.py``, perfbench's ``infer_batch``),
+not served.
 """
 
 from __future__ import annotations
@@ -248,38 +250,7 @@ def default_input_scale(encoder) -> float:
     return 1.0 / 255.0 if getattr(encoder, "name", None) == "direct" else 1.0
 
 
-def resolve_quantization(
-    precision: str, quantization: Optional[QuantizationConfig] = None
-) -> Optional[QuantizationConfig]:
-    """Validate ``precision`` and resolve the quantization config to use.
-
-    Float precisions must not carry a config; integer precisions default to
-    a max-abs per-tensor config at the implied bit width, and an explicit
-    config must agree with that width.
-    """
-    if precision not in PRECISIONS:
-        raise RuntimeCompileError(f"unknown precision '{precision}' (expected one of {PRECISIONS})")
-    bits = INT_PRECISION_BITS.get(precision)
-    if bits is None:
-        if quantization is not None:
-            raise RuntimeCompileError(f"precision '{precision}' does not take a quantization config")
-        return None
-    if quantization is None:
-        return QuantizationConfig(weight_bits=bits)
-    if quantization.weight_bits != bits:
-        raise RuntimeCompileError(
-            f"quantization config has weight_bits={quantization.weight_bits}, "
-            f"but precision '{precision}' implies {bits}"
-        )
-    return quantization
-
-
-def compile_network(
-    model: Module,
-    precision: str = "fp32",
-    quantization: Optional[QuantizationConfig] = None,
-    input_scale: float = 1.0,
-) -> "CompiledNetwork":
+def compile_network(model: Module, precision: str = "fp32", input_scale: float = 1.0) -> "CompiledNetwork":
     """Lower a spiking classifier into a :class:`CompiledNetwork`.
 
     The model's registered submodules must execute in registration order
@@ -296,11 +267,9 @@ def compile_network(
     precision:
         One of :data:`PRECISIONS`.  ``"fp32"`` is the unchanged default
         path; ``"fp64"`` executes in double precision; ``"int8"`` /
-        ``"int16"`` build the quantized integer plan.
-    quantization:
-        Optional :class:`~repro.hardware.quantization.QuantizationConfig`
-        for the integer precisions (defaults to max-abs clipping at the
-        implied bit width); rejected for float precisions.
+        ``"int16"`` build the quantized integer plan, whose weights are
+        clipped at each tensor's largest magnitude
+        (:func:`~repro.hardware.quantization.quantize_array_int`).
     input_scale:
         Quantization step of the *input* sequence for integer precisions
         (see :func:`default_input_scale`); inputs are divided by it and
@@ -311,10 +280,13 @@ def compile_network(
     ------
     RuntimeCompileError
         If the model contains a layer type the runtime cannot lower (at the
-        requested precision), or the precision/quantization request is
-        inconsistent.
+        requested precision), the precision is not one of
+        :data:`PRECISIONS`, or ``input_scale`` lies outside ``(0, 1]``.
     """
-    config = resolve_quantization(precision, quantization)
+    if precision not in PRECISIONS:
+        raise RuntimeCompileError(f"unknown precision '{precision}' (expected one of {PRECISIONS})")
+    bits = INT_PRECISION_BITS.get(precision)
+    config = QuantizationConfig(weight_bits=bits) if bits is not None else None
     if config is None:
         input_scale = 1.0
     elif not 0.0 < float(input_scale) <= 1.0:
@@ -592,7 +564,6 @@ def check_accuracy_delta(
     loader,
     precision: str,
     max_accuracy_drop: float = 0.02,
-    quantization: Optional[QuantizationConfig] = None,
     input_scale: Optional[float] = None,
     baseline_precision: str = "fp64",
     max_batches: Optional[int] = None,
@@ -609,9 +580,8 @@ def check_accuracy_delta(
     is set.
 
     ``input_scale`` defaults to :func:`default_input_scale` for the given
-    encoder.  This is the compile-time arm of the accuracy gate; the
-    publish-time arm (``ModelRegistry.save_quantized``) applies the same
-    budget before a quantized checkpoint can go live.
+    encoder.  ``benchmarks/bench_quantized_runtime.py`` gates both integer
+    precisions with it.
     """
     if precision not in INT_PRECISION_BITS:
         raise RuntimeCompileError(
@@ -620,9 +590,7 @@ def check_accuracy_delta(
     if input_scale is None:
         input_scale = default_input_scale(encoder)
     baseline_plan = compile_network(model, precision=baseline_precision)
-    quantized_plan = compile_network(
-        model, precision=precision, quantization=quantization, input_scale=input_scale
-    )
+    quantized_plan = compile_network(model, precision=precision, input_scale=input_scale)
     total = 0
     base_correct = 0
     quant_correct = 0

@@ -159,9 +159,9 @@ class WeightKernel(Kernel):
     def _requantize(self) -> None:
         """Refresh the integer arrays when the live source parameters changed.
 
-        Quantization involves a percentile scan, which would otherwise
-        dominate small serving batches, while the byte-equality check
-        against the arrays last quantized is one cheap linear pass.
+        Quantization takes a max-abs scan, a rounding pass and a cast per
+        tensor, while the byte-equality check against the arrays last
+        quantized is one cheap linear pass.
         ``load_state_dict`` between runs changes the source arrays and so
         triggers re-quantization on the next prepare.
         """

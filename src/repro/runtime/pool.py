@@ -9,9 +9,9 @@ gets exclusive use of a plan for the duration of one batch, and warmed
 plans (buffers already sized for the serving shape) are reused instead of
 recompiled.
 
-Every pooled plan compiles from the *same* model, whose parameter arrays
-the kernels reference live — an in-place ``load_state_dict`` on the model
-updates every plan in the pool at once.  :meth:`CompiledNetworkPool.update_weights`
+Every pooled plan is an fp32 plan of the *same* model, whose parameter
+arrays the kernels reference live — an in-place ``load_state_dict`` on the
+model updates every plan in the pool at once.  :meth:`CompiledNetworkPool.update_weights`
 wraps that swap in a quiesce barrier: new checkouts block, outstanding
 plans finish their batch, the weights are replaced atomically with respect
 to batch boundaries, and serving resumes — no batch ever runs on a torn
@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List
 import numpy as np
 
 from repro.nn.module import Module
-from repro.runtime.engine import CompiledNetwork, compile_network, resolve_quantization
+from repro.runtime.engine import CompiledNetwork, compile_network
 
 
 class CompiledNetworkPool:
@@ -45,11 +45,6 @@ class CompiledNetworkPool:
         How many idle plans are retained for reuse.  Checkouts beyond this
         still succeed (a fresh plan is compiled); the surplus plan is simply
         dropped on release.  Size this to the serving worker count.
-    precision, quantization, input_scale:
-        Execution precision for every pooled plan, forwarded verbatim to
-        :func:`~repro.runtime.engine.compile_network` — a pool serves one
-        precision for its whole lifetime (the serving gateway replaces the
-        pool when a model's quantization spec changes).
 
     Attributes
     ----------
@@ -59,33 +54,16 @@ class CompiledNetworkPool:
         compiles at most ``workers`` plans ever.
     """
 
-    def __init__(
-        self,
-        model: Module,
-        max_idle: int = 4,
-        precision: str = "fp32",
-        quantization=None,
-        input_scale: float = 1.0,
-    ) -> None:
+    def __init__(self, model: Module, max_idle: int = 4) -> None:
         if max_idle < 1:
             raise ValueError(f"max_idle must be at least 1, got {max_idle}")
         self.model = model
         self.max_idle = int(max_idle)
-        # Resolve eagerly so a bad precision/quantization pairing fails at
-        # pool construction, not on the first checkout.
-        self.quantization = resolve_quantization(precision, quantization)
-        self.precision = precision
-        self.input_scale = float(input_scale)
         self.compiled_count = 0
         self._cv = threading.Condition()
         self._checked_out = 0
         self._updating = False
         self._idle: List[CompiledNetwork] = [self._compile()]
-
-    @property
-    def weight_bits(self):
-        """Weight precision in bits for quantized pools, ``None`` otherwise."""
-        return self.quantization.weight_bits if self.quantization is not None else None
 
     @property
     def idle_count(self) -> int:
@@ -120,12 +98,7 @@ class CompiledNetworkPool:
 
     def _compile(self) -> CompiledNetwork:
         """Compile one more plan of the pooled model and count it."""
-        plan = compile_network(
-            self.model,
-            precision=self.precision,
-            quantization=self.quantization,
-            input_scale=self.input_scale,
-        )
+        plan = compile_network(self.model)
         with self._cv:
             self.compiled_count += 1
         return plan

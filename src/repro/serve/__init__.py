@@ -7,16 +7,13 @@ This package is that deployment surface:
 * :class:`~repro.serve.registry.ModelRegistry` persists trained models as
   single-file checkpoints (weights + architecture + encoder spec + the
   modeled hardware report + a monotonic publish ``version``) and hands
-  them back compiled through :func:`repro.runtime.compile_network`, with a
-  :class:`~repro.runtime.pool.CompiledNetworkPool` of reusable plans per
-  model.  :func:`~repro.serve.registry.train_and_register` bridges straight
-  from an :class:`~repro.core.config.ExperimentConfig` to a servable entry.
-  :meth:`~repro.serve.registry.ModelRegistry.save_quantized` publishes a
-  model at int8/int16 weight precision behind an accuracy-delta gate
-  (budgeted top-1 drop vs the float64 reference, rolled back on failure);
-  the published spec makes every downstream pool compile quantized plans,
-  and :class:`~repro.serve.telemetry.ServeTelemetry` reports the active
-  precision alongside its latency numbers.
+  them back as models.  :func:`~repro.serve.registry.train_and_register`
+  bridges straight from an :class:`~repro.core.config.ExperimentConfig`
+  to a servable entry.  Serving runs fp32 plans only: each served model
+  gets a :class:`~repro.runtime.pool.CompiledNetworkPool` of reusable
+  :func:`repro.runtime.compile_network` plans.  The int8/int16 plans are
+  measured against the fp64 reference
+  (:func:`repro.runtime.check_accuracy_delta`), not served.
 * :class:`~repro.serve.scheduler.InferenceServer` accepts single raw
   images, runs the model's encoder per request, coalesces concurrent
   requests into micro-batches (``max_batch`` / ``max_wait_ms``), dispatches
@@ -56,7 +53,6 @@ from repro.serve.registry import (
     ModelRegistry,
     RegisteredModel,
     RegistryError,
-    quantization_pool_kwargs,
     train_and_register,
 )
 from repro.serve.scheduler import (
@@ -73,7 +69,6 @@ __all__ = [
     "ModelRegistry",
     "RegisteredModel",
     "RegistryError",
-    "quantization_pool_kwargs",
     "train_and_register",
     "InferenceServer",
     "ServeGateway",

@@ -6,7 +6,7 @@ front-end over a :class:`~repro.serve.registry.ModelRegistry`:
 
 * **Named-model routing** — ``gateway.submit("digits-v2", image)`` lazily
   spins up one micro-batching :class:`InferenceServer` (with its own
-  :class:`~repro.runtime.pool.CompiledNetworkPool` and
+  :class:`~repro.runtime.pool.CompiledNetworkPool` of fp32 plans and
   :class:`~repro.serve.telemetry.ServeTelemetry`) per active model and
   keeps it warm for subsequent requests.
 * **Hot-reload on republish** — every submit checks the registry
@@ -20,16 +20,13 @@ front-end over a :class:`~repro.serve.registry.ModelRegistry`:
   from the new checkpoint.  A republish that changes the *architecture*
   (or any non-weight hyperparameter, e.g. ``beta``) cannot be patched in
   place; the gateway then drains the old server and stands up a fresh one.
-  The same applies to a republish changing the model's *quantization spec*
-  (float to int8, int8 to int16, ...): the pool compiles plans at the
-  published precision, so a precision change drains and replaces, while a
-  weight-only republish of a quantized model still swaps in place (the
-  integer kernels re-quantize from the new weights on their next batch).
   A republished checkpoint that is torn, fails its content checksum or
-  holds a model the runtime cannot lower does **not** interrupt serving:
-  the old weights stay live, the failure is counted (``reload_failures``)
-  with its cause in the model's telemetry, and the next good republish is
-  picked up normally.
+  cannot be rebuilt (it names an unknown neuron substrate, say, or a
+  quantization spec) does **not** interrupt serving: the old weights stay
+  live, the failure is counted (``reload_failures``) with its cause in
+  the model's telemetry, and the next good republish is picked up
+  normally.  Every model a checkpoint can describe compiles at fp32
+  (``tests/test_checkpoint.py``), so a republish that loads also serves.
 * **Admission control** — ``max_queue`` is forwarded to every per-model
   server, which fails a submit that finds its queue full fast with
   :class:`~repro.serve.scheduler.ServerOverloaded`.  Shed counts, admitted
@@ -51,14 +48,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.obs.trace import Tracer, default_tracer
-from repro.runtime.engine import RuntimeCompileError
 from repro.runtime.pool import CompiledNetworkPool
-from repro.serve.registry import (
-    ModelRegistry,
-    RegisteredModel,
-    RegistryError,
-    quantization_pool_kwargs,
-)
+from repro.serve.registry import ModelRegistry, RegisteredModel, RegistryError
 from repro.serve.scheduler import InferenceServer, ServeResult, ServerClosed
 from repro.serve.telemetry import ServeTelemetry
 from repro.training.checkpoint import CheckpointError, load_checkpoint, model_spec
@@ -178,8 +169,8 @@ class ServeGateway:
         and a real timeout — see :meth:`InferenceServer.submit`).  Raises
         ``ValueError`` for an image that does not fit the model's
         ``input_shape``, :class:`~repro.serve.registry.RegistryError` for
-        unknown names, :class:`~repro.runtime.engine.RuntimeCompileError`
-        while the published model is one the runtime cannot lower,
+        unknown names, :class:`~repro.training.checkpoint.CheckpointError`
+        for a first activation whose checkpoint cannot be loaded,
         :class:`~repro.serve.scheduler.ServerOverloaded` when the model's
         queue is full, :class:`ModelUnavailable`
         when repeated reload races exhaust the retry budget, and
@@ -301,15 +292,8 @@ class ServeGateway:
     def _make_server(
         self, entry: RegisteredModel, telemetry: Optional[ServeTelemetry] = None
     ) -> InferenceServer:
-        # A model published with a quantization spec serves integer plans:
-        # the pool compiles every plan at the published precision.
-        pool = CompiledNetworkPool(
-            entry.model, max_idle=self.workers, **quantization_pool_kwargs(entry.quantization)
-        )
-        telemetry = telemetry if telemetry is not None else ServeTelemetry()
-        telemetry.set_precision(pool.precision, pool.weight_bits)
         server = InferenceServer(
-            pool,
+            CompiledNetworkPool(entry.model, max_idle=self.workers),
             entry.encoder,
             max_batch=self.max_batch,
             max_wait_ms=self.max_wait_ms,
@@ -393,27 +377,15 @@ class ServeGateway:
             # through the current one (requests must still be encodable).
             encoder = new_encoder if new_encoder is not None else active.server.encoder
             pool = active.server.pool
-            try:
-                new_quant = quantization_pool_kwargs(
-                    (meta or {}).get("quantization") if isinstance(meta, dict) else None
-                )
-            except RegistryError as exc:
-                # A republish with a malformed quantization spec degrades
-                # exactly like a torn checkpoint: old plans keep serving.
-                self._reject_reload(active, signature, exc)
-                return
-            old_quant = quantization_pool_kwargs(active.entry.quantization)
             # In-place requires the compiled kernels to stay valid (same
-            # model spec, same execution precision — quantized kernels
-            # re-quantize new weights on their next prepare, but a changed
-            # precision/scale spec needs a differently-compiled pool) AND
-            # the timestep count to stay put: requests already encoded with
-            # the old num_steps share queues/batches with new ones, and
-            # (T, 1, ...) trains of different T cannot be coalesced.
+            # model spec) AND the timestep count to stay put: requests
+            # already encoded with the old num_steps share queues/batches
+            # with new ones, and (T, 1, ...) trains of different T cannot
+            # be coalesced.
             same_steps = getattr(encoder, "num_steps", None) == getattr(
                 active.server.encoder, "num_steps", None
             )
-            if same_steps and new_quant == old_quant and model_spec(new_model) == model_spec(pool.model):
+            if same_steps and model_spec(new_model) == model_spec(pool.model):
                 # Weight-only republish: swap in place between batches.
                 # Queued requests are served with the new weights; nothing
                 # is dropped (pool.update_weights quiesces in-flight
@@ -432,13 +404,7 @@ class ServeGateway:
                 entry = RegisteredModel(
                     name=active.name, model=new_model, encoder=encoder, meta=meta or {}
                 )
-                try:
-                    server = self._make_server(entry, telemetry=active.server.telemetry)
-                except RuntimeCompileError as exc:
-                    # A republish the runtime cannot lower degrades the
-                    # same way: the new pool compiles a plan when built.
-                    self._reject_reload(active, signature, exc)
-                    return
+                server = self._make_server(entry, telemetry=active.server.telemetry)
                 retired = active.server
                 retired.telemetry.reset_activity()
                 active.server = server

@@ -703,15 +703,7 @@ class InferenceServer:
                     self.tracer.record("serve.queue", trace_id, root, pending.queued, cut)
                     self.tracer.record("serve.batch", trace_id, root, cut, started, batch_size=size)
                     self.tracer.record("serve.checkout", trace_id, root, started, acquired)
-                    self.tracer.record(
-                        "serve.kernel",
-                        trace_id,
-                        root,
-                        acquired,
-                        done,
-                        batch_size=size,
-                        precision=self.pool.precision,
-                    )
+                    self.tracer.record("serve.kernel", trace_id, root, acquired, done, batch_size=size)
                     self.tracer.record("serve.reply", trace_id, root, done, reply_done)
         except BaseException as exc:  # noqa: BLE001 - must reach the futures
             # Batch-level failure isolation: only THIS batch's futures see

@@ -96,11 +96,6 @@ class ServeTelemetry:
         #: Human-readable description of the most recent failure (batch
         #: error or reload failure); ``None`` until one occurs.
         self.last_error: Optional[str] = None
-        #: Execution precision of the served plans (``"fp32"`` until a
-        #: server attaches and reports its pool's precision).
-        self.precision = "fp32"
-        #: Weight bits for quantized serving (``None`` = full precision).
-        self.weight_bits: Optional[int] = None
         self.activity: Optional[RuntimeActivity] = None
         self._busy_s = 0.0
 
@@ -137,17 +132,6 @@ class ServeTelemetry:
         """Count one request that missed its deadline."""
         with self._lock:
             self.total_timed_out += 1
-
-    def set_precision(self, precision: str, weight_bits: Optional[int] = None) -> None:
-        """Record the execution precision of the plans now being served.
-
-        Called when a server attaches to a compiled-plan pool (and again
-        after a hot-reload that replaces the pool), so a telemetry snapshot
-        always names the precision its numbers were measured at.
-        """
-        with self._lock:
-            self.precision = str(precision)
-            self.weight_bits = int(weight_bits) if weight_bits is not None else None
 
     def record_reload_failure(self, error: str) -> None:
         """Count one hot-reload that failed (old weights keep serving)."""
@@ -246,9 +230,6 @@ class ServeTelemetry:
             "failed": float(self.total_failed),
             "timed_out": float(self.total_timed_out),
             "reload_failures": float(self.total_reload_failures),
-            # 0.0 = full-precision float serving; the precision *name* is
-            # on the telemetry object itself (summary values stay floats).
-            "weight_bits": float(self.weight_bits or 0),
             "achieved_fps": self.achieved_fps(),
             "mean_batch_size": self.mean_batch_size(),
             "mean_input_density": self.mean_input_density(),
@@ -311,9 +292,7 @@ def format_telemetry(
     ``last_error`` (typically :attr:`ServeTelemetry.last_error`) appends a
     most-recent-failure line when the summary shows any failures.
     """
-    weight_bits = summary.get("weight_bits", 0)
     rows: List[tuple] = [
-        ("precision", f"int{weight_bits:.0f} weights" if weight_bits else "full (float)"),
         ("requests", f"{summary.get('requests', 0):.0f}"),
         ("batches", f"{summary.get('batches', 0):.0f}"),
         ("shed", f"{summary.get('shed', 0):.0f}"),

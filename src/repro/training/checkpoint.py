@@ -235,7 +235,6 @@ def save_checkpoint(
     model: Module,
     encoder: Optional[Encoder] = None,
     metadata: Optional[Dict[str, Any]] = None,
-    quantization: Optional[Dict[str, Any]] = None,
 ) -> Path:
     """Write a single-file checkpoint (atomic rename, ``.npz`` archive).
 
@@ -250,13 +249,6 @@ def save_checkpoint(
         Optional input encoder saved alongside the weights.
     metadata:
         Optional JSON-serialisable caller payload (config, metrics, ...).
-    quantization:
-        Optional quantization spec (plain JSON dict — ``precision``,
-        ``weight_bits``, ``clip_percentile``, ``input_scale``, ...)
-        describing the precision the stored weights should be *served* at.
-        The field is additive: checkpoints written without it (including
-        every pre-existing format-2 file) read back unchanged, with
-        :func:`read_checkpoint_quantization` returning ``None``.
     """
     state = model.state_dict()
     header = {
@@ -265,7 +257,6 @@ def save_checkpoint(
         "model": model_spec(model),
         "encoder": encoder_spec(encoder) if encoder is not None else None,
         "metadata": metadata or {},
-        "quantization": quantization,
         "checksum": state_checksum(state),
     }
     try:
@@ -318,24 +309,15 @@ def read_checkpoint_metadata(path: PathLike) -> Dict[str, Any]:
     return header.get("metadata", {})
 
 
-def read_checkpoint_quantization(path: PathLike) -> Optional[Dict[str, Any]]:
-    """Read just the quantization spec from a checkpoint header (or ``None``).
-
-    Header-only, like :func:`read_checkpoint_metadata` — the parameter
-    arrays are never decoded.  Returns ``None`` for checkpoints published
-    without a spec (full-precision serving), including all pre-quantization
-    format-2 checkpoints.
-    """
-    header, _ = _read_archive(path, with_params=False)
-    spec = header.get("quantization")
-    return dict(spec) if isinstance(spec, dict) else None
-
-
 def load_checkpoint(path: PathLike) -> Tuple[Module, Optional[Encoder], Dict[str, Any]]:
     """Rebuild ``(model, encoder, metadata)`` from :func:`save_checkpoint`.
 
     The returned model is in eval mode with the saved weights loaded;
     ``encoder`` is ``None`` when the checkpoint was saved without one.
+    Older headers carry a ``quantization`` field, ``null`` on a plain
+    checkpoint; one that names a spec was published for integer serving,
+    which this code does not have, and raises :class:`CheckpointError`
+    rather than serving its fake-quantized weights as fp32.
     """
     path = Path(path)
     header, state = _read_archive(path, with_params=True)
@@ -343,6 +325,11 @@ def load_checkpoint(path: PathLike) -> Tuple[Module, Optional[Encoder], Dict[str
         raise CheckpointError(
             f"unsupported checkpoint format {header.get('format')!r} "
             f"(this code reads format {CHECKPOINT_FORMAT_VERSION})"
+        )
+    if header.get("quantization") is not None:
+        raise CheckpointError(
+            f"checkpoint {path} was published for quantized serving, which this "
+            "code does not have (serving runs fp32 plans only)"
         )
     expected = header.get("checksum")
     if expected is not None and state_checksum(state) != expected:

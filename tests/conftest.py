@@ -146,16 +146,19 @@ def tear_checkpoint(path, seed: int = 0) -> Path:
     return path
 
 
-def rewrite_checkpoint_header(path, **model_fields) -> Path:
-    """Overwrite fields of a saved checkpoint's model spec, atomically.
+def rewrite_checkpoint_header(path, header_fields=None, **model_fields) -> Path:
+    """Overwrite fields of a saved checkpoint's header and model spec, atomically.
 
-    The parameters and their checksum are kept, so the file stays a valid
-    archive, and a gateway's stat-signature check sees a republish.
+    ``header_fields`` replaces top-level header fields; the keyword
+    arguments replace fields of the model spec.  The parameters and their
+    checksum are kept, so the file stays a valid archive, and a gateway's
+    stat-signature check sees a republish.
     """
     path = Path(path)
     with np.load(path, allow_pickle=False) as archive:
         members = {key: archive[key] for key in archive.files}
     header = json.loads(str(members["__checkpoint__"][()]))
+    header.update(header_fields or {})
     header["model"].update(model_fields)
     members["__checkpoint__"] = json.dumps(header, sort_keys=True)
     buffer = io.BytesIO()

@@ -11,9 +11,11 @@ from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEncoder
 from repro.runtime import compile_network
 from repro.neurons import NEURON_TYPES
+from repro.neurons.base import RESET_MECHANISMS, SpikingNeuron
 from repro.training.checkpoint import (
     CheckpointError,
     build_encoder,
+    build_model,
     encoder_spec,
     load_checkpoint,
     model_spec,
@@ -118,6 +120,42 @@ def test_unknown_neuron_substrate_rejected_at_load(tmp_path):
     with pytest.raises(CheckpointError, match="'synaptic'") as excinfo:
         load_checkpoint(path)
     assert str(NEURON_TYPES) in str(excinfo.value)
+
+
+def test_quantized_publish_rejected_at_load(tmp_path):
+    """A header naming a quantization spec was an integer publish: an error, not fp32 serving."""
+    path = save_checkpoint(tmp_path / "quantized.npz", _make_model("mlp"))
+    spec = {"precision": "int8", "weight_bits": 8, "input_scale": 1.0}
+    rewrite_checkpoint_header(path, header_fields={"quantization": spec})
+    with pytest.raises(CheckpointError, match="quantized serving") as excinfo:
+        load_checkpoint(path)
+    assert str(path) in str(excinfo.value)
+    # The null field every plain checkpoint used to carry still loads.
+    rewrite_checkpoint_header(path, header_fields={"quantization": None})
+    assert type(load_checkpoint(path)[0]) is SpikingMLP
+
+
+@pytest.mark.parametrize("reset", RESET_MECHANISMS)
+@pytest.mark.parametrize("neuron", NEURON_TYPES)
+@pytest.mark.parametrize("kind", ["cnn", "mlp"])
+def test_every_model_a_checkpoint_describes_compiles_at_fp32(rng, kind, neuron, reset):
+    """The gateway serves every registry entry through an fp32 plan, so none may fail to lower."""
+    if kind == "cnn":
+        model = SpikingCNN(image_size=8, conv_channels=(3, 4), hidden_units=16, neuron=neuron, seed=7)
+    else:
+        model = SpikingMLP(in_features=12, hidden_units=10, num_classes=4, neuron=neuron, seed=3)
+    for layer in model.modules():
+        if isinstance(layer, SpikingNeuron):
+            layer.reset_mechanism = reset
+    rebuilt = build_model(model_spec(model))
+    rebuilt.load_state_dict(model.state_dict())
+    spikes = RateEncoder(num_steps=4, seed=11)(_images(kind, rng))
+    rebuilt.eval()
+    rebuilt.reset_spiking_state()
+    dense_counts = rebuilt.forward(Tensor(spikes)).numpy()
+    plan = compile_network(rebuilt)
+    assert plan.precision == "fp32"
+    np.testing.assert_array_equal(plan.run(spikes, record_activity=False).counts, dense_counts)
 
 
 def test_checkpoint_without_encoder(tmp_path):

@@ -1,19 +1,14 @@
-"""Unit tests for the dataset substrate (synthetic SVHN, loaders, transforms)."""
+"""Unit tests for the dataset substrate (synthetic SVHN, datasets, loaders)."""
 
 import numpy as np
 import pytest
 
 from repro.data import (
     ArrayDataset,
-    Compose,
     DataLoader,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalShift,
     Subset,
     SynthSVHN,
     SynthSVHNConfig,
-    ToFloat,
     generate_digit_image,
     train_test_split,
 )
@@ -104,11 +99,6 @@ class TestDatasets:
         with pytest.raises(ValueError):
             ArrayDataset(np.zeros((3, 2)), np.zeros(4))
 
-    def test_transform_applied(self):
-        ds = ArrayDataset(np.ones((2, 3)), np.zeros(2), transform=lambda x: x * 2)
-        img, _ = ds[0]
-        assert np.allclose(img, 2.0)
-
     def test_subset_indexing(self):
         ds = ArrayDataset(np.arange(10).reshape(10, 1).astype(np.float32), np.arange(10))
         sub = Subset(ds, [2, 5, 7])
@@ -169,43 +159,3 @@ class TestDataLoader:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             DataLoader(self._dataset(), batch_size=0)
-
-
-class TestTransforms:
-    def test_to_float_scales_integers(self):
-        out = ToFloat()(np.array([[0, 255]], dtype=np.uint8))
-        assert out.dtype == np.float32
-        assert out.max() == pytest.approx(1.0)
-
-    def test_to_float_leaves_floats(self):
-        out = ToFloat()(np.array([[0.5]], dtype=np.float32))
-        assert out[0, 0] == pytest.approx(0.5)
-
-    def test_normalize_output_in_unit_interval(self):
-        x = np.random.default_rng(0).random((3, 8, 8)).astype(np.float32)
-        out = Normalize([0.5, 0.5, 0.5], [0.2, 0.2, 0.2])(x)
-        assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_normalize_rejects_zero_std(self):
-        with pytest.raises(ValueError):
-            Normalize([0.5], [0.0])
-
-    def test_random_crop_shape(self):
-        x = np.zeros((3, 16, 16), dtype=np.float32)
-        out = RandomCrop(16, padding=2, seed=0)(x)
-        assert out.shape == (3, 16, 16)
-
-    def test_random_shift_preserves_shape_and_content_sum(self):
-        x = np.random.default_rng(1).random((3, 8, 8)).astype(np.float32)
-        out = RandomHorizontalShift(2, seed=0)(x)
-        assert out.shape == x.shape
-        assert out.sum() == pytest.approx(x.sum())
-
-    def test_compose_applies_all(self):
-        pipeline = Compose([ToFloat(), lambda x: x + 1.0])
-        out = pipeline(np.zeros((1, 2, 2), dtype=np.uint8))
-        assert np.allclose(out, 1.0)
-
-    def test_repr_strings(self):
-        assert "Compose" in repr(Compose([ToFloat()]))
-        assert "RandomCrop" in repr(RandomCrop(8))

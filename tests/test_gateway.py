@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import make_dataset, make_encoder, make_model
-from repro.runtime import RuntimeCompileError, compile_network
+from repro.runtime import compile_network
 from repro.serve import (
     ModelRegistry,
     ModelUnavailable,
@@ -18,7 +18,6 @@ from repro.serve import (
     format_gateway_summary,
 )
 from repro.serve.gateway import SUBMIT_RELOAD_RETRIES
-from repro.training.checkpoint import save_checkpoint
 
 
 @pytest.fixture
@@ -126,27 +125,6 @@ class TestGatewayRouting:
                 gateway.submit("ghost", images[0])
             with pytest.raises(RegistryError, match="not active"):
                 gateway.telemetry("ghost")
-
-    def test_a_model_the_runtime_cannot_lower_fails_its_first_submit(
-        self, tmp_path, micro_config, images
-    ):
-        registry = ModelRegistry(tmp_path)
-        model = make_model(micro_config)
-        model.eval()
-        # A well-formed quantization spec whose input scale compile_network refuses.
-        save_checkpoint(
-            registry.checkpoint_path("m"),
-            model,
-            make_encoder(micro_config),
-            metadata={
-                "registry": {"name": "m", "quantization": {"precision": "int8", "input_scale": 2.0}}
-            },
-        )
-        with ServeGateway(registry) as gateway:
-            for _ in range(2):
-                with pytest.raises(RuntimeCompileError, match="input_scale"):
-                    gateway.submit("m", images[0])
-            assert gateway.active_models() == []  # no server, so nothing was encoded
 
     def test_a_server_that_keeps_retiring_exhausts_the_retry_budget(
         self, tmp_path, micro_config, images, monkeypatch

@@ -118,13 +118,6 @@ class TestLIFGradients:
         # Every neuron fires every step -> rate 1.0
         assert np.mean(spikes) == pytest.approx(1.0)
 
-    def test_detach_state_cuts_graph(self):
-        lif = LIF(beta=0.9, threshold=10.0)
-        x = Tensor(np.ones((1, 2)), requires_grad=True)
-        lif.step(x)
-        lif.detach_state()
-        assert lif.membrane.requires_grad is False
-
 
 class TestIFNeuron:
     def test_if_is_lif_with_beta_one(self):

@@ -3,10 +3,7 @@
 Covers the full chain the accuracy gate relies on: lowering to quantized
 kernels, exact-integer execution (integer spike counts, bit-deterministic
 replays), paired-spike agreement with the fp64 reference across both
-model families and all four encoders, the compile/publish-time accuracy
-gate itself, checkpoint round-trip of the quantization spec, and serving
-(registry pools, gateway hot-reload across a precision change, telemetry
-precision reporting).
+model families and all four encoders, and the accuracy gate itself.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ import pytest
 
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEncoder
-from repro.hardware.quantization import QuantizationConfig
 from repro.runtime import (
     AccuracyGateError,
     ConvKernel,
@@ -27,15 +23,6 @@ from repro.runtime import (
     check_accuracy_delta,
     compile_network,
     default_input_scale,
-    resolve_quantization,
-)
-from repro.runtime.pool import CompiledNetworkPool
-from repro.serve import ModelRegistry, ServeGateway, quantization_pool_kwargs
-from repro.serve.telemetry import ServeTelemetry, format_telemetry
-from repro.training.checkpoint import (
-    load_checkpoint,
-    read_checkpoint_quantization,
-    save_checkpoint,
 )
 
 ENCODER_CLASSES = {
@@ -143,25 +130,9 @@ class TestQuantizedPlans:
         ).run(spikes).activity
         assert quantized.input_events == fp32.input_events == float(spikes.sum())
 
-    def test_resolve_quantization_validation(self):
-        assert resolve_quantization("fp32", None) is None
-        assert resolve_quantization("int8", None).weight_bits == 8
-        assert resolve_quantization("int16", None).weight_bits == 16
-        custom = QuantizationConfig(weight_bits=8, clip_percentile=99.5)
-        assert resolve_quantization("int8", custom) is custom
-        with pytest.raises(RuntimeCompileError):
-            resolve_quantization("int4", None)
-        with pytest.raises(RuntimeCompileError):
-            resolve_quantization("fp32", custom)
-        with pytest.raises(RuntimeCompileError):
-            resolve_quantization("int16", custom)
-
-    def test_pool_compiles_at_requested_precision(self):
-        pool = CompiledNetworkPool(_make_model("mlp"), precision="int16")
-        assert pool.precision == "int16"
-        assert pool.weight_bits == 16
-        with pool.acquire() as plan:
-            assert plan.precision == "int16"
+    def test_compile_rejects_an_unknown_precision(self):
+        with pytest.raises(RuntimeCompileError, match="unknown precision 'int4'"):
+            compile_network(_make_model("mlp"), precision="int4")
 
 
 class TestAccuracyGate:
@@ -203,115 +174,3 @@ class TestAccuracyGate:
             raise_on_fail=False,
         )
         assert not no_raise.passed
-
-
-class TestCheckpointSpec:
-    def test_quantization_spec_round_trips(self, tmp_path):
-        model = _make_model("mlp")
-        spec = {"precision": "int8", "weight_bits": 8, "input_scale": 1.0}
-        path = save_checkpoint(tmp_path / "q.npz", model, quantization=spec)
-        assert read_checkpoint_quantization(path) == spec
-        # The full loader is unaffected by the extra header field.
-        loaded_model, _, _ = load_checkpoint(path)
-        assert type(loaded_model) is SpikingMLP
-
-    def test_no_spec_reads_as_none(self, tmp_path):
-        path = save_checkpoint(tmp_path / "plain.npz", _make_model("mlp"))
-        assert read_checkpoint_quantization(path) is None
-
-
-class TestQuantizedServing:
-    def _publish_quantized(self, rng, registry, budget=1.0, precision="int8"):
-        model = _make_model("mlp")
-        model.eval()
-        encoder = DirectEncoder(num_steps=4)
-        images = _images("mlp", rng, 24)
-        labels = np.zeros(24, dtype=np.int64)
-        loader = [(images[i : i + 8], labels[i : i + 8]) for i in range(0, 24, 8)]
-        path, delta = registry.save_quantized(
-            "m", model, encoder, loader, precision=precision, max_accuracy_drop=budget
-        )
-        return model, encoder, images, path, delta
-
-    def test_save_quantized_publishes_spec_and_restores_model(self, tmp_path, rng):
-        registry = ModelRegistry(tmp_path)
-        model = _make_model("mlp")
-        reference = {name: p.data.copy() for name, p in model.named_parameters()}
-        model.eval()
-        encoder = DirectEncoder(num_steps=4)
-        images = _images("mlp", rng, 24)
-        loader = [(images[i : i + 8], np.zeros(8, dtype=np.int64)) for i in range(0, 24, 8)]
-
-        path, delta = registry.save_quantized(
-            "m", model, encoder, loader, precision="int8", max_accuracy_drop=1.0
-        )
-        assert delta.passed
-        for name, param in model.named_parameters():
-            np.testing.assert_array_equal(param.data, reference[name])
-
-        spec = registry.load("m").quantization
-        assert spec["precision"] == "int8" and spec["weight_bits"] == 8
-        assert spec["input_scale"] == pytest.approx(default_input_scale(encoder))
-        assert read_checkpoint_quantization(path) == spec
-
-        entry, pool = registry.compiled_pool("m")
-        assert pool.precision == "int8"
-        with pool.acquire() as plan:
-            assert plan.weight_bits == 8
-
-    def test_save_quantized_rolls_back_on_gate_failure(self, tmp_path, rng):
-        registry = ModelRegistry(tmp_path)
-        model = _make_model("mlp")
-        reference = {name: p.data.copy() for name, p in model.named_parameters()}
-        model.eval()
-        encoder = DirectEncoder(num_steps=4)
-        images = _images("mlp", rng, 24)
-        loader = [(images[i : i + 8], np.zeros(8, dtype=np.int64)) for i in range(0, 24, 8)]
-
-        with pytest.raises(AccuracyGateError):
-            registry.save_quantized(
-                "m", model, encoder, loader, precision="int8", max_accuracy_drop=-0.01
-            )
-        # Nothing was published and the caller's model came back intact.
-        assert registry.version("m") == 0
-        for name, param in model.named_parameters():
-            np.testing.assert_array_equal(param.data, reference[name])
-
-    def test_malformed_spec_rejected_by_pool_kwargs(self):
-        assert quantization_pool_kwargs(None) == {}
-        from repro.serve import RegistryError
-
-        with pytest.raises(RegistryError):
-            quantization_pool_kwargs({"precision": "int8", "weight_bits": 16})
-        with pytest.raises(RegistryError):
-            quantization_pool_kwargs({"precision": "float8"})
-
-    def test_gateway_serves_quantized_then_reloads_float(self, tmp_path, rng):
-        registry = ModelRegistry(tmp_path)
-        model, encoder, images, _, _ = self._publish_quantized(rng, registry)
-
-        entry, pool = registry.compiled_pool("m")
-        with pool.acquire() as plan:
-            expected = plan.run(encoder(images[:1]), record_activity=False).counts[0]
-
-        with ServeGateway(registry, max_batch=4, max_wait_ms=1.0) as gateway:
-            served = gateway.submit("m", images[0]).result(timeout=30)
-            np.testing.assert_array_equal(served.counts, expected)
-            assert gateway.telemetry("m").summary()["weight_bits"] == 8.0
-
-            # Republish as plain float: a precision change forces a
-            # drain-and-replace reload; telemetry follows the new pool.
-            registry.save("m", model, encoder)
-            served_float = gateway.submit("m", images[0]).result(timeout=30)
-            assert np.all(np.isfinite(served_float.counts))
-            assert gateway.telemetry("m").summary()["weight_bits"] == 0.0
-
-    def test_telemetry_reports_precision(self):
-        telemetry = ServeTelemetry()
-        assert telemetry.summary()["weight_bits"] == 0.0
-        telemetry.set_precision("int8", 8)
-        assert telemetry.precision == "int8"
-        assert telemetry.summary()["weight_bits"] == 8.0
-        assert "int8 weights" in format_telemetry(telemetry.summary())
-        telemetry.set_precision("fp32")
-        assert "full (float)" in format_telemetry(telemetry.summary())

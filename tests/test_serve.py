@@ -1219,14 +1219,11 @@ class TestTelemetryMath:
         assert telemetry.queue_depth_high_water == n - 1
         assert telemetry.achieved_fps() == pytest.approx(2 * n / (n * 0.001))
 
-    def test_rendering_names_precision_and_last_error(self):
+    def test_rendering_names_the_last_error(self):
         telemetry = ServeTelemetry()
-        telemetry.set_precision("int8", weight_bits=8)
         telemetry.record_failure("RuntimeError: boom", count=2)
         summary = telemetry.summary()
-        assert summary["weight_bits"] == 8.0
         text = format_telemetry(summary, last_error=telemetry.last_error)
-        assert "int8 weights" in text
         assert "2 / 0" in text  # failed / timed out
         name, value = text.splitlines()[-1].split(":", 1)
         assert name.strip() == "last error" and value.strip() == "RuntimeError: boom"
@@ -1273,7 +1270,7 @@ class TestTelemetryMath:
         summary = telemetry.summary()
         assert set(summary) == {
             "requests", "batches", "admitted", "shed", "queue_high_water",
-            "deadline_dispatches", "failed", "timed_out", "reload_failures", "weight_bits",
+            "deadline_dispatches", "failed", "timed_out", "reload_failures",
             "achieved_fps", "mean_batch_size", "mean_input_density", "p50_ms", "p95_ms", "p99_ms",
         }
         assert summary["requests"] == 0 and summary["admitted"] == 0
