@@ -9,8 +9,8 @@ Measures what the quantized runtime path actually buys at serving time:
    levels.  Predictions of the two plans are compared on every density
    before timing.  Acceptance bar (full mode): **int8 >= 1.3x** faster
    than fp64 at bench scale.
-2. **Accuracy gate** (``test_quantized_accuracy_gate``) — runs the real
-   publish-time gate (:func:`repro.runtime.check_accuracy_delta`) for
+2. **Accuracy gate** (``test_quantized_accuracy_gate``) — runs the
+   accuracy gate (:func:`repro.runtime.check_accuracy_delta`) for
    int8 and int16 on a :class:`~repro.core.network.SpikingMLP` behind a
    :class:`~repro.encoding.DirectEncoder`, labelling each sample with the
    fp64 plan's own prediction so the reported accuracy drop *is* the
@@ -47,9 +47,8 @@ TARGET_INT8_SPEEDUP = 1.3
 
 #: Accuracy budget per precision for the gate leg (top-1 drop vs fp64).
 #: Untrained random weights are the worst case for int8 — spike-count
-#: margins between classes are razor thin, so disagreement runs well above
-#: what a trained model shows (see tests/test_quantized_runtime.py, where
-#: trained micro-models hold the registry's default 0.02 budget).
+#: margins between classes are razor thin, so the int8 budget is wider
+#: than ``check_accuracy_delta``'s default of 0.02.
 ACCURACY_BUDGETS = {"int8": 0.10, "int16": 0.02}
 
 
