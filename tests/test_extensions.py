@@ -107,3 +107,37 @@ class TestQuantization:
         zero_ints, zero_scale = quantize_array_int(np.zeros(10, dtype=np.float32), config)
         assert zero_scale == 1.0
         assert not zero_ints.any()
+
+    def test_quantize_array_int_of_an_empty_array(self):
+        ints, scale = quantize_array_int(np.zeros((0, 4), dtype=np.float32), QuantizationConfig())
+        assert ints.shape == (0, 4) and ints.dtype == np.int8
+        assert scale == 1.0
+
+    def test_storage_dtype_is_the_smallest_that_holds_the_lattice(self):
+        expected = {2: np.int8, 8: np.int8, 9: np.int16, 16: np.int16, 17: np.int32, 32: np.int32}
+        values = np.linspace(-1.0, 1.0, 33)
+        for bits, dtype in expected.items():
+            config = QuantizationConfig(weight_bits=bits)
+            assert config.storage_dtype() == np.dtype(dtype)
+            ints, _ = quantize_array_int(values, config)
+            assert ints.dtype == np.dtype(dtype)
+            assert ints.min() == -config.levels and ints.max() == config.levels
+
+    def test_quantize_array_int_is_symmetric_about_zero(self):
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal(400)
+        values[7] = -3.0 * np.abs(values).max()  # the extreme is negative
+        config = QuantizationConfig(weight_bits=8)
+        ints, scale = quantize_array_int(values, config)
+        assert ints[7] == -config.levels
+        negated, negated_scale = quantize_array_int(-values, config)
+        assert negated_scale == scale
+        np.testing.assert_array_equal(negated, -ints)
+
+    def test_quantize_array_int_lattice_is_a_fixed_point(self):
+        rng = np.random.default_rng(3)
+        config = QuantizationConfig(weight_bits=8)
+        ints, scale = quantize_array_int(rng.standard_normal(300).astype(np.float32), config)
+        again, again_scale = quantize_array_int(ints.astype(np.float64) * scale, config)
+        np.testing.assert_array_equal(again, ints)
+        assert again_scale == pytest.approx(scale, rel=1e-12)

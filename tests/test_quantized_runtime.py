@@ -8,12 +8,15 @@ model families and all four encoders, and the accuracy gate itself.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEncoder
 from repro.runtime import (
+    AccuracyDelta,
     AccuracyGateError,
     ConvKernel,
     LinearKernel,
@@ -134,6 +137,46 @@ class TestQuantizedPlans:
         with pytest.raises(RuntimeCompileError, match="unknown precision 'int4'"):
             compile_network(_make_model("mlp"), precision="int4")
 
+    def test_compile_rejects_an_input_scale_outside_the_unit_interval(self):
+        for input_scale in (0.0, -0.5, 1.5):
+            with pytest.raises(RuntimeCompileError, match="input_scale must lie in"):
+                compile_network(_make_model("mlp"), precision="int8", input_scale=input_scale)
+
+    def test_float_precisions_ignore_input_scale(self, rng):
+        spikes = ENCODER_CLASSES["direct"](num_steps=4, seed=11)(_images("mlp", rng))
+        for precision in ("fp32", "fp64"):
+            plan = compile_network(_make_model("mlp"), precision=precision, input_scale=7.0)
+            assert plan.input_scale == 1.0 and plan.quantization is None
+            reference = compile_network(_make_model("mlp"), precision=precision)
+            np.testing.assert_array_equal(
+                plan.run(spikes, record_activity=False).counts,
+                reference.run(spikes, record_activity=False).counts,
+            )
+
+    @pytest.mark.parametrize("precision", INT_PRECISIONS)
+    def test_live_weight_update_is_requantized(self, rng, precision):
+        """``load_state_dict`` between runs re-quantizes; an unchanged run keeps the lattice."""
+        model = _make_model("mlp")
+        plan = compile_network(model, precision=precision)
+        spikes = ENCODER_CLASSES["rate"](num_steps=4, seed=0)(_images("mlp", rng))
+        before = plan.run(spikes, record_activity=False).counts.copy()
+        fc1 = next(k for k in plan.kernels if isinstance(k, WeightKernel))
+        lattice = fc1.weight_int
+        plan.run(spikes, record_activity=False)
+        assert fc1.weight_int is lattice
+
+        state = model.state_dict()
+        state["fc1.weight"] = state["fc1.weight"] * 5.0
+        model.load_state_dict(state)
+        after = plan.run(spikes, record_activity=False).counts
+        assert fc1.weight_int is not lattice
+        # The refreshed plan is the plan a fresh compile of the new weights builds.
+        rebuilt = _make_model("mlp")
+        rebuilt.load_state_dict(state)
+        fresh = compile_network(rebuilt, precision=precision).run(spikes, record_activity=False)
+        np.testing.assert_array_equal(after, fresh.counts)
+        assert not np.array_equal(before, after)
+
 
 class TestAccuracyGate:
     def _loader(self, rng, model, encoder, samples=24):
@@ -174,3 +217,28 @@ class TestAccuracyGate:
             raise_on_fail=False,
         )
         assert not no_raise.passed
+
+    def test_gate_rejects_a_float_precision(self, rng):
+        model = _make_model("mlp")
+        encoder = RateEncoder(num_steps=4, seed=11)
+        with pytest.raises(RuntimeCompileError, match="gates integer precisions, got 'fp32'"):
+            check_accuracy_delta(model, encoder, self._loader(rng, model, encoder), precision="fp32")
+
+    def test_gate_rejects_an_empty_loader(self):
+        encoder = RateEncoder(num_steps=4, seed=11)
+        with pytest.raises(ValueError, match="no samples to gate on"):
+            check_accuracy_delta(_make_model("mlp"), encoder, [], precision="int8")
+
+    def test_drop_equal_to_the_budget_passes(self):
+        # 0.5 - 0.48 is 0.020000000000000018 in binary floating point: a drop
+        # that equals the budget must not fail on the rounding.
+        delta = AccuracyDelta(
+            baseline_accuracy=0.5, quantized_accuracy=0.48, precision="int8",
+            baseline_precision="fp64", samples=50, agreement=0.96, max_accuracy_drop=0.02,
+        )
+        assert delta.drop > 0.02
+        assert delta.passed
+        assert replace(delta, quantized_accuracy=0.46).passed is False
+        # A quantized plan that beats the baseline has a negative drop and passes.
+        won = replace(delta, quantized_accuracy=0.52, max_accuracy_drop=0.0)
+        assert won.drop < 0.0 and won.passed
