@@ -4,14 +4,16 @@ These are the computational workhorses of the paper's convolutional SNN
 (`32C3-MP2-32C3-MP2-256-10`).  Every convolution in the repository -- the
 autograd op here and the inference runtime's
 :class:`~repro.runtime.kernels.ConvKernel` -- goes through one lowering,
-:func:`im2col`, which turns it into a matrix product and keeps
-per-timestep BPTT affordable in pure NumPy.  It lowers the whole batch
-as one tall, row-padded image (:class:`TallLayout`), so each kernel
-offset is one long copy per channel rather than one per output row.
+im2col (:meth:`ConvBinding.lower`), which turns it into a matrix product
+and keeps per-timestep BPTT affordable in pure NumPy.  It lowers the
+whole batch as one tall, row-padded image (:class:`TallLayout`), so each
+kernel offset is one long copy per channel rather than one per output
+row, into arrays a :class:`ConvBinding` keeps for its geometry.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -20,22 +22,23 @@ from repro.autograd.function import Context, Function
 
 
 class ScratchPool:
-    """Reusable uninitialised buffers, keyed by ``(tag, shape, dtype)``.
+    """Reusable uninitialised buffers, keyed by ``(tag, shape, dtype)``, and convolution bindings.
 
     During a T-timestep pass every timestep runs its own convolution (and,
     under BPTT, its backward), and the large temporaries each call needs --
-    the tall image, the im2col matrix, the GEMM output, and on the backward
-    side the output-gradient matrix, the gradient columns and the tall
-    gradient accumulator -- have the same shape at every timestep.
-    Allocating them per call dominated conv overhead, so they come from a
-    pool.  Every call fills a buffer before reading it, and any array that
-    outlives a call -- the forward output, the returned gradients, anything
-    saved in the ctx -- is a fresh allocation or copied out of the pool
-    first.  A pool must not be shared by calls that run concurrently.
+    the tall image, the im2col matrix, the GEMM output (a
+    :class:`ConvBinding`, :meth:`conv`), and on the backward side the
+    output-gradient matrix, the gradient columns and the tall gradient
+    accumulator -- have the same shape at every timestep.  Allocating them
+    per call dominated conv overhead, so they come from a pool.  Every
+    call fills a buffer before reading it, and any array that outlives a
+    call -- the forward output, the returned gradients, anything saved in
+    the ctx -- is a fresh allocation or copied out of the pool first.  A
+    pool must not be shared by calls that run concurrently.
     """
 
     def __init__(self) -> None:
-        self._buffers: Dict[Tuple[str, Tuple[int, ...], str], np.ndarray] = {}
+        self._buffers: Dict[tuple, Union[np.ndarray, "ConvBinding"]] = {}
 
     def __call__(self, tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         key = (tag, tuple(shape), np.dtype(dtype).str)
@@ -44,8 +47,18 @@ class ScratchPool:
             buf = self._buffers[key] = np.empty(shape, dtype=dtype)
         return buf
 
+    def conv(
+        self, x_shape: Tuple[int, ...], dtype, weight_shape: Tuple[int, ...], stride: int, padding: int
+    ) -> "ConvBinding":
+        """The :class:`ConvBinding` of one geometry, built on its first call."""
+        key = ("conv", x_shape, dtype, weight_shape, stride, padding)
+        binding = self._buffers.get(key)
+        if binding is None:
+            binding = self._buffers[key] = ConvBinding(x_shape, dtype, weight_shape, stride, padding)
+        return binding
+
     def clear(self) -> None:
-        """Drop every buffer."""
+        """Drop every buffer and binding."""
         self._buffers.clear()
 
 
@@ -148,21 +161,45 @@ def _offset_view(a: np.ndarray, i: int, j: int, oh: int, ow: int, stride: int) -
     return a[..., i : i + oh * stride : stride, j : j + ow * stride : stride]
 
 
-def im2col(x: np.ndarray, layout: TallLayout, scratch: ScratchPool) -> np.ndarray:
-    """Lower NCHW ``x`` into a ``(C*KH*KW, positions)`` matrix from ``scratch``.
+class ConvBinding:
+    """The arrays one convolution geometry keeps from call to call.
 
-    Row ``(c, i, j)`` holds channel ``c`` of the tall image seen through
-    kernel offset ``(i, j)`` at every position of ``layout``, junk ones
-    included, so the rows follow the weight's own ``(C_out, C, KH, KW)``
-    layout.
+    Built once per input shape and dtype, weight shape, stride and padding:
+    the tall image ``grid``, zeroed when built -- every call copies its
+    input into the same ``interior``, so the padding stays zero -- the
+    im2col matrix ``cols``, the ``KH*KW`` (grid positions, rows of
+    ``cols``) copy pairs of :func:`_offsets`, and the GEMM output ``prod``
+    with ``valid``, its ``(N, C_out, OH, OW)`` transposed view of the real
+    output positions.  A call is then a fixed sequence of copies and one
+    product into these arrays.
     """
-    grid = layout.grid(x.shape, "conv_grid", x.dtype, scratch)
-    layout.interior(grid, x.shape)[...] = x
-    n, out_rows, out_cols = layout.output_grid(x.shape[0])
-    cols = scratch("conv_cols", (x.shape[1] * layout.kh * layout.kw, n * out_rows * out_cols), x.dtype)
-    for positions, rows in _offsets(layout, grid, cols):
-        rows[...] = positions
-    return cols
+
+    def __init__(
+        self, x_shape: Tuple[int, ...], dtype, weight_shape: Tuple[int, ...], stride: int, padding: int
+    ) -> None:
+        self.layout = layout = TallLayout.of(x_shape, weight_shape, stride, padding)
+        n, c = x_shape[:2]
+        self.grid = np.zeros((c, n * layout.pitch + layout.kh, layout.width), dtype=dtype)
+        self.interior = layout.interior(self.grid, x_shape)
+        positions = layout.output_grid(n)
+        self.cols = np.empty((c * layout.kh * layout.kw, math.prod(positions)), dtype=dtype)
+        self.pairs = tuple(_offsets(layout, self.grid, self.cols))
+        c_out = weight_shape[0]
+        self.prod = np.empty((self.cols.shape[1], c_out), dtype=dtype)
+        self.valid = self.prod.reshape(*positions, c_out)[:, : layout.oh, : layout.ow].transpose(0, 3, 1, 2)
+
+    def lower(self, x: np.ndarray) -> np.ndarray:
+        """im2col: lower NCHW ``x`` into :attr:`cols`, a ``(C*KH*KW, positions)`` matrix.
+
+        Row ``(c, i, j)`` holds channel ``c`` of the tall image seen through
+        kernel offset ``(i, j)`` at every position of the layout, junk ones
+        included, so the rows follow the weight's own ``(C_out, C, KH, KW)``
+        layout.
+        """
+        self.interior[...] = x
+        for positions, rows in self.pairs:
+            rows[...] = positions
+        return self.cols
 
 
 def conv2d_forward(
@@ -172,22 +209,23 @@ def conv2d_forward(
     stride: int,
     padding: int,
     scratch: ScratchPool,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Cross-correlate NCHW ``x`` with ``weight`` as ``cols.T @ W.T``, plus ``bias``.
 
     The forward of every convolution in the repository: the autograd op
     and the inference runtime both call it, so a compiled plan reproduces
-    the dense forward bit for bit.  Temporaries come from ``scratch``; the
-    returned ``(N, C_out, OH, OW)`` array is a fresh allocation.
+    the dense forward bit for bit.  Temporaries come from the
+    :class:`ConvBinding` that ``scratch`` keeps for this geometry; the
+    ``(N, C_out, OH, OW)`` result goes into ``out``, or into a fresh array
+    when it is ``None``.
     """
     c_out = weight.shape[0]
-    layout = TallLayout.of(x.shape, weight.shape, stride, padding)
-    cols = im2col(x, layout, scratch)
-    prod = scratch("conv_out", (cols.shape[1], c_out), x.dtype)
-    np.matmul(cols.T, weight.reshape(c_out, -1).T, out=prod)
-    out = np.empty((x.shape[0], c_out, layout.oh, layout.ow), dtype=prod.dtype)
-    valid = prod.reshape(*layout.output_grid(x.shape[0]), c_out)[:, : layout.oh, : layout.ow]
-    np.copyto(out, valid.transpose(0, 3, 1, 2))
+    binding = scratch.conv(x.shape, x.dtype, weight.shape, stride, padding)
+    np.matmul(binding.lower(x).T, weight.reshape(c_out, -1).T, out=binding.prod)
+    if out is None:
+        out = np.empty(binding.valid.shape, dtype=binding.prod.dtype)
+    np.copyto(out, binding.valid)
     if bias is not None:
         out += bias[None, :, None, None]
     return out
@@ -200,9 +238,10 @@ class Conv2d(Function):
     optional bias ``(C_out,)``.  Output: ``(N, C_out, OH, OW)``.
 
     With ``W`` the ``(C_out, C_in*KH*KW)`` weight matrix, ``cols`` the
-    :func:`im2col` matrix and ``go`` the output gradient, zero at the junk
-    positions, the weight gradient is ``(cols @ go.T).T`` and the input
-    gradient is ``W.T @ go`` scattered back one kernel offset at a time.
+    im2col matrix (:meth:`ConvBinding.lower`) and ``go`` the output
+    gradient, zero at the junk positions, the weight gradient is
+    ``(cols @ go.T).T`` and the input gradient is ``W.T @ go`` scattered
+    back one kernel offset at a time.
     The input gradient is skipped when the input needs none (the first
     layer's input is the encoded frame).
     """
@@ -224,8 +263,9 @@ class Conv2d(Function):
         x, weight, has_bias, stride, padding = ctx.saved
         c_out = weight.shape[0]
         go = np.asarray(grad_output)
-        layout = TallLayout.of(x.shape, weight.shape, stride, padding)
-        cols = im2col(x, layout, _scratch)
+        binding = _scratch.conv(x.shape, x.dtype, weight.shape, stride, padding)
+        layout = binding.layout
+        cols = binding.lower(x)
 
         go_mat = _scratch("conv_go", (c_out, cols.shape[1]), go.dtype)
         go_mat.fill(0)
@@ -248,20 +288,49 @@ class Conv2d(Function):
         return grad_x, grad_w, grad_b, None, None
 
 
-def maxpool2d_forward(x: np.ndarray, kernel: int) -> np.ndarray:
-    """Non-overlapping max pooling (kernel == stride) of NCHW ``x``, as a fresh array.
+def maxpool2d_buffers(x_shape: Tuple[int, ...], kernel: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """Uninitialised ``(rows, out)`` arrays for :func:`maxpool2d_forward` of an ``x_shape`` input."""
+    n, c, h, w = x_shape
+    oh, ow = h // kernel, w // kernel
+    return np.empty((n, c, oh, ow * kernel), dtype=dtype), np.empty((n, c, oh, ow), dtype=dtype)
 
-    The running maximum over the ``k*k`` phase views -- window offset
-    ``(i, j)`` in row-major order, each a strided ``(N, C, OH, OW)`` view;
-    trailing rows/columns that do not fill a window are dropped.  The
-    inference runtime and every dense pool that needs no input gradient
-    run it, so compiled and dense pooling agree bit for bit.
-    """
-    oh, ow = x.shape[2] // kernel, x.shape[3] // kernel
-    out = _offset_view(x, 0, 0, oh, ow, kernel).copy()
-    for phase in range(1, kernel * kernel):
-        np.maximum(out, _offset_view(x, *divmod(phase, kernel), oh, ow, kernel), out=out)
+
+def _running_max(views: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """``out`` = the running maximum of ``views``, taken in order."""
+    if len(views) == 1:
+        np.copyto(out, views[0])
+    else:
+        np.maximum(views[0], views[1], out=out)
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
     return out
+
+
+def maxpool2d_forward(
+    x: np.ndarray, kernel: int, buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None
+) -> np.ndarray:
+    """Non-overlapping max pooling (kernel == stride) of NCHW ``x``.
+
+    Takes the maximum over row pairs first -- the ``k`` rows of each window
+    into ``rows``, whose inner loop runs along contiguous image rows --
+    then over the ``k`` columns of ``rows`` into ``out``; trailing
+    rows/columns that do not fill a window are dropped.  ``buffers`` is the
+    ``(rows, out)`` pair of :func:`maxpool2d_buffers` to write into, fresh
+    arrays when ``None``; the result is ``out``.  The inference runtime and
+    every dense pool that needs no input gradient run it, so compiled and
+    dense pooling agree bit for bit.
+
+    The value is the running maximum over the ``k*k`` window offsets in
+    row-major order that :class:`MaxPool2d` takes with an index: on spike
+    maps byte for byte, and NaN wherever a window holds one.  On other
+    inputs only the sign of a zero maximum (a window whose maximum is a tie
+    of ``+0.0`` and ``-0.0``) may differ from that order.
+    """
+    rows, out = buffers if buffers is not None else maxpool2d_buffers(x.shape, kernel, x.dtype)
+    oh, ow = out.shape[2], out.shape[3]
+    band = x[:, :, : oh * kernel, : ow * kernel]
+    _running_max([band[:, :, i::kernel] for i in range(kernel)], rows)
+    return _running_max([rows[..., j::kernel] for j in range(kernel)], out)
 
 
 class MaxPool2d(Function):
@@ -269,8 +338,10 @@ class MaxPool2d(Function):
 
     When the input needs no gradient (validation, dense no-grad evaluation)
     the forward is :func:`maxpool2d_forward` and nothing is saved.
-    Otherwise it takes the same running maximum over the phase views while
-    a later phase takes over the saved index only when strictly greater.
+    Otherwise it takes the running maximum over the ``k*k`` phase views in
+    row-major order -- the value :func:`maxpool2d_forward` gives, up to the
+    sign of a zero maximum -- while a later phase takes over the saved
+    index only when strictly greater.
     The index is therefore the *first* maximum in each window (the
     ``argmax`` convention, as in PyTorch), and the backward routes each
     output gradient to that one winner: on binary spike maps, where every

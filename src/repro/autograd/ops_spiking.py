@@ -59,6 +59,7 @@ def lif_forward(
     adaptation_decay=0.0,
     integer: bool = False,
     out: Tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None),
+    buffers: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """One timestep of a spiking layer on raw arrays: ``(spikes, v, mem, trace)``.
 
@@ -76,7 +77,10 @@ def lif_forward(
     follows each decay, so a state on an integer grid stays on it.  ``out``
     names the arrays the new membrane and trace are written into (the
     previous ones, for a state updated in place); with ``None`` they are
-    fresh and the inputs are left untouched.  ``v`` is the potential
+    fresh and the inputs are left untouched.  ``buffers`` are the arrays,
+    of the membrane's shape, that the boolean fire mask, the spikes (the
+    returned ones) and the reset's product (``s * theta`` or ``1 - s``) are
+    written into; with ``None`` they are fresh.  ``v`` is the potential
     compared with ``theta``; the surrogate's argument is ``v - theta``, and
     ``v > theta`` holds exactly where ``v - theta > 0`` does (the rounded
     difference of floats on opposite sides of ``theta`` cannot cross zero).
@@ -91,11 +95,15 @@ def lif_forward(
     else:
         reset_threshold = trace * adaptation_step + theta
         v = charged - (reset_threshold - theta)
-    spikes = (v > theta).astype(charged.dtype)
+    if buffers is None:
+        spikes, product = (v > theta).astype(charged.dtype), None
+    else:
+        fired, spikes, product = buffers
+        np.copyto(spikes, np.greater(v, theta, out=fired))
     if reset_mechanism == "subtract":
-        mem = np.subtract(charged, spikes * reset_threshold, out=mem_out)
+        mem = np.subtract(charged, np.multiply(spikes, reset_threshold, out=product), out=mem_out)
     elif reset_mechanism == "zero":
-        mem = np.multiply(charged, 1.0 - spikes, out=mem_out)
+        mem = np.multiply(charged, np.subtract(1.0, spikes, out=product), out=mem_out)
     elif reset_mechanism == "none":
         mem = charged
     else:

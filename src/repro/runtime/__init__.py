@@ -14,11 +14,12 @@ paper's sparsity-aware accelerator model prices.
   into a plan of fused kernels (:mod:`repro.runtime.kernels`), one per
   layer kind: the training op's own matmul for dense layers (the bias row
   alone for a silent frame), convolution through the training op's own
-  im2col lowering on buffers cached across timesteps, and one neuron
-  kernel for every substrate, which runs the training step's own NumPy
-  forward (:func:`repro.autograd.ops_spiking.lif_forward`) on states
-  updated in place, with no graph recording.  The precision (fp32, fp64,
-  int8, int16) is a kernel argument.
+  im2col lowering, and one neuron kernel for every substrate, which runs
+  the training step's own NumPy forward
+  (:func:`repro.autograd.ops_spiking.lif_forward`) on states updated in
+  place, with no graph recording.  Each kernel binds to the batch shape
+  it first sees and writes every timestep into arrays it keeps.  The
+  precision (fp32, fp64, int8, int16) is a kernel argument.
 * :class:`CompiledNetwork.run` executes the timestep loop on raw arrays
   under ``no_grad`` and produces spike trains identical to the dense
   forward.

@@ -7,7 +7,11 @@ lowers each layer to a fused NumPy kernel from
 :mod:`repro.runtime.kernels`.  The resulting :class:`CompiledNetwork` runs
 the timestep loop entirely on raw arrays — no autograd tensors, no graph
 recording — while its kernels count the spike events each layer consumes
-and emits.
+and emits.  Each kernel binds to the batch shape it first sees and writes
+every timestep into arrays it keeps, so a run at the bound shape allocates
+almost nothing; a batch of another shape rebinds the plan.  An array a
+kernel returns is valid only until its next step, so the engine copies
+what it keeps: an :class:`InferenceResult` never holds a kernel's array.
 
 The compiled forward produces spike trains identical to the dense training
 forward — enforced by ``tests/test_runtime_equivalence.py`` and the
@@ -344,14 +348,12 @@ class CompiledNetwork:
         self.weight_stage_names = [k.name for k in self.kernels if k.is_weight_stage]
         self.spiking_stage_names = [k.name for k in self.kernels if k.is_spiking_stage]
 
-    @property
-    def weight_bits(self) -> Optional[int]:
-        """Weight precision in bits for integer plans, ``None`` otherwise."""
-        return self.quantization.weight_bits if self.quantization is not None else None
-
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
-        """Clear membrane state and cached buffers before a new sequence."""
+        """Clear membranes, traces and event totals before a new sequence.
+
+        Each kernel keeps its shape binding (see :mod:`repro.runtime.kernels`).
+        """
         for kernel in self.kernels:
             kernel.reset()
 
@@ -366,9 +368,12 @@ class CompiledNetwork:
 
         The loop runs under :func:`~repro.autograd.tensor.no_grad` and never
         constructs autograd tensors, so no computation graph can be
-        recorded.  Membrane state is reset at the start of every call.
-        ``collect_spike_trains`` additionally stores every spiking layer's
-        full spike train on the result (for equivalence testing).
+        recorded.  Membrane state is reset at the start of every call; a
+        batch of the shape the kernels are bound to reuses their arrays, and
+        one of another shape rebinds them.  ``collect_spike_trains``
+        additionally stores every spiking layer's full spike train on the
+        result (for equivalence testing).  The result's arrays are copies,
+        so a later run leaves them as they are.
 
         ``profiler`` is an opt-in observation hook (duck-typed so this
         module stays free of observability imports — see
@@ -529,7 +534,7 @@ class AccuracyDelta:
     precision:
         Precision of the quantized plan (``"int8"`` / ``"int16"``).
     baseline_precision:
-        Precision of the reference plan (``"fp64"`` by default).
+        Precision of the reference plan (always ``"fp64"``).
     samples:
         Number of evaluated samples.
     agreement:
@@ -564,38 +569,30 @@ def check_accuracy_delta(
     loader,
     precision: str,
     max_accuracy_drop: float = 0.02,
-    input_scale: Optional[float] = None,
-    baseline_precision: str = "fp64",
-    max_batches: Optional[int] = None,
     raise_on_fail: bool = True,
 ) -> AccuracyDelta:
-    """Gate a quantized plan's accuracy against the float reference path.
+    """Gate a quantized plan's accuracy against the fp64 reference path.
 
-    Compiles ``model`` at ``baseline_precision`` and at the quantized
-    ``precision``, encodes each batch from ``loader`` **once**, and runs
-    both plans on the identical spike trains (encoders may be stochastic —
-    pairing on the same trains is what isolates the quantization effect).
-    Returns the :class:`AccuracyDelta`; raises :class:`AccuracyGateError`
-    when the top-1 drop exceeds ``max_accuracy_drop`` and ``raise_on_fail``
-    is set.
-
-    ``input_scale`` defaults to :func:`default_input_scale` for the given
-    encoder.  ``benchmarks/bench_quantized_runtime.py`` gates both integer
+    Compiles ``model`` at ``"fp64"`` and at the quantized ``precision``
+    (with the encoder's :func:`default_input_scale`), encodes each batch
+    from ``loader`` **once**, and runs both plans on the identical spike
+    trains (encoders may be stochastic — pairing on the same trains is
+    what isolates the quantization effect).  Returns the
+    :class:`AccuracyDelta`; raises :class:`AccuracyGateError` when the
+    top-1 drop exceeds ``max_accuracy_drop`` and ``raise_on_fail`` is set.
+    ``benchmarks/bench_quantized_runtime.py`` gates both integer
     precisions with it.
     """
     if precision not in INT_PRECISION_BITS:
         raise RuntimeCompileError(
             f"check_accuracy_delta gates integer precisions, got '{precision}'"
         )
-    if input_scale is None:
-        input_scale = default_input_scale(encoder)
-    baseline_plan = compile_network(model, precision=baseline_precision)
-    quantized_plan = compile_network(model, precision=precision, input_scale=input_scale)
+    baseline_plan = compile_network(model, precision="fp64")
+    quantized_plan = compile_network(model, precision=precision, input_scale=default_input_scale(encoder))
     total = 0
     base_correct = 0
     quant_correct = 0
     agree = 0
-    batches = 0
     for images, labels in loader:
         spikes = encoder(images)
         base_preds = baseline_plan.run(spikes, record_activity=False).predictions()
@@ -605,16 +602,13 @@ def check_accuracy_delta(
         quant_correct += int((quant_preds == labels).sum())
         agree += int((base_preds == quant_preds).sum())
         total += len(labels)
-        batches += 1
-        if max_batches is not None and batches >= max_batches:
-            break
     if total == 0:
         raise ValueError("loader yielded no samples to gate on")
     delta = AccuracyDelta(
         baseline_accuracy=base_correct / total,
         quantized_accuracy=quant_correct / total,
         precision=precision,
-        baseline_precision=baseline_precision,
+        baseline_precision="fp64",
         samples=total,
         agreement=agree / total,
         max_accuracy_drop=float(max_accuracy_drop),

@@ -4,16 +4,26 @@ One kernel per layer kind, each a plain-array analogue of a
 :mod:`repro.nn` / :mod:`repro.neurons` layer specialised for inference:
 :class:`LinearKernel` and :class:`ConvKernel` (sharing
 :class:`WeightKernel`), :class:`NeuronKernel`, :class:`MaxPoolKernel` and
-:class:`FlattenKernel`.  They record no autograd graph, cache buffers (tall
-images, im2col matrices) across timesteps, and skip the weights on silent
-frames.  The execution precision and the neuron substrate are constructor
-arguments, not classes.
+:class:`FlattenKernel`.  They record no autograd graph and skip the
+weights on silent frames.  The execution precision and the neuron
+substrate are constructor arguments, not classes.
 
-Each kernel also counts the spike events of its layer, once, with
-:func:`repro.runtime.activity.count_events`: a weight kernel the events in
-every frame it receives (the count is also its silent-frame test), and a
-neuron kernel the spikes it emits, in a run that records activity.  The
-totals cover one run; :meth:`Kernel.reset` clears them, and
+Each kernel binds to the shape and dtype of the first frame it runs: it
+builds the arrays its timesteps write into (a cast frame, the tall image
+zeroed once, the im2col matrix and its copy views, GEMM and pooling
+outputs, membranes, the fire mask, spikes and reset product) and keeps
+them until a frame of another shape or dtype arrives.  A timestep is then
+a fixed sequence of NumPy calls into kept arrays, one shape's arrays are
+held at a time, and :meth:`Kernel.reset` keeps the binding.  An array a
+kernel returns is valid only until that kernel's next :meth:`Kernel.run`;
+the engine copies what it keeps.
+
+Each kernel also counts the spike events of its layer, once: a weight
+kernel the events in every frame it receives, with
+:func:`repro.runtime.activity.count_events` (the count is also its
+silent-frame test), and a neuron kernel the set entries of its fire mask,
+in a run that records activity.  The totals cover one run;
+:meth:`Kernel.reset` clears them, and
 :meth:`repro.runtime.engine.CompiledNetwork.run` copies them into the
 run's :class:`~repro.runtime.activity.RuntimeActivity` after its last step.
 
@@ -55,7 +65,13 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.ops_conv import ScratchPool, TallLayout, conv2d_forward, maxpool2d_forward
+from repro.autograd.ops_conv import (
+    ConvBinding,
+    ScratchPool,
+    conv2d_forward,
+    maxpool2d_buffers,
+    maxpool2d_forward,
+)
 from repro.autograd.ops_spiking import lif_forward
 from repro.hardware.quantization import QuantizationConfig, quantize_array_int
 from repro.neurons.base import RESET_MECHANISMS
@@ -67,7 +83,12 @@ _FLOAT32_EXACT = float(2 ** 24)
 
 
 class Kernel:
-    """Base class: one fused pipeline stage operating on raw ``ndarray``s."""
+    """Base class: one fused pipeline stage operating on raw ``ndarray``s.
+
+    Bound to one frame shape and dtype at a time (:meth:`_rebinds`, and the
+    module docstring), so an array :meth:`run` returns is valid only until
+    the kernel's next :meth:`run`.
+    """
 
     #: Set on weight kernels (conv / linear), which count their input events.
     is_weight_stage = False
@@ -76,9 +97,18 @@ class Kernel:
 
     def __init__(self, name: str) -> None:
         self.name = name
+        # (shape, dtype) the kept arrays fit, None before the first frame.
+        self._bound: Optional[tuple] = None
+
+    def _rebinds(self, shape: Tuple[int, ...], dtype) -> bool:
+        """Whether a frame of ``shape`` and ``dtype`` needs new kept arrays; the binding moves to it."""
+        if (shape, dtype) == self._bound:
+            return False
+        self._bound = (shape, dtype)
+        return True
 
     def reset(self) -> None:
-        """Drop per-sequence state (membranes, event totals) and shape-bound caches."""
+        """Clear per-sequence state (membranes, traces, event totals); the binding stays."""
 
     def prepare(self) -> None:
         """Called once at the start of every engine run (before any timestep).
@@ -140,6 +170,7 @@ class WeightKernel(Kernel):
         self.output_scale = 1.0
         self.acc_bound = 0.0
         self._quantized_from: Optional[tuple] = None
+        self._cast: Optional[np.ndarray] = None
         #: Events in the frames received since :meth:`reset`.
         self.input_events = 0
 
@@ -185,15 +216,26 @@ class WeightKernel(Kernel):
         self.weight = quantized.astype(carrier)
         self.bias = None if bias_int is None else bias_int.astype(carrier)
         self._quantized_from = (src.copy(), None if src_bias is None else src_bias.copy())
+        self._bound = None  # the carrier may have changed
+
+    def _bind(self, shape: Tuple[int, ...], dtype: np.dtype) -> None:
+        """Build the kept arrays for frames of ``shape`` in the compute ``dtype``."""
+        raise NotImplementedError
 
     def _receive(self, frame: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Cast ``frame`` to the compute dtype and count its events.
+        """Bind to ``frame``, cast it to the compute dtype and count its events.
 
-        The count adds to :attr:`input_events`, and a frame without events
-        is silent: its output is the bias alone.
+        The cast writes into a kept array.  The count adds to
+        :attr:`input_events`, and a frame without events is silent: its
+        output is the bias alone.
         """
-        if self.compute_dtype is not None and frame.dtype != self.compute_dtype:
-            frame = frame.astype(self.compute_dtype)
+        if self._rebinds(frame.shape, frame.dtype):
+            cast = self.compute_dtype is not None and frame.dtype != self.compute_dtype
+            self._cast = np.empty(frame.shape, dtype=self.compute_dtype) if cast else None
+            self._bind(frame.shape, self.compute_dtype if cast else frame.dtype)
+        if self._cast is not None:
+            np.copyto(self._cast, frame, casting="unsafe")
+            frame = self._cast
         events = count_events(frame)
         self.input_events += events
         return frame, events
@@ -205,21 +247,22 @@ class LinearKernel(WeightKernel):
     A silent frame (no input spikes at all) yields the bias row without
     touching the weights; any other frame takes one BLAS matmul on the same
     arrays the autograd op uses, so the fp32 kernel equals the autograd op
-    bit for bit.
+    bit for bit.  The product goes into the kernel's kept output, and the
+    bias is added in place.
     """
+
+    def _bind(self, shape: Tuple[int, ...], dtype: np.dtype) -> None:
+        self._out = np.empty((shape[0], self.weight.shape[0]), dtype=np.result_type(dtype, self.weight.dtype))
 
     def run(self, frame: np.ndarray) -> np.ndarray:
         frame, events = self._receive(frame)
-        if frame.ndim != 2:
-            frame = frame.reshape(frame.shape[0], -1)
-        if not events:
-            out = np.zeros((frame.shape[0], self.weight.shape[0]), dtype=frame.dtype)
-            if self.bias is not None:
-                out += self.bias
-            return out
-        out = frame @ self.weight.T
+        out = self._out
+        if events:
+            np.matmul(frame.reshape(frame.shape[0], -1), self.weight.T, out=out)
+        else:
+            out.fill(0)
         if self.bias is not None:
-            out = out + self.bias
+            out += self.bias
         return out
 
 
@@ -228,11 +271,12 @@ class ConvKernel(WeightKernel):
 
     Runs :func:`repro.autograd.ops_conv.conv2d_forward` -- the same im2col
     lowering and the same GEMM as training -- so its output is the dense
-    output bit for bit.  Its temporaries come from a scratch pool owned by
-    the kernel, reused across timesteps and dropped on :meth:`reset`, never
-    from the autograd op's process-wide pool, because serving runs plans on
-    worker threads.  A silent frame's output is exactly the broadcast bias
-    map and skips the product.
+    output bit for bit.  Its :attr:`binding`
+    (:class:`~repro.autograd.ops_conv.ConvBinding`) lives in a scratch pool
+    owned by the kernel, never in the autograd op's process-wide pool,
+    because serving runs plans on worker threads.  The result goes into the
+    kernel's kept output.  A silent frame's output is exactly the broadcast
+    bias map and skips the product.
     """
 
     def __init__(
@@ -248,17 +292,20 @@ class ConvKernel(WeightKernel):
         self.stride = int(stride)
         self.padding = int(padding)
         self._scratch = ScratchPool()
+        #: The lowering of the bound shape, ``None`` before the first frame.
+        self.binding: Optional[ConvBinding] = None
 
-    def reset(self) -> None:
-        super().reset()
+    def _bind(self, shape: Tuple[int, ...], dtype: np.dtype) -> None:
         self._scratch.clear()
+        self.binding = self._scratch.conv(shape, dtype, self.weight.shape, self.stride, self.padding)
+        self._out = np.empty(self.binding.valid.shape, dtype=self.binding.prod.dtype)
 
     def run(self, frame: np.ndarray) -> np.ndarray:
         frame, events = self._receive(frame)
+        out = self._out
         if events:
-            return conv2d_forward(frame, self.weight, self.bias, self.stride, self.padding, self._scratch)
-        layout = TallLayout.of(frame.shape, self.weight.shape, self.stride, self.padding)
-        out = np.zeros((frame.shape[0], self.weight.shape[0], layout.oh, layout.ow), dtype=frame.dtype)
+            return conv2d_forward(frame, self.weight, self.bias, self.stride, self.padding, self._scratch, out)
+        out.fill(0)
         if self.bias is not None:
             out += self.bias[None, :, None, None]
         return out
@@ -276,10 +323,11 @@ class NeuronKernel(Kernel):
     :func:`repro.neurons.factory.neuron_descriptor` returns: ``lif`` / ``if``
     (``beta = 1``) charge, fire and reset the membrane, and ``adaptive``
     also keeps the trace that raises its threshold.  The kernel calls the
-    step training calls, updating its states in place; they persist across
-    timesteps and are dropped on :meth:`reset`.  Float plans run it in the
-    frame's dtype, so the spike trains match the dense forward bit for bit
-    by construction.
+    step training calls, updating its states in place and writing its fire
+    mask, spikes and reset product into kept arrays; the states persist
+    across timesteps and :meth:`reset` zeroes them.  Float plans run it in
+    the frame's dtype, so the spike trains match the dense forward bit for
+    bit by construction.
 
     Integer plans (``integer=True``) run on the grid of the upstream weight
     kernel's ``output_scale`` (``input_scale`` without one): ``theta`` and
@@ -295,8 +343,9 @@ class NeuronKernel(Kernel):
     only at its output.  The grid is derived in :meth:`prepare`, which the
     engine calls in execution order, after the upstream kernel's own.
 
-    With :attr:`count_spikes` set, :meth:`run` adds the spikes it emits to
-    :attr:`output_events`; the engine sets it for a run that records
+    With :attr:`count_spikes` set, :meth:`run` adds the spikes it emits --
+    the set entries of its boolean fire mask, exactly the nonzero spikes --
+    to :attr:`output_events`; the engine sets it for a run that records
     activity, so a run that does not pays nothing for counting.
     """
 
@@ -335,13 +384,16 @@ class NeuronKernel(Kernel):
         self.carrier = np.dtype(np.float64)
         self.mem: Optional[np.ndarray] = None
         self.trace: Optional[np.ndarray] = None
+        self._buffers: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         #: Whether :meth:`run` counts the spikes it emits (set per run by the engine).
         self.count_spikes = False
         #: Spikes emitted since :meth:`reset` while :attr:`count_spikes` was set.
         self.output_events = 0
 
     def reset(self) -> None:
-        self.mem = self.trace = None
+        for state in (self.mem, self.trace):
+            if state is not None:
+                state.fill(0)
         self.output_events = 0
 
     @property
@@ -367,9 +419,15 @@ class NeuronKernel(Kernel):
 
     def run(self, frame: np.ndarray) -> np.ndarray:
         dtype = self.carrier if self.integer else frame.dtype
-        if self.mem is None or self.mem.shape != frame.shape or self.mem.dtype != dtype:
+        if self._rebinds(frame.shape, dtype):
             self.mem = np.zeros(frame.shape, dtype=dtype)
             self.trace = np.zeros(frame.shape, dtype=dtype) if self.substrate == "adaptive" else None
+            # The fire mask, the spikes and the reset product of lif_forward.
+            self._buffers = (
+                np.empty(frame.shape, dtype=bool),
+                np.empty(frame.shape, dtype=dtype),
+                np.empty(frame.shape, dtype=dtype),
+            )
         spikes = lif_forward(
             self.mem,
             frame,
@@ -381,26 +439,31 @@ class NeuronKernel(Kernel):
             self.adaptation_decay,
             self.integer,
             out=(self.mem, self.trace),
+            buffers=self._buffers,
         )[0]
         if self.count_spikes:
-            self.output_events += count_events(spikes)
+            self.output_events += int(np.count_nonzero(self._buffers[0]))
         return spikes.astype(np.float32, copy=False) if self.integer else spikes
 
 
 class MaxPoolKernel(Kernel):
     """Non-overlapping max pooling (kernel == stride), no backward mask.
 
-    Runs :func:`repro.autograd.ops_conv.maxpool2d_forward`, the running
-    maximum over the k*k strided phase views that the dense forward also
-    takes, so dense and compiled pooling agree bit for bit by construction.
+    Runs :func:`repro.autograd.ops_conv.maxpool2d_forward` -- row pairs
+    first, then column pairs -- which the dense forward also runs, so dense
+    and compiled pooling agree bit for bit by construction.  Both passes
+    write into arrays the kernel keeps.
     """
 
     def __init__(self, name: str, kernel_size: int) -> None:
         super().__init__(name)
         self.kernel_size = int(kernel_size)
+        self._buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def run(self, frame: np.ndarray) -> np.ndarray:
-        return maxpool2d_forward(frame, self.kernel_size)
+        if self._rebinds(frame.shape, frame.dtype):
+            self._buffers = maxpool2d_buffers(frame.shape, self.kernel_size, frame.dtype)
+        return maxpool2d_forward(frame, self.kernel_size, self._buffers)
 
 
 class FlattenKernel(Kernel):

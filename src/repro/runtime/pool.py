@@ -2,12 +2,12 @@
 
 Compiling a network is cheap but not free (kernel construction plus, on
 first run, per-shape buffer allocation), and a :class:`CompiledNetwork`
-holds *mutable* per-run state — membrane buffers, im2col scratch — so
-one plan must never execute two batches concurrently.  The serving layer
-therefore checks plans out of a :class:`CompiledNetworkPool`: each worker
-gets exclusive use of a plan for the duration of one batch, and warmed
-plans (buffers already sized for the serving shape) are reused instead of
-recompiled.
+holds *mutable* per-run state — membranes and the arrays each kernel
+keeps for its bound batch shape — so one plan must never execute two
+batches concurrently.  The serving layer therefore checks plans out of a
+:class:`CompiledNetworkPool`: each worker gets exclusive use of a plan for
+the duration of one batch, and warmed plans (bound to the last batch shape
+they ran) are reused instead of recompiled.
 
 Every pooled plan is an fp32 plan of the *same* model, whose parameter
 arrays the kernels reference live — an in-place ``load_state_dict`` on the

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradcheck import gradcheck
 from repro.autograd import Tensor, no_grad
-from repro.autograd.ops_conv import ScratchPool, TallLayout, conv_output_shape, im2col
+from repro.autograd.ops_conv import ScratchPool, conv_output_shape, maxpool2d_forward
 from repro.runtime.kernels import ConvKernel, MaxPoolKernel
 
 
@@ -232,8 +232,8 @@ class TestConv2d:
         tol = self._tolerance(x.dtype)
 
         cols, valid, scatter = self._tall_reference(x, kh, kw, stride, padding)
-        layout = TallLayout.of(x.shape, w.shape, stride, padding)
-        np.testing.assert_array_equal(im2col(x, layout, ScratchPool()), cols)
+        binding = ScratchPool().conv(x.shape, x.dtype, w.shape, stride, padding)
+        np.testing.assert_array_equal(binding.lower(x), cols)
         w_mat = w.reshape(c_out, -1)
         same_gemm_out = (cols.T @ w_mat.T)[valid].reshape(ref_out.shape[:1] + ref_out.shape[2:] + (c_out,))
         same_gemm_out = same_gemm_out.transpose(0, 3, 1, 2)
@@ -424,6 +424,47 @@ class TestPooling:
             assert pooled.dtype == x.dtype and pooled._node is None and not pooled.requires_grad
         compiled = MaxPoolKernel("pool", kernel).run(x)
         assert compiled.dtype == x.dtype and compiled.tobytes() == plain.numpy().tobytes()
+
+    @staticmethod
+    def _phase_order_max(x, k):
+        """The running maximum over the window offsets ``(i, j)`` in row-major order."""
+        oh, ow = x.shape[2] // k, x.shape[3] // k
+        out = x[:, :, 0 : oh * k : k, 0 : ow * k : k].copy()
+        for phase in range(1, k * k):
+            i, j = divmod(phase, k)
+            np.maximum(out, x[:, :, i : i + oh * k : k, j : j + ow * k : k], out=out)
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (2, 2, 7, 9), (1, 3, 10, 11)])
+    def test_spike_maps_pool_byte_for_byte_in_phase_order(self, shape, kernel, dtype):
+        # Row pairs, then column pairs: on 0/1 maps every order of the
+        # maxima gives the same bytes, also through a kernel's kept buffers.
+        rng = np.random.default_rng(sum(shape) + kernel)
+        pool = MaxPoolKernel("pool", kernel)
+        for density in (0.0, 0.05, 0.3, 1.0):
+            x = (rng.random(shape) < density).astype(dtype)
+            expected = self._phase_order_max(x, kernel).tobytes()
+            out = maxpool2d_forward(x, kernel)
+            assert out.dtype == dtype and out.tobytes() == expected
+            assert pool.run(x).tobytes() == expected
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (2, 2, 7, 9), (1, 3, 10, 11)])
+    def test_floats_with_nan_pool_to_the_phase_order_value(self, shape, kernel, dtype):
+        rng = np.random.default_rng(sum(shape) * kernel)
+        x = rng.standard_normal(shape).astype(dtype)
+        x[rng.random(shape) < 0.1] = np.nan
+        out = maxpool2d_forward(x, kernel)
+        np.testing.assert_array_equal(out, self._phase_order_max(x, kernel))
+        n, c, h, w = shape
+        oh, ow = h // kernel, w // kernel
+        windows = x[:, :, : oh * kernel, : ow * kernel].reshape(n, c, oh, kernel, ow, kernel)
+        has_nan = np.isnan(windows).any(axis=(3, 5))
+        assert has_nan.any() and not has_nan.all()
+        np.testing.assert_array_equal(np.isnan(out), has_nan)
 
     def test_pool_trims_odd_sizes(self):
         x = Tensor(np.ones((1, 1, 5, 5)), requires_grad=True)

@@ -70,7 +70,7 @@ class TestQuantizedPlans:
             if isinstance(kernel, NeuronKernel):
                 assert kernel.integer and kernel.substrate == "lif"
         assert plan.precision == precision
-        assert plan.weight_bits == {"int8": 8, "int16": 16}[precision]
+        assert plan.quantization.weight_bits == {"int8": 8, "int16": 16}[precision]
 
     @pytest.mark.parametrize("precision", INT_PRECISIONS)
     def test_weight_kernels_hold_integer_lattice(self, rng, precision):

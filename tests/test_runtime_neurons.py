@@ -383,6 +383,116 @@ class TestActivityAccounting:
 
 
 # ---------------------------------------------------------------------- #
+# Shape binding: kept arrays never leak from one run into another
+# ---------------------------------------------------------------------- #
+def _batch(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A 5-step rate-coded batch of ``n`` samples whose first frame is silent."""
+    spikes = ENCODER_CLASSES["rate"](num_steps=5, seed=n)(_images(kind, rng, n))
+    spikes[0] = 0.0
+    return spikes
+
+
+def _states(plan) -> list:
+    """Every neuron kernel's final membrane and trace."""
+    return [
+        state for k in plan.kernels if k.is_spiking_stage for state in (k.mem, k.trace) if state is not None
+    ]
+
+
+def _assert_same_bytes(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestShapeBinding:
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("kind", ["cnn", "mlp"])
+    @pytest.mark.parametrize("neuron", sorted(SUBSTRATES))
+    def test_every_batch_size_matches_a_fresh_plan(self, rng, neuron, kind, precision):
+        # One plan runs at N=64, 1, 8 and 64 again: each run rebinds or
+        # reuses its kernels' arrays, and must equal a plan that never ran.
+        plan = _compile(kind, neuron, precision, "rate")
+        kept = []
+        for n in (64, 1, 8, 64):
+            spikes = _batch(kind, n, rng)
+            result = plan.run(spikes, collect_spike_trains=True)
+            fresh_plan = _compile(kind, neuron, precision, "rate")
+            fresh = fresh_plan.run(spikes, collect_spike_trains=True)
+            _assert_same_bytes(result.counts, fresh.counts)
+            assert result.activity == fresh.activity
+            assert result.spike_trains.keys() == fresh.spike_trains.keys()
+            for name, train in fresh.spike_trains.items():
+                _assert_same_bytes(result.spike_trains[name], train)
+            for state, fresh_state in zip(_states(plan), _states(fresh_plan), strict=True):
+                _assert_same_bytes(state, fresh_state)
+            snapshot = [result.counts.copy()] + [t.copy() for t in result.spike_trains.values()]
+            kept.append((result, snapshot))
+        # A run's counts and trains are its own: later runs leave them be.
+        for result, snapshot in kept:
+            for array, copy in zip([result.counts, *result.spike_trains.values()], snapshot, strict=True):
+                _assert_same_bytes(array, copy)
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp64", "int8"])
+    def test_a_second_run_reuses_the_conv_binding(self, rng, precision):
+        plan = _compile("cnn", "lif", precision, "rate")
+        conv = next(k for k in plan.kernels if k.is_weight_stage)
+        plan.run(_batch("cnn", 4, rng))
+        binding = conv.binding
+        pointers = (binding.cols.ctypes.data, binding.grid.ctypes.data, binding.prod.ctypes.data)
+        spikes = _batch("cnn", 4, rng)
+        result = plan.run(spikes, collect_spike_trains=True)
+        assert conv.binding is binding
+        assert (binding.cols.ctypes.data, binding.grid.ctypes.data, binding.prod.ctypes.data) == pointers
+        fresh = _compile("cnn", "lif", precision, "rate").run(spikes, collect_spike_trains=True)
+        _assert_same_bytes(result.counts, fresh.counts)
+        for name, train in fresh.spike_trains.items():
+            _assert_same_bytes(result.spike_trains[name], train)
+        plan.run(_batch("cnn", 2, rng))
+        assert conv.binding is not binding and conv.binding.cols.shape != binding.cols.shape
+        # The kernel's pool holds the bound shape's binding alone.
+        assert list(conv._scratch._buffers.values()) == [conv.binding]
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("kind", ["cnn", "mlp"])
+    def test_a_silent_frame_after_a_live_one_is_the_bias_map(self, rng, kind, precision):
+        plan = _compile(kind, "lif", precision, "rate")
+        for kernel in plan.kernels:
+            if not kernel.is_weight_stage:
+                continue
+            kernel.prepare()
+            fan_in = kernel.weight.shape[1]
+            shape = (3, fan_in, 8, 8) if kernel.weight.ndim == 4 else (3, fan_in)
+            live = (rng.random(shape) < 0.5).astype(np.float32)
+            for silent in (np.zeros(shape, np.float32), np.full(shape, -0.0, np.float32)):
+                kernel.run(live)
+                out = kernel.run(silent)
+                bias = kernel.bias.reshape((1, -1) + (1,) * (out.ndim - 2))
+                expected = np.zeros(out.shape, out.dtype)
+                expected += bias
+                _assert_same_bytes(out, expected)
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp64", "int8"])
+    @pytest.mark.parametrize("kind", ["cnn", "mlp"])
+    def test_load_state_dict_reaches_a_bound_plan(self, rng, kind, precision):
+        model = _make_model(kind, "lif")
+        plan = compile_network(model, precision=precision)
+        spikes = _batch(kind, 6, rng)
+        before = plan.run(spikes, collect_spike_trains=True)
+        state = model.state_dict()
+        for name in state:
+            if name.endswith("weight"):
+                state[name] = state[name] * -1.5 + 0.05
+        model.load_state_dict(state)
+        after = plan.run(spikes, collect_spike_trains=True)
+        fresh = compile_network(model, precision=precision).run(spikes, collect_spike_trains=True)
+        _assert_same_bytes(after.counts, fresh.counts)
+        for name, train in fresh.spike_trains.items():
+            _assert_same_bytes(after.spike_trains[name], train)
+        assert any(
+            not np.array_equal(before.spike_trains[name], train) for name, train in after.spike_trains.items()
+        ), "the new weights changed nothing"
+
+
+# ---------------------------------------------------------------------- #
 # Checkpoint round-trip of the substrate parameters
 # ---------------------------------------------------------------------- #
 class TestCheckpointRoundTrip:

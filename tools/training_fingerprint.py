@@ -12,21 +12,27 @@ cell with ``neuron="adaptive"`` (a few seconds each) with that tree's
 ``repro`` package and prints one JSON line::
 
     {"digest": "<sha256>", "arctan_digest": "<sha256>", "adaptive_digest": "<sha256>",
-     "training_code_version": "...", "val_accuracy": ..., "arctan_val_accuracy": ...,
-     "adaptive_val_accuracy": ...}
+     "eval_digest": "<sha256>", "training_code_version": "...", "val_accuracy": ...,
+     "arctan_val_accuracy": ..., "adaptive_val_accuracy": ...}
 
-Each digest is the sha256 of the trained ``state_dict`` (name, then raw
-bytes, in name order) followed by the training history minus its
+Each training digest is the sha256 of the trained ``state_dict`` (name,
+then raw bytes, in name order) followed by the training history minus its
 ``*seconds`` fields; ``digest`` is the default (fast-sigmoid LIF) cell's,
 ``arctan_digest`` the ArcTan cell's and ``adaptive_digest`` the
-adaptive-threshold cell's.  Equal digests mean bit-identical training.
-BLAS is pinned to one thread; the digests still depend on the BLAS kernel
-family, so compare trees under the same ``OPENBLAS_CORETYPE``.  A change
-that moves any digest must change ``TRAINING_CODE_VERSION``.
+adaptive-threshold cell's.  ``eval_digest`` is the sha256 of the default
+cell's compiled-plan evaluation -- ``evaluate_with_runtime`` on the
+trained model and its test loader: the accuracy and every
+``RuntimeActivity`` count -- which cached experiment records hold, so a
+numeric change confined to the compiled plan moves it.  Equal digests mean
+bit-identical training and evaluation.  BLAS is pinned to one thread; the
+digests still depend on the BLAS kernel family, so compare trees under the
+same ``OPENBLAS_CORETYPE``.  A change that moves any digest must change
+``TRAINING_CODE_VERSION``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -44,7 +50,8 @@ ADAPTIVE_CELL = {"neuron": "adaptive"}
 
 
 def fingerprint(src_dir: Path) -> dict:
-    """Train the default cell and its ArcTan and adaptive twins from ``src_dir``; hash what each learned."""
+    """Train the default cell and its ArcTan and adaptive twins from ``src_dir``; hash what each learned
+    and how the default cell's compiled plan evaluates."""
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path.insert(0, str(src_dir))
     import numpy as np
@@ -52,27 +59,36 @@ def fingerprint(src_dir: Path) -> dict:
     from repro.core.config import ExperimentConfig
     from repro.core.experiment import train_model
     from repro.exec.cache import TRAINING_CODE_VERSION
+    from repro.runtime import evaluate_with_runtime
 
     if not Path(repro.__file__).resolve().is_relative_to(src_dir.resolve()):
         raise SystemExit(f"imported repro from {repro.__file__}, not from {src_dir}")
 
     def train_and_hash(config) -> tuple:
-        model, _, _, training = train_model(config)
+        trained = train_model(config)
+        model, _, _, training = trained
         digest = hashlib.sha256()
         for name, value in sorted(model.state_dict().items()):
             digest.update(name.encode())
             digest.update(np.ascontiguousarray(value).tobytes())
         history = {k: v for k, v in training.history.items() if not k.endswith("seconds")}
         digest.update(json.dumps(history, sort_keys=True).encode())
-        return digest.hexdigest(), training.final_val_accuracy
+        return digest.hexdigest(), training.final_val_accuracy, trained
 
-    digest, val_accuracy = train_and_hash(ExperimentConfig())
-    arctan_digest, arctan_val_accuracy = train_and_hash(ExperimentConfig(**ARCTAN_CELL))
-    adaptive_digest, adaptive_val_accuracy = train_and_hash(ExperimentConfig(**ADAPTIVE_CELL))
+    def evaluate_and_hash(model, encoder, test_loader) -> str:
+        accuracy, activity = evaluate_with_runtime(model, encoder, test_loader)
+        evaluation = {"accuracy": accuracy, "activity": dataclasses.asdict(activity)}
+        return hashlib.sha256(json.dumps(evaluation, sort_keys=True).encode()).hexdigest()
+
+    digest, val_accuracy, (model, encoder, test_loader, _) = train_and_hash(ExperimentConfig())
+    eval_digest = evaluate_and_hash(model, encoder, test_loader)
+    arctan_digest, arctan_val_accuracy, _ = train_and_hash(ExperimentConfig(**ARCTAN_CELL))
+    adaptive_digest, adaptive_val_accuracy, _ = train_and_hash(ExperimentConfig(**ADAPTIVE_CELL))
     return {
         "digest": digest,
         "arctan_digest": arctan_digest,
         "adaptive_digest": adaptive_digest,
+        "eval_digest": eval_digest,
         "training_code_version": TRAINING_CODE_VERSION,
         "val_accuracy": val_accuracy,
         "arctan_val_accuracy": arctan_val_accuracy,
