@@ -13,6 +13,7 @@ Run:
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -20,6 +21,10 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core import ExperimentConfig, resolve_scale, run_experiment
 from repro.surrogate import SurrogateFunction, register_surrogate
+
+
+#: The error function, element by element (NumPy has none of its own).
+_erf = np.vectorize(math.erf, otypes=[np.float64])
 
 
 @register_surrogate
@@ -32,9 +37,7 @@ class GaussianSurrogate(SurrogateFunction):
         super().__init__(scale)
 
     def forward_smooth(self, u: np.ndarray) -> np.ndarray:
-        from scipy.special import erf
-
-        return 0.5 * (1.0 + erf(self.scale * np.asarray(u) / np.sqrt(2.0)))
+        return 0.5 * (1.0 + _erf(self.scale * np.asarray(u) / np.sqrt(2.0)))
 
     def derivative(self, u: np.ndarray) -> np.ndarray:
         # A new array each call: the spike's backward may write into it.

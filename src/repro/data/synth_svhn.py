@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import ArrayDataset
 
@@ -132,6 +131,60 @@ def _resize_nearest(mask: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return mask[np.ix_(row_idx, col_idx)]
 
 
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """2x2 grey dilation: each pixel takes the maximum over ``[i, i+1] x [j, j+1]``.
+
+    The window of the last row (column) reflects back onto that row
+    (column), which therefore keeps its own values along that axis.  This
+    is ``scipy.ndimage.grey_dilation(mask, size=(2, 2))`` bit for bit.
+    """
+    out = mask.copy()
+    out[:-1] = np.maximum(mask[:-1], mask[1:])
+    out[:, :-1] = np.maximum(out[:, :-1], out[:, 1:])
+    return out
+
+
+def _gaussian_blur(canvas: np.ndarray, sigma: float) -> np.ndarray:
+    """Blur each channel of a float32 CHW canvas with a Gaussian of width ``sigma``.
+
+    This is ``scipy.ndimage.gaussian_filter(canvas, sigma=(0, sigma, sigma))``
+    bit for bit: the same normalised kernel truncated at radius
+    ``int(4 sigma + 0.5)``, one pass along the rows and then one along the
+    columns, each rounded to float32 (see :func:`_blur_pass`).
+    """
+    radius = int(4.0 * sigma + 0.5)
+    kernel = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    weights = (kernel / kernel.sum())[radius:]
+    for axis in (1, 2):
+        canvas = _blur_pass(canvas, weights, axis)
+    return canvas
+
+
+def _blur_pass(canvas: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate ``canvas`` along ``axis`` with the symmetric kernel whose
+    centre and right half are ``weights``.
+
+    The edges are padded half-sample symmetric (``d c b a | a b c d | d c
+    b a``, scipy's ``reflect``).  Each output sums in float64 in scipy's
+    order, ``x[i] * w[0]`` first and then ``(x[i-j] + x[i+j]) * w[j]``
+    from the outermost tap inward, and is rounded to float32.
+    """
+    radius = len(weights) - 1
+    width = [(0, 0)] * canvas.ndim
+    width[axis] = (radius, radius)
+    padded = np.pad(canvas, width, mode="symmetric").astype(np.float64)
+    length = canvas.shape[axis]
+    lead = (slice(None),) * axis
+
+    def tap(offset: int) -> np.ndarray:
+        return padded[lead + (slice(radius + offset, radius + offset + length),)]
+
+    out = tap(0) * weights[0]
+    for j in range(radius, 0, -1):
+        out += (tap(-j) + tap(j)) * weights[j]
+    return out.astype(np.float32)
+
+
 @dataclass
 class SynthSVHNConfig:
     """Configuration of the synthetic street-view digit generator.
@@ -225,7 +278,7 @@ def _paste_digit(
     mask = _resize_nearest(_glyph_mask(digit), height, width)
     # Random stroke thickening for font-weight variation.
     if rng.random() < 0.5:
-        mask = ndimage.grey_dilation(mask, size=(2, 2))
+        mask = _dilate(mask)
     img_size = canvas.shape[1]
     y0, x0 = max(top, 0), max(left, 0)
     y1, x1 = min(top + height, img_size), min(left + width, img_size)
@@ -289,7 +342,7 @@ def generate_digit_image(
 
     if rng.random() < cfg.blur_probability:
         sigma = rng.uniform(0.3, 0.9)
-        canvas = ndimage.gaussian_filter(canvas, sigma=(0, sigma, sigma))
+        canvas = _gaussian_blur(canvas, sigma)
 
     if cfg.noise_std > 0:
         canvas += rng.normal(0.0, cfg.noise_std, size=canvas.shape).astype(np.float32)

@@ -1,8 +1,15 @@
 """Unit tests for the dataset substrate (synthetic SVHN, datasets, loaders)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.data import (
     ArrayDataset,
     DataLoader,
@@ -12,6 +19,7 @@ from repro.data import (
     generate_digit_image,
     train_test_split,
 )
+from repro.data.synth_svhn import _dilate, _gaussian_blur, _glyph_mask, _resize_nearest
 
 
 class TestSynthSVHN:
@@ -82,6 +90,75 @@ class TestSynthSVHN:
     def test_invalid_num_samples(self):
         with pytest.raises(ValueError):
             SynthSVHN(num_samples=0)
+
+
+class TestScipyReference:
+    """The generator's blur and stroke dilation are ``scipy.ndimage``'s, bit for bit.
+
+    scipy is only the reference here: ``repro`` itself does not import it.
+    """
+
+    @pytest.mark.parametrize("size", [8, 16, 32])
+    def test_blur_matches_gaussian_filter(self, size):
+        from scipy import ndimage
+
+        rng = np.random.default_rng(size)
+        # The radius int(4 sigma + 0.5) steps up at 0.375, 0.625 and 0.875,
+        # so the fixed sigmas reach every radius the generator's [0.3, 0.9]
+        # draws (radius 4 at 8 px too), and the random ones fill the range.
+        sigmas = [0.3, 0.375, 0.625, 0.875, 0.9, *rng.uniform(0.3, 0.9, 40)]
+        assert {int(4.0 * sigma + 0.5) for sigma in sigmas} == {1, 2, 3, 4}
+        for sigma in sigmas:
+            canvas = rng.random((3, size, size), dtype=np.float32)
+            expected = ndimage.gaussian_filter(canvas, sigma=(0, sigma, sigma))
+            blurred = _gaussian_blur(canvas, sigma)
+            assert blurred.dtype == np.float32 and blurred.shape == canvas.shape
+            assert blurred.tobytes() == expected.tobytes(), f"sigma={sigma}"
+
+    def test_dilation_matches_grey_dilation_on_every_glyph_mask(self):
+        from scipy import ndimage
+
+        # Heights 0-40 hold every mask drawn at up to 32 px: digits at most
+        # 0.9 of the image tall, distractors at most 1.1 times the digit.
+        for digit in range(10):
+            for height in range(41):
+                width = max(3, int(round(height * 5.0 / 7.0)))
+                mask = _resize_nearest(_glyph_mask(digit), height, width)
+                expected = ndimage.grey_dilation(mask, size=(2, 2))
+                dilated = _dilate(mask)
+                assert dilated.dtype == expected.dtype and dilated.shape == expected.shape
+                assert dilated.tobytes() == expected.tobytes(), (digit, height)
+
+
+_RENDER_WITHOUT_SCIPY = textwrap.dedent(
+    """
+    import importlib, pkgutil, sys
+
+    import repro
+    from repro.data import SynthSVHN, SynthSVHNConfig
+
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith(".__main__"):
+            importlib.import_module(module.name)
+    SynthSVHN(50, seed=0, config=SynthSVHNConfig.easy(image_size=16))
+    SynthSVHN(50, seed=0, config=SynthSVHNConfig(image_size=32))
+    loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+    assert "scipy" not in sys.modules, loaded
+    """
+)
+
+
+def test_repro_imports_and_renders_without_scipy():
+    """Every ``repro`` module imports, and both generator configs render, with no scipy loaded."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", _RENDER_WITHOUT_SCIPY],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
 
 
 class TestDatasets:

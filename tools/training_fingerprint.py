@@ -12,8 +12,8 @@ cell with ``neuron="adaptive"`` (a few seconds each) with that tree's
 ``repro`` package and prints one JSON line::
 
     {"digest": "<sha256>", "arctan_digest": "<sha256>", "adaptive_digest": "<sha256>",
-     "eval_digest": "<sha256>", "training_code_version": "...", "val_accuracy": ...,
-     "arctan_val_accuracy": ..., "adaptive_val_accuracy": ...}
+     "eval_digest": "<sha256>", "data_digest": "<sha256>", "training_code_version": "...",
+     "val_accuracy": ..., "arctan_val_accuracy": ..., "adaptive_val_accuracy": ...}
 
 Each training digest is the sha256 of the trained ``state_dict`` (name,
 then raw bytes, in name order) followed by the training history minus its
@@ -23,8 +23,13 @@ adaptive-threshold cell's.  ``eval_digest`` is the sha256 of the default
 cell's compiled-plan evaluation -- ``evaluate_with_runtime`` on the
 trained model and its test loader: the accuracy and every
 ``RuntimeActivity`` count -- which cached experiment records hold, so a
-numeric change confined to the compiled plan moves it.  Equal digests mean
-bit-identical training and evaluation.  BLAS is pinned to one thread; the
+numeric change confined to the compiled plan moves it.  ``data_digest`` is
+the sha256 of the images and labels that ``SynthSVHN`` renders at two
+configs: the default cell's (the bench scale's easy config, which never
+blurs) and 500 images of the default generator config at 32 px, which
+blurs, thickens strokes, draws distractors and adds texture, so a change
+to any rendering step moves it.  Equal digests mean bit-identical data,
+training and evaluation.  BLAS is pinned to one thread; the
 digests still depend on the BLAS kernel family, so compare trees under the
 same ``OPENBLAS_CORETYPE``.  A change that moves any digest must change
 ``TRAINING_CODE_VERSION``.
@@ -50,14 +55,15 @@ ADAPTIVE_CELL = {"neuron": "adaptive"}
 
 
 def fingerprint(src_dir: Path) -> dict:
-    """Train the default cell and its ArcTan and adaptive twins from ``src_dir``; hash what each learned
-    and how the default cell's compiled plan evaluates."""
+    """Train the default cell and its ArcTan and adaptive twins from ``src_dir``; hash what each learned,
+    how the default cell's compiled plan evaluates and the data the generator renders."""
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path.insert(0, str(src_dir))
     import numpy as np
     import repro
     from repro.core.config import ExperimentConfig
     from repro.core.experiment import train_model
+    from repro.data.synth_svhn import SynthSVHN, SynthSVHNConfig
     from repro.exec.cache import TRAINING_CODE_VERSION
     from repro.runtime import evaluate_with_runtime
 
@@ -80,6 +86,18 @@ def fingerprint(src_dir: Path) -> dict:
         evaluation = {"accuracy": accuracy, "activity": dataclasses.asdict(activity)}
         return hashlib.sha256(json.dumps(evaluation, sort_keys=True).encode()).hexdigest()
 
+    def data_hash() -> str:
+        scale = ExperimentConfig().scale
+        bench = SynthSVHNConfig.easy(image_size=scale.image_size)
+        digest = hashlib.sha256()
+        for dataset in (
+            SynthSVHN(scale.train_samples + scale.test_samples, seed=1234, config=bench),
+            SynthSVHN(500, seed=1234, config=SynthSVHNConfig(image_size=32)),
+        ):
+            digest.update(dataset.images.tobytes())
+            digest.update(dataset.labels.tobytes())
+        return digest.hexdigest()
+
     digest, val_accuracy, (model, encoder, test_loader, _) = train_and_hash(ExperimentConfig())
     eval_digest = evaluate_and_hash(model, encoder, test_loader)
     arctan_digest, arctan_val_accuracy, _ = train_and_hash(ExperimentConfig(**ARCTAN_CELL))
@@ -89,6 +107,7 @@ def fingerprint(src_dir: Path) -> dict:
         "arctan_digest": arctan_digest,
         "adaptive_digest": adaptive_digest,
         "eval_digest": eval_digest,
+        "data_digest": data_hash(),
         "training_code_version": TRAINING_CODE_VERSION,
         "val_accuracy": val_accuracy,
         "arctan_val_accuracy": arctan_val_accuracy,
