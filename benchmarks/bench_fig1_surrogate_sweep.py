@@ -6,13 +6,19 @@ surrogates, sweep the derivative scaling factor (``alpha`` / ``k``) with
 the model accuracy and the accelerator efficiency (FPS/W), plus the
 prior-work accuracy reference line.
 
-Paper observations this bench checks (shape, not absolute values):
+The paper observes (shape, not absolute values):
 
 * both surrogates follow a similar accuracy trend over the scale sweep, with
   accuracy degrading at large scaling factors;
 * the fast sigmoid yields a lower firing rate (higher sparsity) and hence
   higher FPS/W than the arctangent (the paper quotes ~11% better efficiency);
 * tuned configurations exceed the prior-work accuracy line.
+
+The printed figure shows each of these; the bench asserts none of them.
+It asserts that the fast sigmoid fires, that its mean FPS/W over the
+arctangent's is a positive ratio, and that each surrogate's accuracy at the
+largest scale is at most its best swept accuracy; the last two hold for any
+sweep.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ def test_figure1_surrogate_scale_sweep(benchmark, repro_scale, results_store):
         },
     )
 
-    # Shape checks mirroring the paper's qualitative claims.
+    # Liveness checks: none of these states one of the paper's claims.
     assert mean("firing_rate", "fast_sigmoid") > 0
     assert efficiency_advantage(sweep) > 0
     for surrogate in ("arctan", "fast_sigmoid"):

@@ -1,8 +1,8 @@
-"""Benchmark E7 — dense forward vs event-driven runtime.
+"""Benchmark E7 — dense forward vs compiled plan.
 
 Times the identical trained network on the identical spike sequence through
 both execution paths: the dense autograd forward (what training uses) and
-the compiled event-driven runtime (:mod:`repro.runtime`).  Correctness is
+the compiled plan (:mod:`repro.runtime`).  Correctness is
 asserted before timing — both paths must produce identical output spike
 counts — so the speedup is a pure execution-strategy comparison.
 
@@ -19,10 +19,10 @@ from .conftest import run_once
 from repro.runtime.bench import make_reduced_cnn, make_spike_sequence, measure_speedup
 
 #: Input spike densities measured; the paper's operating points live well
-#: below 10% activity, where the event-driven gain is largest.
+#: below 10% activity.
 DENSITIES = (0.02, 0.05, 0.10, 0.30)
 
-#: Speedup the event-driven runtime must deliver at <= 10% input density on
+#: Speedup the compiled plan must deliver at <= 10% input density on
 #: the reduced CNN.  Recalibrated from 2.0 after the MaxPool2d argmax
 #: rewrite made the *dense baseline* ~2.4x faster at the pooling op (the
 #: runtime's absolute time is unchanged — the denominator of this ratio

@@ -5,7 +5,9 @@ must name both commits, the machine (as perfbench's ``# fingerprint`` line
 stamps it), the mode and run length, and for each workload its seeds and
 pair count.  Its workloads, metric names and units must be the ones
 ``BENCHMARK.json`` declares, and each side's quartiles must bracket its
-median, so a row can be read without the prose it came from.
+median, so a row can be read without the prose it came from.  A metric
+that perfbench scales by its host-speed probe may also carry the
+unscaled figures (``raw``), held to the same rules.
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ class TestRow:
             for metric, entry in workload["metrics"].items():
                 assert metric in UNITS, f"{name}: {metric} is not an end-to-end metric"
                 assert entry["unit"] == UNITS[metric], f"{name}: {metric}"
-                for side in ("parent", "change"):
-                    quartiles = entry[side]
-                    assert quartiles["q1"] <= quartiles["median"] <= quartiles["q3"], f"{name}: {metric}"
-                assert 0 <= entry["change_wins"] + entry.get("ties", 0) <= workload["pairs"]
+                for figures in (entry, entry.get("raw", entry)):
+                    for side in ("parent", "change"):
+                        quartiles = figures[side]
+                        assert quartiles["q1"] <= quartiles["median"] <= quartiles["q3"], f"{name}: {metric}"
+                    assert 0 <= figures["change_wins"] + figures.get("ties", 0) <= workload["pairs"]
 
     def test_claims_a_metric_it_reports(self, row):
         claim = row["claim"]
