@@ -1,4 +1,21 @@
-"""Setuptools entry point (kept for legacy editable installs without the wheel package)."""
-from setuptools import setup
+"""Setuptools entry point: declares the ``repro`` package under ``src/``.
 
-setup()
+The version is read from ``src/repro/__init__.py`` as text, so building
+needs no NumPy.
+"""
+import re
+from pathlib import Path
+
+from setuptools import find_packages, setup
+
+INIT = (Path(__file__).resolve().parent / "src" / "repro" / "__init__.py").read_text(encoding="utf-8")
+VERSION = re.search(r'^__version__ = "([^"]+)"$', INIT, re.MULTILINE).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    extras_require={"test": ["scipy", "pytest", "pytest-benchmark", "hypothesis"]},
+)

@@ -10,7 +10,7 @@ with the paper's methodology on top:
 * :mod:`repro.neurons` — LIF / IF / adaptive-threshold spiking neuron models (Eq. 1–2).
 * :mod:`repro.nn` — convolution, max-pool, dense and flatten layers.
 * :mod:`repro.encoding` — rate / latency / delta / direct input encoders.
-* :mod:`repro.training` — losses, Adam/SGD, cosine annealing, BPTT trainer.
+* :mod:`repro.training` — losses, Adam, cosine annealing, BPTT trainer.
 * :mod:`repro.data` — synthetic SVHN-like dataset and data loading.
 * :mod:`repro.runtime` — compiles a trained network into a graph-free
   inference plan (one kernel per layer kind at fp32/fp64/int8/int16,
@@ -18,7 +18,7 @@ with the paper's methodology on top:
   hardware models.
 * :mod:`repro.exec` — sweep execution subsystem: process-pool parallel
   experiment runner with deterministic seeding, structured progress, and a
-  content-addressed on-disk result cache (CLI: ``python -m repro.exec``).
+  content-addressed on-disk result cache (a directory; delete it to clear it).
 * :mod:`repro.serve` — micro-batched inference serving: model registry with
   single-file checkpoints, request-coalescing scheduler over the runtime,
   and live telemetry reporting measured vs modeled hardware performance.

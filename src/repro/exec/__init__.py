@@ -17,9 +17,10 @@ one cell at a time.  This subpackage provides:
   :class:`~repro.exec.executor.CellExecutionError`; the cells that
   finished are already cached.
 * :class:`~repro.exec.cache.ExperimentCache` — a content-addressed on-disk
-  cache of :class:`~repro.core.experiment.ExperimentRecord` keyed by the
+  store of :class:`~repro.core.experiment.ExperimentRecord` keyed by the
   resolved configuration plus code-relevant versions, so re-running or
-  extending a sweep only trains the new cells.
+  extending a sweep only trains the new cells.  It only keys, loads and
+  stores; the cache is its directory, and deleting that clears it.
 
 All four sweep front-ends in :mod:`repro.core` route through this executor
 and expose its ``workers=`` / ``cache=`` knobs.
@@ -28,7 +29,6 @@ and expose its ``workers=`` / ``cache=`` knobs.
 from repro.exec.cache import (
     CACHE_SCHEMA_VERSION,
     TRAINING_CODE_VERSION,
-    CacheEntry,
     ExperimentCache,
     experiment_cache_key,
 )
@@ -44,7 +44,6 @@ from repro.exec.executor import (
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "TRAINING_CODE_VERSION",
-    "CacheEntry",
     "CellExecutionError",
     "ExperimentCache",
     "experiment_cache_key",

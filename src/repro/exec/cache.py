@@ -15,8 +15,8 @@ the code that trains it.  The cache key is therefore a SHA-256 digest over:
   record at once.
 
 Records are stored as pickles (they are plain dataclass trees) next to a
-small JSON sidecar holding the hashed payload, so a cache directory can be
-audited without unpickling anything.
+small JSON sidecar holding the hashed payload, so a person can read what
+each key covers without unpickling anything; no code reads the sidecar.
 
 Layout::
 
@@ -25,20 +25,20 @@ Layout::
 
 The default root is ``.repro_cache/experiments`` under the current working
 directory, overridable with the ``REPRO_CACHE_DIR`` environment variable or
-the ``root`` argument.
+the ``root`` argument.  The cache is only that directory: delete it to clear
+the cache or to free space.  A :data:`TRAINING_CODE_VERSION` bump leaves
+the old records on disk, unreachable, until then.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import pickle
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -57,56 +57,6 @@ CACHE_SCHEMA_VERSION = 2
 TRAINING_CODE_VERSION = "5-tall-image-conv"
 
 PathLike = Union[str, Path]
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    """One stored record as seen by the inspection/eviction machinery.
-
-    Attributes
-    ----------
-    key:
-        Full content key (the pickle's stem).
-    size_bytes:
-        Pickle plus sidecar size on disk.
-    last_used:
-        POSIX timestamp of the last store *or cache hit* (loads touch the
-        pickle's mtime, which is what makes the sweep LRU rather than FIFO).
-    summary:
-        Human-readable hyperparameter summary parsed from the JSON sidecar
-        (empty when the sidecar is missing or unreadable).
-    """
-
-    key: str
-    size_bytes: int
-    last_used: float
-    summary: str = ""
-
-
-def _summarise_sidecar(sidecar: Path) -> str:
-    """One-line config summary from a key-payload sidecar (best effort).
-
-    A *missing* sidecar yields an empty summary; one that exists but cannot
-    be parsed is reported as corrupt rather than silently blank, so
-    ``repro.exec inspect`` surfaces on-disk damage instead of hiding it.
-    """
-    try:
-        payload = json.loads(sidecar.read_text())
-    except OSError:
-        return "<unreadable sidecar>" if sidecar.exists() else ""
-    except ValueError:
-        return "<corrupt sidecar (not valid JSON)>"
-    config = payload.get("config", {})
-    if not isinstance(config, dict):
-        return "<corrupt sidecar (unexpected structure)>"
-    parts = []
-    for field_name in ("surrogate", "surrogate_scale", "beta", "threshold", "encoder"):
-        if field_name in config:
-            parts.append(f"{field_name}={config[field_name]}")
-    scale = config.get("scale")
-    if isinstance(scale, dict) and "name" in scale:
-        parts.append(f"scale={scale['name']}")
-    return " ".join(str(p) for p in parts)
 
 
 def jsonable(value: Any) -> Any:
@@ -228,10 +178,6 @@ class ExperimentCache:
         """On-disk pickle path for ``key`` (``<root>/<key[:2]>/<key>.pkl``)."""
         return self.root / key[:2] / f"{key}.pkl"
 
-    def contains(self, key: str) -> bool:
-        """Whether a record is stored under ``key`` (no unpickling)."""
-        return self.path_for(key).exists()
-
     # ------------------------------------------------------------------ #
     def load(self, key: str) -> Optional["ExperimentRecord"]:
         """Return the cached record for ``key``, or ``None`` on a miss.
@@ -249,10 +195,6 @@ class ExperimentCache:
         except Exception:
             self.misses += 1
             return None
-        # Touch the entry so the size-budget sweep evicts least-recently
-        # *used* records, not merely least-recently written ones.
-        with contextlib.suppress(OSError):
-            os.utime(path)
         self.hits += 1
         return record
 
@@ -273,91 +215,5 @@ class ExperimentCache:
         self.stores += 1
         return path
 
-    # ------------------------------------------------------------------ #
-    # Inspection and eviction
-    # ------------------------------------------------------------------ #
-    def entries(self) -> List[CacheEntry]:
-        """Every stored record, most recently used first."""
-        found: List[CacheEntry] = []
-        if not self.root.exists():
-            return found
-        for path in self.root.glob("*/*.pkl"):
-            sidecar = path.with_suffix(".json")
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # racing remover
-            size = stat.st_size
-            with contextlib.suppress(OSError):
-                size += sidecar.stat().st_size
-            found.append(
-                CacheEntry(
-                    key=path.stem,
-                    size_bytes=size,
-                    last_used=stat.st_mtime,
-                    summary=_summarise_sidecar(sidecar),
-                )
-            )
-        found.sort(key=lambda entry: entry.last_used, reverse=True)
-        return found
-
-    def total_bytes(self) -> int:
-        """Bytes occupied by every pickle + sidecar under the root."""
-        return sum(entry.size_bytes for entry in self.entries())
-
-    def remove(self, key: str) -> bool:
-        """Delete one entry (pickle + sidecar); returns whether it existed."""
-        path = self.path_for(key)
-        existed = path.exists()
-        path.unlink(missing_ok=True)
-        path.with_suffix(".json").unlink(missing_ok=True)
-        return existed
-
-    def sweep(self, max_bytes: int) -> List[CacheEntry]:
-        """Evict least-recently-used entries until the cache fits ``max_bytes``.
-
-        Returns the evicted entries (oldest first).  A ``max_bytes`` of zero
-        clears everything; a budget the cache already fits evicts nothing.
-        """
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
-        entries = self.entries()
-        total = sum(entry.size_bytes for entry in entries)
-        evicted: List[CacheEntry] = []
-        for entry in reversed(entries):  # least recently used first
-            if total <= max_bytes:
-                break
-            self.remove(entry.key)
-            total -= entry.size_bytes
-            evicted.append(entry)
-        return evicted
-
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.pkl"))
-
-    def clear(self) -> int:
-        """Delete every cached entry; returns how many records were removed.
-
-        Also reclaims stale ``*.tmp`` files orphaned by killed writers,
-        which :meth:`entries` (and therefore :meth:`sweep`) never see.
-        """
-        removed = 0
-        if not self.root.exists():
-            return removed
-        for path in self.root.glob("*/*.pkl"):
-            sidecar = path.with_suffix(".json")
-            path.unlink(missing_ok=True)
-            sidecar.unlink(missing_ok=True)
-            removed += 1
-        for stale in self.root.glob("*/*.tmp"):
-            stale.unlink(missing_ok=True)
-        return removed
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ExperimentCache(root={str(self.root)!r}, entries={len(self)}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
+        return f"ExperimentCache(root={str(self.root)!r}, hits={self.hits}, misses={self.misses})"

@@ -13,7 +13,7 @@ from repro.training.checkpoint import (
     save_checkpoint,
 )
 from repro.training.loss import CrossEntropySpikeCount, MSESpikeCount, cross_entropy_logits
-from repro.training.optim import SGD, Adam, Optimizer
+from repro.training.optim import Adam, Optimizer
 from repro.training.schedulers import CosineAnnealingLR, LRScheduler
 from repro.training.metrics import accuracy, top_k_accuracy
 from repro.training.callbacks import Callback, HistoryRecorder
@@ -28,7 +28,6 @@ __all__ = [
     "MSESpikeCount",
     "cross_entropy_logits",
     "Optimizer",
-    "SGD",
     "Adam",
     "LRScheduler",
     "CosineAnnealingLR",

@@ -54,7 +54,8 @@ class MSESpikeCount:
     The correct class is pushed toward firing on ``correct_rate`` of the
     timesteps and the incorrect classes toward ``incorrect_rate`` — snnTorch's
     ``mse_count_loss``.  Included because the paper names the loss function
-    as a future-work hyperparameter; the loss-ablation experiment uses it.
+    as a future-work hyperparameter; ``ExperimentConfig(loss="mse_count")``
+    selects it.
     """
 
     def __init__(self, correct_rate: float = 0.8, incorrect_rate: float = 0.05, num_steps: int = 10) -> None:

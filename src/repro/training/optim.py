@@ -1,19 +1,15 @@
 """Gradient-descent optimizers.
 
-Both optimizers keep their per-parameter state (momentum / moment buffers)
-in **index-keyed** lists that are allocated once, on the first step that sees
-a gradient, and updated **in place** afterwards.  Keying by parameter index
-rather than ``id(p)`` means the state meaningfully round-trips through
-:meth:`Optimizer.state_dict` / :meth:`Optimizer.load_state_dict` even when
-the parameters themselves are rebuilt (e.g. a model re-created from a
-checkpoint), and the in-place updates avoid re-allocating parameter-sized
-arrays on every training step — a measurable share of BPTT step time for
-the small tensors this engine works with.
+:class:`Adam` keeps its per-parameter moment buffers in index-keyed lists
+that are allocated once, on the first step that sees a gradient, and
+updated **in place** afterwards, which avoids re-allocating
+parameter-sized arrays on every training step — a measurable share of BPTT
+step time for the small tensors this engine works with.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -48,88 +44,6 @@ class Optimizer:
         if lr < 0:
             raise ValueError(f"learning rate must be non-negative, got {lr}")
         self.lr = float(lr)
-
-    # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> Dict[str, Any]:
-        """Serializable snapshot of optimizer state (index-keyed)."""
-        return {"lr": self.lr}
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore state captured by :meth:`state_dict`.
-
-        The optimizer must have been constructed over the same number of
-        parameters, in the same order, as the one that produced ``state``.
-        """
-        self.lr = float(state["lr"])
-
-    def _check_state_length(self, buffers: Sequence[Optional[np.ndarray]]) -> None:
-        if len(buffers) != len(self.parameters):
-            raise ValueError(
-                f"optimizer state holds {len(buffers)} parameter slots, "
-                f"but this optimizer has {len(self.parameters)} parameters"
-            )
-
-    @staticmethod
-    def _copy_buffers(buffers: Sequence[Optional[np.ndarray]]) -> List[Optional[np.ndarray]]:
-        return [None if b is None else np.array(b, copy=True) for b in buffers]
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-        self._buf: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-
-    def step(self) -> None:
-        for i, p in enumerate(self.parameters):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            buf = self._buf[i]
-            if buf is None:
-                buf = self._buf[i] = np.empty_like(p.data)
-            if self.weight_decay:
-                np.multiply(p.data, self.weight_decay, out=buf)
-                buf += grad
-                grad = buf
-            if self.momentum:
-                vel = self._velocity[i]
-                if vel is None:
-                    vel = self._velocity[i] = grad.copy()
-                else:
-                    np.multiply(vel, self.momentum, out=vel)
-                    vel += grad
-                update = vel
-            else:
-                update = grad
-            np.multiply(update, self.lr, out=buf)
-            p.data -= buf
-
-    def state_dict(self) -> Dict[str, Any]:
-        state = super().state_dict()
-        state["velocity"] = self._copy_buffers(self._velocity)
-        return state
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        super().load_state_dict(state)
-        self._check_state_length(state["velocity"])
-        self._velocity = self._copy_buffers(state["velocity"])
 
 
 class Adam(Optimizer):
@@ -207,20 +121,3 @@ class Adam(Optimizer):
             np.divide(m, buf, out=buf)
             buf *= self.lr / bias1
             p.data -= buf
-
-    def state_dict(self) -> Dict[str, Any]:
-        state = super().state_dict()
-        state["t"] = self._t
-        state["m"] = self._copy_buffers(self._m)
-        state["v"] = self._copy_buffers(self._v)
-        return state
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        super().load_state_dict(state)
-        self._check_state_length(state["m"])
-        self._check_state_length(state["v"])
-        self._t = int(state["t"])
-        self._m = self._copy_buffers(state["m"])
-        self._v = self._copy_buffers(state["v"])
-        self._buf = [None] * len(self.parameters)
-        self._wd_buf = [None] * len(self.parameters)

@@ -26,8 +26,6 @@ def _iter_modules(package_name):
     package = importlib.import_module(package_name)
     yield package
     for info in pkgutil.iter_modules(package.__path__):
-        if info.name.startswith("__"):
-            continue  # __main__ executes the CLI on import
         yield importlib.import_module(f"{package_name}.{info.name}")
 
 

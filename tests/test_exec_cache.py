@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import errno
+import hashlib
+import json
+import os
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import ExperimentConfig, SCALE_PRESETS
+from repro.exec import run_experiments
 from repro.exec.cache import CACHE_SCHEMA_VERSION, ExperimentCache, experiment_cache_key
 from repro.hardware.accelerator import DenseBaselineAccelerator, SparsityAwareAccelerator
 
@@ -115,8 +124,7 @@ class TestExperimentCacheStore:
         assert cache.misses == 1
 
         cache.store(key, _fake_record(config))
-        assert cache.contains(key)
-        assert len(cache) == 1
+        assert list(tmp_path.glob("*/*.pkl")) == [cache.path_for(key)]
 
         loaded = cache.load(key)
         assert cache.hits == 1
@@ -132,6 +140,13 @@ class TestExperimentCacheStore:
         assert '"seed": 3' in text
         assert '"code"' in text
 
+    def test_layout_is_two_hex_prefix_directories(self, tmp_path, config):
+        cache = ExperimentCache(tmp_path)
+        key = cache.key(config)
+        path = cache.store(key, _fake_record(config))
+        assert path == cache.path_for(key) == tmp_path / key[:2] / f"{key}.pkl"
+        assert sorted(p.name for p in (tmp_path / key[:2]).iterdir()) == [f"{key}.json", f"{key}.pkl"]
+
     def test_corrupt_entry_counts_as_miss(self, tmp_path, config):
         cache = ExperimentCache(tmp_path)
         key = cache.key(config)
@@ -141,15 +156,124 @@ class TestExperimentCacheStore:
         assert cache.load(key) is None
         assert cache.misses == 1
 
-    def test_clear_removes_everything(self, tmp_path, config):
+    def test_store_replaces_a_corrupt_entry(self, tmp_path, config):
+        """A corrupt payload is a miss; the retrained record's store mends it."""
         cache = ExperimentCache(tmp_path)
-        cache.store(cache.key(config), _fake_record(config))
-        assert cache.clear() == 1
-        assert len(cache) == 0
+        key = cache.key(config)
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"\x00garbage, not a pickle")
+        assert cache.load(key) is None
+        cache.store(key, _fake_record(config))
+        assert cache.load(key).config == config
+        assert (cache.misses, cache.stores, cache.hits) == (1, 1, 1)
+
+    def test_a_second_instance_on_the_same_root_hits(self, tmp_path, config):
+        writer = ExperimentCache(tmp_path)
+        key = writer.key(config)
+        writer.store(key, _fake_record(config))
+        reader = ExperimentCache(tmp_path)
+        assert reader.load(key).config == config
+        assert (reader.hits, reader.misses, reader.stores) == (1, 0, 0)
+
+    def test_no_temp_files_left_behind(self, tmp_path, config):
+        cache = ExperimentCache(tmp_path)
+        for i in range(3):
+            cell = config.with_overrides(seed=100 + i)
+            cache.store(cache.key(cell), _fake_record(cell))
+        assert not list(cache.root.rglob("*.tmp"))
+
+    def test_concurrent_stores_of_one_key_leave_one_entry(self, tmp_path, config):
+        """Writers racing on one key: last rename wins, nothing torn or stray."""
+        cache = ExperimentCache(tmp_path)
+        key = cache.key(config)
+        start = threading.Barrier(8)
+        errors = []
+
+        def writer():
+            try:
+                start.wait(timeout=10)
+                cache.store(key, _fake_record(config))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [f"{key}.json", f"{key}.pkl"]
+        assert ExperimentCache(tmp_path).load(key).config == config
+
+    def test_a_store_that_fails_mid_write_keeps_the_old_entry(self, tmp_path, config, monkeypatch):
+        import repro.utils
+
+        cache = ExperimentCache(tmp_path)
+        key = cache.key(config)
+        cache.store(key, _fake_record(config))
+        before = cache.path_for(key).read_bytes()
+
+        real_fdopen = os.fdopen
+
+        def half_written(fd, mode):
+            fh = real_fdopen(fd, mode)
+
+            class _Disk:
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    fh.close()
+                    return False
+
+                def write(self, data):
+                    fh.write(data[: len(data) // 2])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+            return _Disk()
+
+        monkeypatch.setattr(repro.utils.os, "fdopen", half_written)
+        with pytest.raises(OSError, match="No space"):
+            cache.store(key, _fake_record(config.with_overrides(label="newer")))
+        monkeypatch.undo()
+        assert cache.path_for(key).read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert ExperimentCache(tmp_path).load(key).config == config
 
     def test_env_var_controls_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert ExperimentCache().root == tmp_path / "elsewhere"
+
+    @pytest.mark.parametrize("env", [None, ""], ids=["unset", "empty"])
+    def test_default_root_is_under_the_working_directory(self, monkeypatch, env):
+        if env is None:
+            monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CACHE_DIR", env)
+        assert ExperimentCache().root == Path(".repro_cache") / "experiments"
+
+
+@pytest.mark.parametrize(
+    "accelerator", [None, SparsityAwareAccelerator()], ids=["no-accelerator", "sparsity-aware"]
+)
+def test_every_sidecar_run_experiments_writes_is_its_keys_preimage(tmp_path, micro_scale, accelerator):
+    """sha256 of a sidecar's compact, key-sorted JSON is the key its files are named by."""
+    configs = [ExperimentConfig(scale=micro_scale, seed=0), ExperimentConfig(scale=micro_scale, seed=1)]
+    run_experiments(configs, workers=1, cache=ExperimentCache(tmp_path), accelerator=accelerator)
+    sidecars = sorted(tmp_path.glob("*/*.json"))
+    assert len(sidecars) == len(configs)
+    for sidecar in sidecars:
+        payload = json.loads(sidecar.read_text())
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == sidecar.stem
+        assert sidecar.with_suffix(".pkl").exists()
 
 
 def _fake_record(config):
@@ -157,121 +281,3 @@ def _fake_record(config):
     from types import SimpleNamespace
 
     return SimpleNamespace(config=config)
-
-
-class TestInspectionAndSweep:
-    def _store_n(self, tmp_path, config, n):
-        cache = ExperimentCache(tmp_path)
-        keys = []
-        for i in range(n):
-            cell = config.with_overrides(seed=100 + i)
-            key = cache.key(cell)
-            cache.store(key, _fake_record(cell))
-            keys.append(key)
-        return cache, keys
-
-    def test_entries_report_size_and_summary(self, tmp_path, config):
-        cache, keys = self._store_n(tmp_path, config, 2)
-        entries = cache.entries()
-        assert {entry.key for entry in entries} == set(keys)
-        assert all(entry.size_bytes > 0 for entry in entries)
-        assert all("surrogate=" in entry.summary and "scale=smoke" in entry.summary for entry in entries)
-        assert cache.total_bytes() == sum(entry.size_bytes for entry in entries)
-
-    def test_no_temp_files_left_behind(self, tmp_path, config):
-        cache, _ = self._store_n(tmp_path, config, 3)
-        assert not list(cache.root.rglob("*.tmp"))
-
-    def test_sweep_evicts_least_recently_used_first(self, tmp_path, config):
-        import os
-        import time
-
-        cache, keys = self._store_n(tmp_path, config, 3)
-        # Age the files artificially (mtime resolution), oldest first.
-        now = time.time()
-        for age, key in zip((300, 200, 100), keys):
-            os.utime(cache.path_for(key), (now - age, now - age))
-        # Touch the oldest via a hit: it becomes the most recently used.
-        assert cache.load(keys[0]) is not None
-
-        entry_size = cache.total_bytes() // 3
-        evicted = cache.sweep(max_bytes=entry_size + 1)  # keep exactly one
-        evicted_keys = [entry.key for entry in evicted]
-        assert keys[0] not in evicted_keys, "a cache hit must protect an entry from LRU eviction"
-        assert set(evicted_keys) == {keys[1], keys[2]}
-        assert len(cache) == 1 and cache.contains(keys[0])
-
-    def test_sweep_within_budget_is_a_no_op(self, tmp_path, config):
-        cache, _ = self._store_n(tmp_path, config, 2)
-        assert cache.sweep(max_bytes=cache.total_bytes()) == []
-        assert len(cache) == 2
-
-    def test_sweep_zero_clears_everything(self, tmp_path, config):
-        cache, _ = self._store_n(tmp_path, config, 2)
-        assert len(cache.sweep(max_bytes=0)) == 2
-        assert len(cache) == 0
-
-    def test_remove_single_entry(self, tmp_path, config):
-        cache, keys = self._store_n(tmp_path, config, 1)
-        assert cache.remove(keys[0]) is True
-        assert cache.remove(keys[0]) is False
-        assert not cache.path_for(keys[0]).with_suffix(".json").exists()
-
-
-class TestCli:
-    def _populated(self, tmp_path, config, n=2):
-        cache = ExperimentCache(tmp_path)
-        for i in range(n):
-            cell = config.with_overrides(seed=200 + i)
-            cache.store(cache.key(cell), _fake_record(cell))
-        return cache
-
-    def test_inspect_lists_entries(self, tmp_path, config, capsys):
-        from repro.exec.cli import main
-
-        self._populated(tmp_path, config)
-        assert main(["--root", str(tmp_path), "inspect"]) == 0
-        out = capsys.readouterr().out
-        assert "2 records" in out
-        assert "surrogate=" in out
-
-    def test_inspect_empty_cache(self, tmp_path, capsys):
-        from repro.exec.cli import main
-
-        assert main(["--root", str(tmp_path), "inspect"]) == 0
-        assert "empty" in capsys.readouterr().out
-
-    def test_clear_removes_records(self, tmp_path, config, capsys):
-        from repro.exec.cli import main
-
-        cache = self._populated(tmp_path, config)
-        assert main(["--root", str(tmp_path), "clear"]) == 0
-        assert "removed 2 records" in capsys.readouterr().out
-        assert len(cache) == 0
-
-    def test_sweep_respects_budget(self, tmp_path, config, capsys):
-        from repro.exec.cli import main
-
-        cache = self._populated(tmp_path, config, n=3)
-        per_entry_mb = (cache.total_bytes() / 3) / (1024 * 1024)
-        assert main(["--root", str(tmp_path), "sweep", "--max-mb", str(per_entry_mb * 1.5)]) == 0
-        assert "evicted 2 records" in capsys.readouterr().out
-        assert len(cache) == 1
-
-    def test_module_entry_point_runs(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        env = dict(os.environ)
-        src = Path(__file__).resolve().parents[1] / "src"
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.exec", "--root", str(tmp_path), "inspect"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "empty" in proc.stdout

@@ -162,6 +162,11 @@ class TestCachingBehaviour:
         assert resolve_cache(None) is None
         assert resolve_cache(False) is None
 
+    def test_cache_instance_is_used_as_is(self, tmp_path):
+        """The caller's instance is the one whose counters the sweep moves."""
+        cache = ExperimentCache(tmp_path)
+        assert resolve_cache(cache) is cache
+
 
 class TestProgressAndWorkers:
     def test_progress_events_cover_every_cell(self, micro_configs, tmp_path):
@@ -234,6 +239,40 @@ class TestProgressAndWorkers:
         assert errors[0].label == micro_configs[errors[0].index].describe()
         assert f"on {micro_configs[errors[0].index].describe()}" in errors[0].error
         assert "Traceback" in errors[0].error
+
+
+class TestVerboseProgress:
+    """``verbose=True`` installs a printer with one line per event kind."""
+
+    @pytest.mark.parametrize(
+        "kind, line",
+        [
+            ("start", "[sweep 1/1] training {label}"),
+            ("done", "[sweep 1/1] finished {label} in "),
+            ("cached", "[sweep 1/1] cache hit for {label}"),
+            ("error", "[sweep 1/1] FAILED {label}: Traceback"),
+        ],
+    )
+    def test_each_event_kind_prints_its_line(self, micro_configs, tmp_path, monkeypatch, capsys, kind, line):
+        from types import SimpleNamespace
+
+        def _cell(config, **kwargs):
+            if kind == "error":
+                raise RuntimeError("cell exploded")
+            return SimpleNamespace(config=config)
+
+        monkeypatch.setattr(executor_mod, "run_experiment", _cell)
+        config = micro_configs[0]
+        cache = ExperimentCache(tmp_path)
+        if kind == "cached":
+            run_experiments([config], workers=1, cache=cache)
+            capsys.readouterr()
+        if kind == "error":
+            with pytest.raises(RuntimeError, match="cell exploded"):
+                run_experiments([config], workers=1, cache=cache, verbose=True)
+        else:
+            run_experiments([config], workers=1, cache=cache, verbose=True)
+        assert line.format(label=config.describe()) in capsys.readouterr().out
 
 
 class TestSweepFrontEnds:

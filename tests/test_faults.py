@@ -13,9 +13,7 @@ and slow batches on chosen checkouts) and a torn checkpoint
   the gateway to the old weights (reload failure is an event, not an
   outage);
 - a sweep with a poisoned cell aborts with the cells that finished before
-  it already cached, so a re-run trains only the cells that are missing;
-- corrupt cache files are *reported* by ``python -m repro.exec inspect``,
-  never crash it.
+  it already cached, so a re-run trains only the cells that are missing.
 
 ``REPRO_FAULT_SEED`` (CI runs a small matrix) reseeds the rate-based storm
 and the checkpoint tears; explicit-schedule tests are seed-independent by
@@ -26,12 +24,10 @@ from __future__ import annotations
 
 import gc
 import io
-import json
 import os
 import time
 import warnings
 from contextlib import contextmanager
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +37,6 @@ import repro.exec.executor as executor_mod
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import make_dataset, make_encoder, make_model
 from repro.exec import CellExecutionError, ExperimentCache, run_experiments
-from repro.exec.cli import main as cache_cli_main
 from repro.runtime import compile_network
 from repro.serve import (
     InferenceServer,
@@ -401,7 +396,7 @@ class TestExecutorFailurePolicy:
         cache = ExperimentCache(tmp_path)
         with pytest.raises(CellExecutionError, match="poisoned cell"):
             run_experiments(micro_configs, workers=1, cache=cache)
-        assert len(cache) == 1
+        assert len(list(tmp_path.glob("*/*.pkl"))) == 1
         assert cache.load(cache.key(micro_configs[0])) is not None
 
         monkeypatch.setattr(executor_mod, "run_experiment", train)  # the cell is fixed
@@ -410,38 +405,4 @@ class TestExecutorFailurePolicy:
         assert [(event.kind, event.index) for event in events] == [
             ("cached", 0), ("start", 1), ("done", 1), ("start", 2), ("done", 2)
         ]
-        assert len(cache) == 3
-
-
-# --------------------------------------------------------------------- #
-# Cache corruption through the CLI (satellite)
-# --------------------------------------------------------------------- #
-class TestCacheCorruptionCLI:
-    def _store(self, root, config):
-        cache = ExperimentCache(root)
-        key = cache.key(config)
-        path = cache.store(key, SimpleNamespace(config=config))
-        return cache, key, path
-
-    def test_inspect_reports_corrupt_sidecar_instead_of_crashing(
-        self, tmp_path, micro_config, capsys
-    ):
-        _, _, path = self._store(tmp_path, micro_config)
-        path.with_suffix(".json").write_text("{ not json !")
-        assert cache_cli_main(["--root", str(tmp_path), "inspect"]) == 0
-        out = capsys.readouterr().out
-        assert "corrupt sidecar" in out
-
-    def test_inspect_survives_corrupt_payload(self, tmp_path, micro_config, capsys):
-        cache, key, path = self._store(tmp_path, micro_config)
-        path.write_bytes(b"\x00garbage, not a pickle")
-        assert cache_cli_main(["--root", str(tmp_path), "inspect"]) == 0
-        assert key[:12] in capsys.readouterr().out
-        # And the library treats the damaged payload as a miss, not an error.
-        assert ExperimentCache(tmp_path).load(key) is None
-
-    def test_inspect_reports_structurally_wrong_sidecar(self, tmp_path, micro_config, capsys):
-        _, _, path = self._store(tmp_path, micro_config)
-        path.with_suffix(".json").write_text(json.dumps({"config": ["not", "a", "dict"]}))
-        assert cache_cli_main(["--root", str(tmp_path), "inspect"]) == 0
-        assert "corrupt sidecar" in capsys.readouterr().out
+        assert len(list(tmp_path.glob("*/*.pkl"))) == 3

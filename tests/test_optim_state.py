@@ -1,12 +1,11 @@
-"""Optimizer state: in-place moment buffers, index keying, checkpoint round-trips."""
+"""Adam's state: in-place moment buffers, allocated once per parameter."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.nn.module import Parameter
-from repro.training.optim import SGD, Adam
+from repro.training.optim import Adam
 
 
 def _params(rng, shapes=((4, 3), (3,))):
@@ -78,101 +77,3 @@ class TestAdamInPlace:
         opt.step()
         assert opt._m[0] is not None
         assert opt._m[1] is None
-
-    def test_state_survives_checkpoint_roundtrip_with_fresh_parameters(self, rng):
-        """Index-keyed state must resume across a rebuilt (re-id'd) model."""
-        init = [rng.standard_normal((3, 2)).astype(np.float32), rng.standard_normal((2,)).astype(np.float32)]
-        grad_stream = [
-            [rng.standard_normal(a.shape).astype(np.float32) for a in init] for _ in range(6)
-        ]
-
-        def fresh_params():
-            return [Parameter(a.copy()) for a in init]
-
-        # Continuous run: 6 steps.
-        continuous = fresh_params()
-        opt = Adam(continuous, lr=0.02)
-        for grads in grad_stream:
-            for p, g in zip(continuous, grads):
-                p.grad = g.copy()
-            opt.step()
-
-        # Checkpointed run: 3 steps, save, rebuild everything, load, 3 more.
-        first_half = fresh_params()
-        opt_a = Adam(first_half, lr=0.02)
-        for grads in grad_stream[:3]:
-            for p, g in zip(first_half, grads):
-                p.grad = g.copy()
-            opt_a.step()
-        checkpoint = {"params": [p.data.copy() for p in first_half], "optim": opt_a.state_dict()}
-
-        resumed = [Parameter(a) for a in checkpoint["params"]]  # brand-new objects
-        opt_b = Adam(resumed, lr=0.02)
-        opt_b.load_state_dict(checkpoint["optim"])
-        for grads in grad_stream[3:]:
-            for p, g in zip(resumed, grads):
-                p.grad = g.copy()
-            opt_b.step()
-
-        for cont, res in zip(continuous, resumed):
-            np.testing.assert_array_equal(cont.data, res.data)
-
-    def test_loaded_state_is_a_copy(self, rng):
-        params = _params(rng)
-        opt = Adam(params, lr=0.01)
-        opt.step()
-        state = opt.state_dict()
-        opt.step()  # mutates live buffers in place
-        other = Adam(_params(rng), lr=0.01)
-        other.load_state_dict(state)
-        assert other._t == 1
-        for live, loaded in zip(opt._m, other._m):
-            assert live is not loaded
-
-    def test_state_length_mismatch_rejected(self, rng):
-        opt = Adam(_params(rng), lr=0.01)
-        opt.step()
-        small = Adam([Parameter(np.ones((2, 2)))], lr=0.01)
-        with pytest.raises(ValueError, match="parameter"):
-            small.load_state_dict(opt.state_dict())
-
-
-class TestSGDInPlace:
-    def test_momentum_matches_reference(self, rng):
-        params = _params(rng, shapes=((5,),))
-        grads = [rng.standard_normal((5,)).astype(np.float32) for _ in range(4)]
-        data = params[0].data.copy()
-        vel = None
-        for g in grads:
-            vel = g.copy() if vel is None else 0.9 * vel + g
-            data = data - 0.1 * vel
-        opt = SGD(params, lr=0.1, momentum=0.9)
-        for g in grads:
-            params[0].grad = g.copy()
-            opt.step()
-        np.testing.assert_allclose(params[0].data, data, rtol=1e-6, atol=1e-7)
-
-    def test_velocity_buffer_reused(self, rng):
-        params = _params(rng, shapes=((5,),))
-        opt = SGD(params, lr=0.1, momentum=0.9)
-        opt.step()
-        vel_id = id(opt._velocity[0])
-        params[0].grad = rng.standard_normal((5,)).astype(np.float32)
-        opt.step()
-        assert id(opt._velocity[0]) == vel_id
-
-    def test_weight_decay_matches_reference(self, rng):
-        params = _params(rng, shapes=((4,),))
-        g = params[0].grad.copy()
-        expected = params[0].data - 0.1 * (g + 0.5 * params[0].data)
-        SGD(params, lr=0.1, weight_decay=0.5).step()
-        np.testing.assert_allclose(params[0].data, expected, rtol=1e-6)
-
-    def test_state_roundtrip(self, rng):
-        params = _params(rng, shapes=((3,),))
-        opt = SGD(params, lr=0.1, momentum=0.9)
-        opt.step()
-        state = opt.state_dict()
-        fresh = SGD([Parameter(np.zeros(3))], lr=0.1, momentum=0.9)
-        fresh.load_state_dict(state)
-        np.testing.assert_array_equal(fresh._velocity[0], opt._velocity[0])

@@ -11,7 +11,6 @@ from repro.training import (
     CrossEntropySpikeCount,
     HistoryRecorder,
     MSESpikeCount,
-    SGD,
     accuracy,
     cross_entropy_logits,
     top_k_accuracy,
@@ -68,32 +67,6 @@ class TestOptimizers:
         # Minimise f(w) = ||w - 3||^2 from w = 0.
         return Parameter(np.zeros(4))
 
-    def test_sgd_converges_on_quadratic(self):
-        w = self._quadratic_params()
-        opt = SGD([w], lr=0.1)
-        for _ in range(200):
-            w.zero_grad()
-            w.grad = 2 * (w.data - 3.0)
-            opt.step()
-        assert np.allclose(w.data, 3.0, atol=1e-3)
-
-    def test_sgd_momentum_faster_than_plain(self):
-        w1, w2 = self._quadratic_params(), self._quadratic_params()
-        plain, momentum = SGD([w1], lr=0.01), SGD([w2], lr=0.01, momentum=0.9)
-        for _ in range(50):
-            w1.grad = 2 * (w1.data - 3.0)
-            w2.grad = 2 * (w2.data - 3.0)
-            plain.step()
-            momentum.step()
-        assert abs(w2.data - 3.0).max() < abs(w1.data - 3.0).max()
-
-    def test_sgd_weight_decay_shrinks_weights(self):
-        w = Parameter(np.ones(3) * 10.0)
-        opt = SGD([w], lr=0.1, weight_decay=0.5)
-        w.grad = np.zeros(3)
-        opt.step()
-        assert (w.data < 10.0).all()
-
     def test_adam_converges_on_quadratic(self):
         w = self._quadratic_params()
         opt = Adam([w], lr=0.1)
@@ -118,25 +91,43 @@ class TestOptimizers:
     def test_invalid_hyperparameters(self):
         w = Parameter(np.ones(1))
         with pytest.raises(ValueError):
-            SGD([w], lr=-1.0)
-        with pytest.raises(ValueError):
-            SGD([w], lr=0.1, momentum=1.5)
+            Adam([w], lr=-1.0)
         with pytest.raises(ValueError):
             Adam([w], lr=0.1, betas=(1.5, 0.9))
         with pytest.raises(ValueError):
             Adam([], lr=0.1)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"eps": 0.0}, {"eps": -1e-8}, {"weight_decay": -0.1}, {"betas": (0.9, 1.0)}],
+        ids=["eps-zero", "eps-negative", "weight-decay-negative", "beta2-one"],
+    )
+    def test_adam_rejects_out_of_range_hyperparameters(self, bad):
+        with pytest.raises(ValueError):
+            Adam([Parameter(np.ones(1))], lr=0.1, **bad)
+
     def test_set_lr_accepts_zero_rejects_negative(self):
-        opt = SGD([Parameter(np.ones(1))], lr=0.1)
+        opt = Adam([Parameter(np.ones(1))], lr=0.1)
         opt.set_lr(0.0)
         assert opt.lr == 0.0
         with pytest.raises(ValueError):
             opt.set_lr(-0.1)
 
+    def test_adam_at_lr_zero_leaves_parameters_unchanged(self):
+        """Cosine annealing ends at lr 0; a step there must not move a weight."""
+        w = Parameter(np.linspace(-1.0, 1.0, 5))
+        before = w.data.copy()
+        opt = Adam([w], lr=0.1)
+        opt.set_lr(0.0)
+        for _ in range(3):
+            w.grad = 2 * (w.data - 3.0)
+            opt.step()
+        np.testing.assert_array_equal(w.data, before)
+
 
 class TestSchedulers:
     def _optimizer(self, lr=1.0):
-        return SGD([Parameter(np.ones(1))], lr=lr)
+        return Adam([Parameter(np.ones(1))], lr=lr)
 
     def test_cosine_annealing_endpoints(self):
         opt = self._optimizer(lr=1.0)
@@ -145,6 +136,15 @@ class TestSchedulers:
         for _ in range(10):
             sched.step()
         assert opt.lr == pytest.approx(0.0, abs=1e-9)
+
+    def test_cosine_annealing_ends_at_eta_min(self):
+        opt = self._optimizer(lr=1.0)
+        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.1)
+        for _ in range(10):
+            sched.step()
+        assert opt.lr == pytest.approx(0.1)
+        sched.step()  # past t_max the schedule holds its floor
+        assert opt.lr == pytest.approx(0.1)
 
     def test_cosine_annealing_halfway_is_half(self):
         opt = self._optimizer(lr=2.0)
