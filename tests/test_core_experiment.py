@@ -72,6 +72,13 @@ class TestRunExperiment:
         assert smoke_record.hardware.fps_per_watt > 0
         assert 0.0 <= smoke_record.hardware.sparsity <= 1.0
 
+    def test_recipe_anneals_the_configured_lr_over_the_configured_epochs(self, smoke_record):
+        """The sweep recipe: Adam at ``learning_rate``, cosine-annealed to 0 over ``epochs``."""
+        config = smoke_record.config
+        epochs = config.scale.epochs
+        expected = [config.learning_rate * 0.5 * (1 + np.cos(np.pi * e / epochs)) for e in range(epochs)]
+        assert smoke_record.training.history["lr"] == pytest.approx(expected)
+
     def test_sparsity_profile_covers_all_layers(self, smoke_record):
         profile = smoke_record.sparsity_profile
         assert set(profile.layer_events_per_step) == {"lif1", "lif2", "lif3", "lif_out"}

@@ -102,18 +102,34 @@ class TestCacheKey:
         )
 
     @pytest.mark.parametrize(
-        "name, value",
+        "target, value",
         [
-            ("TRAINING_CODE_VERSION", "next-training-change"),
-            ("CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1),
+            pytest.param(
+                "repro.exec.cache.TRAINING_CODE_VERSION",
+                "next-training-change",
+                id="TRAINING_CODE_VERSION-next-training-change",
+            ),
+            pytest.param(
+                "repro.exec.cache.CACHE_SCHEMA_VERSION",
+                CACHE_SCHEMA_VERSION + 1,
+                id=f"CACHE_SCHEMA_VERSION-{CACHE_SCHEMA_VERSION + 1}",
+            ),
+            # A release or a NumPy upgrade can change the numbers too.
+            pytest.param("repro.__version__", "0.0.0+other", id="repro-version"),
+            pytest.param("numpy.__version__", "0.0.0+other", id="numpy-version"),
         ],
     )
-    def test_code_version_invalidates(self, config, monkeypatch, name, value):
-        import repro.exec.cache as cache_mod
-
+    def test_code_version_invalidates(self, config, monkeypatch, target, value):
         before = experiment_cache_key(config)
-        monkeypatch.setattr(cache_mod, name, value)
+        monkeypatch.setattr(target, value)
         assert experiment_cache_key(config) != before
+
+    def test_numpy_scalar_fields_key_like_python_numbers(self, config):
+        """A grid built from NumPy values shares records with one built from literals."""
+        import numpy as np
+
+        from_numpy = config.with_overrides(seed=np.int64(3), beta=np.float32(0.25), threshold=np.float16(1.0))
+        assert experiment_cache_key(from_numpy) == experiment_cache_key(config)
 
 
 class TestExperimentCacheStore:
@@ -146,6 +162,16 @@ class TestExperimentCacheStore:
         path = cache.store(key, _fake_record(config))
         assert path == cache.path_for(key) == tmp_path / key[:2] / f"{key}.pkl"
         assert sorted(p.name for p in (tmp_path / key[:2]).iterdir()) == [f"{key}.json", f"{key}.pkl"]
+
+    def test_a_hit_writes_nothing(self, tmp_path, config):
+        """Serving a record touches no file or directory of the cache."""
+        cache = ExperimentCache(tmp_path)
+        key = cache.key(config)
+        cache.store(key, _fake_record(config))
+        for path in tmp_path.rglob("*"):
+            os.utime(path, ns=(10**18, 10**18))
+        assert cache.load(key).config == config
+        assert {p.stat().st_mtime_ns for p in tmp_path.rglob("*")} == {10**18}
 
     def test_corrupt_entry_counts_as_miss(self, tmp_path, config):
         cache = ExperimentCache(tmp_path)

@@ -162,11 +162,6 @@ class TestCachingBehaviour:
         assert resolve_cache(None) is None
         assert resolve_cache(False) is None
 
-    def test_cache_instance_is_used_as_is(self, tmp_path):
-        """The caller's instance is the one whose counters the sweep moves."""
-        cache = ExperimentCache(tmp_path)
-        assert resolve_cache(cache) is cache
-
 
 class TestProgressAndWorkers:
     def test_progress_events_cover_every_cell(self, micro_configs, tmp_path):
