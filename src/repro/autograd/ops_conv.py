@@ -8,7 +8,9 @@ im2col (:meth:`ConvBinding.lower`), which turns it into a matrix product
 and keeps per-timestep BPTT affordable in pure NumPy.  It lowers the
 whole batch as one tall, row-padded image (:class:`TallLayout`), so each
 kernel offset is one long copy per channel rather than one per output
-row, into arrays a :class:`ConvBinding` keeps for its geometry.
+row, into arrays a :class:`ConvBinding` keeps for its geometry.  A
+narrow forward product runs as row panels small enough for OpenBLAS's
+small-matrix kernel (:data:`SMALL_GEMM_MACS`, :data:`PANEL_ROW_MULTIPLE`).
 """
 
 from __future__ import annotations
@@ -161,6 +163,35 @@ def _offset_view(a: np.ndarray, i: int, j: int, oh: int, ow: int, stride: int) -
     return a[..., i : i + oh * stride : stride, j : j + ow * stride : stride]
 
 
+#: The most multiply-adds (rows x K x C_out) a forward panel holds.  OpenBLAS
+#: 0.3.31 multiplies a product of at most 10**6 of them with its SkylakeX
+#: small-matrix kernel, which reads both operands where they lie, and packs
+#: larger ones first: at K=27 and 8 output columns, 4,629 rows took 6.9 ns
+#: per row and 4,630 rows 16.4 ns per row.
+SMALL_GEMM_MACS = 10**6
+
+#: Every forward panel but the last holds a multiple of this many rows.
+#: OpenBLAS's Haswell kernels round a row by its place in a tile of 24 rows
+#: (float32) or 4 rows (float64): splits on those boundaries kept every bit
+#: of the whole product and other splits did not.  SkylakeX kernels kept
+#: every bit at any split.
+PANEL_ROW_MULTIPLE = 48
+
+
+def _panel_rows(k: int, positions: int, c_out: int) -> int:
+    """Rows per forward panel of a ``(positions x k) @ (k x c_out)`` product.
+
+    The most rows a panel of at most :data:`SMALL_GEMM_MACS` holds, rounded
+    down to a multiple of :data:`PANEL_ROW_MULTIPLE`.  Products of more than
+    8 output channels, or whose rows fit no such panel, stay whole: as
+    panels on SkylakeX kernels, the forwards of the full preset's
+    16-channel conv2 and the paper preset's 32-channel conv1 and conv2 each
+    took 1.15 times as long, and the full preset's conv1 0.98 times.
+    """
+    rows = SMALL_GEMM_MACS // (k * c_out) // PANEL_ROW_MULTIPLE * PANEL_ROW_MULTIPLE
+    return rows if c_out <= 8 and rows else positions
+
+
 class ConvBinding:
     """The arrays one convolution geometry keeps from call to call.
 
@@ -168,10 +199,12 @@ class ConvBinding:
     the tall image ``grid``, zeroed when built -- every call copies its
     input into the same ``interior``, so the padding stays zero -- the
     im2col matrix ``cols``, the ``KH*KW`` (grid positions, rows of
-    ``cols``) copy pairs of :func:`_offsets`, and the GEMM output ``prod``
+    ``cols``) copy pairs of :func:`_offsets`, the GEMM output ``prod``
     with ``valid``, its ``(N, C_out, OH, OW)`` transposed view of the real
-    output positions.  A call is then a fixed sequence of copies and one
-    product into these arrays.
+    output positions, and the forward's row ``panels``: ``(cols[:, a:b].T,
+    prod[a:b])`` view pairs that split ``cols.T @ W.T`` by output position
+    (:func:`_panel_rows`).  A call is then a fixed sequence of copies and
+    products into these arrays.
     """
 
     def __init__(
@@ -187,6 +220,10 @@ class ConvBinding:
         c_out = weight_shape[0]
         self.prod = np.empty((self.cols.shape[1], c_out), dtype=dtype)
         self.valid = self.prod.reshape(*positions, c_out)[:, : layout.oh, : layout.ow].transpose(0, 3, 1, 2)
+        rows = _panel_rows(*self.cols.shape, c_out)
+        self.panels = tuple(
+            (self.cols[:, a : a + rows].T, self.prod[a : a + rows]) for a in range(0, self.cols.shape[1], rows)
+        )
 
     def lower(self, x: np.ndarray) -> np.ndarray:
         """im2col: lower NCHW ``x`` into :attr:`cols`, a ``(C*KH*KW, positions)`` matrix.
@@ -216,13 +253,16 @@ def conv2d_forward(
     The forward of every convolution in the repository: the autograd op
     and the inference runtime both call it, so a compiled plan reproduces
     the dense forward bit for bit.  Temporaries come from the
-    :class:`ConvBinding` that ``scratch`` keeps for this geometry; the
-    ``(N, C_out, OH, OW)`` result goes into ``out``, or into a fresh array
-    when it is ``None``.
+    :class:`ConvBinding` that ``scratch`` keeps for this geometry, and the
+    product runs panel by panel into its ``prod``, each panel's rows equal
+    to the whole product's byte for byte.  The ``(N, C_out, OH, OW)``
+    result goes into ``out``, or into a fresh array when it is ``None``.
     """
-    c_out = weight.shape[0]
+    w_mat = weight.reshape(weight.shape[0], -1).T
     binding = scratch.conv(x.shape, x.dtype, weight.shape, stride, padding)
-    np.matmul(binding.lower(x).T, weight.reshape(c_out, -1).T, out=binding.prod)
+    binding.lower(x)
+    for cols, prod in binding.panels:
+        np.matmul(cols, w_mat, out=prod)
     if out is None:
         out = np.empty(binding.valid.shape, dtype=binding.prod.dtype)
     np.copyto(out, binding.valid)

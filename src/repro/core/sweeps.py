@@ -150,7 +150,7 @@ def run_sweep(
     ``axes`` maps ``ExperimentConfig`` fields to the values to sweep; each
     cell overrides those fields of ``at_scale(base_config, scale_preset)``
     and is labelled ``field=value, ...`` (labels reach progress lines and
-    cache sidecars, never cache keys or worker seeds).  ``accelerator`` is
+    records, never cache keys or worker seeds).  ``accelerator`` is
     the hardware model (default: the paper's sparsity-aware one).
     ``verbose``, ``workers`` and ``cache`` are forwarded to
     :func:`repro.exec.run_experiments`: progress printing, the process-pool

@@ -15,6 +15,7 @@ evaluated on identical data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -160,6 +161,18 @@ def _gaussian_blur(canvas: np.ndarray, sigma: float) -> np.ndarray:
     return canvas
 
 
+@functools.lru_cache(maxsize=None)
+def _symmetric_index(length: int, radius: int) -> np.ndarray:
+    """Indices that pad ``length`` samples by ``radius`` on each side, half-sample symmetric.
+
+    Gathering with them is ``np.pad(..., mode="symmetric")`` along one axis,
+    for any radius, without its per-call cost.
+    """
+    index = np.pad(np.arange(length), radius, mode="symmetric")
+    index.flags.writeable = False
+    return index
+
+
 def _blur_pass(canvas: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     """Correlate ``canvas`` along ``axis`` with the symmetric kernel whose
     centre and right half are ``weights``.
@@ -170,10 +183,8 @@ def _blur_pass(canvas: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray
     from the outermost tap inward, and is rounded to float32.
     """
     radius = len(weights) - 1
-    width = [(0, 0)] * canvas.ndim
-    width[axis] = (radius, radius)
-    padded = np.pad(canvas, width, mode="symmetric").astype(np.float64)
     length = canvas.shape[axis]
+    padded = canvas.take(_symmetric_index(length, radius), axis=axis).astype(np.float64)
     lead = (slice(None),) * axis
 
     def tap(offset: int) -> np.ndarray:

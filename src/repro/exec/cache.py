@@ -14,14 +14,11 @@ the code that trains it.  The cache key is therefore a SHA-256 digest over:
   step semantics, loss definitions, ...), which invalidates every cached
   record at once.
 
-Records are stored as pickles (they are plain dataclass trees) next to a
-small JSON sidecar holding the hashed payload, so a person can read what
-each key covers without unpickling anything; no code reads the sidecar.
+Records are stored as pickles (they are plain dataclass trees).
 
 Layout::
 
     <root>/<key[:2]>/<key>.pkl    # pickled ExperimentRecord
-    <root>/<key[:2]>/<key>.json   # human-readable key payload
 
 The default root is ``.repro_cache/experiments`` under the current working
 directory, overridable with the ``REPRO_CACHE_DIR`` environment variable or
@@ -48,7 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import ExperimentConfig
     from repro.core.experiment import ExperimentRecord
 
-#: Bump when the on-disk layout or key payload structure changes.
+#: Bump when what a hit reads changes: the pickle path or the key payload's
+#: structure.  Records stored under an older schema are then never read.
 CACHE_SCHEMA_VERSION = 2
 
 #: Bump whenever a code change alters training/evaluation numerics, so that
@@ -110,8 +108,7 @@ def _accelerator_fingerprint(accelerator: Any) -> Optional[Dict[str, Any]]:
 
 
 def _key_payload(config: "ExperimentConfig", accelerator: Any = None) -> Dict[str, Any]:
-    """Everything the cache key covers — hashed by :func:`experiment_cache_key`
-    and written verbatim (pretty-printed) as the audit sidecar."""
+    """Everything the cache key covers, hashed by :func:`experiment_cache_key`."""
     import repro
 
     config_dict = jsonable(config)
@@ -136,12 +133,6 @@ def experiment_cache_key(config: "ExperimentConfig", accelerator: Any = None) ->
     payload = _key_payload(config, accelerator=accelerator)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def key_payload_json(config: "ExperimentConfig", accelerator: Any = None) -> str:
-    """The pretty-printed key payload, written as the sidecar for auditing."""
-    payload = _key_payload(config, accelerator=accelerator)
-    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 class ExperimentCache:
@@ -198,20 +189,16 @@ class ExperimentCache:
         self.hits += 1
         return record
 
-    def store(self, key: str, record: "ExperimentRecord", accelerator: Any = None) -> Path:
+    def store(self, key: str, record: "ExperimentRecord") -> Path:
         """Persist one record under its content key (atomic rename).
 
-        Both the pickle and its JSON audit sidecar are published with the
-        same unique-temp-file + ``os.replace`` pattern, so concurrent sweeps
-        sharing a cache directory can both store the same key (last writer
-        wins) and neither file can ever be observed half-written.
+        The pickle is published with a unique temp file and ``os.replace``,
+        so concurrent sweeps sharing a cache directory can both store the
+        same key (last writer wins) and it can never be observed
+        half-written.
         """
         path = self.path_for(key)
         atomic_write(path, pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
-        atomic_write(
-            path.with_suffix(".json"),
-            key_payload_json(record.config, accelerator=accelerator).encode("utf-8"),
-        )
         self.stores += 1
         return path
 

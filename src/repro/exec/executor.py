@@ -322,7 +322,7 @@ def run_experiments(
     def finish(index: int, record: ExperimentRecord, seconds: float) -> None:
         results[index] = record
         if store is not None:
-            store.store(keys[index], record, accelerator=accelerator)
+            store.store(keys[index], record)
         record_cell_span(index, seconds, "done")
         emit("done", index, seconds=seconds)
 

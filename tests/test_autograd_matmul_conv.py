@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradcheck import gradcheck
 from repro.autograd import Tensor, no_grad
-from repro.autograd.ops_conv import ScratchPool, conv_output_shape, maxpool2d_forward
+from repro.autograd.ops_conv import ScratchPool, conv2d_forward, conv_output_shape, maxpool2d_forward
 from repro.runtime.kernels import ConvKernel, MaxPoolKernel
 
 
@@ -354,6 +354,72 @@ class TestConv2d:
         snapshot = out.copy()
         t((1, 1, 5, 5), 55).conv2d(t((2, 1, 3, 3), 56), None, 1, 1)
         np.testing.assert_array_equal(out, snapshot)
+
+
+BENCH_CONVS = pytest.mark.parametrize(
+    "c_in,size", [(3, 16), (8, 8)], ids=["conv1-3to8-16px", "conv2-8to8-8px"]
+)
+
+
+def _view(a):
+    """Where ``a`` starts, its shape and its strides: equal for two views of the same elements."""
+    return a.__array_interface__["data"][0], a.shape, a.strides
+
+
+class TestForwardPanels:
+    """The forward product runs as row panels of its lowered matrix (``ConvBinding.panels``).
+
+    At the bench network's two convolutions (8 output channels) each panel
+    fits OpenBLAS's small-matrix bound, and the panels' rows equal the
+    whole product's byte for byte on every kernel family.  Wider products
+    stay whole.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("inputs", ["analog", "binary"])
+    @pytest.mark.parametrize("n", [1, 16, 32, 64])
+    @BENCH_CONVS
+    def test_forward_is_one_product_of_the_lowered_matrix_byte_for_byte(self, c_in, size, n, inputs, dtype):
+        rng = np.random.default_rng([n, c_in, size])
+        x = rng.random((n, c_in, size, size))
+        x = (x < 0.2 if inputs == "binary" else x).astype(dtype)
+        w = (rng.standard_normal((8, c_in, 3, 3)) * 0.3).astype(dtype)
+        scratch = ScratchPool()
+        out = conv2d_forward(x, w, None, 1, 1, scratch)
+        binding = scratch.conv(x.shape, x.dtype, w.shape, 1, 1)
+        whole = binding.cols.T @ w.reshape(8, -1).T
+        layout = binding.layout
+        expected = whole.reshape(*layout.output_grid(n), 8)[:, : layout.oh, : layout.ow].transpose(0, 3, 1, 2)
+        assert out.dtype == dtype and out.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 16, 32, 64])
+    @BENCH_CONVS
+    def test_panels_tile_the_product_in_48_row_multiples_of_at_most_a_million_macs(self, c_in, size, n):
+        binding = ScratchPool().conv((n, c_in, size, size), np.float32, (8, c_in, 3, 3), 1, 1)
+        k, positions = binding.cols.shape
+        start = 0
+        for index, (cols, prod) in enumerate(binding.panels):
+            rows = prod.shape[0]
+            assert _view(cols) == _view(binding.cols[:, start : start + rows].T)
+            assert _view(prod) == _view(binding.prod[start : start + rows])
+            if index < len(binding.panels) - 1:
+                assert rows % 48 == 0 and rows * k * 8 <= 10**6
+            start += rows
+        assert start == positions
+        # A batch whose product exceeds the bound is split.
+        assert (len(binding.panels) > 1) == (positions * k * 8 > 10**6)
+
+    @pytest.mark.parametrize(
+        "x_shape,c_out",
+        [((64, 3, 32, 32), 16), ((64, 16, 16, 16), 16), ((16, 32, 16, 16), 32)],
+        ids=["full-conv1-3to16", "full-conv2-16to16", "paper-conv2-32to32"],
+    )
+    def test_wider_products_keep_a_single_panel(self, x_shape, c_out):
+        # Each product is well past the bound, yet measured faster whole.
+        binding = ScratchPool().conv(x_shape, np.float32, (c_out, x_shape[1], 3, 3), 1, 1)
+        assert binding.cols.size * c_out > 10**6
+        ((cols, prod),) = binding.panels
+        assert _view(cols) == _view(binding.cols.T) and _view(prod) == _view(binding.prod)
 
 
 class TestPooling:

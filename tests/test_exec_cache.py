@@ -14,7 +14,13 @@ import pytest
 
 from repro.core.config import ExperimentConfig, SCALE_PRESETS
 from repro.exec import run_experiments
-from repro.exec.cache import CACHE_SCHEMA_VERSION, ExperimentCache, experiment_cache_key
+from repro.exec.cache import (
+    CACHE_SCHEMA_VERSION,
+    TRAINING_CODE_VERSION,
+    ExperimentCache,
+    _key_payload,
+    experiment_cache_key,
+)
 from repro.hardware.accelerator import DenseBaselineAccelerator, SparsityAwareAccelerator
 
 
@@ -146,22 +152,12 @@ class TestExperimentCacheStore:
         assert cache.hits == 1
         assert loaded.config == config
 
-    def test_store_writes_auditable_sidecar(self, tmp_path, config):
-        cache = ExperimentCache(tmp_path)
-        key = cache.key(config)
-        path = cache.store(key, _fake_record(config))
-        sidecar = path.with_suffix(".json")
-        assert sidecar.exists()
-        text = sidecar.read_text()
-        assert '"seed": 3' in text
-        assert '"code"' in text
-
     def test_layout_is_two_hex_prefix_directories(self, tmp_path, config):
         cache = ExperimentCache(tmp_path)
         key = cache.key(config)
         path = cache.store(key, _fake_record(config))
         assert path == cache.path_for(key) == tmp_path / key[:2] / f"{key}.pkl"
-        assert sorted(p.name for p in (tmp_path / key[:2]).iterdir()) == [f"{key}.json", f"{key}.pkl"]
+        assert [p.name for p in (tmp_path / key[:2]).iterdir()] == [f"{key}.pkl"]
 
     def test_a_hit_writes_nothing(self, tmp_path, config):
         """Serving a record touches no file or directory of the cache."""
@@ -235,7 +231,7 @@ class TestExperimentCacheStore:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [f"{key}.json", f"{key}.pkl"]
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [f"{key}.pkl"]
         assert ExperimentCache(tmp_path).load(key).config == config
 
     def test_a_store_that_fails_mid_write_keeps_the_old_entry(self, tmp_path, config, monkeypatch):
@@ -289,17 +285,27 @@ class TestExperimentCacheStore:
 @pytest.mark.parametrize(
     "accelerator", [None, SparsityAwareAccelerator()], ids=["no-accelerator", "sparsity-aware"]
 )
-def test_every_sidecar_run_experiments_writes_is_its_keys_preimage(tmp_path, micro_scale, accelerator):
-    """sha256 of a sidecar's compact, key-sorted JSON is the key its files are named by."""
+def test_the_key_is_the_sha256_of_its_payload(config, accelerator):
+    """The key is the sha256 of the payload's compact, key-sorted JSON, which names the config and code."""
+    payload = _key_payload(config, accelerator=accelerator)
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == experiment_cache_key(config, accelerator=accelerator)
+    assert payload["config"]["seed"] == 3
+    assert payload["code"] == TRAINING_CODE_VERSION
+    assert payload["schema"] == CACHE_SCHEMA_VERSION
+    assert (payload["accelerator"] is None) == (accelerator is None)
+
+
+@pytest.mark.parametrize(
+    "accelerator", [None, SparsityAwareAccelerator()], ids=["no-accelerator", "sparsity-aware"]
+)
+def test_run_experiments_stores_only_a_pickle_per_key(tmp_path, micro_scale, accelerator):
+    """A sweep writes one pickle per cell, named by the key of its config and accelerator, and nothing else."""
     configs = [ExperimentConfig(scale=micro_scale, seed=0), ExperimentConfig(scale=micro_scale, seed=1)]
     run_experiments(configs, workers=1, cache=ExperimentCache(tmp_path), accelerator=accelerator)
-    sidecars = sorted(tmp_path.glob("*/*.json"))
-    assert len(sidecars) == len(configs)
-    for sidecar in sidecars:
-        payload = json.loads(sidecar.read_text())
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        assert hashlib.sha256(blob).hexdigest() == sidecar.stem
-        assert sidecar.with_suffix(".pkl").exists()
+    keys = [experiment_cache_key(config, accelerator=accelerator) for config in configs]
+    stored = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+    assert stored == {f"{key[:2]}/{key}.pkl" for key in keys}
 
 
 def _fake_record(config):
