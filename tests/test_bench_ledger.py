@@ -2,7 +2,8 @@
 
 Each row compares a change with its parent commit on ``perfbench``.  It
 must name both commits, the machine (as perfbench's ``# fingerprint`` line
-stamps it), the mode and run length, and for each workload its seeds and
+stamps it, and from the first row that names it on, the OpenBLAS kernel
+family), the mode and run length, and for each workload its seeds and
 pair count.  Its workloads, metric names and units must be the ones
 ``BENCHMARK.json`` declares, and each side's quartiles must bracket its
 median, so a row can be read without the prose it came from.  A metric
@@ -28,6 +29,12 @@ SHA = re.compile(r"[0-9a-f]{40}")
 
 def test_the_ledger_has_rows():
     assert ROWS
+
+
+def test_every_row_names_its_blas_kernels_once_one_does():
+    """GEMM speed depends on the OpenBLAS kernel family, so no row after the first that names it may omit it."""
+    first = next((i for i, row in enumerate(ROWS) if "blas_kernels" in row["machine"]), len(ROWS))
+    assert all(row["machine"].get("blas_kernels") for row in ROWS[first:])
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[row["title"] for row in ROWS])

@@ -60,6 +60,19 @@ class TestCacheKey:
         changed = config.with_overrides(**override)
         assert experiment_cache_key(config) != experiment_cache_key(changed)
 
+    @pytest.mark.parametrize(
+        "accelerator", [None, SparsityAwareAccelerator()], ids=["no-accelerator", "sparsity-aware"]
+    )
+    def test_the_key_is_the_sha256_of_its_payload(self, config, accelerator):
+        """The key is the sha256 of the payload's compact, key-sorted JSON, which names the config and code."""
+        payload = _key_payload(config, accelerator=accelerator)
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == experiment_cache_key(config, accelerator=accelerator)
+        assert payload["config"]["seed"] == 3
+        assert payload["code"] == TRAINING_CODE_VERSION
+        assert payload["schema"] == CACHE_SCHEMA_VERSION
+        assert (payload["accelerator"] is None) == (accelerator is None)
+
     def test_label_is_cosmetic_and_excluded_from_the_key(self, config):
         """Identical trainings under different report labels share a cache cell."""
         relabelled = config.with_overrides(label="same cell, different sweep")
@@ -280,20 +293,6 @@ class TestExperimentCacheStore:
         else:
             monkeypatch.setenv("REPRO_CACHE_DIR", env)
         assert ExperimentCache().root == Path(".repro_cache") / "experiments"
-
-
-@pytest.mark.parametrize(
-    "accelerator", [None, SparsityAwareAccelerator()], ids=["no-accelerator", "sparsity-aware"]
-)
-def test_the_key_is_the_sha256_of_its_payload(config, accelerator):
-    """The key is the sha256 of the payload's compact, key-sorted JSON, which names the config and code."""
-    payload = _key_payload(config, accelerator=accelerator)
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    assert hashlib.sha256(blob).hexdigest() == experiment_cache_key(config, accelerator=accelerator)
-    assert payload["config"]["seed"] == 3
-    assert payload["code"] == TRAINING_CODE_VERSION
-    assert payload["schema"] == CACHE_SCHEMA_VERSION
-    assert (payload["accelerator"] is None) == (accelerator is None)
 
 
 @pytest.mark.parametrize(
