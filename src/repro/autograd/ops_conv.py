@@ -172,9 +172,9 @@ SMALL_GEMM_MACS = 10**6
 
 #: Every forward panel but the last holds a multiple of this many rows.
 #: OpenBLAS's Haswell kernels round a row by its place in a tile of 24 rows
-#: (float32) or 4 rows (float64): splits on those boundaries kept every bit
-#: of the whole product and other splits did not.  SkylakeX kernels kept
-#: every bit at any split.
+#: (float32) or 4 rows (float64): on one BLAS thread, splits on those
+#: boundaries kept every bit of the whole product and other splits did not.
+#: SkylakeX kernels kept every bit at any split and thread count.
 PANEL_ROW_MULTIPLE = 48
 
 
@@ -254,9 +254,10 @@ def conv2d_forward(
     and the inference runtime both call it, so a compiled plan reproduces
     the dense forward bit for bit.  Temporaries come from the
     :class:`ConvBinding` that ``scratch`` keeps for this geometry, and the
-    product runs panel by panel into its ``prod``, each panel's rows equal
-    to the whole product's byte for byte.  The ``(N, C_out, OH, OW)``
-    result goes into ``out``, or into a fresh array when it is ``None``.
+    product runs panel by panel into its ``prod``; on one BLAS thread the
+    panels' rows equal the whole product's byte for byte
+    (:data:`PANEL_ROW_MULTIPLE`).  The ``(N, C_out, OH, OW)`` result goes
+    into ``out``, or into a fresh array when it is ``None``.
     """
     w_mat = weight.reshape(weight.shape[0], -1).T
     binding = scratch.conv(x.shape, x.dtype, weight.shape, stride, padding)

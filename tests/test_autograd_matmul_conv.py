@@ -372,7 +372,10 @@ class TestForwardPanels:
     At the bench network's two convolutions (8 output channels) each panel
     fits OpenBLAS's small-matrix bound, and the panels' rows equal the
     whole product's byte for byte on every kernel family.  Wider products
-    stay whole.
+    stay whole.  OpenBLAS also splits a product's rows among its threads;
+    on Haswell kernels a split off a 24-row tile boundary changes bits,
+    with or without panels, and at these batch sizes the panels and the
+    whole product split on tile boundaries.
     """
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
