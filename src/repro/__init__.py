@@ -5,11 +5,11 @@ The package is organised as a stack of substrates (each usable on its own)
 with the paper's methodology on top:
 
 * :mod:`repro.autograd` — NumPy reverse-mode autodiff engine (PyTorch stand-in).
-* :mod:`repro.surrogate` — surrogate gradient functions (arctangent, fast
-  sigmoid, and extensions) with pluggable derivative scaling.
+* :mod:`repro.surrogate` — the paper's surrogate gradient functions
+  (arctangent, fast sigmoid) with pluggable derivative scaling.
 * :mod:`repro.neurons` — LIF / IF / adaptive-threshold spiking neuron models (Eq. 1–2).
 * :mod:`repro.nn` — convolution, max-pool, dense and flatten layers.
-* :mod:`repro.encoding` — rate / latency / delta / direct input encoders.
+* :mod:`repro.encoding` — rate / latency / direct input encoders.
 * :mod:`repro.training` — losses, Adam, cosine annealing, BPTT trainer.
 * :mod:`repro.data` — synthetic SVHN-like dataset and data loading.
 * :mod:`repro.runtime` — compiles a trained network into a graph-free

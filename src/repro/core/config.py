@@ -129,13 +129,14 @@ class ExperimentConfig:
     cross-sweep), ``beta = 0.25``, ``theta = 1.0`` (Sec. III-B), cosine
     annealing over the configured number of epochs, Adam, and direct
     (constant-current) presentation of the static images — the standard
-    snnTorch practice for frame datasets; rate/latency/delta encoders are
+    snnTorch practice for frame datasets; the rate and latency encoders are
     exercised by the encoding ablation.
 
     Attributes
     ----------
     surrogate:
-        Registered surrogate name (``"arctan"``, ``"fast_sigmoid"``...).
+        Registered surrogate name: ``"arctan"``, ``"fast_sigmoid"`` or one
+        a caller registered (:func:`repro.surrogate.register_surrogate`).
     surrogate_scale:
         Derivative scaling factor (the paper's ``alpha`` / ``k``).
     beta:
@@ -143,8 +144,7 @@ class ExperimentConfig:
     threshold:
         Membrane firing threshold ``theta``.
     encoder:
-        Input encoder name (``"rate"``, ``"latency"``, ``"delta"``,
-        ``"direct"``).
+        Input encoder name (``"rate"``, ``"latency"`` or ``"direct"``).
     learning_rate:
         Adam learning rate.
     loss:
@@ -188,8 +188,12 @@ class ExperimentConfig:
             raise ValueError("learning_rate must be positive")
         if self.loss not in ("ce_count", "mse_count"):
             raise ValueError("loss must be 'ce_count' or 'mse_count'")
-        # Local tuple rather than repro.neurons.NEURON_TYPES: config must
-        # stay importable without pulling in the neuron/autograd stack.
+        # Local tuples rather than the neuron factory and make_encoder:
+        # config must stay importable without pulling in the neuron,
+        # encoding or autograd stack.
+        encoders = ("rate", "latency", "direct")
+        if self.encoder.lower() not in encoders:
+            raise ValueError(f"encoder must be one of {encoders}, got '{self.encoder}'")
         neurons = ("lif", "if", "adaptive")
         if self.neuron not in neurons:
             raise ValueError(f"neuron must be one of {neurons}, got '{self.neuron}'")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.analysis.sparsity import SparsityProfile
 from repro.core.config import ExperimentConfig
@@ -11,7 +11,7 @@ from repro.core.network import SpikingCNN
 from repro.data.dataloader import DataLoader
 from repro.data.dataset import train_test_split
 from repro.data.synth_svhn import SynthSVHN
-from repro.encoding import DeltaEncoder, DirectEncoder, Encoder, LatencyEncoder, RateEncoder
+from repro.encoding import DirectEncoder, Encoder, LatencyEncoder, RateEncoder
 from repro.hardware.accelerator import SparsityAwareAccelerator
 from repro.hardware.efficiency import HardwareReport, evaluate_on_hardware
 from repro.hardware.workload import NetworkWorkload, workload_from_layer_specs
@@ -45,34 +45,11 @@ class ExperimentRecord:
     sparsity_profile: SparsityProfile
     hardware: HardwareReport
 
-    def summary_row(self) -> Dict[str, float]:
-        """Flat dictionary used by result tables and CSV export."""
-        row: Dict[str, float] = {
-            "label": self.config.describe(),
-            "surrogate": self.config.surrogate,
-            "surrogate_scale": self.config.surrogate_scale,
-            "beta": self.config.beta,
-            "threshold": self.config.threshold,
-            "accuracy": self.accuracy,
-        }
-        row.update(self.hardware.as_dict())
-        return row
-
 
 def make_encoder(config: ExperimentConfig) -> Encoder:
-    """Construct the input encoder named by the configuration."""
-    name = config.encoder.lower()
-    steps = config.scale.num_steps
-    seed = config.seed + 17
-    if name == "rate":
-        return RateEncoder(num_steps=steps, seed=seed)
-    if name == "latency":
-        return LatencyEncoder(num_steps=steps, seed=seed)
-    if name == "delta":
-        return DeltaEncoder(num_steps=steps, seed=seed)
-    if name == "direct":
-        return DirectEncoder(num_steps=steps, seed=seed)
-    raise KeyError(f"unknown encoder '{config.encoder}'")
+    """Construct the input encoder named by the configuration (which checked the name)."""
+    encoder = {"rate": RateEncoder, "latency": LatencyEncoder, "direct": DirectEncoder}[config.encoder.lower()]
+    return encoder(num_steps=config.scale.num_steps, seed=config.seed + 17)
 
 
 def make_dataset(config: ExperimentConfig) -> Tuple[DataLoader, DataLoader]:

@@ -1,15 +1,15 @@
 """Persistent store for experiment results.
 
 Sweeps are expensive (each cell trains a network), so the harness persists
-every record to JSON as soon as it is available.  The store also powers the
-EXPERIMENTS.md paper-vs-measured bookkeeping.
+every record to JSON as soon as it is available.  The benchmarks append
+their headline numbers to one (``benchmarks/results/measured.json``).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.analysis.io import load_json, save_json
 
@@ -67,16 +67,3 @@ class ResultStore:
 
     def save(self) -> Path:
         return save_json([asdict(r) for r in self._results], self.path)
-
-    def by_experiment(self, experiment: str) -> List[StoredResult]:
-        """All rows recorded for one experiment id."""
-        return [r for r in self._results if r.experiment == experiment]
-
-    def labels(self, experiment: Optional[str] = None) -> List[str]:
-        rows = self._results if experiment is None else self.by_experiment(experiment)
-        return [r.label for r in rows]
-
-    def find(self, experiment: str, label: str) -> Optional[StoredResult]:
-        """Most recent row matching an experiment id and label."""
-        matches = [r for r in self.by_experiment(experiment) if r.label == label]
-        return matches[-1] if matches else None

@@ -246,7 +246,7 @@ def _collect_kernels(model: Module, state: _LoweringState, prefix: str = "") -> 
 def default_input_scale(encoder) -> float:
     """Input quantization step for an encoder's output domain.
 
-    The spike encoders (rate / latency / delta) emit binary trains, which
+    The spike encoders (rate / latency) emit binary trains, which
     are already on the integer grid: scale 1.0.  ``DirectEncoder`` broadcasts
     the *analog* intensity in ``[0, 1]`` every timestep, which the integer
     path quantizes to 8-bit fixed point: scale 1/255.

@@ -21,8 +21,8 @@ front-end over a :class:`~repro.serve.registry.ModelRegistry`:
   (or any non-weight hyperparameter, e.g. ``beta``) cannot be patched in
   place; the gateway then drains the old server and stands up a fresh one.
   A republished checkpoint that is torn, fails its content checksum or
-  cannot be rebuilt (it names an unknown neuron substrate, say, or a
-  quantization spec) does **not** interrupt serving: the old weights stay
+  cannot be rebuilt (it names a neuron substrate or a surrogate this code
+  lacks, say, or a quantization spec) does **not** interrupt serving: the old weights stay
   live, the failure is counted (``reload_failures``) with its cause in
   the model's telemetry, and the next good republish is picked up
   normally.  Every model a checkpoint can describe compiles at fp32
@@ -43,7 +43,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -208,12 +208,6 @@ class ServeGateway:
             if root is not None:
                 root.end()
 
-    def submit_many(
-        self, name: str, images: Sequence[np.ndarray], deadline_ms: Optional[float] = None
-    ) -> List["Future[ServeResult]"]:
-        """Submit a sequence of independent requests to one model (FIFO)."""
-        return [self.submit(name, image, deadline_ms=deadline_ms) for image in images]
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -237,16 +231,6 @@ class ServeGateway:
         if active is None:
             raise RegistryError(f"model {name!r} is not active on this gateway")
         return active.server.telemetry
-
-    def last_errors(self) -> Dict[str, str]:
-        """Most recent failure description per active model (clean models omitted)."""
-        with self._lock:
-            active = dict(self._active)
-        return {
-            name: model.server.telemetry.last_error
-            for name, model in sorted(active.items())
-            if model.server.telemetry.last_error
-        }
 
     def summary(self) -> Dict[str, Any]:
         """Aggregated gateway snapshot with per-model breakdowns.
@@ -439,15 +423,10 @@ class ServeGateway:
         active.server.telemetry.record_reload_failure(f"{type(exc).__name__}: {exc}")
 
 
-def format_gateway_summary(
-    summary: Dict[str, Any],
-    title: str = "Gateway telemetry",
-    last_errors: Optional[Dict[str, str]] = None,
-) -> str:
+def format_gateway_summary(summary: Dict[str, Any], title: str = "Gateway telemetry") -> str:
     """Render :meth:`ServeGateway.summary` as an aligned per-model table.
 
-    ``last_errors`` (typically :meth:`ServeGateway.last_errors`) appends
-    one most-recent-failure line per affected model under the table.
+    A model's most recent failure is ``gateway.telemetry(name).last_error``.
     """
     totals = summary.get("totals", {})
     lines = [title, "-" * len(title)]
@@ -471,6 +450,4 @@ def format_gateway_summary(
         f"{totals.get('failed', 0):.0f} failed, {totals.get('timed_out', 0):.0f} timed out, "
         f"{totals.get('reloads', 0):.0f} reloads ({totals.get('reload_failures', 0):.0f} failed)"
     )
-    for name, error in sorted((last_errors or {}).items()):
-        lines.append(f"  last error [{name}]: {error}")
     return "\n".join(lines)

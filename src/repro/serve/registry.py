@@ -24,10 +24,9 @@ from __future__ import annotations
 import json
 import os
 import re
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import evaluate_trained_model, train_model
@@ -112,12 +111,6 @@ class ModelRegistry:
         """Path of ``name``'s human-readable ``meta.json`` audit sidecar."""
         return self._entry_dir(name) / "meta.json"
 
-    def __contains__(self, name: str) -> bool:
-        try:
-            return self.checkpoint_path(name).exists()
-        except RegistryError:
-            return False
-
     def version(self, name: str) -> int:
         """Current publish version of ``name`` (0 when never published).
 
@@ -164,16 +157,6 @@ class ModelRegistry:
         except OSError:
             return None
         return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
-
-    def names(self) -> List[str]:
-        """Registered model names, sorted."""
-        if not self.root.exists():
-            return []
-        return sorted(
-            entry.name
-            for entry in self.root.iterdir()
-            if entry.is_dir() and (entry / "checkpoint.npz").exists()
-        )
 
     # ------------------------------------------------------------------ #
     def save(
@@ -241,16 +224,8 @@ class ModelRegistry:
         meta = checkpoint_meta.get("registry") if isinstance(checkpoint_meta, dict) else None
         return RegisteredModel(name=name, model=model, encoder=encoder, meta=meta or {})
 
-    def remove(self, name: str) -> bool:
-        """Delete a registry entry; returns whether it existed."""
-        entry = self._entry_dir(name)
-        if not entry.exists():
-            return False
-        shutil.rmtree(entry)
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ModelRegistry(root={str(self.root)!r}, models={self.names()})"
+        return f"ModelRegistry(root={str(self.root)!r})"
 
 
 def train_and_register(

@@ -58,22 +58,3 @@ class SurrogateFunction:
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.scale))
-
-
-class HeavisideExact(SurrogateFunction):
-    """The true (non-differentiable) step — zero gradient almost everywhere.
-
-    Included as a degenerate baseline: training with it demonstrates the
-    dead-gradient problem that motivates surrogate gradients.
-    """
-
-    name = "heaviside"
-
-    def __init__(self, scale: float = 1.0) -> None:
-        super().__init__(scale)
-
-    def forward_smooth(self, u: np.ndarray) -> np.ndarray:
-        return (u > 0).astype(np.float64)
-
-    def derivative(self, u: np.ndarray) -> np.ndarray:
-        return np.zeros_like(u)

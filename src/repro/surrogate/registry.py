@@ -1,7 +1,7 @@
 """Name-based registry of surrogate gradient functions.
 
 The sweep harness in :mod:`repro.core` refers to surrogates by name
-(``"arctan"``, ``"fast_sigmoid"``, ...) so experiment configurations remain
+(``"arctan"``, ``"fast_sigmoid"``) so experiment configurations remain
 plain serialisable data.
 """
 
@@ -10,12 +10,8 @@ from __future__ import annotations
 from typing import Dict, List, Type
 
 from repro.surrogate.arctan import ArcTan
-from repro.surrogate.base import HeavisideExact, SurrogateFunction
+from repro.surrogate.base import SurrogateFunction
 from repro.surrogate.fast_sigmoid import FastSigmoid
-from repro.surrogate.piecewise import PiecewiseLinear
-from repro.surrogate.sigmoid import Sigmoid
-from repro.surrogate.straight_through import StraightThrough
-from repro.surrogate.triangular import Triangular
 
 _REGISTRY: Dict[str, Type[SurrogateFunction]] = {}
 
@@ -63,5 +59,5 @@ def available_surrogates() -> List[str]:
     return sorted(_REGISTRY)
 
 
-for _cls in (ArcTan, FastSigmoid, Sigmoid, Triangular, PiecewiseLinear, StraightThrough, HeavisideExact):
+for _cls in (ArcTan, FastSigmoid):
     register_surrogate(_cls)

@@ -1,4 +1,4 @@
-"""Training infrastructure: losses, optimizers, LR schedulers, trainer, metrics.
+"""Training infrastructure: losses, Adam, LR schedulers, trainer, metrics.
 
 Implements the paper's training recipe — surrogate-gradient
 backpropagation-through-time with a cross-entropy loss on output spike
@@ -13,9 +13,9 @@ from repro.training.checkpoint import (
     save_checkpoint,
 )
 from repro.training.loss import CrossEntropySpikeCount, MSESpikeCount, cross_entropy_logits
-from repro.training.optim import Adam, Optimizer
+from repro.training.optim import Adam
 from repro.training.schedulers import CosineAnnealingLR, LRScheduler
-from repro.training.metrics import accuracy, top_k_accuracy
+from repro.training.metrics import accuracy
 from repro.training.callbacks import Callback, HistoryRecorder
 from repro.training.trainer import Trainer, TrainingResult
 
@@ -27,12 +27,10 @@ __all__ = [
     "CrossEntropySpikeCount",
     "MSESpikeCount",
     "cross_entropy_logits",
-    "Optimizer",
     "Adam",
     "LRScheduler",
     "CosineAnnealingLR",
     "accuracy",
-    "top_k_accuracy",
     "Callback",
     "HistoryRecorder",
     "Trainer",

@@ -29,7 +29,7 @@ import numpy as np
 
 import repro
 from repro.core.network import SpikingCNN, SpikingMLP
-from repro.encoding import DeltaEncoder, DirectEncoder, Encoder, LatencyEncoder, RateEncoder
+from repro.encoding import DirectEncoder, Encoder, LatencyEncoder, RateEncoder
 from repro.neurons.base import RESET_MECHANISMS, SpikingNeuron
 from repro.neurons.factory import neuron_descriptor
 from repro.nn.module import Module
@@ -66,7 +66,6 @@ class CheckpointIntegrityError(CheckpointError):
 _ENCODER_CLASSES = {
     "rate": RateEncoder,
     "latency": LatencyEncoder,
-    "delta": DeltaEncoder,
     "direct": DirectEncoder,
 }
 
@@ -84,8 +83,6 @@ def encoder_spec(encoder: Encoder) -> Dict[str, Any]:
         spec["gain"] = encoder.gain
     elif isinstance(encoder, LatencyEncoder):
         spec["threshold"] = encoder.threshold
-    elif isinstance(encoder, DeltaEncoder):
-        spec["delta_threshold"] = encoder.delta_threshold
     return spec
 
 
@@ -200,10 +197,12 @@ def build_model(spec: Dict[str, Any]) -> Module:
         kwargs["conv_channels"] = tuple(kwargs["conv_channels"])
     try:
         model = cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        # E.g. a neuron substrate this code does not have (the message
-        # names the supported ones).
-        raise CheckpointError(f"cannot rebuild {spec['class']} from checkpoint: {exc}") from None
+    except (TypeError, ValueError, KeyError) as exc:
+        # E.g. a neuron substrate or a surrogate this code does not have
+        # (the message names the supported ones).  A KeyError prints as its
+        # message's repr, so its message is taken as it is.
+        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise CheckpointError(f"cannot rebuild {spec['class']} from checkpoint: {reason}") from None
     for lif in _spiking_layers(model):
         lif.reset_mechanism = reset
     return model

@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers.
+"""The Adam optimizer.
 
 :class:`Adam` keeps its per-parameter moment buffers in index-keyed lists
 that are allocated once, on the first step that sees a gradient, and
@@ -16,37 +16,7 @@ import numpy as np
 from repro.nn.module import Parameter
 
 
-class Optimizer:
-    """Base optimizer: holds parameters and a mutable learning rate."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.parameters: List[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received an empty parameter list")
-        self.lr = float(lr)
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    def set_lr(self, lr: float) -> None:
-        """Update the learning rate (called by LR schedulers).
-
-        Zero is allowed here (cosine annealing reaches exactly zero at the
-        end of its schedule); only the initial learning rate must be
-        strictly positive.
-        """
-        if lr < 0:
-            raise ValueError(f"learning rate must be non-negative, got {lr}")
-        self.lr = float(lr)
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam optimizer (Kingma & Ba), the de-facto choice for snnTorch models.
 
     Moment buffers are allocated once per parameter (on the first step that
@@ -63,7 +33,12 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters, lr)
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.parameters: List[Parameter] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received an empty parameter list")
+        self.lr = float(lr)
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got {betas}")
@@ -79,6 +54,21 @@ class Adam(Optimizer):
         self._buf: List[Optional[np.ndarray]] = [None] * len(self.parameters)
         self._wd_buf: List[Optional[np.ndarray]] = [None] * len(self.parameters)
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.parameters:
+            p.zero_grad()
+
+    def set_lr(self, lr: float) -> None:
+        """Update the learning rate (called by LR schedulers).
+
+        Zero is allowed here (cosine annealing reaches exactly zero at the
+        end of its schedule); only the initial learning rate must be
+        strictly positive.
+        """
+        if lr < 0:
+            raise ValueError(f"learning rate must be non-negative, got {lr}")
+        self.lr = float(lr)
 
     def step(self) -> None:
         self._t += 1

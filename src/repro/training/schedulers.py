@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 
-from repro.training.optim import Optimizer
+from repro.training.optim import Adam
 
 
 class LRScheduler:
     """Base scheduler: call :meth:`step` once per epoch."""
 
-    def __init__(self, optimizer: Optimizer) -> None:
+    def __init__(self, optimizer: Adam) -> None:
         self.optimizer = optimizer
         self.base_lr = optimizer.lr
         self.epoch = 0
@@ -42,7 +42,7 @@ class CosineAnnealingLR(LRScheduler):
     good accuracy as the reason for the short schedule.
     """
 
-    def __init__(self, optimizer: Optimizer, t_max: int = 25, eta_min: float = 0.0) -> None:
+    def __init__(self, optimizer: Adam, t_max: int = 25, eta_min: float = 0.0) -> None:
         super().__init__(optimizer)
         if t_max <= 0:
             raise ValueError("t_max must be positive")

@@ -15,7 +15,7 @@ from repro.nn.module import Module
 from repro.training.callbacks import HistoryRecorder
 from repro.training.loss import CrossEntropySpikeCount
 from repro.training.metrics import accuracy
-from repro.training.optim import Optimizer
+from repro.training.optim import Adam
 from repro.training.schedulers import LRScheduler
 
 
@@ -71,7 +71,7 @@ class Trainer:
         self,
         model: Module,
         encoder: Encoder,
-        optimizer: Optimizer,
+        optimizer: Adam,
         loss_fn: Optional[Callable] = None,
         scheduler: Optional[LRScheduler] = None,
     ) -> None:

@@ -30,6 +30,17 @@ def smoke_config() -> ExperimentConfig:
 
 
 @pytest.fixture
+def surrogate_registry():
+    """Restore the surrogate registry after the test to the names it held before."""
+    from repro.surrogate.registry import _REGISTRY
+
+    saved = dict(_REGISTRY)
+    yield
+    _REGISTRY.clear()
+    _REGISTRY.update(saved)
+
+
+@pytest.fixture
 def micro_scale():
     """Sub-smoke scale for tests that train several configurations.
 

@@ -8,8 +8,9 @@ from conftest import rewrite_checkpoint_header
 
 from repro.autograd import Tensor
 from repro.core.network import SpikingCNN, SpikingMLP
-from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEncoder
+from repro.encoding import DirectEncoder, LatencyEncoder, RateEncoder
 from repro.runtime import compile_network
+from repro.surrogate import available_surrogates
 from repro.neurons import NEURON_TYPES
 from repro.neurons.base import RESET_MECHANISMS, SpikingNeuron
 from repro.training.checkpoint import (
@@ -25,7 +26,6 @@ from repro.training.checkpoint import (
 ENCODER_CLASSES = {
     "rate": RateEncoder,
     "latency": LatencyEncoder,
-    "delta": DeltaEncoder,
     "direct": DirectEncoder,
 }
 
@@ -122,6 +122,17 @@ def test_unknown_neuron_substrate_rejected_at_load(tmp_path):
     assert str(NEURON_TYPES) in str(excinfo.value)
 
 
+def test_unknown_surrogate_rejected_at_load(tmp_path):
+    """A surrogate this code lacks (``triangular`` was removed) is a CheckpointError naming it."""
+    model = _make_model("cnn")
+    path = save_checkpoint(tmp_path / "tampered.npz", model)
+    kwargs = dict(model_spec(model)["kwargs"], surrogate_name="triangular")
+    rewrite_checkpoint_header(path, kwargs=kwargs)
+    with pytest.raises(CheckpointError, match="unknown surrogate 'triangular'") as excinfo:
+        load_checkpoint(path)
+    assert str(available_surrogates()) in str(excinfo.value)
+
+
 def test_quantized_publish_rejected_at_load(tmp_path):
     """A header naming a quantization spec was an integer publish: an error, not fp32 serving."""
     path = save_checkpoint(tmp_path / "quantized.npz", _make_model("mlp"))
@@ -173,9 +184,9 @@ def test_encoder_spec_round_trip_preserves_kwargs():
     assert isinstance(rebuilt, RateEncoder)
     assert rebuilt.num_steps == 6 and rebuilt.gain == 0.5 and rebuilt.seed == 42
 
-    encoder = DeltaEncoder(num_steps=3, delta_threshold=0.2)
+    encoder = LatencyEncoder(num_steps=3, threshold=0.2)
     rebuilt = build_encoder(encoder_spec(encoder))
-    assert rebuilt.delta_threshold == 0.2
+    assert isinstance(rebuilt, LatencyEncoder) and rebuilt.threshold == 0.2
 
 
 def test_unsupported_model_rejected(tmp_path):

@@ -92,6 +92,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=re.escape(f"one of {NEURON_TYPES}, got 'synaptic'")):
             ExperimentConfig(neuron="synaptic")
 
+    def test_encoder_names_are_the_ones_make_encoder_builds(self):
+        """Config checks names against its own tuple; each builds the encoder of that name."""
+        from repro.core.experiment import make_encoder
+
+        encoders = ("rate", "latency", "direct")
+        for encoder in encoders:
+            assert make_encoder(ExperimentConfig(encoder=encoder)).name == encoder
+        with pytest.raises(ValueError, match=re.escape(f"one of {encoders}, got 'delta'")):
+            ExperimentConfig(encoder="delta")
+
     def test_paper_reference_points(self):
         assert PAPER_DEFAULT.beta == 0.25 and PAPER_DEFAULT.threshold == 1.0
         assert PAPER_LATENCY_OPTIMAL.beta == 0.5 and PAPER_LATENCY_OPTIMAL.threshold == 1.5

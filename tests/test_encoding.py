@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEncoder, is_time_invariant
+from repro.encoding import DirectEncoder, LatencyEncoder, RateEncoder, is_time_invariant
 
 
 class TestEncoderInterface:
     def test_output_shape_adds_time_axis(self):
         x = np.random.default_rng(0).random((4, 3, 8, 8)).astype(np.float32)
-        for enc in (RateEncoder(5), LatencyEncoder(5), DeltaEncoder(5), DirectEncoder(5)):
+        for enc in (RateEncoder(5), LatencyEncoder(5), DirectEncoder(5)):
             out = enc(x)
             assert out.shape == (5,) + x.shape
 
@@ -91,22 +91,6 @@ class TestLatencyEncoder:
         latency_spikes = LatencyEncoder(10)(x).sum()
         rate_spikes = RateEncoder(10, seed=0)(x).sum()
         assert latency_spikes < rate_spikes
-
-
-class TestDeltaEncoder:
-    def test_output_is_binary(self):
-        x = np.random.default_rng(7).random((2, 5)).astype(np.float32)
-        out = DeltaEncoder(6)(x)
-        assert set(np.unique(out)).issubset({0.0, 1.0})
-
-    def test_total_spikes_proportional_to_intensity(self):
-        x = np.array([[0.1, 0.9]], dtype=np.float32)
-        out = DeltaEncoder(10, delta_threshold=0.1)(x)
-        assert out[:, 0, 1].sum() > out[:, 0, 0].sum()
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            DeltaEncoder(5, delta_threshold=0.0)
 
 
 class TestDirectEncoder:

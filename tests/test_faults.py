@@ -46,6 +46,7 @@ from repro.serve import (
 )
 from repro.neurons import NEURON_TYPES
 from repro.training.checkpoint import (
+    CheckpointError,
     CheckpointIntegrityError,
     load_checkpoint,
     model_spec,
@@ -278,7 +279,7 @@ class TestGatewayDegradedReload:
 
             telemetry = gateway.telemetry("m")
             assert telemetry.total_reload_failures == 1
-            assert "CheckpointIntegrityError" in gateway.last_errors()["m"]
+            assert "CheckpointIntegrityError" in gateway.telemetry("m").last_error
             summary = gateway.summary()
             assert summary["totals"]["reload_failures"] == 1.0
             assert summary["models"]["m"]["reload_failures"] == 1.0
@@ -312,9 +313,33 @@ class TestGatewayDegradedReload:
             served += [gateway.submit("m", image).result(timeout=30).counts for image in images[1:3]]
             np.testing.assert_array_equal(np.stack(served), reference)  # old weights live
             assert gateway.telemetry("m").total_reload_failures == 1
-            error = gateway.last_errors()["m"]
+            error = gateway.telemetry("m").last_error
             assert error.startswith("CheckpointError") and str(NEURON_TYPES) in error
             assert gateway.summary()["totals"]["reload_failures"] == 1.0
+
+    def test_unknown_surrogate_republish_keeps_serving_old_weights(
+        self, tmp_path, micro_config, untrained
+    ):
+        """A republish naming a surrogate this code lacks degrades like a torn one."""
+        _, _, images = untrained
+        registry = ModelRegistry(tmp_path)
+        model_v1 = self._publish(registry, "m", micro_config)
+        reference = _reference_counts(micro_config, model_v1, images[:3], 1)
+        with ServeGateway(registry, max_batch=4, max_wait_ms=1.0) as gateway:
+            served = [gateway.submit("m", images[0]).result(timeout=30).counts]
+            kwargs = model_spec(model_v1)["kwargs"]
+            rewrite_checkpoint_header(
+                registry.checkpoint_path("m"), kwargs=dict(kwargs, surrogate_name="triangular")
+            )
+            served += [gateway.submit("m", image).result(timeout=30).counts for image in images[1:3]]
+            np.testing.assert_array_equal(np.stack(served), reference)  # old weights live
+            assert gateway.telemetry("m").total_reload_failures == 1
+            error = gateway.telemetry("m").last_error
+            assert error.startswith("CheckpointError") and "unknown surrogate 'triangular'" in error
+        # A gateway that first activates the model cannot load it either.
+        with ServeGateway(registry) as fresh:
+            with pytest.raises(CheckpointError, match="unknown surrogate 'triangular'"):
+                fresh.submit("m", images[0])
 
     def test_torn_republish_does_not_rescan_every_submit(self, tmp_path, micro_config, untrained):
         _, _, images = untrained
@@ -344,7 +369,7 @@ class TestGatewayDegradedReload:
             np.testing.assert_array_equal(np.stack(served), reference)  # old weights live
             assert gateway.version("m") == 1
             assert gateway.telemetry("m").total_reload_failures == 1
-            error = gateway.last_errors()["m"]
+            error = gateway.telemetry("m").last_error
             assert error.startswith("CheckpointError") and "quantized serving" in error
             assert gateway.summary()["totals"]["reload_failures"] == 1.0
 

@@ -29,7 +29,7 @@ from repro.neurons.adaptive import AdaptiveLIF
 from repro.neurons.lif import LIF
 from repro.surrogate.registry import get_surrogate
 
-SURROGATES = ["fast_sigmoid", "arctan", "triangular", "piecewise_linear", "sigmoid"]
+SURROGATES = ["fast_sigmoid", "arctan"]
 RESETS = ["subtract", "zero", "none"]
 #: Layers each comparison runs: (label, adaptation (step, decay) or None for LIF).
 #: Step 0 never raises the threshold; decay 1.0 never forgets a spike.

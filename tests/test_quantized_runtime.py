@@ -3,7 +3,7 @@
 Covers the full chain the accuracy gate relies on: lowering to quantized
 kernels, exact-integer execution (integer spike counts, bit-deterministic
 replays), paired-spike agreement with the fp64 reference across both
-model families and all four encoders, and the accuracy gate itself.
+model families and all three encoders, and the accuracy gate itself.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.network import SpikingCNN, SpikingMLP
-from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEncoder
+from repro.encoding import DirectEncoder, LatencyEncoder, RateEncoder
 from repro.runtime import (
     AccuracyDelta,
     AccuracyGateError,
@@ -31,7 +31,6 @@ from repro.runtime import (
 ENCODER_CLASSES = {
     "rate": RateEncoder,
     "latency": LatencyEncoder,
-    "delta": DeltaEncoder,
     "direct": DirectEncoder,
 }
 

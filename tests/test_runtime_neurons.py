@@ -1,7 +1,7 @@
 """Cross-substrate equivalence matrix for the compiled plan.
 
 Every supported spiking substrate ({LIF, IF, AdaptiveLIF}) x
-both model families x all four encoders must satisfy the runtime's
+both model families x all three encoders must satisfy the runtime's
 contract: the compiled plan's spike trains are bit-identical to the dense
 forward at fp32, fp64 predictions agree on the same paired spikes, and the
 integer precisions replay bit-deterministically with high paired-spike
@@ -21,7 +21,7 @@ from conftest import dense_forward_with_trains
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import make_encoder, make_model
 from repro.core.network import SpikingCNN, SpikingMLP
-from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEncoder
+from repro.encoding import DirectEncoder, LatencyEncoder, RateEncoder
 from repro.neurons import IF, AdaptiveLIF, LIF, neuron_descriptor
 from repro.neurons.base import SpikingNeuron
 from repro.runtime import (
@@ -40,7 +40,6 @@ from repro.training.checkpoint import load_checkpoint, save_checkpoint
 ENCODER_CLASSES = {
     "rate": RateEncoder,
     "latency": LatencyEncoder,
-    "delta": DeltaEncoder,
     "direct": DirectEncoder,
 }
 

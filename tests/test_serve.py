@@ -131,8 +131,7 @@ class TestModelRegistry:
             "cnn-a", model, encoder, config=micro_config, accuracy=0.5,
             hardware={"fps": 100.0, "latency_ms": 1.0}, metadata={"note": "hi"},
         )
-        assert registry.names() == ["cnn-a"]
-        assert "cnn-a" in registry
+        assert registry.checkpoint_path("cnn-a").exists()
 
         entry = registry.load("cnn-a")
         assert entry.meta["accuracy"] == 0.5
@@ -152,15 +151,9 @@ class TestModelRegistry:
         for bad in ("../escape", "", ".hidden", "a/b"):
             with pytest.raises(RegistryError):
                 registry.save(bad, model, encoder)
-        assert "../escape" not in registry
-
-    def test_remove(self, tmp_path, untrained):
-        model, encoder, _ = untrained
-        registry = ModelRegistry(tmp_path)
-        registry.save("m", model, encoder)
-        assert registry.remove("m") is True
-        assert registry.remove("m") is False
-        assert registry.names() == []
+            with pytest.raises(RegistryError):
+                registry.checkpoint_path(bad)
+        assert list(tmp_path.iterdir()) == [] and not (tmp_path.parent / "escape").exists()
 
     def test_env_var_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "models"))

@@ -5,18 +5,15 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.autograd.ops_spiking import fused_lif_step, surrogate_backward
+from repro.core.sweeps import PAPER_SURROGATES
 from repro.surrogate import (
     ArcTan,
     FastSigmoid,
-    PiecewiseLinear,
-    Sigmoid,
-    StraightThrough,
-    Triangular,
+    SurrogateFunction,
     available_surrogates,
     get_surrogate,
     register_surrogate,
 )
-from repro.surrogate.base import HeavisideExact, SurrogateFunction
 
 
 class TestArcTan:
@@ -71,39 +68,11 @@ class TestFastSigmoid:
         assert np.allclose(surrogate.derivative(u), surrogate.derivative(-u))
 
 
-class TestOtherSurrogates:
-    def test_sigmoid_derivative_positive_and_peaked_at_zero(self):
-        surrogate = Sigmoid(scale=10.0)
-        u = np.linspace(-1, 1, 21)
-        d = surrogate.derivative(u)
-        assert (d > 0).all()
-        assert d.argmax() == 10  # centre of the grid
-
-    def test_triangular_support_is_bounded(self):
-        surrogate = Triangular(scale=2.0)
-        assert surrogate.derivative(np.array([0.6]))[0] == pytest.approx(0.0)
-        assert surrogate.derivative(np.array([0.0]))[0] == pytest.approx(2.0)
-
-    def test_piecewise_linear_is_boxcar(self):
-        surrogate = PiecewiseLinear(scale=2.0)
-        d = surrogate.derivative(np.array([0.0, 0.4, 0.6]))
-        assert d[0] == pytest.approx(1.0)
-        assert d[1] == pytest.approx(1.0)
-        assert d[2] == pytest.approx(0.0)
-
-    def test_straight_through_passes_gradient(self):
-        surrogate = StraightThrough()
-        assert np.allclose(surrogate.derivative(np.array([-5.0, 0.0, 5.0])), 1.0)
-
-    def test_heaviside_exact_has_zero_gradient(self):
-        surrogate = HeavisideExact()
-        assert np.allclose(surrogate.derivative(np.array([-1.0, 0.0, 1.0])), 0.0)
-
-    def test_invalid_scale_rejected(self):
-        with pytest.raises(ValueError):
-            FastSigmoid(scale=0.0)
-        with pytest.raises(ValueError):
-            ArcTan(scale=-1.0)
+def test_invalid_scale_rejected():
+    with pytest.raises(ValueError):
+        FastSigmoid(scale=0.0)
+    with pytest.raises(ValueError):
+        ArcTan(scale=-1.0)
 
 
 def _arctan(s, u):
@@ -116,21 +85,11 @@ def _fast_sigmoid(s, u):
     return 1.0 / (denom * denom)
 
 
-def _sigmoid(s, u):
-    sig = 1.0 / (1.0 + np.exp(-s.scale * np.clip(u, -60.0 / s.scale, 60.0 / s.scale)))
-    return s.scale * sig * (1.0 - sig)
-
-
 #: Each registered surrogate's derivative as a plain expression: the
 #: reference its implementation must reproduce byte for byte.
 REFERENCE_DERIVATIVES = {
     "arctan": _arctan,
     "fast_sigmoid": _fast_sigmoid,
-    "heaviside": lambda s, u: np.zeros_like(u),
-    "piecewise_linear": lambda s, u: 0.5 * s.scale * (np.abs(u) < 1.0 / s.scale).astype(u.dtype),
-    "sigmoid": _sigmoid,
-    "straight_through": lambda s, u: np.full_like(np.asarray(u, dtype=np.float64), s.scale),
-    "triangular": lambda s, u: s.scale * np.maximum(0.0, 1.0 - np.abs(u) * s.scale),
 }
 
 
@@ -172,10 +131,11 @@ class _Returning(SurrogateFunction):
 
 
 class TestRegistry:
-    def test_all_paper_surrogates_registered(self):
-        names = available_surrogates()
-        assert "arctan" in names
-        assert "fast_sigmoid" in names
+    def test_only_the_paper_surrogates_are_built_in(self):
+        # Figure 1 sweeps PAPER_SURROGATES, and no figure, example or
+        # benchmark trains any other built-in shape: a surrogate comes back
+        # only together with a sweep that trains it.
+        assert available_surrogates() == sorted(PAPER_SURROGATES) == ["arctan", "fast_sigmoid"]
 
     def test_get_surrogate_with_scale(self):
         s = get_surrogate("fast_sigmoid", 0.25)
@@ -190,7 +150,7 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_surrogate("does_not_exist")
 
-    def test_register_custom_surrogate(self):
+    def test_register_custom_surrogate(self, surrogate_registry):
         @register_surrogate
         class ConstantHalf(SurrogateFunction):
             name = "constant_half_test"
@@ -202,6 +162,7 @@ class TestRegistry:
                 return np.full_like(np.asarray(u, dtype=np.float64), 0.5)
 
         assert isinstance(get_surrogate("constant_half_test"), ConstantHalf)
+        assert available_surrogates() == ["arctan", "constant_half_test", "fast_sigmoid"]
 
     def test_register_requires_name(self):
         class Unnamed(SurrogateFunction):
@@ -265,13 +226,13 @@ class TestSpikeFunction:
         [
             FastSigmoid(2.0),
             ArcTan(2.0),
-            StraightThrough(),
+            _Returning(lambda u: np.ones(u.shape)),
             _Returning(lambda u: np.broadcast_to(np.float32(0.5), u.shape)),
             _Returning(lambda u: u),
             _Returning(lambda u: u[:, ::-1]),
             _Returning(lambda u: 0.5),
         ],
-        ids=["fast_sigmoid", "arctan", "straight_through", "read-only", "input", "input-view", "scalar"],
+        ids=["fast_sigmoid", "arctan", "fresh-float64", "read-only", "input", "input-view", "scalar"],
     )
     @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
     def test_backward_product_goes_only_into_a_derivative_it_owns(self, surrogate, grad_dtype):

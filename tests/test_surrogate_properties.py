@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.surrogate import ArcTan, FastSigmoid, Sigmoid, Triangular, get_surrogate
+from repro.surrogate import ArcTan, FastSigmoid, get_surrogate
 
 scales = st.floats(min_value=0.25, max_value=32.0, allow_nan=False)
 potentials = st.lists(
@@ -43,7 +43,7 @@ def test_derivatives_are_symmetric_and_decreasing(scale, u):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["arctan", "fast_sigmoid", "sigmoid", "triangular"]), scales, potentials)
+@given(st.sampled_from(["arctan", "fast_sigmoid"]), scales, potentials)
 def test_smooth_forward_is_monotone_nondecreasing(name, scale, values):
     """Every smooth approximation of the step is monotone in U."""
     surrogate = get_surrogate(name, scale)

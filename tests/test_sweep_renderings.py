@@ -31,6 +31,7 @@ from repro.core import (
 )
 from repro.exec import executor as executor_mod
 from repro.hardware.efficiency import HardwareReport
+from repro.surrogate import SurrogateFunction, register_surrogate
 
 #: The config fields that seed a fake record.
 HYPERPARAMETERS = (
@@ -112,9 +113,16 @@ def test_rendering_matches_recorded_digest(case, fake_training):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == DIGESTS[case]
 
 
-@pytest.mark.parametrize("surrogates", [("sigmoid", "triangular"), ("arctan",), ("fast_sigmoid",)])
-def test_figure1_renders_without_both_paper_surrogates(surrogates, fake_training):
-    """The fast-sigmoid-vs-arctangent line needs both; the rest renders for any surrogates."""
+class _Boxcar(SurrogateFunction):
+    """A surrogate outside the paper's two, registered only while a test runs."""
+
+    name = "boxcar"
+
+
+@pytest.mark.parametrize("surrogates", [("boxcar",), ("arctan",), ("fast_sigmoid",)])
+def test_figure1_renders_without_both_paper_surrogates(surrogates, fake_training, surrogate_registry):
+    """The fast-sigmoid-vs-arctangent line needs both; the rest renders for any registered surrogates."""
+    register_surrogate(_Boxcar)
     sweep = run_surrogate_sweep(scales=(0.5, 8.0), surrogates=surrogates, base_config=fake_training)
     text = format_figure1(sweep)
     assert "Figure 1a" in text and "Figure 1 data" in text

@@ -13,7 +13,6 @@ from repro.training import (
     MSESpikeCount,
     accuracy,
     cross_entropy_logits,
-    top_k_accuracy,
 )
 
 
@@ -176,15 +175,6 @@ class TestMetrics:
     def test_accuracy_shape_mismatch(self):
         with pytest.raises(ValueError):
             accuracy(np.array([0, 1]), np.array([0, 1, 2]))
-
-    def test_top_k_accuracy(self):
-        scores = np.array([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]])
-        assert top_k_accuracy(scores, np.array([1, 0]), k=2) == pytest.approx(0.5)
-        assert top_k_accuracy(scores, np.array([0, 2]), k=1) == 1.0
-
-    def test_top_k_invalid(self):
-        with pytest.raises(ValueError):
-            top_k_accuracy(np.zeros((2, 3)), np.zeros(2), k=5)
 
 
 class TestCallbacks:
