@@ -4,7 +4,7 @@ Static images must be converted to spike trains before they can drive a
 spiking network.  The paper trains on rate-coded SVHN images (the standard
 snnTorch approach); the encoding-ablation experiment additionally compares
 latency (time-to-first-spike) and direct (constant current) coding, since
-the paper's introduction identifies input coding as the primary driver of
+the paper's introduction identifies input coding as the primary source of
 sparsity.
 """
 

@@ -279,7 +279,7 @@ class TestGatewayDegradedReload:
 
             telemetry = gateway.telemetry("m")
             assert telemetry.total_reload_failures == 1
-            assert "CheckpointIntegrityError" in gateway.telemetry("m").last_error
+            assert "CheckpointIntegrityError" in telemetry.last_error
             summary = gateway.summary()
             assert summary["totals"]["reload_failures"] == 1.0
             assert summary["models"]["m"]["reload_failures"] == 1.0
