@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.config import ExperimentConfig, SCALE_PRESETS
 from repro.runtime import CompiledNetworkPool
+from repro.surrogate import SurrogateFunction, register_surrogate
 from repro.utils import atomic_write
 
 
@@ -38,6 +39,34 @@ def surrogate_registry():
     yield
     _REGISTRY.clear()
     _REGISTRY.update(saved)
+
+
+class TriangleSurrogate(SurrogateFunction):
+    """A caller's surrogate with bounded support: ``dS/dU = k * max(0, 1 - k|U|)``.
+
+    Neither paper surrogate ever reaches zero; this one passes no gradient
+    at ``|U| >= 1 / k``.  Register it for one test with the
+    ``registered_surrogate`` fixture.
+    """
+
+    name = "triangle"
+
+    def __init__(self, scale: float = 1.0) -> None:
+        super().__init__(scale)
+
+    def forward_smooth(self, u: np.ndarray) -> np.ndarray:
+        v = np.clip(self.scale * np.asarray(u), -1.0, 1.0)
+        return v - 0.5 * v * np.abs(v)
+
+    def derivative(self, u: np.ndarray) -> np.ndarray:
+        return self.scale * np.maximum(0.0, 1.0 - self.scale * np.abs(u))
+
+
+@pytest.fixture
+def registered_surrogate(surrogate_registry) -> str:
+    """Register :class:`TriangleSurrogate` while the test runs; returns its name."""
+    register_surrogate(TriangleSurrogate)
+    return TriangleSurrogate.name
 
 
 @pytest.fixture

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import rewrite_checkpoint_header
+from conftest import TriangleSurrogate, rewrite_checkpoint_header
 
 from repro.autograd import Tensor
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DirectEncoder, LatencyEncoder, RateEncoder
 from repro.runtime import compile_network
 from repro.surrogate import available_surrogates
+from repro.surrogate.registry import _REGISTRY
 from repro.neurons import NEURON_TYPES
 from repro.neurons.base import RESET_MECHANISMS, SpikingNeuron
 from repro.training.checkpoint import (
@@ -131,6 +132,53 @@ def test_unknown_surrogate_rejected_at_load(tmp_path):
     with pytest.raises(CheckpointError, match="unknown surrogate 'triangular'") as excinfo:
         load_checkpoint(path)
     assert str(available_surrogates()) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("kind", ["cnn", "mlp"])
+def test_registered_surrogate_round_trips_while_registered(tmp_path, rng, kind, registered_surrogate):
+    """A checkpoint names a caller's surrogate; it loads while the caller has it registered."""
+    common = dict(beta=0.5, threshold=1.2, surrogate_name=registered_surrogate, surrogate_scale=0.75)
+    if kind == "cnn":
+        model = SpikingCNN(image_size=8, conv_channels=(3, 4), hidden_units=16, seed=7, **common)
+    else:
+        model = SpikingMLP(in_features=12, hidden_units=10, num_classes=4, seed=3, **common)
+    path = save_checkpoint(tmp_path / "registered.npz", model, RateEncoder(num_steps=4, seed=11))
+    loaded_model, loaded_encoder, _ = load_checkpoint(path)
+    layers = [m for m in loaded_model.modules() if isinstance(m, SpikingNeuron)]
+    assert layers and all(layer.surrogate == TriangleSurrogate(0.75) for layer in layers)
+
+    spikes = loaded_encoder(_images(kind, rng))
+    model.eval()
+    model.reset_spiking_state()
+    dense_counts = model.forward(Tensor(spikes)).numpy()
+    runtime_counts = compile_network(loaded_model).run(spikes, record_activity=False).counts
+    np.testing.assert_array_equal(runtime_counts, dense_counts)
+
+    del _REGISTRY[registered_surrogate]
+    with pytest.raises(CheckpointError, match=f"unknown surrogate '{registered_surrogate}'"):
+        load_checkpoint(path)
+
+
+def test_retired_encoder_rejected_at_load(tmp_path):
+    """A header naming the delta encoder (removed) is a CheckpointError naming the supported ones."""
+    path = save_checkpoint(tmp_path / "delta.npz", _make_model("mlp"), RateEncoder(num_steps=4, seed=11))
+    spec = {"name": "delta", "num_steps": 4, "seed": 11, "delta_threshold": 0.1}
+    rewrite_checkpoint_header(path, header_fields={"encoder": spec})
+    with pytest.raises(CheckpointError, match="unknown encoder 'delta'") as excinfo:
+        load_checkpoint(path)
+    assert str(sorted(ENCODER_CLASSES)) in str(excinfo.value)
+
+
+def test_encoder_spec_rejects_a_subclass_it_would_rebuild_as_its_base(tmp_path):
+    """An encoder subclass that keeps its base's name would load as the base class: refuse to save it."""
+
+    class GatedRate(RateEncoder):
+        def encode(self, x):
+            return super().encode(x) * (x[None] > 0.5)
+
+    with pytest.raises(CheckpointError, match="cannot checkpoint encoder GatedRate"):
+        save_checkpoint(tmp_path / "gated.npz", _make_model("mlp"), GatedRate(num_steps=4, seed=11))
+    assert not (tmp_path / "gated.npz").exists()
 
 
 def test_quantized_publish_rejected_at_load(tmp_path):

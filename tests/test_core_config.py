@@ -102,6 +102,22 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=re.escape(f"one of {encoders}, got 'delta'")):
             ExperimentConfig(encoder="delta")
 
+    def test_encoder_name_is_case_insensitive(self):
+        """Config and make_encoder both lower the name, so the two checks agree."""
+        from repro.core.experiment import make_encoder
+        from repro.encoding import LatencyEncoder, RateEncoder
+
+        assert type(make_encoder(ExperimentConfig(encoder="Rate"))) is RateEncoder
+        assert type(make_encoder(ExperimentConfig(encoder="LATENCY"))) is LatencyEncoder
+
+    def test_sweep_overrides_are_checked_too(self):
+        """Sweeps build their cells with with_overrides: a retired name fails there, before any cell runs."""
+        base = ExperimentConfig()
+        with pytest.raises(ValueError, match="got 'delta'"):
+            base.with_overrides(encoder="delta")
+        with pytest.raises(ValueError, match="got 'synaptic'"):
+            base.with_overrides(neuron="synaptic")
+
     def test_paper_reference_points(self):
         assert PAPER_DEFAULT.beta == 0.25 and PAPER_DEFAULT.threshold == 1.0
         assert PAPER_LATENCY_OPTIMAL.beta == 0.5 and PAPER_LATENCY_OPTIMAL.threshold == 1.5

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import TriangleSurrogate
 
 from repro.analysis.io import load_json
 from repro.core.config import ExperimentConfig, SCALE_PRESETS
@@ -14,10 +15,12 @@ from repro.core.experiment import (
     make_loss,
     make_model,
     run_experiment,
+    train_model,
 )
 from repro.core.results import ResultStore
 from repro.encoding import DirectEncoder, LatencyEncoder, RateEncoder
 from repro.hardware import DenseBaselineAccelerator, SparsityAwareAccelerator
+from repro.neurons.base import SpikingNeuron
 from repro.training.loss import CrossEntropySpikeCount, MSESpikeCount
 
 
@@ -57,6 +60,15 @@ class TestFactories:
         assert model.lif1.threshold == 1.5
         assert model.image_size == smoke_config.scale.image_size
 
+    def test_make_model_builds_a_registered_surrogate(self, smoke_config, registered_surrogate):
+        """The config names any registered surrogate; the name is resolved when the model is built."""
+        config = smoke_config.with_overrides(surrogate=registered_surrogate, surrogate_scale=0.5)
+        model = make_model(config)
+        layers = [m for m in model.modules() if isinstance(m, SpikingNeuron)]
+        assert layers and all(layer.surrogate == TriangleSurrogate(0.5) for layer in layers)
+        with pytest.raises(KeyError, match="unknown surrogate 'gaussian'"):
+            make_model(smoke_config.with_overrides(surrogate="gaussian"))
+
     def test_make_loss_dispatch(self, smoke_config):
         assert isinstance(make_loss(smoke_config.with_overrides(loss="ce_count")), CrossEntropySpikeCount)
         assert isinstance(make_loss(smoke_config.with_overrides(loss="mse_count")), MSESpikeCount)
@@ -88,6 +100,21 @@ class TestRunExperiment:
         workload = build_workload(model, smoke_record.sparsity_profile)
         assert [l.name for l in workload] == ["conv1", "conv2", "fc1", "fc2"]
         assert workload.num_steps == smoke_record.config.scale.num_steps
+
+    def test_a_registered_surrogate_trains_end_to_end(self, micro_scale, registered_surrogate):
+        """The caller-registered path that examples/custom_surrogate.py takes, at sub-smoke scale."""
+        config = ExperimentConfig(scale=micro_scale, surrogate=registered_surrogate, surrogate_scale=0.5)
+        record = run_experiment(config)
+        assert record.config.surrogate == registered_surrogate
+        assert 0.0 <= record.accuracy <= 1.0
+        assert np.isfinite(record.hardware.latency_ms)
+        # Its bounded support passes less gradient than the fast sigmoid at
+        # the same scale, so the two train different weights.
+        fast = train_model(config.with_overrides(surrogate="fast_sigmoid"))[0]
+        mine = train_model(config)[0]
+        assert any(
+            not np.array_equal(a, b) for a, b in zip(mine.state_dict().values(), fast.state_dict().values())
+        )
 
     def test_accelerator_choice_changes_hardware_metrics(self):
         config = ExperimentConfig(scale=SCALE_PRESETS["smoke"], seed=1)

@@ -29,6 +29,28 @@ class TestEncoderInterface:
     def test_repr(self):
         assert "num_steps=7" in repr(RateEncoder(7))
 
+    @pytest.mark.parametrize(
+        "encoder,stochastic",
+        [(RateEncoder(6, seed=0), True), (LatencyEncoder(6), False), (DirectEncoder(6), False)],
+        ids=["rate", "latency", "direct"],
+    )
+    def test_stochastic_flag_says_whether_a_second_call_differs(self, encoder, stochastic):
+        # The serving scheduler serialises calls only to stochastic encoders.
+        x = np.random.default_rng(10).random((4, 32)).astype(np.float32)
+        assert encoder.stochastic is stochastic
+        assert np.array_equal(encoder(x), encoder(x)) is not stochastic
+
+    @pytest.mark.parametrize("cls", [RateEncoder, LatencyEncoder, DirectEncoder])
+    def test_empty_batch_encodes_to_an_empty_sequence(self, cls):
+        out = cls(3)(np.zeros((0, 2, 4, 4), dtype=np.float32))
+        assert out.shape == (3, 0, 2, 4, 4) and out.dtype == np.float32
+
+    def test_rounding_overshoot_is_clipped_not_rejected(self):
+        """Inputs within 1e-6 outside [0, 1] (image-normalisation rounding) encode as the bound."""
+        x = np.array([[1.0 + 5e-7, -5e-7, 0.5]], dtype=np.float32)
+        out = DirectEncoder(2)(x)
+        assert out[0].tolist() == [[1.0, 0.0, 0.5]] and out[1].tolist() == out[0].tolist()
+
 
 class TestRateEncoder:
     def test_output_is_binary(self):
@@ -81,6 +103,13 @@ class TestLatencyEncoder:
         x = np.array([[0.001]], dtype=np.float32)
         out = LatencyEncoder(10, threshold=0.05)(x)
         assert out.sum() == 0.0
+
+    def test_spike_time_is_linear_in_intensity(self):
+        """t = floor((1 - x) (T - 1)): full intensity fires first, the threshold fires last."""
+        x = np.array([[1.0, 0.75, 0.5, 0.25, 0.01]], dtype=np.float32)
+        out = LatencyEncoder(11, threshold=0.01)(x)
+        assert out.sum() == 5.0
+        assert np.argmax(out[:, 0, :], axis=0).tolist() == [0, 2, 5, 7, 9]
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):

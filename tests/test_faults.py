@@ -341,6 +341,26 @@ class TestGatewayDegradedReload:
             with pytest.raises(CheckpointError, match="unknown surrogate 'triangular'"):
                 fresh.submit("m", images[0])
 
+    def test_retired_encoder_republish_keeps_serving_old_weights(
+        self, tmp_path, micro_config, untrained
+    ):
+        """A republish whose encoder is the removed delta encoder degrades like a torn one."""
+        _, _, images = untrained
+        registry = ModelRegistry(tmp_path)
+        model_v1 = self._publish(registry, "m", micro_config)
+        reference = _reference_counts(micro_config, model_v1, images[:3], 1)
+        with ServeGateway(registry, max_batch=4, max_wait_ms=1.0) as gateway:
+            served = [gateway.submit("m", images[0]).result(timeout=30).counts]
+            spec = {"name": "delta", "num_steps": micro_config.scale.num_steps, "seed": 17,
+                    "delta_threshold": 0.1}
+            rewrite_checkpoint_header(registry.checkpoint_path("m"), header_fields={"encoder": spec})
+            assert gateway.refresh("m") is False
+            served += [gateway.submit("m", image).result(timeout=30).counts for image in images[1:3]]
+            np.testing.assert_array_equal(np.stack(served), reference)  # old weights live
+            assert gateway.telemetry("m").total_reload_failures == 1
+            error = gateway.telemetry("m").last_error
+            assert error.startswith("CheckpointError") and "unknown encoder 'delta'" in error
+
     def test_torn_republish_does_not_rescan_every_submit(self, tmp_path, micro_config, untrained):
         _, _, images = untrained
         registry = ModelRegistry(tmp_path)

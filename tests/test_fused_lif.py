@@ -25,6 +25,7 @@ from repro.autograd import Tensor
 from repro.autograd.function import Function
 from repro.autograd.ops_spiking import fused_lif_step, lif_forward, surrogate_backward
 from repro.autograd.tensor import zeros
+from repro.core.sweeps import PAPER_SCALE_SWEEP, PAPER_SURROGATES
 from repro.neurons.adaptive import AdaptiveLIF
 from repro.neurons.lif import LIF
 from repro.surrogate.registry import get_surrogate
@@ -143,6 +144,30 @@ def _assert_same_runs(fused, composed, label: str) -> None:
 @pytest.mark.parametrize("reset", RESETS)
 def test_fused_matches_composed_bitwise(surrogate, reset):
     kwargs = dict(reset=reset, surrogate=surrogate, scale=2.0, beta=0.25, threshold=1.0)
+    for label, adaptation in NEURONS:
+        _assert_same_runs(
+            _run_sequence(True, adaptation=adaptation, **kwargs),
+            _run_sequence(False, adaptation=adaptation, **kwargs),
+            label,
+        )
+
+
+@pytest.mark.parametrize("reset", RESETS)
+def test_fused_matches_composed_bitwise_with_a_registered_surrogate(reset, registered_surrogate):
+    """A caller's surrogate with bounded support: the gradients it zeroes must match too."""
+    kwargs = dict(reset=reset, surrogate=registered_surrogate, scale=2.0, beta=0.25, threshold=1.0)
+    for label, adaptation in NEURONS:
+        fused = _run_sequence(True, adaptation=adaptation, **kwargs)
+        _assert_same_runs(fused, _run_sequence(False, adaptation=adaptation, **kwargs), label)
+        grads = np.concatenate(fused[0])
+        assert 0 < np.count_nonzero(grads) < grads.size, label
+
+
+@pytest.mark.parametrize("scale", PAPER_SCALE_SWEEP)
+@pytest.mark.parametrize("surrogate", PAPER_SURROGATES)
+def test_fused_matches_composed_over_the_figure1_grid(surrogate, scale):
+    """Every (surrogate, scale) cell Figure 1 trains, at the paper's beta and theta."""
+    kwargs = dict(reset="subtract", surrogate=surrogate, scale=scale, beta=0.25, threshold=1.0)
     for label, adaptation in NEURONS:
         _assert_same_runs(
             _run_sequence(True, adaptation=adaptation, **kwargs),

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from conftest import TriangleSurrogate
 
 from repro.autograd import Tensor
 from repro.autograd.ops_spiking import fused_lif_step, surrogate_backward
-from repro.core.sweeps import PAPER_SURROGATES
+from repro.core.sweeps import PAPER_SCALE_SWEEP, PAPER_SURROGATES
 from repro.surrogate import (
     ArcTan,
     FastSigmoid,
@@ -73,6 +74,18 @@ def test_invalid_scale_rejected():
         FastSigmoid(scale=0.0)
     with pytest.raises(ValueError):
         ArcTan(scale=-1.0)
+
+
+@pytest.mark.parametrize("scale", [min(PAPER_SCALE_SWEEP), max(PAPER_SCALE_SWEEP)])
+@pytest.mark.parametrize("name", PAPER_SURROGATES)
+def test_derivative_is_the_smooth_slope_at_the_figure1_scale_ends(name, scale):
+    """Figure 1 trains each paper surrogate from its smallest to its largest scale."""
+    surrogate = get_surrogate(name, scale)
+    # Off zero: the fast sigmoid's smooth step has a kink there.
+    u = np.concatenate([np.linspace(-2.0, -0.01, 25), np.linspace(0.01, 2.0, 25)])
+    eps = 1e-7
+    numerical = (surrogate.forward_smooth(u + eps) - surrogate.forward_smooth(u - eps)) / (2 * eps)
+    np.testing.assert_allclose(surrogate.derivative(u), numerical, rtol=1e-5, atol=1e-7)
 
 
 def _arctan(s, u):
@@ -150,6 +163,20 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_surrogate("does_not_exist")
 
+    def test_unknown_name_lists_the_available_surrogates(self):
+        # A checkpoint that names a surrogate this code lacks fails to load
+        # with this message, so it must say what the caller can use instead.
+        with pytest.raises(KeyError) as excinfo:
+            get_surrogate("Triangular")
+        assert excinfo.value.args[0] == "unknown surrogate 'Triangular'; available: ['arctan', 'fast_sigmoid']"
+
+    @pytest.mark.parametrize("name,cls,scale", [("arctan", ArcTan, 2.0), ("fast_sigmoid", FastSigmoid, 25.0)])
+    def test_default_scale(self, name, cls, scale):
+        """Without a scale the registry builds the class's own default (snnTorch's alpha = 2, k = 25)."""
+        surrogate = get_surrogate(name)
+        assert type(surrogate) is cls and surrogate.scale == scale
+        assert surrogate == cls()
+
     def test_register_custom_surrogate(self, surrogate_registry):
         @register_surrogate
         class ConstantHalf(SurrogateFunction):
@@ -175,6 +202,11 @@ class TestRegistry:
         assert FastSigmoid(2.0) == FastSigmoid(2.0)
         assert FastSigmoid(2.0) != FastSigmoid(3.0)
         assert hash(FastSigmoid(2.0)) == hash(FastSigmoid(2.0))
+
+    def test_surrogates_of_different_shapes_are_unequal_at_one_scale(self):
+        assert ArcTan(2.0) != FastSigmoid(2.0)
+        assert TriangleSurrogate(2.0) != FastSigmoid(2.0)
+        assert len({ArcTan(2.0), FastSigmoid(2.0), TriangleSurrogate(2.0)}) == 3
 
 
 def _spike(values, threshold, surrogate):
@@ -213,6 +245,18 @@ class TestSpikeFunction:
         go = np.linspace(0.5, 3.0, 6).reshape(1, 6)
         spikes.backward(go)
         np.testing.assert_array_equal(x.grad, go * surrogate.derivative(values - 1.0))
+
+    def test_a_registered_surrogate_scales_the_input_gradient(self, registered_surrogate):
+        """A caller's surrogate drives the backward, including where its derivative is zero."""
+        surrogate = get_surrogate(registered_surrogate, 2.0)
+        values = np.array([[-0.5, 0.2, 0.9, 1.0, 1.1, 2.4]])
+        x, spikes = _spike(values, 1.0, surrogate)
+        np.testing.assert_array_equal(spikes.numpy(), (values > 1.0).astype(np.float64))
+        go = np.linspace(0.5, 3.0, 6).reshape(1, 6)
+        spikes.backward(go)
+        np.testing.assert_array_equal(x.grad, go * surrogate.derivative(values - 1.0))
+        # Support |u| < 1/2: only the three inputs near threshold get a gradient.
+        assert (x.grad != 0).tolist() == [[False, False, True, True, True, False]]
 
     def test_backward_with_arctan(self):
         surrogate = ArcTan(scale=2.0)

@@ -104,6 +104,11 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             Adam([], lr=0.1)
 
+    def test_initial_lr_must_be_positive(self):
+        """Only set_lr may reach zero (the end of a cosine schedule); Adam cannot start there."""
+        with pytest.raises(ValueError, match="learning rate must be positive, got 0.0"):
+            Adam([Parameter(np.ones(1))], lr=0.0)
+
     def test_set_lr_accepts_zero_rejects_negative(self):
         opt = Adam([Parameter(np.ones(1))], lr=0.1)
         opt.set_lr(0.0)
@@ -171,6 +176,10 @@ class TestMetrics:
     def test_accuracy_from_scores(self):
         scores = np.array([[0.9, 0.1], [0.2, 0.8]])
         assert accuracy(scores, np.array([0, 1])) == 1.0
+
+    def test_accuracy_of_an_empty_batch_is_zero(self):
+        assert accuracy(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)) == 0.0
+        assert accuracy(np.zeros((0, 10)), np.zeros(0, dtype=np.int64)) == 0.0
 
     def test_accuracy_shape_mismatch(self):
         with pytest.raises(ValueError):
