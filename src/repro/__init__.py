@@ -7,7 +7,7 @@ with the paper's methodology on top:
 * :mod:`repro.autograd` — NumPy reverse-mode autodiff engine (PyTorch stand-in).
 * :mod:`repro.surrogate` — the paper's surrogate gradient functions
   (arctangent, fast sigmoid) with pluggable derivative scaling.
-* :mod:`repro.neurons` — LIF / IF / adaptive-threshold spiking neuron models (Eq. 1–2).
+* :mod:`repro.neurons` — LIF / adaptive-threshold spiking neuron models (Eq. 1–2).
 * :mod:`repro.nn` — convolution, max-pool, dense and flatten layers.
 * :mod:`repro.encoding` — rate / latency / direct input encoders.
 * :mod:`repro.training` — losses, Adam, cosine annealing, BPTT trainer.

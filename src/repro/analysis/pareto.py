@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 

@@ -2,13 +2,13 @@
 
 :func:`lif_forward` is the only place the membrane arithmetic is written.
 It splits a timestep into charge, fire and reset, as spikingjelly's
-neurons do, and covers every substrate: LIF, IF (``beta = 1``) and the
-adaptive-threshold LIF, whose trace raises the threshold after each spike.
-Training (:func:`fused_lif_step`) and the compiled plan
+neurons do, and covers both substrates: LIF (no leak is ``beta = 1``) and
+the adaptive-threshold LIF, whose trace raises the threshold after each
+spike.  Training (:func:`fused_lif_step`) and the compiled plan
 (:class:`repro.runtime.kernels.NeuronKernel`) both call it, so the two
 agree by construction, as they do for convolution and pooling.
 
-:func:`fused_lif_step` wraps that step in **three** hand-built graph nodes
+:func:`fused_lif_step` wraps that step in **two** hand-built graph nodes
 (skipping the generic ``Function.apply`` argument machinery) with analytic
 backward rules:
 
@@ -22,17 +22,17 @@ backward rules:
     gradient, applied only in the backward pass) through
     :func:`surrogate_backward`.
 
-``_LIFReset``
-    The post-spike membrane; backward is the identity for ``subtract`` /
-    ``none`` resets and ``g * (1 - s)`` for the ``zero`` reset (spikes are
-    detached from the reset path, matching snnTorch).  The adaptive
-    threshold is detached too, so it adds no node.
+The reset subtracts the detached spikes times the threshold (Eq. 1 of
+the paper; spikes are detached from the reset path, matching snnTorch),
+so the post-spike membrane's derivative with respect to the charged one
+is the identity: the new membrane carries the charge node itself.  The
+adaptive threshold is detached too, so it adds no node.
 
 The nodes mirror the gradient routing of the same step composed from
 elementwise ops and a Heaviside/surrogate spike op, so backward results
-are bit-for-bit identical to that composition for every surrogate, reset
-mechanism, ``beta``/``theta`` value and adaptation rule; the composition
-is kept as the oracle in ``tests/test_fused_lif.py``.
+are bit-for-bit identical to that composition for every surrogate,
+``beta``/``theta`` value and adaptation rule; the composition is kept as
+the oracle in ``tests/test_fused_lif.py``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def lif_forward(
     x: np.ndarray,
     beta,
     theta,
-    reset_mechanism: str,
     trace: Optional[np.ndarray] = None,
     adaptation_step=0.0,
     adaptation_decay=0.0,
@@ -66,8 +65,7 @@ def lif_forward(
     * charge: ``u <- beta * u + x``;
     * fire: ``s = v > theta``, with ``v = u``, or with a ``trace`` ``a``
       ``v = u - (theta_eff - theta)`` where ``theta_eff = a * b + theta``;
-    * reset: ``u - s * theta`` (``s * theta_eff`` with a trace) for
-      ``subtract``, ``u * (1 - s)`` for ``zero``, ``u`` for ``none``;
+    * reset: ``u - s * theta`` (``s * theta_eff`` with a trace);
     * trace: ``a <- rho * a + s``, with ``b`` = ``adaptation_step`` and
       ``rho`` = ``adaptation_decay``.
 
@@ -79,8 +77,7 @@ def lif_forward(
     previous ones, for a state updated in place); with ``None`` they are
     fresh and the inputs are left untouched.  ``buffers`` are the arrays,
     of the membrane's shape, that the boolean fire mask, the spikes (the
-    returned ones) and the reset's product (``s * theta`` or ``1 - s``) are
-    written into; with ``None`` they are fresh.  ``v`` is the potential
+    returned ones) and the reset's product ``s * theta`` are written into; with ``None`` they are fresh.  ``v`` is the potential
     compared with ``theta``; the surrogate's argument is ``v - theta``, and
     ``v > theta`` holds exactly where ``v - theta > 0`` does (the rounded
     difference of floats on opposite sides of ``theta`` cannot cross zero).
@@ -100,14 +97,7 @@ def lif_forward(
     else:
         fired, spikes, product = buffers
         np.copyto(spikes, np.greater(v, theta, out=fired))
-    if reset_mechanism == "subtract":
-        mem = np.subtract(charged, np.multiply(spikes, reset_threshold, out=product), out=mem_out)
-    elif reset_mechanism == "zero":
-        mem = np.multiply(charged, np.subtract(1.0, spikes, out=product), out=mem_out)
-    elif reset_mechanism == "none":
-        mem = charged
-    else:
-        raise ValueError(f"unknown reset mechanism '{reset_mechanism}'")
+    mem = np.subtract(charged, np.multiply(spikes, reset_threshold, out=product), out=mem_out)
     if trace is not None:
         trace = np.multiply(trace, adaptation_decay, out=trace_out)
         if integer:
@@ -133,8 +123,7 @@ def surrogate_backward(grad_output: np.ndarray, surrogate: "SurrogateFunction", 
     a fresh one -- a writable array that is not ``centred`` and views no
     other -- with the product's dtype and shape, and into a new one
     otherwise.  ``grad_output`` is never written: other nodes hold it too
-    (``_LIFCharge`` and ``_LIFReset`` pass their incoming gradient on
-    unchanged).
+    (``_LIFCharge`` passes its incoming gradient on unchanged).
     """
     derivative = surrogate.derivative(centred)
     fresh = (
@@ -157,17 +146,6 @@ class _LIFSpike(Function):
         return (surrogate_backward(grad_output, surrogate, v - theta),)
 
 
-class _LIFReset(Function):
-    """Post-spike membrane (reset path; spikes are detached, as in snnTorch)."""
-
-    @staticmethod
-    def backward(ctx: Context, grad_output: np.ndarray):
-        (zeroed_by,) = ctx.saved
-        if zeroed_by is None:  # "subtract" / "none": dU[t+]/dU[t] = 1
-            return (grad_output,)
-        return (grad_output * (1.0 - zeroed_by),)
-
-
 def _node(tensor: Tensor, fn: "type[Function]", inputs: Tuple[Tensor, ...], *saved) -> None:
     """Attach a hand-built graph node (the forward already ran, fused)."""
     ctx = Context()
@@ -181,7 +159,6 @@ def fused_lif_step(
     beta: float,
     threshold: float,
     surrogate: "SurrogateFunction",
-    reset_mechanism: str = "subtract",
     trace: Optional[Tensor] = None,
     adaptation_step: float = 0.0,
     adaptation_decay: float = 0.0,
@@ -189,18 +166,18 @@ def fused_lif_step(
     """One training timestep: returns ``(spikes, new_membrane, new_trace)``.
 
     Runs :func:`lif_forward` on fresh arrays, with ``beta`` and
-    ``threshold`` in the synaptic input's dtype, and records the three
-    nodes of the module docstring.  Semantics are identical to the composed
+    ``threshold`` in the synaptic input's dtype, and records the two nodes
+    of the module docstring.  Semantics are identical to the composed
     sequence
 
     .. code-block:: python
 
         mem = mem_prev * beta + synaptic_input
         spikes = heaviside(mem - threshold)      # surrogate derivative on the backward
-        mem = mem - spikes.detach() * threshold  # "subtract"
+        mem = mem - spikes.detach() * threshold
 
-    (or the ``zero`` / ``none`` reset variants) — same forward spikes, same
-    membrane trajectory and bit-identical gradients.  With a ``trace`` (the
+    — same forward spikes, same membrane trajectory and bit-identical
+    gradients.  With a ``trace`` (the
     adaptive neuron's, a tensor outside the graph) the threshold adapts as
     :func:`lif_forward` describes, and ``new_trace`` is the updated trace;
     without one it is ``None``.
@@ -213,20 +190,18 @@ def fused_lif_step(
         synaptic_input.data,
         beta_arr,
         theta,
-        reset_mechanism,
         None if trace is None else trace.data,
         adaptation_step,
         adaptation_decay,
     )
 
     record = (mem_prev.requires_grad or synaptic_input.requires_grad) and is_grad_enabled()
-    # The charge node's output differs from ``v`` by a detached offset, so
-    # ``v`` carries its gradient exactly; only the node is ever read.
-    charged_t = Tensor(v, requires_grad=record)
     spikes_t = Tensor(spikes, requires_grad=record)
     new_mem_t = Tensor(new_mem, requires_grad=record)
     if record:
-        _node(charged_t, _LIFCharge, (mem_prev, synaptic_input), beta_arr)
-        _node(spikes_t, _LIFSpike, (charged_t,), surrogate, v, theta)
-        _node(new_mem_t, _LIFReset, (charged_t,), spikes if reset_mechanism == "zero" else None)
+        # The new membrane differs from the charged one by a detached
+        # offset, so it carries the charge node, which the spike node reads
+        # at ``v`` (the charged membrane less another detached offset).
+        _node(new_mem_t, _LIFCharge, (mem_prev, synaptic_input), beta_arr)
+        _node(spikes_t, _LIFSpike, (new_mem_t,), surrogate, v, theta)
     return spikes_t, new_mem_t, None if new_trace is None else Tensor(new_trace)

@@ -15,7 +15,7 @@ This package ties the substrates together into the paper's methodology:
 """
 
 from repro.core.config import ExperimentConfig, ReproScale, SCALE_PRESETS, resolve_scale
-from repro.core.network import SpikingCNN, SpikingMLP, build_paper_network
+from repro.core.network import SpikingCNN, SpikingMLP
 from repro.core.experiment import (
     ExperimentRecord,
     evaluate_trained_model,
@@ -45,7 +45,6 @@ __all__ = [
     "resolve_scale",
     "SpikingCNN",
     "SpikingMLP",
-    "build_paper_network",
     "ExperimentRecord",
     "run_experiment",
     "evaluate_trained_model",

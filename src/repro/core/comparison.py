@@ -13,11 +13,11 @@ Two claims anchor the comparison against Ye et al. [6]:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.analysis.tables import format_table
 from repro.core.config import ExperimentConfig, PAPER_COMPARISON_POINT, PAPER_DEFAULT
-from repro.core.experiment import ExperimentRecord, build_workload
+from repro.core.experiment import ExperimentRecord
 from repro.core.sweeps import at_scale
 from repro.hardware.accelerator import SparsityAwareAccelerator
 from repro.hardware.efficiency import HardwareReport, evaluate_on_hardware

@@ -157,8 +157,8 @@ class ExperimentConfig:
         Optional free-form label used in reports.
     neuron:
         Spiking substrate name for every firing layer: ``"lif"`` (the
-        paper's model, default), ``"if"`` or ``"adaptive"`` (see
-        :mod:`repro.neurons.factory`).
+        paper's model, default; ``beta = 1`` has no leak) or ``"adaptive"``
+        (see :mod:`repro.neurons.factory`).
     adaptation_step, adaptation_decay:
         Adaptive-threshold parameters, used when ``neuron="adaptive"``.
     """
@@ -178,13 +178,14 @@ class ExperimentConfig:
     adaptation_decay: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.surrogate_scale <= 0:
+        # Written so that NaN fails: every comparison with NaN is false.
+        if not self.surrogate_scale > 0:
             raise ValueError("surrogate_scale must be positive")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        if self.threshold <= 0:
+        if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.loss not in ("ce_count", "mse_count"):
             raise ValueError("loss must be 'ce_count' or 'mse_count'")
@@ -194,10 +195,10 @@ class ExperimentConfig:
         encoders = ("rate", "latency", "direct")
         if self.encoder.lower() not in encoders:
             raise ValueError(f"encoder must be one of {encoders}, got '{self.encoder}'")
-        neurons = ("lif", "if", "adaptive")
+        neurons = ("lif", "adaptive")
         if self.neuron not in neurons:
             raise ValueError(f"neuron must be one of {neurons}, got '{self.neuron}'")
-        if self.adaptation_step < 0:
+        if not self.adaptation_step >= 0:
             raise ValueError("adaptation_step must be non-negative")
         if not 0.0 <= self.adaptation_decay <= 1.0:
             raise ValueError("adaptation_decay must lie in [0, 1]")
@@ -206,8 +207,8 @@ class ExperimentConfig:
         """Substrate-specific parameters for :func:`~repro.neurons.factory.build_neuron`.
 
         Only the fields the selected substrate actually consumes are
-        included, so ``lif`` / ``if`` configs map to an empty dict no matter
-        what the adaptive fields hold.
+        included, so ``lif`` configs map to an empty dict no matter what the
+        adaptive fields hold.
         """
         if self.neuron == "adaptive":
             return {

@@ -1,9 +1,9 @@
 """The paper's convolutional spiking network (32C3-MP2-32C3-MP2-256-10).
 
-:class:`SpikingCNN` builds the topology at any width (so tests and
-benchmarks can run reduced versions) with per-layer LIF neurons whose
-``beta``, ``threshold`` and surrogate are the hyperparameters the paper
-sweeps.  :class:`SpikingMLP` is a small fully connected variant used by unit
+:class:`SpikingCNN` builds the topology at any width (its defaults are the
+paper's; tests and benchmarks run reduced versions) with per-layer LIF
+neurons whose ``beta``, ``threshold`` and surrogate are the hyperparameters
+the paper sweeps.  :class:`SpikingMLP` is a small fully connected variant used by unit
 tests and the quickstart example.
 """
 
@@ -314,29 +314,3 @@ class SpikingMLP(Module):
     def extra_repr(self) -> str:
         return f"{self.in_features}-{self.hidden_units}-{self.num_classes}"
 
-
-def build_paper_network(
-    beta: float = 0.25,
-    threshold: float = 1.0,
-    surrogate_name: str = "fast_sigmoid",
-    surrogate_scale: float = 25.0,
-    image_size: int = 32,
-    conv_channels: Tuple[int, int] = (32, 32),
-    hidden_units: int = 256,
-    seed: int = 0,
-    neuron: str = "lif",
-    neuron_params: Optional[Dict[str, float]] = None,
-) -> SpikingCNN:
-    """Convenience constructor for the paper's network at a chosen width."""
-    return SpikingCNN(
-        image_size=image_size,
-        conv_channels=conv_channels,
-        hidden_units=hidden_units,
-        beta=beta,
-        threshold=threshold,
-        surrogate_name=surrogate_name,
-        surrogate_scale=surrogate_scale,
-        seed=seed,
-        neuron=neuron,
-        neuron_params=neuron_params,
-    )

@@ -56,6 +56,7 @@ from repro.core.config import ExperimentConfig
 from repro.core.experiment import ExperimentRecord, run_experiment
 from repro.exec.cache import ExperimentCache, experiment_cache_key
 from repro.obs.trace import default_tracer
+from repro.surrogate.registry import get_surrogate
 
 ProgressCallback = Callable[["ProgressEvent"], None]
 CacheSpec = Union[None, bool, str, "os.PathLike[str]", ExperimentCache]
@@ -261,6 +262,9 @@ def run_experiments(
     progress:
         Structured :class:`ProgressEvent` callback (overrides the default
         printer; receives events regardless of ``verbose``).
+
+    Raises ``KeyError`` naming the registered surrogates, before any cell
+    starts, when a cell to train names a surrogate nothing registered.
     """
     configs = list(configs)
     total = len(configs)
@@ -341,6 +345,9 @@ def run_experiments(
         finish(index, outcome, seconds)
 
     try:
+        for i in pending:
+            # Checked here, not in the cell, which renders its data first.
+            get_surrogate(configs[i].surrogate, configs[i].surrogate_scale)
         if pending:
             payloads = [(i, configs[i], accelerator, verbose) for i in pending]
             nworkers = min(resolve_workers(workers), len(pending))

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.hardware.accelerator import AcceleratorRun, SparsityAwareAccelerator
-from repro.hardware.workload import NetworkWorkload, workload_from_layer_specs
+from repro.hardware.workload import NetworkWorkload
 
 
 @dataclass

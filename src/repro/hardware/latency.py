@@ -10,8 +10,8 @@ throughput admits a new inference every ``T`` intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from dataclasses import dataclass
+from typing import Dict, Mapping
 
 from repro.hardware.workload import LayerWorkload, NetworkWorkload
 

@@ -11,7 +11,7 @@ is starved and none hoards idle PEs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.hardware.workload import NetworkWorkload
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hardware.accelerator import AcceleratorConfig, AcceleratorRun, DenseBaselineAccelerator
+from repro.hardware.accelerator import AcceleratorConfig, DenseBaselineAccelerator
 from repro.hardware.power import PowerModel
-from repro.hardware.workload import NetworkWorkload
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.hardware.efficiency import HardwareReport
 

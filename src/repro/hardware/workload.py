@@ -10,8 +10,8 @@ dynamic part and therefore the hardware performance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Sequence
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,16 @@ dynamics are given by Eq. 1–2:
 
     s_j[t] = 1 \\text{ if } u_j[t] > \\theta \\text{ else } 0
 
-:class:`LIF` implements exactly this model (soft reset by subtraction, the
-default, or hard reset to zero).  :class:`IF` is the non-leaky special case
-(``beta = 1``) and :class:`AdaptiveLIF` raises its threshold after each
-spike, both used by the extension experiments.  Every substrate's timestep
-is one NumPy function, :func:`repro.autograd.ops_spiking.lif_forward`,
-which training and the compiled runtime both call.
+:class:`LIF` implements exactly this model, with its reset by
+subtraction; ``beta = 1`` is the non-leaky integrate-and-fire neuron.
+:class:`AdaptiveLIF` raises its threshold after each spike, for the
+extension experiments.  Every substrate's timestep is one NumPy function,
+:func:`repro.autograd.ops_spiking.lif_forward`, which training and the
+compiled runtime both call.
 """
 
 from repro.neurons.base import NeuronState, SpikingNeuron
 from repro.neurons.lif import LIF
-from repro.neurons.if_neuron import IF
 from repro.neurons.adaptive import AdaptiveLIF
 from repro.neurons.factory import (
     NEURON_PARAM_DEFAULTS,
@@ -33,7 +32,6 @@ __all__ = [
     "SpikingNeuron",
     "NeuronState",
     "LIF",
-    "IF",
     "AdaptiveLIF",
     "NEURON_TYPES",
     "NEURON_PARAM_DEFAULTS",

@@ -32,7 +32,7 @@ class AdaptiveLIF(SpikingNeuron):
 
     Parameters
     ----------
-    beta, threshold, surrogate, reset_mechanism:
+    beta, threshold, surrogate:
         As for :class:`~repro.neurons.LIF`.
     adaptation_step:
         Threshold increment ``b`` added per emitted spike.
@@ -45,12 +45,11 @@ class AdaptiveLIF(SpikingNeuron):
         beta: float = 0.25,
         threshold: float = 1.0,
         surrogate: Optional[SurrogateFunction] = None,
-        reset_mechanism: str = "subtract",
         adaptation_step: float = 0.2,
         adaptation_decay: float = 0.9,
     ) -> None:
-        super().__init__(beta=beta, threshold=threshold, surrogate=surrogate, reset_mechanism=reset_mechanism)
-        if adaptation_step < 0:
+        super().__init__(beta=beta, threshold=threshold, surrogate=surrogate)
+        if not adaptation_step >= 0:
             raise ValueError("adaptation_step must be non-negative")
         if not 0.0 <= adaptation_decay <= 1.0:
             raise ValueError("adaptation_decay must lie in [0, 1]")
@@ -79,7 +78,6 @@ class AdaptiveLIF(SpikingNeuron):
             self.beta,
             self.threshold,
             self.surrogate,
-            self.reset_mechanism,
             state.trace,
             self.adaptation_step,
             self.adaptation_decay,

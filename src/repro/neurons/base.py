@@ -10,9 +10,6 @@ from repro.nn.module import Module
 from repro.surrogate.base import SurrogateFunction
 from repro.surrogate.fast_sigmoid import FastSigmoid
 
-#: Membrane reset rules every spiking substrate accepts.
-RESET_MECHANISMS = ("subtract", "zero", "none")
-
 
 @dataclass
 class NeuronState:
@@ -35,7 +32,8 @@ class SpikingNeuron(Module):
     """Base class for stateful spiking neuron layers.
 
     Subclasses implement :meth:`step` which consumes the synaptic input for
-    one timestep and returns the emitted spikes.  The layer keeps no spike
+    one timestep and returns the emitted spikes; a spike resets the
+    membrane by subtraction (the paper's Eq. 1).  The layer keeps no spike
     statistics: measured activity comes from the compiled runtime
     (:class:`repro.runtime.RuntimeActivity`).
     """
@@ -45,19 +43,15 @@ class SpikingNeuron(Module):
         beta: float = 0.25,
         threshold: float = 1.0,
         surrogate: Optional[SurrogateFunction] = None,
-        reset_mechanism: str = "subtract",
     ) -> None:
         super().__init__()
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {beta}")
-        if threshold <= 0.0:
+        if not threshold > 0.0:
             raise ValueError(f"threshold must be positive, got {threshold}")
-        if reset_mechanism not in RESET_MECHANISMS:
-            raise ValueError(f"unknown reset mechanism '{reset_mechanism}'")
         self.beta = float(beta)
         self.threshold = float(threshold)
         self.surrogate = surrogate if surrogate is not None else FastSigmoid()
-        self.reset_mechanism = reset_mechanism
         self.state = NeuronState()
 
     # ------------------------------------------------------------------ #
@@ -73,7 +67,4 @@ class SpikingNeuron(Module):
         return self.step(synaptic_input)
 
     def extra_repr(self) -> str:
-        return (
-            f"beta={self.beta}, threshold={self.threshold}, "
-            f"surrogate={self.surrogate!r}, reset={self.reset_mechanism}"
-        )
+        return f"beta={self.beta}, threshold={self.threshold}, surrogate={self.surrogate!r}"

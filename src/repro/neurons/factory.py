@@ -26,20 +26,18 @@ from typing import Dict, Optional, Tuple
 
 from repro.neurons.adaptive import AdaptiveLIF
 from repro.neurons.base import SpikingNeuron
-from repro.neurons.if_neuron import IF
 from repro.neurons.lif import LIF
 from repro.surrogate.base import SurrogateFunction
 
 #: Neuron substrate names accepted by :func:`build_neuron` (and therefore by
 #: ``ExperimentConfig.neuron`` and the network constructors).
-NEURON_TYPES = ("lif", "if", "adaptive")
+NEURON_TYPES = ("lif", "adaptive")
 
 #: Substrate-specific constructor parameters (and defaults) per neuron name.
-#: ``lif`` / ``if`` take none; the extras ride in the ``params`` mapping of
+#: ``lif`` takes none; the extras ride in the ``params`` mapping of
 #: :func:`build_neuron` and in checkpoints' ``neuron_params`` header field.
 NEURON_PARAM_DEFAULTS: Dict[str, Dict[str, float]] = {
     "lif": {},
-    "if": {},
     "adaptive": {"adaptation_step": 0.2, "adaptation_decay": 0.9},
 }
 
@@ -48,7 +46,7 @@ def resolve_neuron_params(neuron: str, params: Optional[Dict[str, float]] = None
     """Merge ``params`` over the substrate's defaults, rejecting unknown keys.
 
     Returns the complete parameter dict for ``neuron`` (empty for the
-    parameterless ``lif`` / ``if`` substrates).  Raises ``ValueError`` for an
+    parameterless ``lif`` substrate).  Raises ``ValueError`` for an
     unknown substrate name or a parameter the substrate does not take, so a
     typo'd sweep axis fails at configuration time rather than silently
     training the default dynamics.
@@ -72,27 +70,21 @@ def build_neuron(
     beta: float = 0.25,
     threshold: float = 1.0,
     surrogate: Optional[SurrogateFunction] = None,
-    reset_mechanism: str = "subtract",
     params: Optional[Dict[str, float]] = None,
 ) -> SpikingNeuron:
     """Construct one spiking layer of the named substrate.
 
-    ``beta``, ``threshold``, ``surrogate`` and ``reset_mechanism`` are the
-    hyperparameters every substrate shares; ``params`` carries the
-    substrate-specific extras (see :data:`NEURON_PARAM_DEFAULTS`).  ``if``
-    neurons have no leak by definition, so ``beta`` is ignored for them (the
-    layer always reports ``beta = 1.0``).
+    ``beta``, ``threshold`` and ``surrogate`` are the hyperparameters every
+    substrate shares; ``params`` carries the substrate-specific extras (see
+    :data:`NEURON_PARAM_DEFAULTS`).
     """
     resolved = resolve_neuron_params(neuron, params)
     if neuron == "lif":
-        return LIF(beta=beta, threshold=threshold, surrogate=surrogate, reset_mechanism=reset_mechanism)
-    if neuron == "if":
-        return IF(threshold=threshold, surrogate=surrogate, reset_mechanism=reset_mechanism)
+        return LIF(beta=beta, threshold=threshold, surrogate=surrogate)
     return AdaptiveLIF(
         beta=beta,
         threshold=threshold,
         surrogate=surrogate,
-        reset_mechanism=reset_mechanism,
         adaptation_step=resolved["adaptation_step"],
         adaptation_decay=resolved["adaptation_decay"],
     )
@@ -104,16 +96,12 @@ def neuron_descriptor(layer: SpikingNeuron) -> Tuple[str, Dict[str, float]]:
     The inverse of :func:`build_neuron` for every supported neuron class;
     raises ``TypeError`` for layer types outside :data:`NEURON_TYPES` (the
     checkpoint writer turns that into a loud :class:`CheckpointError`).
-    Subclass order matters: :class:`IF` is checked before :class:`LIF`, of
-    which it is a subclass.
     """
     if isinstance(layer, AdaptiveLIF):
         return "adaptive", {
             "adaptation_step": float(layer.adaptation_step),
             "adaptation_decay": float(layer.adaptation_decay),
         }
-    if isinstance(layer, IF):
-        return "if", {}
     if isinstance(layer, LIF):
         return "lif", {}
     raise TypeError(f"no neuron descriptor for {type(layer).__name__}")

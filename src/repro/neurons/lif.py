@@ -26,15 +26,13 @@ class LIF(SpikingNeuron):
     ----------
     beta:
         Membrane leak / decay factor in ``[0, 1]``.  The paper's default is
-        0.25; its cross-sweep explores 0.25–0.95.
+        0.25; its cross-sweep explores 0.25–0.95.  ``1.0`` is the non-leaky
+        integrate-and-fire neuron.
     threshold:
         Firing threshold ``theta``.  The paper's default is 1.0; its
         cross-sweep explores 0.5–2.5.
     surrogate:
         Surrogate gradient (default :class:`~repro.surrogate.FastSigmoid`).
-    reset_mechanism:
-        ``"subtract"`` (paper; soft reset), ``"zero"`` (hard reset) or
-        ``"none"`` (no reset, for analysis).
 
     Each step runs the fused training step
     (:func:`~repro.autograd.ops_spiking.fused_lif_step`) around the NumPy
@@ -48,9 +46,7 @@ class LIF(SpikingNeuron):
         state = self.state
         if state.mem is None or state.mem.shape != synaptic_input.shape:
             state.mem = zeros(synaptic_input.shape, dtype=synaptic_input.dtype)
-        spikes, state.mem, _ = fused_lif_step(
-            state.mem, synaptic_input, self.beta, self.threshold, self.surrogate, self.reset_mechanism
-        )
+        spikes, state.mem, _ = fused_lif_step(state.mem, synaptic_input, self.beta, self.threshold, self.surrogate)
         return spikes
 
     @property

@@ -1,8 +1,8 @@
 """Neural-network layer library built on the autograd engine.
 
 Provides the layers the paper's convolutional SNN is built from
-(convolution, max pooling, dense, flatten) and the containers that hold
-them.  The API mirrors ``torch.nn`` so the model definitions read
+(convolution, max pooling, dense, flatten) and the module base class that
+holds them.  The API mirrors ``torch.nn`` so the model definitions read
 naturally.
 """
 
@@ -11,7 +11,6 @@ from repro.nn.linear import Linear
 from repro.nn.conv import Conv2d
 from repro.nn.pool import MaxPool2d
 from repro.nn.flatten import Flatten
-from repro.nn.sequential import Sequential
 from repro.nn import init
 
 __all__ = [
@@ -21,6 +20,5 @@ __all__ = [
     "Conv2d",
     "MaxPool2d",
     "Flatten",
-    "Sequential",
     "init",
 ]

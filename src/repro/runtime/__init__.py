@@ -10,8 +10,7 @@ What the plan adds is measurement: it counts the spike events that the
 paper's sparsity-aware accelerator model prices.
 
 * :func:`compile_network` lowers a trained :class:`SpikingCNN` /
-  :class:`SpikingMLP` (or any ``Sequential``-ordered spiking classifier)
-  into a plan of fused kernels (:mod:`repro.runtime.kernels`), one per
+  :class:`SpikingMLP` into a plan of fused kernels (:mod:`repro.runtime.kernels`), one per
   layer kind: the training op's own matmul for dense layers (the bias row
   alone for a silent frame), convolution through the training op's own
   im2col lowering, and one neuron kernel for every substrate, which runs

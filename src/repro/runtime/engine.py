@@ -1,9 +1,8 @@
 """Compile a trained spiking network into a graph-free inference plan.
 
 :func:`compile_network` walks a model's registered submodules (whose
-registration order is the execution order for :class:`SpikingCNN`,
-:class:`SpikingMLP` and :class:`~repro.nn.sequential.Sequential` chains) and
-lowers each layer to a fused NumPy kernel from
+registration order is the execution order for :class:`SpikingCNN` and
+:class:`SpikingMLP`) and lowers each layer to a fused NumPy kernel from
 :mod:`repro.runtime.kernels`.  The resulting :class:`CompiledNetwork` runs
 the timestep loop entirely on raw arrays — no autograd tensors, no graph
 recording — while its kernels count the spike events each layer consumes
@@ -61,7 +60,6 @@ from repro.nn.flatten import Flatten
 from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.nn.pool import MaxPool2d
-from repro.nn.sequential import Sequential
 from repro.hardware.quantization import QuantizationConfig
 from repro.runtime.activity import RuntimeActivity
 from repro.runtime.kernels import (
@@ -151,7 +149,7 @@ class _LoweringState:
 
 
 #: The neuron class whose dynamics each substrate's kernel implements.
-_SUBSTRATE_CLASSES = {"lif": LIF, "if": LIF, "adaptive": AdaptiveLIF}
+_SUBSTRATE_CLASSES = {"lif": LIF, "adaptive": AdaptiveLIF}
 
 
 def _substrate(name: str, module: SpikingNeuron) -> Tuple[str, Dict[str, float]]:
@@ -160,15 +158,15 @@ def _substrate(name: str, module: SpikingNeuron) -> Tuple[str, Dict[str, float]]
     Lowering keys on :func:`~repro.neurons.factory.neuron_descriptor`, which
     matches by ``isinstance``, so a subclass that overrides ``step`` or
     ``forward`` would silently run its parent's dynamics in the plan; it is
-    rejected instead.  Subclasses that only change construction (``IF``
-    fixes ``beta = 1``) lower as their substrate.
+    rejected instead.  Subclasses that only change construction lower as
+    their substrate.
     """
     try:
         substrate, params = neuron_descriptor(module)
     except TypeError:
         raise RuntimeCompileError(
             f"layer '{name}': {type(module).__name__} neurons are not supported by the "
-            "runtime (supported: LIF, IF, AdaptiveLIF)"
+            "runtime (supported: LIF, AdaptiveLIF)"
         ) from None
     base = _SUBSTRATE_CLASSES[substrate]
     overridden = [
@@ -212,7 +210,6 @@ def _lower_module(name: str, module: Module, state: _LoweringState) -> Kernel:
             params,
             module.beta,
             module.threshold,
-            module.reset_mechanism,
             integer=state.integer,
             upstream=state.pending_weight,
             input_scale=state.input_scale,
@@ -232,17 +229,6 @@ def _lower_module(name: str, module: Module, state: _LoweringState) -> Kernel:
     )
 
 
-def _collect_kernels(model: Module, state: _LoweringState, prefix: str = "") -> List[Kernel]:
-    kernels: List[Kernel] = []
-    for name, module in model._modules.items():
-        full_name = f"{prefix}{name}"
-        if isinstance(module, Sequential) or type(module).__name__ == "Sequential":
-            kernels.extend(_collect_kernels(module, state, prefix=f"{full_name}."))
-        else:
-            kernels.append(_lower_module(full_name, module, state))
-    return kernels
-
-
 def default_input_scale(encoder) -> float:
     """Input quantization step for an encoder's output domain.
 
@@ -258,8 +244,7 @@ def compile_network(model: Module, precision: str = "fp32", input_scale: float =
     """Lower a spiking classifier into a :class:`CompiledNetwork`.
 
     The model's registered submodules must execute in registration order
-    (true for :class:`SpikingCNN`, :class:`SpikingMLP` and ``Sequential``
-    pipelines).  Weight kernels keep live references to the model's
+    (true for :class:`SpikingCNN` and :class:`SpikingMLP`).  Weight kernels keep live references to the model's
     parameter arrays, so in-place updates (``load_state_dict``) are picked
     up without recompiling — at every precision (quantized kernels
     re-quantize from the live arrays when they change).
@@ -297,7 +282,7 @@ def compile_network(model: Module, precision: str = "fp32", input_scale: float =
         raise RuntimeCompileError(f"input_scale must lie in (0, 1], got {input_scale}")
     compute_dtype = np.float64 if precision == "fp64" else None
     state = _LoweringState(config, input_scale, compute_dtype)
-    kernels = _collect_kernels(model, state)
+    kernels = [_lower_module(name, module, state) for name, module in model._modules.items()]
     if not any(k.is_spiking_stage for k in kernels):
         raise RuntimeCompileError("model contains no spiking layers to compile")
     layer_specs = model.layer_specs() if hasattr(model, "layer_specs") else None

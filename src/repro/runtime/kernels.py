@@ -74,7 +74,6 @@ from repro.autograd.ops_conv import (
 )
 from repro.autograd.ops_spiking import lif_forward
 from repro.hardware.quantization import QuantizationConfig, quantize_array_int
-from repro.neurons.base import RESET_MECHANISMS
 from repro.neurons.factory import NEURON_TYPES
 from repro.runtime.activity import count_events
 
@@ -320,9 +319,9 @@ class NeuronKernel(Kernel):
     """One spiking layer's timestep: :func:`repro.autograd.ops_spiking.lif_forward`.
 
     ``substrate`` and ``params`` are what
-    :func:`repro.neurons.factory.neuron_descriptor` returns: ``lif`` / ``if``
-    (``beta = 1``) charge, fire and reset the membrane, and ``adaptive``
-    also keeps the trace that raises its threshold.  The kernel calls the
+    :func:`repro.neurons.factory.neuron_descriptor` returns: ``lif``
+    charges, fires and resets the membrane, and ``adaptive`` also keeps the
+    trace that raises its threshold.  The kernel calls the
     step training calls, updating its states in place and writing its fire
     mask, spikes and reset product into kept arrays; the states persist
     across timesteps and :meth:`reset` zeroes them.  Float plans run it in
@@ -358,7 +357,6 @@ class NeuronKernel(Kernel):
         params: Dict[str, float],
         beta: float,
         threshold: float,
-        reset_mechanism: str = "subtract",
         integer: bool = False,
         upstream: Optional[WeightKernel] = None,
         input_scale: float = 1.0,
@@ -366,12 +364,9 @@ class NeuronKernel(Kernel):
         super().__init__(name)
         if substrate not in NEURON_TYPES:
             raise ValueError(f"unknown neuron substrate '{substrate}' (expected one of {NEURON_TYPES})")
-        if reset_mechanism not in RESET_MECHANISMS:
-            raise ValueError(f"unknown reset mechanism '{reset_mechanism}'")
         self.substrate = substrate
         self.beta = float(beta)
         self.threshold = float(threshold)
-        self.reset_mechanism = reset_mechanism
         self.adaptation_step = float(params["adaptation_step"]) if substrate == "adaptive" else 0.0
         self.adaptation_decay = float(params["adaptation_decay"]) if substrate == "adaptive" else 0.0
         self.integer = bool(integer)
@@ -433,7 +428,6 @@ class NeuronKernel(Kernel):
             frame,
             self.beta,
             self.theta,
-            self.reset_mechanism,
             self.trace,
             self.step,
             self.adaptation_decay,

@@ -33,7 +33,7 @@ class SurrogateFunction:
     name: str = "surrogate"
 
     def __init__(self, scale: float = 25.0) -> None:
-        if scale <= 0:
+        if not scale > 0:  # NaN fails too
             raise ValueError(f"surrogate scale must be positive, got {scale}")
         self.scale = float(scale)
 

@@ -2,8 +2,7 @@
 
 A checkpoint is one ``.npz`` archive holding every parameter from
 ``model.state_dict()`` plus a JSON header describing how to rebuild the
-model (class, constructor arguments, the neurons' reset rule), the input
-encoder it was trained with, and free-form caller metadata.  Loading
+model (class and constructor arguments), the input encoder it was trained with, and free-form caller metadata.  Loading
 reconstructs the model with :func:`~repro.nn.module.Module.load_state_dict`,
 so a reloaded model is *bit-identical* to the saved one: its dense forward,
 and the inference plan compiled from it, produce exactly the spike
@@ -30,7 +29,7 @@ import numpy as np
 import repro
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DirectEncoder, Encoder, LatencyEncoder, RateEncoder
-from repro.neurons.base import RESET_MECHANISMS, SpikingNeuron
+from repro.neurons.base import SpikingNeuron
 from repro.neurons.factory import neuron_descriptor
 from repro.nn.module import Module
 from repro.utils import atomic_write
@@ -105,11 +104,8 @@ def _spiking_layers(model: Module):
 def model_spec(model: Module) -> Dict[str, Any]:
     """Plain-data description from which :func:`build_model` reconstructs.
 
-    Captures the constructor arguments — including the spiking substrate
-    (``neuron`` + ``neuron_params``, see :mod:`repro.neurons.factory`) —
-    plus the neuron setting the constructors do not take
-    (``reset_mechanism``), which is re-applied to every spiking layer on
-    load.
+    Captures the constructor arguments, including the spiking substrate
+    (``neuron`` + ``neuron_params``, see :mod:`repro.neurons.factory`).
     """
     lifs = _spiking_layers(model)
     if not lifs:
@@ -131,13 +127,12 @@ def model_spec(model: Module) -> Dict[str, Any]:
             other_descriptor == (neuron, neuron_params)
             and other.beta == lif.beta
             and other.threshold == lif.threshold
-            and other.reset_mechanism == lif.reset_mechanism
             and other.surrogate == lif.surrogate
         )
         if not same:
             raise CheckpointError(
                 f"cannot checkpoint {type(model).__name__}: spiking layer {i} differs from "
-                "layer 0 (substrate/beta/threshold/reset/surrogate must match across layers)"
+                "layer 0 (substrate/beta/threshold/surrogate must match across layers)"
             )
     surrogate = lif.surrogate
     common = {
@@ -170,7 +165,7 @@ def model_spec(model: Module) -> Dict[str, Any]:
         raise CheckpointError(
             f"cannot checkpoint {type(model).__name__}; supported: SpikingCNN, SpikingMLP"
         )
-    return {"class": cls_name, "kwargs": kwargs, "reset_mechanism": lif.reset_mechanism}
+    return {"class": cls_name, "kwargs": kwargs}
 
 
 def build_model(spec: Dict[str, Any]) -> Module:
@@ -181,17 +176,17 @@ def build_model(spec: Dict[str, Any]) -> Module:
     default makes those load to exactly the model they saved.  Older
     headers also carry a ``use_fused`` flag, which is ignored: every LIF
     step runs the fused kernel, whose results the composed one matched bit
-    for bit.
+    for bit.  They also name the neurons' ``reset_mechanism``; every layer
+    resets by subtraction now, so a header naming another reset (``zero``,
+    ``none``) raises :class:`CheckpointError` rather than loading as one.
     """
     classes = {"SpikingCNN": SpikingCNN, "SpikingMLP": SpikingMLP}
     cls = classes.get(spec.get("class"))
     if cls is None:
         raise CheckpointError(f"unknown model class '{spec.get('class')}' in checkpoint")
     reset = spec.get("reset_mechanism", "subtract")
-    if reset not in RESET_MECHANISMS:
-        raise CheckpointError(
-            f"unknown reset_mechanism {reset!r} in checkpoint; supported: {RESET_MECHANISMS}"
-        )
+    if reset != "subtract":
+        raise CheckpointError(f"unknown reset_mechanism {reset!r} in checkpoint; supported: 'subtract'")
     kwargs = dict(spec.get("kwargs", {}))
     if "conv_channels" in kwargs:
         kwargs["conv_channels"] = tuple(kwargs["conv_channels"])
@@ -203,8 +198,6 @@ def build_model(spec: Dict[str, Any]) -> Module:
         # message's repr, so its message is taken as it is.
         reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         raise CheckpointError(f"cannot rebuild {spec['class']} from checkpoint: {reason}") from None
-    for lif in _spiking_layers(model):
-        lif.reset_mechanism = reset
     return model
 
 

@@ -33,7 +33,8 @@ class Adam:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        if lr <= 0:
+        # The checks are written so that NaN fails them.
+        if not lr > 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.parameters: List[Parameter] = list(parameters)
         if not self.parameters:
@@ -42,9 +43,9 @@ class Adam:
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must lie in [0, 1), got {betas}")
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("eps must be positive")
-        if weight_decay < 0:
+        if not weight_decay >= 0:
             raise ValueError("weight_decay must be non-negative")
         self.beta1, self.beta2 = float(beta1), float(beta2)
         self.eps = float(eps)
@@ -66,7 +67,7 @@ class Adam:
         end of its schedule); only the initial learning rate must be
         strictly positive.
         """
-        if lr < 0:
+        if not lr >= 0:  # NaN fails too
             raise ValueError(f"learning rate must be non-negative, got {lr}")
         self.lr = float(lr)
 

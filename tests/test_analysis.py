@@ -69,12 +69,12 @@ class TestSparsityProfile:
         assert profile.samples_profiled == 16
 
     def test_profile_requires_spiking_layers(self):
-        from repro.nn import Linear, Sequential
+        from repro.nn import Linear
 
         dataset = ArrayDataset(np.zeros((4, 8), dtype=np.float32), np.zeros(4, dtype=np.int64))
         loader = DataLoader(dataset, batch_size=4)
         with pytest.raises(ValueError):
-            evaluate_with_runtime(Sequential(Linear(8, 2)), DirectEncoder(3), loader)
+            evaluate_with_runtime(Linear(8, 2), DirectEncoder(3), loader)
 
 
 class TestPareto:

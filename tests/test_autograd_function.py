@@ -10,8 +10,11 @@ import repro.autograd
 import repro.surrogate
 from repro.autograd import Tensor
 from repro.autograd.function import Context, Function, Node, unbroadcast
+from repro.autograd.ops_spiking import _LIFCharge, _LIFSpike
 from repro.core.config import SCALE_PRESETS, ExperimentConfig
 from repro.core.experiment import make_encoder, make_loss, make_model
+from repro.core.network import SpikingMLP
+from repro.neurons import NEURON_TYPES
 
 
 class Double(Function):
@@ -169,3 +172,27 @@ class TestOpCensus:
         defined = _repro_functions()
         never_run = sorted(f"{cls.__module__}.{cls.__qualname__}" for cls in defined - ran)
         assert ran == defined, f"Function subclasses no training graph runs: {never_run}"
+
+    @pytest.mark.parametrize("neuron", NEURON_TYPES)
+    @pytest.mark.parametrize("kind", ["cnn", "mlp"])
+    def test_each_neuron_step_records_a_charge_and_a_spike_node(self, kind, neuron):
+        """The reset adds no node: a BPTT graph holds two LIF nodes per layer and step."""
+        config = ExperimentConfig(scale=SCALE_PRESETS["smoke"], neuron=neuron, seed=0)
+        size, steps = config.scale.image_size, config.scale.num_steps
+        images = np.random.default_rng(1).random((4, 3, size, size)).astype(np.float32)
+        if kind == "cnn":
+            model = make_model(config)
+        else:
+            model = SpikingMLP(in_features=3 * size * size, neuron=neuron, neuron_params=config.neuron_params())
+        model.train()
+        model.reset_spiking_state()
+        counts = model(Tensor(make_encoder(config)(images)))
+        nodes, todo = {counts._node}, [counts._node]
+        while todo:
+            for parent in todo.pop().inputs:
+                if isinstance(parent, Node) and parent not in nodes:
+                    nodes.add(parent)
+                    todo.append(parent)
+        layers = len(model.spiking_layer_names())
+        for fn in (_LIFCharge, _LIFSpike):
+            assert sum(node.fn is fn for node in nodes) == layers * steps, fn.__name__

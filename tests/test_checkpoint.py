@@ -13,7 +13,7 @@ from repro.runtime import compile_network
 from repro.surrogate import available_surrogates
 from repro.surrogate.registry import _REGISTRY
 from repro.neurons import NEURON_TYPES
-from repro.neurons.base import RESET_MECHANISMS, SpikingNeuron
+from repro.neurons.base import SpikingNeuron
 from repro.training.checkpoint import (
     CheckpointError,
     build_encoder,
@@ -105,11 +105,40 @@ def test_legacy_use_fused_flag_is_ignored(tmp_path, rng, kind):
     np.testing.assert_array_equal(runtime_counts, dense_counts)
 
 
-def test_unknown_reset_mechanism_rejected_at_load(tmp_path):
+@pytest.mark.parametrize("reset", ["zero", "none", "bogus"])
+def test_a_reset_other_than_subtract_is_rejected_at_load(tmp_path, reset):
+    """Older headers name the reset; one that is not ``subtract`` must not load as subtract."""
     path = save_checkpoint(tmp_path / "tampered.npz", _make_model("mlp"))
-    rewrite_checkpoint_header(path, reset_mechanism="bogus")
-    with pytest.raises(CheckpointError, match=r"'bogus'.*'subtract', 'zero', 'none'"):
+    rewrite_checkpoint_header(path, reset_mechanism=reset)
+    with pytest.raises(CheckpointError, match=f"unknown reset_mechanism '{reset}'.*'subtract'"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", ["cnn", "mlp"])
+def test_an_older_header_naming_the_subtract_reset_loads(tmp_path, rng, kind):
+    """The spec no longer writes the reset; a header that names ``subtract`` predicts as saved."""
+    model = _make_model(kind)
+    assert set(model_spec(model)) == {"class", "kwargs"}
+    path = save_checkpoint(tmp_path / "older.npz", model, RateEncoder(num_steps=4, seed=11))
+    rewrite_checkpoint_header(path, reset_mechanism="subtract")
+    loaded_model, loaded_encoder, _ = load_checkpoint(path)
+    spikes = loaded_encoder(_images(kind, rng))
+    model.eval()
+    model.reset_spiking_state()
+    dense_counts = model.forward(Tensor(spikes)).numpy()
+    np.testing.assert_array_equal(compile_network(loaded_model).run(spikes).counts, dense_counts)
+
+
+@pytest.mark.parametrize("kind", ["cnn", "mlp"])
+def test_retired_if_neuron_rejected_at_load(tmp_path, kind):
+    """A header naming the removed ``if`` substrate (LIF at beta = 1) is a CheckpointError naming it."""
+    model = _make_model(kind)
+    path = save_checkpoint(tmp_path / "if.npz", model)
+    kwargs = dict(model_spec(model)["kwargs"], neuron="if", beta=1.0)
+    rewrite_checkpoint_header(path, kwargs=kwargs, reset_mechanism="subtract")
+    with pytest.raises(CheckpointError, match="unknown neuron type 'if'") as excinfo:
+        load_checkpoint(path)
+    assert str(NEURON_TYPES) in str(excinfo.value)
 
 
 def test_unknown_neuron_substrate_rejected_at_load(tmp_path):
@@ -194,18 +223,15 @@ def test_quantized_publish_rejected_at_load(tmp_path):
     assert type(load_checkpoint(path)[0]) is SpikingMLP
 
 
-@pytest.mark.parametrize("reset", RESET_MECHANISMS)
+@pytest.mark.parametrize("beta", [0.25, 1.0], ids=["leak", "no-leak"])
 @pytest.mark.parametrize("neuron", NEURON_TYPES)
 @pytest.mark.parametrize("kind", ["cnn", "mlp"])
-def test_every_model_a_checkpoint_describes_compiles_at_fp32(rng, kind, neuron, reset):
+def test_every_model_a_checkpoint_describes_compiles_at_fp32(rng, kind, neuron, beta):
     """The gateway serves every registry entry through an fp32 plan, so none may fail to lower."""
     if kind == "cnn":
-        model = SpikingCNN(image_size=8, conv_channels=(3, 4), hidden_units=16, neuron=neuron, seed=7)
+        model = SpikingCNN(image_size=8, conv_channels=(3, 4), hidden_units=16, neuron=neuron, beta=beta, seed=7)
     else:
-        model = SpikingMLP(in_features=12, hidden_units=10, num_classes=4, neuron=neuron, seed=3)
-    for layer in model.modules():
-        if isinstance(layer, SpikingNeuron):
-            layer.reset_mechanism = reset
+        model = SpikingMLP(in_features=12, hidden_units=10, num_classes=4, neuron=neuron, beta=beta, seed=3)
     rebuilt = build_model(model_spec(model))
     rebuilt.load_state_dict(model.state_dict())
     spikes = RateEncoder(num_steps=4, seed=11)(_images(kind, rng))
@@ -267,6 +293,6 @@ def test_loaded_model_usable_for_further_training(tmp_path, rng):
 def test_heterogeneous_lif_settings_rejected(tmp_path):
     """Per-layer mutated LIF settings must fail loudly, not round-trip silently."""
     model = _make_model("mlp")
-    model.lif_out.reset_mechanism = "zero"
+    model.lif_out.threshold = 2.0
     with pytest.raises(CheckpointError, match="differs from"):
         save_checkpoint(tmp_path / "hetero.npz", model)

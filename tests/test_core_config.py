@@ -83,6 +83,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(loss="hinge")
 
+    @pytest.mark.parametrize(
+        "field", ["surrogate_scale", "beta", "threshold", "learning_rate", "adaptation_step", "adaptation_decay"]
+    )
+    def test_nan_fails_every_range_check(self, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: float("nan")})
+
+    def test_retired_if_neuron_rejected(self):
+        """``if`` was LIF at beta = 1, which is how the config asks for it now."""
+        with pytest.raises(ValueError, match="got 'if'"):
+            ExperimentConfig(neuron="if")
+        assert ExperimentConfig(neuron="lif", beta=1.0).neuron_params() == {}
+
     def test_neuron_names_are_the_factory_substrates(self):
         """Config checks names against its own tuple, which must be NEURON_TYPES."""
         from repro.neurons import NEURON_TYPES

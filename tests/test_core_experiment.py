@@ -116,6 +116,17 @@ class TestRunExperiment:
             not np.array_equal(a, b) for a, b in zip(mine.state_dict().values(), fast.state_dict().values())
         )
 
+    def test_a_cell_without_leak_evaluates_through_the_plan_as_it_validated(self, micro_scale):
+        """``beta = 1``, the neuron the retired ``if`` substrate named, trains and compiles."""
+        from repro.runtime import evaluate_with_runtime
+
+        config = ExperimentConfig(scale=micro_scale, beta=1.0)
+        model, encoder, test_loader, training = train_model(config)
+        assert [getattr(model, name).beta for name in model.spiking_layer_names()] == [1.0] * 4
+        accuracy, activity = evaluate_with_runtime(model, encoder, test_loader)
+        assert accuracy == training.final_val_accuracy
+        assert sum(activity.layer_output_events.values()) > 0
+
     def test_accelerator_choice_changes_hardware_metrics(self):
         config = ExperimentConfig(scale=SCALE_PRESETS["smoke"], seed=1)
         sparse_record = run_experiment(config, accelerator=SparsityAwareAccelerator())

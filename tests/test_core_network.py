@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, no_grad, ops_conv
-from repro.core.network import SpikingCNN, SpikingMLP, build_paper_network
+from repro.core.network import SpikingCNN, SpikingMLP
 from repro.neurons import LIF
 from repro.surrogate import ArcTan, FastSigmoid
 from repro.training.loss import CrossEntropySpikeCount
@@ -70,8 +70,8 @@ class TestSpikingCNN:
         assert [s["firing_layer"] for s in model.layer_specs()] == ["lif1", "lif2", "lif3", "lif_out"]
 
     def test_paper_topology_parameter_count(self):
-        """The full-size network matches the 32C3-MP2-32C3-MP2-256-10 topology."""
-        model = build_paper_network()
+        """The default network matches the paper's 32C3-MP2-32C3-MP2-256-10 topology."""
+        model = SpikingCNN()
         specs = {s["name"]: s for s in model.layer_specs()}
         assert specs["fc1"]["in_features"] == 32 * 8 * 8
         # conv1: 32*3*9 + 32, conv2: 32*32*9 + 32, fc1: 2048*256 + 256, fc2: 256*10 + 10

@@ -216,6 +216,34 @@ class TestProgressAndWorkers:
             run_experiments(micro_configs[:1], workers=1, progress=events.append)
         assert events[-1].kind == "error"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unregistered_surrogate_fails_before_any_data_is_rendered(self, micro_configs, monkeypatch, workers):
+        """Every cell's surrogate is looked up before the first cell renders its dataset."""
+        from repro.core import experiment
+
+        rendered = []
+        original = experiment.make_dataset
+        monkeypatch.setattr(experiment, "make_dataset", lambda config: rendered.append(config) or original(config))
+        configs = [micro_configs[0], micro_configs[1].with_overrides(surrogate="triangular")]
+        events = []
+        with pytest.raises(KeyError, match="unknown surrogate 'triangular'; available"):
+            run_experiments(configs, workers=workers, progress=events.append)
+        assert len(rendered) == 0 and events == []
+
+    def test_a_registered_surrogate_passes_the_check_and_a_cached_cell_needs_none(
+        self, micro_configs, tmp_path, registered_surrogate
+    ):
+        """The check reads the live registry, and only for the cells it will train."""
+        from repro.surrogate.registry import _REGISTRY
+
+        config = micro_configs[0].with_overrides(surrogate=registered_surrogate)
+        (trained,) = run_experiments([config], workers=1, cache=tmp_path)
+        del _REGISTRY[registered_surrogate]
+        events = []
+        (cached,) = run_experiments([config], workers=1, cache=tmp_path, progress=events.append)
+        assert [event.kind for event in events] == ["cached"]
+        _assert_records_identical(cached, trained)
+
     @needs_fork
     def test_pool_failure_reports_the_failing_cell(self, micro_configs, monkeypatch, pin_fork):
         failing = micro_configs[1]

@@ -341,6 +341,36 @@ class TestGatewayDegradedReload:
             with pytest.raises(CheckpointError, match="unknown surrogate 'triangular'"):
                 fresh.submit("m", images[0])
 
+    @pytest.mark.parametrize(
+        "neuron,reset,named",
+        [("if", "subtract", "unknown neuron type 'if'"), ("lif", "zero", "unknown reset_mechanism 'zero'")],
+        ids=["if-neuron", "zero-reset"],
+    )
+    def test_retired_neuron_republish_keeps_serving_old_weights(
+        self, tmp_path, micro_config, untrained, neuron, reset, named
+    ):
+        """A republish naming the removed IF substrate or a removed reset degrades like a torn one."""
+        _, _, images = untrained
+        registry = ModelRegistry(tmp_path)
+        model_v1 = self._publish(registry, "m", micro_config)
+        reference = _reference_counts(micro_config, model_v1, images[:3], 1)
+        with ServeGateway(registry, max_batch=4, max_wait_ms=1.0) as gateway:
+            served = [gateway.submit("m", images[0]).result(timeout=30).counts]
+            kwargs = model_spec(model_v1)["kwargs"]
+            rewrite_checkpoint_header(
+                registry.checkpoint_path("m"), kwargs=dict(kwargs, neuron=neuron), reset_mechanism=reset
+            )
+            assert gateway.refresh("m") is False
+            served += [gateway.submit("m", image).result(timeout=30).counts for image in images[1:3]]
+            np.testing.assert_array_equal(np.stack(served), reference)  # old weights live
+            assert gateway.telemetry("m").total_reload_failures == 1
+            error = gateway.telemetry("m").last_error
+            assert error.startswith("CheckpointError") and named in error
+        # A gateway that first activates the model cannot load it either.
+        with ServeGateway(registry) as fresh:
+            with pytest.raises(CheckpointError, match=named):
+                fresh.submit("m", images[0])
+
     def test_retired_encoder_republish_keeps_serving_old_weights(
         self, tmp_path, micro_config, untrained
     ):

@@ -5,13 +5,13 @@ drop-in replacement for the chain of ``Mul``/``Add``/:class:`SpikeFunction`/
 ``Sub`` ops in :func:`composed_step` and, for the adaptive-threshold neuron,
 in :func:`composed_adaptive_step`, the oracles kept here: identical spikes,
 identical membrane (and trace) trajectory, and **bit-for-bit identical
-gradients** for every surrogate, reset mechanism, ``beta``/``theta``
-combination and adaptation rule — that is what makes it safe to route every
+gradients** for every surrogate, ``beta``/``theta`` combination and
+adaptation rule — that is what makes it safe to route every
 training run (and therefore every cached sweep record) through it.
 
 Both it and the compiled plan's ``NeuronKernel`` run
 :func:`repro.autograd.ops_spiking.lif_forward` on raw arrays; the tests at
-the end pin that step itself: one worked step of Eq. 1-2 per reset, ``rint``
+the end pin that step itself: one worked step of Eq. 1-2, ``rint``
 after each decay on an integer grid, and the same result whether it writes
 fresh arrays (training) or updates its states in place (the kernel).
 """
@@ -23,7 +23,7 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.autograd.function import Function
-from repro.autograd.ops_spiking import fused_lif_step, lif_forward, surrogate_backward
+from repro.autograd.ops_spiking import _LIFCharge, _LIFSpike, fused_lif_step, lif_forward, surrogate_backward
 from repro.autograd.tensor import zeros
 from repro.core.sweeps import PAPER_SCALE_SWEEP, PAPER_SURROGATES
 from repro.neurons.adaptive import AdaptiveLIF
@@ -31,7 +31,6 @@ from repro.neurons.lif import LIF
 from repro.surrogate.registry import get_surrogate
 
 SURROGATES = ["fast_sigmoid", "arctan"]
-RESETS = ["subtract", "zero", "none"]
 #: Layers each comparison runs: (label, adaptation (step, decay) or None for LIF).
 #: Step 0 never raises the threshold; decay 1.0 never forgets a spike.
 NEURONS = [
@@ -73,12 +72,7 @@ def composed_step(lif: LIF, synaptic_input: Tensor) -> Tensor:
         lif.state.mem = zeros(synaptic_input.shape, dtype=synaptic_input.dtype)
     mem = lif.state.mem * lif.beta + synaptic_input
     spikes = spike(mem, lif.threshold, lif.surrogate)
-    if lif.reset_mechanism == "subtract":
-        mem = mem - spikes.detach() * lif.threshold
-    elif lif.reset_mechanism == "zero":
-        mem = mem * (1.0 - spikes.detach())
-    # "none": leave the membrane as is.
-    lif.state.mem = mem
+    lif.state.mem = mem - spikes.detach() * lif.threshold
     return spikes
 
 
@@ -94,21 +88,18 @@ def composed_adaptive_step(layer: AdaptiveLIF, synaptic_input: Tensor) -> Tensor
     # the adaptive offset so the comparison is against theta_eff.
     centred = mem - (theta_eff - layer.threshold)
     spikes = spike(centred, layer.threshold, layer.surrogate)
-    if layer.reset_mechanism == "subtract":
-        mem = mem - spikes.detach() * theta_eff
-    elif layer.reset_mechanism == "zero":
-        mem = mem * (1.0 - spikes.detach())
+    mem = mem - spikes.detach() * theta_eff
     state.trace = state.trace * layer.adaptation_decay + spikes.detach()
     state.mem = mem
     return spikes
 
 
-def _run_sequence(fused: bool, *, adaptation=None, reset: str, surrogate: str, scale: float,
+def _run_sequence(fused: bool, *, adaptation=None, surrogate: str, scale: float,
                   beta: float, threshold: float, dtype=np.float32, steps: int = 6):
     """Drive one LIF (or, given ``adaptation``, AdaptiveLIF) layer over a BPTT
     sequence and return grads + outputs."""
     rng = np.random.default_rng(42)
-    common = dict(beta=beta, threshold=threshold, surrogate=get_surrogate(surrogate, scale), reset_mechanism=reset)
+    common = dict(beta=beta, threshold=threshold, surrogate=get_surrogate(surrogate, scale))
     if adaptation is None:
         layer, composed = LIF(**common), composed_step
     else:
@@ -141,9 +132,8 @@ def _assert_same_runs(fused, composed, label: str) -> None:
 
 
 @pytest.mark.parametrize("surrogate", SURROGATES)
-@pytest.mark.parametrize("reset", RESETS)
-def test_fused_matches_composed_bitwise(surrogate, reset):
-    kwargs = dict(reset=reset, surrogate=surrogate, scale=2.0, beta=0.25, threshold=1.0)
+def test_fused_matches_composed_bitwise(surrogate):
+    kwargs = dict(surrogate=surrogate, scale=2.0, beta=0.25, threshold=1.0)
     for label, adaptation in NEURONS:
         _assert_same_runs(
             _run_sequence(True, adaptation=adaptation, **kwargs),
@@ -152,10 +142,9 @@ def test_fused_matches_composed_bitwise(surrogate, reset):
         )
 
 
-@pytest.mark.parametrize("reset", RESETS)
-def test_fused_matches_composed_bitwise_with_a_registered_surrogate(reset, registered_surrogate):
+def test_fused_matches_composed_bitwise_with_a_registered_surrogate(registered_surrogate):
     """A caller's surrogate with bounded support: the gradients it zeroes must match too."""
-    kwargs = dict(reset=reset, surrogate=registered_surrogate, scale=2.0, beta=0.25, threshold=1.0)
+    kwargs = dict(surrogate=registered_surrogate, scale=2.0, beta=0.25, threshold=1.0)
     for label, adaptation in NEURONS:
         fused = _run_sequence(True, adaptation=adaptation, **kwargs)
         _assert_same_runs(fused, _run_sequence(False, adaptation=adaptation, **kwargs), label)
@@ -167,7 +156,20 @@ def test_fused_matches_composed_bitwise_with_a_registered_surrogate(reset, regis
 @pytest.mark.parametrize("surrogate", PAPER_SURROGATES)
 def test_fused_matches_composed_over_the_figure1_grid(surrogate, scale):
     """Every (surrogate, scale) cell Figure 1 trains, at the paper's beta and theta."""
-    kwargs = dict(reset="subtract", surrogate=surrogate, scale=scale, beta=0.25, threshold=1.0)
+    kwargs = dict(surrogate=surrogate, scale=scale, beta=0.25, threshold=1.0)
+    for label, adaptation in NEURONS:
+        _assert_same_runs(
+            _run_sequence(True, adaptation=adaptation, **kwargs),
+            _run_sequence(False, adaptation=adaptation, **kwargs),
+            label,
+        )
+
+
+@pytest.mark.parametrize("threshold", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("surrogate", PAPER_SURROGATES)
+def test_fused_matches_composed_without_leak(surrogate, threshold):
+    """``beta = 1`` (the integrate-and-fire neuron): the membrane keeps all it does not spend."""
+    kwargs = dict(surrogate=surrogate, scale=0.25, beta=1.0, threshold=threshold)
     for label, adaptation in NEURONS:
         _assert_same_runs(
             _run_sequence(True, adaptation=adaptation, **kwargs),
@@ -178,8 +180,7 @@ def test_fused_matches_composed_over_the_figure1_grid(surrogate, scale):
 
 @pytest.mark.parametrize("beta,threshold", [(0.0, 0.5), (0.25, 1.0), (0.5, 1.5), (0.95, 2.5), (1.0, 1.0)])
 def test_fused_matches_composed_over_hyperparameters(beta, threshold):
-    kwargs = dict(reset="subtract", surrogate="fast_sigmoid", scale=0.25,
-                  beta=beta, threshold=threshold, dtype=np.float64)
+    kwargs = dict(surrogate="fast_sigmoid", scale=0.25, beta=beta, threshold=threshold, dtype=np.float64)
     for label, adaptation in NEURONS:
         _assert_same_runs(
             _run_sequence(True, adaptation=adaptation, **kwargs),
@@ -193,8 +194,7 @@ def test_fused_step_gradient_is_surrogate_derivative():
     surrogate = get_surrogate("fast_sigmoid", 2.0)
     mem_prev = Tensor(np.zeros((2, 3)), requires_grad=False)
     syn = Tensor(np.linspace(-2.0, 2.0, 6).reshape(2, 3), requires_grad=True)
-    spikes, new_mem, _ = fused_lif_step(mem_prev, syn, beta=0.5, threshold=1.0,
-                                        surrogate=surrogate, reset_mechanism="subtract")
+    spikes, new_mem, _ = fused_lif_step(mem_prev, syn, beta=0.5, threshold=1.0, surrogate=surrogate)
     spikes.backward(np.ones_like(spikes.data))
     centred = syn.data - 1.0  # beta * 0 + syn, centred at theta
     np.testing.assert_allclose(syn.grad, surrogate.derivative(centred))
@@ -207,8 +207,7 @@ def test_fused_subtract_reset_keeps_a_wider_membrane_dtype():
     surrogate = get_surrogate("fast_sigmoid", 2.0)
     mem_prev = Tensor(np.array([[0.1, 0.7, 3.9]]))
     syn = Tensor(np.array([[0.3, 0.45, 0.2]], dtype=np.float32))
-    spikes, new_mem, _ = fused_lif_step(mem_prev, syn, beta=0.3, threshold=1.1,
-                                        surrogate=surrogate, reset_mechanism="subtract")
+    spikes, new_mem, _ = fused_lif_step(mem_prev, syn, beta=0.3, threshold=1.1, surrogate=surrogate)
     mem = mem_prev.data * np.float32(0.3) + syn.data
     expected = mem - spikes.data * np.float32(1.1)
     assert spikes.data.tolist() == [[0.0, 0.0, 1.0]]
@@ -222,18 +221,42 @@ def test_fused_membrane_gradient_routes_through_beta():
     surrogate = get_surrogate("fast_sigmoid", 2.0)
     mem_prev = Tensor(np.full((1, 2), 0.3), requires_grad=True)
     syn = Tensor(np.zeros((1, 2)), requires_grad=False)
-    _, new_mem, _ = fused_lif_step(mem_prev, syn, beta=beta, threshold=10.0,
-                                   surrogate=surrogate, reset_mechanism="subtract")
+    _, new_mem, _ = fused_lif_step(mem_prev, syn, beta=beta, threshold=10.0, surrogate=surrogate)
     new_mem.backward(np.ones_like(new_mem.data))
     # No spikes fire (threshold 10), so the only path is the charge: grad = beta.
     np.testing.assert_allclose(mem_prev.grad, np.full((1, 2), beta))
 
 
-def test_fused_rejects_unknown_reset():
+@pytest.mark.parametrize("adaptive", [False, True], ids=["lif", "adaptive"])
+def test_fused_step_records_two_nodes(adaptive):
+    """The reset's derivative is the identity, so the new membrane carries the charge node."""
     surrogate = get_surrogate("fast_sigmoid", 2.0)
-    zeros = Tensor(np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="reset"):
-        fused_lif_step(zeros, zeros, 0.5, 1.0, surrogate, "bogus")
+    mem_prev = Tensor(np.array([[0.5, 1.5]]), requires_grad=True)
+    syn = Tensor(np.array([[1.0, 0.25]]), requires_grad=True)
+    # A trace of 0 leaves the threshold at 1.0, so both substrates fire alike.
+    trace = dict(trace=Tensor(np.zeros((1, 2))), adaptation_step=0.5, adaptation_decay=0.5) if adaptive else {}
+    spikes, new_mem, new_trace = fused_lif_step(mem_prev, syn, beta=0.5, threshold=1.0, surrogate=surrogate, **trace)
+    assert (new_trace is None) is not adaptive
+    assert new_trace is None or new_trace._node is None
+    charge = new_mem._node
+    assert charge.fn is _LIFCharge and charge.inputs == (mem_prev, syn)
+    assert spikes._node.fn is _LIFSpike and spikes._node.inputs == (charge,)
+    assert spikes.data.tolist() == [[1.0, 0.0]]
+    new_mem.backward(np.ones_like(new_mem.data))
+    np.testing.assert_array_equal(mem_prev.grad, [[0.5, 0.5]])
+    np.testing.assert_array_equal(syn.grad, [[1.0, 1.0]])
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_the_membrane_gradient_bypasses_the_reset(beta):
+    """The reset's derivative is the identity: ``d u[T] / d x[t] = beta ** (T - t)``, spikes or not."""
+    layer = LIF(beta=beta, threshold=0.5, surrogate=get_surrogate("fast_sigmoid", 2.0))
+    inputs = [Tensor(np.full((1, 3), 0.75), requires_grad=True) for _ in range(4)]
+    fired = sum(float(layer.step(x).data.sum()) for x in inputs)
+    assert fired > 0
+    layer.membrane.backward(np.ones((1, 3)))
+    for t, x in enumerate(inputs):
+        np.testing.assert_array_equal(x.grad, np.full((1, 3), beta ** (len(inputs) - 1 - t)))
 
 
 def test_fused_no_graph_under_no_grad():
@@ -258,39 +281,53 @@ def test_fused_no_graph_under_no_grad():
 WORKED_MEM = [0.5, 2.0, 3.0, -1.0, 4.0]
 WORKED_INPUT = [0.875, 0.0, 0.25, 0.5, 0.0]
 WORKED_TRACE = [0.0, 0.0, 4.0, 1.0, 2.0]
-#: Layer -> (spikes, v, membrane after each reset, trace after the step).
+#: Layer -> (spikes, v, membrane after the reset, trace after the step).
 WORKED = {
     "lif": (
         [1, 0, 1, 0, 1],
         [1.125, 1.0, 1.75, 0.0, 2.0],
-        {"subtract": [0.125, 1.0, 0.75, 0.0, 1.0], "zero": [0, 1.0, 0, 0, 0],
-         "none": [1.125, 1.0, 1.75, 0.0, 2.0]},
+        [0.125, 1.0, 0.75, 0.0, 1.0],
         None,
     ),
     "adaptive": (
         [1, 0, 0, 0, 1],
         [1.125, 1.0, 0.75, -0.25, 1.5],
-        {"subtract": [0.125, 1.0, 1.75, 0.0, 0.5], "zero": [0, 1.0, 1.75, 0.0, 0],
-         "none": [1.125, 1.0, 1.75, 0.0, 2.0]},
+        [0.125, 1.0, 1.75, 0.0, 0.5],
         [1.0, 0.0, 2.0, 0.5, 2.0],
+    ),
+}
+#: The same step without a leak (beta = 1): the charged membrane is
+#: [1.375, 2.0, 3.25, -0.5, 4.0], and only element 3 stays below theta.
+WORKED_NO_LEAK = {
+    "lif": (
+        [1, 1, 1, 0, 1],
+        [1.375, 2.0, 3.25, -0.5, 4.0],
+        [0.375, 1.0, 2.25, -0.5, 3.0],
+        None,
+    ),
+    "adaptive": (
+        [1, 1, 1, 0, 1],
+        [1.375, 2.0, 2.25, -0.75, 3.5],
+        [0.375, 1.0, 1.25, -0.5, 2.5],
+        [1.0, 1.0, 3.0, 0.5, 2.0],
     ),
 }
 #: Layers the raw-array step runs: (label, adaptation (step, decay) or None).
 FORWARD_NEURONS = [("lif", None), ("adaptive", (0.5, 0.75))]
 
 
-@pytest.mark.parametrize("reset", RESETS)
+@pytest.mark.parametrize("beta,worked", [(0.5, WORKED), (1.0, WORKED_NO_LEAK)], ids=["leak", "no-leak"])
 @pytest.mark.parametrize("label", sorted(WORKED))
-def test_lif_forward_worked_example(label, reset):
-    spikes_expected, v_expected, mems, trace_expected = WORKED[label]
+def test_lif_forward_worked_example(label, beta, worked):
+    spikes_expected, v_expected, mem_expected, trace_expected = worked[label]
     trace = None if trace_expected is None else np.array(WORKED_TRACE)
     spikes, v, mem, new_trace = lif_forward(
-        np.array(WORKED_MEM), np.array(WORKED_INPUT), 0.5, 1.0, reset, trace,
+        np.array(WORKED_MEM), np.array(WORKED_INPUT), beta, 1.0, trace,
         adaptation_step=0.25, adaptation_decay=0.5,
     )
     assert spikes.tolist() == spikes_expected
     assert v.tolist() == v_expected
-    assert mem.tolist() == mems[reset]
+    assert mem.tolist() == mem_expected
     if trace_expected is None:
         assert new_trace is None
     else:
@@ -302,7 +339,7 @@ def test_lif_forward_integer_grid_rounds_after_each_decay(label, adaptation):
     """``rint`` (half to even) follows ``beta * u`` and ``rho * a``, before the input and spike add."""
     trace = None if adaptation is None else np.array([1.0, 3.0, 0.0, 0.0])
     spikes, _, mem, trace = lif_forward(
-        np.array([3.0, 5.0, -3.0, 7.0]), np.array([1.0, 0.0, 2.0, 0.0]), 0.5, 3.0, "subtract",
+        np.array([3.0, 5.0, -3.0, 7.0]), np.array([1.0, 0.0, 2.0, 0.0]), 0.5, 3.0,
         trace, adaptation_step=1.0, adaptation_decay=0.5, integer=True,
     )
     # rint(0.5 * u) = [2, 2, -2, 4], charged [3, 2, 0, 4]; without the rint it
@@ -314,10 +351,10 @@ def test_lif_forward_integer_grid_rounds_after_each_decay(label, adaptation):
         assert trace.tolist() == [0, 2, 0, 1]  # rint([0.5, 1.5, 0, 0]) + s
 
 
+@pytest.mark.parametrize("beta", [0.75, 1.0])
 @pytest.mark.parametrize("integer", [False, True], ids=["float", "integer"])
-@pytest.mark.parametrize("reset", RESETS)
 @pytest.mark.parametrize("label,adaptation", FORWARD_NEURONS)
-def test_lif_forward_in_place_matches_fresh(label, adaptation, reset, integer):
+def test_lif_forward_in_place_matches_fresh(label, adaptation, integer, beta):
     """Updating states in place (the kernel) and on fresh arrays (training) agree bit for bit.
 
     The fresh calls must leave their inputs untouched: training saves them
@@ -329,10 +366,10 @@ def test_lif_forward_in_place_matches_fresh(label, adaptation, reset, integer):
     if integer:
         # theta and b on the grid, as NeuronKernel.prepare rounds them.
         drive = [rng.integers(-3, 6, (4, 32)).astype(np.float64) for _ in range(8)]
-        params = dict(beta=0.75, theta=4.0, adaptation_step=4.0 * step, adaptation_decay=decay, integer=True)
+        params = dict(beta=beta, theta=4.0, adaptation_step=4.0 * step, adaptation_decay=decay, integer=True)
     else:
         drive = [rng.standard_normal((4, 32)) for _ in range(8)]
-        params = dict(beta=0.75, theta=1.0, adaptation_step=step, adaptation_decay=decay)
+        params = dict(beta=beta, theta=1.0, adaptation_step=step, adaptation_decay=decay)
     mem = np.zeros((4, 32))
     trace = None if adaptation is None else np.zeros((4, 32))
     mem_state = mem.copy()
@@ -341,12 +378,11 @@ def test_lif_forward_in_place_matches_fresh(label, adaptation, reset, integer):
     for x in drive:
         inputs = [array for array in (mem, trace, x) if array is not None]
         snapshot = [array.copy() for array in inputs]
-        spikes, _, mem, trace = lif_forward(mem, x, reset_mechanism=reset, trace=trace, **params)
+        spikes, _, mem, trace = lif_forward(mem, x, trace=trace, **params)
         for array, before in zip(inputs, snapshot):
             np.testing.assert_array_equal(array, before)
 
-        in_place = lif_forward(mem_state, x, reset_mechanism=reset, trace=trace_state,
-                               out=(mem_state, trace_state), **params)
+        in_place = lif_forward(mem_state, x, trace=trace_state, out=(mem_state, trace_state), **params)
         assert in_place[2] is mem_state and in_place[3] is trace_state
         np.testing.assert_array_equal(in_place[0], spikes)
         np.testing.assert_array_equal(mem_state, mem)
@@ -357,6 +393,24 @@ def test_lif_forward_in_place_matches_fresh(label, adaptation, reset, integer):
     if integer:
         for state in (mem, trace):
             assert state is None or np.array_equal(state, np.rint(state))
+
+
+@pytest.mark.parametrize("label,adaptation", FORWARD_NEURONS)
+def test_lif_forward_buffers_hold_the_mask_spikes_and_reset_product(label, adaptation):
+    """The kernel's kept arrays: the fire mask, the returned spikes and ``s * theta`` (``s * theta_eff``)."""
+    rng = np.random.default_rng(4)
+    mem, x = rng.standard_normal((2, 4, 16))
+    step, decay = adaptation or (0.0, 0.0)
+    trace = None if adaptation is None else rng.integers(0, 3, (4, 16)).astype(np.float64)
+    buffers = (np.empty((4, 16), dtype=bool), np.empty((4, 16)), np.empty((4, 16)))
+    spikes, v, new_mem, _ = lif_forward(mem, x, 0.5, 1.0, trace, step, decay, buffers=buffers)
+    fired, kept_spikes, product = buffers
+    assert spikes is kept_spikes and 0 < fired.sum() < fired.size
+    np.testing.assert_array_equal(fired, v > 1.0)
+    np.testing.assert_array_equal(spikes, fired.astype(np.float64))
+    theta = 1.0 if trace is None else trace * step + 1.0
+    np.testing.assert_array_equal(product, spikes * theta)
+    np.testing.assert_array_equal(new_mem, (mem * 0.5 + x) - product)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -372,12 +426,8 @@ def test_lif_forward_fires_exactly_where_the_surrogate_argument_is_positive(dtyp
     for _ in range(8):
         near.append(np.nextafter(near[-1], dtype(np.inf)))
     x = np.concatenate([np.array(near, dtype=dtype), np.random.default_rng(3).normal(1.1, 0.5, 64).astype(dtype)])
-    spikes, v, _, _ = lif_forward(np.zeros_like(x), x, dtype(0.0), theta, "none")
+    spikes, v, _, _ = lif_forward(np.zeros_like(x), x, dtype(0.0), theta)
     np.testing.assert_array_equal(v, x)
     np.testing.assert_array_equal(spikes, (v - theta > 0).astype(dtype))
     assert 0 < spikes[: len(near)].sum() < len(near)
 
-
-def test_lif_forward_rejects_unknown_reset():
-    with pytest.raises(ValueError, match="unknown reset mechanism 'bogus'"):
-        lif_forward(np.zeros(2), np.ones(2), 0.5, 1.0, "bogus")

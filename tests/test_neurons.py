@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor
-from repro.neurons import IF, LIF, AdaptiveLIF
+from repro.neurons import NEURON_TYPES, LIF, AdaptiveLIF, build_neuron
 from repro.surrogate import FastSigmoid
 
 
@@ -40,19 +40,35 @@ class TestLIFDynamics:
 
     def test_subtract_reset_follows_equation_1(self):
         """After a spike the membrane is reduced by exactly theta (Eq. 1)."""
-        lif = LIF(beta=0.5, threshold=1.0, reset_mechanism="subtract")
+        lif = LIF(beta=0.5, threshold=1.0)
         lif.step(Tensor([[2.5]]))
         assert lif.membrane.numpy()[0, 0] == pytest.approx(1.5)
 
-    def test_zero_reset_clears_membrane(self):
-        lif = LIF(beta=0.5, threshold=1.0, reset_mechanism="zero")
-        lif.step(Tensor([[2.5]]))
-        assert lif.membrane.numpy()[0, 0] == pytest.approx(0.0)
+    def test_beta_one_integrates_without_leak(self):
+        neuron = LIF(beta=1.0, threshold=5.0)
+        for _ in range(4):
+            neuron.step(Tensor([[1.0]]))
+        assert neuron.membrane.numpy()[0, 0] == pytest.approx(4.0)
 
-    def test_none_reset_keeps_membrane(self):
-        lif = LIF(beta=0.5, threshold=1.0, reset_mechanism="none")
-        lif.step(Tensor([[2.5]]))
-        assert lif.membrane.numpy()[0, 0] == pytest.approx(2.5)
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["lif", "adaptive"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_without_leak_the_membrane_keeps_every_unspent_input(self, adaptive, seed):
+        """At ``beta = 1`` the subtract reset conserves charge: the inputs equal the membrane plus the thresholds spent.
+
+        Inputs, threshold and adaptation step are multiples of 1/8 in float64,
+        so every sum is exact.
+        """
+        drive = np.random.default_rng(seed).integers(-4, 16, (10, 2, 6)) / 8.0
+        if adaptive:
+            neuron = AdaptiveLIF(beta=1.0, threshold=1.0, adaptation_step=0.25, adaptation_decay=0.5)
+        else:
+            neuron = LIF(beta=1.0, threshold=1.0)
+        spent = np.zeros(drive.shape[1:])
+        for frame in drive:
+            theta = 1.0 if neuron.state.trace is None else neuron.effective_threshold().numpy()
+            spent += neuron.step(Tensor(frame)).numpy() * theta
+        np.testing.assert_array_equal(drive.sum(axis=0), neuron.state.mem.numpy() + spent)
 
     def test_lower_threshold_increases_firing(self):
         """Paper Sec. II-A: lower theta increases firing frequency."""
@@ -90,13 +106,22 @@ class TestLIFDynamics:
         out = lif.step(Tensor(np.zeros((4, 3))))
         assert out.shape == (4, 3)
 
+    def test_the_retired_if_substrate_is_not_built(self):
+        """``if`` was LIF at ``beta = 1``; the factory names the substrates it has."""
+        assert NEURON_TYPES == ("lif", "adaptive")
+        with pytest.raises(ValueError, match="unknown neuron type 'if'"):
+            build_neuron("if")
+        assert type(build_neuron("lif", beta=1.0)) is LIF
+
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
             LIF(beta=1.5)
         with pytest.raises(ValueError):
             LIF(threshold=0.0)
+        with pytest.raises(ValueError, match="threshold"):
+            LIF(threshold=float("nan"))
         with pytest.raises(ValueError):
-            LIF(reset_mechanism="bogus")
+            LIF(beta=float("nan"))
 
 
 class TestLIFGradients:
@@ -119,33 +144,12 @@ class TestLIFGradients:
         assert np.mean(spikes) == pytest.approx(1.0)
 
 
-class TestIFNeuron:
-    def test_if_is_lif_with_beta_one(self):
-        neuron = IF(threshold=5.0)
-        assert neuron.beta == 1.0
-        for _ in range(4):
-            neuron.step(Tensor([[1.0]]))
-        assert neuron.membrane.numpy()[0, 0] == pytest.approx(4.0)
-
-    def test_if_fires_more_than_leaky(self):
-        rng = np.random.default_rng(2)
-        drive = rng.random((4, 8)).astype(np.float32) * 0.4
-        integrator = IF(threshold=1.0)
-        leaky = LIF(beta=0.3, threshold=1.0)
-        integrator_spikes = leaky_spikes = 0.0
-        for _ in range(10):
-            integrator_spikes += float(integrator.step(Tensor(drive)).data.sum())
-            leaky_spikes += float(leaky.step(Tensor(drive)).data.sum())
-        assert integrator_spikes >= leaky_spikes
-
-
 class TestAdaptiveLIFDynamics:
     """One-step arithmetic of the adaptive threshold (theta_eff = theta + b * a)."""
 
     @staticmethod
-    def _neuron(reset="subtract"):
-        return AdaptiveLIF(beta=0.5, threshold=1.0, adaptation_step=0.5, adaptation_decay=0.5,
-                           reset_mechanism=reset)
+    def _neuron():
+        return AdaptiveLIF(beta=0.5, threshold=1.0, adaptation_step=0.5, adaptation_decay=0.5)
 
     def test_spike_raises_effective_threshold(self):
         neuron = self._neuron()
@@ -169,18 +173,6 @@ class TestAdaptiveLIFDynamics:
             assert plain.step(Tensor([[drive]])).numpy()[0, 0] == 1.0
         assert adaptive.state.mem.numpy()[0, 0] == 1.25
         assert adaptive.adaptation.numpy()[0, 0] == 0.5
-
-    def test_zero_reset_clears_membrane(self):
-        neuron = self._neuron("zero")
-        neuron.step(Tensor([[2.5]]))
-        assert neuron.state.mem.numpy()[0, 0] == 0.0
-        assert neuron.adaptation.numpy()[0, 0] == 1.0
-
-    def test_none_reset_keeps_membrane(self):
-        neuron = self._neuron("none")
-        neuron.step(Tensor([[2.5]]))
-        assert neuron.state.mem.numpy()[0, 0] == 2.5
-        assert neuron.adaptation.numpy()[0, 0] == 1.0
 
     def test_adaptation_trace_carries_no_gradient(self):
         neuron = self._neuron()
@@ -225,11 +217,9 @@ class TestAdaptiveLIFProperties:
     )
     def test_threshold_trace_decays_monotonically_absent_spikes(self, decay, step, beta):
         """With silent input after a spike, the adaptation trace only decays."""
-        neuron = AdaptiveLIF(
-            beta=beta, threshold=0.5, adaptation_step=step, adaptation_decay=decay,
-            reset_mechanism="zero",
-        )
-        neuron.step(Tensor([[5.0]]))  # force one spike to charge the trace
+        neuron = AdaptiveLIF(beta=beta, threshold=0.5, adaptation_step=step, adaptation_decay=decay)
+        # One spike charges the trace; the reset leaves 0.25, below theta for good.
+        neuron.step(Tensor([[0.75]]))
         assert neuron.adaptation.numpy()[0, 0] == pytest.approx(1.0)
         previous = neuron.adaptation.numpy()[0, 0]
         for _ in range(6):
@@ -265,6 +255,8 @@ class TestAdaptiveLIFProperties:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             AdaptiveLIF(adaptation_step=-0.1)
+        with pytest.raises(ValueError, match="adaptation_step"):
+            AdaptiveLIF(adaptation_step=float("nan"))
         with pytest.raises(ValueError):
             AdaptiveLIF(adaptation_decay=1.5)
 

@@ -12,9 +12,22 @@ from repro.nn import (
     MaxPool2d,
     Module,
     Parameter,
-    Sequential,
 )
 from repro.nn import init as nn_init
+
+
+class _Chain(Module):
+    """Layers registered under their index and applied in order."""
+
+    def __init__(self, *layers: Module) -> None:
+        super().__init__()
+        for index, layer in enumerate(layers):
+            self.register_module(str(index), layer)
+
+    def forward(self, x):
+        for layer in self._modules.values():
+            x = layer(x)
+        return x
 
 
 class TestModuleMechanics:
@@ -35,7 +48,7 @@ class TestModuleMechanics:
         assert layer.num_parameters() == 4 * 3 + 3
 
     def test_train_eval_propagates(self):
-        model = Sequential(Linear(2, 2), Sequential(MaxPool2d(2)))
+        model = _Chain(Linear(2, 2), _Chain(MaxPool2d(2)))
         model.eval()
         assert all(not m.training for m in model.modules())
         model.train()
@@ -68,7 +81,7 @@ class TestModuleMechanics:
             layer.load_state_dict(state)
 
     def test_named_modules_includes_nested(self):
-        model = Sequential(Linear(2, 2), Sequential(Linear(2, 2)))
+        model = _Chain(Linear(2, 2), _Chain(Linear(2, 2)))
         names = [n for n, _ in model.named_modules()]
         assert "0" in names and "1.0" in names
 
@@ -164,32 +177,11 @@ class TestConvPoolLayers:
         assert out.shape == (3, 32)
 
 
-class TestSequential:
-    def test_applies_in_order(self):
-        model = Sequential(Linear(4, 8), Flatten(), Linear(8, 2))
-        out = model(Tensor(np.zeros((3, 4))))
-        assert out.shape == (3, 2)
-
-    def test_len_getitem_iter(self):
-        model = Sequential(Linear(2, 2), Flatten())
-        assert len(model) == 2
-        assert isinstance(model[0], Linear)
-        assert [type(m).__name__ for m in model] == ["Linear", "Flatten"]
-
-    def test_append(self):
-        model = Sequential(Linear(2, 4))
-        model.append(Linear(4, 2))
-        assert len(model) == 2
-        assert model(Tensor(np.zeros((1, 2)))).shape == (1, 2)
-
-    def test_parameters_collected_from_children(self):
-        model = Sequential(Linear(2, 4), Linear(4, 2))
-        assert len(model.parameters()) == 4
-
+class TestLayerStack:
     def test_gradients_reach_every_parameter_of_a_conv_stack(self):
         # The paper's block order: conv, pool, flatten, dense.
         gen = np.random.default_rng(10)
-        model = Sequential(Conv2d(1, 2, 3, padding=1, rng=gen), MaxPool2d(2), Flatten(), Linear(8, 3, rng=gen))
+        model = _Chain(Conv2d(1, 2, 3, padding=1, rng=gen), MaxPool2d(2), Flatten(), Linear(8, 3, rng=gen))
         x = Tensor(np.random.default_rng(11).standard_normal((2, 1, 4, 4)))
         out = model(x)
         assert out.shape == (2, 3)

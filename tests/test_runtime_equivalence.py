@@ -12,7 +12,6 @@ import pytest
 from conftest import dense_forward_with_trains
 from repro.autograd.tensor import Tensor, no_grad
 from repro.core.network import SpikingCNN, SpikingMLP
-from repro.neurons.base import SpikingNeuron
 from repro.runtime import LinearKernel, compile_network, run_inference
 
 
@@ -58,20 +57,6 @@ class TestCNNEquivalence:
         dense_counts, _ = dense_forward_with_trains(model, spikes)
         result = compile_network(model).run(spikes)
         assert np.array_equal(dense_counts, result.counts)
-
-    @pytest.mark.parametrize("reset", ["subtract", "zero", "none"])
-    def test_reset_mechanisms(self, reset):
-        model = SpikingCNN(image_size=8, conv_channels=(4, 4), hidden_units=16, seed=3)
-        for module in model.modules():
-            if isinstance(module, SpikingNeuron):
-                module.reset_mechanism = reset
-        model.eval()
-        spikes = make_spikes((2, 3, 8, 8), 0.2, num_steps=4, seed=5)
-        dense_counts, dense_trains = dense_forward_with_trains(model, spikes)
-        result = compile_network(model).run(spikes, collect_spike_trains=True)
-        assert np.array_equal(dense_counts, result.counts)
-        for name, train in dense_trains.items():
-            assert np.array_equal(train, result.spike_trains[name])
 
     def test_graded_input_currents(self):
         """Direct-encoded (non-binary) inputs must also be handled exactly."""

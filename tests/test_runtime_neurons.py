@@ -1,7 +1,7 @@
 """Cross-substrate equivalence matrix for the compiled plan.
 
-Every supported spiking substrate ({LIF, IF, AdaptiveLIF}) x
-both model families x all three encoders must satisfy the runtime's
+Every supported spiking substrate ({LIF, AdaptiveLIF}, and LIF without a
+leak, ``beta = 1``) x both model families x all three encoders must satisfy the runtime's
 contract: the compiled plan's spike trains are bit-identical to the dense
 forward at fp32, fp64 predictions agree on the same paired spikes, and the
 integer precisions replay bit-deterministically with high paired-spike
@@ -22,8 +22,9 @@ from repro.core.config import ExperimentConfig
 from repro.core.experiment import make_encoder, make_model
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DirectEncoder, LatencyEncoder, RateEncoder
-from repro.neurons import IF, AdaptiveLIF, LIF, neuron_descriptor
+from repro.neurons import NEURON_TYPES, AdaptiveLIF, LIF, neuron_descriptor
 from repro.neurons.base import SpikingNeuron
+from repro.nn import Flatten, Module
 from repro.runtime import (
     PRECISIONS,
     FlattenKernel,
@@ -43,31 +44,33 @@ ENCODER_CLASSES = {
     "direct": DirectEncoder,
 }
 
-#: Substrate name -> (neuron kwarg, non-default substrate params) so the
-#: matrix exercises real parameter threading, not just defaults.
+#: Case -> (neuron kwarg, non-default substrate params, beta or None for the
+#: model's own) so the matrix exercises real parameter threading, not just
+#: defaults.  ``no-leak`` is LIF at ``beta = 1``, whose integer plans keep
+#: their states in float64.
 SUBSTRATES = {
-    "lif": {},
-    "if": {},
-    "adaptive": {"adaptation_step": 0.3, "adaptation_decay": 0.8},
+    "lif": ("lif", {}, None),
+    "no-leak": ("lif", {}, 1.0),
+    "adaptive": ("adaptive", {"adaptation_step": 0.3, "adaptation_decay": 0.8}, None),
 }
 
 EXPECTED_LAYER_CLASSES = {
     "lif": LIF,
-    "if": IF,
+    "no-leak": LIF,
     "adaptive": AdaptiveLIF,
 }
 
 INT_PRECISIONS = ("int8", "int16")
 
 
-def _make_model(kind: str, neuron: str):
-    params = SUBSTRATES[neuron]
+def _make_model(kind: str, case: str):
+    neuron, params, beta = SUBSTRATES[case]
     if kind == "cnn":
         return SpikingCNN(
             image_size=8,
             conv_channels=(3, 4),
             hidden_units=16,
-            beta=0.5,
+            beta=0.5 if beta is None else beta,
             threshold=1.2,
             seed=7,
             neuron=neuron,
@@ -77,7 +80,7 @@ def _make_model(kind: str, neuron: str):
         in_features=12,
         hidden_units=10,
         num_classes=4,
-        beta=0.3,
+        beta=0.3 if beta is None else beta,
         threshold=0.9,
         seed=3,
         neuron=neuron,
@@ -119,9 +122,10 @@ class TestSubstrateMatrix:
         model = _make_model("mlp", neuron)
         for layer in (model.lif1, model.lif_out):
             assert type(layer) is EXPECTED_LAYER_CLASSES[neuron]
+        substrate, params, _ = SUBSTRATES[neuron]
         found_name, found_params = neuron_descriptor(model.lif1)
-        assert found_name == neuron
-        for key, value in SUBSTRATES[neuron].items():
+        assert found_name == substrate
+        for key, value in params.items():
             assert found_params[key] == pytest.approx(value)
 
     @pytest.mark.parametrize("kind", ["cnn", "mlp"])
@@ -130,63 +134,57 @@ class TestSubstrateMatrix:
         spiking = [k for k in plan.kernels if k.is_spiking_stage]
         assert spiking and all(type(k) is NeuronKernel and k.substrate == "adaptive" for k in spiking)
 
-    @pytest.mark.parametrize("reset", ["subtract", "zero", "none"])
-    @pytest.mark.parametrize("neuron", sorted(SUBSTRATES))
-    def test_reset_mechanisms_bit_identical(self, rng, neuron, reset):
-        model = _make_model("mlp", neuron)
-        for module in model.modules():
-            if isinstance(module, SpikingNeuron):
-                module.reset_mechanism = reset
-        model.eval()
-        spikes = (rng.random((5, 4, 12)) < 0.3).astype(np.float32)
-        dense_counts, dense_trains = dense_forward_with_trains(model, spikes)
-        result = compile_network(model).run(spikes, collect_spike_trains=True)
-        np.testing.assert_array_equal(dense_counts, result.counts)
-        for name, train in dense_trains.items():
-            assert np.array_equal(train, result.spike_trains[name])
 
 
 # ---------------------------------------------------------------------- #
-# IF regression: compiles today, stays bit-identical across precisions
+# No leak (beta = 1): deterministic at every precision
 # ---------------------------------------------------------------------- #
-class TestIFRegression:
-    """IF passes the LIF lowering as a subclass — keep that covered explicitly."""
+class TestNoLeak:
+    """LIF at ``beta = 1`` never decays, so its integer states have no bound.
 
-    @pytest.mark.parametrize("kind", ["cnn", "mlp"])
-    def test_if_compiles_and_matches_dense_fp32(self, rng, kind):
-        model = _make_model(kind, "if")
-        model.eval()
-        encoder = RateEncoder(num_steps=4, seed=5)
-        spikes = encoder(_images(kind, rng))
-        dense_counts, dense_trains = dense_forward_with_trains(model, spikes)
-        result = compile_network(model).run(spikes, collect_spike_trains=True)
-        np.testing.assert_array_equal(dense_counts, result.counts)
-        for name, train in dense_trains.items():
-            assert np.array_equal(train, result.spike_trains[name])
+    The fp32 matrix above runs it as the ``no-leak`` case.
+    """
 
     @pytest.mark.parametrize("precision", ("fp64",) + INT_PRECISIONS)
-    def test_if_across_precisions(self, rng, precision):
+    def test_no_leak_across_precisions(self, rng, precision):
         """Non-fp32 plans compile, replay deterministically, and agree."""
         encoder = RateEncoder(num_steps=4, seed=6)
         spikes = encoder(_images("mlp", rng))
         input_scale = default_input_scale(encoder)
-        reference = compile_network(_make_model("mlp", "if"), precision="fp64")
+        reference = compile_network(_make_model("mlp", "no-leak"), precision="fp64")
         if precision == "fp64":
             plan = reference
         else:
             plan = compile_network(
-                _make_model("mlp", "if"), precision=precision, input_scale=input_scale
+                _make_model("mlp", "no-leak"), precision=precision, input_scale=input_scale
             )
+            assert all(k.carrier == np.float64 for k in plan.kernels if k.is_spiking_stage)
         out = plan.run(spikes, record_activity=False)
         replay = plan.run(spikes, record_activity=False)
         np.testing.assert_array_equal(out.counts, replay.counts)
         ref = reference.run(spikes, record_activity=False)
         agreement = float(np.mean(ref.predictions() == out.predictions()))
-        assert agreement >= 0.9, f"if/{precision}: agreement {agreement}"
+        assert agreement >= 0.9, f"no-leak/{precision}: agreement {agreement}"
 
 
 class TestSubclassLowering:
     """Lowering matches a substrate by isinstance, so a subclass must keep its dynamics."""
+
+    def test_every_substrate_name_has_a_kernel_and_no_other(self):
+        from repro.runtime.engine import _SUBSTRATE_CLASSES
+
+        assert sorted(_SUBSTRATE_CLASSES) == sorted(NEURON_TYPES)
+        with pytest.raises(ValueError, match="unknown neuron substrate 'if'"):
+            NeuronKernel("lif1", "if", {}, 1.0, 1.0)
+
+    def test_a_nested_container_has_no_lowering(self):
+        """The plan lowers a model's own layers in order; it does not walk into containers."""
+        model = _make_model("mlp", "lif")
+        nested = Module()
+        nested.register_module("flatten", Flatten())
+        model.register_module("head", nested)
+        with pytest.raises(RuntimeCompileError, match="layer 'head': Module has no compiled-plan lowering"):
+            compile_network(model)
 
     @pytest.mark.parametrize("method", ["step", "forward"])
     @pytest.mark.parametrize("neuron", sorted(SUBSTRATES))
@@ -222,7 +220,7 @@ class TestQuantizedSubstrates:
         )
         spiking = [k for k in quantized.kernels if k.is_spiking_stage]
         assert spiking and all(
-            type(k) is NeuronKernel and k.substrate == neuron and k.integer for k in spiking
+            type(k) is NeuronKernel and k.substrate == SUBSTRATES[neuron][0] and k.integer for k in spiking
         )
 
         ref = reference.run(spikes, record_activity=False)
@@ -526,7 +524,8 @@ class TestCheckpointRoundTrip:
 class TestServingAdaptiveModels:
     @pytest.mark.parametrize("neuron", sorted(SUBSTRATES))
     def test_gateway_serves_new_substrates(self, tmp_path, micro_scale, rng, neuron):
-        config = ExperimentConfig(scale=micro_scale, seed=0, neuron=neuron)
+        substrate, _, beta = SUBSTRATES[neuron]
+        config = ExperimentConfig(scale=micro_scale, seed=0, neuron=substrate, beta=beta or 0.25)
         model = make_model(config)
         model.eval()
         encoder = make_encoder(config)  # direct: deterministic per-request encoding

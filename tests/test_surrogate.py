@@ -76,6 +76,13 @@ def test_invalid_scale_rejected():
         ArcTan(scale=-1.0)
 
 
+@pytest.mark.parametrize("name", PAPER_SURROGATES)
+def test_nan_scale_rejected(name):
+    """A NaN scale would make every surrogate gradient NaN."""
+    with pytest.raises(ValueError, match="scale must be positive, got nan"):
+        get_surrogate(name, float("nan"))
+
+
 @pytest.mark.parametrize("scale", [min(PAPER_SCALE_SWEEP), max(PAPER_SCALE_SWEEP)])
 @pytest.mark.parametrize("name", PAPER_SURROGATES)
 def test_derivative_is_the_smooth_slope_at_the_figure1_scale_ends(name, scale):

@@ -74,6 +74,6 @@ def test_spike_forward_is_binary_and_matches_threshold(values):
 
     threshold = 1.0
     x = np.array(values, dtype=np.float32)
-    spikes, _, _, _ = lif_forward(np.zeros_like(x), x, 0.0, threshold, "subtract")
+    spikes, _, _, _ = lif_forward(np.zeros_like(x), x, 0.0, threshold)
     expected = (x > threshold).astype(np.float32)
     assert spikes.dtype == np.float32 and np.array_equal(spikes, expected)

@@ -109,6 +109,19 @@ class TestOptimizers:
         with pytest.raises(ValueError, match="learning rate must be positive, got 0.0"):
             Adam([Parameter(np.ones(1))], lr=0.0)
 
+    @pytest.mark.parametrize("hyperparameter", ["lr", "eps", "weight_decay"])
+    def test_nan_hyperparameters_rejected(self, hyperparameter):
+        """A NaN rate or eps would make every weight NaN after the first step."""
+        kwargs = {"lr": 0.1, hyperparameter: float("nan")}
+        with pytest.raises(ValueError):
+            Adam([Parameter(np.ones(1))], **kwargs)
+
+    def test_set_lr_rejects_nan(self):
+        opt = Adam([Parameter(np.ones(1))], lr=0.1)
+        with pytest.raises(ValueError, match="got nan"):
+            opt.set_lr(float("nan"))
+        assert opt.lr == 0.1
+
     def test_set_lr_accepts_zero_rejects_negative(self):
         opt = Adam([Parameter(np.ones(1))], lr=0.1)
         opt.set_lr(0.0)
