@@ -77,8 +77,9 @@ def lif_forward(
     previous ones, for a state updated in place); with ``None`` they are
     fresh and the inputs are left untouched.  ``buffers`` are the arrays,
     of the membrane's shape, that the boolean fire mask, the spikes (the
-    returned ones) and the reset's product ``s * theta`` are written into; with ``None`` they are fresh.  ``v`` is the potential
-    compared with ``theta``; the surrogate's argument is ``v - theta``, and
+    returned ones) and the reset's product ``s * theta`` are written into;
+    with ``None`` they are fresh.  ``v`` is the potential compared with
+    ``theta``; the surrogate's argument is ``v - theta``, and
     ``v > theta`` holds exactly where ``v - theta > 0`` does (the rounded
     difference of floats on opposite sides of ``theta`` cannot cross zero).
     """
@@ -177,10 +178,9 @@ def fused_lif_step(
         mem = mem - spikes.detach() * threshold
 
     — same forward spikes, same membrane trajectory and bit-identical
-    gradients.  With a ``trace`` (the
-    adaptive neuron's, a tensor outside the graph) the threshold adapts as
-    :func:`lif_forward` describes, and ``new_trace`` is the updated trace;
-    without one it is ``None``.
+    gradients.  With a ``trace`` (the adaptive neuron's, a tensor outside
+    the graph) the threshold adapts as :func:`lif_forward` describes, and
+    ``new_trace`` is the updated trace; without one it is ``None``.
     """
     dtype = synaptic_input.dtype
     beta_arr = np.asarray(beta, dtype=dtype)

@@ -10,11 +10,12 @@ What the plan adds is measurement: it counts the spike events that the
 paper's sparsity-aware accelerator model prices.
 
 * :func:`compile_network` lowers a trained :class:`SpikingCNN` /
-  :class:`SpikingMLP` into a plan of fused kernels (:mod:`repro.runtime.kernels`), one per
-  layer kind: the training op's own matmul for dense layers (the bias row
-  alone for a silent frame), convolution through the training op's own
-  im2col lowering, and one neuron kernel for every substrate, which runs
-  the training step's own NumPy forward
+  :class:`SpikingMLP` into a plan of fused kernels
+  (:mod:`repro.runtime.kernels`), one per layer kind: the training op's
+  own matmul for dense layers (the bias row alone for a silent frame),
+  convolution through the training op's own im2col lowering, and one
+  neuron kernel for every substrate, which runs the training step's own
+  NumPy forward
   (:func:`repro.autograd.ops_spiking.lif_forward`) on states updated in
   place, with no graph recording.  Each kernel binds to the batch shape
   it first sees and writes every timestep into arrays it keeps.  The

@@ -2,11 +2,12 @@
 
 A checkpoint is one ``.npz`` archive holding every parameter from
 ``model.state_dict()`` plus a JSON header describing how to rebuild the
-model (class and constructor arguments), the input encoder it was trained with, and free-form caller metadata.  Loading
-reconstructs the model with :func:`~repro.nn.module.Module.load_state_dict`,
-so a reloaded model is *bit-identical* to the saved one: its dense forward,
-and the inference plan compiled from it, produce exactly the spike
-trains of the original (``tests/test_checkpoint.py``).
+model (class and constructor arguments), the input encoder it was trained
+with, and free-form caller metadata.  Loading reconstructs the model with
+:func:`~repro.nn.module.Module.load_state_dict`, so a reloaded model is
+*bit-identical* to the saved one: its dense forward, and the inference plan
+compiled from it, produce exactly the spike trains of the original
+(``tests/test_checkpoint.py``).
 
 Only the repo's two classifier architectures (:class:`SpikingCNN`,
 :class:`SpikingMLP`) are supported — the same set the runtime can compile —

@@ -6,14 +6,15 @@ drop-in replacement for the chain of ``Mul``/``Add``/:class:`SpikeFunction`/
 in :func:`composed_adaptive_step`, the oracles kept here: identical spikes,
 identical membrane (and trace) trajectory, and **bit-for-bit identical
 gradients** for every surrogate, ``beta``/``theta`` combination and
-adaptation rule — that is what makes it safe to route every
-training run (and therefore every cached sweep record) through it.
+adaptation rule — that is what makes it safe to route every training run
+(and therefore every cached sweep record) through it.
 
 Both it and the compiled plan's ``NeuronKernel`` run
 :func:`repro.autograd.ops_spiking.lif_forward` on raw arrays; the tests at
-the end pin that step itself: one worked step of Eq. 1-2, ``rint``
-after each decay on an integer grid, and the same result whether it writes
-fresh arrays (training) or updates its states in place (the kernel).
+the end pin that step itself: one worked step of Eq. 1-2 with and without
+a leak, ``rint`` after each decay on an integer grid, and the same result
+whether it writes fresh arrays (training) or updates its states in place
+(the kernel).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Cross-substrate equivalence matrix for the compiled plan.
 
 Every supported spiking substrate ({LIF, AdaptiveLIF}, and LIF without a
-leak, ``beta = 1``) x both model families x all three encoders must satisfy the runtime's
-contract: the compiled plan's spike trains are bit-identical to the dense
-forward at fp32, fp64 predictions agree on the same paired spikes, and the
-integer precisions replay bit-deterministically with high paired-spike
-agreement against the fp64 reference.  At every precision the measured
+leak, ``beta = 1``) x both model families x all three encoders must satisfy
+the runtime's contract: the compiled plan's spike trains are bit-identical
+to the dense forward at fp32, fp64 predictions agree on the same paired
+spikes, and the integer precisions replay bit-deterministically with high
+paired-spike agreement against the fp64 reference.  At every precision the measured
 :class:`RuntimeActivity` equals counts taken independently, from the input
 frames and the collected spike trains.  Also covers checkpoint round-trip
 bit-identity for the substrate-specific neuron parameters and serving a
@@ -525,7 +525,9 @@ class TestServingAdaptiveModels:
     @pytest.mark.parametrize("neuron", sorted(SUBSTRATES))
     def test_gateway_serves_new_substrates(self, tmp_path, micro_scale, rng, neuron):
         substrate, _, beta = SUBSTRATES[neuron]
-        config = ExperimentConfig(scale=micro_scale, seed=0, neuron=substrate, beta=beta or 0.25)
+        config = ExperimentConfig(scale=micro_scale, seed=0, neuron=substrate)
+        if beta is not None:
+            config = config.with_overrides(beta=beta)
         model = make_model(config)
         model.eval()
         encoder = make_encoder(config)  # direct: deterministic per-request encoding
