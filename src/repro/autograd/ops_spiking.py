@@ -8,7 +8,7 @@ spike.  Training (:func:`fused_lif_step`) and the compiled plan
 (:class:`repro.runtime.kernels.NeuronKernel`) both call it, so the two
 agree by construction, as they do for convolution and pooling.
 
-:func:`fused_lif_step` wraps that step in **two** hand-built graph nodes
+:func:`fused_lif_step` wraps that step in **three** hand-built graph nodes
 (skipping the generic ``Function.apply`` argument machinery) with analytic
 backward rules:
 
@@ -22,17 +22,20 @@ backward rules:
     gradient, applied only in the backward pass) through
     :func:`surrogate_backward`.
 
-The reset subtracts the detached spikes times the threshold (Eq. 1 of
-the paper; spikes are detached from the reset path, matching snnTorch),
-so the post-spike membrane's derivative with respect to the charged one
-is the identity: the new membrane carries the charge node itself.  The
-adaptive threshold is detached too, so it adds no node.
+``_LIFReset``
+    The post-spike membrane ``U[t] - S[t] * theta`` (Eq. 1 of the paper);
+    spikes are detached from the reset path, matching snnTorch, so
+    backward is the identity.  The adaptive threshold is detached too, so
+    it adds no node.
 
 The nodes mirror the gradient routing of the same step composed from
-elementwise ops and a Heaviside/surrogate spike op, so backward results
-are bit-for-bit identical to that composition for every surrogate,
-``beta``/``theta`` value and adaptation rule; the composition is kept as
-the oracle in ``tests/test_fused_lif.py``.
+elementwise ops and a Heaviside/surrogate spike op: the charged membrane
+has two readers, the spike and the reset, and the new membrane is read
+only by whatever reads it in the composition.  So backward results are
+bit-for-bit identical to that composition for every surrogate,
+``beta``/``theta`` value and adaptation rule, also for a loss that reads
+the membrane; the composition is kept as the oracle in
+``tests/test_fused_lif.py``.
 """
 
 from __future__ import annotations
@@ -124,7 +127,8 @@ def surrogate_backward(grad_output: np.ndarray, surrogate: "SurrogateFunction", 
     a fresh one -- a writable array that is not ``centred`` and views no
     other -- with the product's dtype and shape, and into a new one
     otherwise.  ``grad_output`` is never written: other nodes hold it too
-    (``_LIFCharge`` passes its incoming gradient on unchanged).
+    (``_LIFCharge`` and ``_LIFReset`` pass their incoming gradient on
+    unchanged).
     """
     derivative = surrogate.derivative(centred)
     fresh = (
@@ -147,6 +151,14 @@ class _LIFSpike(Function):
         return (surrogate_backward(grad_output, surrogate, v - theta),)
 
 
+class _LIFReset(Function):
+    """Post-spike membrane (reset path; spikes are detached, as in snnTorch)."""
+
+    @staticmethod
+    def backward(ctx: Context, grad_output: np.ndarray):
+        return (grad_output,)
+
+
 def _node(tensor: Tensor, fn: "type[Function]", inputs: Tuple[Tensor, ...], *saved) -> None:
     """Attach a hand-built graph node (the forward already ran, fused)."""
     ctx = Context()
@@ -167,8 +179,8 @@ def fused_lif_step(
     """One training timestep: returns ``(spikes, new_membrane, new_trace)``.
 
     Runs :func:`lif_forward` on fresh arrays, with ``beta`` and
-    ``threshold`` in the synaptic input's dtype, and records the two nodes
-    of the module docstring.  Semantics are identical to the composed
+    ``threshold`` in the synaptic input's dtype, and records the three
+    nodes of the module docstring.  Semantics are identical to the composed
     sequence
 
     .. code-block:: python
@@ -196,12 +208,13 @@ def fused_lif_step(
     )
 
     record = (mem_prev.requires_grad or synaptic_input.requires_grad) and is_grad_enabled()
+    # The charge node's output differs from ``v`` by a detached offset, so
+    # ``v`` carries its gradient exactly; only the node is ever read.
+    charged_t = Tensor(v, requires_grad=record)
     spikes_t = Tensor(spikes, requires_grad=record)
     new_mem_t = Tensor(new_mem, requires_grad=record)
     if record:
-        # The new membrane differs from the charged one by a detached
-        # offset, so it carries the charge node, which the spike node reads
-        # at ``v`` (the charged membrane less another detached offset).
-        _node(new_mem_t, _LIFCharge, (mem_prev, synaptic_input), beta_arr)
-        _node(spikes_t, _LIFSpike, (new_mem_t,), surrogate, v, theta)
+        _node(charged_t, _LIFCharge, (mem_prev, synaptic_input), beta_arr)
+        _node(spikes_t, _LIFSpike, (charged_t,), surrogate, v, theta)
+        _node(new_mem_t, _LIFReset, (charged_t,))
     return spikes_t, new_mem_t, None if new_trace is None else Tensor(new_trace)

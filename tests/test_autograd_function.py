@@ -10,7 +10,7 @@ import repro.autograd
 import repro.surrogate
 from repro.autograd import Tensor
 from repro.autograd.function import Context, Function, Node, unbroadcast
-from repro.autograd.ops_spiking import _LIFCharge, _LIFSpike
+from repro.autograd.ops_spiking import _LIFCharge, _LIFReset, _LIFSpike
 from repro.core.config import SCALE_PRESETS, ExperimentConfig
 from repro.core.experiment import make_encoder, make_loss, make_model
 from repro.core.network import SpikingMLP
@@ -175,8 +175,8 @@ class TestOpCensus:
 
     @pytest.mark.parametrize("neuron", NEURON_TYPES)
     @pytest.mark.parametrize("kind", ["cnn", "mlp"])
-    def test_each_neuron_step_records_a_charge_and_a_spike_node(self, kind, neuron):
-        """The reset adds no node: a BPTT graph holds two LIF nodes per layer and step."""
+    def test_each_neuron_step_records_a_charge_a_spike_and_a_reset_node(self, kind, neuron):
+        """A BPTT graph holds one node of each per layer and step, on either substrate."""
         config = ExperimentConfig(scale=SCALE_PRESETS["smoke"], neuron=neuron, seed=0)
         size, steps = config.scale.image_size, config.scale.num_steps
         images = np.random.default_rng(1).random((4, 3, size, size)).astype(np.float32)
@@ -194,5 +194,7 @@ class TestOpCensus:
                     nodes.add(parent)
                     todo.append(parent)
         layers = len(model.spiking_layer_names())
-        for fn in (_LIFCharge, _LIFSpike):
-            assert sum(node.fn is fn for node in nodes) == layers * steps, fn.__name__
+        # Nothing reads the last step's membrane, so its reset is not reached.
+        expected = {_LIFCharge: layers * steps, _LIFSpike: layers * steps, _LIFReset: layers * (steps - 1)}
+        for fn, count in expected.items():
+            assert sum(node.fn is fn for node in nodes) == count, fn.__name__

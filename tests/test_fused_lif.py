@@ -24,7 +24,14 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.autograd.function import Function
-from repro.autograd.ops_spiking import _LIFCharge, _LIFSpike, fused_lif_step, lif_forward, surrogate_backward
+from repro.autograd.ops_spiking import (
+    _LIFCharge,
+    _LIFReset,
+    _LIFSpike,
+    fused_lif_step,
+    lif_forward,
+    surrogate_backward,
+)
 from repro.autograd.tensor import zeros
 from repro.core.sweeps import PAPER_SCALE_SWEEP, PAPER_SURROGATES
 from repro.neurons.adaptive import AdaptiveLIF
@@ -96,9 +103,11 @@ def composed_adaptive_step(layer: AdaptiveLIF, synaptic_input: Tensor) -> Tensor
 
 
 def _run_sequence(fused: bool, *, adaptation=None, surrogate: str, scale: float,
-                  beta: float, threshold: float, dtype=np.float32, steps: int = 6):
+                  beta: float, threshold: float, dtype=np.float32, steps: int = 6,
+                  read_membrane: bool = False):
     """Drive one LIF (or, given ``adaptation``, AdaptiveLIF) layer over a BPTT
-    sequence and return grads + outputs."""
+    sequence and return grads + outputs.  With ``read_membrane`` the
+    objective also reads every step's membrane."""
     rng = np.random.default_rng(42)
     common = dict(beta=beta, threshold=threshold, surrogate=get_surrogate(surrogate, scale))
     if adaptation is None:
@@ -110,15 +119,22 @@ def _run_sequence(fused: bool, *, adaptation=None, surrogate: str, scale: float,
     # 128 neurons: enough that a re-associated threshold offset changes some
     # surrogate argument's last bit, which a 12-neuron layer may not.
     inputs = [Tensor(rng.standard_normal((8, 16)).astype(dtype), requires_grad=True) for _ in range(steps)]
-    counts = None
+    counts = membranes = None
     total_spikes = 0.0
     for frame in inputs:
         spikes = layer.step(frame) if fused else composed(layer, frame)
         total_spikes += float(spikes.data.sum())
         counts = spikes if counts is None else counts + spikes
+        if read_membrane:
+            membranes = layer.state.mem if membranes is None else layer.state.mem + membranes
     # Non-uniform upstream gradient so the surrogate backward is exercised
     # with something richer than all-ones.
     objective = counts * counts.detach() + counts
+    if membranes is not None:
+        # Read before the counts, so the backward reaches each membrane from
+        # the loss first: a graph whose charged membrane had a third reader
+        # would sum its gradients in another order.
+        objective = membranes * membranes.detach() + objective
     objective.backward(np.ones_like(objective.data))
     grads = [frame.grad.copy() for frame in inputs]
     trace = None if layer.state.trace is None else layer.state.trace.data.copy()
@@ -135,6 +151,18 @@ def _assert_same_runs(fused, composed, label: str) -> None:
 @pytest.mark.parametrize("surrogate", SURROGATES)
 def test_fused_matches_composed_bitwise(surrogate):
     kwargs = dict(surrogate=surrogate, scale=2.0, beta=0.25, threshold=1.0)
+    for label, adaptation in NEURONS:
+        _assert_same_runs(
+            _run_sequence(True, adaptation=adaptation, **kwargs),
+            _run_sequence(False, adaptation=adaptation, **kwargs),
+            label,
+        )
+
+
+@pytest.mark.parametrize("surrogate", SURROGATES)
+def test_fused_matches_composed_bitwise_when_the_loss_reads_the_membrane(surrogate):
+    """Each membrane then has two readers, the loss and the next step, in both graphs."""
+    kwargs = dict(surrogate=surrogate, scale=2.0, beta=0.25, threshold=1.0, read_membrane=True)
     for label, adaptation in NEURONS:
         _assert_same_runs(
             _run_sequence(True, adaptation=adaptation, **kwargs),
@@ -229,8 +257,8 @@ def test_fused_membrane_gradient_routes_through_beta():
 
 
 @pytest.mark.parametrize("adaptive", [False, True], ids=["lif", "adaptive"])
-def test_fused_step_records_two_nodes(adaptive):
-    """The reset's derivative is the identity, so the new membrane carries the charge node."""
+def test_fused_step_records_charge_spike_and_reset_nodes(adaptive):
+    """The spike and the reset both read the charge node; the reset's backward is the identity."""
     surrogate = get_surrogate("fast_sigmoid", 2.0)
     mem_prev = Tensor(np.array([[0.5, 1.5]]), requires_grad=True)
     syn = Tensor(np.array([[1.0, 0.25]]), requires_grad=True)
@@ -239,7 +267,9 @@ def test_fused_step_records_two_nodes(adaptive):
     spikes, new_mem, new_trace = fused_lif_step(mem_prev, syn, beta=0.5, threshold=1.0, surrogate=surrogate, **trace)
     assert (new_trace is None) is not adaptive
     assert new_trace is None or new_trace._node is None
-    charge = new_mem._node
+    reset = new_mem._node
+    assert reset.fn is _LIFReset and len(reset.inputs) == 1
+    (charge,) = reset.inputs
     assert charge.fn is _LIFCharge and charge.inputs == (mem_prev, syn)
     assert spikes._node.fn is _LIFSpike and spikes._node.inputs == (charge,)
     assert spikes.data.tolist() == [[1.0, 0.0]]

@@ -82,12 +82,13 @@ class TestLIFDynamics:
             high_spikes += float(high.step(Tensor(drive)).data.sum())
         assert low_spikes > high_spikes
 
-    def test_higher_beta_increases_firing(self):
-        """Paper Sec. II-A: higher beta makes firing more likely."""
+    @pytest.mark.parametrize("leaky_beta,retentive_beta", [(0.1, 0.95), (0.3, 1.0), (0.95, 1.0)])
+    def test_higher_beta_increases_firing(self, leaky_beta, retentive_beta):
+        """Paper Sec. II-A: higher beta makes firing more likely; no leak (beta = 1) fires most."""
         rng = np.random.default_rng(1)
         drive = rng.random((8, 16)).astype(np.float32) * 0.4
-        leaky = LIF(beta=0.1, threshold=1.0)
-        retentive = LIF(beta=0.95, threshold=1.0)
+        leaky = LIF(beta=leaky_beta, threshold=1.0)
+        retentive = LIF(beta=retentive_beta, threshold=1.0)
         leaky_spikes = retentive_spikes = 0.0
         for _ in range(20):
             leaky_spikes += float(leaky.step(Tensor(drive)).data.sum())
