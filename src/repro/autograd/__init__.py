@@ -12,7 +12,9 @@ with, and nothing else: ten ops -- ``+``, ``-`` and ``*``
 count losses (:mod:`~repro.autograd.ops_reduce`), indexing and flattening
 (:mod:`~repro.autograd.ops_shape`), the dense layer's affine transform
 (:mod:`~repro.autograd.ops_matmul`), 2-D convolution and max pooling
-(:mod:`~repro.autograd.ops_conv`) -- and the neuron's fused timestep
+(:mod:`~repro.autograd.ops_conv`) -- plus the copy of a shared conv1
+output into max pooling's phase-major layout (also in ``ops_conv``) and
+the neuron's fused timestep
 (:func:`~repro.autograd.ops_spiking.fused_lif_step`), whose spike takes
 its surrogate derivative (:mod:`repro.surrogate`) on the backward pass.
 

@@ -11,12 +11,19 @@ kernel offset is one long copy per channel rather than one per output
 row, into arrays a :class:`ConvBinding` keeps for its geometry.  A
 narrow forward product runs as row panels small enough for OpenBLAS's
 small-matrix kernel (:data:`SMALL_GEMM_MACS`, :data:`PANEL_ROW_MULTIPLE`).
+
+Max pooling with a ``k x k`` window reads its input by *window phase*:
+phase ``p`` is window offset ``(i, j) = divmod(p, k)``, row-major.  An
+NCHW input holds each phase as a strided view; the phase-major layout
+``(k*k, N, C, H//k, W//k)`` (:func:`to_phase_major`) holds it as one
+contiguous slice, so :class:`MaxPool2d` scans contiguous phases whichever
+layout it is given.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -156,11 +163,6 @@ def _offsets(layout: TallLayout, grid: np.ndarray, mat: np.ndarray) -> Iterator[
             start = i * width + j
             strided = flat[:, start : start + run].reshape(c, -1, s * width)
             yield strided[:, :, :width:s], rows[:, i, j]
-
-
-def _offset_view(a: np.ndarray, i: int, j: int, oh: int, ow: int, stride: int) -> np.ndarray:
-    """The ``(..., OH, OW)`` positions that kernel offset ``(i, j)`` reads in ``a``."""
-    return a[..., i : i + oh * stride : stride, j : j + ow * stride : stride]
 
 
 #: The most multiply-adds (rows x K x C_out) a forward panel holds.  OpenBLAS
@@ -329,6 +331,86 @@ class Conv2d(Function):
         return grad_x, grad_w, grad_b, None, None
 
 
+def phase_views(x: np.ndarray, kernel: int) -> List[np.ndarray]:
+    """The ``k*k`` window phases of a ``k x k`` pool's input, as ``(N, C, H//k, W//k)`` views.
+
+    ``x`` is NCHW, whose phases are strided views that leave out the rows
+    and columns past the last whole window, or the phase-major layout
+    ``(k*k, N, C, H//k, W//k)``, whose phases are its leading slices.
+    Raises ``ValueError`` on any other shape.
+    """
+    if _is_phase_major(x, kernel):
+        return list(x)
+    h, w = x.shape[2] // kernel * kernel, x.shape[3] // kernel * kernel
+    return [x[:, :, i:h:kernel, j:w:kernel] for i in range(kernel) for j in range(kernel)]
+
+
+def _is_phase_major(x: np.ndarray, kernel: int) -> bool:
+    """Whether a pool input is phase-major (``True``) or NCHW (``False``); ``ValueError`` otherwise."""
+    if x.ndim == 4:
+        return False
+    if x.ndim == 5 and len(x) == kernel * kernel:
+        return True
+    raise ValueError(
+        f"a {kernel}x{kernel} max pool takes NCHW input or its ({kernel * kernel}, N, C, H/{kernel}, "
+        f"W/{kernel}) phase-major layout, got shape {x.shape}"
+    )
+
+
+def _empty_pool_input(shape: Tuple[int, ...], kernel: int, dtype) -> np.ndarray:
+    """An uninitialised pool input of ``shape``, zero past the last whole window (NCHW only)."""
+    x = np.empty(shape, dtype=dtype)
+    if len(shape) == 4:
+        h, w = shape[2] // kernel * kernel, shape[3] // kernel * kernel
+        x[:, :, h:] = 0
+        x[:, :, :h, w:] = 0
+    return x
+
+
+def to_phase_major(x: np.ndarray, kernel: int) -> np.ndarray:
+    """A ``(k*k, N, C, H//k, W//k)`` copy of NCHW ``x``: phase ``p`` holds window offset ``divmod(p, k)``.
+
+    Copied phase by phase; the rows and columns past the last whole window
+    are left out.
+    """
+    views = phase_views(x, kernel)
+    phases = np.empty((len(views), *views[0].shape), dtype=x.dtype)
+    for phase, view in zip(phases, views):
+        np.copyto(phase, view)
+    return phases
+
+
+def from_phase_major(phases: np.ndarray, x_shape: Tuple[int, ...]) -> np.ndarray:
+    """The NCHW array of ``x_shape`` whose window phases are ``phases``; the inverse of :func:`to_phase_major`.
+
+    Copied phase by phase; the rows and columns past the last whole window
+    are zero.
+    """
+    kernel = math.isqrt(len(phases))
+    x = _empty_pool_input(x_shape, kernel, phases.dtype)
+    for view, phase in zip(phase_views(x, kernel), phases):
+        np.copyto(view, phase)
+    return x
+
+
+class PhaseMajor(Function):
+    """Copy NCHW ``x`` into the phase-major layout of a ``kernel x kernel`` pool (:func:`to_phase_major`).
+
+    The backward copies the gradient back with :func:`from_phase_major`, so
+    the rows and columns past the last whole window get zero gradient.
+    """
+
+    @staticmethod
+    def forward(ctx: Context, x: np.ndarray, kernel: int = 2) -> np.ndarray:
+        ctx.save_for_backward(x.shape)
+        return to_phase_major(x, kernel)
+
+    @staticmethod
+    def backward(ctx: Context, grad_output: np.ndarray):
+        (x_shape,) = ctx.saved
+        return from_phase_major(np.asarray(grad_output), x_shape), None
+
+
 def maxpool2d_buffers(x_shape: Tuple[int, ...], kernel: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
     """Uninitialised ``(rows, out)`` arrays for :func:`maxpool2d_forward` of an ``x_shape`` input."""
     n, c, h, w = x_shape
@@ -358,14 +440,14 @@ def maxpool2d_forward(
     rows/columns that do not fill a window are dropped.  ``buffers`` is the
     ``(rows, out)`` pair of :func:`maxpool2d_buffers` to write into, fresh
     arrays when ``None``; the result is ``out``.  The inference runtime and
-    every dense pool that needs no input gradient run it, so compiled and
-    dense pooling agree bit for bit.
+    every dense pool of an NCHW input that needs no gradient run it, so
+    compiled and dense pooling agree bit for bit.
 
-    The value is the running maximum over the ``k*k`` window offsets in
-    row-major order that :class:`MaxPool2d` takes with an index: on spike
-    maps byte for byte, and NaN wherever a window holds one.  On other
-    inputs only the sign of a zero maximum (a window whose maximum is a tie
-    of ``+0.0`` and ``-0.0``) may differ from that order.
+    The value is the running maximum over the ``k*k`` window phases in
+    row-major order that :class:`MaxPool2d` takes: on spike maps byte for
+    byte, and NaN wherever a window holds one.  On other inputs only the
+    sign of a zero maximum (a window whose maximum is a tie of ``+0.0`` and
+    ``-0.0``) may differ from that order.
     """
     rows, out = buffers if buffers is not None else maxpool2d_buffers(x.shape, kernel, x.dtype)
     oh, ow = out.shape[2], out.shape[3]
@@ -377,49 +459,53 @@ def maxpool2d_forward(
 class MaxPool2d(Function):
     """Non-overlapping max pooling (kernel == stride), as used in the paper.
 
-    When the input needs no gradient (validation, dense no-grad evaluation)
-    the forward is :func:`maxpool2d_forward` and nothing is saved.
-    Otherwise it takes the running maximum over the ``k*k`` phase views in
-    row-major order -- the value :func:`maxpool2d_forward` gives, up to the
-    sign of a zero maximum -- while a later phase takes over the saved
-    index only when strictly greater.
+    The input is NCHW or its phase-major layout (:func:`phase_views`); the
+    output is ``(N, C, H//k, W//k)`` either way.  An NCHW input that needs
+    no gradient (validation, dense no-grad evaluation) takes
+    :func:`maxpool2d_forward` and saves nothing.  Otherwise the forward is
+    one scan over the ``k*k`` contiguous phases in row-major order -- an
+    NCHW input is first copied into the layout (:func:`to_phase_major`) --
+    that keeps the running maximum (the value :func:`maxpool2d_forward`
+    gives, up to the sign of a zero maximum) and, when the input needs a
+    gradient, raises a saved index to a later phase only where that phase
+    is strictly greater: ``idx = max(idx, (phase > out) * p)``.
     The index is therefore the *first* maximum in each window (the
     ``argmax`` convention, as in PyTorch), and the backward routes each
     output gradient to that one winner: on binary spike maps, where every
     firing pixel in a window holds the same 1.0, the whole gradient goes to
     the first of the tied maxima.  The index is one uint8 per *output*
-    element.  The backward writes each phase of the input gradient as
-    ``go * (idx == phase)`` straight into its strided view, so the other
-    positions of a window get ``go * 0``: a signed zero for a finite
-    gradient, NaN for an infinite or NaN one (a non-finite output gradient
-    spreads NaN over its whole window).  Trailing rows/columns that do not
-    fill a window get zero gradient.
+    element.  The backward writes each phase of the input gradient, in the
+    input's layout, as ``go * (idx == phase)``, so the other positions of a
+    window get ``go * 0``: a signed zero for a finite gradient, NaN for an
+    infinite or NaN one (a non-finite output gradient spreads NaN over its
+    whole window).  Trailing rows/columns that do not fill a window get
+    zero gradient.
     """
 
     @staticmethod
     def forward(ctx: Context, x: np.ndarray, kernel: int = 2) -> np.ndarray:
-        if not ctx.needs_input_grad[0]:
+        phase_major = _is_phase_major(x, kernel)
+        if not (phase_major or ctx.needs_input_grad[0]):
             return maxpool2d_forward(x, kernel)
-        oh, ow = x.shape[2] // kernel, x.shape[3] // kernel
-        out = _offset_view(x, 0, 0, oh, ow, kernel).copy()
-        idx = np.zeros(out.shape, dtype=np.uint8 if kernel * kernel <= 255 else np.intp)
-        greater = np.empty(out.shape, dtype=bool)
+        phases = x if phase_major else to_phase_major(x, kernel)
+        out = phases[0].copy()
+        idx = greater = None
+        if ctx.needs_input_grad[0]:
+            idx = np.zeros(out.shape, dtype=np.uint8 if kernel * kernel <= 255 else np.intp)
+            greater = np.empty(out.shape, dtype=bool)
+            ctx.save_for_backward(idx, x.shape, kernel)
         for phase in range(1, kernel * kernel):
-            view = _offset_view(x, *divmod(phase, kernel), oh, ow, kernel)
-            np.greater(view, out, out=greater)
-            idx[greater] = phase
-            np.maximum(out, view, out=out)
-        ctx.save_for_backward(idx, x.shape, kernel)
+            if idx is not None:
+                np.greater(phases[phase], out, out=greater)
+                np.maximum(idx, greater * idx.dtype.type(phase), out=idx)
+            np.maximum(out, phases[phase], out=out)
         return out
 
     @staticmethod
     def backward(ctx: Context, grad_output: np.ndarray):
         idx, x_shape, kernel = ctx.saved
-        oh, ow = idx.shape[2], idx.shape[3]
         go = np.asarray(grad_output)
-        grad = np.empty(x_shape, dtype=go.dtype)
-        grad[:, :, oh * kernel :] = 0
-        grad[:, :, : oh * kernel, ow * kernel :] = 0
-        for phase in range(kernel * kernel):
-            np.multiply(go, idx == phase, out=_offset_view(grad, *divmod(phase, kernel), oh, ow, kernel))
+        grad = _empty_pool_input(x_shape, kernel, go.dtype)
+        for phase, view in enumerate(phase_views(grad, kernel)):
+            np.multiply(go, idx == phase, out=view)
         return grad, None

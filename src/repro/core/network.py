@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.autograd.ops_conv import PhaseMajor
 from repro.autograd.tensor import Tensor
 from repro.encoding.base import is_time_invariant
 from repro.neurons.factory import build_neuron
@@ -143,9 +144,13 @@ class SpikingCNN(Module):
         """Accumulate output spike counts over the whole sequence ``(T, N, ...)``.
 
         A sequence that repeats one frame (direct coding) and needs no
-        input gradient gets one conv1 node, whose read-only output feeds
-        ``lif1`` at every step: the engine sums its ``T`` output gradients,
-        so conv1's backward is one product instead of ``T``.
+        input gradient gets one conv1 node, whose output is copied once
+        into ``pool1``'s phase-major layout
+        (:class:`~repro.autograd.ops_conv.PhaseMajor`).  That read-only
+        copy feeds ``lif1`` at every step, so ``lif1`` and ``pool1`` run on
+        contiguous window phases; the engine sums its ``T`` output
+        gradients, which are copied back once, so conv1's backward is one
+        product instead of ``T``.
         """
         if spike_sequence.ndim != 5 or spike_sequence.shape[0] == 0:
             raise ValueError(
@@ -153,13 +158,13 @@ class SpikingCNN(Module):
                 f"got {spike_sequence.shape}"
             )
         num_steps = spike_sequence.shape[0]
-        conv1_out: Optional[Tensor] = None
+        phases: Optional[Tensor] = None
         if not spike_sequence.requires_grad and is_time_invariant(spike_sequence.data):
-            conv1_out = self.conv1(spike_sequence[0])
-            conv1_out.data.flags.writeable = False
+            phases = PhaseMajor.apply(self.conv1(spike_sequence[0]), self.pool1.kernel_size)
+            phases.data.flags.writeable = False
         counts: Optional[Tensor] = None
         for t in range(num_steps):
-            out_spikes = self.step(spike_sequence[t]) if conv1_out is None else self._after_conv1(conv1_out)
+            out_spikes = self.step(spike_sequence[t]) if phases is None else self._after_conv1(phases)
             counts = out_spikes if counts is None else counts + out_spikes
         return counts
 

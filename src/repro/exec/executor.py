@@ -7,7 +7,10 @@ remaining cells either serially or on a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  The pool forks where
 the platform offers ``fork`` and spawns otherwise (macOS, Windows), so
 ``workers>1`` is honoured everywhere; :func:`resolve_start_method` picks,
-and ``REPRO_SWEEP_START_METHOD`` overrides.
+and ``REPRO_SWEEP_START_METHOD`` overrides.  A spawned worker imports
+``repro`` afresh, so each cell carries its surrogate class, which the
+worker registers before it trains: a surrogate the caller registered
+trains under either start method.
 
 Determinism
 -----------
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -56,7 +60,7 @@ from repro.core.config import ExperimentConfig
 from repro.core.experiment import ExperimentRecord, run_experiment
 from repro.exec.cache import ExperimentCache, experiment_cache_key
 from repro.obs.trace import default_tracer
-from repro.surrogate.registry import get_surrogate
+from repro.surrogate.registry import get_surrogate, register_surrogate
 
 ProgressCallback = Callable[["ProgressEvent"], None]
 CacheSpec = Union[None, bool, str, "os.PathLike[str]", ExperimentCache]
@@ -189,22 +193,36 @@ class _CellFailure:
         self.traceback = formatted_traceback
 
 
-def _run_cell(payload: Tuple[int, ExperimentConfig, Any, bool]):
+def _run_cell(payload: Tuple[int, ExperimentConfig, type, Any, bool]):
     """Train one cell; shared by the serial path and every pool worker.
 
     Returns ``(index, record_or_failure, seconds)`` — failures are wrapped
     rather than raised so the parent can attribute the error to the right
-    cell whatever order cells finish in.  The global RNG is reseeded from
-    the config first (see Determinism above).
+    cell whatever order cells finish in.  The cell's surrogate class is
+    registered first, so a spawned worker, which imports ``repro`` afresh,
+    knows a surrogate the caller registered; then the global RNG is
+    reseeded from the config (see Determinism above).
     """
-    index, config, accelerator, verbose = payload
+    index, config, surrogate, accelerator, verbose = payload
     start = time.perf_counter()
+    register_surrogate(surrogate)
     np.random.seed(_config_seed(config))
     try:
         record = run_experiment(config, accelerator=accelerator, verbose=verbose)
     except Exception:
         return index, _CellFailure(traceback.format_exc()), time.perf_counter() - start
     return index, record, time.perf_counter() - start
+
+
+def _check_picklable(surrogate: type) -> None:
+    """Raise ``pickle.PicklingError`` unless a pool worker can receive ``surrogate`` by reference."""
+    try:
+        pickle.dumps(surrogate)
+    except (pickle.PicklingError, AttributeError, TypeError) as error:
+        raise pickle.PicklingError(
+            f"surrogate '{surrogate.name}' ({surrogate.__module__}.{surrogate.__qualname__}) cannot be "
+            f"sent to a pool worker: define it at module level, or run with workers=1 ({error})"
+        ) from error
 
 
 def _run_pool(payloads: List[tuple], workers: int, settle: Callable[..., None]) -> List[int]:
@@ -264,7 +282,10 @@ def run_experiments(
         printer; receives events regardless of ``verbose``).
 
     Raises ``KeyError`` naming the registered surrogates, before any cell
-    starts, when a cell to train names a surrogate nothing registered.
+    starts, when a cell to train names a surrogate nothing registered, and
+    ``pickle.PicklingError`` when a pool would have to receive a surrogate
+    class that does not pickle by reference (one defined inside a function,
+    say): each cell's class travels with it to the worker.
     """
     configs = list(configs)
     total = len(configs)
@@ -345,13 +366,14 @@ def run_experiments(
         finish(index, outcome, seconds)
 
     try:
-        for i in pending:
-            # Checked here, not in the cell, which renders its data first.
-            get_surrogate(configs[i].surrogate, configs[i].surrogate_scale)
+        # Looked up here, not in the cell, which renders its data first.
+        surrogates = {i: type(get_surrogate(configs[i].surrogate, configs[i].surrogate_scale)) for i in pending}
         if pending:
-            payloads = [(i, configs[i], accelerator, verbose) for i in pending]
+            payloads = [(i, configs[i], surrogates[i], accelerator, verbose) for i in pending]
             nworkers = min(resolve_workers(workers), len(pending))
             if nworkers > 1:
+                for surrogate in set(surrogates.values()):
+                    _check_picklable(surrogate)
                 for i in pending:
                     emit("start", i)
                 lost = _run_pool(payloads, nworkers, settle)

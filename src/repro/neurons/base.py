@@ -54,6 +54,17 @@ class SpikingNeuron(Module):
         self.surrogate = surrogate if surrogate is not None else FastSigmoid()
         self.state = NeuronState()
 
+    @property
+    def membrane(self) -> Optional[Tensor]:
+        """Current membrane potential, shaped like the layer's input (``None`` before the first step).
+
+        On :class:`~repro.core.network.SpikingCNN`'s conv1-once path (a
+        direct-coded sequence) ``lif1``'s input, and so its state, is in
+        ``pool1``'s phase-major layout, ``(k*k, N, C, H/k, W/k)``; undo it
+        with :func:`repro.autograd.ops_conv.from_phase_major`.
+        """
+        return self.state.mem
+
     # ------------------------------------------------------------------ #
     def reset_state(self) -> None:
         """Clear the membrane (and adaptation) state before a new sequence."""

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.autograd.ops_spiking import fused_lif_step
 from repro.autograd.tensor import Tensor, zeros
 from repro.neurons.base import SpikingNeuron
@@ -48,8 +46,3 @@ class LIF(SpikingNeuron):
             state.mem = zeros(synaptic_input.shape, dtype=synaptic_input.dtype)
         spikes, state.mem, _ = fused_lif_step(state.mem, synaptic_input, self.beta, self.threshold, self.surrogate)
         return spikes
-
-    @property
-    def membrane(self) -> Optional[Tensor]:
-        """Current membrane potential (``None`` before the first step)."""
-        return self.state.mem

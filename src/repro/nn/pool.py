@@ -7,7 +7,12 @@ from repro.nn.module import Module
 
 
 class MaxPool2d(Module):
-    """Non-overlapping max pooling (kernel == stride), the paper's ``MP2``."""
+    """Non-overlapping max pooling (kernel == stride), the paper's ``MP2``.
+
+    Takes NCHW input, or the phase-major layout of its window phases that
+    :class:`~repro.core.network.SpikingCNN` gives ``pool1`` on a
+    direct-coded sequence (:func:`repro.autograd.ops_conv.phase_views`).
+    """
 
     def __init__(self, kernel_size: int = 2) -> None:
         super().__init__()
@@ -16,8 +21,6 @@ class MaxPool2d(Module):
         self.kernel_size = int(kernel_size)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise ValueError(f"MaxPool2d expects NCHW input, got shape {x.shape}")
         return x.max_pool2d(self.kernel_size)
 
     def extra_repr(self) -> str:

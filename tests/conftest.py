@@ -97,9 +97,12 @@ def dense_forward_with_trains(model, spikes: np.ndarray):
     Wraps every spiking layer's ``forward`` for the duration of one
     ``no_grad`` pass and stacks its per-timestep outputs, so the result is
     ``(counts, {layer name: (T, N, ...) spike train})`` — the dense
-    reference the compiled runtime must reproduce bit for bit.  Import it
-    with ``from conftest import dense_forward_with_trains``.
+    reference the compiled runtime must reproduce bit for bit.  A CNN's
+    ``lif1`` on a direct-coded sequence spikes in ``pool1``'s phase-major
+    layout; its train is re-laid into NCHW, as the layout's backward does.
+    Import it with ``from conftest import dense_forward_with_trains``.
     """
+    from repro.autograd.ops_conv import from_phase_major
     from repro.autograd.tensor import Tensor, no_grad
     from repro.neurons.base import SpikingNeuron
 
@@ -109,7 +112,12 @@ def dense_forward_with_trains(model, spikes: np.ndarray):
     def capture(name, forward):
         def recorded(synaptic_input):
             spikes_out = forward(synaptic_input)
-            trains[name].append(spikes_out.data.copy())
+            if spikes_out.ndim == 5:  # (k*k, N, C, H/k, W/k)
+                k = model.pool1.kernel_size
+                _, n, c, oh, ow = spikes_out.shape
+                trains[name].append(from_phase_major(spikes_out.data, (n, c, oh * k, ow * k)))
+            else:
+                trains[name].append(spikes_out.data.copy())
             return spikes_out
 
         return recorded

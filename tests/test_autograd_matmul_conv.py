@@ -8,7 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from gradcheck import gradcheck
 from repro.autograd import Tensor, no_grad
-from repro.autograd.ops_conv import ScratchPool, conv2d_forward, conv_output_shape, maxpool2d_forward
+from repro.autograd.ops_conv import (
+    ScratchPool,
+    conv2d_forward,
+    conv_output_shape,
+    from_phase_major,
+    maxpool2d_forward,
+    phase_views,
+    to_phase_major,
+)
 from repro.runtime.kernels import ConvKernel, MaxPoolKernel
 
 
@@ -440,16 +448,19 @@ class TestPooling:
         x = t((2, 3, 4, 4), 50)
         assert gradcheck(lambda a: a.max_pool2d(2), [x])
 
+    @pytest.mark.parametrize("layout", ["nchw", "phase-major"])
     @pytest.mark.parametrize("values", ["binary", "few-levels", "normal"])
     @pytest.mark.parametrize(
         "shape,kernel", [((4, 3, 8, 8), 2), ((2, 3, 7, 9), 2), ((2, 2, 9, 7), 3), ((3, 2, 5, 5), 2)]
     )
-    def test_maxpool_matches_argmax_reference(self, shape, kernel, values):
-        # The phase-view scan must reproduce the argmax / take_along_axis /
+    def test_maxpool_matches_argmax_reference(self, shape, kernel, values, layout):
+        # The phase scan must reproduce the argmax / take_along_axis /
         # put_along_axis formulation exactly: values, the saved first-max
         # index, and backward routing -- also on binary spike maps, where
         # most windows are ties (all-silent windows included), and on sizes
-        # that leave a trimmed border.
+        # that leave a trimmed border.  A phase-major input pools to the
+        # same values and index, and its gradient, re-laid into NCHW, is
+        # the NCHW input's.
         rng = np.random.default_rng(sum(shape) * 10 + kernel)
         if values == "binary":
             x = (rng.random(shape) < 0.3).astype(np.float32)
@@ -476,23 +487,72 @@ class TestPooling:
             flat.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh * k, ow * k)
         )
 
-        xt = Tensor(x, requires_grad=True)
+        pooled_input = x if layout == "nchw" else to_phase_major(x, kernel)
+        xt = Tensor(pooled_input, requires_grad=True)
         out = xt.max_pool2d(kernel)
         np.testing.assert_array_equal(out.numpy(), ref_out)
         np.testing.assert_array_equal(out._node.ctx.saved[0], idx)
         out.backward(go)
-        np.testing.assert_array_equal(xt.grad, ref_grad)
+        assert xt.grad.shape == pooled_input.shape
+        grad = xt.grad if layout == "nchw" else from_phase_major(xt.grad, shape)
+        np.testing.assert_array_equal(grad, ref_grad)
 
-        # An input that needs no gradient takes the index-free forward,
-        # which the compiled plan's pool kernel runs too.
-        plain = Tensor(x).max_pool2d(kernel)
+        # An input that needs no gradient takes the index-free forward; on
+        # NCHW it is the one the compiled plan's pool kernel runs too.
+        plain = Tensor(pooled_input).max_pool2d(kernel)
         with no_grad():
-            no_grad_out = Tensor(x).max_pool2d(kernel)
+            no_grad_out = Tensor(pooled_input).max_pool2d(kernel)
         for pooled in (plain, no_grad_out):
             np.testing.assert_array_equal(pooled.numpy(), ref_out)
             assert pooled.dtype == x.dtype and pooled._node is None and not pooled.requires_grad
         compiled = MaxPoolKernel("pool", kernel).run(x)
         assert compiled.dtype == x.dtype and compiled.tobytes() == plain.numpy().tobytes()
+
+    @pytest.mark.parametrize("layout", ["nchw", "phase-major"])
+    @pytest.mark.parametrize("shape,kernel", [((2, 3, 8, 8), 2), ((2, 2, 7, 9), 2), ((1, 2, 10, 11), 3)])
+    def test_backward_bytes_are_go_times_index_match_per_phase(self, shape, kernel, layout):
+        # Each phase of the input gradient holds exactly go * (idx == phase):
+        # -0.0 where a negative or -0.0 gradient is not routed, NaN across
+        # the window of an infinite one, and +0.0 past the last window.
+        rng = np.random.default_rng(sum(shape) + kernel)
+        x = (rng.random(shape) < 0.4).astype(np.float32) * rng.integers(1, 3, shape).astype(np.float32)
+        pooled_input = x if layout == "nchw" else to_phase_major(x, kernel)
+        xt = Tensor(pooled_input, requires_grad=True)
+        out = xt.max_pool2d(kernel)
+        go = rng.standard_normal(out.shape).astype(np.float32)
+        go.flat[::7] = -0.0
+        go.flat[3::11] = np.inf
+        go.flat[5::13] = -np.inf
+        assert (go < 0).any() and np.signbit(go[go == 0]).all()
+        idx = out._node.ctx.saved[0]
+        with np.errstate(invalid="ignore"):  # inf * 0
+            out.backward(go)
+            expected = [(go * (idx == phase)).tobytes() for phase in range(kernel * kernel)]
+        views = phase_views(xt.grad, kernel)
+        assert [view.tobytes() for view in views] == expected
+        assert np.isnan(xt.grad).sum() == (kernel * kernel - 1) * np.isinf(go).sum()
+        if layout == "nchw":
+            h, w = shape[2] // kernel * kernel, shape[3] // kernel * kernel
+            border = np.concatenate([xt.grad[:, :, h:].ravel(), xt.grad[:, :, :h, w:].ravel()])
+            assert border.size == xt.grad.size - out.size * kernel * kernel
+            assert border.tobytes() == np.zeros_like(border).tobytes()
+
+    def test_layout_round_trips_and_rejects_other_shapes(self):
+        x = np.random.default_rng(5).standard_normal((2, 3, 7, 9))
+        phases = to_phase_major(x, 2)
+        assert phases.shape == (4, 2, 3, 3, 4) and phases.flags.c_contiguous
+        for phase, view in enumerate(phase_views(x, 2)):
+            i, j = divmod(phase, 2)
+            np.testing.assert_array_equal(phases[phase], x[:, :, i:6:2, j:8:2])
+            assert phase_views(phases, 2)[phase].base is phases
+        trimmed = x.copy()
+        trimmed[:, :, 6:] = 0
+        trimmed[:, :, :, 8:] = 0
+        np.testing.assert_array_equal(from_phase_major(phases, x.shape), trimmed)
+        np.testing.assert_array_equal(from_phase_major(phases, (2, 3, 6, 8)), x[:, :, :6, :8])
+        for bad in ((4, 4), (3, 2, 3, 3, 4), (4, 2, 3, 3, 4, 1)):
+            with pytest.raises(ValueError, match="phase-major layout"):
+                Tensor(np.zeros(bad)).max_pool2d(2)
 
     @staticmethod
     def _phase_order_max(x, k):

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, no_grad, ops_conv
+from repro.autograd.function import Node
+from repro.autograd.ops_spiking import _LIFCharge
+from repro.core.config import SCALE_PRESETS, ExperimentConfig
+from repro.core.experiment import make_encoder, make_model
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.neurons import LIF
 from repro.surrogate import ArcTan, FastSigmoid
@@ -189,6 +193,35 @@ class TestTimeInvariantInput:
             np.testing.assert_array_equal(input_grad, ref_input_grad)
         else:
             assert input_grad is None and ref_input_grad is None
+
+
+    @pytest.mark.parametrize("encoder", ["direct", "rate"])
+    def test_a_direct_coded_forward_lays_conv1_out_once(self, encoder):
+        # One layout copy of the shared conv1 output, read by lif1's charge
+        # node at every step; a sequence whose frames differ runs conv1
+        # per step, in NCHW, and records none.
+        config = ExperimentConfig(scale=SCALE_PRESETS["smoke"], encoder=encoder, seed=0)
+        size, steps = config.scale.image_size, config.scale.num_steps
+        images = np.random.default_rng(2).random((4, 3, size, size)).astype(np.float32)
+        model = make_model(config)
+        model.train()
+        model.reset_spiking_state()
+        counts = model(Tensor(make_encoder(config)(images)))
+        nodes, todo = {counts._node}, [counts._node]
+        while todo:
+            for parent in todo.pop().inputs:
+                if isinstance(parent, Node) and parent not in nodes:
+                    nodes.add(parent)
+                    todo.append(parent)
+        layouts = [node for node in nodes if node.fn is ops_conv.PhaseMajor]
+        if encoder == "rate":
+            assert layouts == []
+            return
+        (layout,) = layouts
+        assert layout.inputs[0].fn is ops_conv.Conv2d
+        readers = [node for node in nodes if layout in node.inputs]
+        assert len(readers) == steps and all(node.fn is _LIFCharge for node in readers)
+        assert model.lif1.membrane.shape == (4, 4, config.scale.conv_channels[0], size // 2, size // 2)
 
 
 class TestSpikingMLP:

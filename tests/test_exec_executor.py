@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import pytest
 
 import repro
 from repro.core.config import ExperimentConfig
+from repro.surrogate import SurrogateFunction, register_surrogate
 from repro.exec import (
     ExperimentCache,
     ProgressEvent,
@@ -33,6 +35,24 @@ from repro.exec import executor as executor_mod
 needs_fork = pytest.mark.skipif(
     not executor_mod.fork_available(), reason="test relies on fork inheriting monkeypatches"
 )
+
+
+class BoxcarSurrogate(SurrogateFunction):
+    """A caller's surrogate that ``repro`` does not register: ``dS/dU = k`` where ``|U| < 1 / (2k)``.
+
+    Defined at module level, so a spawned worker can unpickle it by reference.
+    """
+
+    name = "boxcar_exec"
+
+    def __init__(self, scale: float = 1.0) -> None:
+        super().__init__(scale)
+
+    def forward_smooth(self, u: np.ndarray) -> np.ndarray:
+        return np.clip(self.scale * np.asarray(u) + 0.5, 0.0, 1.0)
+
+    def derivative(self, u: np.ndarray) -> np.ndarray:
+        return np.where(np.abs(u) < 0.5 / self.scale, self.scale, 0.0)
 
 
 @pytest.fixture
@@ -83,6 +103,40 @@ class TestParallelMatchesSerial:
         spawned = run_experiments(micro_configs[:2], workers=2)
         for a, b in zip(serial, spawned):
             _assert_records_identical(a, b)
+
+
+    def test_spawned_workers_train_a_surrogate_the_caller_registered(
+        self, micro_configs, monkeypatch, surrogate_registry
+    ):
+        # A spawned worker imports repro afresh; the cell brings its
+        # surrogate class along and registers it before it trains.
+        register_surrogate(BoxcarSurrogate)
+        configs = [config.with_overrides(surrogate=BoxcarSurrogate.name) for config in micro_configs[:2]]
+        serial = run_experiments(configs, workers=1)
+        monkeypatch.setenv("REPRO_SWEEP_START_METHOD", "spawn")
+        spawned = run_experiments(configs, workers=2)
+        for a, b in zip(serial, spawned):
+            _assert_records_identical(a, b)
+
+    def test_a_surrogate_a_pool_cannot_receive_fails_before_any_data_is_rendered(
+        self, micro_configs, monkeypatch, surrogate_registry
+    ):
+        from repro.core import experiment
+
+        class LocalBoxcar(BoxcarSurrogate):
+            name = "local_boxcar"
+
+        register_surrogate(LocalBoxcar)
+        rendered = []
+        original = experiment.make_dataset
+        monkeypatch.setattr(experiment, "make_dataset", lambda config: rendered.append(config) or original(config))
+        configs = [config.with_overrides(surrogate=LocalBoxcar.name) for config in micro_configs[:2]]
+        events = []
+        with pytest.raises(pickle.PicklingError, match="surrogate 'local_boxcar'.*define it at module level"):
+            run_experiments(configs, workers=2, progress=events.append)
+        assert rendered == [] and events == []
+        # One process needs no pickling: the same cells train serially.
+        assert len(run_experiments(configs[:1], workers=1)) == 1
 
 
 class TestStartMethodResolution:
