@@ -194,7 +194,6 @@ class TestTimeInvariantInput:
         else:
             assert input_grad is None and ref_input_grad is None
 
-
     @pytest.mark.parametrize("encoder", ["direct", "rate"])
     def test_a_direct_coded_forward_lays_conv1_out_once(self, encoder):
         # One layout copy of the shared conv1 output, read by lif1's charge

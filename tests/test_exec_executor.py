@@ -104,7 +104,6 @@ class TestParallelMatchesSerial:
         for a, b in zip(serial, spawned):
             _assert_records_identical(a, b)
 
-
     def test_spawned_workers_train_a_surrogate_the_caller_registered(
         self, micro_configs, monkeypatch, surrogate_registry
     ):
